@@ -255,7 +255,6 @@ def _pool_summary(anception):
         f" placement={pool_stats['placement']['policy']}"
         f" assignments={pool_stats['assignments']}"
         f" flaps={pool_stats['flaps']}"
-        f" rebalances={pool_stats['rebalances']}"
     ]
     for lane_name, entry in sorted(stats["per_cvm"].items()):
         lines.append(
@@ -539,8 +538,9 @@ def cmd_bench_engine(args):
     Emits ``BENCH_engine.json`` (simulated syscalls per wall-clock
     second for the gated workloads, with profiler attribution shares)
     and exits non-zero when any workload falls below the configured
-    ratio of the committed baseline.  ``--update-baseline`` rewrites
-    the baseline from this run instead of gating.
+    ratio of the committed baseline, when a sim-time digest drifts from
+    it, or when there is no baseline at all.  ``--update-baseline``
+    rewrites the baseline from this run instead of gating.
     """
     from repro.perf.engine_bench import (
         DEFAULT_BASELINE_PATH,
@@ -576,9 +576,10 @@ def cmd_bench_engine(args):
         return
     baseline = load_baseline(baseline_path)
     if baseline is None:
-        print(f"engine: no baseline at {baseline_path}; gate skipped",
-              file=sys.stderr)
-        return
+        sys.exit(
+            f"anception: error: no engine baseline at {baseline_path} "
+            "(write one with --update-baseline)"
+        )
     failures = check_regression(
         report, baseline, min_ratio=getattr(args, "gate_ratio", None)
     )

@@ -29,6 +29,7 @@ from repro.core.pool import CVMLane, CVMPool
 from repro.core.proxy import ProxyManager
 from repro.core.recovery import RecoveryPolicy
 from repro.core.ring import RING_FLAG_BINDER, RING_FLAG_WRITE_BEHIND
+from repro.core.windows import WINDOW_DEPTH, DeferredEntry, DeferredWindows
 from repro.errors import (
     ChannelError,
     ChannelStalled,
@@ -160,234 +161,8 @@ class DelegationBatch:
         return False
 
 
-WRITE_BEHIND_DEPTH = 32
-"""Default bound on one task's in-flight write-behind window (clamped
-to the ring depth: a window must drain behind one doorbell pair)."""
-
-
-class WriteBehindEntry:
-    """One deferred side-effect call staged in a write-behind window."""
-
-    __snapshot__ = "auto"
-
-    __slots__ = ("name", "args", "call_args", "wire", "fd", "result")
-
-    def __init__(self, name, args, call_args, wire, fd, result):
-        self.name = name
-        self.args = args
-        self.call_args = call_args
-        self.wire = wire
-        self.fd = fd
-        self.result = result
-
-    def __repr__(self):
-        return f"WriteBehindEntry({self.name}, fd={self.fd})"
-
-
-class _WbWindow:
-    """One task's open in-flight window of staged entries."""
-
-    __snapshot__ = "auto"
-
-    __slots__ = ("task", "entries")
-
-    def __init__(self, task):
-        self.task = task
-        self.entries = []
-
-
-class WriteBehind:
-    """Per-task async submission windows plus the deferred-error ledger.
-
-    Deferrable calls (plain writes to validated writable CVM files)
-    return optimistically while their descriptors sit staged in a
-    bounded per-task window; a drain ships the window through the ring
-    while the host keeps running (the CVM lane absorbs the cost).  A
-    drained entry that fails lands in the per-``(pid, fd)`` ledger —
-    first error wins, later same-window entries get ECANCELED — and is
-    surfaced exactly once at the next fence on that fd.
-    """
-
-    __snapshot__ = "auto"
-
-    def __init__(self, depth=WRITE_BEHIND_DEPTH):
-        self.depth = depth
-        self.windows = {}
-        """pid -> :class:`_WbWindow` of staged entries."""
-        self.errors = {}
-        """(pid, host_fd) -> deferred :class:`SyscallError` (first wins)."""
-        self.enqueued = 0
-        self.drains = 0
-        self.fences = 0
-        self.deferred_errors = 0
-        self.max_depth_seen = 0
-
-    def window(self, task):
-        window = self.windows.get(task.pid)
-        if window is None:
-            window = self.windows[task.pid] = _WbWindow(task)
-        return window
-
-    def pending_windows(self):
-        """Windows with staged entries, in deterministic pid order."""
-        return [w for _pid, w in sorted(self.windows.items())
-                if w.entries]
-
-    def record_error(self, pid, fd, exc):
-        """Ledger ``exc`` for ``(pid, fd)``; ``True`` if it was first."""
-        key = (pid, fd)
-        if key in self.errors:
-            return False
-        self.errors[key] = exc
-        self.deferred_errors += 1
-        return True
-
-    def take_error(self, pid, fd):
-        """Pop (surface-exactly-once) the deferred error for a fd."""
-        return self.errors.pop((pid, fd), None)
-
-    def clear(self):
-        """Drop all windows and ledger entries (container reboot: the
-        descriptors they named died with the old CVM)."""
-        self.windows.clear()
-        self.errors.clear()
-
-    def stats(self):
-        return {
-            "depth": self.depth,
-            "enqueued": self.enqueued,
-            "drains": self.drains,
-            "fences": self.fences,
-            "deferred_errors": self.deferred_errors,
-            "pending": sum(len(w.entries) for w in self.windows.values()),
-            "max_depth_seen": self.max_depth_seen,
-        }
-
-
-BINDER_RING_DEPTH = 32
-"""Default bound on one task's staged oneway-binder window (clamped to
-the ring depth, like write-behind: a window drains behind one doorbell
-pair)."""
-
-
-class BinderRingEntry:
-    """One oneway binder transaction staged in a batched window."""
-
-    __snapshot__ = "auto"
-
-    __slots__ = ("transaction", "target", "payload_bytes", "call_args",
-                 "wire")
-
-    def __init__(self, transaction, call_args, wire):
-        self.transaction = transaction
-        self.target = transaction.target
-        self.payload_bytes = transaction.payload_size
-        self.call_args = call_args
-        self.wire = wire
-
-    def __repr__(self):
-        return f"BinderRingEntry({self.transaction!r})"
-
-
-class _BinderWindow:
-    """One task's open window of staged oneway transactions."""
-
-    __snapshot__ = "auto"
-
-    __slots__ = ("task", "entries")
-
-    def __init__(self, task):
-        self.task = task
-        self.entries = []
-
-
-class BinderRing:
-    """Batched binder delegation state: per-task oneway windows plus the
-    per-``(pid, target)`` deferred-error ledger.
-
-    Oneway (TF_ONE_WAY) transactions to pre-validated CVM services
-    return ``None`` optimistically while their marshaled descriptors sit
-    in a bounded per-task window; a drain ships the whole window through
-    the delegation ring behind one IRQ+hypercall doorbell pair, paying
-    the fixed cross-VM binder latency once per window instead of once
-    per call, with execution riding the CVM clock lane.  A delivery that
-    fails (injected ``binder.*`` faults, delegation failures) lands in
-    the ledger — first error per ``(pid, target)`` wins — and surfaces
-    exactly once at the next fence: the next reply-carrying transaction
-    to that target (fence-on-reply) or an explicit barrier.
-    """
-
-    __snapshot__ = "auto"
-
-    def __init__(self, depth=BINDER_RING_DEPTH):
-        self.depth = depth
-        self.windows = {}
-        """pid -> :class:`_BinderWindow` of staged entries."""
-        self.errors = {}
-        """(pid, target) -> deferred :class:`SyscallError` (first wins)."""
-        self.enqueued = 0
-        self.drains = 0
-        self.fences = 0
-        self.deferred_errors = 0
-        self.bulk_parcels = 0
-        self.dropped = 0
-        self.reordered = 0
-        self.max_depth_seen = 0
-
-    def window(self, task):
-        window = self.windows.get(task.pid)
-        if window is None:
-            window = self.windows[task.pid] = _BinderWindow(task)
-        return window
-
-    def pending_windows(self):
-        """Windows with staged entries, in deterministic pid order."""
-        return [w for _pid, w in sorted(self.windows.items())
-                if w.entries]
-
-    def record_error(self, pid, target, exc):
-        """Ledger ``exc`` for ``(pid, target)``; ``True`` if first."""
-        key = (pid, target)
-        if key in self.errors:
-            return False
-        self.errors[key] = exc
-        self.deferred_errors += 1
-        return True
-
-    def take_error(self, pid, target):
-        """Pop (surface-exactly-once) the deferred error for a target."""
-        return self.errors.pop((pid, target), None)
-
-    def take_any_error(self, pid):
-        """Pop this pid's first ledgered error, in sorted target order.
-
-        The explicit fence barrier names no target, but must not let a
-        deferred delivery failure vanish silently — it surfaces the
-        earliest key deterministically.
-        """
-        for key in sorted(k for k in self.errors if k[0] == pid):
-            return self.errors.pop(key)
-        return None
-
-    def clear(self):
-        """Drop all windows and ledger entries (container reboot: the
-        services they named died with the old CVM)."""
-        self.windows.clear()
-        self.errors.clear()
-
-    def stats(self):
-        return {
-            "depth": self.depth,
-            "enqueued": self.enqueued,
-            "drains": self.drains,
-            "fences": self.fences,
-            "deferred_errors": self.deferred_errors,
-            "bulk_parcels": self.bulk_parcels,
-            "dropped": self.dropped,
-            "reordered": self.reordered,
-            "pending": sum(len(w.entries) for w in self.windows.values()),
-            "max_depth_seen": self.max_depth_seen,
-        }
+WRITE_BEHIND_DEPTH = BINDER_RING_DEPTH = WINDOW_DEPTH
+"""Default bound on one task's write-behind or binder window."""
 
 
 class AnceptionLayer:
@@ -498,27 +273,24 @@ class AnceptionLayer:
                 # describes inodes that no longer exist.  Counters
                 # survive (they are run-level telemetry).
                 lane.page_cache.clear()
+        # Staged windows and ledgered errnos name proxy descriptors and
+        # service instances that die with the container, so a reboot
+        # clears them.
+        default_depth = min(WINDOW_DEPTH, lane.channel.ring_depth)
         if self._async_delegation:
             if lane.write_behind is None:
-                depth = (self._write_behind_depth
-                         if self._write_behind_depth is not None
-                         else min(WRITE_BEHIND_DEPTH,
-                                  lane.channel.ring_depth))
-                lane.write_behind = WriteBehind(depth)
+                lane.write_behind = DeferredWindows(
+                    "wb", default_depth if self._write_behind_depth is None
+                    else self._write_behind_depth)
             else:
-                # Staged windows and ledgered errnos name proxy
-                # descriptors that died with the old container.
                 lane.write_behind.clear()
         if self._binder_ring_on:
             if lane.binder_ring is None:
-                bdepth = (self._binder_ring_depth
-                          if self._binder_ring_depth is not None
-                          else min(BINDER_RING_DEPTH,
-                                   lane.channel.ring_depth))
-                lane.binder_ring = BinderRing(bdepth)
+                lane.binder_ring = DeferredWindows(
+                    "binder", default_depth if self._binder_ring_depth is None
+                    else self._binder_ring_depth,
+                    counters=("bulk_parcels", "dropped", "reordered"))
             else:
-                # Staged oneway windows name service instances (and a
-                # proxy binder fd) that died with the old container.
                 lane.binder_ring.clear()
         lane.cvm.kernel.network.firewall = self._firewall_rule
         return lane
@@ -1360,13 +1132,9 @@ class AnceptionLayer:
             if wb is not None:
                 # close is a fence: teardown completes, then any errno
                 # the window deferred for this fd surfaces (once) here.
-                deferred = wb.take_error(task.pid, fd)
-                if deferred is not None:
-                    raise SyscallError(
-                        deferred.errno,
-                        f"deferred write-behind error on fd {fd}",
-                        call="close",
-                    ) from deferred
+                self._surface(wb.take_error(task.pid, fd),
+                              f"deferred write-behind error on fd {fd}",
+                              "close")
             return 0
         return self.host_kernel.execute_native(task, "close", (fd,), {})
 
@@ -1424,11 +1192,12 @@ class AnceptionLayer:
         # input is an observation point — anything the app fired at the
         # services must land before the world answers back
         # (fence-on-read).
-        if self._lane(task).binder_ring is not None:
+        lane = self._lane(task)
+        if lane.binder_ring is not None:
             from repro.android.binder import IOC_WAIT_INPUT_EVT
 
             if request == IOC_WAIT_INPUT_EVT:
-                self._binder_settle(task, "wait-input")
+                self._settle(lane, lane.binder_ring, task, "wait-input")
         if self.policy.ioctl_is_ui(request, arg):
             return self.host_kernel.execute_native(
                 task, "ioctl", (fd, request, arg), {}
@@ -1468,31 +1237,42 @@ class AnceptionLayer:
             if self._binder_accepts(task, transaction):
                 return self._binder_enqueue(task, request, transaction)
             self._binder_fence(task, transaction.target, "transact")
-        costs = self.machine.costs
-        clock = self.machine.clock
-        clock.advance(costs.binder_cvm_fixed_ns, "anception:binder-cvm")
+        self.machine.clock.advance(self.machine.costs.binder_cvm_fixed_ns,
+                                   "anception:binder-cvm")
         payload = transaction.payload_size
         proxy = lane.proxies.proxy_for(task)
         proxy_binder_fd = self._ensure_proxy_binder(lane, proxy)
-        if lane.binder_ring is not None and payload > PAGE_SIZE:
-            lane.binder_ring.bulk_parcels += 1
-            clock.advance(
-                costs.binder_parcel_page_ns * costs.chunks(payload),
-                "anception:binder-parcel",
-            )
+        if self._charge_parcel(lane.binder_ring, payload):
             with lane.channel.bulk_copy():
                 return self._redirect(
                     task, "ioctl", (fd, request, transaction), {},
                     translated=(proxy_binder_fd, request, transaction),
                 )
-        clock.advance(
-            int(costs.binder_cvm_per_byte_ns * payload),
-            "anception:binder-bytes",
-        )
         return self._redirect(
             task, "ioctl", (fd, request, transaction), {},
             translated=(proxy_binder_fd, request, transaction),
         )
+
+    def _charge_parcel(self, ring, payload):
+        """Charge one binder parcel's bytes; ``True`` if it rides bulk.
+
+        With the binder ring on, a parcel above a page skips the
+        marshal-interleaved per-byte rate and streams through the bulk
+        shared-memory path at the ``binder_parcel_page_ns`` page rate.
+        """
+        costs = self.machine.costs
+        if ring is not None and payload > PAGE_SIZE:
+            ring.bulk_parcels += 1
+            self.machine.clock.advance(
+                costs.binder_parcel_page_ns * costs.chunks(payload),
+                "anception:binder-parcel",
+            )
+            return True
+        self.machine.clock.advance(
+            int(costs.binder_cvm_per_byte_ns * payload),
+            "anception:binder-bytes",
+        )
+        return False
 
     def _ensure_proxy_binder(self, lane, proxy):
         guest_task = proxy.guest_task
@@ -1719,173 +1499,21 @@ class AnceptionLayer:
         return len(survivors)
 
     # ------------------------------------------------------------------
-    # app rebalancing (move an idle app between lanes)
-    # ------------------------------------------------------------------
-
-    def rebalance(self, task, target):
-        """Move an idle enrolled app from its lane to ``target``.
-
-        ``target`` is a :class:`~repro.core.pool.CVMLane` or a cvm id.
-        The protocol pins differential equivalence: the app's staged
-        async windows drain and its source lane settles first (so no
-        in-flight state can be lost), its private ``/data/data`` tree
-        is replicated into the target container, its proxy is rebuilt
-        there, and every remote fd is re-opened by path with the
-        original flags (minus O_CREAT|O_TRUNC, so contents survive) and
-        its file offset restored — the app observes the same bytes from
-        the same descriptors afterwards.  Deferred-errno ledger entries
-        travel with the app, so a fence still surfaces them.
-
-        Returns ``True`` on a committed move.  Apps holding non-file
-        CVM resources (sockets, pipes) are skipped (``False``) — those
-        cannot be transparently re-opened — as is a same-lane no-op.
-        The ``pool.rebalance-loss`` fault site aborts the protocol
-        before the commit point: the app simply stays put.
-        """
-        if not isinstance(target, CVMLane):
-            target = self.pool.lane_by_id(int(target))
-        source = self._lane(task)
-        if target is source:
-            return False
-        table = self._fd_table(task)
-        source_proxy = source.proxies.proxy_for(task)
-        descs = {}
-        for host_fd in sorted(table.remote_fds()):
-            desc = source_proxy.guest_task.fd_table.get(
-                table.to_proxy(host_fd)
-            )
-            inode = getattr(desc, "inode", None)
-            if inode is None or inode.kind is not InodeKind.FILE:
-                self.recovery_log.append(
-                    ("rebalance-skip",
-                     f"pid {task.pid} holds non-file CVM fd {host_fd}")
-                )
-                return False
-            descs[host_fd] = desc
-        # Quiesce: the app's staged windows drain on the source and the
-        # source lane settles, so nothing in-flight can be lost mid-move.
-        if source.write_behind is not None:
-            self._wb_drain(task, reason="rebalance")
-        if source.binder_ring is not None:
-            self._binder_drain(task, reason="rebalance")
-        self.machine.clock.wait_for(source.cvm.lane, "anception:rebalance")
-        engine = self.machine.clock.faults
-        if engine is not None and engine.pool_rebalance_loss(call=task.name):
-            self.recovery_log.append(
-                ("rebalance-abort",
-                 f"pid {task.pid} {source.name}->{target.name}")
-            )
-            maybe_event(self.machine.clock, "recovery", "rebalance-abort",
-                        task=task, kernel=self.host_kernel.label,
-                        source=source.name, target=target.name)
-            return False
-        self._copy_app_tree(source, target, task)
-        source.proxies.remove_proxy(task)
-        target.proxies.create_proxy(task)
-        proxy = target.proxies.proxy_for(task)
-        from repro.kernel.vfs import O_CREAT, O_TRUNC
-
-        new_table = FdTranslationTable()
-        for host_fd in sorted(descs):
-            desc = descs[host_fd]
-            open_file = target.cvm.kernel.vfs.open(
-                desc.path, desc.flags & ~(O_CREAT | O_TRUNC),
-                proxy.guest_task.credentials,
-            )
-            open_file.offset = desc.offset
-            proxy_fd = proxy.guest_task.alloc_fd(open_file)
-            stub = task.fd_table.get(host_fd)
-            if isinstance(stub, RemoteFdStub):
-                stub.proxy_fd = proxy_fd
-            new_table.bind(host_fd, proxy_fd)
-        self.fd_tables[task.pid] = new_table
-        self._move_ledgers(source, target, task.pid)
-        if source.page_cache is not None:
-            # The source container no longer owns these files; drop the
-            # learned bindings and any cached pages under the app tree.
-            prefix = task.cwd.rstrip("/") + "/"
-            stale = sorted(
-                path for path in source.cache_paths
-                if path == task.cwd or path.startswith(prefix)
-            )
-            for path in stale:
-                source.page_cache.invalidate_ino(
-                    source.cache_paths.pop(path)
-                )
-        self.pool.move(task.pid, target)
-        self.recovery_log.append(
-            ("rebalance", f"pid {task.pid} {source.name}->{target.name}")
-        )
-        maybe_event(self.machine.clock, "recovery", "rebalance", task=task,
-                    kernel=self.host_kernel.label, source=source.name,
-                    target=target.name, fds=len(descs))
-        return True
-
-    def _copy_app_tree(self, source, target, task):
-        """Replicate the app's private data tree across containers.
-
-        Host-mediated trusted copy, like the enrollment-time install
-        copy: the host reads the source container's inodes directly and
-        writes them into the target — no channel traffic, no doorbells.
-        """
-        target.cvm.ensure_private_dir(task)
-        root = task.cwd
-        if not source.cvm.kernel.vfs.exists(root, self._root):
-            return 0
-        uid = task.credentials.uid
-        copied = 0
-
-        def _copy_dir(directory):
-            nonlocal copied
-            for name in sorted(
-                    source.cvm.kernel.vfs.listdir(directory, self._root)):
-                path = f"{directory}/{name}"
-                inode = source.cvm.kernel.vfs.resolve(
-                    path, self._root, follow_symlinks=False
-                )
-                if inode.kind is InodeKind.DIRECTORY:
-                    if not target.cvm.kernel.vfs.exists(path, self._root):
-                        target.cvm.kernel.vfs.mkdir(
-                            path, self._root, mode=0o700
-                        )
-                        target.cvm.kernel.vfs.chown(
-                            path, uid, uid, self._root
-                        )
-                    _copy_dir(path)
-                elif inode.kind is InodeKind.FILE and inode.data is not None:
-                    target.cvm.copy_in_file(path, bytes(inode.data), uid)
-                    copied += 1
-
-        _copy_dir(root)
-        return copied
-
-    @staticmethod
-    def _move_ledgers(source, target, pid):
-        """Carry one pid's deferred-errno ledger entries to its new lane."""
-        for src, dst in ((source.write_behind, target.write_behind),
-                         (source.binder_ring, target.binder_ring)):
-            if src is None or dst is None:
-                continue
-            for key in sorted(k for k in src.errors if k[0] == pid):
-                dst.errors.setdefault(key, src.errors.pop(key))
-
-    # ------------------------------------------------------------------
     # warm migration (slice-based move, pending windows intact)
     # ------------------------------------------------------------------
 
     def migrate(self, task, target):
-        """Warm-move an enrolled app to ``target`` with its state intact.
+        """Move an enrolled app to ``target`` with its state intact.
 
-        Where :meth:`rebalance` quiesces first (the app's staged async
-        windows drain, then only fds + tree + ledgers move), ``migrate``
-        is the per-app cut of the world serializer:
-        :func:`~repro.core.snapshot.app_slice` captures the app's whole
-        lane-held delegation bundle — open remote fds with offsets, the
-        private data tree, *still-pending* write-behind window entries,
-        both deferred-errno ledgers, cached pages in LRU recency order —
-        and :func:`~repro.core.snapshot.apply_app_slice` re-materializes
-        it on the target.  The move is invisible to the app: staged
-        windows still drain at its next fence, warm reads stay warm.
+        The only way an app changes lanes.  ``migrate`` is the per-app
+        cut of the world serializer: :func:`~repro.core.snapshot.app_slice`
+        captures the app's whole lane-held delegation bundle — open
+        remote fds with offsets, the private data tree, *still-pending*
+        write-behind window entries, both deferred-errno ledgers, cached
+        pages in LRU recency order — and
+        :func:`~repro.core.snapshot.apply_app_slice` re-materializes it
+        on the target.  The move is invisible to the app: staged windows
+        still drain at its next fence, warm reads stay warm.
 
         Pending binder transactions do drain first — their window
         entries hold live Transaction objects bound to source-container
@@ -1893,7 +1521,10 @@ class AnceptionLayer:
         committed move; same-lane moves are a no-op ``False`` and apps
         whose lane state cannot be sliced (non-file CVM fds, live SysV
         shm attachments) are skipped with a ``("migrate-skip", …)``
-        recovery-log entry.
+        recovery-log entry.  The ``pool.migrate-loss`` fault site aborts
+        the move after the slice is taken but before the source lane is
+        torn down (``("migrate-abort", …)``): the app stays intact on
+        its source lane.
         """
         from repro.core.snapshot import (
             AppSliceError, app_slice, apply_app_slice,
@@ -1905,7 +1536,7 @@ class AnceptionLayer:
         if target is source:
             return False
         if source.binder_ring is not None:
-            self._binder_drain(task, reason="migrate")
+            self._drain(source, source.binder_ring, task, "migrate")
         self.machine.clock.wait_for(source.cvm.lane, "anception:migrate")
         try:
             slice_ = app_slice(self, task)
@@ -1915,19 +1546,22 @@ class AnceptionLayer:
                         task=task, kernel=self.host_kernel.label,
                         source=source.name, target=target.name)
             return False
-        # Source teardown: the slice carries everything the app needs,
-        # so the source lane forgets the pid entirely — its window, its
-        # ledger entries, its proxy, its cached pages.
         pid = task.pid
-        if source.write_behind is not None:
-            source.write_behind.windows.pop(pid, None)
-            for key in sorted(k for k in source.write_behind.errors
-                              if k[0] == pid):
-                del source.write_behind.errors[key]
-        if source.binder_ring is not None:
-            for key in sorted(k for k in source.binder_ring.errors
-                              if k[0] == pid):
-                del source.binder_ring.errors[key]
+        engine = self.machine.clock.faults
+        if engine is not None and engine.pool_migrate_loss(call=task.name):
+            self.recovery_log.append(
+                ("migrate-abort", f"pid {pid} {source.name}->{target.name}")
+            )
+            maybe_event(self.machine.clock, "recovery", "migrate-abort",
+                        task=task, kernel=self.host_kernel.label,
+                        source=source.name, target=target.name)
+            return False
+        # Source teardown: the slice carries everything the app needs,
+        # so the source lane forgets the pid entirely — its windows, its
+        # ledger entries, its proxy, its cached pages.
+        for windows in (source.write_behind, source.binder_ring):
+            if windows is not None:
+                windows.forget(pid)
         source.proxies.remove_proxy(task)
         if source.page_cache is not None:
             prefix = task.cwd.rstrip("/") + "/"
@@ -2016,8 +1650,14 @@ class AnceptionLayer:
                 self._recover_from(task, failure, attempt, "batch")
 
     # ------------------------------------------------------------------
-    # write-behind delegation (async windows, drains, fences)
+    # deferred windows: write-behind and batched binder
     # ------------------------------------------------------------------
+    #
+    # ``lane.write_behind`` and ``lane.binder_ring`` are two instances of
+    # one DeferredWindows primitive, and every step after admission —
+    # staging, draining, settling, running a window, ledgering its
+    # failures — is shared.  Only the admission rules and the fence
+    # points below are kind-specific.
 
     _WB_DEFERRABLE = ("write", "pwrite64", "ftruncate")
     _WB_FENCE_SURFACING = ("fsync", "fdatasync", "read", "pread64", "readv",
@@ -2033,16 +1673,9 @@ class AnceptionLayer:
         """
         if kwargs or name not in self._WB_DEFERRABLE:
             return False
-        if self.crypto_fs is not None or self._batch is not None:
-            return False
-        if lane is None:
-            lane = self._lane(task)
-        if lane.cvm.crashed or lane.cvm.compromised:
-            return False
         if not args or not isinstance(args[0], int):
             return False
-        desc = self._remote_file(task, args[0], lane=lane)
-        if desc is None or not getattr(desc, "writable", False):
+        if not self._wb_target(task, args[0], lane):
             return False
         if name == "write":
             return (len(args) == 2
@@ -2058,6 +1691,13 @@ class AnceptionLayer:
 
     def _wb_accepts_writev(self, task, fd, vec, lane=None):
         """writev defers iff a plain write to the same fd would."""
+        return self._wb_target(task, fd, lane) and all(
+            isinstance(entry, (bytes, bytearray, memoryview))
+            for entry in vec)
+
+    def _wb_target(self, task, fd, lane=None):
+        """Whether ``fd`` is a writable regular CVM file on a healthy
+        lane, with no crypto FS or explicit batch window in the way."""
         if self.crypto_fs is not None or self._batch is not None:
             return False
         if lane is None:
@@ -2065,264 +1705,7 @@ class AnceptionLayer:
         if lane.cvm.crashed or lane.cvm.compromised:
             return False
         desc = self._remote_file(task, fd, lane=lane)
-        if desc is None or not getattr(desc, "writable", False):
-            return False
-        return all(isinstance(entry, (bytes, bytearray, memoryview))
-                   for entry in vec)
-
-    def _wb_enqueue(self, task, name, args, lane=None):
-        """Stage one deferred call; return its optimistic result.
-
-        The host pays only the fixed marshal plus a page-rate staging
-        copy, then keeps running — posting, channel bytes, doorbells,
-        and CVM execution all land on the owning CVM's clock lane at
-        drain time.
-        """
-        if lane is None:
-            lane = self._lane(task)
-        wb = lane.write_behind
-        window = wb.window(task)
-        if len(window.entries) >= wb.depth:
-            # Bounded depth: a full window is the only point deferral
-            # blocks (drain waits for the lane before re-posting).
-            self._wb_drain(task, reason="window-full", lane=lane)
-        if name == "write":
-            payload = bytes(args[1])
-            args = (args[0], payload)
-            result = len(payload)
-        elif name == "pwrite64":
-            payload = bytes(args[1])
-            args = (args[0], payload, args[2])
-            result = len(payload)
-        else:
-            args = (args[0], args[1])
-            result = 0
-        table = self._fd_table(task)
-        call_args = table.translate_args(name, args)
-        wire, size = marshal_call(name, call_args, {})
-        costs = self.machine.costs
-        clock = self.machine.clock
-        clock.advance(costs.marshal_fixed_ns, "anception:marshal")
-        clock.advance(
-            costs.wb_stage_page_ns * max(costs.chunks(size), 1),
-            "anception:wb-stage",
-        )
-        window.entries.append(
-            WriteBehindEntry(name, args, call_args, wire, args[0], result)
-        )
-        wb.enqueued += 1
-        wb.max_depth_seen = max(wb.max_depth_seen, len(window.entries))
-        maybe_event(clock, "wb-submit", name, task=task,
-                    kernel=self.host_kernel.label,
-                    depth=len(window.entries), bytes=size)
-        return result
-
-    def _wb_drain(self, task, reason, lane=None):
-        """Ship one task's staged window through the ring on its lane."""
-        if lane is None:
-            lane = self._lane(task)
-        wb = lane.write_behind
-        window = wb.windows.get(task.pid)
-        if window is None or not window.entries:
-            return
-        entries, window.entries = window.entries, []
-        wb.drains += 1
-        clock = self.machine.clock
-        # The previous drain must retire before this one posts — the
-        # bounded in-flight depth is the backpressure contract.
-        clock.wait_for(lane.cvm.lane, "anception:wb-backpressure")
-        bus = clock.bus
-        if _prof._ACTIVE is None and (bus is None or not bus._depth):
-            with clock.overlap(lane.cvm.lane):
-                self._run_window(lane, task, entries)
-            return
-        with wall_zone("wb.drain"), \
-                maybe_span(clock, "wb-drain", f"{reason}:{len(entries)}",
-                           task=task, kernel=self.host_kernel.label,
-                           batch=len(entries), reason=reason,
-                           **self._lane_tags(lane)) as span:
-            with clock.overlap(lane.cvm.lane):
-                self._run_window(lane, task, entries)
-            # The backpressure fence above settled the lane, so the
-            # post-window backlog is exactly the lane time this drain
-            # consumed — the overlap-ratio numerator for the analyzer.
-            span.set(lane_ns=clock.lane_backlog_ns(lane.cvm.lane))
-
-    def _wb_settle(self, lane, task, name):
-        """Drain one lane's staged windows and settle its clock lane."""
-        wb = lane.write_behind
-        drained = 0
-        for window in wb.pending_windows():
-            drained += len(window.entries)
-            self._wb_drain(window.task, reason=f"fence:{name}", lane=lane)
-        waited = self.machine.clock.wait_for(
-            lane.cvm.lane, f"anception:wb-fence:{name}"
-        )
-        if drained or waited:
-            wb.fences += 1
-            maybe_event(self.machine.clock, "wb-fence", name, task=task,
-                        kernel=self.host_kernel.label, drained=drained,
-                        waited_ns=waited, **self._lane_tags(lane))
-
-    def _wb_fence(self, task, name, args=(), lane=None):
-        """Drain the owning lane, settle it, surface deferred errnos.
-
-        Fences are lane-scoped: only the fencing task's own CVM drains
-        and settles — sibling lanes' windows keep riding their own
-        clocks (the cross-lane barrier is :meth:`async_fence`).
-        fsync/fdatasync/read-after-write (and the explicit ``fence``
-        veneer) additionally pop the ledger entry for their fd — the
-        pop is what makes a deferred errno surface *exactly once*;
-        ``close`` surfaces in :meth:`_split_close` after teardown.
-        """
-        if lane is None:
-            lane = self._lane(task)
-        self._wb_settle(lane, task, name)
-        if name in self._WB_FENCE_SURFACING and args \
-                and isinstance(args[0], int):
-            deferred = lane.write_behind.take_error(task.pid, args[0])
-            if deferred is not None:
-                raise SyscallError(
-                    deferred.errno,
-                    f"deferred write-behind error on fd {args[0]}",
-                    call=name,
-                ) from deferred
-
-    def wb_fence(self, task, fd=None):
-        """Explicit write-behind barrier (the libc ``fence`` veneer).
-
-        Drains every staged window, waits out the CVM lane, and — when
-        ``fd`` names a descriptor with a ledgered deferred error —
-        surfaces that errno exactly once.  No-op when write-behind is
-        off, so the same op-script runs in every mode.
-        """
-        if self._lane(task).write_behind is None:
-            return 0
-        self._wb_fence(task, "fence", (fd,) if fd is not None else ())
-        return 0
-
-    def _run_window(self, lane, task, entries):
-        """Forward one drained window behind one doorbell pair.
-
-        Runs inside the lane's overlap window.  Failures never raise to
-        the (long-gone) call site: they ledger per fd — first error
-        wins, later entries in the same window get ECANCELED — for the
-        next fence to surface.
-        """
-        engine = self.machine.clock.faults
-        attempt = 0
-        while True:
-            self._ensure_container(lane, "write-behind")
-            try:
-                pendings = []
-                failed = None
-                with lane.channel.bulk_copy():
-                    for entry in entries:
-                        if failed is None and engine is not None:
-                            injected = engine.wb_defer_errno(call=entry.name)
-                            if injected:
-                                failed = SyscallError(
-                                    injected, "injected fault: wb.error",
-                                    call=entry.name,
-                                )
-                                self._wb_record(task, entry.fd, failed)
-                                continue
-                        if failed is not None:
-                            self._wb_record(task, entry.fd, SyscallError(
-                                errno.ECANCELED,
-                                "aborted by earlier failure in window",
-                                call=entry.name,
-                            ))
-                            continue
-                        pendings.append(self.submit(
-                            task, entry.name, entry.args, {},
-                            translated=entry.call_args, wire=entry.wire,
-                            lane=lane,
-                        ))
-                    if not pendings:
-                        return
-                    self.flush(task, reason=f"write-behind:{len(pendings)}",
-                               lane=lane)
-                if engine is not None and engine.wb_reap_loss():
-                    self._wb_reap_lost(task, pendings)
-                    return
-                for pending in pendings:
-                    try:
-                        self.complete(pending, lane=lane)
-                    except SyscallError as exc:
-                        self._wb_record(task, pending.args[0], exc)
-                return
-            except DelegationError as failure:
-                attempt += 1
-                if not self.recovery.enabled \
-                        or attempt > self.recovery.max_retries:
-                    for index, entry in enumerate(entries):
-                        if index == 0:
-                            exc = SyscallError(
-                                errno.EIO,
-                                f"delegation failed: {failure}",
-                                call=entry.name,
-                            )
-                        else:
-                            exc = SyscallError(
-                                errno.ECANCELED,
-                                "aborted by earlier failure in window",
-                                call=entry.name,
-                            )
-                        self._wb_record(task, entry.fd, exc)
-                    return
-                self._recover_from(task, failure, attempt, "write-behind")
-
-    def _wb_reap_lost(self, task, pendings):
-        """The ``wb.reap-loss`` site struck: the reaper missed a batch.
-
-        With recovery on, the completions already sit in the shared
-        pages, so the reaper times out and polls them back — it never
-        re-submits (a replayed write is not idempotent).  With recovery
-        off the results are simply gone: ledger EIO for the first
-        descriptor, ECANCELED for the rest.
-        """
-        clock = self.machine.clock
-        if self.recovery.enabled:
-            clock.advance(
-                self.recovery.signal_timeout_ns, "anception:wb-reap-poll"
-            )
-            self.recovery_log.append(
-                ("wb-reap-poll", f"{len(pendings)} completions")
-            )
-            maybe_event(clock, "recovery", "wb-reap-poll", task=task,
-                        kernel=self.host_kernel.label, batch=len(pendings))
-            for pending in pendings:
-                try:
-                    self.complete(pending)
-                except SyscallError as exc:
-                    self._wb_record(task, pending.args[0], exc)
-            return
-        for index, pending in enumerate(pendings):
-            if index == 0:
-                exc = SyscallError(
-                    errno.EIO, "write-behind completions lost",
-                    call=pending.name,
-                )
-            else:
-                exc = SyscallError(
-                    errno.ECANCELED,
-                    "aborted by earlier failure in window",
-                    call=pending.name,
-                )
-            self._wb_record(task, pending.args[0], exc)
-
-    def _wb_record(self, task, fd, exc):
-        """Ledger one deferred failure (first per (pid, fd) wins)."""
-        if self._lane(task).write_behind.record_error(task.pid, fd, exc):
-            maybe_event(self.machine.clock, "wb-error",
-                        getattr(exc, "call", None) or "write-behind",
-                        task=task, kernel=self.host_kernel.label, fd=fd,
-                        errno=exc.errno)
-
-    # ------------------------------------------------------------------
-    # batched binder delegation (oneway windows, drains, fences)
-    # ------------------------------------------------------------------
+        return desc is not None and getattr(desc, "writable", False)
 
     def _binder_accepts(self, task, transaction):
         """Whether this transaction may defer into a binder window.
@@ -2342,6 +1725,38 @@ class AnceptionLayer:
             return False
         return lane.cvm.android.has_service(transaction.target)
 
+    def _wb_enqueue(self, task, name, args, lane=None):
+        """Stage one deferred call; return its optimistic result.
+
+        The host pays only the fixed marshal plus a page-rate staging
+        copy, then keeps running — posting, channel bytes, doorbells,
+        and CVM execution all land on the owning CVM's clock lane at
+        drain time.
+        """
+        if lane is None:
+            lane = self._lane(task)
+        wb = lane.write_behind
+        window = self._window_with_room(lane, wb, task)
+        if name == "write":
+            payload = bytes(args[1])
+            args = (args[0], payload)
+            result = len(payload)
+        elif name == "pwrite64":
+            payload = bytes(args[1])
+            args = (args[0], payload, args[2])
+            result = len(payload)
+        else:
+            args = (args[0], args[1])
+            result = 0
+        table = self._fd_table(task)
+        call_args = table.translate_args(name, args)
+        wire, size = marshal_call(name, call_args, {})
+        self._stage(wb, window, task,
+                    DeferredEntry(name, args, call_args, wire, args[0],
+                                  result),
+                    size, name)
+        return result
+
     def _binder_enqueue(self, task, request, transaction):
         """Stage one oneway transaction; return ``None`` optimistically.
 
@@ -2356,9 +1771,7 @@ class AnceptionLayer:
 
         lane = self._lane(task)
         ring = lane.binder_ring
-        window = ring.window(task)
-        if len(window.entries) >= ring.depth:
-            self._binder_drain(task, reason="window-full")
+        window = self._window_with_room(lane, ring, task)
         payload = transaction.payload
         if isinstance(payload, dict):
             payload = dict(payload)
@@ -2368,65 +1781,112 @@ class AnceptionLayer:
         proxy_binder_fd = self._ensure_proxy_binder(lane, proxy)
         call_args = (proxy_binder_fd, request, staged)
         wire, size = marshal_call("ioctl", call_args, {})
+        self._stage(ring, window, task,
+                    DeferredEntry("ioctl", call_args, call_args, wire,
+                                  staged.target,
+                                  payload_bytes=staged.payload_size),
+                    size, f"{staged.target}.{staged.method}")
+        return None
+
+    def _window_with_room(self, lane, windows, task):
+        """The task's open window, drained first if it is full."""
+        window = windows.window(task)
+        if len(window.entries) >= windows.depth:
+            # Bounded depth: a full window is the only point deferral
+            # blocks (drain waits for the lane before re-posting).
+            self._drain(lane, windows, task, "window-full")
+        return window
+
+    def _stage(self, windows, window, task, entry, size, name):
+        """Charge the host's marshal and staging copy, then stage."""
         costs = self.machine.costs
         clock = self.machine.clock
         clock.advance(costs.marshal_fixed_ns, "anception:marshal")
         clock.advance(
             costs.wb_stage_page_ns * max(costs.chunks(size), 1),
-            "anception:binder-stage",
+            f"anception:{windows.label}-stage",
         )
-        window.entries.append(BinderRingEntry(staged, call_args, wire))
-        ring.enqueued += 1
-        ring.max_depth_seen = max(ring.max_depth_seen, len(window.entries))
-        maybe_event(clock, "binder-submit",
-                    f"{staged.target}.{staged.method}", task=task,
-                    kernel=self.host_kernel.label,
-                    depth=len(window.entries), bytes=size)
-        return None
+        depth = windows.push(window, entry)
+        maybe_event(clock, f"{windows.label}-submit", name, task=task,
+                    kernel=self.host_kernel.label, depth=depth, bytes=size)
 
-    def _binder_drain(self, task, reason):
+    def _drain(self, lane, windows, task, reason):
         """Ship one task's staged window through the ring on its lane."""
-        lane = self._lane(task)
-        ring = lane.binder_ring
-        window = ring.windows.get(task.pid)
-        if window is None or not window.entries:
+        entries = windows.take(task.pid)
+        if entries is None:
             return
-        entries, window.entries = window.entries, []
-        ring.drains += 1
+        label = windows.label
+        run = self._run_window if label == "wb" else self._run_binder_window
         clock = self.machine.clock
         # The previous drain must retire before this one posts — the
         # bounded in-flight depth is the backpressure contract.
-        clock.wait_for(lane.cvm.lane, "anception:binder-backpressure")
-        with wall_zone("binder.drain"), \
-                maybe_span(clock, "binder-drain",
+        clock.wait_for(lane.cvm.lane, f"anception:{label}-backpressure")
+        bus = clock.bus
+        if _prof._ACTIVE is None and (bus is None or not bus._depth):
+            with clock.overlap(lane.cvm.lane):
+                run(lane, task, entries)
+            return
+        with wall_zone(f"{label}.drain"), \
+                maybe_span(clock, f"{label}-drain",
                            f"{reason}:{len(entries)}", task=task,
                            kernel=self.host_kernel.label,
                            batch=len(entries), reason=reason,
                            **self._lane_tags(lane)) as span:
             with clock.overlap(lane.cvm.lane):
-                self._run_binder_window(lane, task, entries)
+                run(lane, task, entries)
+            # The backpressure fence above settled the lane, so the
+            # post-window backlog is exactly the lane time this drain
+            # consumed — the overlap-ratio numerator for the analyzer.
             span.set(lane_ns=clock.lane_backlog_ns(lane.cvm.lane))
 
-    def _binder_settle_lane(self, lane, task, name):
-        """Drain one lane's staged binder windows and settle its clock."""
-        ring = lane.binder_ring
+    def _settle(self, lane, windows, task, name):
+        """Drain one lane's staged windows of one kind, settle its clock."""
         drained = 0
-        for window in ring.pending_windows():
+        for window in windows.pending_windows():
             drained += len(window.entries)
-            self._binder_drain(window.task, reason=f"fence:{name}")
-        waited = self.machine.clock.wait_for(
-            lane.cvm.lane, f"anception:binder-fence:{name}"
+            self._drain(lane, windows, window.task, f"fence:{name}")
+        clock = self.machine.clock
+        waited = clock.wait_for(
+            lane.cvm.lane, f"anception:{windows.label}-fence:{name}"
         )
         if drained or waited:
-            ring.fences += 1
-            maybe_event(self.machine.clock, "binder-fence", name,
-                        task=task, kernel=self.host_kernel.label,
-                        drained=drained, waited_ns=waited,
-                        **self._lane_tags(lane))
+            windows.fences += 1
+            maybe_event(clock, f"{windows.label}-fence", name, task=task,
+                        kernel=self.host_kernel.label, drained=drained,
+                        waited_ns=waited, **self._lane_tags(lane))
 
-    def _binder_settle(self, task, name):
-        """Drain the task's own lane's binder windows and settle it."""
-        self._binder_settle_lane(self._lane(task), task, name)
+    def _wb_fence(self, task, name, args=(), lane=None):
+        """Drain the owning lane, settle it, surface deferred errnos.
+
+        Fences are lane-scoped: only the fencing task's own CVM drains
+        and settles — sibling lanes' windows keep riding their own
+        clocks (the cross-lane barrier is :meth:`async_fence`).
+        fsync/fdatasync/read-after-write (and the explicit ``fence``
+        veneer) additionally pop the ledger entry for their fd — the
+        pop is what makes a deferred errno surface *exactly once*;
+        ``close`` surfaces in :meth:`_split_close` after teardown.
+        """
+        if lane is None:
+            lane = self._lane(task)
+        self._settle(lane, lane.write_behind, task, name)
+        if name in self._WB_FENCE_SURFACING and args \
+                and isinstance(args[0], int):
+            self._surface(lane.write_behind.take_error(task.pid, args[0]),
+                          f"deferred write-behind error on fd {args[0]}",
+                          name)
+
+    def wb_fence(self, task, fd=None):
+        """Explicit write-behind barrier (the libc ``fence`` veneer).
+
+        Drains every staged window, waits out the CVM lane, and — when
+        ``fd`` names a descriptor with a ledgered deferred error —
+        surfaces that errno exactly once.  No-op when write-behind is
+        off, so the same op-script runs in every mode.
+        """
+        if self._lane(task).write_behind is None:
+            return 0
+        self._wb_fence(task, "fence", (fd,) if fd is not None else ())
+        return 0
 
     def _binder_fence(self, task, target, name):
         """Fence-on-reply: settle the lane, surface this target's errno.
@@ -2436,14 +1896,11 @@ class AnceptionLayer:
         the ledger pop makes a deferred delivery error surface *exactly
         once*, at the next reply-carrying call to that target.
         """
-        self._binder_settle(task, name)
-        deferred = self._lane(task).binder_ring.take_error(task.pid, target)
-        if deferred is not None:
-            raise SyscallError(
-                deferred.errno,
-                f"deferred binder delivery error for {target!r}",
-                call="ioctl",
-            ) from deferred
+        lane = self._lane(task)
+        self._settle(lane, lane.binder_ring, task, name)
+        self._surface(lane.binder_ring.take_error(task.pid, target),
+                      f"deferred binder delivery error for {target!r}",
+                      "ioctl")
 
     def async_fence(self, task, fd=None):
         """Explicit async-delegation barrier (the libc ``fence`` veneer).
@@ -2458,165 +1915,181 @@ class AnceptionLayer:
         """
         own = self._lane(task)
         for lane in self.pool.lanes:
-            if lane.write_behind is not None:
-                self._wb_settle(lane, task, "fence")
-            if lane.binder_ring is not None:
-                self._binder_settle_lane(lane, task, "fence")
+            for windows in (lane.write_behind, lane.binder_ring):
+                if windows is not None:
+                    self._settle(lane, windows, task, "fence")
         if own.write_behind is not None and fd is not None:
-            deferred = own.write_behind.take_error(task.pid, fd)
-            if deferred is not None:
-                raise SyscallError(
-                    deferred.errno,
-                    f"deferred write-behind error on fd {fd}",
-                    call="fence",
-                ) from deferred
+            self._surface(own.write_behind.take_error(task.pid, fd),
+                          f"deferred write-behind error on fd {fd}",
+                          "fence")
         if own.binder_ring is not None:
-            deferred = own.binder_ring.take_any_error(task.pid)
-            if deferred is not None:
-                raise SyscallError(
-                    deferred.errno,
-                    "deferred binder delivery error",
-                    call="fence",
-                ) from deferred
+            self._surface(own.binder_ring.take_any_error(task.pid),
+                          "deferred binder delivery error", "fence")
         return 0
 
-    def _run_binder_window(self, lane, task, entries):
-        """Forward one drained binder window behind one doorbell pair.
+    @staticmethod
+    def _surface(deferred, message, call):
+        """Raise a ledgered deferred errno at its fence; the caller's
+        ledger pop is what makes it surface exactly once."""
+        if deferred is not None:
+            raise SyscallError(deferred.errno, message,
+                               call=call) from deferred
 
-        Runs inside the lane's overlap window.  The fixed cross-VM
-        binder cost is paid once for the whole window — that is the
-        batching win — while per-entry parcel bytes still cross the
-        channel (above a page at the bulk-parcel page rate).  Failures
-        never raise to the (long-gone) call site: they ledger per
-        ``(pid, target)`` for the next fence to surface.
+    def _run_window(self, lane, task, entries):
+        """Forward one drained write-behind window (see
+        :meth:`_forward_window`)."""
+        self._forward_window(lane, lane.write_behind, task, entries)
+
+    def _run_binder_window(self, lane, task, entries):
+        """Forward one drained binder window (see
+        :meth:`_forward_window`)."""
+        self._forward_window(lane, lane.binder_ring, task, entries)
+
+    def _forward_window(self, lane, windows, task, entries):
+        """Forward one drained window behind one doorbell pair.
+
+        Runs inside the lane's overlap window.  Failures never raise to
+        the (long-gone) call site: they ledger per ``(pid, key)`` for
+        the next fence to surface.  The kinds differ only where
+        ``binder`` is tested:
+
+        * a binder window may be reordered (``binder.reorder``) and pays
+          the fixed cross-VM binder cost once for the whole window —
+          that is the batching win;
+        * ``binder.drop`` loses one transaction while the rest still
+          deliver, each paying its parcel bytes (above a page at the
+          bulk-parcel page rate); ``wb.error`` fails one write and
+          cancels the rest of its window;
+        * the ring flag, the reap-loss site and the labels.
         """
-        engine = self.machine.clock.faults
-        ring = lane.binder_ring
-        costs = self.machine.costs
+        binder = windows.label == "binder"
+        if binder:
+            site, noun, flags = "binder-ring", "binder", RING_FLAG_BINDER
+        else:
+            site, noun = "write-behind", "write-behind"
+            flags = RING_FLAG_WRITE_BEHIND
         clock = self.machine.clock
+        engine = clock.faults
+        costs = self.machine.costs
         attempt = 0
         while True:
-            self._ensure_container(lane, "binder-ring")
+            self._ensure_container(lane, site)
             try:
-                live = list(entries)
-                if engine is not None and len(live) > 1 \
+                live = entries
+                if binder and engine is not None and len(live) > 1 \
                         and engine.binder_reorder(call="ioctl"):
-                    live[0], live[1] = live[1], live[0]
-                    ring.reordered += 1
+                    live = [live[1], live[0], *live[2:]]
+                    windows.reordered += 1
                 pendings = []
                 with lane.channel.bulk_copy():
-                    clock.advance(
-                        costs.binder_cvm_fixed_ns, "anception:binder-window"
-                    )
-                    for entry in live:
-                        if engine is not None:
-                            injected = engine.binder_drop(call="ioctl")
-                            if injected:
-                                ring.dropped += 1
-                                self._binder_record(
-                                    task, entry.target, SyscallError(
-                                        injected,
-                                        "injected fault: binder.drop",
-                                        call="ioctl",
-                                    ))
-                                continue
-                        if entry.payload_bytes > PAGE_SIZE:
-                            ring.bulk_parcels += 1
-                            clock.advance(
-                                costs.binder_parcel_page_ns
-                                * costs.chunks(entry.payload_bytes),
-                                "anception:binder-parcel",
-                            )
-                        else:
-                            clock.advance(
-                                int(costs.binder_cvm_per_byte_ns
-                                    * entry.payload_bytes),
-                                "anception:binder-bytes",
-                            )
+                    if binder:
+                        clock.advance(costs.binder_cvm_fixed_ns,
+                                      "anception:binder-window")
+                    for index, entry in enumerate(live):
+                        failure = self._entry_step(engine, windows, entry)
+                        if failure is not None and binder:
+                            self._record(windows, task, entry.key, failure)
+                            continue
+                        if failure is not None:
+                            self._fail_entries(windows, task, live[index:],
+                                               failure)
+                            break
                         pendings.append((entry, self.submit(
-                            task, "ioctl", entry.call_args, {},
+                            task, entry.name, entry.args, {},
                             translated=entry.call_args, wire=entry.wire,
-                            ring_flags=RING_FLAG_BINDER, lane=lane,
+                            ring_flags=flags, lane=lane,
                         )))
                     if not pendings:
                         return
-                    self.flush(task, reason=f"binder:{len(pendings)}",
+                    self.flush(task, reason=f"{noun}:{len(pendings)}",
                                lane=lane)
-                if engine is not None and engine.binder_reply_loss(
-                        call="ioctl"):
-                    self._binder_reap_lost(task, pendings)
-                    return
+                if engine is not None and (
+                        engine.binder_reply_loss(call="ioctl") if binder
+                        else engine.wb_reap_loss()):
+                    # The reaper missed the batch.  With recovery on, the
+                    # completions already sit in the shared pages, so it
+                    # times out and polls them back — it never
+                    # re-submits (a replayed call is not idempotent).
+                    if not self.recovery.enabled:
+                        self._fail_entries(
+                            windows, task, [entry for entry, _ in pendings],
+                            SyscallError(errno.EIO,
+                                         f"{noun} completions lost",
+                                         call=pendings[0][0].name),
+                        )
+                        return
+                    poll = f"{windows.label}-reap-poll"
+                    clock.advance(self.recovery.signal_timeout_ns,
+                                  f"anception:{poll}")
+                    self.recovery_log.append(
+                        (poll, f"{len(pendings)} completions")
+                    )
+                    maybe_event(clock, "recovery", poll, task=task,
+                                kernel=self.host_kernel.label,
+                                batch=len(pendings))
                 for entry, pending in pendings:
                     try:
                         self.complete(pending, lane=lane)
                     except SyscallError as exc:
-                        self._binder_record(task, entry.target, exc)
+                        self._record(windows, task, entry.key, exc)
                 return
             except DelegationError as failure:
                 attempt += 1
                 if not self.recovery.enabled \
                         or attempt > self.recovery.max_retries:
-                    for index, entry in enumerate(entries):
-                        if index == 0:
-                            exc = SyscallError(
-                                errno.EIO,
-                                f"delegation failed: {failure}",
-                                call="ioctl",
-                            )
-                        else:
-                            exc = SyscallError(
-                                errno.ECANCELED,
-                                "aborted by earlier failure in window",
-                                call="ioctl",
-                            )
-                        self._binder_record(task, entry.target, exc)
+                    self._fail_entries(windows, task, entries, SyscallError(
+                        errno.EIO, f"delegation failed: {failure}",
+                        call=entries[0].name,
+                    ))
                     return
-                self._recover_from(task, failure, attempt, "binder-ring")
+                self._recover_from(task, failure, attempt, site)
 
-    def _binder_reap_lost(self, task, pendings):
-        """The ``binder.reply-loss`` site struck: completions missed.
+    def _entry_step(self, engine, windows, entry):
+        """One entry's kind-specific step before it is posted.
 
-        With recovery on, the completion descriptors already sit in the
-        shared pages — the reaper times out and polls them back (never
-        re-submits; a replayed transaction is not idempotent).  With
-        recovery off the outcomes are gone: ledger EIO for the first
-        descriptor, ECANCELED for the rest, per target.
+        Returns the injected failure (``binder.drop`` or ``wb.error``)
+        that keeps the entry off the ring; a binder entry that does go
+        out pays its parcel bytes here.
         """
-        clock = self.machine.clock
-        if self.recovery.enabled:
-            clock.advance(
-                self.recovery.signal_timeout_ns, "anception:binder-reap-poll"
-            )
-            self.recovery_log.append(
-                ("binder-reap-poll", f"{len(pendings)} completions")
-            )
-            maybe_event(clock, "recovery", "binder-reap-poll", task=task,
-                        kernel=self.host_kernel.label, batch=len(pendings))
-            for entry, pending in pendings:
-                try:
-                    self.complete(pending)
-                except SyscallError as exc:
-                    self._binder_record(task, entry.target, exc)
-            return
-        for index, (entry, _pending) in enumerate(pendings):
-            if index == 0:
-                exc = SyscallError(
-                    errno.EIO, "binder completions lost", call="ioctl",
-                )
-            else:
-                exc = SyscallError(
-                    errno.ECANCELED,
-                    "aborted by earlier failure in window",
-                    call="ioctl",
-                )
-            self._binder_record(task, entry.target, exc)
+        if windows.label != "binder":
+            injected = engine is not None and engine.wb_defer_errno(
+                call=entry.name)
+            if injected:
+                return SyscallError(injected, "injected fault: wb.error",
+                                    call=entry.name)
+            return None
+        if engine is not None:
+            injected = engine.binder_drop(call="ioctl")
+            if injected:
+                windows.dropped += 1
+                return SyscallError(injected, "injected fault: binder.drop",
+                                    call="ioctl")
+        self._charge_parcel(windows, entry.payload_bytes)
+        return None
 
-    def _binder_record(self, task, target, exc):
-        """Ledger one deferred failure (first per (pid, target) wins)."""
-        if self._lane(task).binder_ring.record_error(task.pid, target, exc):
-            maybe_event(self.machine.clock, "binder-error", target,
-                        task=task, kernel=self.host_kernel.label,
-                        target=target, errno=exc.errno)
+    def _fail_entries(self, windows, task, entries, first):
+        """Ledger ``first`` for the first entry, ECANCELED for the rest."""
+        for index, entry in enumerate(entries):
+            self._record(windows, task, entry.key, first if index == 0
+                         else SyscallError(
+                             errno.ECANCELED,
+                             "aborted by earlier failure in window",
+                             call=entry.name,
+                         ))
+
+    def _record(self, windows, task, key, exc):
+        """Ledger one deferred failure (first per ``(pid, key)`` wins)."""
+        if not windows.record_error(task.pid, key, exc):
+            return
+        if windows.label == "binder":
+            maybe_event(self.machine.clock, "binder-error", key, task=task,
+                        kernel=self.host_kernel.label, target=key,
+                        errno=exc.errno)
+        else:
+            maybe_event(self.machine.clock, "wb-error",
+                        getattr(exc, "call", None) or "write-behind",
+                        task=task, kernel=self.host_kernel.label, fd=key,
+                        errno=exc.errno)
 
     # ------------------------------------------------------------------
     # kernel hooks
@@ -2735,18 +2208,9 @@ class AnceptionLayer:
             "blocked_calls": len(self.blocked_calls),
             "killed_apps": len(self.killed_apps),
             "channel": self._agg([lane.channel.stats() for lane in lanes]),
-            "read_cache": (
-                self._agg([lane.page_cache.stats() for lane in lanes])
-                if lanes[0].page_cache is not None else None
-            ),
-            "write_behind": (
-                self._agg([lane.write_behind.stats() for lane in lanes])
-                if lanes[0].write_behind is not None else None
-            ),
-            "binder_ring": (
-                self._agg([lane.binder_ring.stats() for lane in lanes])
-                if lanes[0].binder_ring is not None else None
-            ),
+            "read_cache": self._optional_stats(lanes, "page_cache"),
+            "write_behind": self._optional_stats(lanes, "write_behind"),
+            "binder_ring": self._optional_stats(lanes, "binder_ring"),
             "cvm_crashed": any(lane.cvm.crashed for lane in lanes),
             "cvm_reboots": sum(lane.cvm.reboot_count for lane in lanes),
             "recoveries": len(self.recovery_log),
@@ -2760,19 +2224,19 @@ class AnceptionLayer:
                     "crashed": lane.cvm.crashed,
                     "reboots": lane.cvm.reboot_count,
                     "channel": lane.channel.stats(),
-                    "read_cache": (
-                        lane.page_cache.stats()
-                        if lane.page_cache is not None else None
-                    ),
-                    "write_behind": (
-                        lane.write_behind.stats()
-                        if lane.write_behind is not None else None
-                    ),
-                    "binder_ring": (
-                        lane.binder_ring.stats()
-                        if lane.binder_ring is not None else None
-                    ),
+                    "read_cache": self._optional_stats([lane], "page_cache"),
+                    "write_behind": self._optional_stats([lane],
+                                                         "write_behind"),
+                    "binder_ring": self._optional_stats([lane],
+                                                        "binder_ring"),
                 }
                 for lane in lanes
             }
         return summary
+
+    def _optional_stats(self, lanes, attr):
+        """Merged ``stats()`` of one optional lane component, or ``None``
+        when the feature is off."""
+        if getattr(lanes[0], attr) is None:
+            return None
+        return self._agg([getattr(lane, attr).stats() for lane in lanes])

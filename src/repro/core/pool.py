@@ -188,8 +188,6 @@ class CVMPool:
         self.assignments = 0
         self.flaps = 0
         """Assignments diverted one lane over by ``pool.placement-flap``."""
-        self.rebalances = 0
-        """Apps moved between lanes by ``AnceptionLayer.rebalance``."""
         self.migrations = 0
         """Apps warm-moved between lanes by ``AnceptionLayer.migrate``."""
         self.layer = None
@@ -256,11 +254,6 @@ class CVMPool:
         self._lane_by_pid[task.pid] = lane
         return lane
 
-    def move(self, pid, lane):
-        """Re-home a pid (the rebalance commit point)."""
-        self._lane_by_pid[pid] = lane
-        self.rebalances += 1
-
     def record_migration(self, pid, lane):
         """Re-home a pid (the warm-migration commit point)."""
         self._lane_by_pid[pid] = lane
@@ -272,9 +265,7 @@ class CVMPool:
         The pool-level entry to :meth:`AnceptionLayer.migrate`: the
         app's full per-lane slice (open remote fds, private data tree,
         still-pending write-behind windows, deferred-errno ledgers,
-        cached pages) travels with it — unlike :meth:`move`-based
-        rebalancing, which requires the app's async windows to drain
-        first.
+        cached pages) travels with it.
         """
         if self.layer is None:
             raise SimulationError("pool has no delegation layer attached")
@@ -296,7 +287,6 @@ class CVMPool:
             "placement": self.placement.describe(),
             "assignments": self.assignments,
             "flaps": self.flaps,
-            "rebalances": self.rebalances,
             "migrations": self.migrations,
             "residents": {
                 lane.name: len(self.pids_on(lane)) for lane in self.lanes

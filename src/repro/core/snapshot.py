@@ -67,7 +67,7 @@ from repro.errors import SnapshotError
 
 
 SNAPSHOT_MAGIC = b"ANCSNAP1"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 _HEADER = struct.Struct("<8sHHQ32s")
 _PICKLE_PROTOCOL = 4
 """Pinned pickle protocol: the blob format is versioned, so the
@@ -501,18 +501,10 @@ def app_slice(layer, task):
                  "result": entry.result}
                 for entry in window.entries
             ]
-        wb_errors = {
-            key: lane.write_behind.errors[key]
-            for key in sorted(k for k in lane.write_behind.errors
-                              if k[0] == pid)
-        }
+        wb_errors = lane.write_behind.errors_for(pid)
     binder_errors = {}
     if lane.binder_ring is not None:
-        binder_errors = {
-            key: lane.binder_ring.errors[key]
-            for key in sorted(k for k in lane.binder_ring.errors
-                              if k[0] == pid)
-        }
+        binder_errors = lane.binder_ring.errors_for(pid)
 
     cache = []
     if lane.page_cache is not None:
@@ -620,14 +612,14 @@ def apply_app_slice(layer, task, slice_, target):
     layer.fd_tables[task.pid] = new_table
 
     if target.write_behind is not None:
-        from repro.core.anception import WriteBehindEntry
+        from repro.core.windows import DeferredEntry
 
         window = target.write_behind.window(task)
         for entry in slice_["wb_entries"]:
             call_args = new_table.translate_args(entry["name"],
                                                  entry["args"])
             wire, _size = marshal_call(entry["name"], call_args, {})
-            window.entries.append(WriteBehindEntry(
+            window.entries.append(DeferredEntry(
                 entry["name"], entry["args"], call_args, wire,
                 entry["args"][0], entry["result"],
             ))

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.snapshot import AppSliceError, app_slice, vfs_digest
 from repro.errors import SimulationError
+from repro.faults.engine import FaultEngine
 from repro.obs.runner import boot_obs_world
 
 
@@ -117,15 +118,21 @@ class TestMovedEqualsNeverMoved:
 
 
 class TestCounters:
-    def test_migrations_counted_separately_from_rebalances(self):
+    def test_migrations_are_counted(self):
         world, ctx = _boot()
         layer = world.anception
         task = ctx.libc.task
         source = layer._lane(task)
         layer.pool.migrate(task.pid, _other_lane(layer, source))
-        stats = layer.pool.stats()
-        assert stats["migrations"] == 1
-        assert stats["rebalances"] == 0
+        assert layer.pool.stats()["migrations"] == 1
+
+    def test_migrate_accepts_int_target(self):
+        world, ctx = _boot()
+        layer = world.anception
+        task = ctx.libc.task
+        target = _other_lane(layer, layer._lane(task))
+        assert layer.migrate(task, target.cvm_id) is True
+        assert layer.pool.lane_for(task) is target
 
     def test_same_lane_migration_is_a_noop(self):
         world, ctx = _boot()
@@ -174,6 +181,46 @@ class TestRefusals:
         with pytest.raises(AppSliceError, match="shm"):
             app_slice(layer, libc.task)
         libc.shmdt(addr)
+
+    def test_non_file_fd_skips_migration(self):
+        world, ctx = _boot()
+        libc = ctx.libc
+        libc.pipe()
+        layer = world.anception
+        task = libc.task
+        source = layer._lane(task)
+        assert layer.pool.migrate(task.pid,
+                                  _other_lane(layer, source)) is False
+        assert layer.pool.lane_for(task) is source
+        assert layer.recovery_log[-1][0] == "migrate-skip"
+        assert "non-file" in layer.recovery_log[-1][1]
+
+    def test_migrate_loss_fault_aborts_the_move(self):
+        world, ctx = _boot()
+        fd = _stage(ctx)
+        libc = ctx.libc
+        layer = world.anception
+        task = libc.task
+        source = layer._lane(task)
+        pending = len(source.write_behind.windows[task.pid].entries)
+        engine = FaultEngine("pool.migrate-loss:nth=1", seed=0)
+        engine.arm(world.clock)
+        try:
+            assert layer.pool.migrate(task.pid,
+                                      _other_lane(layer, source)) is False
+        finally:
+            engine.disarm()
+        assert layer.pool.lane_for(task) is source
+        assert layer.pool.stats()["migrations"] == 0
+        assert layer.recovery_log[-1][0] == "migrate-abort"
+        # The app is intact on its source lane: its staged write is
+        # still pending there and drains at the next fence.
+        assert (len(source.write_behind.windows[task.pid].entries)
+                == pending)
+        layer.async_fence(task)
+        libc.lseek(fd, 4096, 0)
+        assert libc.read(fd, 100) == b"B" * 100
+        libc.close(fd)
 
     def test_skip_leaves_source_state_untouched(self):
         world, ctx = _boot()

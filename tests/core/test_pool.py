@@ -1,4 +1,4 @@
-"""The CVM pool: placement, routed transport, lane reboot, rebalance.
+"""The CVM pool: placement, routed transport, lane reboot.
 
 The tentpole guarantees under test:
 
@@ -9,8 +9,6 @@ The tentpole guarantees under test:
   references behind (the satellite-1 regression);
 * a lane crash is *lane-scoped*: sibling lanes' apps keep running,
   differentially identical to a no-fault run;
-* rebalancing moves an idle app's proxy, fd table, and ledger state to
-  another lane without changing a byte of what the app observes;
 * aggregated ``stats()`` keeps the classic single-CVM shape at
   ``cvms=1`` and sums across lanes otherwise.
 """
@@ -19,13 +17,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.android.app import AppManifest
 from repro.core.pool import CVMPool, Placement
 from repro.clock import SimClock
 from repro.errors import SimulationError, SyscallError
 from repro.faults.engine import FaultEngine
-from repro.kernel import vfs
-from repro.kernel.net import AF_INET, SOCK_STREAM
 from repro.workloads.fleet import FleetApp
 from repro.world import AnceptionWorld
 
@@ -264,118 +259,6 @@ class TestLaneReboot:
             running.ctx.data_path("again.bin"), b"again"
         )
         assert lane.cvm.reboot_count == 1
-
-
-class TestRebalance:
-    def _world_with_two_lanes(self):
-        world = AnceptionWorld(cvms=2, read_cache=True,
-                               async_delegation=True, binder_ring=True)
-        members = _launch_fleet(world, 4)
-        pool = world.anception.pool
-        mover = members[0]
-        source = pool.lane_for(mover.task)
-        target = next(l for l in pool.lanes if l is not source)
-        return world, members, mover, source, target
-
-    def test_rebalance_moves_app_and_preserves_data(self):
-        world, _members, mover, source, target = self._world_with_two_lanes()
-        ctx = mover.ctx
-        path = ctx.data_path("carried.bin")
-        fd = ctx.libc.open(path, vfs.O_RDWR | vfs.O_CREAT)
-        ctx.libc.write(fd, b"before-move")
-        ctx.libc.fence(fd)
-
-        assert world.anception.rebalance(mover.task, target) is True
-        pool = world.anception.pool
-        assert pool.lane_for(mover.task) is target
-        assert pool.rebalances == 1
-
-        # The open fd still works: offset preserved, bytes identical.
-        assert ctx.libc.pread(fd, 11, 0) == b"before-move"
-        ctx.libc.write(fd, b"+after")
-        ctx.libc.fence(fd)
-        assert ctx.libc.pread(fd, 17, 0) == b"before-move+after"
-        ctx.libc.close(fd)
-
-        # New traffic lands on the target lane.
-        before = target.channel.stats()["transfers"]
-        ctx.libc.write_file(ctx.data_path("post-move.bin"), b"x")
-        assert target.channel.stats()["transfers"] > before
-
-    def test_rebalance_differential_equivalence(self):
-        """The moved app's observable stream is byte-identical to a run
-        that never moved it."""
-        def run(move):
-            world, _members, mover, _source, target = \
-                self._world_with_two_lanes()
-            ctx = mover.ctx
-            path = ctx.data_path("obs.bin")
-            fd = ctx.libc.open(path, vfs.O_RDWR | vfs.O_CREAT)
-            ctx.libc.write(fd, b"phase-one;")
-            ctx.libc.fence(fd)
-            if move:
-                assert world.anception.rebalance(mover.task, target)
-            ctx.libc.write(fd, b"phase-two")
-            ctx.libc.fence(fd)
-            out = ctx.libc.pread(fd, 19, 0)
-            ctx.libc.close(fd)
-            listing = sorted(ctx.libc.listdir(ctx.data_path("")))
-            return out, listing
-
-        assert run(move=True) == run(move=False)
-
-    def test_rebalance_same_lane_is_a_noop(self):
-        world, _members, mover, source, _target = \
-            self._world_with_two_lanes()
-        assert world.anception.rebalance(mover.task, source) is False
-        assert world.anception.pool.rebalances == 0
-
-    def test_rebalance_accepts_int_target(self):
-        world, _members, mover, _source, target = \
-            self._world_with_two_lanes()
-        assert world.anception.rebalance(mover.task, target.cvm_id) is True
-        assert world.anception.pool.lane_for(mover.task) is target
-
-    def test_rebalance_skips_apps_holding_non_file_fds(self):
-        world = AnceptionWorld(cvms=2)
-        members = []
-        for index in range(4):
-            app = FleetApp(index)
-            app._manifest = AppManifest(
-                f"com.fleet.net{index:03d}", permissions=("INTERNET",)
-            )
-            running = world.install_and_launch(app)
-            running.run()
-            members.append(running)
-        pool = world.anception.pool
-        mover = members[0]
-        target = next(
-            l for l in pool.lanes if l is not pool.lane_for(mover.task)
-        )
-        mover.ctx.libc.socket(AF_INET, SOCK_STREAM, 0)
-        assert world.anception.rebalance(mover.task, target) is False
-        assert pool.lane_for(mover.task) is not target
-        assert any(kind == "rebalance-skip"
-                   for kind, _ in world.anception.recovery_log)
-
-    def test_rebalance_loss_fault_aborts_the_move(self):
-        world, _members, mover, source, target = \
-            self._world_with_two_lanes()
-        engine = FaultEngine("pool.rebalance-loss:nth=1", seed=0)
-        engine.arm(world.clock)
-        try:
-            assert world.anception.rebalance(mover.task, target) is False
-        finally:
-            engine.disarm()
-        pool = world.anception.pool
-        assert pool.lane_for(mover.task) is source
-        assert pool.rebalances == 0
-        assert any(kind == "rebalance-abort"
-                   for kind, _ in world.anception.recovery_log)
-        # The app is unharmed and can still do I/O on its source lane.
-        mover.ctx.libc.write_file(
-            mover.ctx.data_path("still-here.bin"), b"ok"
-        )
 
 
 class TestStatsAggregation:

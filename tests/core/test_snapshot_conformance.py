@@ -61,8 +61,7 @@ class TestUniverse:
             "repro.kernel.vfs.VFS",
             "repro.kernel.vfs.Inode",
             "repro.core.anception.AnceptionLayer",
-            "repro.core.anception.WriteBehind",
-            "repro.core.anception.BinderRing",
+            "repro.core.windows.DeferredWindows",
             "repro.core.pool.CVMPool",
             "repro.core.proxy.ProxyManager",
             "repro.core.page_cache.HostPageCache",

@@ -37,7 +37,17 @@ SEED_DIGESTS = {
     ("writeburst", 4): (12300804, 1776, "d7a4c4394c4cc041"),
     ("fleet", 1): (19230263208, 30336, "0220113bb1ba74a9"),
     ("fleet", 4): (19230263208, 30336, "351c133f39302be6"),
+    # Captured on the two-copy window code, before write-behind and the
+    # binder ring became one DeferredWindows primitive.
+    ("binderburst", 1): (495566086, 659, "a9556aafbb57f939"),
+    ("binderburst", 4): (495566086, 659, "a9556aafbb57f939"),
 }
+
+
+def _boot(workload, cvms=1):
+    """The seed world; only binderburst turns the binder ring on."""
+    return boot_obs_world(read_cache=True, write_behind=True,
+                          binder_ring=workload == "binderburst", cvms=cvms)
 
 
 def _digest(workload, cvms):
@@ -49,8 +59,7 @@ def _digest(workload, cvms):
     whole window, so the digest covers the *instrumented* code path —
     the one the dormant fast paths must never diverge from.
     """
-    world, ctx = boot_obs_world(read_cache=True, write_behind=True,
-                                cvms=cvms)
+    world, ctx = _boot(workload, cvms)
     fn = TRACE_WORKLOADS[workload]
     clock = world.clock
     marker = clock.enable_trace()
@@ -79,8 +88,8 @@ def test_dormant_run_elapses_identical_sim_time():
     time is observable either way — the dormant integer-add fast paths
     must land on the same nanosecond as the instrumented walk.
     """
-    for workload in ("fileops", "batchio", "writeburst"):
-        world, ctx = boot_obs_world(read_cache=True, write_behind=True)
+    for workload in ("fileops", "batchio", "writeburst", "binderburst"):
+        world, ctx = _boot(workload)
         start = world.clock.now_ns
         _iterate(ctx, workload, 1)
         _iterate(ctx, workload, 1)

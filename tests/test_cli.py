@@ -130,6 +130,15 @@ class TestCli:
             main(["bench-engine", "--baseline", str(baseline)])
         assert "fell below" in str(excinfo.value)
 
+    def test_bench_engine_without_baseline_exits(self, capsys, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setenv("ANCEPTION_ENGINE_INNER", "1")
+        monkeypatch.setenv("ANCEPTION_ENGINE_RUNS", "1")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench-engine", "--baseline",
+                  str(tmp_path / "missing.json")])
+        assert "no engine baseline" in str(excinfo.value)
+
     def test_bench_engine_update_baseline(self, capsys, tmp_path,
                                           monkeypatch):
         monkeypatch.setenv("ANCEPTION_ENGINE_INNER", "1")
