@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test bench bench-smoke bench-engine fleet-bench examples all-experiments lint trace-demo chaos-demo profile-demo coverage clean
+.PHONY: test bench bench-smoke bench-engine fleet-bench perfbench examples all-experiments lint trace-demo chaos-demo profile-demo coverage clean
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -18,6 +18,16 @@ bench-engine:
 
 fleet-bench:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench-fleet --out BENCH_fleet.json
+
+# The benchmark's own checks: its unit tests, then one short traced run
+# per workload (exits 1 on any pin, determinism or output-check miss).
+PERFBENCH_WORKLOADS = sync_redirect async_windows app_macro
+
+perfbench:
+	$(PYTHON) -m pytest perfbench/tests -q
+	for w in $(PERFBENCH_WORKLOADS); do \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 1 || exit 1; \
+	done
 
 examples:
 	$(PYTHON) examples/quickstart.py
@@ -61,3 +71,4 @@ clean:
 	rm -rf .pytest_cache .hypothesis *.egg-info
 	rm -f chaos-a.json chaos-b.json chaos-trace.json table1-trace.json BENCH_e1.json
 	rm -f BENCH_engine.json BENCH_fleet.json fileops-flame.txt writeburst-trace.json
+	rm -rf .perfbench_out

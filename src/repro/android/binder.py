@@ -22,7 +22,7 @@ from __future__ import annotations
 import errno
 
 from repro.errors import SyscallError
-from repro.obs.bus import maybe_span
+from repro.obs.bus import NULL_SPAN
 
 
 def encoded_size(value):
@@ -236,14 +236,18 @@ class BinderDriver:
             cost = self.kernel.costs.binder_oneway_ns
         else:
             cost = self.kernel.costs.binder_transaction_ns
-        with maybe_span(
-            self.kernel.clock, "binder-txn",
-            f"{transaction.target}.{transaction.method}", task=task,
-            kernel=self.kernel.label, target=transaction.target,
+        clock = self.kernel.clock
+        bus = clock.bus
+        # Dormant bus: skip the span's label and the parcel walk that
+        # sizes ``payload_bytes`` -- nothing would record them.
+        span = NULL_SPAN if bus is None or not bus._depth else bus.span(
+            "binder-txn", f"{transaction.target}.{transaction.method}",
+            task=task, kernel=self.kernel.label, target=transaction.target,
             method=transaction.method, ui=service.ui_related,
             oneway=oneway, payload_bytes=transaction.payload_size,
-        ):
-            self.kernel.clock.advance(cost, f"binder:{transaction.target}")
+        )
+        with span:
+            clock.advance(cost, f"binder:{transaction.target}")
             self.transaction_log.append(
                 (task.pid, transaction.target, transaction.method)
             )

@@ -13,7 +13,14 @@ unmarshal data; those constants are exposed for the TCB experiment (E9).
 from __future__ import annotations
 
 import errno
+import posixpath
+from collections import deque
 
+from repro.android.binder import (
+    BINDER_WRITE_READ,
+    IOC_WAIT_INPUT_EVT,
+    Transaction,
+)
 from repro.core.channel import AnceptionChannel
 from repro.core.cvm import ContainerVM
 from repro.core.exec_cache import ExecutionCache
@@ -41,7 +48,7 @@ from repro.errors import (
     SyscallError,
 )
 from repro.kernel.loader import run_payload
-from repro.kernel.memory import MAP_ANONYMOUS
+from repro.kernel.memory import MAP_ANONYMOUS, MAP_FIXED
 from repro.kernel.process import Credentials, ROOT_UID
 from repro.kernel.vfs import InodeKind
 from repro.obs import prof as _prof
@@ -53,6 +60,10 @@ from repro.perf.slab import SlabPool
 
 ANCEPTION_LINES_OF_CODE = 5_219
 ANCEPTION_MARSHALING_LINES = 2_438
+
+DECISION_LOG_LIMIT = 512
+"""Bound on ``decision_log`` and ``blocked_calls``: the most recent
+entries only.  Totals live in the per-decision counters."""
 
 
 class PendingCall:
@@ -218,9 +229,12 @@ class AnceptionLayer:
         self.recovery_log = []
         """(action, detail) pairs for every recovery step taken."""
         self.fd_tables = {}
-        self.blocked_calls = []
+        self.blocked_calls = deque(maxlen=DECISION_LOG_LIMIT)
         self.killed_apps = []
-        self.decision_log = []
+        self.decision_log = deque(maxlen=DECISION_LOG_LIMIT)
+        self.decision_counts = {}
+        """Decision value -> calls routed that way, in first-seen order
+        (the ``decisions`` entry of :meth:`stats`)."""
         self.crypto_fs = None
         self.iago_verify = False
         self._file_mappings = {}
@@ -371,27 +385,35 @@ class AnceptionLayer:
 
     def dispatch(self, task, name, args, kwargs):
         table = self._fd_table(task)
-        decision = self.policy.decide(task, name, args, table.remote_fds())
+        decision = self.policy.decide(task, name, args, table)
+        # ``_value_``: hashing an enum member or reading its ``.value``
+        # runs Python-level enum code; the plain attribute does not.
+        value = decision._value_
+        counts = self.decision_counts
+        counts[value] = counts.get(value, 0) + 1
         self.decision_log.append((task.pid, name, decision))
-        if decision is Decision.BLOCK:
-            self.blocked_calls.append((task.pid, name))
-            maybe_event(self.machine.clock, "proxy", f"blocked:{name}",
-                        task=task, kernel=self.host_kernel.label,
-                        decision=decision.value)
-            raise SyscallError(errno.EPERM, "blocked by Anception", call=name)
-        if decision is Decision.HOST:
-            return self.host_kernel.execute_native(task, name, args, kwargs)
+        return _ROUTE_HANDLERS[value](self, task, name, args, kwargs, table)
+
+    def _route_host(self, task, name, args, kwargs, table):
+        return self.host_kernel.execute_native(task, name, args, kwargs)
+
+    def _route_block(self, task, name, args, kwargs, table):
+        self.blocked_calls.append((task.pid, name))
+        maybe_event(self.machine.clock, "proxy", f"blocked:{name}",
+                    task=task, kernel=self.host_kernel.label,
+                    decision=Decision.BLOCK.value)
+        raise SyscallError(errno.EPERM, "blocked by Anception", call=name)
+
+    def _route_redirect(self, task, name, args, kwargs, table):
         if name == "shmdt":
             # statically redirect-class, but the live attachment spans
             # both kernels and must be torn down on both
             return self._handle_shmdt(task, *args)
-        if decision is Decision.REDIRECT:
-            if (self.ring_batching and name in ("writev", "readv")
-                    and len(args) >= 2 and isinstance(args[0], int)
-                    and table.is_remote(args[0])):
-                return self._redirect_vectored(task, name, args[0], args[1])
-            return self._redirect(task, name, args, kwargs)
-        return self._split(task, name, args, kwargs)
+        if (self.ring_batching and name in ("writev", "readv")
+                and len(args) >= 2 and isinstance(args[0], int)
+                and table.is_remote(args[0])):
+            return self._redirect_vectored(task, name, args[0], args[1])
+        return self._redirect(task, name, args, kwargs)
 
     # ------------------------------------------------------------------
     # forwarding
@@ -1109,14 +1131,14 @@ class AnceptionLayer:
     # split-execution handlers
     # ------------------------------------------------------------------
 
-    def _split(self, task, name, args, kwargs):
-        handler = getattr(self, f"_split_{name}", None)
+    def _split(self, task, name, args, kwargs, _table):
+        handler = _SPLIT_HANDLERS.get(name)
         if handler is None:
             # Split-class call with no dedicated handler in the prototype:
             # run the host semantics (matching the paper's conservative
             # default of trusting the host for ambiguous state).
             return self.host_kernel.execute_native(task, name, args, kwargs)
-        return handler(task, *args, **kwargs)
+        return handler(self, task, *args, **kwargs)
 
     def _split_close(self, task, fd):
         table = self._fd_table(task)
@@ -1193,11 +1215,8 @@ class AnceptionLayer:
         # services must land before the world answers back
         # (fence-on-read).
         lane = self._lane(task)
-        if lane.binder_ring is not None:
-            from repro.android.binder import IOC_WAIT_INPUT_EVT
-
-            if request == IOC_WAIT_INPUT_EVT:
-                self._settle(lane, lane.binder_ring, task, "wait-input")
+        if lane.binder_ring is not None and request == IOC_WAIT_INPUT_EVT:
+            self._settle(lane, lane.binder_ring, task, "wait-input")
         if self.policy.ioctl_is_ui(request, arg):
             return self.host_kernel.execute_native(
                 task, "ioctl", (fd, request, arg), {}
@@ -1206,8 +1225,6 @@ class AnceptionLayer:
             return self.host_kernel.execute_native(
                 task, "ioctl", (fd, request, arg), {}
             )
-        from repro.android.binder import BINDER_WRITE_READ, Transaction
-
         if request == BINDER_WRITE_READ and isinstance(arg, Transaction):
             return self._forward_binder(task, fd, request, arg)
         # Non-binder ioctl on a host fd (e.g. a /system file): host.
@@ -1326,8 +1343,6 @@ class AnceptionLayer:
     def _mirror_reservation(self, task, length, prot, flags, addr):
         if addr is None:
             return
-        from repro.kernel.memory import MAP_FIXED
-
         proxy = self._lane(task).proxies.proxy_for(task)
         space = proxy.guest_task.address_space
         try:
@@ -1431,8 +1446,6 @@ class AnceptionLayer:
 
     @staticmethod
     def _abs(task, path):
-        import posixpath
-
         if not path.startswith("/"):
             path = posixpath.join(task.cwd, path)
         return posixpath.normpath(path)
@@ -1767,8 +1780,6 @@ class AnceptionLayer:
         execution all land on the ``cvm`` lane at drain time, shared
         across the whole window.
         """
-        from repro.android.binder import Transaction
-
         lane = self._lane(task)
         ring = lane.binder_ring
         window = self._window_with_room(lane, ring, task)
@@ -2198,14 +2209,12 @@ class AnceptionLayer:
         fleet-wide sums and two extra keys appear: ``pool`` (placement
         and residency) and ``per_cvm`` (the per-lane breakdown).
         """
-        decisions = {}
-        for _pid, _name, decision in self.decision_log:
-            decisions[decision.value] = decisions.get(decision.value, 0) + 1
         lanes = self.pool.lanes
         summary = {
-            "decisions": decisions,
+            "decisions": dict(self.decision_counts),
             "proxies": sum(lane.proxies.count for lane in lanes),
-            "blocked_calls": len(self.blocked_calls),
+            "blocked_calls": self.decision_counts.get(
+                Decision.BLOCK.value, 0),
             "killed_apps": len(self.killed_apps),
             "channel": self._agg([lane.channel.stats() for lane in lanes]),
             "read_cache": self._optional_stats(lanes, "page_cache"),
@@ -2240,3 +2249,20 @@ class AnceptionLayer:
         if getattr(lanes[0], attr) is None:
             return None
         return self._agg([getattr(lane, attr).stats() for lane in lanes])
+
+
+_ROUTE_HANDLERS = {
+    Decision.HOST.value: AnceptionLayer._route_host,
+    Decision.REDIRECT.value: AnceptionLayer._route_redirect,
+    Decision.SPLIT.value: AnceptionLayer._split,
+    Decision.BLOCK.value: AnceptionLayer._route_block,
+}
+"""The alternate syscall table's second half: decision value -> the
+layer's route for it (plain functions, called with the layer)."""
+
+_SPLIT_HANDLERS = {
+    name[len("_split_"):]: handler
+    for name, handler in vars(AnceptionLayer).items()
+    if name.startswith("_split_")
+}
+"""Split-class call name -> its dedicated handler (plain functions)."""

@@ -27,7 +27,7 @@ from repro.android.binder import (
     IOC_WAIT_INPUT_EVT,
     Transaction,
 )
-from repro.kernel.syscalls import SyscallClass, classify
+from repro.kernel.syscalls import CATALOGUE, SyscallClass
 
 
 class Decision(enum.Enum):
@@ -47,6 +47,13 @@ FD_CALLS = frozenset({
     "send", "sendto", "recv", "recvfrom",
 })
 
+PATH_CALLS = frozenset({
+    "open", "openat", "creat", "stat", "stat64", "lstat", "lstat64",
+    "access", "readlink", "getdents", "truncate",
+})
+"""Calls routed by their path argument: code and ``/dev/binder`` stay on
+the host, everything else is redirected."""
+
 
 FILE_IO_CALLS = frozenset({
     "open", "read", "write", "pread64", "pwrite64", "lseek", "fstat",
@@ -57,6 +64,49 @@ FILE_IO_CALLS = frozenset({
 VI-B: "If I/O latency were to matter in some context, one could choose
 to keep filesystem I/O on the host side (while still keeping rest of the
 code in the CVM deprivileged)")."""
+
+
+BY_PATH = "by-path"
+"""Route refinement: decided by the call's path argument."""
+BY_FD = "by-fd"
+"""Route refinement: decided by the locality of the call's fd argument."""
+
+
+def _route(name, file_io_on_host):
+    """One call's table entry, from its static class and the ablation."""
+    klass = CATALOGUE.get(name, SyscallClass.REDIRECT)
+    if klass is SyscallClass.BLOCKED:
+        return Decision.BLOCK
+    if klass is SyscallClass.HOST:
+        return Decision.HOST
+    if file_io_on_host and name in FILE_IO_CALLS:
+        # The latency-over-deprivileging ablation: storage stays on
+        # the host, everything else still moves to the CVM.
+        return Decision.HOST
+    if klass is SyscallClass.SPLIT:
+        return Decision.SPLIT
+    # REDIRECT (and the reserved slot): refine by path or fd locality.
+    if name in PATH_CALLS:
+        return BY_PATH
+    if name in FD_CALLS:
+        return BY_FD
+    return Decision.REDIRECT
+
+
+def _build_routes(file_io_on_host):
+    return {name: _route(name, file_io_on_host) for name in CATALOGUE}
+
+
+ROUTES = _build_routes(False)
+"""The alternate syscall table: call name -> :class:`Decision`, or the
+refinement (:data:`BY_PATH`, :data:`BY_FD`) that still reads the call's
+arguments.  Names absent from it are redirected (the fail-safe)."""
+ROUTES_FILE_IO_ON_HOST = _build_routes(True)
+"""The same table under the ``file_io_on_host`` ablation."""
+
+_HOST, _REDIRECT = Decision.HOST, Decision.REDIRECT
+"""Enum member lookups are attribute-descriptor calls; :meth:`decide`
+reads these plain globals instead."""
 
 
 class RedirectionPolicy:
@@ -71,31 +121,15 @@ class RedirectionPolicy:
     # -- top-level decision ---------------------------------------------------
 
     def decide(self, task, name, args, remote_fds):
-        """Classify one call.  ``remote_fds`` is the task's fd->proxy map."""
-        static = classify(name)
-        if static is SyscallClass.BLOCKED:
-            return Decision.BLOCK
-        if static is SyscallClass.HOST:
-            return Decision.HOST
-        if self.file_io_on_host and name in FILE_IO_CALLS:
-            # The latency-over-deprivileging ablation: storage stays on
-            # the host, everything else still moves to the CVM.
-            return Decision.HOST
-        if static is SyscallClass.SPLIT:
-            return Decision.SPLIT
-        # REDIRECT class: refine by path or fd locality.
-        if name in ("open", "openat", "creat"):
+        """Classify one call.  ``remote_fds`` holds the task's remote
+        host fds (anything supporting ``in``)."""
+        route = (ROUTES_FILE_IO_ON_HOST if self.file_io_on_host
+                 else ROUTES).get(name, _REDIRECT)
+        if route is BY_PATH:
             return self._route_open(task, args[0] if args else "")
-        if name in ("stat", "stat64", "lstat", "lstat64", "access",
-                    "readlink", "getdents", "truncate"):
-            return self._route_path(task, args[0] if args else "")
-        if name in FD_CALLS and args:
-            return (
-                Decision.REDIRECT
-                if args[0] in remote_fds
-                else Decision.HOST
-            )
-        return Decision.REDIRECT
+        if route is BY_FD:
+            return _HOST if args and args[0] not in remote_fds else _REDIRECT
+        return route
 
     # -- path routing --------------------------------------------------------------
 
@@ -126,9 +160,6 @@ class RedirectionPolicy:
         if path in HOST_DEVICES:
             return Decision.HOST
         return Decision.REDIRECT
-
-    def _route_path(self, task, path):
-        return self._route_open(task, path)
 
     # -- ioctl inspection (the UI test) -----------------------------------------
 

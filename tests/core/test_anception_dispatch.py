@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.core.anception import DECISION_LOG_LIMIT
+from repro.core.policy import Decision
 from repro.errors import SyscallError
 from repro.kernel import vfs
 from repro.kernel.process import Credentials
+from repro.world import AnceptionWorld
+from tests.conftest import ScratchApp
 
 
 ROOT = Credentials(0)
@@ -216,3 +220,36 @@ class TestStats:
         assert stats["proxies"] >= 1
         assert stats["decisions"]["redirect"] >= 1
         assert not stats["cvm_crashed"]
+
+
+class TestDecisionLogBound:
+    def test_log_capped_counters_exact(self, anception_world, enrolled_ctx):
+        layer = anception_world.anception
+        before = layer.stats()["decisions"].get("host", 0)
+        for _ in range(5_000):
+            enrolled_ctx.libc.getpid()
+        assert len(layer.decision_log) == DECISION_LOG_LIMIT == 512
+        assert layer.decision_log[-1] == (enrolled_ctx.task.pid, "getpid",
+                                          Decision.HOST)
+        assert layer.stats()["decisions"]["host"] == before + 5_000
+
+    def test_counters_match_a_full_recount(self):
+        """Same keys, values and first-seen order as counting an
+        unbounded log, the way ``stats()`` used to."""
+        world = AnceptionWorld()
+        layer = world.anception
+        layer.decision_log = []  # unbounded, to recount from
+        ctx = world.install_and_launch(ScratchApp()).ctx
+        for name in ("init_module", "reboot"):
+            with pytest.raises(SyscallError):
+                ctx.libc.syscall(name)
+        for i in range(600):
+            ctx.libc.write_file(ctx.data_path(f"f{i % 3}"), b"x")
+            ctx.libc.getpid()
+        recount = {}
+        for _pid, _name, decision in layer.decision_log:
+            recount[decision.value] = recount.get(decision.value, 0) + 1
+        stats = layer.stats()
+        assert list(stats["decisions"].items()) == list(recount.items())
+        assert stats["blocked_calls"] == 2
+        assert len(layer.blocked_calls) == 2
