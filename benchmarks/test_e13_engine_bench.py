@@ -18,6 +18,7 @@ from repro.perf.engine_bench import (
     ENGINE_WORKLOADS,
     SCHEMA,
     baseline_summary,
+    bench_warm_boot,
     bench_workload,
     check_regression,
     profile_workload,
@@ -111,6 +112,12 @@ def test_profile_workload_surfaces_hot_zones():
         line.split()[0] for line in profile["collapsed"].splitlines()
     }
     assert any(z.startswith("syscall.dispatch") for z in zones)
+
+
+def test_warm_boot_restores_a_nonempty_snapshot():
+    warm = bench_warm_boot()
+    assert warm["blob_bytes"] > 0
+    assert warm["restore_ms"] > 0
 
 
 def test_unknown_workload_rejected():

@@ -15,6 +15,7 @@ from __future__ import annotations
 import errno
 import posixpath
 from collections import deque
+from contextlib import nullcontext
 
 from repro.android.binder import (
     BINDER_WRITE_READ,
@@ -52,7 +53,7 @@ from repro.kernel.memory import MAP_ANONYMOUS, MAP_FIXED
 from repro.kernel.process import Credentials, ROOT_UID
 from repro.kernel.vfs import InodeKind
 from repro.obs import prof as _prof
-from repro.obs.bus import maybe_event, maybe_span
+from repro.obs.bus import NULL_SPAN, maybe_event, maybe_span
 from repro.obs.prof import zone as wall_zone
 from repro.perf.costs import PAGE_SIZE
 from repro.perf.slab import SlabPool
@@ -64,6 +65,11 @@ ANCEPTION_MARSHALING_LINES = 2_438
 DECISION_LOG_LIMIT = 512
 """Bound on ``decision_log`` and ``blocked_calls``: the most recent
 entries only.  Totals live in the per-decision counters."""
+
+
+def _delegation_eio(failure, call):
+    """The EIO a delegation failure becomes once recovery gives up."""
+    return SyscallError(errno.EIO, f"delegation failed: {failure}", call=call)
 
 
 class PendingCall:
@@ -149,13 +155,17 @@ class DelegationBatch:
         if not self._entries:
             return
         entries, self._entries = self._entries, []
-        calls = []
-        for entry in entries:
-            if entry[0] == "write":
-                calls.append(("write", (entry[1], b"".join(entry[2]))))
-            else:
-                calls.append((entry[0], entry[1]))
-        self.layer._run_batch(self.task, calls)
+        calls = [
+            ("write", (entry[1], b"".join(entry[2])), {}, None)
+            if entry[0] == "write" else (entry[0], entry[1], {}, None)
+            for entry in entries
+        ]
+        layer, task = self.layer, self.task
+        lane = layer._lane(task)
+        layer._supervise(
+            task, lane, "batch", layer._round_trip,
+            (task, lane, calls, "batch", f"batch:{len(calls)}", len(calls)),
+        )
 
     def __enter__(self):
         if self.layer._batch is not None:
@@ -216,9 +226,6 @@ class AnceptionLayer:
         self.pool.layer = self
         for lane in self.pool.lanes:
             self._bind_lane(lane)
-        self.ring_batching = True
-        """Decompose writev/readv into per-iovec ring descriptors that
-        share one doorbell pair (the always-on batched path)."""
         self._batch = None
         """The open :class:`DelegationBatch` window, if any."""
         self.policy = RedirectionPolicy(
@@ -409,9 +416,8 @@ class AnceptionLayer:
             # statically redirect-class, but the live attachment spans
             # both kernels and must be torn down on both
             return self._handle_shmdt(task, *args)
-        if (self.ring_batching and name in ("writev", "readv")
-                and len(args) >= 2 and isinstance(args[0], int)
-                and table.is_remote(args[0])):
+        if (name in ("writev", "readv") and len(args) >= 2
+                and isinstance(args[0], int) and table.is_remote(args[0])):
             return self._redirect_vectored(task, name, args[0], args[1])
         return self._redirect(task, name, args, kwargs)
 
@@ -466,35 +472,10 @@ class AnceptionLayer:
         """One call, one doorbell pair, synchronous result."""
         if lane is None:
             lane = self._lane(task)
-        attempt = 0
-        clock = self.machine.clock
-        while True:
-            self._ensure_container(lane, name)
-            try:
-                bus = clock.bus
-                if bus is None or not bus._depth:
-                    # Dormant bus: skip the span (and its f-string label)
-                    # entirely — the window body is identical either way.
-                    pending = self.submit(task, name, args, kwargs,
-                                          translated, lane=lane)
-                    self.flush(task, reason=name, lane=lane)
-                    return self.complete(pending, lane=lane)
-                with maybe_span(clock, "proxy",
-                                f"forward:{name}", task=task,
-                                kernel=self.host_kernel.label,
-                                decision="redirect"):
-                    pending = self.submit(task, name, args, kwargs,
-                                          translated, lane=lane)
-                    self.flush(task, reason=name, lane=lane)
-                    return self.complete(pending, lane=lane)
-            except DelegationError as failure:
-                attempt += 1
-                if not self.recovery.enabled \
-                        or attempt > self.recovery.max_retries:
-                    raise SyscallError(
-                        errno.EIO, f"delegation failed: {failure}", call=name
-                    ) from failure
-                self._recover_from(task, failure, attempt, name)
+        return self._supervise(
+            task, lane, name, self._round_trip,
+            (task, lane, ((name, args, kwargs, translated),), name, name),
+        )[0]
 
     def _redirect_vectored(self, task, name, fd, vec):
         """writev/readv: every iovec entry rides one doorbell pair.
@@ -532,41 +513,66 @@ class AnceptionLayer:
                 for entry in vec
             ]
             return sum(results) if name == "writev" else results
-        attempt = 0
-        clock = self.machine.clock
+        calls = tuple((sub_call, (fd, entry), {}, None) for entry in vec)
+        results = self._supervise(
+            task, lane, name, self._round_trip,
+            (task, lane, calls, name, name, len(vec)),
+        )
+        return sum(results) if name == "writev" else results
+
+    def _supervise(self, task, lane, site, attempt, args, exhausted=None):
+        """The one retry loop around every host→CVM crossing.
+
+        Each pass checks (or repairs) the container, then runs
+        ``attempt(*args)``.  A delegation-layer failure — channel
+        corruption, a dead proxy, a crashed container, a lost doorbell —
+        is retried under :attr:`recovery`; when recovery is disabled or
+        exhausted it becomes EIO, so a redirected call returns a result
+        or a well-defined errno, never a hang and never a simulator
+        exception.  The EIO raises at the call site, or — for deferred
+        windows, whose call site is long gone — goes to ``exhausted``
+        (the failure in hand) to be ledgered for the next fence.
+        """
+        tries = 0
         while True:
-            self._ensure_container(lane, name)
+            self._ensure_container(lane, site)
             try:
-                bus = clock.bus
-                if bus is None or not bus._depth:
-                    pendings = [
-                        self.submit(task, sub_call, (fd, entry), {},
-                                    lane=lane)
-                        for entry in vec
-                    ]
-                    self.flush(task, reason=name, lane=lane)
-                    results = [self.complete(p, lane=lane) for p in pendings]
-                    return sum(results) if name == "writev" else results
-                with maybe_span(clock, "proxy",
-                                f"forward:{name}", task=task,
-                                kernel=self.host_kernel.label,
-                                decision="redirect", batch=len(vec)):
-                    pendings = [
-                        self.submit(task, sub_call, (fd, entry), {},
-                                    lane=lane)
-                        for entry in vec
-                    ]
-                    self.flush(task, reason=name, lane=lane)
-                    results = [self.complete(p, lane=lane) for p in pendings]
-                return sum(results) if name == "writev" else results
+                return attempt(*args)
             except DelegationError as failure:
-                attempt += 1
-                if not self.recovery.enabled \
-                        or attempt > self.recovery.max_retries:
-                    raise SyscallError(
-                        errno.EIO, f"delegation failed: {failure}", call=name
-                    ) from failure
-                self._recover_from(task, failure, attempt, name)
+                tries += 1
+                if self.recovery.enabled \
+                        and tries <= self.recovery.max_retries:
+                    self._recover_from(task, failure, tries, site)
+                    continue
+                if exhausted is not None:
+                    return exhausted(failure)
+                raise _delegation_eio(failure, site) from failure
+
+    def _round_trip(self, task, lane, calls, reason, label, batch=None):
+        """Submit each call, ring one doorbell pair, complete each call.
+
+        ``calls`` holds ``(name, args, kwargs, translated)`` tuples; the
+        results come back in the same order.  The ``proxy`` span
+        ``forward:{label}`` (tagged ``batch`` for multi-call windows) is
+        built only while a bus capture is active — the dormant path
+        never formats its label.
+        """
+        clock = self.machine.clock
+        bus = clock.bus
+        if bus is None or not bus._depth:
+            span = NULL_SPAN
+        else:
+            tags = {} if batch is None else {"batch": batch}
+            span = maybe_span(clock, "proxy", f"forward:{label}", task=task,
+                              kernel=self.host_kernel.label,
+                              decision="redirect", **tags)
+        with span:
+            pendings = [
+                self.submit(task, name, args, kwargs, translated, lane=lane)
+                for name, args, kwargs, translated in calls
+            ]
+            self.flush(task, reason=reason, lane=lane)
+            return [self.complete(pending, lane=lane) for pending in pendings]
 
     def _ensure_container(self, lane, name):
         """Refuse (or repair) forwarding into a dead/compromised CVM."""
@@ -1259,16 +1265,12 @@ class AnceptionLayer:
         payload = transaction.payload_size
         proxy = lane.proxies.proxy_for(task)
         proxy_binder_fd = self._ensure_proxy_binder(lane, proxy)
-        if self._charge_parcel(lane.binder_ring, payload):
-            with lane.channel.bulk_copy():
-                return self._redirect(
-                    task, "ioctl", (fd, request, transaction), {},
-                    translated=(proxy_binder_fd, request, transaction),
-                )
-        return self._redirect(
-            task, "ioctl", (fd, request, transaction), {},
-            translated=(proxy_binder_fd, request, transaction),
-        )
+        bulk = self._charge_parcel(lane.binder_ring, payload)
+        with lane.channel.bulk_copy() if bulk else nullcontext():
+            return self._redirect(
+                task, "ioctl", (fd, request, transaction), {},
+                translated=(proxy_binder_fd, request, transaction),
+            )
 
     def _charge_parcel(self, ring, payload):
         """Charge one binder parcel's bytes; ``True`` if it rides bulk.
@@ -1370,10 +1372,15 @@ class AnceptionLayer:
             return 0
         data = task.address_space.read(addr, length, need_prot=0)
         lane = self._lane(task)
+        self._supervise(task, lane, "msync", self._msync_crossing,
+                        (lane, task, data))
+        return 0
+
+    def _msync_crossing(self, lane, task, data):
+        """Anonymous msync: the bytes cross, then one doorbell pair."""
         lane.channel.send_to_guest(data)
         self._signal_guest_reliably(lane, "msync", task)
         self._signal_host_or_poll(lane, "msync-ack", task)
-        return 0
 
     def _find_file_mapping(self, task, addr):
         for (pid, base), info in self._file_mappings.items():
@@ -1630,37 +1637,6 @@ class AnceptionLayer:
                 name, rest = call[0], tuple(call[1:])
                 results.append(self.host_kernel.syscall(task, name, *rest))
         return results
-
-    def _run_batch(self, task, calls):
-        """Forward a flushed batch window behind one doorbell pair."""
-        if not calls:
-            return
-        lane = self._lane(task)
-        attempt = 0
-        while True:
-            self._ensure_container(lane, "batch")
-            try:
-                with maybe_span(self.machine.clock, "proxy",
-                                f"forward:batch:{len(calls)}", task=task,
-                                kernel=self.host_kernel.label,
-                                decision="redirect", batch=len(calls)):
-                    pendings = [
-                        self.submit(task, name, args, {}, lane=lane)
-                        for name, args in calls
-                    ]
-                    self.flush(task, reason="batch", lane=lane)
-                    for pending in pendings:
-                        self.complete(pending, lane=lane)
-                return
-            except DelegationError as failure:
-                attempt += 1
-                if not self.recovery.enabled \
-                        or attempt > self.recovery.max_retries:
-                    raise SyscallError(
-                        errno.EIO, f"delegation failed: {failure}",
-                        call="batch",
-                    ) from failure
-                self._recover_from(task, failure, attempt, "batch")
 
     # ------------------------------------------------------------------
     # deferred windows: write-behind and batched binder
@@ -1959,10 +1935,25 @@ class AnceptionLayer:
     def _forward_window(self, lane, windows, task, entries):
         """Forward one drained window behind one doorbell pair.
 
-        Runs inside the lane's overlap window.  Failures never raise to
-        the (long-gone) call site: they ledger per ``(pid, key)`` for
-        the next fence to surface.  The kinds differ only where
-        ``binder`` is tested:
+        Runs inside the lane's overlap window, under the same retry
+        loop as every other crossing (:meth:`_supervise`).  Failures
+        never raise to the (long-gone) call site: they ledger per
+        ``(pid, key)`` for the next fence to surface — including the
+        EIO once recovery gives up, charged to every entry.
+        """
+        site = "binder-ring" if windows.label == "binder" else "write-behind"
+        self._supervise(
+            task, lane, site, self._window_attempt,
+            (lane, windows, task, entries),
+            exhausted=lambda failure: self._fail_entries(
+                windows, task, entries,
+                _delegation_eio(failure, entries[0].name)),
+        )
+
+    def _window_attempt(self, lane, windows, task, entries):
+        """One pass of a drained window: post, flush, reap, ledger.
+
+        The kinds differ only where ``binder`` is tested:
 
         * a binder window may be reordered (``binder.reorder``) and pays
           the fixed cross-VM binder cost once for the whole window —
@@ -1975,85 +1966,62 @@ class AnceptionLayer:
         """
         binder = windows.label == "binder"
         if binder:
-            site, noun, flags = "binder-ring", "binder", RING_FLAG_BINDER
+            noun, flags = "binder", RING_FLAG_BINDER
         else:
-            site, noun = "write-behind", "write-behind"
-            flags = RING_FLAG_WRITE_BEHIND
+            noun, flags = "write-behind", RING_FLAG_WRITE_BEHIND
         clock = self.machine.clock
         engine = clock.faults
-        costs = self.machine.costs
-        attempt = 0
-        while True:
-            self._ensure_container(lane, site)
-            try:
-                live = entries
-                if binder and engine is not None and len(live) > 1 \
-                        and engine.binder_reorder(call="ioctl"):
-                    live = [live[1], live[0], *live[2:]]
-                    windows.reordered += 1
-                pendings = []
-                with lane.channel.bulk_copy():
-                    if binder:
-                        clock.advance(costs.binder_cvm_fixed_ns,
-                                      "anception:binder-window")
-                    for index, entry in enumerate(live):
-                        failure = self._entry_step(engine, windows, entry)
-                        if failure is not None and binder:
-                            self._record(windows, task, entry.key, failure)
-                            continue
-                        if failure is not None:
-                            self._fail_entries(windows, task, live[index:],
-                                               failure)
-                            break
-                        pendings.append((entry, self.submit(
-                            task, entry.name, entry.args, {},
-                            translated=entry.call_args, wire=entry.wire,
-                            ring_flags=flags, lane=lane,
-                        )))
-                    if not pendings:
-                        return
-                    self.flush(task, reason=f"{noun}:{len(pendings)}",
-                               lane=lane)
-                if engine is not None and (
-                        engine.binder_reply_loss(call="ioctl") if binder
-                        else engine.wb_reap_loss()):
-                    # The reaper missed the batch.  With recovery on, the
-                    # completions already sit in the shared pages, so it
-                    # times out and polls them back — it never
-                    # re-submits (a replayed call is not idempotent).
-                    if not self.recovery.enabled:
-                        self._fail_entries(
-                            windows, task, [entry for entry, _ in pendings],
-                            SyscallError(errno.EIO,
-                                         f"{noun} completions lost",
-                                         call=pendings[0][0].name),
-                        )
-                        return
-                    poll = f"{windows.label}-reap-poll"
-                    clock.advance(self.recovery.signal_timeout_ns,
-                                  f"anception:{poll}")
-                    self.recovery_log.append(
-                        (poll, f"{len(pendings)} completions")
-                    )
-                    maybe_event(clock, "recovery", poll, task=task,
-                                kernel=self.host_kernel.label,
-                                batch=len(pendings))
-                for entry, pending in pendings:
-                    try:
-                        self.complete(pending, lane=lane)
-                    except SyscallError as exc:
-                        self._record(windows, task, entry.key, exc)
+        live = entries
+        if binder and engine is not None and len(live) > 1 \
+                and engine.binder_reorder(call="ioctl"):
+            live = [live[1], live[0], *live[2:]]
+            windows.reordered += 1
+        pendings = []
+        with lane.channel.bulk_copy():
+            if binder:
+                clock.advance(self.machine.costs.binder_cvm_fixed_ns,
+                              "anception:binder-window")
+            for index, entry in enumerate(live):
+                failure = self._entry_step(engine, windows, entry)
+                if failure is not None and binder:
+                    self._record(windows, task, entry.key, failure)
+                    continue
+                if failure is not None:
+                    self._fail_entries(windows, task, live[index:], failure)
+                    break
+                pendings.append((entry, self.submit(
+                    task, entry.name, entry.args, {},
+                    translated=entry.call_args, wire=entry.wire,
+                    ring_flags=flags, lane=lane,
+                )))
+            if not pendings:
                 return
-            except DelegationError as failure:
-                attempt += 1
-                if not self.recovery.enabled \
-                        or attempt > self.recovery.max_retries:
-                    self._fail_entries(windows, task, entries, SyscallError(
-                        errno.EIO, f"delegation failed: {failure}",
-                        call=entries[0].name,
-                    ))
-                    return
-                self._recover_from(task, failure, attempt, site)
+            self.flush(task, reason=f"{noun}:{len(pendings)}", lane=lane)
+        if engine is not None and (
+                engine.binder_reply_loss(call="ioctl") if binder
+                else engine.wb_reap_loss()):
+            # The reaper missed the batch.  With recovery on, the
+            # completions already sit in the shared pages, so it times
+            # out and polls them back — it never re-submits (a replayed
+            # call is not idempotent).
+            if not self.recovery.enabled:
+                self._fail_entries(
+                    windows, task, [entry for entry, _ in pendings],
+                    SyscallError(errno.EIO, f"{noun} completions lost",
+                                 call=pendings[0][0].name),
+                )
+                return
+            poll = f"{windows.label}-reap-poll"
+            clock.advance(self.recovery.signal_timeout_ns,
+                          f"anception:{poll}")
+            self.recovery_log.append((poll, f"{len(pendings)} completions"))
+            maybe_event(clock, "recovery", poll, task=task,
+                        kernel=self.host_kernel.label, batch=len(pendings))
+        for entry, pending in pendings:
+            try:
+                self.complete(pending, lane=lane)
+            except SyscallError as exc:
+                self._record(windows, task, entry.key, exc)
 
     def _entry_step(self, engine, windows, entry):
         """One entry's kind-specific step before it is posted.
@@ -2133,6 +2101,37 @@ class AnceptionLayer:
             dup = desc.dup() if hasattr(desc, "dup") else desc
             child_proxy.guest_task.install_fd(proxy_fd, dup)
             child_table.bind(host_fd, proxy_fd)
+
+    def on_exit(self, task):
+        """Flush, then forget, an exiting app (``Kernel.reap_task``).
+
+        Exit drains the app's own deferred windows through the
+        supervised path, as a ``close`` fence would, while the proxy
+        still lives: staged writes are durable and staged oneways
+        delivered, as they would be on a native kernel.  A dead app can
+        surface no deferred errno, so its ledger entries go with the
+        rest of its per-pid state: fd table, mappings, windows, proxy
+        record and placement.
+        """
+        pid = task.pid
+        lane = self._lane(task)
+        try:
+            for windows in (lane.write_behind, lane.binder_ring):
+                if windows is not None:
+                    self._drain(lane, windows, task, "exit")
+        except SyscallError:
+            pass  # container down, recovery off: nothing to flush into
+        finally:
+            self.fd_tables.pop(pid, None)
+            for maps in (self._file_mappings, lane.shm_attach_map):
+                for key in [key for key in maps if key[0] == pid]:
+                    del maps[key]
+            for each in self.pool.lanes:
+                for windows in (each.write_behind, each.binder_ring):
+                    if windows is not None:
+                        windows.forget(pid)
+            lane.proxies.forget(task)
+            self.pool.release(pid)
 
     def on_credentials_changed(self, task):
         """Kill any app whose UID changed after launch (footnote 3)."""

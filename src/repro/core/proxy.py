@@ -117,6 +117,11 @@ class ProxyManager:
                 self.cvm.kernel.reap_task(proxy.guest_task)
             host_task.proxy = None
 
+    def forget(self, host_task):
+        """Drop an exiting task's proxy record; the kernel reaping the
+        host task mirrors the death onto the guest task itself."""
+        self._by_host_pid.pop(host_task.pid, None)
+
     def respawn_proxy(self, host_task):
         """Replace a dead proxy with a fresh one (recovery path).
 

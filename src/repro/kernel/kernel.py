@@ -213,6 +213,10 @@ class Kernel:
         """Terminate a task: free memory, close fds, zombify."""
         if task.state is TaskState.DEAD:
             return
+        if self.interposition is not None and task.redirection_entry:
+            # Before any teardown: the layer flushes the app's deferred
+            # windows through its still-live proxy, then forgets the pid.
+            self.interposition.on_exit(task)
         for fd in list(task.fd_table):
             try:
                 self._do_close(task, fd)

@@ -7,6 +7,8 @@ revive the container; this one proves the Anception layer reaches for it
 clean EIO when it is not.
 """
 
+import errno
+
 import pytest
 
 from repro.core.recovery import RecoveryPolicy
@@ -14,6 +16,10 @@ from repro.errors import SyscallError
 from repro.faults.engine import FaultEngine
 from repro.kernel import vfs
 from repro.kernel.kernel import KernelCrashed
+from repro.kernel.memory import MAP_ANONYMOUS, PROT_READ, PROT_WRITE
+from repro.perf.costs import PAGE_SIZE
+from repro.world import AnceptionWorld
+from tests.conftest import ScratchApp
 
 
 @pytest.fixture
@@ -249,3 +255,116 @@ class TestRebootRebinding:
                   and record["kind"] == "recovery"]
         assert "channels-rebound" in events
         assert "reboot-cvm" in events
+
+
+# -- one supervisor across every crossing shape -------------------------
+#
+# Each shape prepares its state unfaulted and returns the crossing to
+# run under persistent IRQ loss.  Window shapes stage first (staging
+# never rings a doorbell) and then hit their fence, which drains the
+# window and surfaces the ledgered EIO.
+
+def _single(ctx):
+    path = ctx.data_path("seed.txt")
+    return lambda: ctx.libc.stat(path)
+
+
+def _open_scratch(ctx):
+    return ctx.libc.open(ctx.data_path("shape.bin"), vfs.O_RDWR | vfs.O_CREAT)
+
+
+def _writev(ctx):
+    fd = _open_scratch(ctx)
+    return lambda: ctx.libc.writev(fd, [b"ab", b"cd"])
+
+
+def _syscall_batch(ctx):
+    fd = _open_scratch(ctx)
+    return lambda: ctx.libc.syscall_batch([("write", fd, b"ab"),
+                                           ("write", fd, b"cd")])
+
+
+def _write_behind(ctx):
+    fd = _open_scratch(ctx)
+
+    def cross():
+        assert ctx.libc.write(fd, b"ab") == 2  # staged, optimistic
+        ctx.libc.fsync(fd)
+
+    return cross
+
+
+def _binder_window(ctx):
+    def cross():
+        assert ctx.call_service_oneway("location", "get_fix", {}) is None
+        ctx.call_service("location", "get_fix", {})
+
+    return cross
+
+
+def _anonymous_msync(ctx):
+    base = ctx.libc.mmap(PAGE_SIZE, PROT_READ | PROT_WRITE, MAP_ANONYMOUS)
+    return lambda: ctx.libc.syscall("msync", base, PAGE_SIZE)
+
+
+CROSSINGS = [
+    pytest.param({}, "stat", _single, False, id="single"),
+    pytest.param({}, "writev", _writev, False, id="writev"),
+    pytest.param({}, "batch", _syscall_batch, False, id="syscall_batch"),
+    pytest.param({"async_delegation": True}, "write-behind", _write_behind,
+                 True, id="write-behind-window"),
+    pytest.param({"binder_ring": True}, "binder-ring", _binder_window,
+                 True, id="binder-window"),
+    pytest.param({}, "msync", _anonymous_msync, False,
+                 id="anonymous-msync"),
+]
+
+
+def _cross_under_irq_loss(world_kwargs, prepare, recovery):
+    world = AnceptionWorld(**world_kwargs)
+    if recovery is not None:
+        world.anception.recovery = recovery
+    running = world.install_and_launch(ScratchApp())
+    running.run()
+    cross = prepare(running.ctx)
+    engine = arm(world, "irq.drop:every=1")
+    try:
+        with pytest.raises(SyscallError) as exc:
+            cross()
+    finally:
+        engine.disarm()
+    return world.anception, exc.value
+
+
+def _assert_supervised_eio(error, deferred):
+    assert error.errno == errno.EIO
+    if deferred:
+        # Surfaced at the fence; the ledgered EIO is its cause.
+        assert "deferred" in str(error)
+        error = error.__cause__
+        assert error.errno == errno.EIO
+    assert "delegation failed" in str(error)
+    assert "irq lost" in str(error)
+
+
+class TestOneSupervisor:
+    @pytest.mark.parametrize("world_kwargs,site,prepare,deferred",
+                             CROSSINGS)
+    def test_recovery_off_ends_in_eio_without_retries(
+            self, world_kwargs, site, prepare, deferred):
+        layer, error = _cross_under_irq_loss(world_kwargs, prepare, None)
+        _assert_supervised_eio(error, deferred)
+        assert [action for action, _ in layer.recovery_log
+                if action == "retry"] == []
+
+    @pytest.mark.parametrize("world_kwargs,site,prepare,deferred",
+                             CROSSINGS)
+    def test_chaos_default_retries_max_then_eio(
+            self, world_kwargs, site, prepare, deferred):
+        policy = RecoveryPolicy.chaos_default()
+        layer, error = _cross_under_irq_loss(world_kwargs, prepare, policy)
+        _assert_supervised_eio(error, deferred)
+        retries = [detail.split(":")[0] for action, detail
+                   in layer.recovery_log if action == "retry"]
+        assert retries == [f"{site} attempt {n}"
+                           for n in range(1, policy.max_retries + 1)]
