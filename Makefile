@@ -59,7 +59,6 @@ chaos-demo:
 	cmp chaos-a.json chaos-b.json && echo "chaos run is byte-identical across replays"
 
 profile-demo:
-	PYTHONPATH=src $(PYTHON) -m repro.cli profile fileops --flame fileops-flame.txt
 	PYTHONPATH=src $(PYTHON) -m repro.cli trace writeburst --out writeburst-trace.json
 	PYTHONPATH=src $(PYTHON) -m repro.cli report writeburst-trace.json
 
@@ -70,5 +69,5 @@ clean:
 	find . -name __pycache__ -type d -exec rm -rf {} +
 	rm -rf .pytest_cache .hypothesis *.egg-info
 	rm -f chaos-a.json chaos-b.json chaos-trace.json table1-trace.json BENCH_e1.json
-	rm -f BENCH_engine.json BENCH_fleet.json fileops-flame.txt writeburst-trace.json
+	rm -f BENCH_engine.json BENCH_fleet.json writeburst-trace.json
 	rm -rf .perfbench_out

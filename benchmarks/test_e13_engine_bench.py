@@ -4,7 +4,7 @@ Unlike every other benchmark here, this one measures *wall-clock*
 throughput (simulated syscalls per real second), which is machine-
 dependent by nature.  So these tests assert the report's *structure* and
 its internal consistency — the schema, the three gated workloads, the
-attribution shares, the gate arithmetic — never absolute throughput.
+gate arithmetic — never absolute throughput.
 The CI regression gate compares against a committed baseline separately
 (``anception bench-engine``).
 """
@@ -21,7 +21,6 @@ from repro.perf.engine_bench import (
     bench_warm_boot,
     bench_workload,
     check_regression,
-    profile_workload,
     run_engine_bench,
 )
 
@@ -50,17 +49,6 @@ def test_workload_entries_are_consistent(report):
         assert entry["syscalls_per_sec"] > 0
         assert entry["wall_ms"]["best"] <= entry["wall_ms"]["median"]
         assert entry["sim_time_ratio"] > 0
-
-
-def test_attribution_shares_sum_to_one(report):
-    for entry in report["workloads"].values():
-        attribution = entry["profiler"]["attribution"]
-        assert attribution["total_self_ms"] > 0
-        shares = [zone["share"] for zone in attribution["zones"]]
-        assert shares == sorted(shares, reverse=True)
-        assert sum(shares) == pytest.approx(1.0, abs=0.02)
-        zones = {zone["zone"] for zone in attribution["zones"]}
-        assert "syscall.dispatch" in zones
 
 
 def test_report_round_trips_through_json(report):
@@ -104,16 +92,6 @@ def test_gate_flags_missing_workload(report):
     assert failures == ["vanished: missing from current report"]
 
 
-def test_profile_workload_surfaces_hot_zones():
-    profile = profile_workload("writeburst", inner=1)
-    assert profile["syscalls"] > 0
-    assert profile["table"].startswith("ZONE")
-    zones = {
-        line.split()[0] for line in profile["collapsed"].splitlines()
-    }
-    assert any(z.startswith("syscall.dispatch") for z in zones)
-
-
 def test_warm_boot_restores_a_nonempty_snapshot():
     warm = bench_warm_boot()
     assert warm["blob_bytes"] > 0
@@ -123,5 +101,3 @@ def test_warm_boot_restores_a_nonempty_snapshot():
 def test_unknown_workload_rejected():
     with pytest.raises(ValueError, match="unknown workload"):
         bench_workload("nonesuch")
-    with pytest.raises(ValueError, match="unknown workload"):
-        profile_workload("nonesuch")

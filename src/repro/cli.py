@@ -15,7 +15,6 @@ Usage (installed as the ``anception`` script)::
     anception trace table1        # whole-stack trace (Chrome/Perfetto JSON)
     anception metrics table1      # counters + histograms as JSON
     anception chaos fileops --seed 7 --faults PLAN   # fault injection
-    anception profile fileops     # wall-clock zone attribution table
     anception report t.json       # analyze an exported Chrome trace
     anception bench-engine        # BENCH_engine.json + regression gate
     anception all                 # everything, in order
@@ -485,34 +484,6 @@ def cmd_bench_smoke(args):
         )
 
 
-def cmd_profile(args):
-    """Wall-clock zone attribution for one workload (repro.obs.prof)."""
-    from repro.perf.engine_bench import profile_workload
-
-    workload = getattr(args, "workload", None) or "fileops"
-    try:
-        result = profile_workload(
-            workload, inner=getattr(args, "inner", None) or 4
-        )
-    except ValueError as exc:
-        sys.exit(f"anception: error: {exc}")
-    _emit(result["table"], getattr(args, "out", None))
-    flame = getattr(args, "flame", None)
-    if flame:
-        try:
-            with open(flame, "w") as handle:
-                handle.write(result["collapsed"])
-        except OSError as exc:
-            sys.exit(f"anception: error: cannot write {flame}: {exc}")
-        print(f"wrote {flame}")
-    print(
-        f"profile: workload={workload} syscalls={result['syscalls']}"
-        f" wall_ms={result['wall_ms']} sim_ms={result['sim_ms']}"
-        f" syscalls_per_sec={result['syscalls_per_sec']}",
-        file=sys.stderr,
-    )
-
-
 def cmd_report(args):
     """Offline analysis of an exported Chrome trace (repro.obs.report)."""
     from repro.obs.report import report_json
@@ -536,11 +507,11 @@ def cmd_bench_engine(args):
     """The CI engine-throughput artifact plus its regression gate.
 
     Emits ``BENCH_engine.json`` (simulated syscalls per wall-clock
-    second for the gated workloads, with profiler attribution shares)
-    and exits non-zero when any workload falls below the configured
-    ratio of the committed baseline, when a sim-time digest drifts from
-    it, or when there is no baseline at all.  ``--update-baseline``
-    rewrites the baseline from this run instead of gating.
+    second for the gated workloads) and exits non-zero when any
+    workload falls below 80% of the committed baseline, when a sim-time
+    digest drifts from it, or when there is no baseline at all.
+    ``--update-baseline`` rewrites the baseline from this run instead
+    of gating.
     """
     from repro.perf.engine_bench import (
         DEFAULT_BASELINE_PATH,
@@ -580,9 +551,7 @@ def cmd_bench_engine(args):
             f"anception: error: no engine baseline at {baseline_path} "
             "(write one with --update-baseline)"
         )
-    failures = check_regression(
-        report, baseline, min_ratio=getattr(args, "gate_ratio", None)
-    )
+    failures = check_regression(report, baseline)
     if failures:
         sys.exit(
             "anception: error: engine throughput regression: "
@@ -756,7 +725,6 @@ COMMANDS = {
     "metrics": cmd_metrics,
     "chaos": cmd_chaos,
     "bench-smoke": cmd_bench_smoke,
-    "profile": cmd_profile,
     "report": cmd_report,
     "bench-engine": cmd_bench_engine,
     "bench-fleet": cmd_bench_fleet,
@@ -765,10 +733,10 @@ COMMANDS = {
 }
 
 WORKLOAD_COMMANDS = ("trace", "metrics", "chaos", "bench-smoke",
-                     "profile", "report", "bench-engine", "bench-fleet",
+                     "report", "bench-engine", "bench-fleet",
                      "snapshot", "resume")
-"""Workload/artifact commands skipped by ``all`` (trace/metrics/chaos/
-profile take a traced-workload positional, report takes a trace file,
+"""Workload/artifact commands skipped by ``all`` (trace/metrics/chaos
+take a traced-workload positional, report takes a trace file,
 snapshot takes a workload and resume a blob path;
 bench-smoke/bench-engine/bench-fleet write CI artifacts)."""
 
@@ -874,19 +842,6 @@ def main(argv=None):
              "(default: 10)",
     )
     parser.add_argument(
-        "--inner",
-        type=int,
-        default=None,
-        help="workload iterations per profiled pass for the profile "
-             "command (default: 4)",
-    )
-    parser.add_argument(
-        "--flame",
-        default=None,
-        help="also write the profile command's collapsed-stack "
-             "(flamegraph.pl compatible) output to this file",
-    )
-    parser.add_argument(
         "--baseline",
         default=None,
         help="baseline file for the bench-engine gate (default: "
@@ -897,14 +852,6 @@ def main(argv=None):
         action="store_true",
         help="rewrite the bench-engine baseline from this run instead "
              "of gating against it",
-    )
-    parser.add_argument(
-        "--gate-ratio",
-        type=float,
-        default=None,
-        help="bench-engine regression threshold as a fraction of the "
-             "baseline (default: 0.8, i.e. fail on a >20%% drop; also "
-             "via ANCEPTION_ENGINE_GATE_RATIO)",
     )
     parser.add_argument(
         "--ring-depth",

@@ -23,7 +23,7 @@ class SimClock:
     test can wrap it to trace where time goes.
     """
 
-    __snapshot__ = "custom"
+    __snapshot__ = "auto"
 
     def __init__(self, start_ns=0):
         self._now_ns = int(start_ns)
@@ -39,11 +39,6 @@ class SimClock:
         self.bus = None
         """Optional :class:`repro.obs.TraceBus` observing this clock.
         Observers only *read* the clock; they never advance it."""
-        self.prof = None
-        """Optional :class:`repro.obs.prof.WallProfiler` timing the host
-        cost of clock mutation.  A plain attribute (set by the
-        profiler's ``install``) so this module never imports repro.obs;
-        profiling reads wall time only and never moves simulated time."""
 
     @property
     def now_ns(self):
@@ -62,25 +57,21 @@ class SimClock:
             delta_ns: non-negative duration to add.
             reason: short label recorded when tracing is enabled.
         """
-        prof = self.prof
-        if prof is None:
-            # Fast path: no profiler, no overlap window, no tracing and
-            # no active bus capture means an advance is one integer add.
-            # This is the overwhelmingly common case in timed benchmark
-            # passes, where ``advance`` dominates call counts.
-            if self._overlap_lane is None and not self._trace_depth:
-                bus = self.bus
-                if bus is None or not bus._depth:
-                    delta_ns = int(delta_ns)
-                    if delta_ns < 0:
-                        raise ValueError(
-                            f"cannot move time backwards ({delta_ns} ns)"
-                        )
-                    self._now_ns += delta_ns
-                    return
-            return self._advance(delta_ns, reason)
-        with prof.zone("clock.advance"):
-            return self._advance(delta_ns, reason)
+        # Fast path: no overlap window, no tracing and no active bus
+        # capture means an advance is one integer add.  This is the
+        # overwhelmingly common case in timed benchmark passes, where
+        # ``advance`` dominates call counts.
+        if self._overlap_lane is None and not self._trace_depth:
+            bus = self.bus
+            if bus is None or not bus._depth:
+                delta_ns = int(delta_ns)
+                if delta_ns < 0:
+                    raise ValueError(
+                        f"cannot move time backwards ({delta_ns} ns)"
+                    )
+                self._now_ns += delta_ns
+                return
+        return self._advance(delta_ns, reason)
 
     def _advance(self, delta_ns, reason):
         delta_ns = int(delta_ns)
@@ -190,13 +181,6 @@ class SimClock:
         if self._overlap_lane is not None:
             raise ValueError("cannot wait_for a lane inside an overlap "
                              "window")
-        prof = self.prof
-        if prof is None:
-            return self._wait_for(lane, reason)
-        with prof.zone("clock.wait"):
-            return self._wait_for(lane, reason)
-
-    def _wait_for(self, lane, reason):
         backlog = self.lane_backlog_ns(lane)
         if backlog:
             self.advance(backlog, reason or f"wait:{lane}")
@@ -205,20 +189,6 @@ class SimClock:
     def lane_backlog_ns(self, lane):
         """How far ``lane``'s watermark runs ahead of host time."""
         return max(0, self._lane_busy.get(lane, 0) - self._now_ns)
-
-    def __getstate__(self):
-        """Snapshot hook: the wall profiler never crosses the boundary.
-
-        ``prof`` reads host wall time only and mirrors a process-global
-        (``repro.obs.prof._ACTIVE``) that a restore in another process
-        could not coherently re-arm; simulated time never depends on it,
-        so a restored clock simply runs unprofiled.  Everything else —
-        the cursor, lane watermarks, overlap state, armed fault engine,
-        attached bus — serializes as-is.
-        """
-        state = self.__dict__.copy()
-        state["prof"] = None
-        return state
 
     def __repr__(self):
         return f"SimClock(now={self._now_ns} ns)"

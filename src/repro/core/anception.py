@@ -52,9 +52,7 @@ from repro.kernel.loader import run_payload
 from repro.kernel.memory import MAP_ANONYMOUS, MAP_FIXED
 from repro.kernel.process import Credentials, ROOT_UID
 from repro.kernel.vfs import InodeKind
-from repro.obs import prof as _prof
 from repro.obs.bus import NULL_SPAN, maybe_event, maybe_span
-from repro.obs.prof import zone as wall_zone
 from repro.perf.costs import PAGE_SIZE
 from repro.perf.slab import SlabPool
 
@@ -635,15 +633,6 @@ class AnceptionLayer:
         Window-shaped callers resolve the task's ``lane`` once and pass
         it down instead of paying the pool lookup per descriptor.
         """
-        if _prof._ACTIVE is None:
-            return self._submit_impl(task, name, args, kwargs, translated,
-                                     wire, ring_flags, lane)
-        with wall_zone("anception.submit"):
-            return self._submit_impl(task, name, args, kwargs, translated,
-                                     wire, ring_flags, lane)
-
-    def _submit_impl(self, task, name, args, kwargs, translated, wire,
-                     ring_flags, lane):
         if lane is None:
             lane = self._lane(task)
         if not lane.channel.submit_ring.free_slots():
@@ -703,12 +692,6 @@ class AnceptionLayer:
                     else self.pool.default_lane)
         if not lane.inflight:
             return
-        if _prof._ACTIVE is None:
-            return self._flush_impl(lane, reason)
-        with wall_zone("anception.flush"):
-            return self._flush_impl(lane, reason)
-
-    def _flush_impl(self, lane, reason):
         pendings, lane.inflight = lane.inflight, []
         count = len(pendings)
         if reason is None:
@@ -1809,16 +1792,14 @@ class AnceptionLayer:
         # bounded in-flight depth is the backpressure contract.
         clock.wait_for(lane.cvm.lane, f"anception:{label}-backpressure")
         bus = clock.bus
-        if _prof._ACTIVE is None and (bus is None or not bus._depth):
+        if bus is None or not bus._depth:
             with clock.overlap(lane.cvm.lane):
                 run(lane, task, entries)
             return
-        with wall_zone(f"{label}.drain"), \
-                maybe_span(clock, f"{label}-drain",
-                           f"{reason}:{len(entries)}", task=task,
-                           kernel=self.host_kernel.label,
-                           batch=len(entries), reason=reason,
-                           **self._lane_tags(lane)) as span:
+        with maybe_span(clock, f"{label}-drain", f"{reason}:{len(entries)}",
+                        task=task, kernel=self.host_kernel.label,
+                        batch=len(entries), reason=reason,
+                        **self._lane_tags(lane)) as span:
             with clock.overlap(lane.cvm.lane):
                 run(lane, task, entries)
             # The backpressure fence above settled the lane, so the

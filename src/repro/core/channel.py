@@ -24,9 +24,7 @@ from __future__ import annotations
 from zlib import crc32
 
 from repro.errors import ChannelError, ChannelIntegrityError
-from repro.obs import prof as _prof
 from repro.obs.bus import maybe_span
-from repro.obs.prof import zone as wall_zone
 from repro.perf.costs import PAGE_SIZE
 
 
@@ -110,12 +108,11 @@ class AnceptionChannel:
         expected_crc = crc32(view)
         engine = clock.faults
         bus = clock.bus
-        if engine is None and _prof._ACTIVE is None \
-                and clock.prof is None and clock._overlap_lane is None \
+        if engine is None and clock._overlap_lane is None \
                 and not clock._trace_depth \
                 and (bus is None or not bus._depth):
-            # Fully dormant hot path: no fault engine, no profiler, no
-            # trace, no capture, no overlap lane.  The chunk loop below
+            # Fully dormant hot path: no fault engine, no trace, no
+            # capture, no overlap lane.  The chunk loop below
             # is the exact per-chunk arithmetic of costs_charge_chunk
             # folded into one integer add — simulated time and every
             # counter are bit-identical to the instrumented path.
@@ -175,10 +172,9 @@ class AnceptionChannel:
             delivered = engine.channel_payload(direction, view)
             if delivered is not view and type(delivered) is not memoryview:
                 delivered = memoryview(delivered)
-        with wall_zone("channel.copy"), \
-                maybe_span(clock, "channel-copy", direction, kernel="channel",
-                           direction=direction, bytes=size,
-                           chunks=max(1, self.costs.chunks(size))):
+        with maybe_span(clock, "channel-copy", direction, kernel="channel",
+                        direction=direction, bytes=size,
+                        chunks=max(1, self.costs.chunks(size))):
             for chunk in self._chunked(delivered):
                 nbytes = chunk.nbytes
                 self.costs_charge_chunk(nbytes, inbound=inbound)

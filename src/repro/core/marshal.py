@@ -15,8 +15,6 @@ serves two purposes:
 from __future__ import annotations
 
 from repro.errors import SimulationError
-from repro.obs import prof as _prof
-from repro.obs.prof import zone as wall_zone
 
 
 FD_FIRST_CALLS = frozenset({
@@ -113,16 +111,10 @@ def marshal_call(name, args, kwargs):
     (the old encoder materialised the payload three times: append, slice,
     pad).
     """
-    if _prof._ACTIVE is None:
-        size = wire_size(name, args, kwargs)
-        buf = bytearray(size)  # fresh: the tail is already zero-filled
-        _render_into(buf, size, name, args)
-        return bytes(buf), size
-    with wall_zone("marshal.encode"):
-        size = wire_size(name, args, kwargs)
-        buf = bytearray(size)
-        _render_into(buf, size, name, args)
-        return bytes(buf), size
+    size = wire_size(name, args, kwargs)
+    buf = bytearray(size)  # fresh: the tail is already zero-filled
+    _render_into(buf, size, name, args)
+    return bytes(buf), size
 
 
 def marshal_call_into(pool, name, args, kwargs):
@@ -135,13 +127,6 @@ def marshal_call_into(pool, name, args, kwargs):
     The caller owns ``slab`` and must hand it back via
     ``pool.recycle(slab)`` once the window retires.
     """
-    if _prof._ACTIVE is None:
-        return _marshal_into(pool, name, args, kwargs)
-    with wall_zone("marshal.encode"):
-        return _marshal_into(pool, name, args, kwargs)
-
-
-def _marshal_into(pool, name, args, kwargs):
     size = wire_size(name, args, kwargs)
     slab = pool.acquire(size)
     buf = slab.buf
@@ -155,10 +140,7 @@ def _marshal_into(pool, name, args, kwargs):
 
 def result_size(result):
     """Outbound payload size of a syscall result."""
-    if _prof._ACTIVE is None:
-        return encoded_size(result)
-    with wall_zone("marshal.decode"):
-        return encoded_size(result)
+    return encoded_size(result)
 
 
 class FdTranslationTable:

@@ -40,9 +40,7 @@ from repro.errors import (
     ChannelIntegrityError,
     RingFull,
 )
-from repro.obs import prof as _prof
 from repro.obs.bus import maybe_span
-from repro.obs.prof import zone as wall_zone
 from repro.perf.costs import PAGE_SIZE
 
 
@@ -178,16 +176,15 @@ class DelegationRing:
             if flags & RING_FLAG_BINDER:
                 self.binder_pushed += 1
         bus = clock.bus
-        if _prof._ACTIVE is None and (bus is None or not bus._depth):
+        if bus is None or not bus._depth:
             # Dormant observation: skip the span label/attr construction
             # entirely — the transfer itself carries the costs.
             self.channel._transfer(payload, self.direction)
         else:
-            with wall_zone("ring.push"), \
-                    maybe_span(clock, self.span_kind, f"{call}#{seq}",
-                               kernel="channel", ring=self.name, seq=seq,
-                               bytes=len(payload),
-                               depth=len(self._queue) + 1):
+            with maybe_span(clock, self.span_kind, f"{call}#{seq}",
+                            kernel="channel", ring=self.name, seq=seq,
+                            bytes=len(payload),
+                            depth=len(self._queue) + 1):
                 self.channel._transfer(payload, self.direction)
         self._queue.append(descriptor)
         self.pushed += 1
@@ -211,7 +208,7 @@ class DelegationRing:
             return None
         clock = self.channel.hypervisor.machine.clock
         engine = clock.faults
-        if engine is None and _prof._ACTIVE is None:
+        if engine is None:
             descriptor = self._queue.popleft()
             self.popped += 1
             payload = descriptor.payload
@@ -223,33 +220,27 @@ class DelegationRing:
                     len(payload),
                 )
             return descriptor
-        with wall_zone("ring.pop"):
-            index = 0
-            if engine is not None and len(self._queue) > 1 \
-                    and engine.ring_reorder(call=self._queue[0].call):
-                index = 1
-                self.out_of_order += 1
-            if index:
-                first = self._queue.popleft()
-                descriptor = self._queue.popleft()
-                self._queue.appendleft(first)
-            else:
-                descriptor = self._queue.popleft()
-            self.popped += 1
-            payload = descriptor.payload
-            if engine is not None:
-                payload = engine.ring_descriptor_payload(
-                    descriptor.call, payload
-                )
-            actual_crc = crc32(payload)
-            if actual_crc != descriptor.crc:
-                self.channel.integrity_failures += 1
-                raise ChannelIntegrityError(
-                    self.direction, descriptor.crc, actual_crc,
-                    len(descriptor.payload),
-                )
-            descriptor.payload = payload
-            return descriptor
+        if len(self._queue) > 1 \
+                and engine.ring_reorder(call=self._queue[0].call):
+            self.out_of_order += 1
+            first = self._queue.popleft()
+            descriptor = self._queue.popleft()
+            self._queue.appendleft(first)
+        else:
+            descriptor = self._queue.popleft()
+        self.popped += 1
+        payload = engine.ring_descriptor_payload(
+            descriptor.call, descriptor.payload
+        )
+        actual_crc = crc32(payload)
+        if actual_crc != descriptor.crc:
+            self.channel.integrity_failures += 1
+            raise ChannelIntegrityError(
+                self.direction, descriptor.crc, actual_crc,
+                len(descriptor.payload),
+            )
+        descriptor.payload = payload
+        return descriptor
 
     def reset(self):
         """Drop every queued descriptor (CVM reboot / recovery rebind)."""

@@ -67,7 +67,7 @@ from repro.errors import SnapshotError
 
 
 SNAPSHOT_MAGIC = b"ANCSNAP1"
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 _HEADER = struct.Struct("<8sHHQ32s")
 _PICKLE_PROTOCOL = 4
 """Pinned pickle protocol: the blob format is versioned, so the
@@ -75,11 +75,6 @@ serialization substrate must not drift with the interpreter default."""
 
 SNAPSHOT_EXEMPT = {
     # name -> why this component is legitimately outside the audit.
-    "repro.obs.prof.WallProfiler": (
-        "wall-clock observability: host-side timing state is dropped at "
-        "snapshot time (SimClock.__getstate__) — profiling never moves "
-        "simulated time, so restore≡boot holds without it"
-    ),
     "repro.events.COMPROMISE_EVENTS": (
         "process-global simulation bookkeeping shared by every world in "
         "the process; deliberately outside the snapshot boundary"

@@ -224,8 +224,7 @@ class LguestHypervisor:
             return False
         self.hypercall_count += 1
         bus = clock.bus
-        if clock.prof is None and clock._overlap_lane is None \
-                and not clock._trace_depth \
+        if clock._overlap_lane is None and not clock._trace_depth \
                 and (bus is None or not bus._depth):
             # Fully dormant observation: same counters, same simulated
             # time, none of the span/reason-string construction.
@@ -256,8 +255,8 @@ class LguestHypervisor:
         clock = self.machine.clock
         engine = clock.faults
         bus = clock.bus
-        if engine is None and clock.prof is None \
-                and clock._overlap_lane is None and not clock._trace_depth \
+        if engine is None and clock._overlap_lane is None \
+                and not clock._trace_depth \
                 and (bus is None or not bus._depth):
             self.descriptors_retired += coalesced
             if coalesced > 1:

@@ -18,12 +18,14 @@ This package is the measurement substrate that makes such attribution a
   deterministic (per-run ``trace_id`` derived from workload + seed).
 * :mod:`~repro.obs.runner` — canned traced workloads behind the
   ``anception trace`` / ``anception metrics`` CLI subcommands.
-* :mod:`~repro.obs.prof` — the *wall-clock* axis: near-zero-cost-when-
-  disabled scoped probes attributing real host time to the engine's hot
-  paths (``anception profile``, the ``BENCH_engine.json`` gate).
 * :mod:`~repro.obs.report` — offline analyzer over exported Chrome
   traces: critical-path breakdowns, doorbell-coalescing efficiency,
   cache hit ratio, write-behind overlap (``anception report``).
+
+Everything here runs on the simulated clock.  Wall-clock attribution
+lives outside the program: the benchmark's layer tracer
+(``perfbench/run.py --trace 1``) wraps each layer's entry points from
+outside and reports its own cost as ``trace.overhead_ratio``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from __future__ import annotations
 from repro.obs.bus import NULL_SPAN, TraceBus, maybe_event, maybe_span
 from repro.obs.export import make_trace_id, to_chrome_trace, to_ftrace
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
-from repro.obs.prof import NULL_ZONE, WallProfiler, zone
 from repro.obs.report import analyze, report_json
 
 
@@ -55,9 +56,6 @@ __all__ = [
     "Counter",
     "Histogram",
     "MetricsRegistry",
-    "NULL_ZONE",
-    "WallProfiler",
-    "zone",
     "analyze",
     "report_json",
     "TRACE_WORKLOADS",

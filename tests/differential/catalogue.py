@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.kernel import vfs
 from repro.kernel.net import AF_INET, SOCK_STREAM
 
-from tests.differential.harness import H, P
+from tests.differential.harness import SELF, H, P
 
 
 TRUNC = vfs.O_RDWR | vfs.O_CREAT | vfs.O_TRUNC
@@ -148,6 +148,25 @@ SCRIPTS = {
             ("shmget", 0x77, 4096),
             ("shmat", H(5)),
             ("shmdt", H(6)),
+        ],
+    },
+    # The lifecycle scripts end the process with the descriptor still
+    # open and the write still staged: whatever the exit path drains
+    # must land, or the final tree diverges from native.
+    "exit-after-write": {
+        "needs_server": False,
+        "script": [
+            ("open", P("cat-exit.bin"), TRUNC, 0o644),
+            ("write", H(0), b"last-words"),
+            ("exit", 0),
+        ],
+    },
+    "kill-after-writev": {
+        "needs_server": False,
+        "script": [
+            ("open", P("cat-kill.bin"), TRUNC, 0o644),
+            ("writev", H(0), (b"killed", b"-but-", b"durable")),
+            ("kill", SELF, 9),
         ],
     },
 }

@@ -7,9 +7,12 @@ final filesystem state as it would have natively — only timing differs.
 A *script* is a list of ``(libc_method, arg, ...)`` steps.  Arguments
 may be symbolic: :class:`P` resolves against the app's data directory,
 :class:`H` replays a handle (fd, shmid, address) returned by an earlier
-step.  Outcomes are normalized — handles become ``h<n>`` tokens, stat
-results drop world-specific inode numbers — so two worlds' outcome
-streams compare with ``==``.
+step, and :data:`SELF` is the app's own pid.  A script may end with a
+terminal ``exit`` or ``kill`` step, which ends the app's process with
+its descriptors still open: the final tree then shows what the exit
+path made durable.  Outcomes are normalized — handles become ``h<n>``
+tokens, stat results drop world-specific inode numbers — so two
+worlds' outcome streams compare with ``==``.
 
 Step names that are not :class:`~repro.kernel.libc.Libc` methods fall
 back to the app context itself, which is how the binder catalogue's
@@ -41,7 +44,13 @@ class H:
         self.slot = slot
 
 
+SELF = object()
+"""The running app's own pid (``("kill", SELF, 9)``)."""
+
 _HANDLE_RETURNING = {"open", "socket", "shmget", "shmat", "dup"}
+
+TERMINAL_STEPS = frozenset({"exit", "kill"})
+"""Steps that end the app's process; only the last step may be one."""
 
 
 def run_script(ctx, script, start=0, stop=None, handles=None,
@@ -61,12 +70,16 @@ def run_script(ctx, script, start=0, stop=None, handles=None,
     end = len(script) if stop is None else stop
     for step, op in enumerate(script[start:end], start):
         name, args = op[0], op[1:]
+        if name in TERMINAL_STEPS and step != len(script) - 1:
+            raise ValueError(f"step {step}: {name!r} must be the last step")
         real_args = []
         for arg in args:
             if isinstance(arg, P):
                 real_args.append(ctx.data_path(arg.rel))
             elif isinstance(arg, H):
                 real_args.append(handles[(arg.step, arg.slot)])
+            elif arg is SELF:
+                real_args.append(ctx.libc.task.pid)
             else:
                 real_args.append(arg)
         target = ctx.libc if callable(getattr(ctx.libc, name, None)) else ctx
@@ -193,8 +206,9 @@ def run_modes(worlds, script, app_factory):
     same labels to ``(outcomes, final_tree)`` for the same app package.
     Scripts that end with buffered write-behind state still compare
     equal: the final step of every script should fence or close its
-    descriptors, and the tree walk reads the delegated kernel *after*
-    the stream returned.
+    descriptors, or end the process with a terminal ``exit``/``kill``,
+    and the tree walk reads the delegated kernel *after* the stream
+    returned.
     """
     halves = {}
     for label, world in worlds.items():

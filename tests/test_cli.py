@@ -38,7 +38,7 @@ class TestCli:
             "table1", "antutu", "sunspider", "sqlite", "memory",
             "vuln-study", "attack-surface", "loc", "tcb", "profiledroid",
             "interactive", "alternatives", "trace", "metrics", "chaos",
-            "bench-smoke", "profile", "report", "bench-engine",
+            "bench-smoke", "report", "bench-engine",
             "bench-fleet", "snapshot", "resume",
         }
 
@@ -85,17 +85,6 @@ class TestCli:
         snapshot = json.loads(capsys.readouterr().out)
         assert snapshot["obs_sink_errors"] == 0
 
-    def test_profile_command(self, capsys, tmp_path):
-        flame = tmp_path / "flame.txt"
-        assert main(["profile", "write4k", "--inner", "2",
-                     "--flame", str(flame)]) == 0
-        captured = capsys.readouterr()
-        assert captured.out.startswith("ZONE")
-        assert "syscall.dispatch" in captured.out
-        assert "profile: workload=write4k" in captured.err
-        collapsed = flame.read_text()
-        assert "syscall.dispatch" in collapsed
-
     def test_report_command_deterministic(self, capsys, tmp_path):
         trace_path = tmp_path / "t.json"
         assert main(["trace", "write4k", "--out", str(trace_path)]) == 0
@@ -123,7 +112,7 @@ class TestCli:
         import json
 
         baseline.write_text(json.dumps({
-            "schema": "anception-bench-engine/1",
+            "schema": "anception-bench-engine/2",
             "workloads": {"fileops": {"syscalls_per_sec": 1e12}},
         }))
         with pytest.raises(SystemExit) as excinfo:
@@ -149,7 +138,7 @@ class TestCli:
         import json
 
         written = json.loads(baseline.read_text())
-        assert written["schema"] == "anception-bench-engine/1"
+        assert written["schema"] == "anception-bench-engine/2"
         assert set(written["workloads"]) == {
             "fileops", "batchio", "writeburst",
         }
