@@ -14,6 +14,7 @@ from repro.android.binder import (
     IOC_WAIT_INPUT_EVT,
     TF_ONE_WAY,
     Transaction,
+    TransactionLog,
 )
 from repro.errors import ReproError
 from repro.kernel.libc import Libc
@@ -84,9 +85,14 @@ class AppContext:
 
     def compute(self, units):
         """Charge pure-userspace CPU work (runs at native speed always)."""
-        self.kernel.clock.advance(
-            units * self.kernel.costs.cpu_unit_ns, "app:compute"
-        )
+        kernel = self.kernel
+        clock = kernel.clock
+        delta_ns = units * kernel.costs.cpu_unit_ns
+        # Fractional or negative work takes advance's int()/ValueError.
+        if clock.dormant and delta_ns.__class__ is int and delta_ns >= 0:
+            clock._now_ns += delta_ns
+        else:
+            clock.advance(delta_ns, "app:compute")
 
     # -- binder --------------------------------------------------------------
 
@@ -99,7 +105,10 @@ class AppContext:
     def call_service(self, target, method, payload=None):
         """Synchronous binder call into a system service."""
         transaction = Transaction(target, method, payload)
-        return self.libc.ioctl(self.binder_fd, BINDER_WRITE_READ, transaction)
+        fd = self._binder_fd
+        if fd is None:
+            fd = self.binder_fd
+        return self.libc.ioctl(fd, BINDER_WRITE_READ, transaction)
 
     def call_service_oneway(self, target, method, payload=None):
         """Fire-and-forget (TF_ONE_WAY) binder call: always ``None``.
@@ -160,7 +169,7 @@ class AppServiceEndpoint:
         self.name = f"app:{ctx.package}"
         self.ctx = ctx
         self.handler = handler
-        self.call_log = []
+        self.call_log = TransactionLog()
 
     def handle_transaction(self, method, payload, sender_task):
         self.call_log.append((method, sender_task.pid))

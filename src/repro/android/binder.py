@@ -122,7 +122,7 @@ class ServiceManager:
 
 
 class TransactionLog:
-    """Bounded ring of ``(pid, target, method)`` tuples.
+    """Bounded ring of log tuples, e.g. ``(pid, target, method)``.
 
     Keeps the list-like surface the test suite and tooling use
     (iteration, membership, indexing, ``len``) while dropping the oldest
@@ -222,47 +222,55 @@ class BinderDriver:
         """
         if not isinstance(transaction, Transaction):
             raise SyscallError(errno.EINVAL, "binder arg must be Transaction")
-        service = self.service_manager.get(transaction.target)
+        service = self.service_manager._services.get(transaction.target)
         if service is None:
             raise SyscallError(
                 errno.ENOENT, f"no service {transaction.target!r}"
             )
         transaction.sender_pid = task.pid
         transaction.sender_uid = task.credentials.uid
-        oneway = transaction.is_oneway
+        oneway = transaction.flags & TF_ONE_WAY
+        costs = self.kernel.costs
         if service.ui_related:
-            cost = self.kernel.costs.ui_ioctl_ns
+            cost = costs.ui_ioctl_ns
         elif oneway:
-            cost = self.kernel.costs.binder_oneway_ns
+            cost = costs.binder_oneway_ns
         else:
-            cost = self.kernel.costs.binder_transaction_ns
+            cost = costs.binder_transaction_ns
         clock = self.kernel.clock
+        if clock.dormant:
+            clock._now_ns += cost
+            return self._deliver(task, transaction, service, oneway)
         bus = clock.bus
-        # Dormant bus: skip the span's label and the parcel walk that
+        # No capture: skip the span's label and the parcel walk that
         # sizes ``payload_bytes`` -- nothing would record them.
         span = NULL_SPAN if bus is None or not bus._depth else bus.span(
             "binder-txn", f"{transaction.target}.{transaction.method}",
             task=task, kernel=self.kernel.label, target=transaction.target,
             method=transaction.method, ui=service.ui_related,
-            oneway=oneway, payload_bytes=transaction.payload_size,
+            oneway=bool(oneway), payload_bytes=transaction.payload_size,
         )
         with span:
             clock.advance(cost, f"binder:{transaction.target}")
-            self.transaction_log.append(
-                (task.pid, transaction.target, transaction.method)
-            )
-            if oneway:
-                try:
-                    service.handle_transaction(
-                        transaction.method, transaction.payload, task
-                    )
-                except SyscallError:
-                    self.oneway_errors += 1
-                transaction.reply = None
-                return None
-            transaction.reply = service.handle_transaction(
-                transaction.method, transaction.payload, task
-            )
+            return self._deliver(task, transaction, service, oneway)
+
+    def _deliver(self, task, transaction, service, oneway):
+        """Log the transaction and hand it to ``service``."""
+        self.transaction_log.append(
+            (task.pid, transaction.target, transaction.method)
+        )
+        if oneway:
+            try:
+                service.handle_transaction(
+                    transaction.method, transaction.payload, task
+                )
+            except SyscallError:
+                self.oneway_errors += 1
+            transaction.reply = None
+            return None
+        transaction.reply = service.handle_transaction(
+            transaction.method, transaction.payload, task
+        )
         return transaction.reply
 
 

@@ -11,8 +11,15 @@ from __future__ import annotations
 
 import errno
 
+from repro.android.binder import TransactionLog
 from repro.errors import SyscallError
 from repro.kernel.process import Credentials, ROOT_UID, SYSTEM_UID
+
+
+_HANDLERS = {}
+"""``(service class, method)`` -> its ``method_<name>`` function.  Only
+found handlers are cached, so the table is bounded by the methods the
+service classes define."""
 
 
 class Service:
@@ -48,19 +55,25 @@ class Service:
         # attacks need something to read/write).
         space = self.task.address_space
         space.set_brk(space.brk_page + self.HEAP_PAGES)
-        self.call_log = []
+        self.call_log = TransactionLog()
+        """Recent ``(method, sender pid)`` calls; ``dropped`` counts
+        the older ones the bounded ring let go."""
 
     def process_name(self):
         return f"service:{self.name}"
 
     def handle_transaction(self, method, payload, sender_task):
-        handler = getattr(self, f"method_{method}", None)
-        if handler is None:
-            raise SyscallError(
-                errno.EINVAL, f"{self.name} has no method {method!r}"
-            )
+        try:
+            handler = _HANDLERS[self.__class__, method]
+        except (KeyError, TypeError):  # TypeError: unhashable method
+            handler = getattr(self.__class__, f"method_{method}", None)
+            if handler is None:
+                raise SyscallError(
+                    errno.EINVAL, f"{self.name} has no method {method!r}"
+                ) from None
+            _HANDLERS[self.__class__, method] = handler
         self.call_log.append((method, sender_task.pid))
-        return handler(payload, sender_task)
+        return handler(self, payload, sender_task)
 
     def shutdown(self):
         self.kernel.reap_task(self.task)

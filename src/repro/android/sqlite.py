@@ -32,6 +32,7 @@ ROW_CPU_UNITS = 865
 """Abstract row-handling cost (parse, encode, b-tree bookkeeping)."""
 
 _HEADER = struct.Struct("<HH")  # (used_bytes, row_count) per data page
+_ROW_LEN = struct.Struct("<H")  # length prefix of each row
 
 
 class Transactionless(SimulationError):
@@ -216,17 +217,25 @@ class Database:
 
     def _insert_locked(self, info, row):
         row = bytes(row)
-        self._charge_cpu(ROW_CPU_UNITS)
+        kernel = self.libc.kernel
+        clock = kernel.clock
+        cpu_ns = ROW_CPU_UNITS * kernel.costs.cpu_unit_ns
+        if clock.dormant:
+            clock._now_ns += cpu_ns
+        else:
+            clock.advance(cpu_ns, "sqlite:cpu")
         need = 2 + len(row)
         page_no = info["pages"][-1]
-        page = self._load_page(page_no)
+        page = self._pages.get(page_no)
+        if page is None:
+            page = self._load_page(page_no)
         used, count = _HEADER.unpack_from(page, 0)
         if used + need > PAGE_SIZE:
             page_no = self._allocate_page()
             info["pages"].append(page_no)
             page = self._load_page(page_no)
             used, count = _HEADER.unpack_from(page, 0)
-        struct.pack_into("<H", page, used, len(row))
+        _ROW_LEN.pack_into(page, used, len(row))
         page[used + 2 : used + 2 + len(row)] = row
         _HEADER.pack_into(page, 0, used + need, count + 1)
         self._dirty.add(page_no)
@@ -244,7 +253,7 @@ class Database:
             used, count = _HEADER.unpack_from(page, 0)
             cursor = _HEADER.size
             for _ in range(count):
-                (length,) = struct.unpack_from("<H", page, cursor)
+                (length,) = _ROW_LEN.unpack_from(page, cursor)
                 rows.append(bytes(page[cursor + 2 : cursor + 2 + length]))
                 cursor += 2 + length
                 self._charge_cpu(ROW_CPU_UNITS // 4)

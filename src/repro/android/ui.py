@@ -62,6 +62,8 @@ class UIStack:
         self.input_device = input_device
         self.framebuffer = framebuffer
         self.windows = {}
+        self._first_window = {}
+        """Owner task -> the first window it created (``window_of``)."""
         self.focused_window = None
         self.keyboard_visible = False
         self.delivered_events = []
@@ -71,6 +73,7 @@ class UIStack:
     def create_window(self, owner_task, title=""):
         window = Window(owner_task, title)
         self.windows[window.window_id] = window
+        self._first_window.setdefault(owner_task, window)
         if self.focused_window is None:
             self.focused_window = window
         return window
@@ -82,19 +85,17 @@ class UIStack:
         self.focused_window = window
 
     def set_focus_by_task(self, task):
-        for window in self.windows.values():
-            if window.owner_task is task:
-                self.focused_window = window
-                return window
-        raise SyscallError(errno.ENOENT, f"no window for pid {task.pid}")
+        window = self._first_window.get(task)
+        if window is None:
+            raise SyscallError(errno.ENOENT, f"no window for pid {task.pid}")
+        self.focused_window = window
+        return window
 
     def window_of(self, task):
-        for window in self.windows.values():
-            if window.owner_task is task:
-                return window
-        return None
+        return self._first_window.get(task)
 
     def destroy_windows_of(self, task):
+        self._first_window.pop(task, None)
         for window_id in [
             wid for wid, w in self.windows.items() if w.owner_task is task
         ]:
@@ -103,7 +104,7 @@ class UIStack:
                 self.focused_window = None
 
     def submit_frame(self, task, pixels):
-        window = self.window_of(task)
+        window = self._first_window.get(task)
         if window is None:
             raise SyscallError(errno.ENOENT, f"no window for pid {task.pid}")
         window.frames_submitted += 1
@@ -137,7 +138,7 @@ class UIStack:
 
     def wait_input(self, task):
         """The IOC_WAIT_INPUT_EVT implementation: pop one event."""
-        window = self.window_of(task)
+        window = self._first_window.get(task)
         if window is None:
             raise SyscallError(errno.ENOENT, f"no window for pid {task.pid}")
         if not window.event_queue:

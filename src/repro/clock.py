@@ -36,9 +36,28 @@ class SimClock:
         self.faults = None
         """Optional armed :class:`repro.faults.engine.FaultEngine`; a
         plain attribute so hot paths read it without ``getattr``."""
-        self.bus = None
+        self._bus = None
+        self.dormant = True
+        """True while no overlap window, charge trace or bus capture is
+        open, so a charge is one integer add on ``_now_ns``.  A plain
+        attribute for hot paths; :meth:`_refresh_dormant` recomputes it
+        wherever one of those states opens or closes."""
+
+    @property
+    def bus(self):
         """Optional :class:`repro.obs.TraceBus` observing this clock.
         Observers only *read* the clock; they never advance it."""
+        return self._bus
+
+    @bus.setter
+    def bus(self, bus):
+        self._bus = bus
+        self._refresh_dormant()
+
+    def _refresh_dormant(self):
+        bus = self._bus
+        self.dormant = (self._overlap_lane is None and not self._trace_depth
+                        and (bus is None or not bus._depth))
 
     @property
     def now_ns(self):
@@ -57,20 +76,17 @@ class SimClock:
             delta_ns: non-negative duration to add.
             reason: short label recorded when tracing is enabled.
         """
-        # Fast path: no overlap window, no tracing and no active bus
-        # capture means an advance is one integer add.  This is the
-        # overwhelmingly common case in timed benchmark passes, where
-        # ``advance`` dominates call counts.
-        if self._overlap_lane is None and not self._trace_depth:
-            bus = self.bus
-            if bus is None or not bus._depth:
-                delta_ns = int(delta_ns)
-                if delta_ns < 0:
-                    raise ValueError(
-                        f"cannot move time backwards ({delta_ns} ns)"
-                    )
-                self._now_ns += delta_ns
-                return
+        # Fast path: a dormant clock advances by one integer add.  This
+        # is the overwhelmingly common case in timed benchmark passes,
+        # where ``advance`` dominates call counts.
+        if self.dormant:
+            delta_ns = int(delta_ns)
+            if delta_ns < 0:
+                raise ValueError(
+                    f"cannot move time backwards ({delta_ns} ns)"
+                )
+            self._now_ns += delta_ns
+            return
         return self._advance(delta_ns, reason)
 
     def _advance(self, delta_ns, reason):
@@ -85,7 +101,7 @@ class SimClock:
             if delta_ns:
                 if self._trace_depth:
                     self._charges.append((reason or "unlabelled", delta_ns))
-                bus = self.bus
+                bus = self._bus
                 if bus is not None and bus.enabled:
                     bus.on_charge(
                         reason or "unlabelled", delta_ns, self._overlap_cursor
@@ -95,7 +111,7 @@ class SimClock:
         if delta_ns:
             if self._trace_depth:
                 self._charges.append((reason or "unlabelled", delta_ns))
-            bus = self.bus
+            bus = self._bus
             if bus is not None and bus.enabled:
                 bus.on_charge(reason or "unlabelled", delta_ns, self._now_ns)
 
@@ -115,12 +131,14 @@ class SimClock:
         if self._trace_depth == 1:
             self._charges = []
             self._charge_base = 0
+        self.dormant = False
         return self._charge_base + len(self._charges)
 
     def disable_trace(self):
         """Leave one level of charge recording (never below zero)."""
         if self._trace_depth > 0:
             self._trace_depth -= 1
+            self._refresh_dormant()
 
     def charges_since(self, marker):
         """Charges recorded since ``marker`` (from :meth:`enable_trace`).
@@ -211,6 +229,7 @@ class _OverlapWindow:
         clock._overlap_cursor = max(
             clock._now_ns, clock._lane_busy.get(self._lane, 0)
         )
+        clock.dormant = False
         return self
 
     def __exit__(self, exc_type, exc, tb):
@@ -223,6 +242,7 @@ class _OverlapWindow:
         if exc_type is None:
             clock._lane_busy[self._lane] = clock._overlap_cursor
         clock._overlap_lane = None
+        clock._refresh_dormant()
         return False
 
 

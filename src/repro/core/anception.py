@@ -389,7 +389,9 @@ class AnceptionLayer:
     # ------------------------------------------------------------------
 
     def dispatch(self, task, name, args, kwargs):
-        table = self._fd_table(task)
+        table = self.fd_tables.get(task.pid)
+        if table is None:
+            raise SimulationError(f"pid {task.pid} not enrolled")
         decision = self.policy.decide(task, name, args, table)
         # ``_value_``: hashing an enum member or reading its ``.value``
         # runs Python-level enum code; the plain attribute does not.
@@ -556,8 +558,7 @@ class AnceptionLayer:
         never formats its label.
         """
         clock = self.machine.clock
-        bus = clock.bus
-        if bus is None or not bus._depth:
+        if clock.dormant or (bus := clock.bus) is None or not bus._depth:
             span = NULL_SPAN
         else:
             tags = {} if batch is None else {"batch": batch}
@@ -968,8 +969,7 @@ class AnceptionLayer:
             return None
         pages = max(1, -(-len(result) // PAGE_SIZE))
         clock = self.machine.clock
-        bus = clock.bus
-        if bus is None or not bus._depth:
+        if clock.dormant or (bus := clock.bus) is None or not bus._depth:
             clock.advance(
                 self.machine.costs.cache_hit_ns * pages,
                 "anception:cache-hit",
@@ -1069,8 +1069,8 @@ class AnceptionLayer:
             )
             if demanded or ahead:
                 clock = self.machine.clock
-                bus = clock.bus
-                if bus is not None and bus._depth:
+                if not clock.dormant and (bus := clock.bus) is not None \
+                        and bus._depth:
                     with maybe_span(clock, "cache-fill",
                                     f"{name}:{demanded + ahead}p", task=task,
                                     kernel=self.host_kernel.label,
@@ -1120,17 +1120,16 @@ class AnceptionLayer:
     # split-execution handlers
     # ------------------------------------------------------------------
 
-    def _split(self, task, name, args, kwargs, _table):
+    def _split(self, task, name, args, kwargs, table):
         handler = _SPLIT_HANDLERS.get(name)
         if handler is None:
             # Split-class call with no dedicated handler in the prototype:
             # run the host semantics (matching the paper's conservative
             # default of trusting the host for ambiguous state).
             return self.host_kernel.execute_native(task, name, args, kwargs)
-        return handler(self, task, *args, **kwargs)
+        return handler(self, task, table, *args, **kwargs)
 
-    def _split_close(self, task, fd):
-        table = self._fd_table(task)
+    def _split_close(self, task, table, fd):
         if table.is_remote(fd):
             proxy_fd = table.to_proxy(fd)
             self._redirect(task, "close", (fd,), {},
@@ -1149,8 +1148,7 @@ class AnceptionLayer:
             return 0
         return self.host_kernel.execute_native(task, "close", (fd,), {})
 
-    def _split_dup(self, task, fd):
-        table = self._fd_table(task)
+    def _split_dup(self, task, table, fd):
         if table.is_remote(fd):
             proxy_fd = table.to_proxy(fd)
             new_proxy_fd = self._redirect(
@@ -1161,22 +1159,20 @@ class AnceptionLayer:
             return host_fd
         return self.host_kernel.execute_native(task, "dup", (fd,), {})
 
-    def _split_dup2(self, task, fd, newfd):
-        table = self._fd_table(task)
+    def _split_dup2(self, task, table, fd, newfd):
         if table.is_remote(fd):
             proxy_fd = table.to_proxy(fd)
             new_proxy_fd = self._redirect(
                 task, "dup", (fd,), {}, translated=(proxy_fd,)
             )
             if newfd in task.fd_table:
-                self._split_close(task, newfd)
+                self._split_close(task, table, newfd)
             task.install_fd(newfd, RemoteFdStub(new_proxy_fd, "dup2"))
             table.bind(newfd, new_proxy_fd)
             return newfd
         return self.host_kernel.execute_native(task, "dup2", (fd, newfd), {})
 
-    def _split_fcntl(self, task, fd, cmd, arg=0):
-        table = self._fd_table(task)
+    def _split_fcntl(self, task, table, fd, cmd, arg=0):
         if table.is_remote(fd):
             proxy_fd = table.to_proxy(fd)
             result = self._redirect(
@@ -1192,20 +1188,20 @@ class AnceptionLayer:
             task, "fcntl", (fd, cmd, arg), {}
         )
 
-    def _split_fcntl64(self, task, fd, cmd, arg=0):
-        return self._split_fcntl(task, fd, cmd, arg)
+    def _split_fcntl64(self, task, table, fd, cmd, arg=0):
+        return self._split_fcntl(task, table, fd, cmd, arg)
 
-    def _split_ioctl(self, task, fd, request, arg=None):
-        table = self._fd_table(task)
+    def _split_ioctl(self, task, table, fd, request, arg=None):
         if table.is_remote(fd):
             return self._redirect(task, "ioctl", (fd, request, arg), {})
         # Host fd: binder traffic gets the UI inspection.  Waiting for
         # input is an observation point — anything the app fired at the
         # services must land before the world answers back
         # (fence-on-read).
-        lane = self._lane(task)
-        if lane.binder_ring is not None and request == IOC_WAIT_INPUT_EVT:
-            self._settle(lane, lane.binder_ring, task, "wait-input")
+        if request == IOC_WAIT_INPUT_EVT:
+            lane = self._lane(task)
+            if lane.binder_ring is not None:
+                self._settle(lane, lane.binder_ring, task, "wait-input")
         if self.policy.ioctl_is_ui(request, arg):
             return self.host_kernel.execute_native(
                 task, "ioctl", (fd, request, arg), {}
@@ -1286,12 +1282,13 @@ class AnceptionLayer:
         )
         return guest_task.alloc_fd(open_file)
 
-    def _split_mmap(self, task, length, prot, flags, addr=None, fd=None,
-                    offset=0):
-        return self._split_mmap2(task, length, prot, flags, addr, fd, offset)
+    def _split_mmap(self, task, table, length, prot, flags, addr=None,
+                    fd=None, offset=0):
+        return self._split_mmap2(task, table, length, prot, flags, addr, fd,
+                                 offset)
 
-    def _split_mmap2(self, task, length, prot, flags, addr=None, fd=None,
-                     offset=0):
+    def _split_mmap2(self, task, table, length, prot, flags, addr=None,
+                     fd=None, offset=0):
         """Split mmap (Section III-D "Memory-mapped files").
 
         File-backed mappings of CVM files: the proxy maps + pins pages in
@@ -1301,7 +1298,6 @@ class AnceptionLayer:
         address-space shapes agree; *content* stays host-side (the
         sock_sendpage shellcode never reaches the CVM).
         """
-        table = self._fd_table(task)
         if fd is not None and table.is_remote(fd):
             self._lane(task).proxies.proxy_for(task)
             proxy_fd = table.to_proxy(fd)
@@ -1335,7 +1331,7 @@ class AnceptionLayer:
         except SyscallError:
             pass  # overlapping reservation: shape already present
 
-    def _split_msync(self, task, addr, length, flags=0):
+    def _split_msync(self, task, table, addr, length, flags=0):
         """Write-back: synchronise host page content with the CVM file.
 
         For file-backed split mappings the modified host bytes are
@@ -1371,7 +1367,7 @@ class AnceptionLayer:
                 return base, info
         return None
 
-    def _split_shmat(self, task, shmid):
+    def _split_shmat(self, task, table, shmid):
         """Split shmat: content frames on the host, id from the CVM.
 
         ``shmid`` names a CVM-registry segment (shmget was redirected).
@@ -1410,14 +1406,14 @@ class AnceptionLayer:
                     break
         return result
 
-    def _split_fork(self, task, flags=0):
+    def _split_fork(self, task, table, flags=0):
         # Host fork; the on_fork hook mirrors the child into the CVM.
         return self.host_kernel.execute_native(task, "fork", (flags,), {})
 
-    def _split_clone(self, task, flags=0):
-        return self._split_fork(task, flags)
+    def _split_clone(self, task, table, flags=0):
+        return self._split_fork(task, table, flags)
 
-    def _split_execve(self, task, path, argv=()):
+    def _split_execve(self, task, table, path, argv=()):
         """Exec: host copy for system binaries, exec-cache for user code."""
         if self.policy.is_code_path(task, path) or path.startswith("/system"):
             return self.host_kernel.execute_native(
@@ -1791,8 +1787,7 @@ class AnceptionLayer:
         # The previous drain must retire before this one posts — the
         # bounded in-flight depth is the backpressure contract.
         clock.wait_for(lane.cvm.lane, f"anception:{label}-backpressure")
-        bus = clock.bus
-        if bus is None or not bus._depth:
+        if clock.dormant or (bus := clock.bus) is None or not bus._depth:
             with clock.overlap(lane.cvm.lane):
                 run(lane, task, entries)
             return

@@ -107,10 +107,7 @@ class AnceptionChannel:
         clock = self.hypervisor.machine.clock
         expected_crc = crc32(view)
         engine = clock.faults
-        bus = clock.bus
-        if engine is None and clock._overlap_lane is None \
-                and not clock._trace_depth \
-                and (bus is None or not bus._depth):
+        if engine is None and clock.dormant:
             # Fully dormant hot path: no fault engine, no trace, no
             # capture, no overlap lane.  The chunk loop below
             # is the exact per-chunk arithmetic of costs_charge_chunk

@@ -146,8 +146,8 @@ class ProxyManager:
             )
         guest_task.state = TaskState.RUNNING
         try:
-            bus = clock.bus
-            if bus is None or not bus._depth:
+            if clock.dormant or (bus := clock.bus) is None \
+                    or not bus._depth:
                 result = self.cvm.kernel.syscall(
                     guest_task, name, *args, **kwargs
                 )

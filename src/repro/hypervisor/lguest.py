@@ -223,9 +223,7 @@ class LguestHypervisor:
         if engine is not None and engine.drop_hypercall():
             return False
         self.hypercall_count += 1
-        bus = clock.bus
-        if clock._overlap_lane is None and not clock._trace_depth \
-                and (bus is None or not bus._depth):
+        if clock.dormant:
             # Fully dormant observation: same counters, same simulated
             # time, none of the span/reason-string construction.
             self.descriptors_retired += coalesced
@@ -254,10 +252,7 @@ class LguestHypervisor:
         """
         clock = self.machine.clock
         engine = clock.faults
-        bus = clock.bus
-        if engine is None and clock._overlap_lane is None \
-                and not clock._trace_depth \
-                and (bus is None or not bus._depth):
+        if engine is None and clock.dormant:
             self.descriptors_retired += coalesced
             if coalesced > 1:
                 self.coalesced_doorbells += 1

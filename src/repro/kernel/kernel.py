@@ -47,7 +47,13 @@ from repro.kernel.memory import (
     page_count,
 )
 from repro.kernel.net import Internet, NetworkStack
-from repro.kernel.process import Credentials, PidTable, Task, TaskState
+from repro.kernel.process import (
+    LIVE_STATES,
+    Credentials,
+    PidTable,
+    Task,
+    TaskState,
+)
 from repro.kernel.syscalls import CATALOGUE, classify
 from repro.obs.bus import NULL_SPAN, maybe_event, maybe_span
 from repro.perf.costs import DEFAULT_COSTS, PAGE_SIZE
@@ -279,10 +285,10 @@ class Kernel:
         """
         if self.crashed:
             raise KernelCrashed(self, self.panic_log[-1] if self.panic_log else "")
-        if not task.is_alive():
+        if task.state not in LIVE_STATES:
             raise SyscallError(errno.ESRCH, f"pid {task.pid} dead", call=name)
-        bus = self.clock.bus
-        if bus is None or not bus._depth:
+        clock = self.clock
+        if clock.dormant or (bus := clock.bus) is None or not bus._depth:
             # No capture: the span (and the syscall-class lookup feeding
             # it) would record nothing.
             return self._syscall_body(task, name, args, kwargs)
@@ -297,19 +303,21 @@ class Kernel:
         self.current = task
         try:
             clock = self.clock
-            if clock._overlap_lane is None and not clock._trace_depth \
-                    and ((bus := clock.bus) is None or not bus._depth):
+            if clock.dormant:
                 clock._now_ns += self.costs.syscall_base_ns
             else:
                 clock.advance(self.costs.syscall_base_ns,
                               f"syscall:{name}")
-            faults = getattr(self.clock, "faults", None)
+            faults = clock.faults
             if faults is not None:
                 faults.perturb_syscall(self, task, name)
             if self.policy_monitor is not None:
                 self.policy_monitor.inspect(self, task, name, args)
             if self.interposition is not None:
-                self.clock.advance(self.costs.asim_check_ns, "asim-check")
+                if clock.dormant:
+                    clock._now_ns += self.costs.asim_check_ns
+                else:
+                    clock.advance(self.costs.asim_check_ns, "asim-check")
                 if task.redirection_entry:
                     if self.syscall_log_enabled:
                         self.syscall_log.append(

@@ -126,7 +126,9 @@ class Libc:
         return self.syscall("readlink", path)
 
     def ioctl(self, fd, request, arg=None):
-        return self.syscall("ioctl", fd, request, arg)
+        # Every binder call and UI frame comes through here: trap
+        # directly rather than through ``self.syscall``.
+        return self.kernel.syscall(self.task, "ioctl", fd, request, arg)
 
     def fsync(self, fd):
         return self.syscall("fsync", fd)

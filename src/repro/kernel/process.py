@@ -73,6 +73,10 @@ class TaskState(enum.Enum):
     DEAD = "dead"
 
 
+LIVE_STATES = (TaskState.RUNNING, TaskState.SLEEPING)
+"""States in which a task can still trap into its kernel."""
+
+
 class Task:
     """A process (or main thread) managed by one kernel.
 
@@ -142,7 +146,7 @@ class Task:
     # -- lifecycle ----------------------------------------------------------
 
     def is_alive(self):
-        return self.state in (TaskState.RUNNING, TaskState.SLEEPING)
+        return self.state in LIVE_STATES
 
     def add_child(self, child):
         self.children.append(child)

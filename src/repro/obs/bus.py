@@ -219,7 +219,7 @@ class TraceBus:
     @classmethod
     def install(cls, clock):
         """Return the clock's bus, creating and attaching one if needed."""
-        bus = getattr(clock, "bus", None)
+        bus = clock.bus
         if bus is None:
             bus = cls(clock)
             clock.bus = bus
@@ -247,6 +247,7 @@ class TraceBus:
 
     def _begin_capture(self):
         self._depth += 1
+        self.clock._refresh_dormant()
         return len(self.records)
 
     def _end_capture(self, marker):
@@ -254,6 +255,7 @@ class TraceBus:
         self._depth -= 1
         if self._depth == 0:
             self.records = []
+        self.clock._refresh_dormant()
         return window
 
     def drain(self):
@@ -358,8 +360,7 @@ class TraceBus:
 def maybe_span(clock, kind, name, task=None, kernel=None, sclass=None,
                **attrs):
     """Span on ``clock``'s bus when capturing, else the shared no-op."""
-    bus = getattr(clock, "bus", None)
-    if bus is None or not bus._depth:
+    if clock.dormant or (bus := clock.bus) is None or not bus._depth:
         return NULL_SPAN
     return bus.span(kind, name, task=task, kernel=kernel, sclass=sclass,
                     **attrs)
@@ -367,8 +368,7 @@ def maybe_span(clock, kind, name, task=None, kernel=None, sclass=None,
 
 def maybe_event(clock, kind, name, task=None, kernel=None, **attrs):
     """Event on ``clock``'s bus when capturing, else nothing."""
-    bus = getattr(clock, "bus", None)
-    if bus is None or not bus._depth:
+    if clock.dormant or (bus := clock.bus) is None or not bus._depth:
         return None
     return bus.event(kind, name, task=task, kernel=kernel, **attrs)
 

@@ -153,3 +153,23 @@ class TestAppContext:
         before = world.clock.now_ns
         ctx.compute(100)
         assert world.clock.now_ns - before == 100 * world.machine.costs.cpu_unit_ns
+
+    def test_compute_off_the_integer_path_goes_through_advance(self, world):
+        """Fractional work truncates and negative work raises, dormant
+        or traced, exactly as ``clock.advance`` does."""
+        world.install(DemoApp())
+        ctx = world.launch(DemoApp()).ctx
+        clock = world.clock
+        unit_ns = world.machine.costs.cpu_unit_ns
+        for traced in (False, True):
+            if traced:
+                clock.enable_trace()
+            before = clock.now_ns
+            ctx.compute(2.5)
+            assert clock.now_ns - before == int(2.5 * unit_ns)
+            assert type(clock.now_ns) is int
+            with pytest.raises(ValueError):
+                ctx.compute(-1)
+            assert clock.now_ns - before == int(2.5 * unit_ns)
+        clock.disable_trace()
+        assert clock.dormant

@@ -1,7 +1,10 @@
 """System services: catalogue partition and individual behaviours."""
 
+import errno
+
 import pytest
 
+from repro.android.app import AppServiceEndpoint
 from repro.android.services.base import Service, ServiceCatalog
 from repro.world import NativeWorld
 
@@ -110,6 +113,33 @@ class TestServiceBehaviour:
         sensor = world.system.service("sensor")
         sensor.handle_transaction("list_sensors", {}, sensor.task)
         assert sensor.call_log[-1][0] == "list_sensors"
+
+    def test_call_logs_are_bounded_rings(self, world, native_ctx):
+        """N > limit calls keep the newest ``limit`` and count the rest."""
+        sensor = world.system.service("sensor")
+        endpoint = AppServiceEndpoint(native_ctx, lambda *_args: "ok")
+        for log, call in (
+            (sensor.call_log, lambda: sensor.handle_transaction(
+                "list_sensors", {}, sensor.task)),
+            (endpoint.call_log, lambda: endpoint.handle_transaction(
+                "ping", {}, native_ctx.task)),
+        ):
+            calls = log.limit + 37
+            for _ in range(calls):
+                call()
+            assert len(log) == log.limit
+            assert log.dropped == calls - log.limit
+
+    def test_unknown_method_still_einval_after_known_calls(self, world):
+        from repro.errors import SyscallError
+
+        sensor = world.system.service("sensor")
+        sensor.handle_transaction("list_sensors", {}, sensor.task)
+        for method in ("no_such_method", "no_such_method", ["unhashable"]):
+            with pytest.raises(SyscallError) as excinfo:
+                sensor.handle_transaction(method, {}, sensor.task)
+            assert excinfo.value.errno == errno.EINVAL
+        assert len(sensor.call_log) == 1
 
     def test_window_manager_headless_refuses_ui(self):
         """UI methods on a headless instance fail cleanly."""

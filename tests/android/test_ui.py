@@ -54,6 +54,24 @@ class TestWindows:
         assert ui.focused_window is None
         assert ui.window_of(task) is None
 
+    def test_window_of_is_the_first_window_created(self, ui, kernel):
+        """The owner index answers like the old scan over all windows."""
+        task, other = make_task(kernel), make_task(kernel)
+        first = ui.create_window(task, "first")
+        ui.create_window(other, "other")
+        ui.create_window(task, "second")
+        assert ui.window_of(task) is first
+        ui.submit_frame(task, b"px")
+        assert first.frames_submitted == 1
+        assert ui.set_focus_by_task(task) is first
+        ui.destroy_windows_of(task)
+        assert ui.window_of(task) is None
+        with pytest.raises(SyscallError):
+            ui.submit_frame(task, b"px")
+        again = ui.create_window(task, "again")
+        assert ui.window_of(task) is again
+        assert ui.window_of(other).title == "other"
+
 
 class TestInputRouting:
     def test_text_reaches_focused_window_only(self, ui, kernel):

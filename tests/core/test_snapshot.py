@@ -13,6 +13,8 @@ The pins here are the acceptance gates from DESIGN.md §14:
   intact (the mid-chaos resume pin).
 """
 
+import struct
+
 import pytest
 
 from repro.core.snapshot import (
@@ -35,6 +37,7 @@ from repro.core.snapshot import (
 from repro.errors import SnapshotError
 from repro.faults.engine import FaultEngine
 from repro.faults.plan import FaultPlan
+from repro.obs.bus import TraceBus
 from repro.obs.runner import boot_obs_world, run_traced
 from repro.world import AnceptionWorld, NativeWorld, _World
 
@@ -308,3 +311,41 @@ class TestWorldApi:
         rfd = rctx.libc.open(rctx.data_path("warm.txt"), 0, 0)
         assert rctx.libc.read(rfd, 64) == b"before-snapshot"
         rctx.libc.close(rfd)
+
+
+class TestDormantClockResume:
+    """A resumed clock's ``dormant`` agrees with what it restored."""
+
+    @staticmethod
+    def _agrees(clock):
+        bus = clock.bus
+        return clock.dormant == (
+            clock._overlap_lane is None and not clock._trace_depth
+            and (bus is None or not bus._depth))
+
+    def test_previous_version_blob_is_refused_cleanly(self, anception_world):
+        blob = bytearray(anception_world.snapshot())
+        struct.pack_into("<H", blob, 8, SNAPSHOT_VERSION - 1)
+        with pytest.raises(SnapshotError, match="unsupported snapshot "
+                           f"version {SNAPSHOT_VERSION - 1}"):
+            restore_world(bytes(blob))
+
+    @pytest.mark.parametrize("state", ["idle", "bus", "trace", "capture"])
+    def test_resumed_clock_agrees_with_its_state(self, anception_world,
+                                                 state):
+        clock = anception_world.clock
+        if state in ("bus", "capture"):
+            bus = TraceBus.install(clock)
+        if state == "trace":
+            clock.enable_trace()
+        if state == "capture":
+            with bus.capture():
+                blob = anception_world.snapshot()
+        else:
+            blob = anception_world.snapshot()
+        restored = restore_world(blob).clock
+        assert self._agrees(restored)
+        assert restored.dormant == (state in ("idle", "bus"))
+        before = restored.now_ns
+        restored.advance(11, "resume")
+        assert restored.now_ns == before + 11

@@ -21,6 +21,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.android.sqlite import Database
 from repro.obs.runner import TRACE_WORKLOADS, boot_obs_world
 from repro.perf.engine_bench import _iterate
 from repro.perf.slab import DEFAULT_SLAB_BYTES, SlabPool, zeros
@@ -95,6 +96,57 @@ def test_dormant_run_elapses_identical_sim_time():
         _iterate(ctx, workload, 1)
         elapsed = world.clock.now_ns - start
         assert elapsed == SEED_DIGESTS[(workload, 1)][0], workload
+
+
+# -- app-level stream: UI frames, app compute, sqlite rows ---------------------
+
+# Captured with _app_digest() below before the UI frame, compute and
+# sqlite row paths were flattened; no SEED_DIGESTS workload reaches them.
+APP_STREAM_DIGEST = (50343848, 881, "292c3a1d7168fe59")
+
+
+def _app_stream(ctx):
+    """One window, 50 frames interleaved with compute, 500 sqlite rows."""
+    ctx.create_window("pin")
+    for index in range(50):
+        ctx.submit_frame(bytes([index]) * 64)
+        ctx.compute(100 + index)
+    db = Database(ctx.libc, ctx.data_path("pin.db"))
+    db.create_table("rows")
+    db.begin()
+    for index in range(500):
+        db.insert("rows", index.to_bytes(2, "little") * 13)
+    db.commit()
+    db.checkpoint()
+    db.close()
+
+
+def _app_digest(traced):
+    """(elapsed sim ns, charge count, charge-stream sha) of the stream.
+
+    Untraced runs report only the elapsed time: the charge stream exists
+    only under trace.
+    """
+    world, ctx = boot_obs_world()
+    clock = world.clock
+    marker = clock.enable_trace() if traced else None
+    start = clock.now_ns
+    _app_stream(ctx)
+    elapsed = clock.now_ns - start
+    if not traced:
+        return elapsed
+    charges = clock.charges_since(marker)
+    clock.disable_trace()
+    sha = hashlib.sha256(repr(charges).encode()).hexdigest()[:16]
+    return elapsed, len(charges), sha
+
+
+def test_app_stream_digest_matches_pin():
+    assert _app_digest(traced=True) == APP_STREAM_DIGEST
+
+
+def test_dormant_app_stream_elapses_identical_sim_time():
+    assert _app_digest(traced=False) == APP_STREAM_DIGEST[0]
 
 
 # -- slab-pool reuse / aliasing safety ----------------------------------------
