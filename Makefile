@@ -2,22 +2,13 @@
 
 PYTHON ?= python
 
-.PHONY: test bench bench-smoke bench-engine fleet-bench perfbench examples all-experiments lint trace-demo chaos-demo profile-demo coverage clean
+.PHONY: test bench perfbench examples all-experiments lint trace-demo chaos-demo profile-demo coverage clean
 
 test:
 	$(PYTHON) -m pytest tests/
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench-smoke --out BENCH_e1.json
-
-bench-engine:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench-engine --out BENCH_engine.json
-
-fleet-bench:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench-fleet --out BENCH_fleet.json
 
 # The benchmark's own checks: its unit tests, then one short traced run
 # per workload (exits 1 on any pin, determinism or output-check miss).
@@ -68,6 +59,6 @@ coverage:
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} +
 	rm -rf .pytest_cache .hypothesis *.egg-info
-	rm -f chaos-a.json chaos-b.json chaos-trace.json table1-trace.json BENCH_e1.json
-	rm -f BENCH_engine.json BENCH_fleet.json writeburst-trace.json
+	rm -f chaos-a.json chaos-b.json chaos-trace.json table1-trace.json
+	rm -f writeburst-trace.json
 	rm -rf .perfbench_out

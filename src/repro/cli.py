@@ -16,8 +16,12 @@ Usage (installed as the ``anception`` script)::
     anception metrics table1      # counters + histograms as JSON
     anception chaos fileops --seed 7 --faults PLAN   # fault injection
     anception report t.json       # analyze an exported Chrome trace
-    anception bench-engine        # BENCH_engine.json + regression gate
+    anception snapshot write4k --out world.snap      # warmed world blob
+    anception resume world.snap --verify             # restore≡boot check
     anception all                 # everything, in order
+
+Wall-clock speed is measured by the benchmark, ``perfbench/run.py``;
+``benchmarks/ab.py <base-ref>`` compares two commits with it.
 """
 
 from __future__ import annotations
@@ -364,126 +368,6 @@ def cmd_chaos(args):
     _emit(chaos_report_json(result), getattr(args, "out", None))
 
 
-def cmd_bench_smoke(args):
-    """The CI benchmark-smoke artifact: E1 micro table + ring counters.
-
-    Runs the Table I microbenchmarks for both configurations plus the
-    ``batchio`` traced workload and the read-cache cold/warm probe, and
-    emits one JSON document recording the measured latencies next to
-    the ring transport's doorbell accounting — enough to spot a
-    latency, a coalescing, or a cache regression from a single
-    uploaded artifact.  Exits non-zero if the warm cached read fails to
-    beat the cold miss, drifts past twice the native read, or the
-    write-behind E1 workload loses its 3x end-to-end speedup (or its
-    sync baseline drifts off the Table I per-call pin).
-    """
-    from repro.obs.runner import run_traced
-    from repro.perf.micro import (
-        run_binder_bench,
-        run_full_table1,
-        run_read_cache_bench,
-        run_write_behind_bench,
-    )
-
-    table1 = run_full_table1()
-    traced = run_traced("batchio", logcat=False,
-                        ring_depth=getattr(args, "ring_depth", None))
-    read_cache = run_read_cache_bench()
-    write_behind = run_write_behind_bench()
-    binder = run_binder_bench()
-    anception = traced.world.anception
-    channel_stats = anception.channel.stats()
-    hypervisor = anception.cvm.hypervisor
-    report = {
-        "table1": table1,
-        "batchio": {
-            "elapsed_us": traced.elapsed_ns / 1000,
-            "irqs": hypervisor.interrupt_count,
-            "hypercalls": hypervisor.hypercall_count,
-            "coalesced_doorbells": channel_stats["coalesced_doorbells"],
-            "descriptors_retired": channel_stats["descriptors_retired"],
-            "submit_ring": channel_stats["submit_ring"],
-            "complete_ring": channel_stats["complete_ring"],
-        },
-        "read_cache": {
-            "native_us": read_cache["native_us"],
-            "cold_us": read_cache["cold_us"],
-            "warm_us": read_cache["warm_us"],
-            "warm_over_native": read_cache["warm_over_native"],
-            "hit_rate": read_cache["hit_rate"],
-        },
-        "write_behind": write_behind,
-        "binder": binder,
-    }
-    text = json.dumps(report, indent=2, sort_keys=True, default=str)
-    _emit(text, getattr(args, "out", None))
-    print(_ring_summary(anception), file=sys.stderr)
-    print(
-        f"read-cache: native={read_cache['native_us']}us"
-        f" cold={read_cache['cold_us']}us warm={read_cache['warm_us']}us"
-        f" hit_rate={read_cache['hit_rate']}",
-        file=sys.stderr,
-    )
-    if read_cache["warm_us"] >= read_cache["cold_us"]:
-        sys.exit(
-            "anception: error: warm cached read "
-            f"({read_cache['warm_us']} us) did not beat the cold miss "
-            f"({read_cache['cold_us']} us)"
-        )
-    if read_cache["warm_us"] > 2 * read_cache["native_us"]:
-        sys.exit(
-            "anception: error: warm cached read "
-            f"({read_cache['warm_us']} us) exceeds twice the native read "
-            f"({read_cache['native_us']} us)"
-        )
-    print(
-        f"write-behind: sync={write_behind['sync_ms']}ms"
-        f" wb={write_behind['wb_ms']}ms"
-        f" speedup={write_behind['speedup']}x"
-        f" bytes_match={write_behind['bytes_match']}",
-        file=sys.stderr,
-    )
-    if write_behind["speedup"] < 3.0:
-        sys.exit(
-            "anception: error: write-behind E1 speedup "
-            f"({write_behind['speedup']}x) fell below the 3x gate"
-        )
-    if not write_behind["bytes_match"]:
-        sys.exit(
-            "anception: error: write-behind E1 file bytes diverged "
-            "from the synchronous run"
-        )
-    if abs(write_behind["sync_per_call_us"] - 384.45) > 0.02 * 384.45:
-        sys.exit(
-            "anception: error: synchronous E1 per-call latency "
-            f"({write_behind['sync_per_call_us']} us) drifted off the "
-            "Table I 384.45 us pin"
-        )
-    print(
-        f"binder: sync={binder['sync_ms']}ms"
-        f" batched={binder['batched_ms']}ms"
-        f" speedup={binder['speedup']}x"
-        f" doorbell_ratio={binder['doorbell_ratio']}"
-        f" replies_match={binder['replies_match']}",
-        file=sys.stderr,
-    )
-    if binder["speedup"] < 2.0:
-        sys.exit(
-            "anception: error: batched binder speedup "
-            f"({binder['speedup']}x) fell below the 2x gate"
-        )
-    if binder["doorbell_ratio"] > 0.125:
-        sys.exit(
-            "anception: error: batched binder doorbell ratio "
-            f"({binder['doorbell_ratio']}) exceeds the 1/8 coalescing gate"
-        )
-    if not binder["replies_match"]:
-        sys.exit(
-            "anception: error: batched binder replies diverged "
-            "from the synchronous run"
-        )
-
-
 def cmd_report(args):
     """Offline analysis of an exported Chrome trace (repro.obs.report)."""
     from repro.obs.report import report_json
@@ -501,110 +385,6 @@ def cmd_report(args):
         sys.exit(f"anception: error: cannot read trace {path}: {exc}")
     _emit(report_json(trace, top=getattr(args, "top", None) or 10),
           getattr(args, "out", None))
-
-
-def cmd_bench_engine(args):
-    """The CI engine-throughput artifact plus its regression gate.
-
-    Emits ``BENCH_engine.json`` (simulated syscalls per wall-clock
-    second for the gated workloads) and exits non-zero when any
-    workload falls below 80% of the committed baseline, when a sim-time
-    digest drifts from it, or when there is no baseline at all.
-    ``--update-baseline`` rewrites the baseline from this run instead
-    of gating.
-    """
-    from repro.perf.engine_bench import (
-        DEFAULT_BASELINE_PATH,
-        baseline_summary,
-        check_digests,
-        check_regression,
-        load_baseline,
-        run_engine_bench,
-    )
-
-    report = run_engine_bench()
-    text = json.dumps(report, indent=2, sort_keys=True)
-    _emit(text, getattr(args, "out", None))
-    for workload, entry in sorted(report["workloads"].items()):
-        print(
-            f"engine: {workload} {entry['syscalls_per_sec']:.0f} syscalls/s"
-            f" (best {entry['wall_ms']['best']} ms,"
-            f" sim_ratio {entry['sim_time_ratio']})",
-            file=sys.stderr,
-        )
-    baseline_path = getattr(args, "baseline", None) or DEFAULT_BASELINE_PATH
-    if getattr(args, "update_baseline", False):
-        try:
-            with open(baseline_path, "w") as handle:
-                json.dump(baseline_summary(report), handle, indent=2,
-                          sort_keys=True)
-                handle.write("\n")
-        except OSError as exc:
-            sys.exit(
-                f"anception: error: cannot write {baseline_path}: {exc}"
-            )
-        print(f"wrote baseline {baseline_path}", file=sys.stderr)
-        return
-    baseline = load_baseline(baseline_path)
-    if baseline is None:
-        sys.exit(
-            f"anception: error: no engine baseline at {baseline_path} "
-            "(write one with --update-baseline)"
-        )
-    failures = check_regression(report, baseline)
-    if failures:
-        sys.exit(
-            "anception: error: engine throughput regression: "
-            + "; ".join(failures)
-        )
-    drifts = check_digests(report, baseline)
-    if drifts:
-        sys.exit(
-            "anception: error: engine sim-time digest drift: "
-            + "; ".join(drifts)
-        )
-    print("engine: throughput gate + sim digest check passed",
-          file=sys.stderr)
-
-
-def cmd_bench_fleet(args):
-    """The CI fleet-scaling artifact plus its gates.
-
-    Emits ``BENCH_fleet.json`` — the 1/2/4/8-CVM aggregate-throughput
-    curve for the fleet workload plus the 4-CVM crash-isolation probe —
-    and exits non-zero when the curve is not monotone, the 4-CVM
-    speedup misses its floor, the pool-size digests diverge, or a
-    crashed lane takes sibling lanes' apps down with it.  Everything
-    in the report is simulated time, so no committed baseline is
-    needed: the numbers reproduce exactly on any machine.
-    """
-    from repro.perf.fleet_bench import check_fleet, run_fleet_bench
-
-    placement = getattr(args, "placement", None) or "by-uid"
-    report = run_fleet_bench(placement=placement)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    _emit(text, getattr(args, "out", None))
-    for point in report["scaling"]:
-        print(
-            f"fleet: {point['cvms']} CVMs"
-            f" {point['syscalls_per_sim_sec']:.0f} sim-syscalls/s"
-            f" (speedup {point['speedup']:.2f}x, sim {point['sim_ms']} ms)",
-            file=sys.stderr,
-        )
-    isolation = report["isolation"]
-    print(
-        f"fleet: isolation victim={isolation['victim']}"
-        f" failed={isolation['failed']} survived={isolation['survived']}"
-        f" corrupt={isolation['corrupt']}"
-        f" isolated={isolation['isolated']}",
-        file=sys.stderr,
-    )
-    failures = check_fleet(report)
-    if failures:
-        sys.exit(
-            "anception: error: fleet scaling gate: " + "; ".join(failures)
-        )
-    print("fleet: scaling and isolation gates passed", file=sys.stderr)
 
 
 def cmd_snapshot(args):
@@ -724,21 +504,16 @@ COMMANDS = {
     "trace": cmd_trace,
     "metrics": cmd_metrics,
     "chaos": cmd_chaos,
-    "bench-smoke": cmd_bench_smoke,
     "report": cmd_report,
-    "bench-engine": cmd_bench_engine,
-    "bench-fleet": cmd_bench_fleet,
     "snapshot": cmd_snapshot,
     "resume": cmd_resume,
 }
 
-WORKLOAD_COMMANDS = ("trace", "metrics", "chaos", "bench-smoke",
-                     "report", "bench-engine", "bench-fleet",
-                     "snapshot", "resume")
+WORKLOAD_COMMANDS = ("trace", "metrics", "chaos", "report", "snapshot",
+                     "resume")
 """Workload/artifact commands skipped by ``all`` (trace/metrics/chaos
 take a traced-workload positional, report takes a trace file,
-snapshot takes a workload and resume a blob path;
-bench-smoke/bench-engine/bench-fleet write CI artifacts)."""
+snapshot takes a workload and resume a blob path)."""
 
 
 def cmd_all(args):
@@ -842,18 +617,6 @@ def main(argv=None):
              "(default: 10)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline file for the bench-engine gate (default: "
-             "benchmarks/BENCH_engine_baseline.json)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the bench-engine baseline from this run instead "
-             "of gating against it",
-    )
-    parser.add_argument(
         "--ring-depth",
         type=int,
         default=None,
@@ -865,7 +628,7 @@ def main(argv=None):
         type=int,
         default=1,
         help="number of container VMs in the pool "
-             "(trace/metrics/chaos/bench-fleet commands; default: 1)",
+             "(trace/metrics/chaos/snapshot commands; default: 1)",
     )
     parser.add_argument(
         "--placement",

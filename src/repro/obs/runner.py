@@ -11,6 +11,7 @@ tested: elapsed simulated time is identical either way.
 from __future__ import annotations
 
 from repro.android.app import App, AppManifest
+from repro.errors import SyscallError
 from repro.kernel import vfs
 from repro.obs.bus import LogcatSink, TraceBus
 from repro.obs.export import make_trace_id
@@ -178,15 +179,42 @@ TRACE_WORKLOADS = {
 }
 
 
+def _reset_workload(ctx, workload):
+    """Undo the one non-idempotent effect so iterations replay cleanly.
+
+    ``fileops`` leaves ``chaos-dir/moved.bin`` behind and its ``mkdir``
+    would fail with EEXIST on replay; everything else opens with
+    O_TRUNC and is idempotent.  The cleanup calls are part of every
+    iteration's call stream, so the steady-state digests cover them.
+    """
+    if workload == "fileops":
+        try:
+            ctx.libc.unlink(ctx.data_path("chaos-dir/moved.bin"))
+        except SyscallError:
+            pass
+        try:
+            ctx.libc.rmdir(ctx.data_path("chaos-dir"))
+        except SyscallError:
+            pass
+
+
+def _iterate(ctx, workload, n):
+    """Replay ``workload`` ``n`` times on one app context."""
+    fn = TRACE_WORKLOADS[workload]
+    for _ in range(n):
+        _reset_workload(ctx, workload)
+        fn(ctx)
+
+
 def boot_obs_world(ring_depth=None, read_cache=False, cache_pages=1024,
                    write_behind=False, write_behind_depth=None,
                    binder_ring=False, binder_ring_depth=None,
                    cvms=1, placement=None):
     """Boot an AnceptionWorld with an enrolled app; returns (world, ctx).
 
-    The shared setup for :func:`run_traced` and the engine-throughput
-    harness in :mod:`repro.perf.engine_bench`, which times workload
-    bodies against a pre-booted world (boot cost excluded).
+    The shared setup for :func:`run_traced`, the snapshot commands and
+    the tests that replay workload bodies with :func:`_iterate` against
+    a pre-booted world.
     """
     world = AnceptionWorld(ring_depth=ring_depth, read_cache=read_cache,
                            cache_pages=cache_pages,

@@ -1,15 +1,15 @@
 """Fleet-scaling benchmark: aggregate throughput across the CVM pool.
 
-``anception bench-fleet`` runs the deterministic fleet workload (see
+:func:`run_fleet_bench` runs the deterministic fleet workload (see
 :mod:`repro.workloads.fleet`) against pools of 1/2/4/8 container VMs
-and emits ``BENCH_fleet.json``: the aggregate *simulated* syscalls per
-simulated second at each pool size.  Unlike the wall-clock engine
-bench, every number here is deterministic — pool scaling comes from the
-overlap lanes of the simulated clock (each CVM drains its write-behind
-and binder windows on its own cursor), so the curve reproduces exactly
-on any machine and CI can gate on it without a committed baseline.
+and reports the aggregate *simulated* syscalls per simulated second at
+each pool size.  Every number is deterministic — pool scaling comes
+from the overlap lanes of the simulated clock (each CVM drains its
+write-behind and binder windows on its own cursor), so the curve
+reproduces exactly on any machine and a test can gate on it without a
+committed baseline (``benchmarks/test_e14_fleet_bench.py``).
 
-Three gates, all from one report:
+Three gates, all from one report (:func:`check_fleet`):
 
 * **monotone curve** — aggregate throughput must not drop as CVMs are
   added (1 -> 2 -> 4 -> 8);
@@ -26,28 +26,24 @@ runs, never *what* it computes).
 
 from __future__ import annotations
 
-import os
-
 from repro.errors import SyscallError
 from repro.kernel import vfs as _vfs
 from repro.workloads.fleet import FleetApp, run_fleet
 from repro.world import AnceptionWorld
 
 
-SCHEMA = "anception-bench-fleet/1"
-
 DEFAULT_CURVE = (1, 2, 4, 8)
 """Pool sizes swept for the scaling curve."""
 
 DEFAULT_APPS = 48
-"""Fleet population per sweep point (env: ``ANCEPTION_FLEET_APPS``)."""
+"""Fleet population per sweep point."""
 
 DEFAULT_ROUNDS = 8
-"""Rounds of per-app traffic (env: ``ANCEPTION_FLEET_ROUNDS``)."""
+"""Rounds of per-app traffic."""
 
 DEFAULT_MIN_SPEEDUP = 1.5
 """Gate: 4-CVM aggregate throughput must reach this multiple of the
-single-CVM number (env: ``ANCEPTION_FLEET_MIN_SPEEDUP``)."""
+single-CVM number."""
 
 
 def _boot(cvms, placement):
@@ -101,7 +97,7 @@ def crash_isolation_probe(apps=DEFAULT_APPS, placement="by-uid"):
     victim = pool.lanes[max(range(len(loads)), key=lambda i: loads[i])]
     victim_pids = set(pool.pids_on(victim))
     try:
-        victim.cvm.kernel.panic("bench-fleet isolation probe")
+        victim.cvm.kernel.panic("fleet isolation probe")
     except Exception:
         pass
 
@@ -139,42 +135,17 @@ def crash_isolation_probe(apps=DEFAULT_APPS, placement="by-uid"):
     }
 
 
-def run_fleet_bench(curve=DEFAULT_CURVE, apps=None, rounds=None,
-                    placement="by-uid"):
-    """The full ``BENCH_fleet.json`` document."""
-    apps = apps or int(os.environ.get("ANCEPTION_FLEET_APPS", DEFAULT_APPS))
-    rounds = rounds or int(os.environ.get("ANCEPTION_FLEET_ROUNDS",
-                                          DEFAULT_ROUNDS))
-    points = [
-        bench_pool_size(cvms, apps=apps, rounds=rounds, placement=placement)
-        for cvms in curve
-    ]
+def run_fleet_bench():
+    """The default sweep plus the isolation probe, as one report."""
+    points = [bench_pool_size(cvms) for cvms in DEFAULT_CURVE]
     base = points[0]["syscalls_per_sim_sec"] or 1.0
     for point in points:
         point["speedup"] = round(point["syscalls_per_sim_sec"] / base, 3)
-    return {
-        "schema": SCHEMA,
-        "config": {
-            "apps": apps,
-            "rounds": rounds,
-            "placement": placement,
-            "curve": list(curve),
-        },
-        "scaling": points,
-        "isolation": crash_isolation_probe(apps=apps, placement=placement),
-    }
+    return {"scaling": points, "isolation": crash_isolation_probe()}
 
 
-def min_speedup():
-    """The configured 4-CVM scaling floor (env-overridable)."""
-    return float(os.environ.get("ANCEPTION_FLEET_MIN_SPEEDUP",
-                                DEFAULT_MIN_SPEEDUP))
-
-
-def check_fleet(report, floor=None):
+def check_fleet(report, floor=DEFAULT_MIN_SPEEDUP):
     """Failure strings for every gate the report misses."""
-    if floor is None:
-        floor = min_speedup()
     failures = []
     points = report.get("scaling", [])
 

@@ -8,8 +8,8 @@ per-round write bursts stage into write-behind windows and binder
 oneways into batched binder windows, with fences only at the end — so
 each lane's drains accrue to its *own* overlap cursor on the simulated
 clock and pool sizes larger than one genuinely overlap.  This is the
-workload behind ``anception bench-fleet`` and its 1/2/4/8-CVM scaling
-curve.
+workload behind :mod:`repro.perf.fleet_bench` and its 1/2/4/8-CVM
+scaling curve.
 
 Everything is deterministic: app populations, per-app payloads, and the
 order of operations are pure functions of ``(apps, rounds, seed)``, and

@@ -169,6 +169,11 @@ class TestDeterminism:
         restored = _World.restore(world.snapshot())
         assert world_digest(restored) == digest
 
+    def test_warm_boot_restores_a_nonempty_snapshot(self):
+        blob = _warm_world(read_cache=True, write_behind=True).snapshot()
+        assert len(blob) > 0
+        assert isinstance(_World.restore(blob), AnceptionWorld)
+
     def test_double_restore_is_idempotent(self):
         world = _warm_world(read_cache=True, write_behind=True)
         once = _World.restore(world.snapshot())

@@ -13,8 +13,7 @@ import pytest
 
 from repro.errors import SyscallError
 from repro.faults.engine import FaultEngine
-from repro.obs.runner import boot_obs_world
-from repro.perf.engine_bench import _iterate
+from repro.obs.runner import _iterate, boot_obs_world
 
 
 WRITE_BEHIND = {

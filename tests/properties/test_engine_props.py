@@ -9,7 +9,9 @@ speedup, so two families of properties pin it:
   charge stream) and compared against the digests captured on the
   pre-rebuild engine.  Any drift — one extra charge, one nanosecond, one
   reordered reason string — fails; zero-copy buffers and dormant fast
-  paths must be invisible to simulated time.
+  paths must be invisible to simulated time.  ``STEADY_DIGESTS`` pins
+  the bus-counted steady-state census (syscalls and simulated ns of one
+  replay after a warm-up) of the three micro-burst workloads.
 * **Slab aliasing safety** — a recycled slab releases every exported
   view, so a reference held past its window raises ``ValueError``
   instead of silently observing recycled bytes, across arbitrary
@@ -22,8 +24,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.android.sqlite import Database
-from repro.obs.runner import TRACE_WORKLOADS, boot_obs_world
-from repro.perf.engine_bench import _iterate
+from repro.obs.bus import TraceBus
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.runner import TRACE_WORKLOADS, _iterate, boot_obs_world
 from repro.perf.slab import DEFAULT_SLAB_BYTES, SlabPool, zeros
 
 
@@ -96,6 +99,39 @@ def test_dormant_run_elapses_identical_sim_time():
         _iterate(ctx, workload, 1)
         elapsed = world.clock.now_ns - start
         assert elapsed == SEED_DIGESTS[(workload, 1)][0], workload
+
+
+# (syscalls per iteration, simulated ns per iteration) of one steady-state
+# iteration: after one warm-up replay, a further replay counted under a
+# bus capture.  SEED_DIGESTS covers two traced iterations instead, so
+# this is a different stream; the values were captured on the engine
+# benchmark harness this census replaced.
+STEADY_DIGESTS = {
+    "fileops": (67, 8_024_135),
+    "batchio": (145, 7_860_001),
+    "writeburst": (136, 6_150_402),
+}
+
+
+def _steady_census(workload):
+    world, ctx = boot_obs_world(read_cache=True, write_behind=True)
+    _iterate(ctx, workload, 1)
+    metrics = MetricsRegistry()
+    bus = TraceBus.install(world.clock)
+    bus.subscribe(metrics.observe_record)
+    try:
+        with bus.capture():
+            start = world.clock.now_ns
+            _iterate(ctx, workload, 1)
+            sim_ns = world.clock.now_ns - start
+    finally:
+        bus.unsubscribe(metrics.observe_record)
+    return metrics.syscalls_total.total(), sim_ns
+
+
+@pytest.mark.parametrize("workload", sorted(STEADY_DIGESTS))
+def test_steady_state_census_matches_pin(workload):
+    assert _steady_census(workload) == STEADY_DIGESTS[workload]
 
 
 # -- app-level stream: UI frames, app compute, sqlite rows ---------------------

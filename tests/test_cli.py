@@ -38,8 +38,7 @@ class TestCli:
             "table1", "antutu", "sunspider", "sqlite", "memory",
             "vuln-study", "attack-surface", "loc", "tcb", "profiledroid",
             "interactive", "alternatives", "trace", "metrics", "chaos",
-            "bench-smoke", "report", "bench-engine",
-            "bench-fleet", "snapshot", "resume",
+            "report", "snapshot", "resume",
         }
 
     def test_trace_command_chrome(self, capsys):
@@ -103,45 +102,6 @@ class TestCli:
     def test_report_command_missing_file_exits(self):
         with pytest.raises(SystemExit):
             main(["report", "/nonexistent/trace.json"])
-
-    def test_bench_engine_gate_failure_exits(self, capsys, tmp_path,
-                                             monkeypatch):
-        monkeypatch.setenv("ANCEPTION_ENGINE_INNER", "1")
-        monkeypatch.setenv("ANCEPTION_ENGINE_RUNS", "1")
-        baseline = tmp_path / "base.json"
-        import json
-
-        baseline.write_text(json.dumps({
-            "schema": "anception-bench-engine/2",
-            "workloads": {"fileops": {"syscalls_per_sec": 1e12}},
-        }))
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench-engine", "--baseline", str(baseline)])
-        assert "fell below" in str(excinfo.value)
-
-    def test_bench_engine_without_baseline_exits(self, capsys, tmp_path,
-                                                 monkeypatch):
-        monkeypatch.setenv("ANCEPTION_ENGINE_INNER", "1")
-        monkeypatch.setenv("ANCEPTION_ENGINE_RUNS", "1")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench-engine", "--baseline",
-                  str(tmp_path / "missing.json")])
-        assert "no engine baseline" in str(excinfo.value)
-
-    def test_bench_engine_update_baseline(self, capsys, tmp_path,
-                                          monkeypatch):
-        monkeypatch.setenv("ANCEPTION_ENGINE_INNER", "1")
-        monkeypatch.setenv("ANCEPTION_ENGINE_RUNS", "1")
-        baseline = tmp_path / "base.json"
-        assert main(["bench-engine", "--baseline", str(baseline),
-                     "--update-baseline"]) == 0
-        import json
-
-        written = json.loads(baseline.read_text())
-        assert written["schema"] == "anception-bench-engine/2"
-        assert set(written["workloads"]) == {
-            "fileops", "batchio", "writeburst",
-        }
 
     def test_alternatives_command(self, capsys):
         assert main(["alternatives"]) == 0
