@@ -146,6 +146,11 @@ class TransactionLog:
     def clear(self):
         self._entries.clear()
 
+    @property
+    def total(self):
+        """Entries ever appended, including those dropped off the ring."""
+        return len(self._entries) + self.dropped
+
     def __iter__(self):
         return iter(self._entries)
 

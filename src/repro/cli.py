@@ -13,7 +13,7 @@ Usage (installed as the ``anception`` script)::
     anception tcb                 # Section V-D Anception TCB
     anception profiledroid        # Section VI-A app profiling
     anception trace table1        # whole-stack trace (Chrome/Perfetto JSON)
-    anception metrics table1      # counters + histograms as JSON
+    anception metrics table1      # bus metrics + component stats as JSON
     anception chaos fileops --seed 7 --faults PLAN   # fault injection
     anception report t.json       # analyze an exported Chrome trace
     anception snapshot write4k --out world.snap      # warmed world blob
@@ -336,6 +336,7 @@ def cmd_metrics(args):
         "trace_id": result.trace_id,
         "elapsed_us": result.elapsed_ns / 1000,
         "metrics": result.metrics.snapshot(),
+        "stats": result.world.anception.stats(),
         "obs_sink_errors": getattr(bus, "sink_errors", 0),
     }
     text = json.dumps(snapshot, indent=2, sort_keys=True)

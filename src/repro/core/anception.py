@@ -21,6 +21,7 @@ from repro.android.binder import (
     BINDER_WRITE_READ,
     IOC_WAIT_INPUT_EVT,
     Transaction,
+    TransactionLog,
 )
 from repro.core.channel import AnceptionChannel
 from repro.core.cvm import ContainerVM
@@ -61,8 +62,9 @@ ANCEPTION_LINES_OF_CODE = 5_219
 ANCEPTION_MARSHALING_LINES = 2_438
 
 DECISION_LOG_LIMIT = 512
-"""Bound on ``decision_log`` and ``blocked_calls``: the most recent
-entries only.  Totals live in the per-decision counters."""
+"""Bound on ``decision_log``, ``blocked_calls``, ``recovery_log`` and
+``killed_apps``: the most recent entries only.  Totals live in the
+per-decision counters and the logs' running totals."""
 
 
 def _delegation_eio(failure, call):
@@ -231,11 +233,12 @@ class AnceptionLayer:
         )
         self.exec_cache = ExecutionCache(self.host_kernel)
         self.recovery = RecoveryPolicy()
-        self.recovery_log = []
-        """(action, detail) pairs for every recovery step taken."""
+        self.recovery_log = TransactionLog(DECISION_LOG_LIMIT)
+        """(action, detail) pairs for the most recent recovery steps, one
+        per ``recovery`` bus event (see :meth:`_recovered`)."""
         self.fd_tables = {}
         self.blocked_calls = deque(maxlen=DECISION_LOG_LIMIT)
-        self.killed_apps = []
+        self.killed_apps = TransactionLog(DECISION_LOG_LIMIT)
         self.decision_log = deque(maxlen=DECISION_LOG_LIMIT)
         self.decision_counts = {}
         """Decision value -> calls routed that way, in first-seen order
@@ -273,14 +276,19 @@ class AnceptionLayer:
         and proxy manager, cleared caches/windows/ledgers, reset
         in-flight and path maps, and the firewall re-applied — nothing
         re-binds anywhere else, so no stale reference can survive.
+        A reboot resets queues and state only: every component's
+        counters survive (they are run-level telemetry).
         """
         if lane.cvm is None:
             lane.cvm = ContainerVM(self.machine, self._guest_mb,
                                    cvm_id=lane.cvm_id)
+        old_channel = lane.channel
         lane.channel = AnceptionChannel(
             lane.cvm.hypervisor, self.machine.costs, self._channel_pages,
             ring_depth=self._ring_depth,
         )
+        if old_channel is not None:
+            lane.channel.inherit_counters(old_channel)
         lane.proxies = ProxyManager(lane.cvm)
         lane.inflight = []
         lane.cache_paths = {}
@@ -289,8 +297,7 @@ class AnceptionLayer:
                 lane.page_cache = HostPageCache(max_pages=self._cache_pages)
             else:
                 # The guest filesystem was rebuilt: every cached page
-                # describes inodes that no longer exist.  Counters
-                # survive (they are run-level telemetry).
+                # describes inodes that no longer exist.
                 lane.page_cache.clear()
         # Staged windows and ledgered errnos name proxy descriptors and
         # service instances that die with the container, so a reboot
@@ -592,22 +599,17 @@ class AnceptionLayer:
         self.machine.clock.advance(
             self.recovery.backoff_for(attempt), "anception:retry-backoff"
         )
-        self.recovery_log.append(
-            ("retry", f"{name} attempt {attempt}: {failure}")
-        )
-        maybe_event(self.machine.clock, "recovery", f"retry:{name}",
-                    task=task, kernel=self.host_kernel.label,
-                    attempt=attempt, cause=type(failure).__name__)
+        self._recovered("retry", f"{name} attempt {attempt}: {failure}",
+                        f"retry:{name}", task=task,
+                        kernel=self.host_kernel.label, attempt=attempt,
+                        cause=type(failure).__name__)
         if isinstance(failure, ContainerCrashed) or lane.cvm.crashed:
             if self.recovery.reboot_on_crash:
                 self._recover_reboot(lane, str(failure))
         elif isinstance(failure, ProxyDied) and self.recovery.respawn_proxies:
             lane.proxies.respawn_proxy(task)
-            self.recovery_log.append(
-                ("respawn-proxy", f"host pid {task.pid}")
-            )
-            maybe_event(self.machine.clock, "recovery", "respawn-proxy",
-                        task=task, kernel=lane.cvm.kernel.label)
+            self._recovered("respawn-proxy", f"host pid {task.pid}",
+                            task=task, kernel=lane.cvm.kernel.label)
 
     def _recover_reboot(self, lane, reason):
         """Reboot one container as a recovery action (cost + telemetry)."""
@@ -615,10 +617,19 @@ class AnceptionLayer:
             self.recovery.reboot_cost_ns, "anception:cvm-reboot"
         )
         survivors = self.reboot_cvm(lane)
-        self.recovery_log.append(("reboot-cvm", reason))
-        maybe_event(self.machine.clock, "recovery", "reboot-cvm",
-                    kernel=self.host_kernel.label, reason=reason,
-                    survivors=survivors, **self._lane_tags(lane))
+        self._recovered("reboot-cvm", reason, kernel=self.host_kernel.label,
+                        reason=reason, survivors=survivors,
+                        **self._lane_tags(lane))
+
+    def _recovered(self, action, detail, event=None, **attrs):
+        """Log one recovery step and emit its ``recovery`` bus event.
+
+        Every recovery site goes through here, so the log and the bus
+        agree one-to-one and in order.  ``event`` names the bus event
+        when it differs from the logged action (``retry:<call>``).
+        """
+        self.recovery_log.append((action, detail))
+        maybe_event(self.machine.clock, "recovery", event or action, **attrs)
 
     def submit(self, task, name, args, kwargs, translated=None, wire=None,
                ring_flags=0, lane=None):
@@ -801,9 +812,8 @@ class AnceptionLayer:
             self.machine.clock.advance(
                 self.recovery.signal_timeout_ns, "anception:irq-timeout"
             )
-            self.recovery_log.append(("resignal-irq", name))
-            maybe_event(self.machine.clock, "recovery", "resignal-irq",
-                        task=task, kernel=self.host_kernel.label, call=name)
+            self._recovered("resignal-irq", name, task=task,
+                            kernel=self.host_kernel.label, call=name)
             if lane.channel.signal_guest(name, coalesced=coalesced):
                 return
         raise ChannelStalled("to-guest", f"irq lost for {name}")
@@ -820,9 +830,8 @@ class AnceptionLayer:
         self.machine.clock.advance(
             self.recovery.signal_timeout_ns, "anception:hypercall-poll"
         )
-        self.recovery_log.append(("hypercall-poll", name))
-        maybe_event(self.machine.clock, "recovery", "hypercall-poll",
-                    task=task, kernel=self.host_kernel.label, call=name)
+        self._recovered("hypercall-poll", name, task=task,
+                        kernel=self.host_kernel.label, call=name)
 
     def _crypto_outbound(self, task, name, args, call_args):
         """Encrypt write payloads before they cross into the CVM."""
@@ -946,20 +955,17 @@ class AnceptionLayer:
                                 pages=dropped)
             if engine.cache_stale(call=name):
                 dropped = cache.invalidate_ino(ino)
-                # the log keys on the host fd, not the ino: inode numbers
-                # come from a process-global counter, and the chaos
-                # report must replay byte-identically across runs
-                self.recovery_log.append(
-                    ("cache-invalidate",
-                     f"stale fd {args[0]} ({dropped} pages), refetching")
-                )
                 maybe_event(self.machine.clock, "cache-invalidate",
                             "stale", task=task,
                             kernel=self.host_kernel.label, ino=ino,
                             pages=dropped)
-                maybe_event(self.machine.clock, "recovery",
-                            "cache-invalidate", task=task,
-                            kernel=self.host_kernel.label, call=name)
+                # the log keys on the host fd, not the ino: inode numbers
+                # come from a process-global counter, and the chaos
+                # report must replay byte-identically across runs
+                self._recovered(
+                    "cache-invalidate",
+                    f"stale fd {args[0]} ({dropped} pages), refetching",
+                    task=task, kernel=self.host_kernel.label, call=name)
                 cache.misses += 1
                 return None
         result = cache.lookup(ino, offset, length)
@@ -1492,9 +1498,10 @@ class AnceptionLayer:
                 continue
             for host_fd in stale.remote_fds():
                 task.fd_table.pop(host_fd, None)
-        maybe_event(self.machine.clock, "recovery", "channels-rebound",
-                    kernel=self.host_kernel.label,
-                    survivors=len(survivors), **self._lane_tags(lane))
+        self._recovered("channels-rebound",
+                        f"{lane.name}: {len(survivors)} survivors",
+                        kernel=self.host_kernel.label,
+                        survivors=len(survivors), **self._lane_tags(lane))
         return len(survivors)
 
     # ------------------------------------------------------------------
@@ -1540,20 +1547,17 @@ class AnceptionLayer:
         try:
             slice_ = app_slice(self, task)
         except AppSliceError as exc:
-            self.recovery_log.append(("migrate-skip", str(exc)))
-            maybe_event(self.machine.clock, "recovery", "migrate-skip",
-                        task=task, kernel=self.host_kernel.label,
-                        source=source.name, target=target.name)
+            self._recovered("migrate-skip", str(exc), task=task,
+                            kernel=self.host_kernel.label,
+                            source=source.name, target=target.name)
             return False
         pid = task.pid
         engine = self.machine.clock.faults
         if engine is not None and engine.pool_migrate_loss(call=task.name):
-            self.recovery_log.append(
-                ("migrate-abort", f"pid {pid} {source.name}->{target.name}")
-            )
-            maybe_event(self.machine.clock, "recovery", "migrate-abort",
-                        task=task, kernel=self.host_kernel.label,
-                        source=source.name, target=target.name)
+            self._recovered("migrate-abort",
+                            f"pid {pid} {source.name}->{target.name}",
+                            task=task, kernel=self.host_kernel.label,
+                            source=source.name, target=target.name)
             return False
         # Source teardown: the slice carries everything the app needs,
         # so the source lane forgets the pid entirely — its windows, its
@@ -1574,14 +1578,12 @@ class AnceptionLayer:
                 )
         apply_app_slice(self, task, slice_, target)
         self.pool.record_migration(pid, target)
-        self.recovery_log.append(
-            ("migrate", f"pid {pid} {source.name}->{target.name}")
-        )
-        maybe_event(self.machine.clock, "recovery", "migrate", task=task,
-                    kernel=self.host_kernel.label, source=source.name,
-                    target=target.name, fds=len(slice_["fds"]),
-                    wb=len(slice_["wb_entries"]),
-                    pages=sum(len(c["pages"]) for c in slice_["cache"]))
+        self._recovered("migrate", f"pid {pid} {source.name}->{target.name}",
+                        task=task, kernel=self.host_kernel.label,
+                        source=source.name, target=target.name,
+                        fds=len(slice_["fds"]),
+                        wb=len(slice_["wb_entries"]),
+                        pages=sum(len(c["pages"]) for c in slice_["cache"]))
         return True
 
     # ------------------------------------------------------------------
@@ -1990,9 +1992,9 @@ class AnceptionLayer:
             poll = f"{windows.label}-reap-poll"
             clock.advance(self.recovery.signal_timeout_ns,
                           f"anception:{poll}")
-            self.recovery_log.append((poll, f"{len(pendings)} completions"))
-            maybe_event(clock, "recovery", poll, task=task,
-                        kernel=self.host_kernel.label, batch=len(pendings))
+            self._recovered(poll, f"{len(pendings)} completions", task=task,
+                            kernel=self.host_kernel.label,
+                            batch=len(pendings))
         for entry, pending in pendings:
             try:
                 self.complete(pending, lane=lane)
@@ -2145,14 +2147,11 @@ class AnceptionLayer:
     def _agg(cls, dicts):
         """Merge per-lane stats dicts into one fleet-wide view.
 
-        A single dict passes through unchanged (the ``cvms=1``
-        byte-identity pin).  Across lanes: numeric counters sum, bools
-        OR, configured bounds take the first lane's value, high-water
-        marks take the max, nested dicts merge recursively, and the
-        cache hit rate is recomputed from the summed hits/misses.
+        Numeric counters sum, bools OR, configured bounds take the
+        first lane's value, high-water marks take the max, nested dicts
+        merge recursively, and the cache hit rate is recomputed from
+        the summed hits/misses.  One lane merges to its own values.
         """
-        if len(dicts) == 1:
-            return dict(dicts[0])
         merged = {}
         for key in dicts[0]:
             values = [d[key] for d in dicts]
@@ -2179,29 +2178,28 @@ class AnceptionLayer:
     def stats(self):
         """Layer-wide summary; counters aggregate across every lane.
 
-        At ``cvms=1`` the shape (and every value) is byte-identical to
-        the pre-pool layer.  With more lanes the top-level counters are
-        fleet-wide sums and two extra keys appear: ``pool`` (placement
-        and residency) and ``per_cvm`` (the per-lane breakdown).
+        One schema at every pool size: the top-level counters are
+        fleet-wide sums, ``pool`` holds placement and residency and
+        ``per_cvm`` the per-lane breakdown.  Disabled features report
+        ``None``.  These component counters are the only count of each
+        event; the metrics registry keeps just the span-fed ones.
         """
         lanes = self.pool.lanes
-        summary = {
+        return {
             "decisions": dict(self.decision_counts),
             "proxies": sum(lane.proxies.count for lane in lanes),
             "blocked_calls": self.decision_counts.get(
                 Decision.BLOCK.value, 0),
-            "killed_apps": len(self.killed_apps),
+            "killed_apps": self.killed_apps.total,
             "channel": self._agg([lane.channel.stats() for lane in lanes]),
             "read_cache": self._optional_stats(lanes, "page_cache"),
             "write_behind": self._optional_stats(lanes, "write_behind"),
             "binder_ring": self._optional_stats(lanes, "binder_ring"),
             "cvm_crashed": any(lane.cvm.crashed for lane in lanes),
             "cvm_reboots": sum(lane.cvm.reboot_count for lane in lanes),
-            "recoveries": len(self.recovery_log),
-        }
-        if len(lanes) > 1:
-            summary["pool"] = self.pool.stats()
-            summary["per_cvm"] = {
+            "recoveries": self.recovery_log.total,
+            "pool": self.pool.stats(),
+            "per_cvm": {
                 lane.name: {
                     "residents": len(self.pool.pids_on(lane)),
                     "proxies": lane.proxies.count,
@@ -2215,8 +2213,8 @@ class AnceptionLayer:
                                                         "binder_ring"),
                 }
                 for lane in lanes
-            }
-        return summary
+            },
+        }
 
     def _optional_stats(self, lanes, attr):
         """Merged ``stats()`` of one optional lane component, or ``None``

@@ -40,6 +40,10 @@ class AnceptionChannel:
 
     __snapshot__ = "auto"
 
+    COUNTERS = ("transfers", "bytes_to_guest", "bytes_to_host",
+                "integrity_failures", "bulk_chunks")
+    """Run-level telemetry that outlives a lane reboot."""
+
     def __init__(self, hypervisor, costs, num_pages=8, ring_depth=None):
         from repro.core.ring import DelegationRing, default_ring_depth
 
@@ -103,7 +107,14 @@ class AnceptionChannel:
         view = data if type(data) is memoryview else memoryview(data)
         size = view.nbytes
         inbound = direction == "to-guest"
+        # Counted as the bytes cross, before the integrity check: a
+        # corrupted transfer still moved its bytes (and is also counted
+        # in integrity_failures).
         self.transfers += 1
+        if inbound:
+            self.bytes_to_guest += size
+        else:
+            self.bytes_to_host += size
         clock = self.hypervisor.machine.clock
         expected_crc = crc32(view)
         engine = clock.faults
@@ -156,10 +167,6 @@ class AnceptionChannel:
                     clock._now_ns += total_ns
             # delivered is view, so the integrity CRC equals the send
             # CRC by construction — nothing to verify.
-            if inbound:
-                self.bytes_to_guest += size
-            else:
-                self.bytes_to_host += size
             return size
         delivered = view
         if engine is not None:
@@ -193,10 +200,6 @@ class AnceptionChannel:
             raise ChannelIntegrityError(
                 direction, expected_crc, actual_crc, size
             )
-        if inbound:
-            self.bytes_to_guest += size
-        else:
-            self.bytes_to_host += size
         return size
 
     def bulk_copy(self):
@@ -235,6 +238,18 @@ class AnceptionChannel:
     def signal_host(self, reason="", coalesced=1):
         """Ring the host doorbell; ``False`` when the hypercall was lost."""
         return self.hypervisor.hypercall(reason, coalesced=coalesced)
+
+    def inherit_counters(self, old):
+        """Continue the counters of ``old``, the channel this one replaces.
+
+        A lane reboot builds a fresh channel (new shared pages, empty
+        rings, sequence numbers from 1) but keeps the run's telemetry,
+        as the page cache and the deferred windows do.
+        """
+        for name in self.COUNTERS:
+            setattr(self, name, getattr(old, name))
+        self.submit_ring.inherit_counters(old.submit_ring)
+        self.complete_ring.inherit_counters(old.complete_ring)
 
     def reset_rings(self):
         """Drop all in-flight descriptors (recovery / rebind path)."""

@@ -100,6 +100,10 @@ class DelegationRing:
 
     __snapshot__ = "auto"
 
+    COUNTERS = ("pushed", "popped", "max_depth_seen", "stalls",
+                "out_of_order", "deferred_pushed", "binder_pushed")
+    """Run-level telemetry that outlives a lane reboot."""
+
     def __init__(self, name, channel, depth):
         if name not in ("submit", "complete"):
             raise ChannelError(f"unknown ring name {name!r}")
@@ -170,6 +174,9 @@ class DelegationRing:
             seq = self._next_seq
             self._next_seq += 1
         descriptor = RingDescriptor(seq, call, payload, flags)
+        # Counted as the descriptor crosses: one whose payload then
+        # fails the channel's integrity check was still pushed.
+        self.pushed += 1
         if flags:
             if flags & RING_FLAG_WRITE_BEHIND:
                 self.deferred_pushed += 1
@@ -186,7 +193,6 @@ class DelegationRing:
                             depth=len(self._queue) + 1):
                 self.channel._transfer(payload, self.direction)
         self._queue.append(descriptor)
-        self.pushed += 1
         depth_now = len(self._queue)
         if depth_now > self.max_depth_seen:
             self.max_depth_seen = depth_now
@@ -240,6 +246,11 @@ class DelegationRing:
             )
         descriptor.payload = payload
         return descriptor
+
+    def inherit_counters(self, old):
+        """Continue the counters of ``old``, the ring this one replaces."""
+        for name in self.COUNTERS:
+            setattr(self, name, getattr(old, name))
 
     def reset(self):
         """Drop every queued descriptor (CVM reboot / recovery rebind)."""

@@ -172,7 +172,6 @@ class Kernel:
         self.log_device = None
         self.syscall_log = []
         self.syscall_log_enabled = False
-        self.blocked_call_attempts = []
         self.vulnerabilities = {}
         self.nproc_limits = {}
         """Per-UID RLIMIT_NPROC values; absent means unlimited.  The
@@ -646,7 +645,6 @@ class Kernel:
 
     def _deny_privileged(self, task, *args):
         """System-management calls: denied to apps on stock Android too."""
-        self.blocked_call_attempts.append((task.pid, "privileged-call"))
         raise SyscallError(errno.EPERM, "system management call",
                            call="privileged")
 

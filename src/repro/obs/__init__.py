@@ -11,8 +11,9 @@ This package is the measurement substrate that makes such attribution a
   hypercall/IRQ injection, binder transactions), timestamped with
   *simulated* nanoseconds.  Observers never call ``clock.advance``:
   tracing on or off, the simulated elapsed time is bit-identical.
-* :class:`~repro.obs.metrics.MetricsRegistry` — counters and fixed-bucket
-  histograms fed from the bus, snapshotable as JSON.
+* :class:`~repro.obs.metrics.MetricsRegistry` — the counters no
+  component keeps and fixed-bucket histograms, fed from the bus,
+  snapshotable as JSON.
 * :mod:`~repro.obs.export` — Chrome trace-event JSON (loadable in
   Perfetto / ``chrome://tracing``) and an ftrace-style text dump, both
   deterministic (per-run ``trace_id`` derived from workload + seed).

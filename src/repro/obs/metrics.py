@@ -1,5 +1,9 @@
 """Counters and fixed-bucket histograms fed from the trace bus.
 
+Only what needs the bus lives here: counts no component keeps and the
+span-fed histograms.  Component counters (``AnceptionLayer.stats()``)
+are the one source for everything else.
+
 The registry is a bus sink: subscribe it, run a workload, snapshot.
 Snapshots are plain JSON-able dicts with deterministic ordering, so two
 identical runs serialize byte-identically and CI can diff them.
@@ -117,7 +121,13 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """The standard metric set, updated from bus records."""
+    """The bus-only metric set, updated from bus records.
+
+    World switches, channel bytes, ring traffic, blocked calls,
+    recoveries, page-cache and window activity are not here: their
+    components count them, read through ``AnceptionLayer.stats()``
+    (and faults through ``FaultEngine.report()``).
+    """
 
     __snapshot__ = "auto"
 
@@ -125,49 +135,12 @@ class MetricsRegistry:
         self.syscalls_total = Counter(
             "syscalls_total", ("sclass", "disposition")
         )
-        self.world_switches_total = Counter(
-            "world_switches_total", ("direction",)
-        )
-        self.channel_bytes_total = Counter(
-            "channel_bytes_total", ("direction",)
-        )
         self.channel_chunks_total = Counter(
             "channel_chunks_total", ("direction",)
         )
         self.binder_txns_total = Counter("binder_txns_total", ("lane",))
         self.proxy_calls_total = Counter("proxy_calls_total", ())
-        self.blocked_calls_total = Counter("blocked_calls_total", ())
-        self.irqs_total = Counter("irqs_total", ())
         self.page_faults_total = Counter("page_faults_total", ())
-        self.faults_injected_total = Counter(
-            "faults_injected_total", ("site",)
-        )
-        self.recoveries_total = Counter("recoveries_total", ("action",))
-        self.ring_submits_total = Counter("ring_submits_total", ())
-        self.ring_completes_total = Counter("ring_completes_total", ())
-        self.doorbells_coalesced_total = Counter(
-            "doorbells_coalesced_total", ("direction",)
-        )
-        self.cache_hits_total = Counter("cache_hits_total", ())
-        self.cache_misses_total = Counter("cache_misses_total", ())
-        self.cache_fill_pages_total = Counter(
-            "cache_fill_pages_total", ("lane",)
-        )
-        self.cache_invalidations_total = Counter(
-            "cache_invalidations_total", ("cause",)
-        )
-        self.wb_submits_total = Counter("wb_submits_total", ())
-        self.wb_drains_total = Counter("wb_drains_total", ())
-        self.wb_fences_total = Counter("wb_fences_total", ())
-        self.wb_deferred_errors_total = Counter(
-            "wb_deferred_errors_total", ()
-        )
-        self.binder_submits_total = Counter("binder_submits_total", ())
-        self.binder_drains_total = Counter("binder_drains_total", ())
-        self.binder_fences_total = Counter("binder_fences_total", ())
-        self.binder_deferred_errors_total = Counter(
-            "binder_deferred_errors_total", ()
-        )
         self.syscall_latency_us = Histogram(
             "syscall_latency_us", DEFAULT_LATENCY_BUCKETS_US, unit="us"
         )
@@ -190,31 +163,10 @@ class MetricsRegistry:
         )
         self._counters = (
             self.syscalls_total,
-            self.world_switches_total,
-            self.channel_bytes_total,
             self.channel_chunks_total,
             self.binder_txns_total,
             self.proxy_calls_total,
-            self.blocked_calls_total,
-            self.irqs_total,
             self.page_faults_total,
-            self.faults_injected_total,
-            self.recoveries_total,
-            self.ring_submits_total,
-            self.ring_completes_total,
-            self.doorbells_coalesced_total,
-            self.cache_hits_total,
-            self.cache_misses_total,
-            self.cache_fill_pages_total,
-            self.cache_invalidations_total,
-            self.wb_submits_total,
-            self.wb_drains_total,
-            self.wb_fences_total,
-            self.wb_deferred_errors_total,
-            self.binder_submits_total,
-            self.binder_drains_total,
-            self.binder_fences_total,
-            self.binder_deferred_errors_total,
         )
 
     # -- bus sink ------------------------------------------------------------
@@ -230,16 +182,13 @@ class MetricsRegistry:
             )
             dur_ns = record["end_ns"] - record["begin_ns"]
             self.syscall_latency_us.observe(dur_ns / NSEC_PER_USEC)
-        elif kind == "world-switch":
-            self.world_switches_total.inc(
-                direction=args.get("direction", "unknown")
-            )
         elif kind == "channel-copy":
-            direction = args.get("direction", "unknown")
-            self.channel_bytes_total.inc(args.get("bytes", 0),
-                                         direction=direction)
-            self.channel_chunks_total.inc(args.get("chunks", 0),
-                                          direction=direction)
+            self.channel_chunks_total.inc(
+                args.get("chunks", 0),
+                direction=args.get("direction", "unknown"),
+            )
+        elif kind == "ring-submit" or kind == "ring-complete":
+            self.ring_depth.observe(args.get("depth", 1))
         elif kind == "binder-txn":
             self.binder_txns_total.inc(
                 lane="ui" if args.get("ui") else "delegated"
@@ -247,63 +196,14 @@ class MetricsRegistry:
         elif kind == "proxy":
             if record["type"] == "span":
                 self.proxy_calls_total.inc()
-            elif args.get("decision") == "block":
-                self.blocked_calls_total.inc()
-        elif kind == "irq":
-            self.irqs_total.inc()
         elif kind == "page-fault":
             self.page_faults_total.inc(args.get("pages", 1))
-        elif kind == "fault":
-            self.faults_injected_total.inc(
-                site=args.get("site", record["name"])
-            )
-        elif kind == "ring-submit":
-            self.ring_submits_total.inc()
-            self.ring_depth.observe(args.get("depth", 1))
-        elif kind == "ring-complete":
-            self.ring_completes_total.inc()
-            self.ring_depth.observe(args.get("depth", 1))
-        elif kind == "doorbell-coalesced":
-            self.doorbells_coalesced_total.inc(
-                direction=args.get("direction", "unknown")
-            )
-        elif kind == "recovery":
-            self.recoveries_total.inc(action=record["name"])
-        elif kind == "cache-hit":
-            self.cache_hits_total.inc()
-        elif kind == "cache-miss":
-            self.cache_misses_total.inc()
-        elif kind == "cache-fill":
-            demand = args.get("pages", 0) - args.get("readahead", 0)
-            if demand > 0:
-                self.cache_fill_pages_total.inc(demand, lane="demand")
-            if args.get("readahead", 0) > 0:
-                self.cache_fill_pages_total.inc(
-                    args["readahead"], lane="readahead"
-                )
-        elif kind == "cache-invalidate":
-            self.cache_invalidations_total.inc(
-                args.get("pages", 1), cause=record["name"]
-            )
         elif kind == "wb-submit":
-            self.wb_submits_total.inc()
             self.wb_inflight_depth.observe(args.get("depth", 1))
-        elif kind == "wb-drain":
-            self.wb_drains_total.inc()
-        elif kind == "wb-fence":
-            self.wb_fences_total.inc()
-        elif kind == "wb-error":
-            self.wb_deferred_errors_total.inc()
         elif kind == "binder-submit":
-            self.binder_submits_total.inc()
             self.binder_window_depth.observe(args.get("depth", 1))
         elif kind == "binder-drain":
-            self.binder_drains_total.inc()
             self.binder_window_depth.observe(args.get("batch", 1))
-        elif kind == "binder-fence":
-            self.binder_fences_total.inc()
-        elif kind == "binder-error":
-            self.binder_deferred_errors_total.inc()
 
     # -- output --------------------------------------------------------------
 

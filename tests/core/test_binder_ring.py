@@ -307,13 +307,13 @@ class TestObservability:
         from repro.obs.runner import run_traced
 
         result = run_traced("binderburst", logcat=False, binder_ring=True)
-        counters = result.metrics.snapshot()["counters"]
-        submits = sum(s["value"] for s in counters["binder_submits_total"])
-        drains = sum(s["value"] for s in counters["binder_drains_total"])
-        fences = sum(s["value"] for s in counters["binder_fences_total"])
-        assert submits == 24  # binderburst's two 12-oneway bursts
-        assert drains >= 2
-        assert fences >= 2
+        ring = result.world.anception.stats()["binder_ring"]
+        assert ring["enqueued"] == 24  # binderburst's two 12-oneway bursts
+        assert ring["drains"] >= 2
+        assert ring["fences"] >= 2
+        # The window-depth histogram sees every submit and every drain.
+        depth = result.metrics.snapshot()["histograms"]["binder_window_depth"]
+        assert depth["count"] == ring["enqueued"] + ring["drains"]
 
     def test_observation_is_free(self):
         from repro.obs.runner import run_traced

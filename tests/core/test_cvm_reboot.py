@@ -131,3 +131,71 @@ class TestSqliteCrashRecovery:
 
         db = Database(enrolled_ctx.libc, enrolled_ctx.data_path("clean.db"))
         assert not db.recover()
+
+
+def _integer_counters(stats, prefix=""):
+    """Every integer in a (nested) stats dict, keyed by its path."""
+    flat = {}
+    for key, value in stats.items():
+        if isinstance(value, dict):
+            flat.update(_integer_counters(value, f"{prefix}{key}."))
+        elif isinstance(value, int) and not isinstance(value, bool):
+            flat[prefix + key] = value
+    return flat
+
+
+def _assert_no_counter_fell(before, after):
+    fell = {key: (value, after[key]) for key, value in before.items()
+            if after[key] < value}
+    assert not fell, fell
+
+
+class TestCountersSurvive:
+    """A reboot resets queues and state only; counters are run-level."""
+
+    def test_channel_counters_survive_reboot(self, anception_world,
+                                             enrolled_ctx):
+        enrolled_ctx.libc.write_file(enrolled_ctx.data_path("pre.bin"),
+                                     b"x" * 5000)
+        before = _integer_counters(anception_world.anception.stats()
+                                   ["channel"])
+        assert before["bytes_to_guest"] >= 5000
+        assert before["submit_ring.pushed"] > 0
+        anception_world.anception.reboot_cvm()
+        _assert_no_counter_fell(
+            before,
+            _integer_counters(anception_world.anception.stats()["channel"]))
+
+    def test_channel_counters_survive_migration(self):
+        from repro.obs.runner import boot_obs_world
+
+        world, ctx = boot_obs_world(cvms=4, placement="by-uid",
+                                    read_cache=True, write_behind=True)
+        ctx.libc.write_file(ctx.data_path("pre.bin"), b"x" * 5000)
+        layer = world.anception
+        source = layer._lane(ctx.libc.task)
+        target = layer.pool.lanes[(source.cvm_id + 1) % 4]
+        before = _integer_counters(layer.stats()["channel"])
+        lane_before = _integer_counters(source.channel.stats())
+        assert layer.migrate(ctx.libc.task, target)
+        _assert_no_counter_fell(
+            before, _integer_counters(layer.stats()["channel"]))
+        _assert_no_counter_fell(
+            lane_before, _integer_counters(source.channel.stats()))
+        layer.reboot_cvm(source)
+        _assert_no_counter_fell(
+            lane_before, _integer_counters(source.channel.stats()))
+
+
+class TestRecoveryLogRing:
+    def test_ring_is_bounded_and_stats_read_the_total(
+            self, anception_world, enrolled_ctx):
+        layer = anception_world.anception
+        layer.recovery_log.limit = 2
+        for _ in range(3):
+            layer.reboot_cvm()
+        # each reboot logs one channels-rebound step
+        assert [action for action, _ in layer.recovery_log] == \
+            ["channels-rebound"] * 2
+        assert layer.recovery_log.dropped == 1
+        assert layer.stats()["recoveries"] == 3

@@ -263,12 +263,13 @@ class TestLaneReboot:
 
 class TestStatsAggregation:
     def test_single_cvm_keeps_the_classic_shape(self):
+        """One schema at every pool size: one lane reports pool keys."""
         world = AnceptionWorld()
         running = world.install_and_launch(FleetApp(0))
         running.run()
         stats = world.anception.stats()
-        assert "pool" not in stats
-        assert "per_cvm" not in stats
+        assert stats["pool"]["cvms"] == 1
+        assert set(stats["per_cvm"]) == {"cvm"}
 
     def test_multi_cvm_counters_are_fleet_sums(self):
         world = AnceptionWorld(cvms=4, read_cache=True,

@@ -5,7 +5,7 @@ read ``stats()["write_behind"]``, ``stats()["binder_ring"]`` and the
 ``per_cvm`` entries by key.  One fixed async + binder script, with a
 reorder, a drop and a write-behind error injected, must reproduce the
 dicts below exactly — values, keys and key order — at one CVM and at
-four.  They were captured on the two-copy window code that predates the
+four; ``per_cvm`` is present at both.  They were captured on the two-copy window code that predates the
 shared deferred-window primitive.
 """
 
@@ -109,6 +109,12 @@ def test_window_stats_schema_is_pinned(cvms):
     assert _ordered(stats["write_behind"]) == _ordered(WRITE_BEHIND)
     assert _ordered(stats["binder_ring"]) == _ordered(BINDER_RING)
     if cvms == 1:
-        assert "per_cvm" not in stats
+        # One schema at every pool size: the single lane gets its own
+        # per_cvm entry, and the general merge of one lane returns that
+        # lane's values unchanged.
+        assert _ordered(stats["per_cvm"]) == _ordered({"cvm": _lane(True)})
+        for key in ("channel", "read_cache", "write_behind", "binder_ring"):
+            assert _ordered(stats[key]) == _ordered(
+                stats["per_cvm"]["cvm"][key])
     else:
         assert _ordered(stats["per_cvm"]) == _ordered(PER_CVM)

@@ -6,9 +6,11 @@ import pytest
 
 from repro.faults.chaos import (
     DEFAULT_PLAN,
+    ChaosApp,
     chaos_report_json,
     run_chaos,
 )
+from repro.world import AnceptionWorld
 
 
 class TestDefaultTour:
@@ -34,11 +36,59 @@ class TestDefaultTour:
         assert "fault" in kinds and "recovery" in kinds
 
     def test_metrics_counters_fed(self):
+        """Faults and recoveries are counted once, by their components;
+        the report's metrics keep the bus-only counters."""
         result = run_chaos("fileops", seed=7)
-        counters = result.metrics.snapshot()["counters"]
-        assert sum(e["value"] for e in counters["faults_injected_total"]) \
-            == 4
-        assert sum(e["value"] for e in counters["recoveries_total"]) >= 4
+        report = result.report()
+        assert sum(report["faults"]["fired_by_site"].values()) == 4
+        assert report["stats"]["recoveries"] == len(report["recoveries"])
+        assert report["stats"]["recoveries"] >= 4
+        counters = report["metrics"]["counters"]
+        assert sum(e["value"] for e in counters["syscalls_total"]) > 0
+        assert "recoveries_total" not in counters
+
+
+CATALOGUE = ("fileops", "batchio", "writeburst", "binderburst", "ipc")
+ALL_ON = {"read_cache": True, "write_behind": True, "binder_ring": True}
+"""The ``anception chaos`` defaults: cache, write-behind, binder ring."""
+
+
+class TestOneCounterSource:
+    @pytest.mark.parametrize("workload", CATALOGUE)
+    def test_recovery_events_match_the_log(self, workload):
+        result = run_chaos(workload, seed=7, **ALL_ON)
+        events = [record["name"] for record in result.records
+                  if record["type"] == "event"
+                  and record["kind"] == "recovery"]
+        logged = [action for action, _ in result.recovery_log]
+        assert len(events) == len(logged)
+        for event, action in zip(events, logged):
+            assert event == action or event.startswith(action + ":")
+        assert result.stats["recoveries"] == len(logged)
+        # The ring holds every step of a catalogue run.
+        assert result.world.anception.recovery_log.dropped == 0
+
+    def test_reboot_keeps_channel_counters(self):
+        """The channel counters moved over the capture include the
+        traffic before the mid-run CVM reboot."""
+        world = AnceptionWorld(read_cache=True, async_delegation=True,
+                               binder_ring=True)
+        world.install_and_launch(ChaosApp()).run()
+        before = world.anception.stats()["channel"]
+        result = run_chaos("fileops", seed=7, world=world)
+        after = result.stats["channel"]
+        assert result.stats["cvm_reboots"] == 1
+
+        def moved(*path):
+            first, last = before, after
+            for key in path:
+                first, last = first[key], last[key]
+            return last - first
+
+        assert moved("bytes_to_guest") == 4268
+        assert moved("bytes_to_host") == 1795
+        assert moved("submit_ring", "pushed") == 34
+        assert moved("complete_ring", "pushed") == 32
 
 
 class TestDeterminism:

@@ -1,13 +1,22 @@
-"""MetricsRegistry: counters, histograms, JSON round-trips."""
+"""MetricsRegistry: counters, histograms, JSON round-trips.
+
+Also the counter-equivalence audit: the component counters that
+replaced the registry's duplicate counters move, over one capture,
+exactly as far as the deleted counters did.
+"""
 
 import json
 
+import pytest
+
+from repro.errors import SyscallError
 from repro.obs.metrics import (
     Counter,
     DEFAULT_LATENCY_BUCKETS_US,
     Histogram,
     MetricsRegistry,
 )
+from repro.obs.runner import boot_obs_world, run_traced
 
 
 class TestCounter:
@@ -69,21 +78,18 @@ class TestRegistry:
         assert registry.syscall_latency_us.count == 2
 
     def test_world_switch_and_channel(self):
-        registry = MetricsRegistry()
-        registry.observe_record({
-            "type": "span", "kind": "world-switch", "name": "irq:x",
-            "begin_ns": 0, "end_ns": 100,
-            "args": {"direction": "host->guest"},
-        })
-        registry.observe_record({
-            "type": "span", "kind": "channel-copy", "name": "to-guest",
-            "begin_ns": 0, "end_ns": 100,
-            "args": {"direction": "to-guest", "bytes": 4096, "chunks": 1},
-        })
-        assert registry.world_switches_total.value(
-            direction="host->guest"
-        ) == 1
-        assert registry.channel_bytes_total.value(direction="to-guest") == 4096
+        """World switches and channel bytes are the channel's counters;
+        the registry keeps only the chunk count."""
+        world, _ = boot_obs_world()
+        before = world.anception.stats()["channel"]
+        result = run_traced("write4k", world=world, logcat=False)
+        after = world.anception.stats()["channel"]
+        assert after["interrupts"] > before["interrupts"]
+        assert after["hypercalls"] > before["hypercalls"]
+        assert after["bytes_to_guest"] - before["bytes_to_guest"] >= 4096
+        chunks = result.metrics.channel_chunks_total
+        assert chunks.value(direction="to-guest") >= 1
+        assert not hasattr(result.metrics, "world_switches_total")
 
     def test_blocked_event_counted_separately_from_proxy_spans(self):
         registry = MetricsRegistry()
@@ -95,8 +101,12 @@ class TestRegistry:
             "type": "span", "kind": "proxy", "name": "forward:write",
             "begin_ns": 0, "end_ns": 10, "args": {},
         })
-        assert registry.blocked_calls_total.total() == 1
         assert registry.proxy_calls_total.total() == 1
+        # Blocked calls are the layer's decision counter.
+        world, ctx = boot_obs_world()
+        with pytest.raises(SyscallError):
+            ctx.libc.syscall("reboot")
+        assert world.anception.stats()["blocked_calls"] == 1
 
     def test_snapshot_round_trips_through_json(self):
         registry = MetricsRegistry()
@@ -105,13 +115,11 @@ class TestRegistry:
         assert json.loads(json.dumps(snapshot)) == snapshot
 
     def test_live_workload_populates_registry(self):
-        from repro.obs.runner import run_traced
-
         result = run_traced("write4k", logcat=False)
         metrics = result.metrics
-        assert metrics.world_switches_total.total() >= 2
-        assert metrics.channel_bytes_total.value(direction="to-guest") >= 4096
+        assert metrics.channel_chunks_total.total() >= 2
         assert metrics.syscalls_total.total() >= 3
+        assert metrics.ring_depth.count >= 2
         snapshot = metrics.snapshot()
         assert json.loads(json.dumps(snapshot)) == snapshot
 
@@ -171,3 +179,133 @@ class TestQuantiles:
         latency = snapshot["histograms"]["syscall_latency_us"]
         # One sample in (20, 50]: p50 interpolates halfway up the bucket.
         assert latency["quantiles"]["p50"] == 35.0
+
+
+class TestOneCounterSource:
+    def test_registry_keeps_only_bus_only_counters(self):
+        snapshot = MetricsRegistry().snapshot()
+        assert list(snapshot["counters"]) == [
+            "binder_txns_total", "channel_chunks_total", "page_faults_total",
+            "proxy_calls_total", "syscalls_total",
+        ]
+        assert list(snapshot["histograms"]) == [
+            "binder_window_depth", "ring_depth", "syscall_latency_us",
+            "wb_inflight_depth",
+        ]
+
+
+# -- counter-equivalence audit ---------------------------------------------
+
+AUDIT_CONFIGS = {
+    "paper": {},
+    "all-on": {"read_cache": True, "write_behind": True,
+               "binder_ring": True},
+}
+
+AUDIT_COLUMNS = (
+    ("world_switches_total{guest->host}", ("channel.hypercalls",)),
+    ("world_switches_total{host->guest}", ("channel.interrupts",)),
+    ("irqs_total", ("channel.interrupts",)),
+    ("channel_bytes_total{to-guest}", ("channel.bytes_to_guest",)),
+    ("channel_bytes_total{to-host}", ("channel.bytes_to_host",)),
+    ("doorbells_coalesced_total", ("channel.coalesced_doorbells",)),
+    ("ring_submits_total", ("channel.submit_ring.pushed",)),
+    ("ring_completes_total", ("channel.complete_ring.pushed",)),
+    ("blocked_calls_total", ("blocked_calls",)),
+    ("recoveries_total", ("recoveries",)),
+    ("faults_injected_total", ()),
+    ("cache_hits_total", ("read_cache.hits",)),
+    ("cache_misses_total", ("read_cache.misses",)),
+    ("cache_fill_pages_total", ("read_cache.fill_pages",
+                                "read_cache.readahead_pages")),
+    ("wb_submits_total", ("write_behind.enqueued",)),
+    ("wb_drains_total", ("write_behind.drains",)),
+    ("wb_fences_total", ("write_behind.fences",)),
+    ("wb_deferred_errors_total", ("write_behind.deferred_errors",)),
+    ("binder_submits_total", ("binder_ring.enqueued",)),
+    ("binder_drains_total", ("binder_ring.drains",)),
+    ("binder_fences_total", ("binder_ring.fences",)),
+    ("binder_deferred_errors_total", ("binder_ring.deferred_errors",)),
+    # cache_invalidations_total counted rename/unlink events; the page
+    # cache counts pages by cause, so its three counters are pinned.
+    ("read_cache.invalidated_pages", ("read_cache.invalidated_pages",)),
+    ("read_cache.write_through_pages", ("read_cache.write_through_pages",)),
+    ("read_cache.evicted_pages", ("read_cache.evicted_pages",)),
+)
+"""Each deleted counter and the ``stats()`` paths whose movement sums to
+it.  ``faults_injected_total`` maps to no path: the audit runs with no
+fault engine armed, so ``FaultEngine.report()`` has nothing to fire."""
+
+AUDIT_TABLE = {
+    ("table1", "paper"): (
+        8, 8, 8, 8547, 4188, 0, 8, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0),
+    ("fileops", "paper"): (
+        32, 32, 32, 4104, 2299, 0, 32, 32, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0),
+    ("ipc", "paper"): (
+        6, 6, 6, 111, 70, 0, 6, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0),
+    ("batchio", "paper"): (
+        6, 6, 6, 6365, 4640, 4, 132, 132, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0),
+    ("writeburst", "paper"): (
+        68, 68, 68, 263087, 4632, 0, 68, 68, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0),
+    ("binderburst", "paper"): (
+        26, 26, 26, 10562, 112, 0, 26, 26, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0),
+    ("fleet", "paper"): (
+        2472, 2472, 2472, 1660646, 63168, 0, 2472, 2472, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    ("table1", "all-on"): (
+        8, 8, 8, 8547, 4188, 0, 8, 8, 0, 0, 0, 0, 1, 1, 2, 2, 2, 0, 0, 0, 0, 0,
+        0, 0, 0),
+    ("fileops", "all-on"): (
+        31, 31, 31, 4084, 1787, 0, 31, 31, 0, 0, 0, 1, 6, 6, 6, 6, 6, 0, 0, 0,
+        0, 0, 2, 1, 0),
+    ("ipc", "all-on"): (
+        6, 6, 6, 111, 70, 0, 6, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0),
+    ("batchio", "all-on"): (
+        7, 7, 7, 6365, 4640, 6, 132, 132, 0, 0, 0, 0, 1, 1, 64, 2, 1, 0, 0, 0,
+        0, 0, 0, 1, 0),
+    ("writeburst", "all-on"): (
+        7, 7, 7, 263087, 4632, 6, 68, 68, 0, 0, 0, 0, 1, 9, 64, 3, 2, 0, 0, 0,
+        0, 0, 0, 0, 0),
+    ("binderburst", "all-on"): (
+        4, 4, 4, 10562, 112, 4, 26, 26, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 24, 2, 2,
+        0, 0, 0, 0),
+    ("fleet", "all-on"): (
+        240, 240, 240, 1660646, 63168, 144, 2472, 2472, 0, 0, 0, 0, 48, 240,
+        1560, 72, 25, 0, 768, 24, 1, 0, 0, 0, 0),
+}
+"""The deleted counters as the bus-derived registry reported them over
+one ``run_traced`` capture at the commit before their deletion (columns
+as :data:`AUDIT_COLUMNS`; the last three are the page cache's own)."""
+
+
+def _moved(before, after, path):
+    """How far one dotted ``stats()`` counter moved; 0 when the feature
+    is off (its section is ``None``)."""
+    for key in path.split("."):
+        if after is None:
+            return 0
+        before, after = before[key], after[key]
+    return after - before
+
+
+@pytest.mark.parametrize("workload,config", sorted(AUDIT_TABLE))
+def test_component_counters_equal_the_deleted_counters(workload, config):
+    world, _ = boot_obs_world(**AUDIT_CONFIGS[config])
+    before = world.anception.stats()
+    run_traced(workload, world=world, logcat=False)
+    after = world.anception.stats()
+    assert world.clock.faults is None
+    measured = {
+        name: sum(_moved(before, after, path) for path in paths)
+        for name, paths in AUDIT_COLUMNS
+    }
+    expected = dict(zip([name for name, _ in AUDIT_COLUMNS],
+                        AUDIT_TABLE[workload, config]))
+    assert measured == expected

@@ -122,9 +122,10 @@ class TestPoolSizeEquivalence:
 
     def test_single_cvm_world_is_the_classic_world(self):
         """cvms=1 (the default) runs the identical transport: same lane
-        name, same guest label, same stats shape, no pool keys."""
+        name, same guest label, and the one stats schema (pool keys
+        included)."""
         classic = AnceptionWorld()
         assert len(classic.pool) == 1
         assert classic.pool.default_lane.cvm.lane == "cvm"
         stats = classic.anception.stats()
-        assert "pool" not in stats and "per_cvm" not in stats
+        assert "pool" in stats and "per_cvm" in stats
