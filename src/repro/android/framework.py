@@ -96,6 +96,7 @@ class AndroidSystem:
             kernel.input_device = input_device
             add_device(rootfs, "dev/input/event0", input_device, mode=0o660)
             self.ui_stack = UIStack(input_device, framebuffer)
+            kernel.ui_stack = self.ui_stack
 
         self.binder_driver = BinderDriver(
             kernel, self.service_manager, self.ui_stack

@@ -27,9 +27,6 @@ class SimClock:
 
     def __init__(self, start_ns=0):
         self._now_ns = int(start_ns)
-        self._charges = []
-        self._charge_base = 0
-        self._trace_depth = 0
         self._lane_busy = {}
         self._overlap_lane = None
         self._overlap_cursor = 0
@@ -38,8 +35,8 @@ class SimClock:
         plain attribute so hot paths read it without ``getattr``."""
         self._bus = None
         self.dormant = True
-        """True while no overlap window, charge trace or bus capture is
-        open, so a charge is one integer add on ``_now_ns``.  A plain
+        """True while no overlap window or bus capture is open, so a
+        charge is one integer add on ``_now_ns``.  A plain
         attribute for hot paths; :meth:`_refresh_dormant` recomputes it
         wherever one of those states opens or closes."""
 
@@ -56,7 +53,7 @@ class SimClock:
 
     def _refresh_dormant(self):
         bus = self._bus
-        self.dormant = (self._overlap_lane is None and not self._trace_depth
+        self.dormant = (self._overlap_lane is None
                         and (bus is None or not bus._depth))
 
     @property
@@ -74,7 +71,7 @@ class SimClock:
 
         Args:
             delta_ns: non-negative duration to add.
-            reason: short label recorded when tracing is enabled.
+            reason: short label recorded by an open bus capture.
         """
         # Fast path: a dormant clock advances by one integer add.  This
         # is the overwhelmingly common case in timed benchmark passes,
@@ -98,72 +95,13 @@ class SimClock:
             # not to host-visible time: the host task keeps running while
             # the lane (the CVM) works.  ``wait_for`` reconciles at fences.
             self._overlap_cursor += delta_ns
-            if delta_ns:
-                if self._trace_depth:
-                    self._charges.append((reason or "unlabelled", delta_ns))
-                bus = self._bus
-                if bus is not None and bus.enabled:
-                    bus.on_charge(
-                        reason or "unlabelled", delta_ns, self._overlap_cursor
-                    )
-            return
-        self._now_ns += delta_ns
-        if delta_ns:
-            if self._trace_depth:
-                self._charges.append((reason or "unlabelled", delta_ns))
-            bus = self._bus
-            if bus is not None and bus.enabled:
-                bus.on_charge(reason or "unlabelled", delta_ns, self._now_ns)
-
-    @property
-    def _trace_enabled(self):
-        return self._trace_depth > 0
-
-    def enable_trace(self):
-        """Start (or nest into) charge recording; returns a marker.
-
-        Calls nest: an inner ``enable_trace``/``disable_trace`` pair
-        leaves an outer caller's in-progress trace intact.  The returned
-        marker can be passed to :meth:`charges_since` to read only the
-        charges recorded after this call.
-        """
-        self._trace_depth += 1
-        if self._trace_depth == 1:
-            self._charges = []
-            self._charge_base = 0
-        self.dormant = False
-        return self._charge_base + len(self._charges)
-
-    def disable_trace(self):
-        """Leave one level of charge recording (never below zero)."""
-        if self._trace_depth > 0:
-            self._trace_depth -= 1
-            self._refresh_dormant()
-
-    def charges_since(self, marker):
-        """Charges recorded since ``marker`` (from :meth:`enable_trace`).
-
-        Markers are *absolute* positions in the charge stream: a
-        :meth:`drain_trace` between ``enable_trace`` and this call
-        rebases rather than invalidates them, so a nested tracer never
-        reads another window's charges by a stale index.  Charges the
-        drain already consumed are gone — only the still-recorded tail
-        of the marker's window is returned.
-        """
-        return list(self._charges[max(0, marker - self._charge_base):])
-
-    def drain_trace(self):
-        """Return and clear the recorded charges.
-
-        Draining while other tracers hold :meth:`enable_trace` markers
-        used to silently corrupt their :meth:`charges_since` slices
-        (markers indexed a list that just shrank).  Markers are now
-        rebased through ``_charge_base``, so nested windows keep
-        resolving to the correct charges after a drain.
-        """
-        charges, self._charges = self._charges, []
-        self._charge_base += len(charges)
-        return charges
+            now_ns = self._overlap_cursor
+        else:
+            self._now_ns += delta_ns
+            now_ns = self._now_ns
+        bus = self._bus
+        if delta_ns and bus is not None and bus._depth:
+            bus.on_charge(reason or "unlabelled", delta_ns, now_ns)
 
     def measure(self):
         """Return a context manager measuring elapsed simulated time.

@@ -169,6 +169,9 @@ class Kernel:
         """True when this kernel carries the Anception modules (both the
         host and the guest kernel of an Anception device do)."""
         self.input_device = None
+        self.ui_stack = None
+        """The host :class:`~repro.android.ui.UIStack` when this kernel
+        owns the display; a reaped task's windows are destroyed there."""
         self.log_device = None
         self.syscall_log = []
         self.syscall_log_enabled = False
@@ -230,6 +233,8 @@ class Kernel:
             task.address_space = None
         task.state = TaskState.ZOMBIE
         task.exit_code = exit_code
+        if self.ui_stack is not None:
+            self.ui_stack.destroy_windows_of(task)
         if task.proxy is not None and task.proxy.kernel is not self:
             # mirror the death onto the CVM proxy
             task.proxy.kernel.reap_task(task.proxy, exit_code)

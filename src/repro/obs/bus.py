@@ -7,8 +7,8 @@ for its bus and, when capturing is active, emits records:
   (``syscall``, ``world-switch``, ``channel-copy``, ``binder-txn``,
   ``proxy``);
 * **events** — instantaneous markers (``irq``, ``page-fault``);
-* **charges** — the raw ``(reason, delta_ns)`` pairs the clock records,
-  mirrored onto the bus so latency breakdowns are one more view of the
+* **charges** — the raw ``(reason, delta_ns)`` pair of every non-zero
+  ``clock.advance``, so latency breakdowns are one more view of the
   same stream.
 
 Two invariants hold by construction:
@@ -21,8 +21,8 @@ Two invariants hold by construction:
    when no capture is active; no records, no allocation of span state.
 
 Captures nest (depth-counted): an inner ``with bus.capture()`` sees only
-its own window while the outer capture keeps everything, fixing the
-re-entrancy hazard the old flat charge trace had.
+its own window while the outer capture keeps everything.  A capture is
+the only charge recorder; the clock keeps no trace of its own.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ NULL_SPAN = _NullSpan()
 
 
 class ChargeRecord:
-    """One mirrored clock charge, slotted instead of a per-call dict.
+    """One recorded clock charge, slotted instead of a per-call dict.
 
     Charges are the highest-volume record kind on the bus (every
     non-zero ``clock.advance`` during a capture emits one), so they
@@ -258,11 +258,6 @@ class TraceBus:
         self.clock._refresh_dormant()
         return window
 
-    def drain(self):
-        """Return and clear everything recorded so far."""
-        records, self.records = self.records, []
-        return records
-
     # -- emission ------------------------------------------------------------
 
     def _next_seq(self):
@@ -320,7 +315,7 @@ class TraceBus:
         return record
 
     def on_charge(self, reason, delta_ns, now_ns):
-        """Mirror one clock charge onto the bus (called by SimClock)."""
+        """Record one clock charge (called by SimClock under a capture)."""
         self._seq += 1
         self.records.append(
             ChargeRecord(reason, now_ns - delta_ns, delta_ns, self._seq)

@@ -14,21 +14,9 @@ workload inputs; what is *reported* is measured.
 
 from __future__ import annotations
 
-from repro.android.binder import BINDER_WRITE_READ, IOC_WAIT_INPUT_EVT, Transaction
+from repro.android.binder import is_ui_transaction
 from repro.workloads.apps import popular_apps
 from repro.world import NativeWorld
-
-
-def _is_ui_ioctl(ui_names, args):
-    if len(args) < 2:
-        return False
-    _fd, request = args[0], args[1]
-    arg = args[2] if len(args) > 2 else None
-    if request == IOC_WAIT_INPUT_EVT:
-        return True
-    if request == BINDER_WRITE_READ and isinstance(arg, Transaction):
-        return arg.target in ui_names
-    return False
 
 
 def profile_app(world, app):
@@ -46,7 +34,9 @@ def profile_app(world, app):
     total = len(entries)
     ui_names = world.system.ui_service_names()
     ioctls = [e for e in entries if e[1] == "ioctl"]
-    ui_ioctls = [e for e in ioctls if _is_ui_ioctl(ui_names, e[3])]
+    # ``libc.ioctl`` logs its args as ``(fd, request, arg)``.
+    ui_ioctls = [e for e in ioctls
+                 if is_ui_transaction(ui_names, e[3][1], e[3][2])]
     return {
         "app": getattr(app, "app_name", app.package),
         "total_syscalls": total,

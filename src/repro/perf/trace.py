@@ -7,10 +7,9 @@ merely asserts) the anatomy of Table I — e.g. that a redirected 4 KB
 write is two world switches, one channel copy, and a native write
 executed in the guest.
 
-Since it became a view over :class:`repro.obs.TraceBus` captures,
-``breakdown`` nests safely: calling it while an outer trace (bus capture
-or legacy ``clock.enable_trace``) is in progress leaves the outer trace
-intact and complete.
+As a view over :class:`repro.obs.TraceBus` captures (the only charge
+recorder), ``breakdown`` nests safely: calling it inside an outer
+``bus.capture()`` leaves the outer capture intact and complete.
 """
 
 from __future__ import annotations

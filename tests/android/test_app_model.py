@@ -5,6 +5,7 @@ import pytest
 from repro.android.app import App, AppManifest
 from repro.errors import SimulationError, SyscallError
 from repro.kernel.process import Credentials, FIRST_APP_UID
+from repro.obs.bus import TraceBus
 from repro.world import AnceptionWorld, NativeWorld
 
 
@@ -161,9 +162,8 @@ class TestAppContext:
         ctx = world.launch(DemoApp()).ctx
         clock = world.clock
         unit_ns = world.machine.costs.cpu_unit_ns
-        for traced in (False, True):
-            if traced:
-                clock.enable_trace()
+
+        def check():
             before = clock.now_ns
             ctx.compute(2.5)
             assert clock.now_ns - before == int(2.5 * unit_ns)
@@ -171,5 +171,8 @@ class TestAppContext:
             with pytest.raises(ValueError):
                 ctx.compute(-1)
             assert clock.now_ns - before == int(2.5 * unit_ns)
-        clock.disable_trace()
+
+        check()
+        with TraceBus.install(clock).capture():
+            check()
         assert clock.dormant

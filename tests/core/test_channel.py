@@ -5,6 +5,7 @@ import pytest
 from repro.core.channel import AnceptionChannel
 from repro.hypervisor import LguestHypervisor
 from repro.kernel.kernel import Machine
+from repro.obs.bus import TraceBus
 from repro.perf.costs import PAGE_SIZE
 
 
@@ -35,9 +36,9 @@ class TestTransfers:
 
     def test_large_transfer_crosses_in_chunks(self, channel, machine):
         data = b"z" * (3 * PAGE_SIZE + 10)
-        machine.clock.enable_trace()
-        channel.send_to_guest(data)
-        charges = machine.clock.drain_trace()
+        with TraceBus.install(machine.clock).capture() as capture:
+            channel.send_to_guest(data)
+        charges = capture.charges()
         chunk_charges = [c for c in charges if c[0] == "channel:chunk"]
         assert len(chunk_charges) == 4  # ceil(3*4096+10 / 4096)
 
@@ -116,9 +117,8 @@ class TestZeroCopySingleCrc:
         # The instrumented (non-dormant) walk takes the chunked span
         # path; the single-CRC discipline must hold there too.
         calls = self._count_crcs(monkeypatch)
-        machine.clock.enable_trace()
-        channel.send_to_guest(b"t" * (PAGE_SIZE + 3))
-        machine.clock.disable_trace()
+        with TraceBus.install(machine.clock).capture():
+            channel.send_to_guest(b"t" * (PAGE_SIZE + 3))
         assert len(calls) == 1
 
     def test_fault_rewritten_payload_gets_a_fresh_crc(
@@ -155,9 +155,8 @@ class TestZeroCopySingleCrc:
 
         monkeypatch.setattr(channel.shared, "write", recording_write)
         channel.send_to_guest(data)  # dormant fast path
-        machine.clock.enable_trace()
-        channel.send_to_guest(data)  # instrumented walk
-        machine.clock.disable_trace()
+        with TraceBus.install(machine.clock).capture():
+            channel.send_to_guest(data)  # instrumented walk
         assert len(seen) == 6  # 3 chunks per transfer
         for chunk in seen:
             assert type(chunk) is memoryview

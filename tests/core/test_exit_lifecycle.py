@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.android.app import App, AppManifest
 from repro.kernel import vfs
 from repro.kernel.kernel import KernelCrashed
+from repro.obs.bus import TraceBus
 from repro.world import AnceptionWorld
 
 
@@ -123,9 +124,9 @@ class TestExitFlushesWindows:
                                vfs.O_RDWR | vfs.O_CREAT)
         app.ctx.libc.write(fd, b"sync")
         pid = app.task.pid
-        world.clock.enable_trace()
-        app.ctx.libc.exit(0)
-        charges = {reason for reason, _ in world.clock.drain_trace()}
+        with TraceBus.install(world.clock).capture() as capture:
+            app.ctx.libc.exit(0)
+        charges = {reason for reason, _ in capture.charges()}
         assert not any(reason.startswith("anception:") for reason in charges)
         assert_no_per_pid_state(world.anception, [pid])
 
@@ -137,6 +138,38 @@ class TestExitFlushesWindows:
         assert not proxy_task.is_alive()
         assert proxy_task.exit_code == 3
         assert world.anception.stats()["proxies"] == 0
+
+
+def _window_cycles(world, cycles):
+    """Launch, open a window and exit ``cycles`` times in one world."""
+    ui = world.ui
+    for index in range(cycles):
+        app = _launch(world, index)
+        app.ctx.create_window(f"w{index}")
+        app.ctx.libc.exit(0)
+        focused = ui.focused_window
+        assert focused is None or focused.owner_task.is_alive()
+    return len(ui.windows), len(ui._first_window)
+
+
+class TestExitClosesWindows:
+    """Reaping a task on the host destroys its windows in the UI stack."""
+
+    def test_window_count_does_not_grow_with_exit_cycles(self):
+        short = _window_cycles(AnceptionWorld(), 5)
+        long = _window_cycles(AnceptionWorld(), 20)
+        assert short == long
+
+    def test_reaped_app_leaves_no_window(self):
+        world = AnceptionWorld()
+        app = _launch(world, 0)
+        app.ctx.create_window("gone")
+        task = app.task
+        assert world.ui.window_of(task) is not None
+        app.ctx.libc.exit(0)
+        assert world.ui.window_of(task) is None
+        assert all(w.owner_task is not task
+                   for w in world.ui.windows.values())
 
 
 def _put(model, offset, data):

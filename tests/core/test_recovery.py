@@ -17,6 +17,7 @@ from repro.faults.engine import FaultEngine
 from repro.kernel import vfs
 from repro.kernel.kernel import KernelCrashed
 from repro.kernel.memory import MAP_ANONYMOUS, PROT_READ, PROT_WRITE
+from repro.obs.bus import TraceBus
 from repro.perf.costs import PAGE_SIZE
 from repro.world import AnceptionWorld
 from tests.conftest import ScratchApp
@@ -131,13 +132,12 @@ class TestAutomaticRecovery:
     def test_backoff_charged_between_attempts(self, chaos_world,
                                               enrolled_ctx):
         engine = arm(chaos_world, "channel.corrupt:nth=1")
-        chaos_world.clock.enable_trace()
         try:
-            enrolled_ctx.libc.stat(enrolled_ctx.data_path("seed.txt"))
+            with TraceBus.install(chaos_world.clock).capture() as capture:
+                enrolled_ctx.libc.stat(enrolled_ctx.data_path("seed.txt"))
         finally:
             engine.disarm()
-        charges = [reason for reason, _ in
-                   chaos_world.clock.drain_trace()]
+        charges = [reason for reason, _ in capture.charges()]
         assert "anception:retry-backoff" in charges
 
     def test_dropped_irq_resignalled(self, chaos_world, enrolled_ctx):
@@ -238,8 +238,6 @@ class TestRebootRebinding:
 
     def test_reboot_emits_channels_rebound_event(self, chaos_world,
                                                  enrolled_ctx):
-        from repro.obs.bus import TraceBus
-
         bus = TraceBus.install(chaos_world.clock)
         engine = arm(chaos_world, "cvm.crash:nth=1:call=open")
         try:

@@ -325,7 +325,7 @@ class TestDormantClockResume:
     def _agrees(clock):
         bus = clock.bus
         return clock.dormant == (
-            clock._overlap_lane is None and not clock._trace_depth
+            clock._overlap_lane is None
             and (bus is None or not bus._depth))
 
     def test_previous_version_blob_is_refused_cleanly(self, anception_world):
@@ -335,14 +335,12 @@ class TestDormantClockResume:
                            f"version {SNAPSHOT_VERSION - 1}"):
             restore_world(bytes(blob))
 
-    @pytest.mark.parametrize("state", ["idle", "bus", "trace", "capture"])
+    @pytest.mark.parametrize("state", ["idle", "bus", "capture"])
     def test_resumed_clock_agrees_with_its_state(self, anception_world,
                                                  state):
         clock = anception_world.clock
         if state in ("bus", "capture"):
             bus = TraceBus.install(clock)
-        if state == "trace":
-            clock.enable_trace()
         if state == "capture":
             with bus.capture():
                 blob = anception_world.snapshot()

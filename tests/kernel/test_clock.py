@@ -83,137 +83,6 @@ class TestMeasure:
         assert outer.elapsed_ns == 15
 
 
-class TestTrace:
-    def test_trace_records_reasons(self):
-        clock = SimClock()
-        clock.enable_trace()
-        clock.advance(10, "alpha")
-        clock.advance(20, "beta")
-        charges = clock.drain_trace()
-        assert charges == [("alpha", 10), ("beta", 20)]
-
-    def test_trace_skips_zero_charges(self):
-        clock = SimClock()
-        clock.enable_trace()
-        clock.advance(0, "nothing")
-        assert clock.drain_trace() == []
-
-    def test_drain_clears(self):
-        clock = SimClock()
-        clock.enable_trace()
-        clock.advance(10, "x")
-        clock.drain_trace()
-        assert clock.drain_trace() == []
-
-    def test_disabled_trace_records_nothing(self):
-        clock = SimClock()
-        clock.advance(10, "x")
-        assert clock.drain_trace() == []
-
-
-class TestTraceNesting:
-    """enable/disable nest: an inner trace can't destroy an outer one."""
-
-    def test_nested_enable_preserves_outer_charges(self):
-        clock = SimClock()
-        clock.enable_trace()
-        clock.advance(10, "outer")
-        marker = clock.enable_trace()
-        clock.advance(5, "inner")
-        assert clock.charges_since(marker) == [("inner", 5)]
-        clock.disable_trace()
-        clock.advance(7, "outer-again")
-        assert clock.drain_trace() == [
-            ("outer", 10), ("inner", 5), ("outer-again", 7),
-        ]
-        clock.disable_trace()
-
-    def test_inner_disable_keeps_tracing_enabled(self):
-        clock = SimClock()
-        clock.enable_trace()
-        clock.enable_trace()
-        clock.disable_trace()
-        clock.advance(3, "still-traced")
-        assert clock.drain_trace() == [("still-traced", 3)]
-        clock.disable_trace()
-
-    def test_disable_never_goes_negative(self):
-        clock = SimClock()
-        clock.disable_trace()
-        clock.enable_trace()
-        clock.advance(1, "x")
-        assert clock.drain_trace() == [("x", 1)]
-
-    def test_first_enable_clears_stale_charges(self):
-        clock = SimClock()
-        clock.enable_trace()
-        clock.advance(1, "old")
-        clock.disable_trace()
-        clock.enable_trace()
-        clock.advance(2, "new")
-        assert clock.drain_trace() == [("new", 2)]
-        clock.disable_trace()
-
-
-class TestDrainRebasesMarkers:
-    """drain_trace under nesting: markers rebase instead of going stale.
-
-    Pre-fix, ``drain_trace`` cleared ``_charges`` while an inner
-    ``enable_trace`` marker still indexed the old list, so
-    ``charges_since(marker)`` silently sliced the wrong window.
-    """
-
-    def test_marker_survives_a_drain(self):
-        clock = SimClock()
-        clock.enable_trace()
-        clock.advance(10, "outer")
-        marker = clock.enable_trace()
-        clock.advance(5, "inner-before-drain")
-        assert clock.drain_trace() == [
-            ("outer", 10), ("inner-before-drain", 5),
-        ]
-        clock.advance(7, "inner-after-drain")
-        # The stale-index bug returned [] here: marker 1 sliced past the
-        # single post-drain charge.  Rebasing keeps the window honest —
-        # the drain consumed the earlier charges, the tail remains.
-        assert clock.charges_since(marker) == [("inner-after-drain", 7)]
-        clock.disable_trace()
-        clock.disable_trace()
-
-    def test_marker_taken_after_a_drain_reads_only_its_window(self):
-        clock = SimClock()
-        clock.enable_trace()
-        clock.advance(3, "before")
-        clock.drain_trace()
-        marker = clock.enable_trace()
-        clock.advance(4, "after")
-        assert clock.charges_since(marker) == [("after", 4)]
-        clock.disable_trace()
-        clock.disable_trace()
-
-    def test_repeated_drains_keep_rebasing(self):
-        clock = SimClock()
-        marker = clock.enable_trace()
-        for n in (1, 2, 3):
-            clock.advance(n, f"charge-{n}")
-            clock.drain_trace()
-        clock.advance(9, "tail")
-        assert clock.charges_since(marker) == [("tail", 9)]
-        clock.disable_trace()
-
-    def test_fresh_enable_after_full_teardown_resets_base(self):
-        clock = SimClock()
-        clock.enable_trace()
-        clock.advance(1, "x")
-        clock.drain_trace()
-        clock.disable_trace()
-        marker = clock.enable_trace()
-        clock.advance(2, "y")
-        assert marker == 0
-        assert clock.charges_since(marker) == [("y", 2)]
-        clock.disable_trace()
-
-
 class TestOverlapRollback:
     """_OverlapWindow.__exit__: exceptions roll the lane cursor back.
 

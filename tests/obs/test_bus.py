@@ -1,8 +1,11 @@
 """TraceBus: spans, events, captures, and clock neutrality."""
 
+import pytest
+
 from repro.clock import SimClock
 from repro.kernel import vfs
 from repro.obs.bus import NULL_SPAN, LogcatSink, TraceBus, maybe_span
+from repro.obs.runner import TRACE_WORKLOADS, run_traced
 from repro.perf.costs import PAGE_SIZE
 
 
@@ -90,6 +93,19 @@ class TestCaptureNesting:
             "before", "inside", "after",
         ]
 
+    def test_outer_capture_keeps_inner_charges_in_order(self):
+        clock = SimClock()
+        bus = TraceBus.install(clock)
+        with bus.capture() as outer:
+            clock.advance(10, "outer")
+            with bus.capture() as inner:
+                clock.advance(5, "inner")
+            clock.advance(7, "outer-again")
+        assert inner.charges() == [("inner", 5)]
+        assert outer.charges() == [
+            ("outer", 10), ("inner", 5), ("outer-again", 7),
+        ]
+
     def test_records_freed_after_last_capture(self):
         clock = SimClock()
         bus = TraceBus.install(clock)
@@ -99,12 +115,31 @@ class TestCaptureNesting:
         assert not bus.enabled
 
 
+class TestCharges:
+    """A capture records every non-zero clock charge, and nothing else."""
+
+    def test_zero_ns_charge_is_not_recorded(self):
+        clock = SimClock()
+        bus = TraceBus.install(clock)
+        with bus.capture() as capture:
+            clock.advance(0, "nothing")
+            clock.advance(3, "something")
+        assert capture.charges() == [("something", 3)]
+
+    @pytest.mark.parametrize("workload", sorted(TRACE_WORKLOADS))
+    def test_charges_sum_to_elapsed_on_paper_config(self, workload):
+        # Without overlap windows every charge is host time, so the
+        # captured stream accounts for every simulated nanosecond.
+        result = run_traced(workload, logcat=False)
+        charged = sum(r["dur_ns"] for r in result.records
+                      if r["type"] == "charge")
+        assert charged == result.elapsed_ns > 0
+
+
 class TestClockNeutrality:
     """Observability is side-effect-free on simulated time."""
 
     def test_traced_run_has_identical_elapsed_time(self):
-        from repro.obs.runner import run_traced
-
         traced = run_traced("write4k")
         untraced = run_traced("write4k", observe=False)
         assert traced.elapsed_ns == untraced.elapsed_ns

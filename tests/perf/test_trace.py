@@ -3,6 +3,7 @@
 import pytest
 
 from repro.kernel import vfs
+from repro.obs.bus import TraceBus
 from repro.perf.costs import DEFAULT_COSTS, PAGE_SIZE
 from repro.perf.trace import breakdown, format_breakdown
 
@@ -69,19 +70,19 @@ class TestBreakdownReentrancy:
         from repro.clock import SimClock
 
         clock = SimClock()
-        clock.enable_trace()
-        clock.advance(10, "outer:before")
-        _result, totals = breakdown(
-            clock, lambda: clock.advance(5, "inner:work")
-        )
-        clock.advance(7, "outer:after")
+        bus = TraceBus.install(clock)
+        with bus.capture() as outer:
+            clock.advance(10, "outer:before")
+            _result, totals = breakdown(
+                clock, lambda: clock.advance(5, "inner:work")
+            )
+            clock.advance(7, "outer:after")
+            assert bus.enabled
         assert totals == {"inner:work": 0.01}  # 5 ns rounded to 0.01 us
-        # the outer trace saw everything, in order
-        assert clock.drain_trace() == [
+        # the outer capture saw every clock charge, in order
+        assert outer.charges() == [
             ("outer:before", 10), ("inner:work", 5), ("outer:after", 7),
         ]
-        assert clock._trace_enabled
-        clock.disable_trace()
 
     def test_breakdown_inside_breakdown(self, anception_world, enrolled_ctx):
         clock = anception_world.clock
@@ -103,6 +104,7 @@ class TestBreakdownReentrancy:
             self, native_world, native_ctx):
         clock = native_world.clock
         breakdown(clock, native_ctx.libc.getpid)
-        assert not clock._trace_enabled
+        assert not clock.bus.enabled
+        assert clock.dormant
         clock.advance(5, "untraced")
-        assert clock.drain_trace() == []
+        assert clock.bus.records == []

@@ -3,30 +3,28 @@
 Every dormant fast path (``clock.advance``, the kernel's syscall and
 asim-check charges, lguest doorbells, channel transfers, binder, app
 compute, sqlite rows) reads one flag instead of re-testing the overlap
-lane, the trace depth and the bus capture depth.  A stale ``True`` would
-silently skip spans and charges, so this property drives random
-interleavings of everything that opens or closes one of those states —
-nested traces (including ``disable_trace`` at depth 0), overlap windows
+lane and the bus capture depth.  A stale ``True`` would silently skip
+spans and charges, so this property drives random interleavings of
+everything that opens or closes one of those states — overlap windows
 that exit cleanly or raise, nested bus captures, bus install, detach and
-re-attach — and checks the flag against the full predicate after every
-step.
+re-attach — and checks the flag against the two-part predicate after
+every step.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.clock import SimClock
-from repro.obs.bus import TraceBus
+from repro.obs.bus import ChargeRecord, TraceBus
 
 
 def _predicate(clock):
     bus = clock.bus
-    return (clock._overlap_lane is None and not clock._trace_depth
-            and (bus is None or not bus._depth))
+    return clock._overlap_lane is None and (bus is None or not bus._depth)
 
 
 _STEPS = st.lists(
     st.sampled_from((
-        "trace_on", "trace_off", "overlap_enter", "overlap_exit",
+        "overlap_enter", "overlap_exit",
         "overlap_raise", "capture_begin", "capture_end", "install",
         "detach", "reattach", "advance",
     )),
@@ -42,12 +40,6 @@ class _Script:
         self.overlap = None
         self.captures = []
         self.buses = []
-
-    def trace_on(self):
-        self.clock.enable_trace()
-
-    def trace_off(self):
-        self.clock.disable_trace()
 
     def overlap_enter(self):
         window = self.clock.overlap("cvm")
@@ -102,7 +94,8 @@ class _Script:
 
     def advance(self):
         clock = self.clock
-        charges = len(clock._charges)
+        bus = clock.bus
+        records = len(bus.records) if bus is not None else 0
         before = clock.now_ns
         cursor = clock._overlap_cursor
         clock.advance(7, "prop")
@@ -111,8 +104,11 @@ class _Script:
         else:
             assert clock.now_ns == before
             assert clock._overlap_cursor == cursor + 7
-        recorded = len(clock._charges) - charges
-        assert recorded == (1 if clock._trace_depth else 0)
+        if bus is not None:
+            appended = bus.records[records:]
+            assert len(appended) == (1 if bus._depth else 0)
+            assert all(isinstance(r, ChargeRecord) and r.dur_ns == 7
+                       for r in appended)
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,8 +5,8 @@ speedup, so two families of properties pin it:
 
 * **Seed-world equivalence** — the simulated behavior of every gated
   workload (fileops/batchio/writeburst/fleet, at 1 and 4 CVMs) is
-  digested as (elapsed sim ns, charge count, sha256 of the full traced
-  charge stream) and compared against the digests captured on the
+  digested as (elapsed sim ns, charge count, sha256 of the charge
+  stream a bus capture records) and compared against the digests captured on the
   pre-rebuild engine.  Any drift — one extra charge, one nanosecond, one
   reordered reason string — fails; zero-copy buffers and dormant fast
   paths must be invisible to simulated time.  ``STEADY_DIGESTS`` pins
@@ -57,25 +57,24 @@ def _boot(workload, cvms=1):
 def _digest(workload, cvms):
     """(elapsed sim ns, charge count, charge-stream sha) for a workload.
 
-    Two traced steady-state iterations (after one warm-up inside
+    Two captured steady-state iterations (after one warm-up inside
     ``boot_obs_world``'s fresh world) for the app workloads; the fleet
-    driver runs once against the whole world.  Tracing is live for the
-    whole window, so the digest covers the *instrumented* code path —
+    driver runs once against the whole world.  A bus capture is open for
+    the whole window, so the digest covers the *instrumented* code path —
     the one the dormant fast paths must never diverge from.
     """
     world, ctx = _boot(workload, cvms)
     fn = TRACE_WORKLOADS[workload]
     clock = world.clock
-    marker = clock.enable_trace()
-    start = clock.now_ns
-    if getattr(fn, "needs_world", False):
-        fn(world)
-    else:
-        _iterate(ctx, workload, 1)
-        _iterate(ctx, workload, 1)
-    elapsed = clock.now_ns - start
-    charges = clock.charges_since(marker)
-    clock.disable_trace()
+    with TraceBus.install(clock).capture() as capture:
+        start = clock.now_ns
+        if getattr(fn, "needs_world", False):
+            fn(world)
+        else:
+            _iterate(ctx, workload, 1)
+            _iterate(ctx, workload, 1)
+        elapsed = clock.now_ns - start
+    charges = capture.charges()
     sha = hashlib.sha256(repr(charges).encode()).hexdigest()[:16]
     return elapsed, len(charges), sha
 
@@ -88,7 +87,7 @@ def test_sim_digest_matches_seed_world(workload, cvms):
 def test_dormant_run_elapses_identical_sim_time():
     """The untraced (fast-path) run charges the same simulated time.
 
-    The charge *stream* only exists under trace, but elapsed simulated
+    The charge *stream* only exists under a bus capture, but elapsed simulated
     time is observable either way — the dormant integer-add fast paths
     must land on the same nanosecond as the instrumented walk.
     """
@@ -161,18 +160,18 @@ def _app_digest(traced):
     """(elapsed sim ns, charge count, charge-stream sha) of the stream.
 
     Untraced runs report only the elapsed time: the charge stream exists
-    only under trace.
+    only under a bus capture.
     """
     world, ctx = boot_obs_world()
     clock = world.clock
-    marker = clock.enable_trace() if traced else None
     start = clock.now_ns
-    _app_stream(ctx)
-    elapsed = clock.now_ns - start
     if not traced:
-        return elapsed
-    charges = clock.charges_since(marker)
-    clock.disable_trace()
+        _app_stream(ctx)
+        return clock.now_ns - start
+    with TraceBus.install(clock).capture() as capture:
+        _app_stream(ctx)
+    elapsed = clock.now_ns - start
+    charges = capture.charges()
     sha = hashlib.sha256(repr(charges).encode()).hexdigest()[:16]
     return elapsed, len(charges), sha
 
