@@ -22,11 +22,13 @@ from repro.android.binder import (
     IOC_WAIT_INPUT_EVT,
     Transaction,
     TransactionLog,
+    is_ui_transaction,
 )
 from repro.core.channel import AnceptionChannel
 from repro.core.cvm import ContainerVM
 from repro.core.exec_cache import ExecutionCache
 from repro.core.marshal import (
+    FD_ALLOCATING_CALLS,
     FdTranslationTable,
     RemoteFdStub,
     marshal_call,
@@ -456,7 +458,7 @@ class AnceptionLayer:
             # Anything the window can't defer forces the queued writes
             # out first, preserving program order.
             self._batch.flush()
-        lane = self._lane(task)
+        lane = self.pool.lane_for(task)
         if lane.write_behind is not None:
             if translated is None and self._wb_accepts(task, name, args,
                                                        kwargs, lane=lane):
@@ -467,7 +469,8 @@ class AnceptionLayer:
             # the drain's completions write through before any cached
             # read below can hit.
             self._wb_fence(task, name, args, lane=lane)
-        if translated is None and not kwargs:
+        if translated is None and not kwargs \
+                and lane.page_cache is not None:
             served = self._cache_lookup(task, name, args, lane=lane)
             if served is not None:
                 return served[0]
@@ -582,14 +585,15 @@ class AnceptionLayer:
 
     def _ensure_container(self, lane, name):
         """Refuse (or repair) forwarding into a dead/compromised CVM."""
-        if lane.cvm.crashed:
+        kernel = lane.cvm.kernel
+        if kernel.crashed:
             if self.recovery.enabled and self.recovery.reboot_on_crash:
                 self._recover_reboot(lane, f"container down before {name}")
             else:
                 raise SyscallError(
                     errno.EIO, "container VM is down", call=name
                 )
-        if lane.cvm.compromised and self.recovery.enabled \
+        if kernel.compromised_by is not None and self.recovery.enabled \
                 and self.recovery.reboot_on_compromise:
             self._recover_reboot(lane, "container compromised")
 
@@ -647,7 +651,8 @@ class AnceptionLayer:
         """
         if lane is None:
             lane = self._lane(task)
-        if not lane.channel.submit_ring.free_slots():
+        ring = lane.channel.submit_ring
+        if len(ring._queue) >= ring.depth:
             self.flush(task, reason="ring-full", lane=lane)
         lane.proxies.proxy_for(task)  # not enrolled -> SimulationError
         table = self._fd_table(task)
@@ -658,6 +663,7 @@ class AnceptionLayer:
         slab = None
         prestaged = wire is not None
         clock = self.machine.clock
+        costs = self.machine.costs
         if wire is None:
             if self.crypto_fs is not None and args:
                 call_args, crypto_offset = self._crypto_outbound(
@@ -666,14 +672,16 @@ class AnceptionLayer:
             wire, _size, slab = marshal_call_into(
                 self.slab_pool, name, call_args, kwargs
             )
-            clock.advance(
-                self.machine.costs.marshal_fixed_ns, "anception:marshal"
-            )
-        clock.advance(
-            self.machine.costs.proxy_dispatch_ns, "anception:proxy-post"
-        )
+            if clock.dormant:
+                clock._now_ns += costs.marshal_fixed_ns
+            else:
+                clock.advance(costs.marshal_fixed_ns, "anception:marshal")
+        if clock.dormant:
+            clock._now_ns += costs.proxy_dispatch_ns
+        else:
+            clock.advance(costs.proxy_dispatch_ns, "anception:proxy-post")
         try:
-            seq = lane.channel.submit_ring.push(
+            seq = ring.push(
                 name, wire,
                 flags=ring_flags if ring_flags
                 else (RING_FLAG_WRITE_BEHIND if prestaged else 0),
@@ -785,8 +793,11 @@ class AnceptionLayer:
                 "aborted by earlier failure in batch",
                 call=pending.name,
             )
-        adopted = self._adopt_result(pending.task, pending.name,
-                                     pending.args, value)
+        if pending.name in FD_ALLOCATING_CALLS:
+            adopted = self._adopt_result(pending.task, pending.name,
+                                         pending.args, value)
+        else:
+            adopted = value
         if lane.page_cache is not None and self.crypto_fs is None:
             self._cache_observe(pending.task, pending.name, pending.args,
                                 adopted, lane=lane)
@@ -806,7 +817,8 @@ class AnceptionLayer:
         bounded retries are exhausted the call stalls out as a
         recoverable :class:`ChannelStalled` instead of hanging forever.
         """
-        if lane.channel.signal_guest(name, coalesced=coalesced):
+        hypervisor = lane.channel.hypervisor
+        if hypervisor.inject_interrupt(name, coalesced=coalesced):
             return
         for _ in range(self.recovery.signal_retries):
             self.machine.clock.advance(
@@ -814,7 +826,7 @@ class AnceptionLayer:
             )
             self._recovered("resignal-irq", name, task=task,
                             kernel=self.host_kernel.label, call=name)
-            if lane.channel.signal_guest(name, coalesced=coalesced):
+            if hypervisor.inject_interrupt(name, coalesced=coalesced):
                 return
         raise ChannelStalled("to-guest", f"irq lost for {name}")
 
@@ -825,7 +837,7 @@ class AnceptionLayer:
         the shared pages, so the host times out and polls them out —
         one timeout per doorbell, however many descriptors it covered.
         """
-        if lane.channel.signal_host(name, coalesced=coalesced):
+        if lane.channel.hypervisor.hypercall(name, coalesced=coalesced):
             return
         self.machine.clock.advance(
             self.recovery.signal_timeout_ns, "anception:hypercall-poll"
@@ -874,21 +886,25 @@ class AnceptionLayer:
         return getattr(desc, "offset", 0)
 
     def _adopt_result(self, task, name, args, result):
-        """Map resource-allocating results back into the host fd space."""
+        """Map a resource-allocating result (``name`` is one of
+        :data:`~repro.core.marshal.FD_ALLOCATING_CALLS`) back into the
+        host fd space."""
         table = self._fd_table(task)
-        if name in ("open", "socket", "accept") and isinstance(result, int):
-            label = args[0] if name == "open" and args else name
-            host_fd = task.alloc_fd(RemoteFdStub(result, str(label)))
-            table.bind(host_fd, result)
-            return host_fd
-        if name == "pipe" and isinstance(result, tuple):
+        if name == "pipe":
+            if not isinstance(result, tuple):
+                return result
             host_fds = []
             for proxy_fd in result:
                 host_fd = task.alloc_fd(RemoteFdStub(proxy_fd, "pipe"))
                 table.bind(host_fd, proxy_fd)
                 host_fds.append(host_fd)
             return tuple(host_fds)
-        return result
+        if not isinstance(result, int):
+            return result
+        label = args[0] if name == "open" and args else name
+        host_fd = task.alloc_fd(RemoteFdStub(result, str(label)))
+        table.bind(host_fd, result)
+        return host_fd
 
     # ------------------------------------------------------------------
     # host-side page cache for delegated reads
@@ -915,19 +931,18 @@ class AnceptionLayer:
             return None
         return desc
 
-    def _cache_lookup(self, task, name, args, lane=None):
-        """Serve a redirected read from the page cache, if warm.
+    def _cache_lookup(self, task, name, args, lane):
+        """Serve a redirected read from ``lane``'s page cache, if warm.
 
         Returns ``(result,)`` on a hit, ``None`` to forward the call
         unchanged (the demand-miss path is byte-identical to the classic
         redirect).  A hit skips both doorbells and the channel copy and
         pays only ``cache_hit_ns`` per page.  Crypto-FS files, non-file
         descriptors, and a crashed/compromised container all bypass.
+        The caller has checked that the lane has a cache.
         """
-        if lane is None:
-            lane = self._lane(task)
         cache = lane.page_cache
-        if cache is None or self.crypto_fs is not None:
+        if self.crypto_fs is not None:
             return None
         if name not in ("read", "pread64") or len(args) < 2:
             return None
@@ -1208,7 +1223,7 @@ class AnceptionLayer:
             lane = self._lane(task)
             if lane.binder_ring is not None:
                 self._settle(lane, lane.binder_ring, task, "wait-input")
-        if self.policy.ioctl_is_ui(request, arg):
+        if is_ui_transaction(self.policy.ui_service_names, request, arg):
             return self.host_kernel.execute_native(
                 task, "ioctl", (fd, request, arg), {}
             )

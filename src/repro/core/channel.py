@@ -10,13 +10,20 @@ the channel only owns a handful of pages, so a 16 MB write crosses it in
 Earlier prototypes used sockets and virtio and were abandoned for copy
 overhead; the remapped-pages design is what the cost model calibrates.
 
-Every transfer carries a CRC32 over the payload, so corruption or
-truncation in transit (deliberate, via the fault engine, or a bug) is
-*detected* and surfaces as a typed
-:class:`~repro.errors.ChannelIntegrityError` rather than silently
-handing mangled bytes to the other kernel.  Doorbell signals report
-delivery, so a dropped interrupt is visible to the sender as ``False``
-instead of an indefinite hang.
+Each chunk crosses the shared pages through one checked primitive,
+:meth:`~repro.kernel.memory.PhysicalMemory.cross_frame`: the sending
+side's window, the receiving side's window and the frame range are
+checked and the bytes copied in one step.
+
+Wherever something could rewrite a transfer in transit (an armed fault
+engine) or an observer watches it, the transfer carries a CRC32 over the
+payload, so corruption or truncation is *detected* and surfaces as a
+typed :class:`~repro.errors.ChannelIntegrityError` rather than silently
+handing mangled bytes to the other kernel.  The dormant path has nothing
+to compare against and computes no CRC; the ring's per-descriptor CRC
+framing (:mod:`repro.core.ring`) runs on every path.  The hypervisor's
+doorbells report delivery, so a dropped interrupt is visible to the
+sender as ``False`` instead of an indefinite hang.
 """
 
 from __future__ import annotations
@@ -47,6 +54,11 @@ class AnceptionChannel:
     def __init__(self, hypervisor, costs, num_pages=8, ring_depth=None):
         from repro.core.ring import DelegationRing, default_ring_depth
 
+        if num_pages < 1:
+            # Every chunk crosses the first shared page.
+            raise ChannelError(
+                f"the channel needs at least one shared page, got {num_pages}"
+            )
         self.hypervisor = hypervisor
         self.costs = costs
         self.shared = hypervisor.kmap_guest_pages(num_pages)
@@ -116,58 +128,43 @@ class AnceptionChannel:
         else:
             self.bytes_to_host += size
         clock = self.hypervisor.machine.clock
-        expected_crc = crc32(view)
         engine = clock.faults
+        # One checked crossing per chunk: the sending side writes through
+        # its window, the receiving side's window must cover the frame it
+        # reads the chunk back out of (the kmap window makes both legal).
+        shared = self.shared
+        cross = shared.physical.cross_frame
+        frame = shared.frames[0]
+        guest = shared.guest_window
+        writer, reader = (None, guest) if inbound else (guest, None)
         if engine is None and clock.dormant:
-            # Fully dormant hot path: no fault engine, no trace, no
-            # capture, no overlap lane.  The chunk loop below
-            # is the exact per-chunk arithmetic of costs_charge_chunk
-            # folded into one integer add — simulated time and every
-            # counter are bit-identical to the instrumented path.
+            # Fully dormant hot path: no fault engine, no capture, no
+            # overlap lane.  The per-chunk charge of costs_charge_chunk
+            # is chosen once and folded into one integer add, so
+            # simulated time and every counter are bit-identical to the
+            # instrumented path.  Nothing can rewrite the payload here,
+            # so there is no CRC to compare and none is computed.
             costs = self.costs
-            shared = self.shared
-            chunk_fixed = costs.chunk_fixed_ns
+            chunk_ns = costs.chunk_fixed_ns
+            spans = range(0, size or 1, PAGE_SIZE)
             if inbound and self._bulk_depth:
-                if size <= PAGE_SIZE:
-                    self.bulk_chunks += 1
-                    clock._now_ns += chunk_fixed + costs.wb_drain_page_ns
-                    if size:
-                        shared.write(view, offset=0, from_guest=not inbound)
-                        shared.touch(size, offset=0, from_guest=inbound)
-                else:
-                    bulk_ns = costs.wb_drain_page_ns
-                    total_ns = 0
-                    for start in range(0, size, PAGE_SIZE):
-                        chunk = view[start : start + PAGE_SIZE]
-                        self.bulk_chunks += 1
-                        total_ns += chunk_fixed + bulk_ns
-                        shared.write(chunk, offset=0, from_guest=not inbound)
-                        shared.touch(chunk.nbytes, offset=0,
-                                     from_guest=inbound)
-                    clock._now_ns += total_ns
+                self.bulk_chunks += len(spans)
+                chunk_ns += costs.wb_drain_page_ns
+                per_byte = 0
+            elif inbound:
+                per_byte = costs.marshal_in_per_byte_ns
             else:
-                per_byte = (
-                    costs.marshal_in_per_byte_ns
-                    if inbound
-                    else costs.marshal_out_per_byte_ns
-                )
-                if size <= PAGE_SIZE:
-                    clock._now_ns += chunk_fixed + int(per_byte * size)
-                    if size:
-                        shared.write(view, offset=0, from_guest=not inbound)
-                        shared.touch(size, offset=0, from_guest=inbound)
-                else:
-                    total_ns = 0
-                    for start in range(0, size, PAGE_SIZE):
-                        chunk = view[start : start + PAGE_SIZE]
-                        nbytes = chunk.nbytes
-                        total_ns += chunk_fixed + int(per_byte * nbytes)
-                        shared.write(chunk, offset=0, from_guest=not inbound)
-                        shared.touch(nbytes, offset=0, from_guest=inbound)
-                    clock._now_ns += total_ns
-            # delivered is view, so the integrity CRC equals the send
-            # CRC by construction — nothing to verify.
+                per_byte = costs.marshal_out_per_byte_ns
+            total_ns = 0
+            for start in spans:
+                chunk = view[start : start + PAGE_SIZE]
+                nbytes = chunk.nbytes
+                total_ns += chunk_ns + int(per_byte * nbytes)
+                if nbytes:
+                    cross(frame, chunk, writer, reader)
+            clock._now_ns += total_ns
             return size
+        expected_crc = crc32(view)
         delivered = view
         if engine is not None:
             stall_ns = engine.channel_stall_ns(direction)
@@ -183,10 +180,7 @@ class AnceptionChannel:
                 nbytes = chunk.nbytes
                 self.costs_charge_chunk(nbytes, inbound=inbound)
                 if nbytes:
-                    # one side copies in, the other reads the chunk out of
-                    # the same frames (the kmap window makes both legal)
-                    self.shared.write(chunk, offset=0, from_guest=not inbound)
-                    self.shared.touch(nbytes, offset=0, from_guest=inbound)
+                    cross(frame, chunk, writer, reader)
         if delivered is view:
             # Unmodified buffer: the integrity CRC *is* the send CRC —
             # computing it twice over identical bytes was pure overhead.
@@ -226,18 +220,6 @@ class AnceptionChannel:
             else self.costs.marshal_out_per_byte_ns
         )
         clock.advance(int(per_byte * nbytes), "channel:copy")
-
-    def signal_guest(self, reason="", coalesced=1):
-        """Ring the guest doorbell; ``False`` when the IRQ was lost.
-
-        ``coalesced`` is how many ring descriptors this one doorbell
-        submits (1 for the classic per-call shape).
-        """
-        return self.hypervisor.inject_interrupt(reason, coalesced=coalesced)
-
-    def signal_host(self, reason="", coalesced=1):
-        """Ring the host doorbell; ``False`` when the hypercall was lost."""
-        return self.hypervisor.hypercall(reason, coalesced=coalesced)
 
     def inherit_counters(self, old):
         """Continue the counters of ``old``, the channel this one replaces.

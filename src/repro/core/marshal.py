@@ -34,6 +34,10 @@ here would silently ship host fd numbers to the CVM)."""
 FD_PAIR_CALLS = frozenset({"sendfile"})
 """Calls translating two leading descriptors."""
 
+FD_ALLOCATING_CALLS = frozenset({"open", "socket", "accept", "pipe"})
+"""Redirected calls whose result names new proxy descriptors, which the
+layer binds into the app's host fd space when the call completes."""
+
 
 def encoded_size(value):
     """Bytes this value occupies in the marshaling buffer."""
@@ -65,12 +69,29 @@ def encoded_size(value):
 
 
 def wire_size(name, args, kwargs):
-    """Total wire footprint of a forwarded call (name + args + kwargs)."""
+    """Total wire footprint of a forwarded call (name + args + kwargs).
+
+    Equal to summing :func:`encoded_size` over the call.  The argument
+    types every redirected call carries -- ``int``, bytes-likes and
+    ASCII ``str`` -- are sized inline; everything else (``bool``, other
+    ``int`` subclasses, non-ASCII text, containers, structured objects)
+    goes through :func:`encoded_size`.
+    """
     size = len(name.encode())
-    size += sum(encoded_size(a) for a in args)
-    size += sum(
-        encoded_size(k) + encoded_size(v) for k, v in kwargs.items()
-    )
+    for arg in args:
+        kind = type(arg)
+        if kind is int:
+            size += 8
+        elif kind is bytes or kind is bytearray or kind is memoryview:
+            size += len(arg)
+        elif kind is str and arg.isascii():
+            size += len(arg)
+        else:
+            size += encoded_size(arg)
+    if kwargs:
+        size += sum(
+            encoded_size(k) + encoded_size(v) for k, v in kwargs.items()
+        )
     return size
 
 
@@ -84,7 +105,9 @@ def _render_into(buf, size, name, args):
     pos = 0
     pieces = [name.encode()]
     for arg in args:
-        if isinstance(arg, (bytes, bytearray)):
+        if isinstance(arg, (bytes, bytearray, memoryview)):
+            # Bytes-likes travel as their bytes; a memoryview's repr
+            # would put a heap address on the wire.
             pieces.append(arg)
         else:
             pieces.append(repr(arg).encode())
@@ -180,9 +203,13 @@ class FdTranslationTable:
         """Rewrite leading fd arguments into the proxy's fd space."""
         if not args:
             return args
-        if name in FD_FIRST_CALLS and isinstance(args[0], int) \
-                and args[0] in self:
-            return (self.to_proxy(args[0]),) + tuple(args[1:])
+        if name in FD_FIRST_CALLS:
+            fd = args[0]
+            proxy_fd = (self._host_to_proxy.get(fd)
+                        if isinstance(fd, int) else None)
+            if proxy_fd is None:
+                return args
+            return (proxy_fd,) + tuple(args[1:])
         if name in FD_PAIR_CALLS:
             out_fd, in_fd, *rest = args
             if out_fd in self:

@@ -22,11 +22,7 @@ from __future__ import annotations
 import enum
 import posixpath
 
-from repro.android.binder import (
-    BINDER_WRITE_READ,
-    IOC_WAIT_INPUT_EVT,
-    Transaction,
-)
+from repro.android.binder import Transaction
 from repro.kernel.syscalls import CATALOGUE, SyscallClass
 
 
@@ -161,15 +157,7 @@ class RedirectionPolicy:
             return Decision.HOST
         return Decision.REDIRECT
 
-    # -- ioctl inspection (the UI test) -----------------------------------------
-
-    def ioctl_is_ui(self, request, arg):
-        """True when an ioctl is UI/Input traffic that must stay on host."""
-        if request == IOC_WAIT_INPUT_EVT:
-            return True
-        if request == BINDER_WRITE_READ and isinstance(arg, Transaction):
-            return arg.target in self.ui_service_names
-        return False
+    # -- ioctl inspection (UI test: binder.is_ui_transaction) -------------------
 
     def binder_target_is_app(self, arg):
         """App-to-app binder IPC proceeds on the host (Section III-D)."""

@@ -24,7 +24,7 @@ from repro.errors import (
     SyscallError,
 )
 from repro.kernel.kernel import KernelCrashed
-from repro.kernel.process import TaskState
+from repro.kernel.process import LIVE_STATES, TaskState
 from repro.obs.bus import maybe_span
 
 
@@ -139,7 +139,7 @@ class ProxyManager:
         if engine is not None:
             self._inject_faults(engine, proxy, name)
         guest_task = proxy.guest_task
-        if not guest_task.is_alive():
+        if guest_task.state not in LIVE_STATES:
             raise ProxyDied(
                 proxy.host_task.pid, guest_task.pid,
                 "proxy process is dead",
@@ -161,7 +161,7 @@ class ProxyManager:
             proxy.calls_executed += 1
             return result
         finally:
-            if guest_task.is_alive():
+            if guest_task.state in LIVE_STATES:
                 guest_task.state = TaskState.SLEEPING
 
     def drain(self, channel, work):

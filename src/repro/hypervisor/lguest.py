@@ -34,6 +34,12 @@ class SharedPages:
     Both sides read/write the same frames.  The *guest* side goes through
     its frame window as usual; the *host* side uses hypervisor privilege
     (no window) — which is safe because the host is trusted.
+
+    The channel's per-chunk crossing does not come through here: it
+    calls :meth:`~repro.kernel.memory.PhysicalMemory.cross_frame` on
+    ``frames[0]``, which checks the writer's and the reader's window and
+    copies in one step.  :meth:`write` and :meth:`read` are the
+    multi-frame accessors.
     """
 
     __snapshot__ = "auto"
@@ -49,7 +55,7 @@ class SharedPages:
                     "never exposed to the guest)"
                 )
         # Plain attribute, not a property: the frame list is fixed for
-        # the buffer's lifetime and the channel reads this per chunk.
+        # the buffer's lifetime.
         self.capacity = len(self.frames) * PAGE_SIZE
 
     def write(self, data, offset=0, from_guest=False):
@@ -60,15 +66,8 @@ class SharedPages:
         nothing is materialised on the way down.
         """
         window = self.guest_window if from_guest else None
-        size = len(data)
-        if offset + size > self.capacity:
+        if offset + len(data) > self.capacity:
             raise SimulationError("shared-pages overflow")
-        if offset == 0 and size <= PAGE_SIZE:
-            # The chunked channel always lands page-or-smaller chunks at
-            # offset 0 — one frame, no split arithmetic.
-            if size:
-                self.physical.write_frame(self.frames[0], data, 0, window)
-            return
         view = data if type(data) is memoryview else memoryview(data)
         while view.nbytes:
             frame_index, frame_offset = divmod(offset, PAGE_SIZE)
@@ -93,30 +92,6 @@ class SharedPages:
             offset += chunk
             length -= chunk
         return bytes(out)
-
-    def touch(self, length, offset=0, from_guest=False):
-        """Model the consumer reading ``length`` bytes out of the buffer.
-
-        The chunked channel transfer writes each chunk in from one side
-        and reads it out from the other; the reader's copy was pure
-        overhead (the simulation never inspects it), but the *access* —
-        and its window enforcement — must still happen.  ``touch`` runs
-        the same per-frame permission checks as :meth:`read` without
-        materialising a single byte.
-        """
-        window = self.guest_window if from_guest else None
-        if offset + length > self.capacity:
-            raise SimulationError("shared-pages overread")
-        if offset == 0 and length <= PAGE_SIZE:
-            if length:
-                self.physical.assert_access(self.frames[0], window)
-            return
-        while length:
-            frame_index, frame_offset = divmod(offset, PAGE_SIZE)
-            chunk = min(length, PAGE_SIZE - frame_offset)
-            self.physical.assert_access(self.frames[frame_index], window)
-            offset += chunk
-            length -= chunk
 
 
 class LguestHypervisor:

@@ -8,7 +8,9 @@ user pages* — is enforced structurally here:
 * the hypervisor gives the guest kernel an allocator whose window covers
   just the CVM's assigned region, and :meth:`PhysicalMemory.read_frame`
   / :meth:`write_frame` refuse accessors whose window does not contain the
-  frame, raising :class:`~repro.errors.HypervisorViolation`.
+  frame, raising :class:`~repro.errors.HypervisorViolation`;
+  :meth:`PhysicalMemory.cross_frame`, the channel's shared-page
+  crossing, checks both the writing and the reading side's window.
 
 Even a fully compromised guest kernel therefore hits a hard wall when it
 tries to touch host frames, which is exactly how the paper defeats the
@@ -106,11 +108,6 @@ class PhysicalMemory:
 
     _ZERO_PAGE = bytes(PAGE_SIZE)
 
-    def assert_access(self, frame, window=None):
-        """Run the window/range checks of an access without any data
-        movement (the zero-copy channel's consumer-side touch)."""
-        self._check(frame, window)
-
     def frame_view(self, frame, window=None):
         """A read-only view of ``frame``'s content — no page copy.
 
@@ -133,6 +130,35 @@ class PhysicalMemory:
             buf = bytearray(PAGE_SIZE)
             self._frames[frame] = buf
         buf[offset : offset + len(data)] = data
+
+    def cross_frame(self, frame, data, writer=None, reader=None):
+        """Carry one page-or-smaller chunk across ``frame`` at offset 0.
+
+        The shared-page crossing of the host<->guest channel: one side
+        copies ``data`` in through its window (``writer``), the other
+        side's window (``reader``) must also cover the frame, because it
+        reads the chunk back out.  ``None`` is the host side (no window).
+        Range, writer-window, reader-window and spill checks run in that
+        order, each raising what :meth:`write_frame` would, then the
+        bytes land -- all in this one call.
+        """
+        if not 0 <= frame < self.num_frames:
+            raise SimulationError(f"frame {frame} out of physical range")
+        if writer is not None and not writer.start <= frame < writer.stop:
+            raise HypervisorViolation(
+                f"frame {frame} is outside accessor window {writer}"
+            )
+        if reader is not None and not reader.start <= frame < reader.stop:
+            raise HypervisorViolation(
+                f"frame {frame} is outside accessor window {reader}"
+            )
+        size = len(data)
+        if size > PAGE_SIZE:
+            raise SimulationError("write spills past frame boundary")
+        buf = self._frames.get(frame)
+        if buf is None:
+            buf = self._frames[frame] = bytearray(PAGE_SIZE)
+        buf[:size] = data
 
     def scrub_window(self, window):
         """Zero every frame in ``window`` (VM launch scrubs guest RAM)."""

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.channel import AnceptionChannel
+from repro.errors import ChannelError, HypervisorViolation, SimulationError
 from repro.hypervisor import LguestHypervisor
 from repro.kernel.kernel import Machine
 from repro.obs.bus import TraceBus
@@ -62,18 +63,18 @@ class TestTransfers:
 
 class TestSignalling:
     def test_signal_guest_is_interrupt(self, channel):
-        channel.signal_guest("call")
+        channel.hypervisor.inject_interrupt("call")
         assert channel.hypervisor.interrupt_count == 1
 
     def test_signal_host_is_hypercall(self, channel):
-        channel.signal_host("done")
+        channel.hypervisor.hypercall("done")
         assert channel.hypervisor.hypercall_count == 1
 
     def test_stats_snapshot(self, channel):
         channel.send_to_guest(b"abc")
-        channel.signal_guest("x")
+        channel.hypervisor.inject_interrupt("x")
         channel.send_to_host(b"de")
-        channel.signal_host("y")
+        channel.hypervisor.hypercall("y")
         stats = channel.stats()
         assert stats["transfers"] == 2
         assert stats["bytes_to_guest"] == 3
@@ -83,13 +84,15 @@ class TestSignalling:
 
 
 class TestZeroCopySingleCrc:
-    """PR 9 bugfix pin: one buffer wrap, one CRC per unfaulted transfer.
+    """One buffer wrap, and a CRC only where one is compared.
 
     ``_transfer`` used to materialise ``bytes(data)`` twice (once up
     front, once per chunk inside ``_chunked``) and CRC the same
     unmodified buffer twice.  Now every stage operates on memoryview
-    windows over the caller's buffer and the integrity CRC reuses the
-    send CRC whenever the fault engine did not rewrite the payload.
+    windows over the caller's buffer.  The dormant path, where nothing
+    can rewrite the payload, computes no CRC at all; the instrumented
+    path computes the send CRC once and reuses it as the integrity CRC
+    whenever the fault engine did not rewrite the payload.
     """
 
     def _count_crcs(self, monkeypatch):
@@ -104,11 +107,11 @@ class TestZeroCopySingleCrc:
         monkeypatch.setattr(channel_mod, "crc32", counting)
         return calls
 
-    def test_unfaulted_transfer_computes_crc_exactly_once(
+    def test_dormant_unfaulted_transfer_computes_no_crc(
             self, channel, monkeypatch):
         calls = self._count_crcs(monkeypatch)
         channel.send_to_guest(b"q" * (2 * PAGE_SIZE + 7))
-        assert len(calls) == 1
+        assert calls == []
         assert channel.transfers == 1
         assert channel.integrity_failures == 0
 
@@ -142,18 +145,19 @@ class TestZeroCopySingleCrc:
 
     def test_chunks_are_views_over_the_callers_buffer(
             self, channel, machine, monkeypatch):
-        # Zero-copy identity: every chunk written to the shared pages is
+        # Zero-copy identity: every chunk crossing the shared pages is
         # a window over the caller's own buffer, not a materialised copy
         # — in both the dormant fast path and the instrumented walk.
         data = b"z" * (2 * PAGE_SIZE + 10)
         seen = []
-        real_write = channel.shared.write
+        physical = channel.shared.physical
+        real_cross = physical.cross_frame
 
-        def recording_write(chunk, offset=0, from_guest=False):
+        def recording_cross(frame, chunk, writer=None, reader=None):
             seen.append(chunk)
-            return real_write(chunk, offset=offset, from_guest=from_guest)
+            return real_cross(frame, chunk, writer, reader)
 
-        monkeypatch.setattr(channel.shared, "write", recording_write)
+        monkeypatch.setattr(physical, "cross_frame", recording_cross)
         channel.send_to_guest(data)  # dormant fast path
         with TraceBus.install(machine.clock).capture():
             channel.send_to_guest(data)  # instrumented walk
@@ -161,3 +165,82 @@ class TestZeroCopySingleCrc:
         for chunk in seen:
             assert type(chunk) is memoryview
             assert chunk.obj is data
+
+
+class TestCheckedCrossing:
+    """Each chunk crosses the shared pages through one checked primitive
+    (``PhysicalMemory.cross_frame``): range, writer window, reader
+    window, spill -- on the dormant path and under a bus capture."""
+
+    SENDS = ("send_to_guest", "send_to_host")
+
+    @staticmethod
+    def _send(channel, machine, direction, data, captured):
+        send = getattr(channel, direction)
+        if not captured:
+            return send(data)
+        with TraceBus.install(machine.clock).capture():
+            return send(data)
+
+    @staticmethod
+    def _host_frame(machine):
+        return machine.allocator.allocate(owner="test-host-page")
+
+    @pytest.mark.parametrize("captured", [False, True])
+    @pytest.mark.parametrize("direction", SENDS)
+    def test_frame_outside_guest_window_is_a_violation(
+            self, channel, machine, direction, captured):
+        # A to-guest chunk is read out by the guest, a to-host chunk is
+        # written in by the guest: either way the guest window must
+        # cover the frame, so a host frame trips the hypervisor check.
+        channel.shared.frames[0] = self._host_frame(machine)
+        with pytest.raises(HypervisorViolation):
+            self._send(channel, machine, direction, b"secret", captured)
+
+    @pytest.mark.parametrize("captured", [False, True])
+    @pytest.mark.parametrize("direction", SENDS)
+    def test_out_of_range_frame_is_a_simulation_error(
+            self, channel, machine, direction, captured):
+        channel.shared.frames[0] = machine.physical.num_frames + 3
+        with pytest.raises(SimulationError, match="out of physical range"):
+            self._send(channel, machine, direction, b"x" * 10, captured)
+
+    def test_over_page_chunk_is_a_simulation_error(self, channel):
+        shared = channel.shared
+        with pytest.raises(SimulationError, match="spills past"):
+            shared.physical.cross_frame(
+                shared.frames[0], b"o" * (PAGE_SIZE + 1), None,
+                shared.guest_window,
+            )
+
+    def test_a_channel_needs_a_shared_page(self, channel):
+        with pytest.raises(ChannelError, match="at least one shared page"):
+            AnceptionChannel(channel.hypervisor, channel.costs, num_pages=0)
+
+    def test_window_checks_run_before_the_copy(self, channel, machine):
+        frame = self._host_frame(machine)
+        physical = machine.physical
+        with pytest.raises(HypervisorViolation):
+            physical.cross_frame(frame, b"leak", None,
+                                 channel.shared.guest_window)
+        assert physical.read_frame(frame) == bytes(PAGE_SIZE)
+
+    @pytest.mark.parametrize("direction", SENDS)
+    @pytest.mark.parametrize("size", [0, 5, PAGE_SIZE, 2 * PAGE_SIZE + 9])
+    def test_dormant_and_captured_transfers_leave_identical_pages(
+            self, direction, size):
+        data = bytes(i % 251 for i in range(size))
+
+        def pages_after(captured):
+            machine = Machine(total_mb=256)
+            hypervisor = LguestHypervisor(machine, guest_mb=32)
+            hypervisor.launch_guest()
+            channel = AnceptionChannel(hypervisor, machine.costs,
+                                       num_pages=4)
+            before = machine.clock.now_ns
+            self._send(channel, machine, direction, data, captured)
+            shared = channel.shared
+            return (shared.read(shared.capacity),
+                    machine.clock.now_ns - before)
+
+        assert pages_after(False) == pages_after(True)

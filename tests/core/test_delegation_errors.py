@@ -93,16 +93,16 @@ class TestChannelTyping:
     def test_dropped_irq_reported_not_hung(self, channel, machine):
         engine = FaultEngine("irq.drop:nth=1").arm(machine.clock)
         try:
-            assert channel.signal_guest("doorbell") is False
-            assert channel.signal_guest("doorbell") is True
+            assert channel.hypervisor.inject_interrupt("doorbell") is False
+            assert channel.hypervisor.inject_interrupt("doorbell") is True
         finally:
             engine.disarm()
 
     def test_dropped_hypercall_reported(self, channel, machine):
         engine = FaultEngine("hypercall.drop:nth=1").arm(machine.clock)
         try:
-            assert channel.signal_host("completion") is False
-            assert channel.signal_host("completion") is True
+            assert channel.hypervisor.hypercall("completion") is False
+            assert channel.hypervisor.hypercall("completion") is True
         finally:
             engine.disarm()
 
@@ -110,7 +110,7 @@ class TestChannelTyping:
         before = channel.hypervisor.interrupt_count
         engine = FaultEngine("irq.dup:nth=1").arm(machine.clock)
         try:
-            assert channel.signal_guest("doorbell") is True
+            assert channel.hypervisor.inject_interrupt("doorbell") is True
         finally:
             engine.disarm()
         assert channel.hypervisor.interrupt_count == before + 2

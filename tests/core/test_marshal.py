@@ -8,9 +8,11 @@ from repro.core.marshal import (
     RemoteFdStub,
     encoded_size,
     marshal_call,
+    marshal_call_into,
     result_size,
 )
 from repro.errors import SimulationError
+from repro.perf.slab import SlabPool
 
 
 class TestEncodedSize:
@@ -49,6 +51,20 @@ class TestMarshalCall:
     def test_payload_bytes_present_in_wire(self):
         wire, _ = marshal_call("write", (3, b"MARKER-BYTES"), {})
         assert b"MARKER-BYTES" in wire
+
+    def test_memoryview_argument_goes_on_the_wire_as_its_bytes(self):
+        # A memoryview's repr names a heap address; the wire must carry
+        # the viewed bytes, identical to the equal bytes argument.
+        payload = b"hello, shared pages"
+        expected, size = marshal_call("write", (3, payload), {})
+        assert marshal_call("write", (3, memoryview(payload)), {}) == (
+            expected, size)
+        pool = SlabPool()
+        for arg in (payload, memoryview(payload)):
+            wire, wire_size, slab = marshal_call_into(
+                pool, "write", (3, arg), {})
+            assert (bytes(wire), wire_size) == (expected, size)
+            pool.recycle(slab)
 
     def test_result_size(self):
         assert result_size(b"x" * 4096) == 4096

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.android.binder import BINDER_WRITE_READ, IOC_WAIT_INPUT_EVT, Transaction
+from repro.android.binder import (
+    BINDER_WRITE_READ,
+    IOC_WAIT_INPUT_EVT,
+    Transaction,
+    is_ui_transaction,
+)
 from repro.core.policy import Decision, RedirectionPolicy
 from repro.kernel.kernel import Machine
 from repro.kernel.process import Credentials
@@ -112,16 +117,21 @@ class TestFdLocality:
 
 
 class TestIoctlInspection:
+    # The layer's ioctl split asks the binder UI test with the policy's
+    # UI service names.
     def test_wait_input_is_ui(self, policy):
-        assert policy.ioctl_is_ui(IOC_WAIT_INPUT_EVT, None)
+        assert is_ui_transaction(policy.ui_service_names,
+                                 IOC_WAIT_INPUT_EVT, None)
 
     def test_ui_service_transaction_is_ui(self, policy):
         txn = Transaction("window", "create_window")
-        assert policy.ioctl_is_ui(BINDER_WRITE_READ, txn)
+        assert is_ui_transaction(policy.ui_service_names,
+                                 BINDER_WRITE_READ, txn)
 
     def test_delegated_service_transaction_not_ui(self, policy):
         txn = Transaction("location", "get_fix")
-        assert not policy.ioctl_is_ui(BINDER_WRITE_READ, txn)
+        assert not is_ui_transaction(policy.ui_service_names,
+                                     BINDER_WRITE_READ, txn)
 
     def test_app_to_app_binder_recognised(self, policy):
         assert policy.binder_target_is_app(Transaction("app:com.x", "ping"))

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.channel import AnceptionChannel
 from repro.core.crypto_fs import _keystream_xor
-from repro.core.marshal import encoded_size, marshal_call
+from repro.android.binder import Transaction
+from repro.core.marshal import encoded_size, marshal_call, wire_size
 from repro.hypervisor import LguestHypervisor
 from repro.kernel.kernel import Machine
 from repro.perf.costs import PAGE_SIZE
@@ -83,6 +84,29 @@ class TestTlsProperties:
             tls_open(key, bytes(sealed))
 
 
+_SCALAR_ARGS = st.one_of(
+    st.integers(min_value=-2**63, max_value=2**63),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False),
+    st.binary(max_size=64),
+    st.binary(max_size=64).map(bytearray),
+    st.binary(max_size=64).map(memoryview),
+    st.text(alphabet=st.characters(max_codepoint=127), max_size=16),
+    st.text(max_size=16),
+    st.builds(Transaction, st.sampled_from(["location", "window"]),
+              st.sampled_from(["get_fix", "create_window"]),
+              st.dictionaries(st.text(max_size=4), st.binary(max_size=16),
+                              max_size=2)),
+)
+_WIRE_ARGS = st.one_of(
+    _SCALAR_ARGS,
+    st.lists(_SCALAR_ARGS, max_size=3).map(tuple),
+    st.dictionaries(st.text(max_size=4), _SCALAR_ARGS, max_size=3),
+)
+"""Every argument shape a forwarded call can carry."""
+
+
 class TestMarshalProperties:
     @given(
         args=st.lists(
@@ -104,3 +128,18 @@ class TestMarshalProperties:
     @settings(max_examples=30, deadline=None)
     def test_bytes_size_is_identity(self, value):
         assert encoded_size(value) == len(value)
+
+    @given(
+        args=st.lists(_WIRE_ARGS, max_size=6),
+        kwargs=st.dictionaries(st.text(max_size=8), _WIRE_ARGS, max_size=3),
+        name=st.sampled_from(["write", "pwrite64", "ioctl", "r\u00e9ad"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_inlined_wire_size_equals_generic_encoded_size(
+            self, args, kwargs, name):
+        # wire_size sizes ints, bytes-likes and ASCII text inline; the
+        # total must match the one generic sizing rule exactly.
+        generic = len(name.encode()) + sum(encoded_size(a) for a in args) \
+            + sum(encoded_size(k) + encoded_size(v)
+                  for k, v in kwargs.items())
+        assert wire_size(name, tuple(args), kwargs) == generic
