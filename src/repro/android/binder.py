@@ -22,7 +22,6 @@ from __future__ import annotations
 import errno
 
 from repro.errors import SyscallError
-from repro.obs.bus import NULL_SPAN
 
 
 def encoded_size(value):
@@ -246,16 +245,14 @@ class BinderDriver:
         if clock.dormant:
             clock._now_ns += cost
             return self._deliver(task, transaction, service, oneway)
-        bus = clock.bus
-        # No capture: skip the span's label and the parcel walk that
-        # sizes ``payload_bytes`` -- nothing would record them.
-        span = NULL_SPAN if bus is None or not bus._depth else bus.span(
+        # Not dormant means a capture is open: only now are the span's
+        # label and the parcel walk sizing ``payload_bytes`` worth it.
+        with clock._bus.span(
             "binder-txn", f"{transaction.target}.{transaction.method}",
             task=task, kernel=self.kernel.label, target=transaction.target,
             method=transaction.method, ui=service.ui_related,
             oneway=bool(oneway), payload_bytes=transaction.payload_size,
-        )
-        with span:
+        ):
             clock.advance(cost, f"binder:{transaction.target}")
             return self._deliver(task, transaction, service, oneway)
 

@@ -19,8 +19,11 @@ class SimClock:
     """A monotonically increasing nanosecond counter.
 
     The clock only moves when a component charges time to it; there is no
-    background tick.  ``advance`` is the single mutation point so that a
-    test can wrap it to trace where time goes.
+    background tick.  ``_now_ns`` is the running cursor every charge adds
+    to: host time, or inside an overlap window the window lane's busy-until
+    cursor (the window parks host time in ``_host_ns`` meanwhile).  So a
+    charge is the same integer add wherever it lands, and ``advance`` adds
+    only the bus hand-off for an open capture.
     """
 
     __snapshot__ = "auto"
@@ -29,16 +32,19 @@ class SimClock:
         self._now_ns = int(start_ns)
         self._lane_busy = {}
         self._overlap_lane = None
-        self._overlap_cursor = 0
+        self._host_ns = None
+        """Host time parked by an open overlap window; ``None`` outside
+        one, so equal clocks pickle alike whatever their window
+        history."""
         self.faults = None
         """Optional armed :class:`repro.faults.engine.FaultEngine`; a
         plain attribute so hot paths read it without ``getattr``."""
         self._bus = None
         self.dormant = True
-        """True while no overlap window or bus capture is open, so a
-        charge is one integer add on ``_now_ns``.  A plain
+        """True while no bus capture is open, so a charge is one integer
+        add on ``_now_ns`` (inside an overlap window too).  A plain
         attribute for hot paths; :meth:`_refresh_dormant` recomputes it
-        wherever one of those states opens or closes."""
+        wherever a capture opens or closes or the bus changes."""
 
     @property
     def bus(self):
@@ -53,18 +59,20 @@ class SimClock:
 
     def _refresh_dormant(self):
         bus = self._bus
-        self.dormant = (self._overlap_lane is None
-                        and (bus is None or not bus._depth))
+        self.dormant = bus is None or not bus._depth
 
     @property
     def now_ns(self):
-        """Current simulated time in nanoseconds."""
-        return self._now_ns
+        """Current host-visible simulated time in nanoseconds (it stands
+        still inside an overlap window)."""
+        if self._overlap_lane is None:
+            return self._now_ns
+        return self._host_ns
 
     @property
     def now_us(self):
-        """Current simulated time in microseconds (float)."""
-        return self._now_ns / NSEC_PER_USEC
+        """Current host-visible simulated time in microseconds (float)."""
+        return self.now_ns / NSEC_PER_USEC
 
     def advance(self, delta_ns, reason=""):
         """Move time forward by ``delta_ns`` nanoseconds.
@@ -73,35 +81,14 @@ class SimClock:
             delta_ns: non-negative duration to add.
             reason: short label recorded by an open bus capture.
         """
-        # Fast path: a dormant clock advances by one integer add.  This
-        # is the overwhelmingly common case in timed benchmark passes,
-        # where ``advance`` dominates call counts.
-        if self.dormant:
-            delta_ns = int(delta_ns)
-            if delta_ns < 0:
-                raise ValueError(
-                    f"cannot move time backwards ({delta_ns} ns)"
-                )
-            self._now_ns += delta_ns
-            return
-        return self._advance(delta_ns, reason)
-
-    def _advance(self, delta_ns, reason):
         delta_ns = int(delta_ns)
         if delta_ns < 0:
             raise ValueError(f"cannot move time backwards ({delta_ns} ns)")
-        if self._overlap_lane is not None:
-            # Charges inside an overlap window accrue to the lane cursor,
-            # not to host-visible time: the host task keeps running while
-            # the lane (the CVM) works.  ``wait_for`` reconciles at fences.
-            self._overlap_cursor += delta_ns
-            now_ns = self._overlap_cursor
-        else:
-            self._now_ns += delta_ns
-            now_ns = self._now_ns
-        bus = self._bus
-        if delta_ns and bus is not None and bus._depth:
-            bus.on_charge(reason or "unlabelled", delta_ns, now_ns)
+        self._now_ns += delta_ns
+        # Not dormant means a bus with an open capture.
+        if not self.dormant and delta_ns:
+            self._bus.on_charge(reason or "unlabelled", delta_ns,
+                                self._now_ns)
 
     def measure(self):
         """Return a context manager measuring elapsed simulated time.
@@ -119,12 +106,12 @@ class SimClock:
     def overlap(self, lane="cvm"):
         """Context manager: charge time to ``lane`` instead of the host.
 
-        Inside the window every :meth:`advance` accrues to a per-lane
-        busy-until cursor (starting at ``max(now, lane's watermark)``)
-        while host-visible ``now_ns`` stands still — the simulated
-        equivalent of work proceeding on another vCPU.  The host only
-        pays when it synchronises via :meth:`wait_for`.  Windows do not
-        nest (one lane models one single-threaded drain loop).
+        Inside the window every charge accrues to a per-lane busy-until
+        cursor (starting at ``max(now, lane's watermark)``) while
+        host-visible ``now_ns`` stands still — the simulated equivalent
+        of work proceeding on another vCPU.  The host only pays when it
+        synchronises via :meth:`wait_for`.  Windows do not nest (one lane
+        models one single-threaded drain loop).
         """
         return _OverlapWindow(self, lane)
 
@@ -144,14 +131,20 @@ class SimClock:
 
     def lane_backlog_ns(self, lane):
         """How far ``lane``'s watermark runs ahead of host time."""
-        return max(0, self._lane_busy.get(lane, 0) - self._now_ns)
+        return max(0, self._lane_busy.get(lane, 0) - self.now_ns)
 
     def __repr__(self):
-        return f"SimClock(now={self._now_ns} ns)"
+        return f"SimClock(now={self.now_ns} ns)"
 
 
 class _OverlapWindow:
-    """Redirects ``advance`` charges into a lane for the ``with`` body."""
+    """Swaps ``lane``'s cursor into the clock for the ``with`` body.
+
+    On entry host time is parked and ``_now_ns`` becomes
+    ``max(host, lane watermark)``, so every charge site — ``advance``
+    and the dormant ``clock._now_ns += ns`` adds alike — lands on the
+    lane without knowing about windows.  On exit host time comes back.
+    """
 
     __slots__ = ("_clock", "_lane")
 
@@ -163,11 +156,10 @@ class _OverlapWindow:
         clock = self._clock
         if clock._overlap_lane is not None:
             raise ValueError("overlap windows do not nest")
+        host = clock._now_ns
         clock._overlap_lane = self._lane
-        clock._overlap_cursor = max(
-            clock._now_ns, clock._lane_busy.get(self._lane, 0)
-        )
-        clock.dormant = False
+        clock._host_ns = host
+        clock._now_ns = max(host, clock._lane_busy.get(self._lane, 0))
         return self
 
     def __exit__(self, exc_type, exc, tb):
@@ -178,9 +170,10 @@ class _OverlapWindow:
         # phantom time the next fence would have to wait out.
         clock = self._clock
         if exc_type is None:
-            clock._lane_busy[self._lane] = clock._overlap_cursor
+            clock._lane_busy[self._lane] = clock._now_ns
+        clock._now_ns = clock._host_ns
+        clock._host_ns = None
         clock._overlap_lane = None
-        clock._refresh_dormant()
         return False
 
 

@@ -51,7 +51,6 @@ from repro.errors import (
     SimulationError,
     SyscallError,
 )
-from repro.kernel.loader import run_payload
 from repro.kernel.memory import MAP_ANONYMOUS, MAP_FIXED
 from repro.kernel.process import Credentials, ROOT_UID
 from repro.kernel.vfs import InodeKind
@@ -568,7 +567,7 @@ class AnceptionLayer:
         never formats its label.
         """
         clock = self.machine.clock
-        if clock.dormant or (bus := clock.bus) is None or not bus._depth:
+        if clock.dormant:
             span = NULL_SPAN
         else:
             tags = {} if batch is None else {"batch": batch}
@@ -655,9 +654,8 @@ class AnceptionLayer:
         if len(ring._queue) >= ring.depth:
             self.flush(task, reason="ring-full", lane=lane)
         lane.proxies.proxy_for(task)  # not enrolled -> SimulationError
-        table = self._fd_table(task)
         call_args = translated if translated is not None else (
-            table.translate_args(name, args)
+            self._fd_table(task).translate_args(name, args)
         )
         crypto_offset = None
         slab = None
@@ -718,11 +716,15 @@ class AnceptionLayer:
             reason = pendings[0].name if count == 1 else f"batch:{count}"
         elif count > 1:
             reason = f"{reason}:{count}"
+        # A window is usually one task's: resolve its proxy once.
         proxy_for = lane.proxies.proxy_for
-        work = {
-            p.seq: (proxy_for(p.task), p.name, p.call_args, p.kwargs)
-            for p in pendings
-        }
+        work = {}
+        owner = proxy = None
+        for p in pendings:
+            if p.task is not owner:
+                owner = p.task
+                proxy = proxy_for(owner)
+            work[p.seq] = (proxy, p.name, p.call_args, p.kwargs)
         try:
             self._signal_guest_reliably(lane, reason, pendings[0].task,
                                         coalesced=count)
@@ -990,11 +992,8 @@ class AnceptionLayer:
             return None
         pages = max(1, -(-len(result) // PAGE_SIZE))
         clock = self.machine.clock
-        if clock.dormant or (bus := clock.bus) is None or not bus._depth:
-            clock.advance(
-                self.machine.costs.cache_hit_ns * pages,
-                "anception:cache-hit",
-            )
+        if clock.dormant:
+            clock._now_ns += self.machine.costs.cache_hit_ns * pages
         else:
             with maybe_span(clock, "cache-hit",
                             f"{name}:{len(result)}B", task=task,
@@ -1085,13 +1084,12 @@ class AnceptionLayer:
             if not isinstance(start, int) or start < 0:
                 return
             demanded, ahead = cache.fill_window(
-                desc.inode.ino, bytes(desc.inode.data), start,
+                desc.inode.ino, desc.inode.data, start,
                 max(len(result), 1), lane.channel.window_bytes,
             )
             if demanded or ahead:
                 clock = self.machine.clock
-                if not clock.dormant and (bus := clock.bus) is not None \
-                        and bus._depth:
+                if not clock.dormant:
                     with maybe_span(clock, "cache-fill",
                                     f"{name}:{demanded + ahead}p", task=task,
                                     kernel=self.host_kernel.label,
@@ -1103,9 +1101,8 @@ class AnceptionLayer:
             desc = self._remote_file(task, args[0] if args else None,
                                      lane=lane)
             if desc is not None:
-                touched = cache.refresh_ino(desc.inode.ino,
-                                            bytes(desc.inode.data))
-                if touched:
+                touched = cache.refresh_ino(desc.inode.ino, desc.inode.data)
+                if touched and not self.machine.clock.dormant:
                     maybe_event(self.machine.clock, "cache-invalidate",
                                 "write-through", task=task,
                                 kernel=self.host_kernel.label,
@@ -1135,7 +1132,7 @@ class AnceptionLayer:
             lane.cache_paths[self._abs(task, args[0])] = desc.inode.ino
             if cache.knows(desc.inode.ino):
                 # Re-snapshot: an O_TRUNC reopen just emptied the file.
-                cache.refresh_ino(desc.inode.ino, bytes(desc.inode.data))
+                cache.refresh_ino(desc.inode.ino, desc.inode.data)
 
     # ------------------------------------------------------------------
     # split-execution handlers
@@ -1784,11 +1781,13 @@ class AnceptionLayer:
         """Charge the host's marshal and staging copy, then stage."""
         costs = self.machine.costs
         clock = self.machine.clock
+        stage_ns = costs.wb_stage_page_ns * max(costs.chunks(size), 1)
+        if clock.dormant:
+            clock._now_ns += costs.marshal_fixed_ns + stage_ns
+            windows.push(window, entry)
+            return
         clock.advance(costs.marshal_fixed_ns, "anception:marshal")
-        clock.advance(
-            costs.wb_stage_page_ns * max(costs.chunks(size), 1),
-            f"anception:{windows.label}-stage",
-        )
+        clock.advance(stage_ns, f"anception:{windows.label}-stage")
         depth = windows.push(window, entry)
         maybe_event(clock, f"{windows.label}-submit", name, task=task,
                     kernel=self.host_kernel.label, depth=depth, bytes=size)
@@ -1804,7 +1803,7 @@ class AnceptionLayer:
         # The previous drain must retire before this one posts — the
         # bounded in-flight depth is the backpressure contract.
         clock.wait_for(lane.cvm.lane, f"anception:{label}-backpressure")
-        if clock.dormant or (bus := clock.bus) is None or not bus._depth:
+        if clock.dormant:
             with clock.overlap(lane.cvm.lane):
                 run(lane, task, entries)
             return
@@ -2138,18 +2137,6 @@ class AnceptionLayer:
                 f"UID changed after launch ({task.launch_uid} -> "
                 f"{task.credentials.uid})",
             )
-
-    # ------------------------------------------------------------------
-    # program helper
-    # ------------------------------------------------------------------
-
-    def spawn_program(self, task, path, argv=()):
-        """fork + execve + run: how enrolled apps launch helpers."""
-        child_pid = self.host_kernel.syscall(task, "fork")
-        child = self.host_kernel.pids.require(child_pid)
-        image = self.host_kernel.syscall(child, "execve", path, argv)
-        result = run_payload(self.host_kernel, child, image)
-        return child, result
 
     # ------------------------------------------------------------------
     # introspection

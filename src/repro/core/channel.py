@@ -138,12 +138,13 @@ class AnceptionChannel:
         guest = shared.guest_window
         writer, reader = (None, guest) if inbound else (guest, None)
         if engine is None and clock.dormant:
-            # Fully dormant hot path: no fault engine, no capture, no
-            # overlap lane.  The per-chunk charge of costs_charge_chunk
-            # is chosen once and folded into one integer add, so
-            # simulated time and every counter are bit-identical to the
-            # instrumented path.  Nothing can rewrite the payload here,
-            # so there is no CRC to compare and none is computed.
+            # Fully dormant hot path: no fault engine, no capture (an
+            # open overlap window's lane cursor is ``_now_ns`` too).  The
+            # per-chunk charge of costs_charge_chunk is chosen once and
+            # folded into one integer add, so simulated time and every
+            # counter are bit-identical to the instrumented path.
+            # Nothing can rewrite the payload here, so there is no CRC
+            # to compare and none is computed.
             costs = self.costs
             chunk_ns = costs.chunk_fixed_ns
             spans = range(0, size or 1, PAGE_SIZE)

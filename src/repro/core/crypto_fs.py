@@ -119,16 +119,3 @@ class TransparentCryptoFS:
                         f"content for {path}"
                     )
         return _keystream_xor(key, bytes(data), offset)
-
-    def advance_offset(self, task, host_fd, nbytes):
-        """Sequential read/write bookkeeping for offset-aware XOR."""
-        entry = self._protected_fds.get(task.pid, {}).get(host_fd)
-        if entry is None:
-            return 0
-        path, pos = entry
-        self._protected_fds[task.pid][host_fd] = (path, pos + nbytes)
-        return pos
-
-    def current_offset(self, task, host_fd):
-        entry = self._protected_fds.get(task.pid, {}).get(host_fd)
-        return entry[1] if entry else 0

@@ -110,18 +110,6 @@ class ContainerVM:
         inode = self.kernel.vfs.resolve(path, self._root)
         return bytes(inode.data)
 
-    def memory_stats_kb(self):
-        """(assigned, guest_kernel_reserve, available, active) in KB.
-
-        Matches the Section VI-C accounting: of the 64 MB window, the
-        guest kernel's own footprint is reserved and the headless Android
-        stack plus proxies are the active use.
-        """
-        assigned, _used, _free = self.hypervisor.guest_memory_stats()
-        guest_kernel_reserve = assigned - 49_228 if assigned >= 49_228 else 0
-        available = assigned - guest_kernel_reserve
-        return assigned, guest_kernel_reserve, available
-
     def __repr__(self):
         state = "crashed" if self.crashed else "running"
         return f"ContainerVM({state}, window={self.hypervisor.guest_window})"

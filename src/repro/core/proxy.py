@@ -146,8 +146,7 @@ class ProxyManager:
             )
         guest_task.state = TaskState.RUNNING
         try:
-            if clock.dormant or (bus := clock.bus) is None \
-                    or not bus._depth:
+            if clock.dormant:
                 result = self.cvm.kernel.syscall(
                     guest_task, name, *args, **kwargs
                 )

@@ -182,7 +182,7 @@ class DelegationRing:
                 self.deferred_pushed += 1
             if flags & RING_FLAG_BINDER:
                 self.binder_pushed += 1
-        if clock.dormant or (bus := clock.bus) is None or not bus._depth:
+        if clock.dormant:
             # Dormant observation: skip the span label/attr construction
             # entirely — the transfer itself carries the costs.
             self.channel._transfer(payload, self.direction)

@@ -67,7 +67,7 @@ from repro.errors import SnapshotError
 
 
 SNAPSHOT_MAGIC = b"ANCSNAP1"
-SNAPSHOT_VERSION = 7
+SNAPSHOT_VERSION = 8
 _HEADER = struct.Struct("<8sHHQ32s")
 _PICKLE_PROTOCOL = 4
 """Pinned pickle protocol: the blob format is versioned, so the
@@ -347,8 +347,8 @@ def restore_world(blob):
             "snapshot sections lost object identity (clock section is "
             "not the world's clock)"
         )
-    # The flag is derived state: rederive it from the restored overlap
-    # and bus state rather than trust the pickled copy.
+    # The flag is derived state: rederive it from the restored bus
+    # state rather than trust the pickled copy.
     world.clock._refresh_dormant()
     return world
 

@@ -355,17 +355,17 @@ class TraceBus:
 def maybe_span(clock, kind, name, task=None, kernel=None, sclass=None,
                **attrs):
     """Span on ``clock``'s bus when capturing, else the shared no-op."""
-    if clock.dormant or (bus := clock.bus) is None or not bus._depth:
+    if clock.dormant:
         return NULL_SPAN
-    return bus.span(kind, name, task=task, kernel=kernel, sclass=sclass,
-                    **attrs)
+    return clock._bus.span(kind, name, task=task, kernel=kernel,
+                           sclass=sclass, **attrs)
 
 
 def maybe_event(clock, kind, name, task=None, kernel=None, **attrs):
     """Event on ``clock``'s bus when capturing, else nothing."""
-    if clock.dormant or (bus := clock.bus) is None or not bus._depth:
+    if clock.dormant:
         return None
-    return bus.event(kind, name, task=task, kernel=kernel, **attrs)
+    return clock._bus.event(kind, name, task=task, kernel=kernel, **attrs)
 
 
 class LogcatSink:

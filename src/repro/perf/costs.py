@@ -184,30 +184,6 @@ class CostModel:
             self.binder_cvm_per_byte_ns * payload_bytes
         )
 
-    @property
-    def doorbell_pair_ns(self):
-        """One submit IRQ plus one completion hypercall, however many
-        ring descriptors the pair retires."""
-        return 2 * self.world_switch_ns
-
-    def ring_batch_overhead_ns(self, sizes_in, sizes_out=()):
-        """Total added latency for a batch on the delegation ring.
-
-        The doorbell pair is paid once for the whole batch; marshaling,
-        dispatch, and the per-chunk/per-byte copies stay per-descriptor
-        (they model real data movement that batching cannot elide).
-        ``sizes_in``/``sizes_out`` are per-descriptor byte counts for
-        the submit and completion directions.
-        """
-        total = self.doorbell_pair_ns
-        for nbytes in sizes_in:
-            total += self.marshal_fixed_ns + self.proxy_dispatch_ns
-            total += self.chunk_fixed_ns * max(self.chunks(nbytes), 1)
-            total += int(self.marshal_in_per_byte_ns * nbytes)
-        for nbytes in sizes_out:
-            total += self.chunk_fixed_ns * max(self.chunks(nbytes), 1)
-            total += int(self.marshal_out_per_byte_ns * nbytes)
-        return total
 
 
 DEFAULT_COSTS = CostModel()

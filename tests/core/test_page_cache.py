@@ -149,6 +149,52 @@ class TestUnitFillAndLookup:
             HostPageCache(max_pages=0)
 
 
+class TestNoAliasing:
+    """Fills and write-throughs read the live file bytes, not a copy.
+
+    The layer hands ``fill_window`` and ``refresh_ino`` the proxy-side
+    inode's own ``bytearray``; the cache must copy each page it keeps,
+    so a later in-place mutation of the file can only reach the cache
+    through a refresh.
+    """
+
+    @staticmethod
+    def _pages_are_bytes(cache):
+        return all(type(page) is bytes for page in cache._pages.values())
+
+    def test_fill_then_mutate_serves_the_filled_bytes(self):
+        cache = HostPageCache()
+        live = bytearray(b"a" * PAGE + b"b" * PAGE + b"c" * 100)
+        assert cache.fill_window(5, live, 0, PAGE, WINDOW) == (1, 2)
+        live[:] = b"z" * len(live)
+        assert cache.lookup(5, 0, 2 * PAGE + 100) == \
+            b"a" * PAGE + b"b" * PAGE + b"c" * 100
+        assert self._pages_are_bytes(cache)
+
+    def test_refresh_then_mutate_serves_the_refreshed_bytes(self):
+        cache = HostPageCache()
+        live = bytearray(b"a" * (2 * PAGE))
+        cache.fill_window(5, live, 0, PAGE, WINDOW)
+        live[PAGE:] = b"r" * PAGE
+        assert cache.refresh_ino(5, live) == 2
+        live[:] = b"z" * len(live)
+        live.extend(b"tail")
+        assert cache.lookup(5, 0, 3 * PAGE) == b"a" * PAGE + b"r" * PAGE
+        assert self._pages_are_bytes(cache)
+
+    def test_layer_fill_does_not_alias_the_proxy_inode(
+            self, cache_world, cache_ctx):
+        fd = _stage(cache_ctx, "alias.bin", 2)
+        assert cache_ctx.libc.pread(fd, PAGE, 0) == b"A" * PAGE  # fill
+        layer = cache_world.anception
+        task = cache_ctx.task
+        inode = layer._remote_file(task, fd).inode
+        inode.data[:] = b"z" * len(inode.data)  # behind the cache's back
+        assert cache_ctx.libc.pread(fd, PAGE, PAGE) == b"B" * PAGE
+        assert self._pages_are_bytes(layer._lane(task).page_cache)
+        cache_ctx.libc.close(fd)
+
+
 class TestLayerColdAndWarm:
     def test_warm_pread_costs_cache_hit_not_a_ring_trip(
             self, cache_world, cache_ctx):

@@ -13,10 +13,12 @@ The pins here are the acceptance gates from DESIGN.md §14:
   intact (the mid-chaos resume pin).
 """
 
+import pickle
 import struct
 
 import pytest
 
+from repro.clock import SimClock
 from repro.core.snapshot import (
     SNAPSHOT_EXEMPT,
     SNAPSHOT_MAGIC,
@@ -321,12 +323,30 @@ class TestWorldApi:
 class TestDormantClockResume:
     """A resumed clock's ``dormant`` agrees with what it restored."""
 
+    def test_window_history_leaves_no_trace_in_the_clock_pickle(self):
+        """Outside a window the parked host time is always ``None``, so
+        clocks with equal time state pickle alike whatever windows ran."""
+        def settled():
+            clock = SimClock()
+            with clock.overlap("cvm"):
+                clock.advance(5, "drain")
+            clock.wait_for("cvm")
+            clock.advance(10, "host")
+            return clock
+
+        plain, rolled_back = settled(), settled()
+        with pytest.raises(RuntimeError):
+            with rolled_back.overlap("cvm"):
+                rolled_back.advance(3, "phantom")
+                raise RuntimeError("drain failed")
+        assert rolled_back._host_ns is None
+        assert pickle.dumps(plain, protocol=4) == \
+            pickle.dumps(rolled_back, protocol=4)
+
     @staticmethod
     def _agrees(clock):
         bus = clock.bus
-        return clock.dormant == (
-            clock._overlap_lane is None
-            and (bus is None or not bus._depth))
+        return clock.dormant == (bus is None or not bus._depth)
 
     def test_previous_version_blob_is_refused_cleanly(self, anception_world):
         blob = bytearray(anception_world.snapshot())

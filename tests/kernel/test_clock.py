@@ -87,7 +87,7 @@ class TestOverlapRollback:
     """_OverlapWindow.__exit__: exceptions roll the lane cursor back.
 
     Pre-fix, a window body that raised (an injected ``wb.*``/``binder.*``
-    fault escaping mid-drain) still committed ``_overlap_cursor`` to
+    fault escaping mid-drain) still committed the lane cursor to
     ``_lane_busy``, billing the lane for work that never completed; the
     next fence then waited out phantom time.
     """

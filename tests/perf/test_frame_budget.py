@@ -37,7 +37,9 @@ BUDGET = {
     "writev": 138,
     "fstat": 63,
     "call_service": 94,
-    "wb_drain": 925,
+    "wb_drain": 555,
+    "binder_drain": 808,
+    "cache_hit_pread": 21,
     "submit_frame": 25,
     "compute": 1,
     "insert": 2,
@@ -46,7 +48,7 @@ BUDGET = {
 submit_frame, compute and insert were 12, 105, 98, 37, 2 and 5 (the 113
 and 106 recorded for pwrite and pread with cProfile include
 comprehension frames); before the flat sync crossing pwrite and pread
-were 101 and 94."""
+were 101 and 94; before the dormant overlap window wb_drain was 925."""
 
 TOP_FUNCTIONS = 10
 """Functions an over-budget failure lists, most-entered first."""
@@ -110,6 +112,8 @@ def _calls():
         "call_service": lambda: ctx.call_service("location", "get_fix",
                                                  parcel),
         "wb_drain": _write_behind_drain(),
+        "binder_drain": _binder_window_drain(),
+        "cache_hit_pread": _cache_hit_pread(),
         "submit_frame": lambda: ctx.submit_frame(b"frame"),
         "compute": lambda: ctx.compute(680),
         "insert": lambda: db.insert("rows", b"r" * 26),
@@ -134,6 +138,35 @@ def _write_behind_drain():
         libc.fence(fd)
 
     return drain
+
+
+def _binder_window_drain():
+    """Eight oneway 128 B binder calls and the synchronous call that
+    fences their window, on a world with batched binder delegation."""
+    world = AnceptionWorld(async_delegation=True, binder_ring=True)
+    running = world.install_and_launch(ScratchApp())
+    running.run()
+    ctx = running.ctx
+    parcel = {"blob": "x" * 120}
+
+    def drain():
+        for _ in range(8):
+            ctx.call_service_oneway("location", "get_fix", parcel)
+        ctx.call_service("location", "get_fix", parcel)
+
+    return drain
+
+
+def _cache_hit_pread():
+    """A 4 KB pread served from a warm host page cache."""
+    world = AnceptionWorld(read_cache=True)
+    running = world.install_and_launch(ScratchApp())
+    running.run()
+    libc = running.ctx.libc
+    fd = libc.open(running.ctx.data_path("cached.bin"),
+                   vfs.O_RDWR | vfs.O_CREAT, 0o600)
+    libc.pwrite(fd, b"c" * 4096, 0)
+    return lambda: libc.pread(fd, 4096, 0)
 
 
 @pytest.mark.parametrize("call", sorted(BUDGET))
