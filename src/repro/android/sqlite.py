@@ -12,10 +12,31 @@ dies on modelling its I/O pattern honestly:
   (the filesystem/page-cache buffering the paper credits for masking the
   microbenchmark latency at macro level).
 
-The format is a simple paged heap: page 0 is the catalog, data pages hold
-length-prefixed rows, and an in-memory index maps (table, row_id) to
-(page, offset).  This is enough to run the AnTuTu DB workload and the
-10,000-row transaction benchmark with real byte traffic.
+The format is a simple paged heap: page 0 is the catalog (a JSON dump
+listing each table's pages in order, its row count and the next free
+page number) and data pages hold length-prefixed rows.  This is enough
+to run the AnTuTu DB workload and the 10,000-row transaction benchmark
+with real byte traffic.
+
+Inside a transaction each table that has taken a row keeps a **tail
+cursor** (:class:`_Tail`): its tail page, the page's used bytes and row
+count, the table's row count, and the clock and per-row cost resolved
+once.  A row that fits the tail page is charged and queued on the
+cursor without touching the page arithmetic; the queued rows are laid
+into the page image at the *sync points*, the only readers of the page
+images and the catalog: ``commit``, ``checkpoint``, ``select_all``,
+``row_count`` and ``create_table`` (``rollback`` discards them).  The
+first row of a transaction, a row that needs a new page and every
+autocommitted row take the cold path, which does the page arithmetic
+and (re)builds the cursor.  Every row is still charged at its own
+insert, so simulated time at each syscall and the page, journal and
+file bytes are the same as laying each row down at once.
+
+``rollback`` restores the database as of ``begin`` without a syscall:
+the catalog, the page numbering, the dirty set, and each tail page cut
+back to its begin-time rows; pages the transaction allocated are
+dropped.  A row longer than :data:`MAX_ROW_BYTES` (one page minus its
+header and the row's length prefix) is rejected before it is charged.
 """
 
 from __future__ import annotations
@@ -34,9 +55,35 @@ ROW_CPU_UNITS = 865
 _HEADER = struct.Struct("<HH")  # (used_bytes, row_count) per data page
 _ROW_LEN = struct.Struct("<H")  # length prefix of each row
 
+MAX_ROW_BYTES = PAGE_SIZE - _HEADER.size - _ROW_LEN.size
+"""The longest row one data page holds."""
+
 
 class Transactionless(SimulationError):
     """Operation requires an open transaction."""
+
+
+class _Tail:
+    """One table's tail page while a transaction appends to it.
+
+    ``used`` and ``count`` include the ``pending`` rows, which the page
+    image receives at the next sync point; ``rows`` is the table's row
+    count including them.
+    """
+
+    __snapshot__ = "auto"
+    __slots__ = ("info", "page_no", "page", "used", "count", "rows",
+                 "pending", "clock", "cpu_ns")
+
+    def __init__(self, info, page_no, page, clock, cpu_ns):
+        self.info = info
+        self.page_no = page_no
+        self.page = page
+        self.used, self.count = _HEADER.unpack_from(page, 0)
+        self.rows = info["row_count"]
+        self.pending = []
+        self.clock = clock
+        self.cpu_ns = cpu_ns
 
 
 class Database:
@@ -53,6 +100,9 @@ class Database:
         self._catalog = {}
         self._next_page = 1
         self._in_transaction = False
+        self._tails = {}
+        self._undo = None
+        self._undo_tails = {}
         self._fd = None
         self._open()
 
@@ -83,16 +133,12 @@ class Database:
             self._pages[page_no] = page
         return page
 
-    def _charge_cpu(self, units):
-        self.libc.kernel.clock.advance(
-            units * self.libc.kernel.costs.cpu_unit_ns, "sqlite:cpu"
-        )
-
     # -- schema ---------------------------------------------------------------
 
     def create_table(self, name):
         if name in self._catalog:
             raise SimulationError(f"table {name!r} exists")
+        self._sync()
         page_no = self._allocate_page()
         self._catalog[name] = {
             "first_page": page_no,
@@ -129,41 +175,58 @@ class Database:
         if self._in_transaction:
             raise SimulationError("nested transaction")
         self._in_transaction = True
-        self._journal_written = False
+        catalog = {
+            name: dict(info, pages=list(info["pages"]))
+            for name, info in self._catalog.items()
+        }
+        self._undo = (catalog, self._next_page, set(self._dirty))
+
+    def _end_transaction(self):
+        self._in_transaction = False
+        self._tails.clear()
+        self._undo = None
+        self._undo_tails.clear()
 
     def commit(self):
         """Sync the journal; data pages stay cached until checkpoint."""
         if not self._in_transaction:
             raise Transactionless("commit outside transaction")
+        self._sync()
         self._write_journal()
         self._write_catalog()
         self.libc.fsync(self._fd)
-        self._in_transaction = False
+        self._end_transaction()
 
     def rollback(self):
+        """Restore the database as of ``begin``; makes no syscall.
+
+        Rows queued on tail cursors are discarded, each tail page the
+        transaction wrote is cut back to its begin-time rows (the bytes
+        past them zeroed), pages it allocated are dropped, and the
+        catalog, its page image and the dirty set are restored.
+        """
         if not self._in_transaction:
             raise Transactionless("rollback outside transaction")
-        self._pages.clear()
-        self._dirty.clear()
-        self._in_transaction = False
-        self._catalog = {}
-        self._open_catalog_from_disk()
-
-    def _open_catalog_from_disk(self):
-        raw = self.libc.pread(self._fd, PAGE_SIZE, 0)
-        if raw.strip(b"\x00"):
-            meta = json.loads(raw.rstrip(b"\x00").decode())
-            self._catalog = {
-                name: dict(info) for name, info in meta["tables"].items()
-            }
-            self._next_page = meta["next_page"]
+        catalog, next_page, dirty = self._undo
+        for page_no, (used, count) in self._undo_tails.items():
+            if page_no < next_page:
+                page = self._pages[page_no]
+                page[used:] = bytes(PAGE_SIZE - used)
+                _HEADER.pack_into(page, 0, used, count)
+        for page_no in range(next_page, self._next_page):
+            self._pages.pop(page_no, None)
+        self._catalog = catalog
+        self._next_page = next_page
+        # The begin-time catalog serializes to the begin-time page 0.
+        self._write_catalog()
+        self._dirty = {page_no for page_no in dirty if page_no < next_page}
+        self._end_transaction()
 
     def _write_journal(self):
         """Rollback journal: original images of pages we are replacing."""
         entries = sorted(self._dirty)
         header = json.dumps({"pages": entries}).encode()
         self.libc.write_file(self.journal_path, header, mode=0o600)
-        self._journal_written = True
 
     def recover(self):
         """Crash recovery at open time (SQLite's hot-journal handling).
@@ -189,6 +252,11 @@ class Database:
         critical path; benchmarks call it explicitly outside (or inside)
         their measured window depending on what they model.
         """
+        self._sync()
+        if self._in_transaction:
+            # A rollback must write these pages again: the file is about
+            # to hold their in-transaction images.
+            self._undo[2].update(self._dirty)
         for page_no in sorted(self._dirty):
             self.libc.pwrite(
                 self._fd, bytes(self._pages[page_no]), page_no * PAGE_SIZE
@@ -204,19 +272,40 @@ class Database:
 
     def insert(self, table, row):
         """Append one row (bytes); returns its row id."""
+        row = bytes(row)
+        tail = self._tails.get(table)
+        if tail is not None:
+            used = tail.used + 2 + len(row)
+            if used <= PAGE_SIZE:
+                clock = tail.clock
+                if clock.dormant:
+                    clock._now_ns += tail.cpu_ns
+                else:
+                    clock.advance(tail.cpu_ns, "sqlite:cpu")
+                tail.used = used
+                tail.count += 1
+                tail.pending.append(row)
+                tail.rows += 1
+                return tail.rows
         info = self._catalog.get(table)
         if info is None:
             raise SimulationError(f"no table {table!r}")
+        if len(row) > MAX_ROW_BYTES:
+            raise SimulationError(
+                f"row of {len(row)} bytes exceeds {MAX_ROW_BYTES}"
+            )
         if not self._in_transaction:
             # autocommit: wrap the single statement
             self.begin()
-            row_id = self._insert_locked(info, row)
+            row_id = self._insert_locked(table, info, row)
             self.commit()
             return row_id
-        return self._insert_locked(info, row)
+        if tail is not None:
+            self._lay_rows(tail)
+        return self._insert_locked(table, info, row)
 
-    def _insert_locked(self, info, row):
-        row = bytes(row)
+    def _insert_locked(self, table, info, row):
+        """The cold path: charge, place the row, rebuild the cursor."""
         kernel = self.libc.kernel
         clock = kernel.clock
         cpu_ns = ROW_CPU_UNITS * kernel.costs.cpu_unit_ns
@@ -230,37 +319,69 @@ class Database:
         if page is None:
             page = self._load_page(page_no)
         used, count = _HEADER.unpack_from(page, 0)
+        self._undo_tails.setdefault(page_no, (used, count))
         if used + need > PAGE_SIZE:
             page_no = self._allocate_page()
             info["pages"].append(page_no)
-            page = self._load_page(page_no)
+            page = self._pages[page_no]
             used, count = _HEADER.unpack_from(page, 0)
         _ROW_LEN.pack_into(page, used, len(row))
         page[used + 2 : used + 2 + len(row)] = row
         _HEADER.pack_into(page, 0, used + need, count + 1)
         self._dirty.add(page_no)
         info["row_count"] += 1
+        self._tails[table] = _Tail(info, page_no, page, clock, cpu_ns)
         return info["row_count"]
+
+    def _lay_rows(self, tail):
+        """Write a tail cursor's queued rows into its page image."""
+        pending = tail.pending
+        if not pending:
+            return
+        page = tail.page
+        used = _HEADER.unpack_from(page, 0)[0]
+        page[used:tail.used] = b"".join(
+            [_ROW_LEN.pack(len(row)) + row for row in pending]
+        )
+        _HEADER.pack_into(page, 0, tail.used, tail.count)
+        pending.clear()
+        self._dirty.add(tail.page_no)
+        tail.info["row_count"] = tail.rows
+
+    def _sync(self):
+        """Lay every queued row down: run before reading the page
+        images or the catalog."""
+        for tail in self._tails.values():
+            self._lay_rows(tail)
 
     def select_all(self, table):
         """Return every row of ``table`` (scans pages through the cache)."""
         info = self._catalog.get(table)
         if info is None:
             raise SimulationError(f"no table {table!r}")
+        self._sync()
+        kernel = self.libc.kernel
+        clock = kernel.clock
+        scan_ns = (ROW_CPU_UNITS // 4) * kernel.costs.cpu_unit_ns
         rows = []
         for page_no in info["pages"]:
-            page = self._load_page(page_no)
-            used, count = _HEADER.unpack_from(page, 0)
+            page = self._pages.get(page_no)
+            if page is None:
+                page = self._load_page(page_no)
             cursor = _HEADER.size
-            for _ in range(count):
-                (length,) = _ROW_LEN.unpack_from(page, cursor)
-                rows.append(bytes(page[cursor + 2 : cursor + 2 + length]))
-                cursor += 2 + length
-                self._charge_cpu(ROW_CPU_UNITS // 4)
+            for _ in range(_HEADER.unpack_from(page, 0)[1]):
+                start = cursor + 2
+                cursor = start + _ROW_LEN.unpack_from(page, cursor)[0]
+                rows.append(bytes(page[start:cursor]))
+                if clock.dormant:
+                    clock._now_ns += scan_ns
+                else:
+                    clock.advance(scan_ns, "sqlite:cpu")
         return rows
 
     def row_count(self, table):
         info = self._catalog.get(table)
         if info is None:
             raise SimulationError(f"no table {table!r}")
+        self._sync()
         return info["row_count"]

@@ -548,6 +548,7 @@ class AnceptionLayer:
             try:
                 return attempt(*args)
             except DelegationError as failure:
+                self._drop_queued(lane)
                 tries += 1
                 if self.recovery.enabled \
                         and tries <= self.recovery.max_retries:
@@ -556,6 +557,25 @@ class AnceptionLayer:
                 if exhausted is not None:
                     return exhausted(failure)
                 raise _delegation_eio(failure, site) from failure
+
+    def _drop_queued(self, lane):
+        """Drop what a failed attempt queued on ``lane``.
+
+        Whatever was mid-flight is unrecoverable state once an attempt
+        fails.  A multi-call window submits every call before its one
+        flush, so a failure mid-submit leaves the earlier calls in
+        ``inflight`` and on the submit ring, and a failed flush leaves
+        descriptors on both rings.  Dropping them (and their slabs) lets
+        the retry re-submit from scratch against clean rings instead of
+        shipping stale calls a second time.
+        """
+        dropped, lane.inflight = lane.inflight, []
+        lane.channel.reset_rings()
+        recycle = self.slab_pool.recycle
+        for pending in dropped:
+            if pending.slab is not None:
+                recycle(pending.slab)
+                pending.slab = None
 
     def _round_trip(self, task, lane, calls, reason, label, batch=None):
         """Submit each call, ring one doorbell pair, complete each call.
@@ -734,15 +754,11 @@ class AnceptionLayer:
             if completions:
                 self._signal_host_or_poll(lane, reason, pendings[0].task,
                                           coalesced=completions)
-        except DelegationError:
-            # Whatever was mid-flight is unrecoverable state now; the
-            # retry loop re-submits from scratch against clean rings.
-            lane.channel.reset_rings()
-            raise
         finally:
-            # The window retired (or its ring state was dropped): either
-            # way no descriptor references the wire views any longer, so
-            # the slabs go back to the pool.  Stale references surface as
+            # The window retired, or it failed and the retry loop drops
+            # its ring state (:meth:`_drop_queued`): either way no
+            # descriptor is read through the wire views again, so the
+            # slabs go back to the pool.  Stale references surface as
             # released-memoryview ValueErrors rather than silent aliasing.
             recycle = self.slab_pool.recycle
             for p in pendings:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.android.sqlite import Database, Transactionless
+from repro.android.sqlite import MAX_ROW_BYTES, Database, Transactionless
 from repro.errors import SimulationError
 from repro.kernel.kernel import Machine
 from repro.kernel.libc import Libc
@@ -15,6 +15,11 @@ def libc():
     task = kernel.spawn_task("dbapp", Credentials(10001))
     task.cwd = "/data/local/tmp"
     return Libc(kernel, task)
+
+
+def _file_bytes(libc, path):
+    inode = libc.kernel.vfs.resolve(path, Credentials(0))
+    return bytes(inode.data)
 
 
 @pytest.fixture
@@ -91,6 +96,103 @@ class TestTransactions:
 
         with pytest.raises(SyscallError):
             libc.read_file("/data/local/tmp/test.db-journal")
+
+
+    def test_rollback_keeps_uncheckpointed_commits(self, libc):
+        """Rollback returns to the last commit, not the last checkpoint."""
+        db = Database(libc, "/data/local/tmp/r.db")
+        db.create_table("t")
+        db.begin()
+        db.insert("t", b"one")
+        db.insert("t", b"two")
+        db.commit()
+        db.begin()
+        db.insert("t", b"three")
+        clock = libc.kernel.clock
+        before = clock.now_ns
+        db.rollback()
+        assert clock.now_ns == before  # no syscall, no charge
+        assert db.select_all("t") == [b"one", b"two"]
+        assert db.row_count("t") == 2
+        assert db.insert("t", b"four") == 3
+        db.begin()
+        db.insert("t", b"five")
+        db.rollback()
+        db.checkpoint()
+        db.close()
+        reopened = Database(libc, "/data/local/tmp/r.db")
+        assert reopened.select_all("t") == [b"one", b"two", b"four"]
+        assert reopened.row_count("t") == 3
+
+    def test_rollback_leaves_the_file_bytes_of_its_commits(self, libc):
+        paths = "/data/local/tmp/plain.db", "/data/local/tmp/undone.db"
+        for path in paths:
+            db = Database(libc, path)
+            db.create_table("t")
+            db.begin()
+            db.insert("t", b"kept")
+            db.commit()
+            if path == paths[1]:
+                db.begin()
+                for _ in range(3):
+                    db.insert("t", b"undone" * 300)  # two pages
+                db.rollback()
+            db.checkpoint()
+            db.close()
+        assert _file_bytes(libc, paths[0]) == _file_bytes(libc, paths[1])
+
+    def test_rollback_drops_tables_and_pages_of_the_transaction(self, db):
+        db.begin()
+        db.create_table("later")
+        db.insert("later", b"x")
+        for _ in range(10):
+            db.insert("t", b"y" * 1000)  # fills the tail, allocates pages
+        db.rollback()
+        assert db.tables() == ["t"]
+        assert db.select_all("t") == []
+        db.create_table("later")  # page numbering restored too
+        assert db.select_all("later") == []
+
+
+class TestRowSize:
+    def test_page_sized_row_fits_and_persists(self, libc):
+        row = bytes(range(256)) * 15 + b"z" * (MAX_ROW_BYTES - 3840)
+        assert len(row) == MAX_ROW_BYTES == 4090
+        db = Database(libc, "/data/local/tmp/big.db")
+        db.create_table("t")
+        db.insert("t", b"small")
+        db.insert("t", row)
+        db.checkpoint()
+        db.close()
+        reopened = Database(libc, "/data/local/tmp/big.db")
+        assert reopened.select_all("t") == [b"small", row]
+
+    @pytest.mark.parametrize("in_transaction", [False, True])
+    def test_oversized_row_rejected_without_side_effects(self, libc,
+                                                         in_transaction):
+        clock = libc.kernel.clock
+        paths = "/data/local/tmp/ref.db", "/data/local/tmp/over.db"
+        for path in paths:
+            db = Database(libc, path)
+            db.create_table("t")
+            if in_transaction:
+                db.begin()
+            db.insert("t", b"before")
+            if path == paths[1]:
+                before = clock.now_ns
+                with pytest.raises(SimulationError):
+                    db.insert("t", b"x" * (MAX_ROW_BYTES + 1))
+                assert clock.now_ns == before
+            db.insert("t", b"after")
+            if in_transaction:
+                db.commit()
+            else:
+                db.begin()  # no transaction was left open
+                db.commit()
+            assert db.select_all("t") == [b"before", b"after"]
+            db.checkpoint()
+            db.close()
+        assert _file_bytes(libc, paths[0]) == _file_bytes(libc, paths[1])
 
 
 class TestPersistence:

@@ -24,10 +24,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.android.sqlite import Database
+from repro.kernel.process import Credentials
 from repro.obs.bus import TraceBus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runner import TRACE_WORKLOADS, _iterate, boot_obs_world
 from repro.perf.slab import DEFAULT_SLAB_BYTES, SlabPool, zeros
+from repro.perf.sqlite_bench import _SqliteBenchApp
+from repro.workloads.antutu import DatabaseIOWorkload
+from repro.world import AnceptionWorld
+
+from tests.differential.harness import data_kernel
 
 
 # Captured on the pre-rebuild (seed) engine with _digest() below; the
@@ -182,6 +188,37 @@ def test_app_stream_digest_matches_pin():
 
 def test_dormant_app_stream_elapses_identical_sim_time():
     assert _app_digest(traced=False) == APP_STREAM_DIGEST[0]
+
+
+# -- sqlite file bytes ----------------------------------------------------------
+
+# (size, blake2b-128) of the database file each app leaves behind in the
+# paper configuration, captured before the sqlite tail cursor: E4's
+# 10,000-row transaction after its checkpoint, and AnTuTu's DatabaseIO
+# test (eight checkpointed 500-row transactions and a full scan).
+DB_FILE_DIGESTS = {
+    "e4_sqlite": (286720, "c887de7d76c3e8f272671c0d88d404c3"),
+    "antutu_db": (126976, "061a0069f6ff48ef83c30fac192d6903"),
+}
+
+
+def _db_file_digest(app, name):
+    world = AnceptionWorld()
+    running = world.install_and_launch(app)
+    running.run()
+    path = running.ctx.data_path(name)
+    data = bytes(data_kernel(world).vfs.resolve(path, Credentials(0)).data)
+    return len(data), hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+def test_e4_sqlite_file_digest_matches_pin():
+    assert _db_file_digest(_SqliteBenchApp(), "bench.db") \
+        == DB_FILE_DIGESTS["e4_sqlite"]
+
+
+def test_antutu_db_file_digest_matches_pin():
+    assert _db_file_digest(DatabaseIOWorkload(), "antutu.db") \
+        == DB_FILE_DIGESTS["antutu_db"]
 
 
 # -- slab-pool reuse / aliasing safety ----------------------------------------

@@ -1,12 +1,16 @@
 """Model-based property tests for the SQLite-like engine."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.android.sqlite import Database
+from repro.android.sqlite import MAX_ROW_BYTES, Database, Transactionless
+from repro.errors import SimulationError
 from repro.kernel.kernel import Machine
 from repro.kernel.libc import Libc
 from repro.kernel.process import Credentials
+from repro.perf.costs import PAGE_SIZE
 
 
 def fresh_db(path="/data/local/tmp/prop.db"):
@@ -78,3 +82,173 @@ class TestSqliteModel:
             db.commit()
             expected.extend(batch)
         assert db.select_all("t") == expected
+
+
+# -- op scripts against a list model ---------------------------------------------
+
+_TABLES = ("t", "t", "a", "b")
+"""Table names, "t" (which every script starts with) weighted up."""
+_SIZES = st.one_of(
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=MAX_ROW_BYTES),
+    st.sampled_from(["fill", MAX_ROW_BYTES, MAX_ROW_BYTES + 1]),
+)
+_STEP_KINDS = ("insert",) * 3 + (
+    "checkpoint", "select_all", "row_count", "create_table",
+)
+_STEPS = st.lists(
+    st.tuples(st.sampled_from(_STEP_KINDS), st.sampled_from(_TABLES),
+              _SIZES, st.integers(min_value=1, max_value=30)),
+    max_size=8,
+)
+_BLOCKS = st.lists(
+    st.tuples(st.booleans(), _STEPS,
+              st.sampled_from(["commit", "rollback", "checkpoint",
+                               "reopen", "begin", None])),
+    min_size=1, max_size=6,
+)
+
+
+def _script(blocks):
+    """Flatten ``(opens a transaction, steps, closing op)`` blocks into
+    ``(kind, table, row size, rows)`` ops; each kind reads what it
+    needs.  A block that opens no transaction runs its steps in
+    autocommit (or inside a transaction an earlier block left open)."""
+    ops = []
+    for opens, steps, closing in blocks:
+        if opens:
+            ops.append(("begin", "t", 0, 1))
+        ops.extend(steps)
+        if closing is not None:
+            ops.append((closing, "t", 0, 1))
+    return ops
+
+
+_OPS = _BLOCKS.map(_script)
+
+
+def _fill_size(rows):
+    """The row size that exactly fills the tail page ``rows`` leave
+    (a whole fresh page when the tail has no room left)."""
+    used = 4
+    for row in rows:
+        if used + 2 + len(row) > PAGE_SIZE:
+            used = 4
+        used += 2 + len(row)
+    room = PAGE_SIZE - used - 2
+    return room if room >= 0 else MAX_ROW_BYTES
+
+
+def _file_bytes(db):
+    inode = db.libc.kernel.vfs.resolve(db.path, Credentials(0))
+    return bytes(inode.data)
+
+
+def _replay(ops, eager):
+    """Run ``ops`` against a fresh database, checking every result
+    against a list model; return the file image after each checkpoint.
+
+    The model keeps the committed tables, the open transaction's working
+    copy and the tables a reopen would see (``None`` once a checkpoint
+    inside a transaction has put uncommitted pages in the file; a reopen
+    then checkpoints first).  With ``eager`` every insert is followed by
+    a ``row_count``, a sync point, so no row ever waits on a tail
+    cursor.
+    """
+    db = fresh_db()
+    libc = db.libc
+    committed = {"t": []}
+    disk = {}
+    work = None
+    serial = 0
+    images = []
+
+    def checkpoint():
+        db.checkpoint()
+        images.append(_file_bytes(db))
+
+    for name, table, size, repeat in ops:
+        tables = committed if work is None else work
+        if name == "insert":
+            for _ in range(repeat):
+                if table not in tables:
+                    with pytest.raises(SimulationError):
+                        db.insert(table, b"")
+                    break
+                length = (_fill_size(tables[table]) if size == "fill"
+                          else size)
+                serial += 1
+                row = (serial.to_bytes(4, "little") * length)[:length]
+                if length > MAX_ROW_BYTES:
+                    with pytest.raises(SimulationError):
+                        db.insert(table, row)
+                    break
+                tables[table].append(row)
+                assert db.insert(table, row) == len(tables[table])
+                if eager:
+                    db.row_count(table)
+        elif name == "begin":
+            if work is not None:
+                with pytest.raises(SimulationError):
+                    db.begin()
+                continue
+            db.begin()
+            work = copy.deepcopy(committed)
+        elif name in ("commit", "rollback"):
+            if work is None:
+                with pytest.raises(Transactionless):
+                    getattr(db, name)()
+                continue
+            getattr(db, name)()
+            if name == "commit":
+                committed = work
+            work = None
+        elif name == "checkpoint":
+            checkpoint()
+            disk = copy.deepcopy(committed) if work is None else None
+        elif name == "reopen":
+            if work is not None:
+                continue
+            if disk is None:
+                checkpoint()
+                disk = copy.deepcopy(committed)
+            db.close()
+            db = Database(libc, db.path)
+            committed = copy.deepcopy(disk)
+        elif name == "create_table":
+            if table in tables:
+                with pytest.raises(SimulationError):
+                    db.create_table(table)
+            else:
+                db.create_table(table)
+                tables[table] = []
+        elif table not in tables:
+            with pytest.raises(SimulationError):
+                getattr(db, name)(table)
+        elif name == "select_all":
+            assert db.select_all(table) == tables[table]
+        else:
+            assert db.row_count(table) == len(tables[table])
+    if work is not None:
+        db.commit()
+        committed = work
+    checkpoint()
+    db.close()
+    reopened = Database(libc, db.path)
+    assert reopened.tables() == sorted(committed)
+    for table, rows in committed.items():
+        assert reopened.select_all(table) == rows
+        assert reopened.row_count(table) == len(rows)
+    return images
+
+
+class TestOpScripts:
+    """Random scripts over every sync point and every way a tail cursor
+    can go stale."""
+
+    @given(ops=_OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_engine_matches_list_model_and_eager_file_bytes(self, ops):
+        """Rows read back as the model says, and queued rows leave the
+        same file bytes as rows laid down at once."""
+        assert _replay(ops, eager=False) == _replay(ops, eager=True)
