@@ -170,14 +170,6 @@ def _cache_summary(anception):
     )
 
 
-def _cache_args(args):
-    """The (read_cache, cache_pages) pair the workload runners take."""
-    return {
-        "read_cache": not getattr(args, "no_read_cache", False),
-        "cache_pages": getattr(args, "cache_pages", None) or 1024,
-    }
-
-
 def _wb_summary(anception):
     """One human line of write-behind state for stderr (or None if off).
 
@@ -193,18 +185,6 @@ def _wb_summary(anception):
         f" deferred_errors={stats['deferred_errors']}"
         f" max_depth_seen={stats['max_depth_seen']}"
     )
-
-
-def _wb_args(args):
-    """The (write_behind, write_behind_depth) pair the runners take.
-
-    Like the read cache, write-behind is on by default for the tooling
-    commands (trace/metrics/chaos) and off in the library default.
-    """
-    return {
-        "write_behind": not getattr(args, "no_write_behind", False),
-        "write_behind_depth": getattr(args, "write_behind_depth", None),
-    }
 
 
 def _binder_summary(anception):
@@ -225,22 +205,22 @@ def _binder_summary(anception):
     )
 
 
-def _binder_args(args):
-    """The (binder_ring, binder_ring_depth) pair the runners take.
+def _knobs(args):
+    """The layer knobs the tooling commands boot with.
 
-    Like write-behind, the batched binder path is on by default for the
-    tooling commands (trace/metrics/chaos) and off in the library
-    default.
+    Keys are :class:`~repro.core.anception.AnceptionLayer`'s keyword
+    arguments, passed through unchanged.  The read cache, write-behind
+    and the binder ring are on by default here (each has a ``--no-…``
+    flag) and off in the library default.
     """
     return {
+        "ring_depth": getattr(args, "ring_depth", None),
+        "read_cache": not getattr(args, "no_read_cache", False),
+        "cache_pages": getattr(args, "cache_pages", None) or 1024,
+        "async_delegation": not getattr(args, "no_write_behind", False),
+        "write_behind_depth": getattr(args, "write_behind_depth", None),
         "binder_ring": not getattr(args, "no_binder_ring", False),
         "binder_ring_depth": getattr(args, "binder_ring_depth", None),
-    }
-
-
-def _pool_args(args):
-    """The (cvms, placement) pair the workload runners take."""
-    return {
         "cvms": getattr(args, "cvms", None) or 1,
         "placement": getattr(args, "placement", None),
     }
@@ -278,10 +258,7 @@ def cmd_trace(args):
     seed = getattr(args, "seed", 0)
     host_t0 = time.perf_counter_ns()
     try:
-        result = run_traced(workload, seed=seed,
-                            ring_depth=getattr(args, "ring_depth", None),
-                            **_cache_args(args), **_wb_args(args),
-                            **_binder_args(args), **_pool_args(args))
+        result = run_traced(workload, seed=seed, **_knobs(args))
     except ValueError as exc:
         sys.exit(f"anception: error: {exc}")
     host_ns = time.perf_counter_ns() - host_t0
@@ -303,19 +280,11 @@ def cmd_trace(args):
         f" sim/host={result.elapsed_ns / host_ns:.3f}",
         file=sys.stderr,
     )
-    print(_ring_summary(result.world.anception), file=sys.stderr)
-    cache_line = _cache_summary(result.world.anception)
-    if cache_line is not None:
-        print(cache_line, file=sys.stderr)
-    wb_line = _wb_summary(result.world.anception)
-    if wb_line is not None:
-        print(wb_line, file=sys.stderr)
-    binder_line = _binder_summary(result.world.anception)
-    if binder_line is not None:
-        print(binder_line, file=sys.stderr)
-    pool_lines = _pool_summary(result.world.anception)
-    if pool_lines is not None:
-        print(pool_lines, file=sys.stderr)
+    for summary in (_ring_summary, _cache_summary, _wb_summary,
+                    _binder_summary, _pool_summary):
+        lines = summary(result.world.anception)
+        if lines is not None:
+            print(lines, file=sys.stderr)
 
 
 def cmd_metrics(args):
@@ -325,9 +294,7 @@ def cmd_metrics(args):
     seed = getattr(args, "seed", 0)
     try:
         result = run_traced(workload, seed=seed, logcat=False,
-                            ring_depth=getattr(args, "ring_depth", None),
-                            **_cache_args(args), **_wb_args(args),
-                            **_binder_args(args), **_pool_args(args))
+                            **_knobs(args))
     except ValueError as exc:
         sys.exit(f"anception: error: {exc}")
     bus = getattr(result.world.clock, "bus", None)
@@ -352,9 +319,7 @@ def cmd_chaos(args):
     try:
         result = run_chaos(workload, seed=seed,
                            faults=getattr(args, "faults", None),
-                           ring_depth=getattr(args, "ring_depth", None),
-                           **_cache_args(args), **_wb_args(args),
-                           **_binder_args(args), **_pool_args(args))
+                           **_knobs(args))
     except ValueError as exc:
         sys.exit(f"anception: error: {exc}")
     trace_out = getattr(args, "trace_out", None)
@@ -388,28 +353,34 @@ def cmd_report(args):
           getattr(args, "out", None))
 
 
+def _warm_world(workload, knobs, warmup):
+    """A world booted with ``knobs`` after ``warmup`` workload passes."""
+    from repro.obs.runner import TRACE_WORKLOADS, boot_obs_world
+
+    fn = TRACE_WORKLOADS[workload]
+    world, ctx = boot_obs_world(**knobs)
+    target = world if getattr(fn, "needs_world", False) else ctx
+    for _ in range(warmup):
+        fn(target)
+    return world
+
+
 def cmd_snapshot(args):
     """Boot, warm up, and write a deterministic world snapshot blob."""
     from repro.core.snapshot import describe_snapshot
-    from repro.obs.runner import TRACE_WORKLOADS, boot_obs_world
+    from repro.obs.runner import TRACE_WORKLOADS
 
     workload = getattr(args, "workload", None) or "write4k"
-    fn = TRACE_WORKLOADS.get(workload)
-    if fn is None:
+    if workload not in TRACE_WORKLOADS:
         known = ", ".join(sorted(TRACE_WORKLOADS))
         sys.exit(
             f"anception: error: unknown workload {workload!r} "
             f"(known: {known})"
         )
-    knobs = {"ring_depth": getattr(args, "ring_depth", None),
-             **_cache_args(args), **_wb_args(args), **_binder_args(args),
-             **_pool_args(args)}
+    knobs = _knobs(args)
     warmup = getattr(args, "warmup", None) or 0
     host_t0 = time.perf_counter_ns()
-    world, ctx = boot_obs_world(**knobs)
-    target = world if getattr(fn, "needs_world", False) else ctx
-    for _ in range(warmup):
-        fn(target)
+    world = _warm_world(workload, knobs, warmup)
     blob = world.snapshot(meta={"workload": workload, "warmup": warmup,
                                 "knobs": knobs})
     out = getattr(args, "out", None) or "world.snap"
@@ -434,9 +405,7 @@ def cmd_resume(args):
     verify restore≡boot digest equality against a straight run."""
     from repro.core.snapshot import snapshot_meta, world_digest
     from repro.errors import SnapshotError
-    from repro.obs.runner import (
-        TRACE_WORKLOADS, boot_obs_world, run_traced,
-    )
+    from repro.obs.runner import run_traced
     from repro.world import _World
 
     path = getattr(args, "workload", None)
@@ -470,12 +439,8 @@ def cmd_resume(args):
         return
     # Straight-through control: fresh boot + the recorded warmup + the
     # same traced run.  Restore≡boot means the digests match exactly.
-    knobs = meta.get("knobs", {})
-    fresh, ctx = boot_obs_world(**knobs)
-    fn = TRACE_WORKLOADS[workload]
-    target = fresh if getattr(fn, "needs_world", False) else ctx
-    for _ in range(meta.get("warmup", 0)):
-        fn(target)
+    fresh = _warm_world(workload, meta.get("knobs", {}),
+                        meta.get("warmup", 0))
     run_traced(workload, seed=seed, world=fresh)
     resumed_digest = world_digest(world)
     straight_digest = world_digest(fresh)

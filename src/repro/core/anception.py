@@ -195,19 +195,18 @@ class AnceptionLayer:
     lines_of_code = ANCEPTION_LINES_OF_CODE
     marshaling_lines = ANCEPTION_MARSHALING_LINES
 
-    def __init__(self, machine, host_system, guest_mb=64, channel_pages=8,
-                 file_io_on_host=False, ring_depth=None, read_cache=False,
-                 cache_pages=1024, async_delegation=False,
-                 write_behind_depth=None, binder_ring=False,
-                 binder_ring_depth=None, cvms=1, placement=None,
-                 placement_seed=0):
+    def __init__(self, machine, host_system, *, file_io_on_host=False,
+                 ring_depth=None, read_cache=False, cache_pages=1024,
+                 async_delegation=False, write_behind_depth=None,
+                 binder_ring=False, binder_ring_depth=None, cvms=1,
+                 placement=None):
+        """The keywords are the world's knob set, spelled only here:
+        worlds, runners and the CLI pass them through unchanged."""
         self.machine = machine
         self.host_kernel = machine.kernel
         self.host_system = host_system
         # Lane-construction config, consumed by _bind_lane at boot and
         # again on every lane-scoped reboot.
-        self._guest_mb = guest_mb
-        self._channel_pages = channel_pages
         self._ring_depth = ring_depth
         self._read_cache = read_cache
         self._cache_pages = cache_pages
@@ -219,8 +218,7 @@ class AnceptionLayer:
         self.slab_pool = SlabPool()
         """Recycled wire-payload buffers for synchronous submits; their
         views live exactly as long as one flush window."""
-        self.pool = CVMPool(machine.clock, cvms=cvms, placement=placement,
-                            seed=placement_seed)
+        self.pool = CVMPool(machine.clock, cvms=cvms, placement=placement)
         """The routed transport: one :class:`~repro.core.pool.CVMLane`
         per container VM, plus the deterministic placement map.  The
         single-CVM default is byte-identical to the pre-pool layer."""
@@ -247,8 +245,9 @@ class AnceptionLayer:
         self.crypto_fs = None
         self.iago_verify = False
         self._file_mappings = {}
-        """(host_pid, base) -> (host_fd, file_offset, length) for
-        file-backed split mmaps; consulted by the msync write-back."""
+        """(host_pid, base) -> (host_fd, file_offset, length, extent)
+        for file-backed split mmaps, ``extent`` being the bytes the file
+        backed at map time; consulted by the msync write-back."""
         self._root = Credentials(ROOT_UID)
         self.host_kernel.interposition = self
         self.host_kernel.anception_build = True
@@ -281,11 +280,17 @@ class AnceptionLayer:
         counters survive (they are run-level telemetry).
         """
         if lane.cvm is None:
-            lane.cvm = ContainerVM(self.machine, self._guest_mb,
-                                   cvm_id=lane.cvm_id)
+            lane.cvm = ContainerVM(self.machine, cvm_id=lane.cvm_id)
+        # One kernel build: every guest shares the host kernel's bug,
+        # quirk and limit objects, so a freshly booted or rebooted lane
+        # is never silently patched and a later install reaches it too.
+        guest, host = lane.cvm.kernel, self.host_kernel
+        guest.vulnerabilities = host.vulnerabilities
+        guest.quirks = host.quirks
+        guest.nproc_limits = host.nproc_limits
         old_channel = lane.channel
         lane.channel = AnceptionChannel(
-            lane.cvm.hypervisor, self.machine.costs, self._channel_pages,
+            lane.cvm.hypervisor, self.machine.costs,
             ring_depth=self._ring_depth,
         )
         if old_channel is not None:
@@ -1222,8 +1227,7 @@ class AnceptionLayer:
             task, "fcntl", (fd, cmd, arg), {}
         )
 
-    def _split_fcntl64(self, task, table, fd, cmd, arg=0):
-        return self._split_fcntl(task, table, fd, cmd, arg)
+    _split_fcntl64 = _split_fcntl
 
     def _split_ioctl(self, task, table, fd, request, arg=None):
         if table.is_remote(fd):
@@ -1316,11 +1320,6 @@ class AnceptionLayer:
         )
         return guest_task.alloc_fd(open_file)
 
-    def _split_mmap(self, task, table, length, prot, flags, addr=None,
-                    fd=None, offset=0):
-        return self._split_mmap2(task, table, length, prot, flags, addr, fd,
-                                 offset)
-
     def _split_mmap2(self, task, table, length, prot, flags, addr=None,
                      fd=None, offset=0):
         """Split mmap (Section III-D "Memory-mapped files").
@@ -1345,7 +1344,8 @@ class AnceptionLayer:
                 task.address_space.write(base, data, need_prot=0)
             self._mirror_reservation(task, length, prot, flags,
                                      addr if flags & 0x10 else base)
-            self._file_mappings[(task.pid, base)] = (fd, offset, length)
+            self._file_mappings[(task.pid, base)] = (fd, offset, length,
+                                                     len(data))
             return base
         # Anonymous (or host-file) mapping: host executes; mirror shape.
         result = self.host_kernel.execute_native(
@@ -1354,6 +1354,8 @@ class AnceptionLayer:
         if isinstance(result, int):
             self._mirror_reservation(task, length, prot, flags, result)
         return result
+
+    _split_mmap = _split_mmap2
 
     def _mirror_reservation(self, task, length, prot, flags, addr):
         if addr is None:
@@ -1370,18 +1372,21 @@ class AnceptionLayer:
 
         For file-backed split mappings the modified host bytes are
         pwritten back through the proxy; anonymous regions just cross
-        the channel (nothing to persist).
+        the channel (nothing to persist).  Only the bytes the file
+        backed at map time are written: msync never grows a file.
         """
         mapping = self._find_file_mapping(task, addr)
         if mapping is not None:
-            base, (host_fd, file_offset, map_length) = mapping
+            base, (host_fd, file_offset, _length, extent) = mapping
             sync_offset = addr - base
-            sync_length = min(length, map_length - sync_offset)
-            data = task.address_space.read(addr, sync_length, need_prot=0)
-            self._redirect(
-                task, "pwrite64",
-                (host_fd, data, file_offset + sync_offset), {},
-            )
+            sync_length = min(length, extent - sync_offset)
+            if sync_length > 0:
+                data = task.address_space.read(addr, sync_length,
+                                               need_prot=0)
+                self._redirect(
+                    task, "pwrite64",
+                    (host_fd, data, file_offset + sync_offset), {},
+                )
             return 0
         data = task.address_space.read(addr, length, need_prot=0)
         lane = self._lane(task)
@@ -1444,8 +1449,7 @@ class AnceptionLayer:
         # Host fork; the on_fork hook mirrors the child into the CVM.
         return self.host_kernel.execute_native(task, "fork", (flags,), {})
 
-    def _split_clone(self, task, table, flags=0):
-        return self._split_fork(task, table, flags)
+    _split_clone = _split_fork
 
     def _split_execve(self, task, table, path, argv=()):
         """Exec: host copy for system binaries, exec-cache for user code."""
@@ -1453,9 +1457,16 @@ class AnceptionLayer:
             return self.host_kernel.execute_native(
                 task, "execve", (path, argv), {}
             )
-        # User-generated code lives in the CVM: copy out, stage, exec.
+        # User-generated code lives in the CVM: check it as execve would
+        # (search and exec rights, a regular file), copy out, stage, exec.
+        creds = task.credentials
         try:
-            data = self._lane(task).cvm.read_out_file(self._abs(task, path))
+            inode = self._lane(task).cvm.kernel.vfs.resolve(
+                self._abs(task, path), creds)
+            inode.check_permission(creds, want_exec=True)
+            if inode.kind is not InodeKind.FILE:
+                raise SyscallError(errno.EACCES, path)
+            data = bytes(inode.data)
         except SyscallError as exc:
             raise SyscallError(exc.errno, f"exec source {path}",
                                call="execve") from exc

@@ -11,7 +11,7 @@ pending descriptor and one guest->host doorbell completes them all.
 Design points:
 
 * **Bounded capacity** — a ring holds at most ``depth`` descriptors
-  (derived from ``channel_pages`` by :func:`default_ring_depth`); a
+  (derived from the channel's page count by :func:`default_ring_depth`); a
   full ring raises :class:`~repro.errors.RingFull` and the layer
   flushes before retrying (backpressure, never silent loss).
 * **Per-descriptor CRC framing** — each descriptor records the CRC32

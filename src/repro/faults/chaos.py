@@ -18,10 +18,7 @@ from repro.core.recovery import RecoveryPolicy
 from repro.errors import SyscallError
 from repro.faults.engine import FaultEngine
 from repro.faults.plan import FaultPlan
-from repro.obs.bus import TraceBus
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.runner import TRACE_WORKLOADS
-from repro.world import AnceptionWorld
+from repro.obs.runner import TRACE_WORKLOADS, capture_run, warm_or_boot
 
 
 class ChaosApp(App):
@@ -83,10 +80,7 @@ def chaos_report_json(result):
 
 
 def run_chaos(workload, seed=0, faults=None, recovery=True, observe=True,
-              ring_depth=None, read_cache=False, cache_pages=1024,
-              write_behind=False, write_behind_depth=None,
-              binder_ring=False, binder_ring_depth=None,
-              cvms=1, placement=None, world=None):
+              world=None, **knobs):
     """Run ``workload`` with ``faults`` armed; never hangs, always reports.
 
     ``workload`` is a name from the traced-workload registry or any
@@ -94,24 +88,19 @@ def run_chaos(workload, seed=0, faults=None, recovery=True, observe=True,
     :class:`FaultPlan`, or ``None`` for :data:`DEFAULT_PLAN`.
     ``recovery=False`` runs with the default (disabled) policy, which is
     how the degradation guarantee — a well-defined errno, not a hang —
-    is exercised.  ``ring_depth`` overrides the delegation rings' depth;
-    ``read_cache``/``cache_pages`` enable and size the host-side page
-    cache (the ``cache.stale``/``cache.evict`` sites need it on);
-    ``write_behind``/``write_behind_depth`` enable and size the async
-    write-behind windows (the ``wb.error``/``wb.reap-loss`` sites need
-    them on); ``binder_ring``/``binder_ring_depth`` enable and size the
-    batched binder windows (the ``binder.*`` sites need them on);
-    ``cvms``/``placement`` shard apps across a pool of container VMs
-    (the ``pool.*`` sites need >1 lane to matter).
+    is exercised.  ``knobs`` configure the fresh world (see
+    :func:`~repro.obs.runner.boot_obs_world`); a fault site needs the
+    mechanism it targets switched on (``cache.*`` the read cache,
+    ``wb.*`` write-behind, ``binder.*`` the binder ring, ``pool.*``
+    more than one lane).
 
     Workloads with ``needs_world = True`` (the fleet driver) receive
     the booted world instead of the prey app's context.
 
     ``world`` warm-starts the campaign on an already-booted (typically
-    snapshot-restored) world; the knob arguments are ignored in that
-    case.  A restored mid-campaign world resumes with its armed fault
-    engine's trigger cursor and PRNG intact unless a fresh plan is
-    armed here.
+    snapshot-restored) world.  A restored mid-campaign world resumes
+    with its armed fault engine's trigger cursor and PRNG intact unless
+    a fresh plan is armed here.
     """
     if callable(workload):
         fn, name = workload, getattr(workload, "__name__", "custom")
@@ -123,26 +112,12 @@ def run_chaos(workload, seed=0, faults=None, recovery=True, observe=True,
             raise ValueError(f"unknown workload {workload!r} (known: {known})")
     plan = FaultPlan.parse(DEFAULT_PLAN if faults is None else faults)
 
-    if world is None:
-        world = AnceptionWorld(ring_depth=ring_depth, read_cache=read_cache,
-                               cache_pages=cache_pages,
-                               async_delegation=write_behind,
-                               write_behind_depth=write_behind_depth,
-                               binder_ring=binder_ring,
-                               binder_ring_depth=binder_ring_depth,
-                               cvms=cvms, placement=placement)
-        running = world.install_and_launch(ChaosApp())
-        running.run()
-        ctx = running.ctx
-    else:
-        ctx = world.zygote.launched[-1].ctx
+    world, ctx = warm_or_boot(world, ChaosApp(), **knobs)
     target = world if getattr(fn, "needs_world", False) else ctx
     if recovery:
         world.anception.recovery = RecoveryPolicy.chaos_default()
     engine = FaultEngine(plan, seed=seed)
     engine.arm(world.clock)
-    metrics = MetricsRegistry()
-    records = []
     status, error = "ok", None
 
     def _run():
@@ -153,21 +128,7 @@ def run_chaos(workload, seed=0, faults=None, recovery=True, observe=True,
             status, error = "syscall-error", str(exc)
 
     try:
-        if observe:
-            bus = TraceBus.install(world.clock)
-            bus.subscribe(metrics.observe_record)
-            try:
-                with bus.capture() as capture:
-                    start_ns = world.clock.now_ns
-                    _run()
-                    elapsed_ns = world.clock.now_ns - start_ns
-                records = capture.records
-            finally:
-                bus.unsubscribe(metrics.observe_record)
-        else:
-            start_ns = world.clock.now_ns
-            _run()
-            elapsed_ns = world.clock.now_ns - start_ns
+        elapsed_ns, records, metrics = capture_run(world, _run, observe)
     finally:
         engine.disarm()
 

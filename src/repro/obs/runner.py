@@ -206,26 +206,61 @@ def _iterate(ctx, workload, n):
         fn(ctx)
 
 
-def boot_obs_world(ring_depth=None, read_cache=False, cache_pages=1024,
-                   write_behind=False, write_behind_depth=None,
-                   binder_ring=False, binder_ring_depth=None,
-                   cvms=1, placement=None):
+def boot_obs_world(app=None, **knobs):
     """Boot an AnceptionWorld with an enrolled app; returns (world, ctx).
 
-    The shared setup for :func:`run_traced`, the snapshot commands and
-    the tests that replay workload bodies with :func:`_iterate` against
-    a pre-booted world.
+    ``app`` defaults to the trace harness's own app; ``knobs`` are
+    :class:`~repro.core.anception.AnceptionLayer`'s keyword arguments,
+    passed through unchanged.  The shared setup for :func:`run_traced`,
+    the chaos harness, the snapshot commands and the tests that replay
+    workload bodies with :func:`_iterate` against a pre-booted world.
     """
-    world = AnceptionWorld(ring_depth=ring_depth, read_cache=read_cache,
-                           cache_pages=cache_pages,
-                           async_delegation=write_behind,
-                           write_behind_depth=write_behind_depth,
-                           binder_ring=binder_ring,
-                           binder_ring_depth=binder_ring_depth,
-                           cvms=cvms, placement=placement)
-    running = world.install_and_launch(_ObsApp())
+    world = AnceptionWorld(**knobs)
+    running = world.install_and_launch(_ObsApp() if app is None else app)
     running.run()
     return world, running.ctx
+
+
+def warm_or_boot(world=None, app=None, **knobs):
+    """``(world, ctx)`` for a runner: boot a fresh world with ``knobs``,
+    or warm-start on ``world`` (typically snapshot-restored) and its
+    most recently launched app.  A warm-started world carries its own
+    configuration, so passing knobs with it is a ``TypeError``."""
+    if world is None:
+        return boot_obs_world(app, **knobs)
+    if knobs:
+        raise TypeError(f"knobs {sorted(knobs)} need a fresh boot; "
+                        "a warm-started world carries its own")
+    return world, world.zygote.launched[-1].ctx
+
+
+def capture_run(world, body, observe=True, sinks=()):
+    """Run ``body()`` on ``world``, under a bus capture when ``observe``.
+
+    Returns ``(elapsed_ns, records, metrics)``: the simulated time the
+    body took, and the records it emitted with a :class:`MetricsRegistry`
+    fed from them (both empty when not observing).  ``sinks`` are extra
+    bus subscribers attached only for the capture.
+    """
+    metrics = MetricsRegistry()
+    clock = world.clock
+    if not observe:
+        start_ns = clock.now_ns
+        body()
+        return clock.now_ns - start_ns, [], metrics
+    bus = TraceBus.install(clock)
+    sinks = (metrics.observe_record, *sinks)
+    for sink in sinks:
+        bus.subscribe(sink)
+    try:
+        with bus.capture() as capture:
+            start_ns = clock.now_ns
+            body()
+            elapsed_ns = clock.now_ns - start_ns
+    finally:
+        for sink in sinks:
+            bus.unsubscribe(sink)
+    return elapsed_ns, capture.records, metrics
 
 
 class TraceResult:
@@ -242,73 +277,35 @@ class TraceResult:
         self.world = world
 
 
-def run_traced(workload, seed=0, observe=True, logcat=True,
-               ring_depth=None, read_cache=False, cache_pages=1024,
-               write_behind=False, write_behind_depth=None,
-               binder_ring=False, binder_ring_depth=None,
-               cvms=1, placement=None, world=None):
+def run_traced(workload, seed=0, observe=True, logcat=True, world=None,
+               **knobs):
     """Boot an Anception world, run ``workload`` under the bus.
 
     ``observe=False`` runs the identical stream with no capture active —
     the observability-is-free baseline.  ``logcat`` mirrors span records
-    into the host kernel's log device as ``trace:`` lines.
-    ``ring_depth`` overrides the delegation rings' derived depth;
-    ``read_cache``/``cache_pages`` enable and size the host-side page
-    cache for delegated reads; ``write_behind``/``write_behind_depth``
-    turn on and size the async write-behind delegation windows;
-    ``binder_ring``/``binder_ring_depth`` turn on and size the batched
-    binder delegation windows; ``cvms``/``placement`` shard enrolled
-    apps across a pool of container VMs.
+    into the host kernel's log device as ``trace:`` lines.  ``knobs``
+    configure the fresh world (see :func:`boot_obs_world`).
 
     Workloads that set ``needs_world = True`` (the fleet driver) are
     called with the booted world instead of a single app context: they
     install and run their own population of apps.
 
     ``world`` warm-starts the run on an already-booted (typically
-    snapshot-restored) world instead of paying a fresh boot; the knob
-    arguments are ignored in that case — the world carries its own
-    configuration.
+    snapshot-restored) world instead of paying a fresh boot.
     """
     fn = TRACE_WORKLOADS.get(workload)
     if fn is None:
         known = ", ".join(sorted(TRACE_WORKLOADS))
         raise ValueError(f"unknown workload {workload!r} (known: {known})")
-    if world is None:
-        world, ctx = boot_obs_world(
-            ring_depth=ring_depth, read_cache=read_cache,
-            cache_pages=cache_pages, write_behind=write_behind,
-            write_behind_depth=write_behind_depth, binder_ring=binder_ring,
-            binder_ring_depth=binder_ring_depth, cvms=cvms,
-            placement=placement,
-        )
-    else:
-        ctx = world.zygote.launched[-1].ctx
+    world, ctx = warm_or_boot(world, **knobs)
     target = world if getattr(fn, "needs_world", False) else ctx
-    metrics = MetricsRegistry()
-    records = []
-    if observe:
-        bus = TraceBus.install(world.clock)
-        bus.subscribe(metrics.observe_record)
-        sink = None
-        log_device = world.machine.kernel.log_device
-        if logcat and log_device is not None:
-            sink = LogcatSink(log_device, kinds=("syscall", "world-switch",
-                                                 "binder-txn"))
-            bus.subscribe(sink)
-        try:
-            with bus.capture() as capture:
-                start_ns = world.clock.now_ns
-                fn(target)
-                elapsed_ns = world.clock.now_ns - start_ns
-            records = capture.records
-        finally:
-            bus.unsubscribe(metrics.observe_record)
-            if sink is not None:
-                bus.unsubscribe(sink)
-    else:
-        start_ns = world.clock.now_ns
-        fn(target)
-        elapsed_ns = world.clock.now_ns - start_ns
+    sinks = ()
+    log_device = world.machine.kernel.log_device
+    if logcat and log_device is not None:
+        sinks = (LogcatSink(log_device, kinds=("syscall", "world-switch",
+                                               "binder-txn")),)
+    elapsed_ns, records, metrics = capture_run(
+        world, lambda: fn(target), observe, sinks)
     return TraceResult(
         workload=workload,
         seed=seed,

@@ -21,7 +21,6 @@ from repro.android.app import App, AppManifest
 from repro.world import AnceptionWorld, NativeWorld
 
 
-GUEST_MB = 64
 AVAILABLE_KB = 49_228
 """Guest window minus the guest kernel's own footprint (paper's figure)."""
 
@@ -49,11 +48,11 @@ class _ResidentApp(App):
 
 def measure_run(active_set_size):
     """One measurement run: boot, populate, account."""
-    world = AnceptionWorld(guest_mb=GUEST_MB)
+    world = AnceptionWorld()
     for i in range(active_set_size):
         world.install_and_launch(_ResidentApp(i)).run()
     cvm = world.anception.cvm
-    assigned_kb = GUEST_MB * 1024
+    assigned_kb = cvm.hypervisor.guest_mb * 1024
     proxy_count = world.anception.proxies.count
     active_kb = cvm.android.memory_kb(proxy_count=proxy_count)
     return {
@@ -99,7 +98,7 @@ def headless_vs_full_footprint():
     a full (UI-bearing) Android instance on the same accounting, plus the
     paper's 256 MB floor for a stock GingerBread device.
     """
-    anception = AnceptionWorld(guest_mb=GUEST_MB)
+    anception = AnceptionWorld()
     headless_kb = anception.cvm.android.memory_kb()
     native = NativeWorld()
     full_kb = native.system.memory_kb()
@@ -107,6 +106,8 @@ def headless_vs_full_footprint():
         "headless_kb": headless_kb,
         "full_stack_kb": full_kb,
         "ui_savings_kb": full_kb - headless_kb,
-        "fits_in_guest_window": headless_kb < GUEST_MB * 1024,
+        "fits_in_guest_window": (
+            headless_kb < anception.cvm.hypervisor.guest_mb * 1024
+        ),
         "stock_android_floor_mb": MIN_STOCK_ANDROID_MB,
     }

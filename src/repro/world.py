@@ -114,13 +114,10 @@ class _World:
         Host and guest run the same kernel sources, so a bug exists in
         both; Anception's protection comes from *where* the vulnerable
         path executes, never from pretending the guest is patched.
+        Every CVM guest shares the host kernel's configuration, reboots
+        included (see :meth:`AnceptionLayer._bind_lane`).
         """
         self.kernel.register_vulnerability(syscall_name, trigger)
-        if self.anception is not None:
-            for lane in self.anception.pool.lanes:
-                lane.cvm.kernel.register_vulnerability(
-                    syscall_name, trigger
-                )
 
     def type_text(self, text, password=False):
         """Simulate the user typing on the (host) keyboard."""
@@ -171,24 +168,16 @@ class ClassicalVmWorld(_World):
 
 
 class AnceptionWorld(_World):
-    """Android with the Anception layer and its container VM."""
+    """Android with the Anception layer and its container VM.
 
-    def __init__(self, machine=None, total_mb=1024, guest_mb=64,
-                 file_io_on_host=False, ring_depth=None, read_cache=False,
-                 cache_pages=1024, async_delegation=False,
-                 write_behind_depth=None, binder_ring=False,
-                 binder_ring_depth=None, cvms=1, placement=None):
+    ``knobs`` are :class:`~repro.core.anception.AnceptionLayer`'s
+    keyword arguments, passed through unchanged.
+    """
+
+    def __init__(self, machine=None, total_mb=1024, **knobs):
         machine = machine or Machine(total_mb=total_mb)
         system = AndroidSystem(machine.kernel, profile="ui_only")
-        anception = AnceptionLayer(
-            machine, system, guest_mb=guest_mb,
-            file_io_on_host=file_io_on_host, ring_depth=ring_depth,
-            read_cache=read_cache, cache_pages=cache_pages,
-            async_delegation=async_delegation,
-            write_behind_depth=write_behind_depth,
-            binder_ring=binder_ring, binder_ring_depth=binder_ring_depth,
-            cvms=cvms, placement=placement,
-        )
+        anception = AnceptionLayer(machine, system, **knobs)
         super().__init__(machine, system, anception)
 
     @property

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.errors import SyscallError
+from repro.exploits.base import ExploitOutcome
+from repro.exploits.generic import RedirectedSyscallExploit, make_kernel_vuln
 from repro.exploits.sock_sendpage import SockSendpage
 from repro.kernel import vfs
 from repro.kernel.process import Credentials
+from repro.world import AnceptionWorld
 
 
 ROOT = Credentials(0)
@@ -170,7 +173,7 @@ class TestCountersSurvive:
         from repro.obs.runner import boot_obs_world
 
         world, ctx = boot_obs_world(cvms=4, placement="by-uid",
-                                    read_cache=True, write_behind=True)
+                                    read_cache=True, async_delegation=True)
         ctx.libc.write_file(ctx.data_path("pre.bin"), b"x" * 5000)
         layer = world.anception
         source = layer._lane(ctx.libc.task)
@@ -199,3 +202,49 @@ class TestRecoveryLogRing:
             ["channels-rebound"] * 2
         assert layer.recovery_log.dropped == 1
         assert layer.stats()["recoveries"] == 3
+
+
+class TestOneKernelBuild:
+    """Every guest shares the host kernel's configuration: a reboot
+    never boots a silently patched container."""
+
+    def test_configuration_survives_a_reboot(self, anception_world):
+        world = anception_world
+        world.install_kernel_vulnerability("ioctl", make_kernel_vuln())
+        world.kernel.quirks.add("mem_write_bypass")
+        world.anception.reboot_cvm()
+        guest = world.cvm.kernel
+        assert list(guest.vulnerabilities) == ["ioctl"]
+        assert guest.quirks == {"mem_write_bypass"}
+
+    @pytest.mark.parametrize("cvms", [1, 4])
+    def test_vulnerability_installed_before_reboot_is_exploitable_after(
+            self, cvms):
+        world = AnceptionWorld(cvms=cvms, placement="by-uid")
+        exploit = RedirectedSyscallExploit("CVE-2012-2136", "sock-alloc",
+                                           "sendto", 2012)
+        exploit.prepare_world(world)
+        for lane in world.anception.pool.lanes:
+            world.anception.reboot_cvm(lane)
+        report = world.install_and_launch(exploit).run()
+        assert report.outcome() is ExploitOutcome.CVM_ROOT
+        assert world.kernel.compromised_by is None
+
+    def test_later_install_reaches_a_rebooted_lane(self):
+        world = AnceptionWorld(cvms=2)
+        world.anception.reboot_cvm(world.anception.pool.lanes[1])
+        world.kernel.nproc_limits[2000] = 8
+        for lane in world.anception.pool.lanes:
+            assert lane.cvm.kernel.nproc_limits == {2000: 8}
+
+    def test_restore_keeps_the_configuration_shared(self):
+        world = AnceptionWorld(cvms=2)
+        world.kernel.quirks.add("mem_write_bypass")
+        restored = AnceptionWorld.restore(world.snapshot())
+        restored.install_kernel_vulnerability("ioctl", make_kernel_vuln())
+        for lane in restored.anception.pool.lanes:
+            guest = lane.cvm.kernel
+            assert guest.quirks is restored.kernel.quirks
+            assert guest.vulnerabilities is restored.kernel.vulnerabilities
+            assert guest.nproc_limits is restored.kernel.nproc_limits
+            assert "ioctl" in guest.vulnerabilities

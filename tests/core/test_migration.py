@@ -19,7 +19,7 @@ from repro.obs.runner import boot_obs_world
 
 def _boot():
     return boot_obs_world(cvms=4, placement="by-uid", read_cache=True,
-                          write_behind=True, binder_ring=True)
+                          async_delegation=True, binder_ring=True)
 
 
 def _stage(ctx):

@@ -46,6 +46,23 @@ class TestWriteBack:
         inode = anception_world.cvm.kernel.vfs.resolve(path, ROOT)
         assert bytes(inode.data[:8]) == b"ORIGXYAL"
 
+    def test_whole_page_msync_never_grows_the_file(self, anception_world,
+                                                   enrolled_ctx, mapped):
+        path, _fd, base = mapped
+        enrolled_ctx.task.address_space.write(base, b"MODIFIED")
+        enrolled_ctx.task.address_space.write(base + 200, b"past-eof")
+        enrolled_ctx.libc.syscall("msync", base, PAGE_SIZE)
+        inode = anception_world.cvm.kernel.vfs.resolve(path, ROOT)
+        assert bytes(inode.data) == b"MODIFIED" + b"\x00" * 100
+
+    def test_msync_past_eof_writes_nothing(self, anception_world,
+                                           enrolled_ctx, mapped):
+        path, _fd, base = mapped
+        enrolled_ctx.task.address_space.write(base + 200, b"past-eof")
+        assert enrolled_ctx.libc.syscall("msync", base + 200, 8) == 0
+        inode = anception_world.cvm.kernel.vfs.resolve(path, ROOT)
+        assert bytes(inode.data) == b"ORIGINAL" + b"\x00" * 100
+
     def test_anonymous_msync_still_fine(self, enrolled_ctx):
         base = enrolled_ctx.libc.mmap(PAGE_SIZE, PROT_READ | PROT_WRITE,
                                       MAP_ANONYMOUS)

@@ -44,7 +44,7 @@ from repro.obs.runner import boot_obs_world, run_traced
 from repro.world import AnceptionWorld, NativeWorld, _World
 
 
-FULL_KNOBS = dict(read_cache=True, write_behind=True, binder_ring=True,
+FULL_KNOBS = dict(read_cache=True, async_delegation=True, binder_ring=True,
                   cvms=4, placement="by-uid")
 
 
@@ -172,12 +172,12 @@ class TestDeterminism:
         assert world_digest(restored) == digest
 
     def test_warm_boot_restores_a_nonempty_snapshot(self):
-        blob = _warm_world(read_cache=True, write_behind=True).snapshot()
+        blob = _warm_world(read_cache=True, async_delegation=True).snapshot()
         assert len(blob) > 0
         assert isinstance(_World.restore(blob), AnceptionWorld)
 
     def test_double_restore_is_idempotent(self):
-        world = _warm_world(read_cache=True, write_behind=True)
+        world = _warm_world(read_cache=True, async_delegation=True)
         once = _World.restore(world.snapshot())
         twice = _World.restore(once.snapshot())
         assert world_digest(twice) == world_digest(world)
@@ -205,7 +205,7 @@ class TestRestoreEqualsBoot:
                              ["by-uid", "by-trust-class", "by-load"])
     @pytest.mark.parametrize("cvms", [1, 4])
     def test_resumed_run_matches_straight_run(self, placement, cvms):
-        knobs = dict(read_cache=True, write_behind=True,
+        knobs = dict(read_cache=True, async_delegation=True,
                      binder_ring=True, cvms=cvms, placement=placement)
         # Straight world: warmup + one more run, never snapshotted.
         straight = _warm_world(**knobs)
@@ -217,7 +217,7 @@ class TestRestoreEqualsBoot:
         assert world_digest(restored) == world_digest(straight)
 
     def test_resume_twice_from_one_blob(self):
-        blob = _warm_world(read_cache=True, write_behind=True).snapshot()
+        blob = _warm_world(read_cache=True, async_delegation=True).snapshot()
         first = _World.restore(blob)
         second = _World.restore(blob)
         run_traced("write4k", seed=2, world=first)
@@ -233,7 +233,7 @@ class TestMidChaosResume:
     PLAN = "channel.stall:nth=3;cache.stale:nth=5;channel.stall:every=7"
 
     def _armed(self):
-        world, _ctx = boot_obs_world(read_cache=True, write_behind=True)
+        world, _ctx = boot_obs_world(read_cache=True, async_delegation=True)
         engine = FaultEngine(FaultPlan.parse(self.PLAN), seed=11)
         engine.arm(world.clock)
         return world

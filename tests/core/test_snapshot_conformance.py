@@ -29,7 +29,7 @@ from repro.world import AnceptionWorld, NativeWorld
 
 
 def _worlds():
-    full, _ctx = boot_obs_world(read_cache=True, write_behind=True,
+    full, _ctx = boot_obs_world(read_cache=True, async_delegation=True,
                                 binder_ring=True, cvms=4,
                                 placement="by-trust-class")
     run_traced("write4k", seed=0, world=full)

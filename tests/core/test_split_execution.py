@@ -1,5 +1,7 @@
 """Split-execution semantics: fork, exec, mmap, msync, UID-change kill."""
 
+import errno
+
 import pytest
 
 from repro.errors import ProcessKilled, SyscallError
@@ -65,6 +67,39 @@ class TestExecSemantics:
         # executed from the host-side cache, not the requested path
         assert child.exe_path.startswith("/data/anception-exec-cache/")
         assert anception_world.anception.exec_cache.entries()
+
+    def test_user_code_needs_exec_permission(self, anception_world,
+                                             enrolled_ctx):
+        from repro.kernel.loader import build_pseudo_elf
+
+        path = enrolled_ctx.data_path("not-executable")
+        enrolled_ctx.libc.write_file(path, build_pseudo_elf("x", 0, {}),
+                                     mode=0o600)
+        with pytest.raises(SyscallError) as info:
+            enrolled_ctx.libc.execve(path)
+        assert info.value.errno == errno.EACCES
+        assert not anception_world.anception.exec_cache.entries()
+
+    def test_cannot_exec_another_apps_private_code(self, anception_world,
+                                                   enrolled_ctx):
+        from repro.android.app import App, AppManifest
+        from repro.kernel.loader import build_pseudo_elf
+
+        class _Other(App):
+            manifest = AppManifest("com.test.other")
+
+            def main(self, ctx):
+                ctx.libc.write_file(ctx.data_path("secret-code"),
+                                    build_pseudo_elf("secret", 0, {}),
+                                    mode=0o700)
+                return {"ok": True}
+
+        other = anception_world.install_and_launch(_Other())
+        other.run()
+        with pytest.raises(SyscallError) as info:
+            enrolled_ctx.libc.execve(other.ctx.data_path("secret-code"))
+        assert info.value.errno == errno.EACCES
+        assert not anception_world.anception.exec_cache.entries()
 
     def test_exec_of_missing_user_code_fails(self, anception_world,
                                              enrolled_ctx):

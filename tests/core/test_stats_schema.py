@@ -85,7 +85,7 @@ def _ordered(value):
 
 
 def _run_script(cvms):
-    world, ctx = boot_obs_world(read_cache=True, write_behind=True,
+    world, ctx = boot_obs_world(read_cache=True, async_delegation=True,
                                 binder_ring=True, cvms=cvms)
     engine = FaultEngine("binder.reorder:nth=1;binder.drop:nth=3;"
                          "wb.error:nth=5", seed=0)

@@ -12,8 +12,10 @@ implements, three things must exist:
 3. **>= 1 differential op-script** in the catalogue exercising it in
    all three modes, or a documented exemption.
 
-Each check fails with the list of missing names, so adding a syscall
-handler without finishing its plumbing turns CI red with a to-do list.
+Every split-class call the layer has its own handler for must likewise
+run in the catalogue.  Each check fails with the list of missing names,
+so adding a syscall handler without finishing its plumbing turns CI red
+with a to-do list.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.android.binder import (
     DELEGATED_BINDER_REQUESTS,
     Transaction,
 )
+from repro.core.anception import _SPLIT_HANDLERS
 from repro.core.marshal import FD_FIRST_CALLS, FD_PAIR_CALLS, encoded_size
 from repro.core.policy import FD_CALLS
 from repro.kernel.kernel import Machine
@@ -39,8 +42,10 @@ from tests.differential.catalogue import (
     SCRIPTS,
     SYSCALL_ALIASES,
     covered_binder_requests,
+    covered_calls,
     covered_ops,
 )
+from tests.differential.harness import HARNESS_OPS
 
 
 def redirect_universe():
@@ -156,14 +161,31 @@ class TestScriptCoverage:
         )
 
     def test_catalogue_scripts_are_well_formed(self):
+        handlers = Machine().kernel._handlers
         for label, entry in SCRIPTS.items():
             assert entry["script"], f"catalogue script {label!r} is empty"
             assert isinstance(entry["needs_server"], bool)
             for step in entry["script"]:
                 assert isinstance(step[0], str), (label, step)
-                assert callable(getattr(Libc, step[0], None)), (
+                assert (step[0] in HARNESS_OPS
+                        or callable(getattr(Libc, step[0], None))), (
                     f"script {label!r} uses unknown op {step[0]!r}"
                 )
+                if step[0] == "syscall":
+                    assert step[1] in handlers, (
+                        f"script {label!r} calls unknown syscall "
+                        f"{step[1]!r}"
+                    )
+
+
+class TestSplitHandlerCoverage:
+    def test_every_split_handler_has_a_differential_script(self):
+        # The layer runs its own code for each split call, so each one
+        # is pinned against the native kernel's handler.
+        missing = sorted(set(_SPLIT_HANDLERS) - covered_calls())
+        assert not missing, (
+            f"split handlers with no catalogue op-script: {missing}"
+        )
 
 
 class TestBinderUniverse:

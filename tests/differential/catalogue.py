@@ -16,13 +16,22 @@ served by the ``stat`` handler and veneer).
 
 from __future__ import annotations
 
+import inspect
+import re
+
 from repro.kernel import vfs
+from repro.kernel.kernel import Kernel
+from repro.kernel.libc import Libc
+from repro.kernel.loader import build_pseudo_elf
+from repro.kernel.memory import MAP_ANONYMOUS, PROT_READ, PROT_WRITE
 from repro.kernel.net import AF_INET, SOCK_STREAM
 
-from tests.differential.harness import SELF, H, P
+from tests.differential.harness import HARNESS_OPS, SELF, H, P
 
 
 TRUNC = vfs.O_RDWR | vfs.O_CREAT | vfs.O_TRUNC
+RW = PROT_READ | PROT_WRITE
+F_DUPFD, F_GETFL = Kernel.F_DUPFD, Kernel.F_GETFL
 
 
 SYSCALL_ALIASES = {
@@ -169,9 +178,102 @@ SCRIPTS = {
             ("kill", SELF, 9),
         ],
     },
+    # Split-class calls: the layer runs its own handler for each, so
+    # every one is pinned against the native kernel's.  Calls with no
+    # libc veneer run as raw ``("syscall", name, ...)`` steps.
+    "split-dup": {
+        "needs_server": False,
+        "script": [
+            ("open", P("cat-dup.bin"), TRUNC, 0o644),
+            ("write", H(0), b"first-"),
+            ("syscall", "dup", H(0)),
+            ("syscall", "dup2", H(0), 9),
+            ("write", 9, b"via-dup2-"),
+            ("write", H(2), b"via-dup"),
+            ("fence", H(0)),
+            ("pread", H(0), 64, 0),
+            ("close", H(0)),
+            ("lseek", 9, 0, 0),
+            ("read", 9, 64),
+            ("syscall", "dup2", 9, 9),
+            ("syscall", "dup2", 77, 9),
+            ("syscall", "dup2", H(2), 9),
+            ("read", 9, 64),
+            ("close", 9),
+            ("close", H(2)),
+            ("read", 9, 4),
+        ],
+    },
+    "split-fcntl": {
+        "needs_server": False,
+        "script": [
+            ("open", P("cat-fcntl.bin"), TRUNC, 0o644),
+            ("syscall", "fcntl", H(0), F_GETFL),
+            ("syscall", "fcntl64", H(0), F_GETFL),
+            ("syscall", "fcntl64", H(0), F_DUPFD),
+            ("write", H(3), b"via-dupfd"),
+            ("syscall", "fcntl", H(3), F_DUPFD),
+            ("write", H(5), b"+more"),
+            ("syscall", "fcntl64", H(3), F_GETFL),
+            ("syscall", "fcntl64", H(0), 99),
+            ("syscall", "fcntl64", 77, F_GETFL),
+            ("close", H(3)),
+            ("close", H(5)),
+            ("pread", H(0), 32, 0),
+            ("close", H(0)),
+        ],
+    },
+    "split-mmap": {
+        "needs_server": False,
+        "script": [
+            ("open", P("cat-mmap.bin"), TRUNC, 0o644),
+            ("write", H(0), b"mapped-content"),
+            ("fence", H(0)),
+            ("syscall", "mmap", 4096, RW, 0, None, H(0), 0),
+            ("peek", H(3), 14),
+            ("mmap", 4096, RW, 0, None, H(0), 7),
+            ("peek", H(5), 7),
+            ("syscall", "mmap", 8192, RW, MAP_ANONYMOUS),
+            ("peek", H(7), 8),
+            ("syscall", "msync", H(3), 4096),
+            ("syscall", "msync", H(7), 8),
+            ("munmap", H(7), 8192),
+            ("munmap", H(5), 4096),
+            ("munmap", H(3), 4096),
+            ("syscall", "mmap", 4096, RW, 0, None, 77, 0),
+            ("fstat", H(0)),
+            ("close", H(0)),
+        ],
+    },
+    "split-clone": {
+        "needs_server": False,
+        "script": [
+            ("open", P("cat-clone.bin"), TRUNC, 0o644),
+            ("write", H(0), b"before-clone|"),
+            ("syscall", "clone"),
+            ("fork",),
+            ("write", H(0), b"after-clone"),
+            ("fence", H(0)),
+            ("pread", H(0), 64, 0),
+            ("close", H(0)),
+        ],
+    },
+    "split-execve": {
+        "needs_server": False,
+        "script": [
+            ("write_file", P("cat-exec"), build_pseudo_elf("cat", 0, {})),
+            ("execve", P("cat-exec")),
+            ("chmod", P("cat-exec"), 0o755),
+            ("execve", P("cat-exec")),
+            ("execve", P("cat-missing")),
+            ("execve", P("")),
+            ("execve", "/system/bin/sh"),
+        ],
+    },
 }
 """Named differential scripts; together they must cover every
-non-exempt redirect-class syscall through its veneer."""
+non-exempt redirect-class syscall through its veneer, and every
+split-class call the layer has a handler for."""
 
 
 def covered_ops():
@@ -181,6 +283,21 @@ def covered_ops():
         for step in entry["script"]:
             ops.add(step[0])
     return ops
+
+
+def covered_calls():
+    """Every kernel call the catalogue reaches: the calls each veneer
+    step forwards to, each raw ``syscall`` step's call, and ``ioctl``
+    (every binder script transacts through it)."""
+    calls = {"ioctl"} if BINDER_SCRIPTS else set()
+    for entry in SCRIPTS.values():
+        for step in entry["script"]:
+            if step[0] == "syscall":
+                calls.add(step[1])
+            elif step[0] not in HARNESS_OPS:
+                source = inspect.getsource(getattr(Libc, step[0]))
+                calls.update(re.findall(r'self\.syscall\("(\w+)"', source))
+    return calls
 
 
 # -- binder ioctl surface -------------------------------------------------

@@ -17,12 +17,16 @@ worlds' outcome streams compare with ``==``.
 Step names that are not :class:`~repro.kernel.libc.Libc` methods fall
 back to the app context itself, which is how the binder catalogue's
 ``call_service``/``call_service_oneway``/``export_service``/``call_app``
-scripts run through the same grammar.
+scripts run through the same grammar.  A ``("syscall", name, ...)``
+step reaches a call with no veneer (``dup2``, ``clone``, ...), and
+:data:`HARNESS_OPS` steps read app state directly (``peek``).  Every
+step's raw result is a handle later steps may name with :class:`H`.
 """
 
 from __future__ import annotations
 
 import errno as errno_mod
+import functools
 
 from repro.errors import SyscallError
 from repro.kernel.process import Credentials
@@ -47,7 +51,18 @@ class H:
 SELF = object()
 """The running app's own pid (``("kill", SELF, 9)``)."""
 
-_HANDLE_RETURNING = {"open", "socket", "shmget", "shmat", "dup"}
+_HANDLE_RETURNING = {"open", "socket", "shmget", "shmat", "dup", "mmap",
+                     "clone", "fork"}
+
+
+def _peek(ctx, addr, length):
+    """Harness op: ``length`` bytes at ``addr`` in the app's memory."""
+    return bytes(ctx.libc.task.address_space.read(addr, length, need_prot=0))
+
+
+HARNESS_OPS = {"peek": _peek}
+"""Steps the harness runs itself: reads of app state no syscall returns
+(what a file-backed mapping holds)."""
 
 TERMINAL_STEPS = frozenset({"exit", "kill"})
 """Steps that end the app's process; only the last step may be one."""
@@ -82,16 +97,25 @@ def run_script(ctx, script, start=0, stop=None, handles=None,
                 real_args.append(ctx.libc.task.pid)
             else:
                 real_args.append(arg)
-        target = ctx.libc if callable(getattr(ctx.libc, name, None)) else ctx
+        if name in HARNESS_OPS:
+            call = functools.partial(HARNESS_OPS[name], ctx)
+        elif callable(getattr(ctx.libc, name, None)):
+            call = getattr(ctx.libc, name)
+        else:
+            call = getattr(ctx, name)
+        # A raw ``("syscall", call, ...)`` step reaches a call with no
+        # libc veneer; its result normalizes as that call's.
+        kind = real_args[0] if name == "syscall" else name
         try:
-            result = getattr(target, name)(*real_args)
+            result = call(*real_args)
         except SyscallError as exc:
             code = errno_mod.errorcode.get(exc.errno, str(exc.errno))
-            outcomes.append((step, name, "errno", code))
+            outcomes.append((step, kind, "errno", code))
             continue
         outcomes.append(
-            (step, name, "ok", _normalize(name, result, step, handles))
+            (step, kind, "ok", _normalize(kind, result, step, handles))
         )
+        handles.setdefault((step, 0), result)
     return outcomes
 
 
@@ -115,6 +139,9 @@ def _normalize(name, result, step, handles):
         }
     if name == "listdir":
         return sorted(result)
+    if name == "execve":
+        # the loaded image's name; its base address is world-specific
+        return result.metadata["name"]
     if name == "readv":
         # iovec reads come back as a list of buffers; freeze it so the
         # outcome tuple hashes/compares like every other step.

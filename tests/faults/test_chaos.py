@@ -49,7 +49,7 @@ class TestDefaultTour:
 
 
 CATALOGUE = ("fileops", "batchio", "writeburst", "binderburst", "ipc")
-ALL_ON = {"read_cache": True, "write_behind": True, "binder_ring": True}
+ALL_ON = {"read_cache": True, "async_delegation": True, "binder_ring": True}
 """The ``anception chaos`` defaults: cache, write-behind, binder ring."""
 
 

@@ -198,7 +198,7 @@ class TestOneCounterSource:
 
 AUDIT_CONFIGS = {
     "paper": {},
-    "all-on": {"read_cache": True, "write_behind": True,
+    "all-on": {"read_cache": True, "async_delegation": True,
                "binder_ring": True},
 }
 

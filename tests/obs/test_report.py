@@ -153,7 +153,7 @@ class TestDeterminism:
     @pytest.fixture(scope="class")
     def real_trace(self):
         result = run_traced("writeburst", read_cache=True,
-                            write_behind=True)
+                            async_delegation=True)
         return to_chrome_trace(
             result.records,
             trace_id=make_trace_id("writeburst", 0),

@@ -192,7 +192,7 @@ def _chaos_replayed(workload, faults, **kwargs):
 class TestFaultPlanDeterminism:
     def test_ring_corrupt_replays_byte_identically(self):
         result, a, b = _chaos_replayed(
-            "writeburst", "ring.corrupt:nth=2", write_behind=True
+            "writeburst", "ring.corrupt:nth=2", async_delegation=True
         )
         assert a == b
         assert result.status == "ok"  # recovery retried the window
@@ -200,13 +200,13 @@ class TestFaultPlanDeterminism:
     def test_cache_stale_replays_byte_identically(self):
         result, a, b = _chaos_replayed(
             "writeburst", "cache.stale:nth=1",
-            write_behind=True, read_cache=True,
+            async_delegation=True, read_cache=True,
         )
         assert a == b
 
     def test_wb_error_surfaces_deterministically(self):
         result, a, b = _chaos_replayed(
-            "writeburst", "wb.error:nth=2:errno=ENOSPC", write_behind=True
+            "writeburst", "wb.error:nth=2:errno=ENOSPC", async_delegation=True
         )
         assert a == b
         assert result.status == "syscall-error"
@@ -214,7 +214,7 @@ class TestFaultPlanDeterminism:
 
     def test_wb_reap_loss_recovers_and_replays(self):
         result, a, b = _chaos_replayed(
-            "writeburst", "wb.reap-loss:nth=1", write_behind=True
+            "writeburst", "wb.reap-loss:nth=1", async_delegation=True
         )
         assert a == b
         assert result.status == "ok"

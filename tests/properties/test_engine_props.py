@@ -56,7 +56,7 @@ SEED_DIGESTS = {
 
 def _boot(workload, cvms=1):
     """The seed world; only binderburst turns the binder ring on."""
-    return boot_obs_world(read_cache=True, write_behind=True,
+    return boot_obs_world(read_cache=True, async_delegation=True,
                           binder_ring=workload == "binderburst", cvms=cvms)
 
 
@@ -119,7 +119,7 @@ STEADY_DIGESTS = {
 
 
 def _steady_census(workload):
-    world, ctx = boot_obs_world(read_cache=True, write_behind=True)
+    world, ctx = boot_obs_world(read_cache=True, async_delegation=True)
     _iterate(ctx, workload, 1)
     metrics = MetricsRegistry()
     bus = TraceBus.install(world.clock)

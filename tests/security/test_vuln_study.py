@@ -1,15 +1,19 @@
 """E6: the Section V-B vulnerability study reproduces the paper."""
 
+import functools
+
 import pytest
 
-from repro.exploits.base import ExploitOutcome
+from repro.exploits.base import Exploit, ExploitOutcome
 from repro.exploits.corpus import CORPUS
+from repro.security import vuln_study
 from repro.security.vuln_study import (
     format_study_table,
     run_one,
     run_vulnerability_study,
     summarize,
 )
+from repro.world import AnceptionWorld
 
 
 @pytest.fixture(scope="module")
@@ -78,3 +82,50 @@ class TestMechanics:
     def test_summarize_groups_by_configuration(self, study):
         summary = summarize(study["rows"])
         assert set(summary) == {"native", "anception"}
+
+
+FOUR_LANES = dict(cvms=4, placement="by-uid")
+ALL_ON = dict(read_cache=True, async_delegation=True, binder_ring=True)
+
+
+class _RebootedBeforeExploit(AnceptionWorld):
+    """Reboots every lane after ``prepare_world`` configured the kernel
+    and before the exploit launches."""
+
+    def install_and_launch(self, app):
+        if isinstance(app, Exploit):
+            for lane in self.anception.pool.lanes:
+                self.anception.reboot_cvm(lane)
+        return super().install_and_launch(app)
+
+
+def _restored(**knobs):
+    """A world booted with ``knobs``, snapshotted and restored."""
+    fresh = AnceptionWorld(**knobs)
+    return type(fresh).restore(fresh.snapshot())
+
+
+E6_WORLDS = {
+    "paper": AnceptionWorld,
+    "all-on": functools.partial(AnceptionWorld, **ALL_ON),
+    "4-lanes-by-uid": functools.partial(AnceptionWorld, **FOUR_LANES),
+    "all-on-4-lanes": functools.partial(AnceptionWorld, **ALL_ON,
+                                        **FOUR_LANES),
+    "after-reboot": functools.partial(_RebootedBeforeExploit, **FOUR_LANES),
+    "snapshot-resume": functools.partial(_restored, **FOUR_LANES),
+}
+"""Every world E6 must hold in: one kernel build means the pool size,
+the mechanisms switched on, a lane reboot or a snapshot round trip
+cannot change what an exploit achieves."""
+
+
+@pytest.mark.parametrize("config", sorted(E6_WORLDS))
+def test_e6_holds_in_every_world(config, monkeypatch):
+    monkeypatch.setattr(vuln_study, "AnceptionWorld", E6_WORLDS[config])
+    summary = run_vulnerability_study(
+        configurations=("anception",))["summary"]["anception"]
+    assert summary["matches_paper"] == 25
+    assert summary["outcomes"] == {"failed": 15, "cvm-root": 8,
+                                   "host-root-detected": 2}
+    assert (summary["memory_reads"], summary["input_sniffs"],
+            summary["code_tampers"]) == (2, 2, 2)

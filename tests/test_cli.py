@@ -108,3 +108,37 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ptrace" in out
         assert "shared-pages" in out
+
+    def test_knobs_round_trip_through_a_snapshot(self, capsys, tmp_path):
+        import inspect
+
+        from repro.core.anception import AnceptionLayer
+        from repro.core.snapshot import snapshot_meta
+        from repro.faults.chaos import run_chaos
+        from repro.obs.runner import boot_obs_world, run_traced
+
+        blob_path = tmp_path / "knobs.snap"
+        assert main(["snapshot", "write4k", "--no-write-behind",
+                     "--cache-pages", "64", "--ring-depth", "16",
+                     "--warmup", "1", "--out", str(blob_path)]) == 0
+        assert main(["resume", str(blob_path), "--verify"]) == 0
+        assert "verify: resume=boot digest" in capsys.readouterr().err
+        knobs = snapshot_meta(blob_path.read_bytes())["knobs"]
+        assert knobs == {
+            "ring_depth": 16, "read_cache": True, "cache_pages": 64,
+            "async_delegation": False, "write_behind_depth": None,
+            "binder_ring": True, "binder_ring_depth": None,
+            "cvms": 1, "placement": None,
+        }
+        params = inspect.signature(AnceptionLayer).parameters.values()
+        layer_knobs = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
+        assert set(knobs) == layer_knobs - {"file_io_on_host"}
+        # No knob is silently dropped: an old spelling, or knobs handed
+        # to an already-booted world, raise.
+        with pytest.raises(TypeError):
+            run_traced("table1", **{"write_behind": True})
+        with pytest.raises(TypeError):
+            run_chaos("fileops", **{"write_behind": True})
+        world, _ctx = boot_obs_world()
+        with pytest.raises(TypeError):
+            run_traced("table1", world=world, read_cache=True)
