@@ -103,12 +103,18 @@ class AppContext:
         return self._binder_fd
 
     def call_service(self, target, method, payload=None):
-        """Synchronous binder call into a system service."""
+        """Synchronous binder call into a system service.
+
+        Traps straight into the kernel: libc's ``ioctl`` veneer adds no
+        semantics, and every binder call and UI frame comes through
+        here.
+        """
         transaction = Transaction(target, method, payload)
         fd = self._binder_fd
         if fd is None:
             fd = self.binder_fd
-        return self.libc.ioctl(fd, BINDER_WRITE_READ, transaction)
+        return self.kernel.syscall(self.task, "ioctl", fd,
+                                   BINDER_WRITE_READ, transaction)
 
     def call_service_oneway(self, target, method, payload=None):
         """Fire-and-forget (TF_ONE_WAY) binder call: always ``None``.
@@ -119,7 +125,11 @@ class AppContext:
         transaction may still be in flight when this returns.
         """
         transaction = Transaction(target, method, payload, flags=TF_ONE_WAY)
-        return self.libc.ioctl(self.binder_fd, BINDER_WRITE_READ, transaction)
+        fd = self._binder_fd
+        if fd is None:
+            fd = self.binder_fd
+        return self.kernel.syscall(self.task, "ioctl", fd,
+                                   BINDER_WRITE_READ, transaction)
 
     def wait_input(self):
         """Block until the input subsystem delivers an event (Listing 1)."""
@@ -172,7 +182,9 @@ class AppServiceEndpoint:
         self.call_log = TransactionLog()
 
     def handle_transaction(self, method, payload, sender_task):
-        self.call_log.append((method, sender_task.pid))
+        log = self.call_log
+        log.entries.append((method, sender_task.pid))
+        log.total += 1
         return self.handler(method, payload, sender_task)
 
     def __repr__(self):

@@ -20,6 +20,7 @@ Two ioctls matter:
 from __future__ import annotations
 
 import errno
+from collections import deque
 
 from repro.errors import SyscallError
 
@@ -123,52 +124,59 @@ class ServiceManager:
 class TransactionLog:
     """Bounded ring of log tuples, e.g. ``(pid, target, method)``.
 
-    Keeps the list-like surface the test suite and tooling use
-    (iteration, membership, indexing, ``len``) while dropping the oldest
-    entries past ``limit`` and counting what fell off the end.
+    ``entries`` is a ``deque(maxlen=limit)``, the same shape as the
+    layer's ``decision_log``: the oldest entries fall off past ``limit``.
+    ``total`` counts every entry ever appended, so ``dropped`` is what
+    fell off the end.  Per-call hot paths inline :meth:`append` as
+    ``log.entries.append(entry); log.total += 1``, which enters no
+    Python frame.  Keeps the list-like surface the test suite and
+    tooling use (iteration, membership, indexing, ``len``).
     """
 
     __snapshot__ = "auto"
 
     def __init__(self, limit=TRANSACTION_LOG_LIMIT):
-        self.limit = int(limit)
-        self._entries = []
-        self.dropped = 0
+        self.entries = deque(maxlen=int(limit))
+        self.total = 0
 
     def append(self, entry):
-        self._entries.append(entry)
-        if len(self._entries) > self.limit:
-            excess = len(self._entries) - self.limit
-            del self._entries[:excess]
-            self.dropped += excess
-
-    def clear(self):
-        self._entries.clear()
+        self.entries.append(entry)
+        self.total += 1
 
     @property
-    def total(self):
-        """Entries ever appended, including those dropped off the ring."""
-        return len(self._entries) + self.dropped
+    def limit(self):
+        return self.entries.maxlen
+
+    @limit.setter
+    def limit(self, limit):
+        # The new ring keeps the newest ``limit`` entries; ``dropped``
+        # follows from ``total``.
+        self.entries = deque(self.entries, maxlen=int(limit))
+
+    @property
+    def dropped(self):
+        """Entries the ring has let go."""
+        return self.total - len(self.entries)
 
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self.entries)
 
     def __contains__(self, entry):
-        return entry in self._entries
+        return entry in self.entries
 
     def __len__(self):
-        return len(self._entries)
+        return len(self.entries)
 
     def __getitem__(self, index):
-        return self._entries[index]
+        return self.entries[index]
 
     def __eq__(self, other):
         if isinstance(other, TransactionLog):
-            return self._entries == other._entries
-        return self._entries == other
+            return self.entries == other.entries
+        return list(self.entries) == other
 
     def __repr__(self):
-        return (f"TransactionLog({self._entries!r}, "
+        return (f"TransactionLog({list(self.entries)!r}, "
                 f"dropped={self.dropped})")
 
 
@@ -242,38 +250,51 @@ class BinderDriver:
         else:
             cost = costs.binder_transaction_ns
         clock = self.kernel.clock
+        span = None
         if clock.dormant:
             clock._now_ns += cost
-            return self._deliver(task, transaction, service, oneway)
-        # Not dormant means a capture is open: only now are the span's
-        # label and the parcel walk sizing ``payload_bytes`` worth it.
-        with clock._bus.span(
-            "binder-txn", f"{transaction.target}.{transaction.method}",
-            task=task, kernel=self.kernel.label, target=transaction.target,
-            method=transaction.method, ui=service.ui_related,
-            oneway=bool(oneway), payload_bytes=transaction.payload_size,
-        ):
-            clock.advance(cost, f"binder:{transaction.target}")
-            return self._deliver(task, transaction, service, oneway)
-
-    def _deliver(self, task, transaction, service, oneway):
-        """Log the transaction and hand it to ``service``."""
-        self.transaction_log.append(
-            (task.pid, transaction.target, transaction.method)
-        )
-        if oneway:
-            try:
-                service.handle_transaction(
+        else:
+            # Not dormant means a capture is open: only now are the
+            # span's label and the parcel walk sizing ``payload_bytes``
+            # worth it.
+            span = clock._bus.span(
+                "binder-txn", f"{transaction.target}.{transaction.method}",
+                task=task, kernel=self.kernel.label,
+                target=transaction.target, method=transaction.method,
+                ui=service.ui_related, oneway=bool(oneway),
+                payload_bytes=transaction.payload_size,
+            )
+        # Delivery, written once for both paths; under a capture the
+        # charge runs inside the span too.  The log append enters no
+        # frame.
+        try:
+            if span is not None:
+                clock.advance(cost, f"binder:{transaction.target}")
+            log = self.transaction_log
+            log.entries.append(
+                (task.pid, transaction.target, transaction.method)
+            )
+            log.total += 1
+            if oneway:
+                try:
+                    service.handle_transaction(
+                        transaction.method, transaction.payload, task
+                    )
+                except SyscallError:
+                    self.oneway_errors += 1
+                reply = None
+            else:
+                reply = service.handle_transaction(
                     transaction.method, transaction.payload, task
                 )
-            except SyscallError:
-                self.oneway_errors += 1
-            transaction.reply = None
-            return None
-        transaction.reply = service.handle_transaction(
-            transaction.method, transaction.payload, task
-        )
-        return transaction.reply
+        except BaseException as exc:
+            if span is not None:
+                span.__exit__(exc.__class__, exc, exc.__traceback__)
+            raise
+        if span is not None:
+            span.__exit__(None, None, None)
+        transaction.reply = reply
+        return reply
 
 
 def is_ui_transaction(service_manager_names, request, arg):

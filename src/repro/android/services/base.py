@@ -72,7 +72,9 @@ class Service:
                     errno.EINVAL, f"{self.name} has no method {method!r}"
                 ) from None
             _HANDLERS[self.__class__, method] = handler
-        self.call_log.append((method, sender_task.pid))
+        log = self.call_log
+        log.entries.append((method, sender_task.pid))
+        log.total += 1
         return handler(self, payload, sender_task)
 
     def shutdown(self):

@@ -29,23 +29,31 @@ class WindowManagerService(Service):
         super().__init__(kernel)
         self.ui_stack = ui_stack
 
-    def _require_ui(self):
+    def _require_ui(self, payload):
+        """The host UI stack, for a well-formed (``dict``) payload."""
         if self.ui_stack is None:
             raise SyscallError(errno.ENODEV, "headless: no UI stack")
+        if not isinstance(payload, dict):
+            raise SyscallError(errno.EINVAL, "window payload must be a dict")
         return self.ui_stack
 
     def method_create_window(self, payload, sender):
-        ui = self._require_ui()
+        ui = self._require_ui(payload)
         window = ui.create_window(sender, payload.get("title", ""))
         return {"window_id": window.window_id}
 
     def method_submit_frame(self, payload, sender):
-        ui = self._require_ui()
+        # Every UI frame: the checks of _require_ui, inline.
+        ui = self.ui_stack
+        if ui is None:
+            raise SyscallError(errno.ENODEV, "headless: no UI stack")
+        if not isinstance(payload, dict):
+            raise SyscallError(errno.EINVAL, "window payload must be a dict")
         ui.submit_frame(sender, payload.get("pixels", b""))
         return {"status": "ok"}
 
     def method_set_focus(self, payload, sender):
-        ui = self._require_ui()
+        ui = self._require_ui(payload)
         ui.set_focus_by_window(payload["window_id"])
         return {"status": "ok"}
 

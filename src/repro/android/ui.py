@@ -104,13 +104,27 @@ class UIStack:
                 self.focused_window = None
 
     def submit_frame(self, task, pixels):
+        """Compose one frame from ``task``'s first window.
+
+        ``pixels`` comes from the app: it must be a C-contiguous
+        bytes-like object (EINVAL otherwise, and the frame does not
+        count).  At most its first 4,096 bytes are copied into the
+        framebuffer, so the app cannot size a host allocation.
+        """
         window = self._first_window.get(task)
         if window is None:
             raise SyscallError(errno.ENOENT, f"no window for pid {task.pid}")
+        if pixels.__class__ is not bytes:
+            try:
+                pixels = memoryview(pixels).cast("B")
+            except TypeError:
+                raise SyscallError(
+                    errno.EINVAL, "frame pixels must be bytes-like"
+                ) from None
         window.frames_submitted += 1
         if self.framebuffer is not None:
             # Composition writes into the real framebuffer device.
-            data = bytes(pixels)[:4096]
+            data = pixels[:4096]
             if data:
                 self.framebuffer._buffer[: len(data)] = data
 

@@ -22,7 +22,6 @@ from repro.android.binder import (
     IOC_WAIT_INPUT_EVT,
     Transaction,
     TransactionLog,
-    is_ui_transaction,
 )
 from repro.core.channel import AnceptionChannel
 from repro.core.cvm import ContainerVM
@@ -412,6 +411,14 @@ class AnceptionLayer:
         counts = self.decision_counts
         counts[value] = counts.get(value, 0) + 1
         self.decision_log.append((task.pid, name, decision))
+        if value == _SPLIT:
+            handler = _SPLIT_HANDLERS.get(name)
+            if handler is not None:
+                return handler(self, task, table, *args, **kwargs)
+            # Split-class call with no dedicated handler in the
+            # prototype: the host route (the paper's conservative
+            # default of trusting the host for ambiguous state).
+            value = _HOST
         return _ROUTE_HANDLERS[value](self, task, name, args, kwargs, table)
 
     def _route_host(self, task, name, args, kwargs, table):
@@ -1159,15 +1166,6 @@ class AnceptionLayer:
     # split-execution handlers
     # ------------------------------------------------------------------
 
-    def _split(self, task, name, args, kwargs, table):
-        handler = _SPLIT_HANDLERS.get(name)
-        if handler is None:
-            # Split-class call with no dedicated handler in the prototype:
-            # run the host semantics (matching the paper's conservative
-            # default of trusting the host for ambiguous state).
-            return self.host_kernel.execute_native(task, name, args, kwargs)
-        return handler(self, task, table, *args, **kwargs)
-
     def _split_close(self, task, table, fd):
         if table.is_remote(fd):
             proxy_fd = table.to_proxy(fd)
@@ -1230,27 +1228,29 @@ class AnceptionLayer:
     _split_fcntl64 = _split_fcntl
 
     def _split_ioctl(self, task, table, fd, request, arg=None):
-        if table.is_remote(fd):
+        if fd in table._host_to_proxy:
             return self._redirect(task, "ioctl", (fd, request, arg), {})
-        # Host fd: binder traffic gets the UI inspection.  Waiting for
-        # input is an observation point — anything the app fired at the
-        # services must land before the world answers back
-        # (fence-on-read).
-        if request == IOC_WAIT_INPUT_EVT:
+        # Host fd: binder traffic gets the UI inspection
+        # (binder.is_ui_transaction and policy.binder_target_is_app,
+        # inlined: this is the path of every UI frame and app-to-app
+        # call).  A target that is not a string names neither a UI
+        # service nor an app; it goes to the CVM's service manager,
+        # which answers ENOENT as the host's would.
+        if request == BINDER_WRITE_READ and isinstance(arg, Transaction):
+            target = arg.target
+            if not (isinstance(target, str)
+                    and (target in self.policy.ui_service_names
+                         or target.startswith("app:"))):
+                return self._forward_binder(task, fd, request, arg)
+        elif request == IOC_WAIT_INPUT_EVT:
+            # Waiting for input is an observation point — anything the
+            # app fired at the services must land before the world
+            # answers back (fence-on-read).
             lane = self._lane(task)
             if lane.binder_ring is not None:
                 self._settle(lane, lane.binder_ring, task, "wait-input")
-        if is_ui_transaction(self.policy.ui_service_names, request, arg):
-            return self.host_kernel.execute_native(
-                task, "ioctl", (fd, request, arg), {}
-            )
-        if self.policy.binder_target_is_app(arg):
-            return self.host_kernel.execute_native(
-                task, "ioctl", (fd, request, arg), {}
-            )
-        if request == BINDER_WRITE_READ and isinstance(arg, Transaction):
-            return self._forward_binder(task, fd, request, arg)
-        # Non-binder ioctl on a host fd (e.g. a /system file): host.
+        # UI and app-to-app binder traffic, the input wait, and any
+        # other ioctl on a host fd (e.g. a /system file): host.
         return self.host_kernel.execute_native(
             task, "ioctl", (fd, request, arg), {}
         )
@@ -2253,14 +2253,17 @@ class AnceptionLayer:
         return self._agg([getattr(lane, attr).stats() for lane in lanes])
 
 
+_HOST, _SPLIT = Decision.HOST.value, Decision.SPLIT.value
+
 _ROUTE_HANDLERS = {
-    Decision.HOST.value: AnceptionLayer._route_host,
+    _HOST: AnceptionLayer._route_host,
     Decision.REDIRECT.value: AnceptionLayer._route_redirect,
-    Decision.SPLIT.value: AnceptionLayer._split,
     Decision.BLOCK.value: AnceptionLayer._route_block,
 }
 """The alternate syscall table's second half: decision value -> the
-layer's route for it (plain functions, called with the layer)."""
+layer's route for it (plain functions, called with the layer).  A split
+call takes its handler from :data:`_SPLIT_HANDLERS`, or the host route
+when it has none."""
 
 _SPLIT_HANDLERS = {
     name[len("_split_"):]: handler

@@ -160,8 +160,12 @@ class RedirectionPolicy:
     # -- ioctl inspection (UI test: binder.is_ui_transaction) -------------------
 
     def binder_target_is_app(self, arg):
-        """App-to-app binder IPC proceeds on the host (Section III-D)."""
+        """App-to-app binder IPC proceeds on the host (Section III-D).
+
+        A target that is not a string names no app.  The layer's ioctl
+        split inlines this test on its host-pinned path."""
         return (
             isinstance(arg, Transaction)
+            and isinstance(arg.target, str)
             and arg.target.startswith("app:")
         )

@@ -898,7 +898,16 @@ class Kernel:
         return 0
 
     def _do_ioctl(self, task, fd, request, arg=None):
-        desc = task.get_fd(fd)
+        # Every binder call and UI frame lands here: one fd-table lookup,
+        # and a device node's ioctl dispatched in place.  Anything else
+        # (a regular file, a pipe, a socket) answers through its own
+        # ``ioctl``, which raises ENOTTY.
+        desc = task.fd_table.get(fd)
+        if desc is None:
+            raise SyscallError(errno.EBADF, f"fd {fd}", call="fd-lookup")
+        if (desc.__class__ is vfs_mod.OpenFile
+                and desc.inode.kind is vfs_mod.InodeKind.DEVICE):
+            return desc.inode.device.ioctl(task, desc, request, arg)
         return desc.ioctl(task, request, arg)
 
     # ------------------------------------------------------------------

@@ -126,8 +126,8 @@ class Libc:
         return self.syscall("readlink", path)
 
     def ioctl(self, fd, request, arg=None):
-        # Every binder call and UI frame comes through here: trap
-        # directly rather than through ``self.syscall``.
+        # Trap directly rather than through ``self.syscall``: input waits
+        # and raw device ioctls are per-call paths.
         return self.kernel.syscall(self.task, "ioctl", fd, request, arg)
 
     def fsync(self, fd):

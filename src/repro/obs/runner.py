@@ -164,6 +164,28 @@ def _workload_binderburst(ctx):
     ctx.libc.fence()
 
 
+def _ui_echo(method, payload, sender_task):
+    """The ``ui`` workload's exported endpoint: a pid-free reply."""
+    return {"echo": method}
+
+
+def _workload_ui(ctx):
+    """The host-pinned binder paths: UI frames, a window call, app IPC.
+
+    None of these calls crosses into the CVM (Sections III-A and
+    III-D): a window, 16 frames, a display query, a oneway frame, and a
+    call to the app's own exported endpoint (re-exported each pass, an
+    idempotent registration).
+    """
+    ctx.create_window("obs-ui")
+    for index in range(16):
+        ctx.submit_frame(bytes([index]) * 64)
+    ctx.call_service("window", "get_display_info")
+    ctx.call_service_oneway("window", "submit_frame", {"pixels": b"oneway"})
+    ctx.export_service(_ui_echo)
+    ctx.call_app(ctx.package, "ping", {"k": 1})
+
+
 TRACE_WORKLOADS = {
     "table1": _workload_table1,
     "getpid": _workload_getpid,
@@ -175,6 +197,7 @@ TRACE_WORKLOADS = {
     "batchio": _workload_batchio,
     "writeburst": _workload_writeburst,
     "binderburst": _workload_binderburst,
+    "ui": _workload_ui,
     "fleet": workload_fleet,
 }
 

@@ -161,6 +161,31 @@ class TestBinderRouting:
     def test_host_has_no_delegated_services(self, anception_world):
         assert not anception_world.system.has_service("location")
 
+    @pytest.mark.parametrize("cvms", [1, 4])
+    def test_ioctl_vulnerability_sees_host_pinned_binder_calls(self, cvms):
+        """The host-pinned crossing still runs ``execute_native``'s
+        vulnerability hook: an injected ``ioctl`` bug sees every UI
+        frame and app-to-app call, on the host kernel."""
+        world = AnceptionWorld(cvms=cvms)
+        running = world.install_and_launch(ScratchApp())
+        running.run()
+        ctx = running.ctx
+        ctx.create_window("w")
+        ctx.export_service(lambda method, payload, sender: "ok")
+        seen = []
+
+        def trigger(kernel, task, args, kwargs):
+            transaction = args[2]
+            seen.append((kernel is world.kernel, transaction.target,
+                         transaction.method))
+            return None
+
+        world.install_kernel_vulnerability("ioctl", trigger)
+        ctx.submit_frame(b"frame")
+        assert ctx.call_app(ctx.package, "ping") == "ok"
+        assert seen == [(True, "window", "submit_frame"),
+                        (True, f"app:{ctx.package}", "ping")]
+
 
 class TestBlockedCalls:
     def test_blocked_call_eperm_and_recorded(self, anception_world,

@@ -282,6 +282,45 @@ class TestTransactionLogBounds:
         assert log.dropped == 6
         assert list(log) == [(i, "svc", "m") for i in range(6, 10)]
 
+    def test_wrap_keeps_len_total_dropped_and_order(self):
+        log = TransactionLog(limit=4)
+        for i in range(10):
+            log.append(i)
+        assert (len(log), log.total, log.dropped) == (4, 10, 6)
+        assert list(log) == [6, 7, 8, 9]
+        assert log == [6, 7, 8, 9]
+        assert log[0] == 6 and log[-1] == 9
+        assert 5 not in log and 6 in log
+
+    def test_later_limit_change_keeps_the_newest(self):
+        log = TransactionLog(limit=4)
+        for i in range(10):
+            log.append(i)
+        log.limit = 2
+        assert (log.limit, len(log), log.total, log.dropped) == (2, 2, 10, 8)
+        assert log == [8, 9]
+        log.limit = 5
+        for i in range(10, 14):
+            log.append(i)
+        assert (len(log), log.total, log.dropped) == (5, 14, 9)
+        assert log == [9, 10, 11, 12, 13]
+
+    def test_wrapped_driver_log_survives_a_snapshot(self, ring_world,
+                                                    ring_ctx):
+        driver = ring_world.anception.cvm.android.binder_driver
+        driver.transaction_log.limit = 4
+        for index in range(10):
+            ring_ctx.call_service("location", "get_fix", {"n": index})
+        log = driver.transaction_log
+        restored = AnceptionWorld.restore(ring_world.snapshot())
+        again = restored.anception.cvm.android.binder_driver.transaction_log
+        assert again == log
+        assert list(again) == list(log)
+        assert (again.limit, len(again), again.total, again.dropped) == \
+            (log.limit, len(log), log.total, log.dropped) == (4, 4, 10, 6)
+        again.append("next")
+        assert (len(again), again.total, again.dropped) == (4, 11, 7)
+
     def test_driver_default_limit(self, ring_world):
         driver = ring_world.anception.cvm.android.binder_driver
         assert driver.transaction_log.limit == TRANSACTION_LOG_LIMIT

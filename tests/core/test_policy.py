@@ -137,6 +137,10 @@ class TestIoctlInspection:
         assert policy.binder_target_is_app(Transaction("app:com.x", "ping"))
         assert not policy.binder_target_is_app(Transaction("vold", "mount"))
 
+    @pytest.mark.parametrize("target", [None, 5, b"app:com.x"])
+    def test_non_string_target_is_not_an_app(self, policy, target):
+        assert not policy.binder_target_is_app(Transaction(target, "ping"))
+
     def test_code_path_predicate(self, policy, task):
         assert policy.is_code_path(task, "/system/anything")
         assert policy.is_code_path(task, "/data/app/x.apk")

@@ -376,6 +376,19 @@ BINDER_SCRIPTS = {
             ("call_app", "com.not.installed", "ping", {}),
         ],
     },
+    "binder-bad-target": {
+        # A target that is not a string names no service: ENOENT from
+        # the service-manager lookup in every mode, sync and oneway,
+        # never an unhandled error in the layer's host-pinned test.
+        "request": "BINDER_WRITE_READ",
+        "script": [
+            ("call_service", None, "x", {}),
+            ("call_service", 5, "x", {}),
+            ("call_service_oneway", None, "x", {}),
+            ("call_service_oneway", 5, "x", {}),
+            ("call_service", "location", "get_fix", {}),
+        ],
+    },
     "binder-large-parcel": {
         "request": "BINDER_WRITE_READ",
         "script": [

@@ -51,6 +51,9 @@ SEED_DIGESTS = {
     # binder ring became one DeferredWindows primitive.
     ("binderburst", 1): (495566086, 659, "a9556aafbb57f939"),
     ("binderburst", 4): (495566086, 659, "a9556aafbb57f939"),
+    # Captured on the host binder crossing before it was flattened.
+    ("ui", 1): (25743722, 123, "47ece0a821d1c7c7"),
+    ("ui", 4): (25743722, 123, "47ece0a821d1c7c7"),
 }
 
 
@@ -97,7 +100,8 @@ def test_dormant_run_elapses_identical_sim_time():
     time is observable either way — the dormant integer-add fast paths
     must land on the same nanosecond as the instrumented walk.
     """
-    for workload in ("fileops", "batchio", "writeburst", "binderburst"):
+    for workload in ("fileops", "batchio", "writeburst", "binderburst",
+                     "ui"):
         world, ctx = _boot(workload)
         start = world.clock.now_ns
         _iterate(ctx, workload, 1)
