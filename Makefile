@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test bench perfbench examples all-experiments lint trace-demo chaos-demo profile-demo coverage clean
+.PHONY: test bench perfbench frames examples all-experiments lint trace-demo chaos-demo profile-demo coverage clean
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -19,6 +19,10 @@ perfbench:
 	for w in $(PERFBENCH_WORKLOADS); do \
 		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 1 || exit 1; \
 	done
+
+# Each frame budget's headroom: name, measured frames, budget.
+frames:
+	PYTHONPATH=src $(PYTHON) -m tests.perf.test_frame_budget
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -53,7 +53,7 @@ from repro.errors import (
 from repro.kernel.memory import MAP_ANONYMOUS, MAP_FIXED
 from repro.kernel.process import Credentials, ROOT_UID
 from repro.kernel.vfs import InodeKind
-from repro.obs.bus import NULL_SPAN, maybe_event, maybe_span
+from repro.obs.bus import maybe_event, maybe_span
 from repro.perf.costs import PAGE_SIZE
 from repro.perf.slab import SlabPool
 
@@ -77,13 +77,16 @@ class PendingCall:
 
     __snapshot__ = "auto"
 
-    __slots__ = ("seq", "task", "name", "args", "call_args", "kwargs",
-                 "crypto_offset", "outcome", "slab")
+    __slots__ = ("seq", "task", "proxy", "name", "args", "call_args",
+                 "kwargs", "crypto_offset", "outcome", "slab")
 
-    def __init__(self, seq, task, name, args, call_args, kwargs,
+    def __init__(self, seq, task, proxy, name, args, call_args, kwargs,
                  crypto_offset=None, slab=None):
         self.seq = seq
         self.task = task
+        self.proxy = proxy
+        """The CVM proxy :meth:`AnceptionLayer.submit` resolved for
+        ``task``; the flush hands the call to it."""
         self.name = name
         self.args = args
         self.call_args = call_args
@@ -485,14 +488,7 @@ class AnceptionLayer:
             served = self._cache_lookup(task, name, args, lane=lane)
             if served is not None:
                 return served[0]
-        return self._redirect_sync(task, name, args, kwargs, translated,
-                                   lane=lane)
-
-    def _redirect_sync(self, task, name, args, kwargs, translated=None,
-                       lane=None):
-        """One call, one doorbell pair, synchronous result."""
-        if lane is None:
-            lane = self._lane(task)
+        # One call, one doorbell pair, synchronous result.
         return self._supervise(
             task, lane, name, self._round_trip,
             (task, lane, ((name, args, kwargs, translated),), name, name),
@@ -530,7 +526,11 @@ class AnceptionLayer:
             # The crypto transform keys off the proxy's live file offset,
             # which only advances as each entry executes — serialize.
             results = [
-                self._redirect_sync(task, sub_call, (fd, entry), {})
+                self._supervise(
+                    task, lane, sub_call, self._round_trip,
+                    (task, lane, ((sub_call, (fd, entry), {}, None),),
+                     sub_call, sub_call),
+                )[0]
                 for entry in vec
             ]
             return sum(results) if name == "writev" else results
@@ -556,7 +556,9 @@ class AnceptionLayer:
         """
         tries = 0
         while True:
-            self._ensure_container(lane, site)
+            kernel = lane.cvm.kernel
+            if kernel.crashed or kernel.compromised_by is not None:
+                self._ensure_container(lane, site)
             try:
                 return attempt(*args)
             except DelegationError as failure:
@@ -600,13 +602,19 @@ class AnceptionLayer:
         """
         clock = self.machine.clock
         if clock.dormant:
-            span = NULL_SPAN
-        else:
-            tags = {} if batch is None else {"batch": batch}
-            span = maybe_span(clock, "proxy", f"forward:{label}", task=task,
-                              kernel=self.host_kernel.label,
-                              decision="redirect", **tags)
-        with span:
+            pendings = []
+            for name, args, kwargs, translated in calls:
+                pendings.append(self.submit(task, name, args, kwargs,
+                                            translated, lane=lane))
+            self.flush(task, reason=reason, lane=lane)
+            results = []
+            for pending in pendings:
+                results.append(self.complete(pending, lane=lane))
+            return results
+        tags = {} if batch is None else {"batch": batch}
+        with maybe_span(clock, "proxy", f"forward:{label}", task=task,
+                        kernel=self.host_kernel.label,
+                        decision="redirect", **tags):
             pendings = [
                 self.submit(task, name, args, kwargs, translated, lane=lane)
                 for name, args, kwargs, translated in calls
@@ -615,7 +623,12 @@ class AnceptionLayer:
             return [self.complete(pending, lane=lane) for pending in pendings]
 
     def _ensure_container(self, lane, name):
-        """Refuse (or repair) forwarding into a dead/compromised CVM."""
+        """Refuse (or repair) forwarding into a crashed or compromised CVM.
+
+        Only :meth:`_supervise` calls this, and only once it has seen the
+        lane's kernel crashed or compromised; the healthy crossing never
+        enters it.
+        """
         kernel = lane.cvm.kernel
         if kernel.crashed:
             if self.recovery.enabled and self.recovery.reboot_on_crash:
@@ -685,10 +698,14 @@ class AnceptionLayer:
         ring = lane.channel.submit_ring
         if len(ring._queue) >= ring.depth:
             self.flush(task, reason="ring-full", lane=lane)
-        lane.proxies.proxy_for(task)  # not enrolled -> SimulationError
-        call_args = translated if translated is not None else (
-            self._fd_table(task).translate_args(name, args)
-        )
+        proxy = lane.proxies.proxy_for(task)  # not enrolled -> SimulationError
+        if translated is not None:
+            call_args = translated
+        else:
+            table = self.fd_tables.get(task.pid)
+            if table is None:
+                raise SimulationError(f"pid {task.pid} not enrolled")
+            call_args = table.translate_args(name, args)
         crypto_offset = None
         slab = None
         prestaged = wire is not None
@@ -721,8 +738,8 @@ class AnceptionLayer:
             # can reference the slab, so reclaim it here.
             self.slab_pool.recycle(slab)
             raise
-        pending = PendingCall(seq, task, name, args, call_args, kwargs,
-                              crypto_offset, slab)
+        pending = PendingCall(seq, task, proxy, name, args, call_args,
+                              kwargs, crypto_offset, slab)
         lane.inflight.append(pending)
         return pending
 
@@ -748,24 +765,21 @@ class AnceptionLayer:
             reason = pendings[0].name if count == 1 else f"batch:{count}"
         elif count > 1:
             reason = f"{reason}:{count}"
-        # A window is usually one task's: resolve its proxy once.
-        proxy_for = lane.proxies.proxy_for
         work = {}
-        owner = proxy = None
         for p in pendings:
-            if p.task is not owner:
-                owner = p.task
-                proxy = proxy_for(owner)
-            work[p.seq] = (proxy, p.name, p.call_args, p.kwargs)
+            work[p.seq] = (p.proxy, p.name, p.call_args, p.kwargs)
+        channel = lane.channel
+        hypervisor = channel.hypervisor
         try:
-            self._signal_guest_reliably(lane, reason, pendings[0].task,
-                                        coalesced=count)
-            outcomes = lane.proxies.drain(lane.channel, work)
-            completions = len(lane.channel.complete_ring)
+            if not hypervisor.inject_interrupt(reason, coalesced=count):
+                self._resignal_guest(lane, reason, pendings[0].task,
+                                     coalesced=count)
+            outcomes = lane.proxies.drain(channel, work)
+            completions = len(channel.complete_ring._queue)
             self._drain_completions(lane, pendings, outcomes)
-            if completions:
-                self._signal_host_or_poll(lane, reason, pendings[0].task,
-                                          coalesced=completions)
+            if completions and not hypervisor.hypercall(
+                    reason, coalesced=completions):
+                self._poll_host(reason, pendings[0].task)
         finally:
             # The window retired, or it failed and the retry loop drops
             # its ring state (:meth:`_drop_queued`): either way no
@@ -838,18 +852,19 @@ class AnceptionLayer:
             )
         return adopted
 
-    def _signal_guest_reliably(self, lane, name, task=None, coalesced=1):
-        """Ring the guest doorbell, re-arming after dropped IRQs.
+    def _resignal_guest(self, lane, name, task=None, coalesced=1):
+        """Re-arm a guest doorbell whose interrupt was lost.
 
-        One doorbell may announce many ring descriptors (``coalesced``),
-        which is the whole point of the batched transport.  Each lost
-        interrupt costs one timeout before the re-signal; when the
-        bounded retries are exhausted the call stalls out as a
-        recoverable :class:`ChannelStalled` instead of hanging forever.
+        Callers ring :meth:`~repro.hypervisor.lguest.LguestHypervisor
+        .inject_interrupt` themselves and come here only when it reports
+        the IRQ dropped.  One doorbell may announce many ring descriptors
+        (``coalesced``), which is the whole point of the batched
+        transport.  Each lost interrupt costs one timeout before the
+        re-signal; when the bounded retries are exhausted the call stalls
+        out as a recoverable :class:`ChannelStalled` instead of hanging
+        forever.
         """
         hypervisor = lane.channel.hypervisor
-        if hypervisor.inject_interrupt(name, coalesced=coalesced):
-            return
         for _ in range(self.recovery.signal_retries):
             self.machine.clock.advance(
                 self.recovery.signal_timeout_ns, "anception:irq-timeout"
@@ -860,15 +875,16 @@ class AnceptionLayer:
                 return
         raise ChannelStalled("to-guest", f"irq lost for {name}")
 
-    def _signal_host_or_poll(self, lane, name, task=None, coalesced=1):
-        """Completion hypercall, falling back to a timed host-side poll.
+    def _poll_host(self, name, task=None):
+        """The timed host-side poll behind a lost completion hypercall.
 
-        A lost hypercall is survivable: the completions already sit in
-        the shared pages, so the host times out and polls them out —
-        one timeout per doorbell, however many descriptors it covered.
+        Callers ring :meth:`~repro.hypervisor.lguest.LguestHypervisor
+        .hypercall` themselves and come here only when it reports the
+        doorbell dropped.  A lost hypercall is survivable: the
+        completions already sit in the shared pages, so the host times
+        out and polls them out — one timeout per doorbell, however many
+        descriptors it covered.
         """
-        if lane.channel.hypervisor.hypercall(name, coalesced=coalesced):
-            return
         self.machine.clock.advance(
             self.recovery.signal_timeout_ns, "anception:hypercall-poll"
         )
@@ -1396,9 +1412,12 @@ class AnceptionLayer:
 
     def _msync_crossing(self, lane, task, data):
         """Anonymous msync: the bytes cross, then one doorbell pair."""
-        lane.channel.send_to_guest(data)
-        self._signal_guest_reliably(lane, "msync", task)
-        self._signal_host_or_poll(lane, "msync-ack", task)
+        channel = lane.channel
+        channel.send_to_guest(data)
+        if not channel.hypervisor.inject_interrupt("msync"):
+            self._resignal_guest(lane, "msync", task)
+        if not channel.hypervisor.hypercall("msync-ack"):
+            self._poll_host("msync-ack", task)
 
     def _find_file_mapping(self, task, addr):
         for (pid, base), info in self._file_mappings.items():

@@ -102,26 +102,27 @@ def _render_into(buf, size, name, args):
     no rendered bytes, exactly like the original encoder); the caller
     owns zero-filling any tail beyond the returned position.
     """
+    piece = name.encode()
     pos = 0
-    pieces = [name.encode()]
     for arg in args:
+        n = len(piece)
+        if n >= size - pos:
+            break
+        buf[pos:pos + n] = piece
+        pos += n
         if isinstance(arg, (bytes, bytearray, memoryview)):
             # Bytes-likes travel as their bytes; a memoryview's repr
             # would put a heap address on the wire.
-            pieces.append(arg)
+            piece = arg
         else:
-            pieces.append(repr(arg).encode())
-    for piece in pieces:
-        if pos >= size:
-            break
-        n = len(piece)
-        if n > size - pos:
-            n = size - pos
-            buf[pos:pos + n] = memoryview(piece)[:n]
-        else:
-            buf[pos:pos + n] = piece
-        pos += n
-    return pos
+            piece = repr(arg).encode()
+    # The last piece, or the first one that reaches ``size``.
+    n = len(piece)
+    if n > size - pos:
+        n = size - pos
+        piece = memoryview(piece)[:n]
+    buf[pos:pos + n] = piece
+    return pos + n
 
 
 def marshal_call(name, args, kwargs):
@@ -162,7 +163,17 @@ def marshal_call_into(pool, name, args, kwargs):
 
 
 def result_size(result):
-    """Outbound payload size of a syscall result."""
+    """Outbound payload size of a syscall result.
+
+    The two result types nearly every call returns, an ``int`` and
+    ``bytes``, are sized inline; anything else goes through
+    :func:`encoded_size`.
+    """
+    kind = type(result)
+    if kind is int:
+        return 8
+    if kind is bytes:
+        return len(result)
     return encoded_size(result)
 
 

@@ -44,6 +44,10 @@ from repro.obs.bus import maybe_span
 from repro.perf.costs import PAGE_SIZE
 
 
+_WIRE_TYPES = frozenset({bytes, bytearray, memoryview})
+"""Exact payload classes :meth:`DelegationRing.push` accepts on sight;
+subclasses take the ``isinstance`` check."""
+
 RING_HEADER_BYTES = 32
 """Wire footprint of one descriptor header: seq (8) + call id (8) +
 payload length (8) + CRC32 (4) + flags/pad (4)."""
@@ -111,6 +115,9 @@ class DelegationRing:
             raise ChannelError(f"ring depth must be >= 1, got {depth}")
         self.name = name
         self.channel = channel
+        self.clock = channel.hypervisor.machine.clock
+        """Resolved once: a lane reboot rebuilds its rings with the new
+        channel, and a machine's clock is never replaced."""
         self.depth = depth
         self.direction = "to-guest" if name == "submit" else "to-host"
         self._queue = deque()
@@ -147,7 +154,8 @@ class DelegationRing:
         ``flags`` travel in the descriptor header (e.g.
         :data:`RING_FLAG_WRITE_BEHIND` for asynchronously reaped calls).
         """
-        if not isinstance(payload, (bytes, bytearray, memoryview)):
+        if type(payload) not in _WIRE_TYPES \
+                and not isinstance(payload, (bytes, bytearray, memoryview)):
             raise ChannelError(
                 f"ring payload must be bytes-like, got "
                 f"{type(payload).__name__}"
@@ -158,7 +166,7 @@ class DelegationRing:
             raise ChannelCapacityError(
                 len(payload), self.channel.capacity, call=call
             )
-        clock = self.channel.hypervisor.machine.clock
+        clock = self.clock
         if len(self._queue) >= self.depth:
             # The ring.full stall models a producer spinning on a ring
             # with no free slot; it is only ever billed when the ring is
@@ -211,8 +219,7 @@ class DelegationRing:
         """
         if not self._queue:
             return None
-        clock = self.channel.hypervisor.machine.clock
-        engine = clock.faults
+        engine = self.clock.faults
         if engine is None:
             descriptor = self._queue.popleft()
             self.popped += 1

@@ -506,7 +506,19 @@ class Kernel:
     # ------------------------------------------------------------------
 
     def _charge(self, ns, reason):
-        self.clock.advance(ns, f"{self.label}:{reason}")
+        """Bill ``ns`` to this kernel; the ``{label}:{reason}`` charge
+        label is built only for a capture.
+
+        The dormant add truncates to an int exactly as
+        :meth:`~repro.clock.SimClock.advance` does, so an app-supplied
+        float length (``pread(fd, 4096.5, 0)``) leaves the same integer
+        clock on both paths.
+        """
+        clock = self.clock
+        if clock.dormant:
+            clock._now_ns += int(ns)
+        else:
+            clock.advance(ns, f"{self.label}:{reason}")
 
     def _abspath(self, task, path):
         if not path.startswith("/"):
@@ -622,6 +634,9 @@ class Kernel:
         return old
 
     def _do_nanosleep(self, task, seconds):
+        if seconds < 0:
+            raise SyscallError(errno.EINVAL, f"sleep of {seconds} s",
+                               call="nanosleep")
         self._charge(int(seconds * 1e9), "nanosleep")
         return 0
 

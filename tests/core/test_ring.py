@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.channel import AnceptionChannel
+from repro.core.marshal import marshal_call_into
 from repro.core.ring import (
     DESCRIPTOR_SLOT_BYTES,
     RING_HEADER_BYTES,
@@ -19,6 +20,7 @@ from repro.faults.engine import FaultEngine
 from repro.hypervisor import LguestHypervisor
 from repro.kernel.kernel import Machine
 from repro.perf.costs import PAGE_SIZE
+from repro.perf.slab import SlabPool
 
 
 @pytest.fixture
@@ -192,6 +194,37 @@ class TestFaultSites:
             engine.disarm()
         assert stalled < 500_000
         assert channel.submit_ring.stalls == 0
+
+
+class TestDormantCrc:
+    """The per-descriptor CRC runs with no fault engine and no capture.
+
+    The dormant path is the one every unobserved redirected call takes,
+    so a payload rewritten while its descriptor sits on the ring must
+    still be caught at ``pop``.
+    """
+
+    def test_flipped_byte_in_a_queued_buffer_fails_pop(self, channel,
+                                                       machine):
+        assert machine.clock.faults is None and machine.clock.dormant
+        buffer = bytearray(b"dormant-payload")
+        channel.submit_ring.push("write", memoryview(buffer))
+        buffer[3] ^= 0xFF
+        with pytest.raises(ChannelIntegrityError):
+            channel.submit_ring.pop()
+        assert channel.integrity_failures == 1
+
+    def test_flipped_byte_in_a_marshaled_slab_fails_pop(self, channel,
+                                                        machine):
+        assert machine.clock.faults is None and machine.clock.dormant
+        pool = SlabPool()
+        wire, size, slab = marshal_call_into(
+            pool, "pwrite64", (3, b"w" * 64, 0), {})
+        channel.submit_ring.push("pwrite64", wire)
+        slab.buf[size // 2] ^= 0xFF
+        with pytest.raises(ChannelIntegrityError):
+            channel.submit_ring.pop()
+        assert channel.integrity_failures == 1
 
 
 class TestResetAndStats:

@@ -1,5 +1,8 @@
 """The libc veneer: file helpers, sockets, process control."""
 
+import contextlib
+import errno
+
 import pytest
 
 from repro.errors import SyscallError
@@ -7,6 +10,7 @@ from repro.kernel import vfs
 from repro.kernel.kernel import Machine
 from repro.kernel.libc import Libc
 from repro.kernel.process import Credentials
+from repro.obs.bus import TraceBus
 
 
 @pytest.fixture
@@ -131,3 +135,28 @@ class TestMisc:
         before = kernel.clock.now_ns
         libc.syscall("nanosleep", 0.001)
         assert kernel.clock.now_ns - before >= 1_000_000
+
+    def test_negative_nanosleep_is_einval(self, kernel, libc):
+        before = kernel.clock.now_ns
+        with pytest.raises(SyscallError) as exc:
+            libc.syscall("nanosleep", -0.001)
+        assert exc.value.errno == errno.EINVAL
+        assert kernel.clock.now_ns - before < 1_000_000
+
+    def test_float_length_charges_the_same_int_dormant_and_captured(self):
+        # A float length prices a fractional page count; both charge
+        # paths must truncate it the same way, leaving an int clock.
+        clocks = []
+        for captured in (False, True):
+            kernel = Machine(total_mb=64).kernel
+            task = kernel.spawn_task("app", Credentials(10001))
+            libc = Libc(kernel, task)
+            libc.write_file("/data/local/tmp/f", b"x" * 9000)
+            fd = libc.open("/data/local/tmp/f", vfs.O_RDONLY)
+            capture = (TraceBus.install(kernel.clock).capture() if captured
+                       else contextlib.nullcontext())
+            with capture, contextlib.suppress(TypeError, SyscallError):
+                libc.pread(fd, 4096.5, 0)
+            clocks.append(kernel.clock.now_ns)
+        assert [type(ns) for ns in clocks] == [int, int]
+        assert clocks[0] == clocks[1]

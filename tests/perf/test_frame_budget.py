@@ -12,6 +12,11 @@ A budget may go down whenever a change removes frames.  It goes up only
 with the reason recorded in CHANGES.md.  An over-budget failure lists
 the most-entered ``module:function`` names, so a regression shows where
 its frames came from.
+
+Run as a module from the repository root (``make frames``) it prints
+each budget entry's name, measured frames and budget, one per line::
+
+    PYTHONPATH=src python -m tests.perf.test_frame_budget
 """
 
 import os
@@ -32,13 +37,17 @@ _SRC = os.path.dirname(repro.__file__) + os.sep
 
 BUDGET = {
     "getpid": 9,
-    "pwrite": 65,
-    "pread": 64,
-    "writev": 136,
-    "fstat": 63,
-    "call_service": 83,
-    "wb_drain": 555,
-    "binder_drain": 710,
+    "pwrite": 54,
+    "pread": 53,
+    "writev": 120,
+    "readv": 123,
+    "fstat": 53,
+    "fsync": 49,
+    "stat": 70,
+    "open_close": 129,
+    "call_service": 75,
+    "wb_drain": 534,
+    "binder_drain": 697,
     "cache_hit_pread": 21,
     "submit_frame": 15,
     "call_app": 13,
@@ -55,7 +64,11 @@ were 101 and 94; before the dormant overlap window wb_drain was 925;
 before the sqlite tail cursor insert was 2 and a 100-row select_all
 was 202; before the flat host binder crossing submit_frame, call_app
 and create_window were 25, 23 and 26, and the call_service,
-binder_drain and writev budgets were 94, 808 and 138."""
+binder_drain and writev budgets were 94, 808 and 138; before the flat
+lone-call crossing pwrite, pread, fstat, writev, call_service, wb_drain
+and binder_drain were 65, 64, 63, 136, 83, 555 and 710, and the
+then-unpinned fsync, stat, 3-segment readv and open+close pair were 60,
+80, 139 and 149."""
 
 TOP_FUNCTIONS = 10
 """Functions an over-budget failure lists, most-entered first."""
@@ -105,6 +118,9 @@ def _calls():
     page = b"b" * 4096
     libc.pwrite(fd, page, 0)
     segments = (b"s" * 512, b"e" * 1024, b"g" * 2048)
+    vector_path = ctx.data_path("vector.bin")
+    vector_fd = libc.open(vector_path, vfs.O_RDWR | vfs.O_CREAT, 0o600)
+    libc.pwrite(vector_fd, b"v" * 6 * 4096, 0)  # room for every readv
     ctx.create_window("budget")
     ctx.export_service(_echo)
     db = Database(libc, ctx.data_path("budget.db"))
@@ -122,7 +138,12 @@ def _calls():
         "pwrite": lambda: libc.pwrite(fd, page, 0),
         "pread": lambda: libc.pread(fd, 4096, 0),
         "writev": lambda: libc.writev(fd, segments),
+        "readv": lambda: libc.readv(vector_fd, (512, 1024, 2048)),
         "fstat": lambda: libc.fstat(fd),
+        "fsync": lambda: libc.fsync(fd),
+        "stat": lambda: libc.stat(vector_path),
+        "open_close": lambda: libc.close(libc.open(vector_path,
+                                                   vfs.O_RDONLY)),
         "call_service": lambda: ctx.call_service("location", "get_fix",
                                                  parcel),
         "wb_drain": _write_behind_drain(),
@@ -191,12 +212,25 @@ def _cache_hit_pread():
     return lambda: libc.pread(fd, 4096, 0)
 
 
-@pytest.mark.parametrize("call", sorted(BUDGET))
-def test_call_stays_within_frame_budget(call):
+def _warm_frames(call):
+    """The frames one warm, steady-state ``call`` budget entry enters,
+    and its runner."""
     run = _calls()[call]
     run()
     run()  # warm: lazy binder fd, trampolines, first page loads
-    frames = count_frames(run)
+    return count_frames(run), run
+
+
+def print_headroom():
+    """One line per budget entry: name, measured frames, budget."""
+    for call in sorted(BUDGET):
+        frames, _run = _warm_frames(call)
+        print(f"{call:<16} {sum(frames.values()):>5} {BUDGET[call]:>5}")
+
+
+@pytest.mark.parametrize("call", sorted(BUDGET))
+def test_call_stays_within_frame_budget(call):
+    frames, run = _warm_frames(call)
     assert frames == count_frames(run), "frame count is not steady"
     total = sum(frames.values())
     assert total <= BUDGET[call], \
@@ -209,3 +243,7 @@ def test_over_budget_message_names_the_busiest_functions():
     assert message.startswith("demo entered 78 repro frames, budget 5;")
     listed = [line.split()[-1] for line in message.splitlines()[1:]]
     assert listed == [f"repro.mod:f{index}" for index in range(12, 2, -1)]
+
+
+if __name__ == "__main__":
+    print_headroom()
