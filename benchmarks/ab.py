@@ -15,7 +15,10 @@ so one harness measures both programs and only the program differs.
 For every workload and end-to-end metric the report gives both medians,
 the base runs' interquartile range and the change's wins out of the
 pairs (ties count for neither side); the last line of standard output
-is the whole report as one JSON object.  The command exits 1 when a
+is the whole report as one JSON object, with both sides' commits, the
+CPU model and the Python version, and the same line is appended to
+``benchmarks/TRAJECTORY.jsonl``, the committed history of A/B runs.
+The command exits 1 when a
 change median is worse than the base median by more than the metric's
 ``bound`` in its ``better`` direction, when ``sim_ms_per_iter`` differs
 at all, when the change fails more operations than the base, or when
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -40,6 +44,9 @@ SEED = 7919
 
 SIM_METRIC = "sim_ms_per_iter"
 """Simulated time is exact, so any difference is a behaviour change."""
+
+TRAJECTORY = os.path.join(ROOT, "benchmarks", "TRAJECTORY.jsonl")
+"""One report line per A/B run, oldest first."""
 
 
 def load_contract():
@@ -178,6 +185,24 @@ def measure(base_checkout, contract, pairs):
     return runs["base"], runs["change"], exit_failures
 
 
+def cpu_model():
+    """The CPU's model name, as the kernel reports it where it can."""
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def append_trajectory(line, path=TRAJECTORY):
+    """Append one report ``line`` (a JSON string) to ``path``."""
+    with open(path, "a") as handle:
+        handle.write(line + "\n")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("base", help="git ref of the base commit")
@@ -190,6 +215,10 @@ def main(argv=None):
     contract = load_contract()
     base_sha = _check(["git", "rev-parse", "--verify",
                        f"{args.base}^{{commit}}"])
+    # The change is this checkout's working tree: its commit, marked
+    # "-dirty" when the tree differs from it.
+    change_sha = _check(["git", "describe", "--always", "--dirty",
+                         "--abbrev=40"])
     with tempfile.TemporaryDirectory(prefix="perfbench-ab-") as tmp:
         base_checkout = os.path.join(tmp, "base")
         _check(["git", "worktree", "add", "--detach", base_checkout,
@@ -209,8 +238,13 @@ def main(argv=None):
               f"{row['base_iqr']:>10.4f} {row['wins']:>3}/{row['pairs']}")
     for failure in failures:
         print(f"# FAILED: {failure}")
-    print(json.dumps({"base": base_sha, "seed": SEED, "pairs": args.pairs,
-                      "rows": rows, "failures": failures}))
+    line = json.dumps({"base": base_sha, "change": change_sha,
+                       "cpu": cpu_model(),
+                       "python": platform.python_version(), "seed": SEED,
+                       "pairs": args.pairs, "rows": rows,
+                       "failures": failures})
+    print(line)
+    append_trajectory(line)
     return 1 if failures else 0
 
 

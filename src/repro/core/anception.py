@@ -30,8 +30,11 @@ from repro.core.marshal import (
     FD_ALLOCATING_CALLS,
     FdTranslationTable,
     RemoteFdStub,
+    copy_parcel,
+    encoded_size,
     marshal_call,
     marshal_call_into,
+    wire_size,
 )
 from repro.core.page_cache import HostPageCache
 from repro.core.policy import Decision, RedirectionPolicy
@@ -187,6 +190,14 @@ class DelegationBatch:
 
 WRITE_BEHIND_DEPTH = BINDER_RING_DEPTH = WINDOW_DEPTH
 """Default bound on one task's write-behind or binder window."""
+
+_BINDER_WIRE_FRAME = wire_size(
+    "ioctl", (0, BINDER_WRITE_READ, Transaction("", "")), {}
+) - encoded_size({})
+"""Wire bytes of a forwarded binder ioctl beyond its parcel's payload:
+the call name, the fd and request words and the transaction header.  A
+staged transaction's payload size is its wire size less this, so the
+marshal's one sizing pass sizes the parcel too."""
 
 
 class AnceptionLayer:
@@ -474,8 +485,8 @@ class AnceptionLayer:
             self._batch.flush()
         lane = self.pool.lane_for(task)
         if lane.write_behind is not None:
-            if translated is None and self._wb_accepts(task, name, args,
-                                                       kwargs, lane=lane):
+            if translated is None and name in self._WB_DEFERRABLE \
+                    and self._wb_accepts(task, name, args, kwargs, lane):
                 return self._wb_enqueue(task, name, args, lane=lane)
             # Every other redirected call is a fence: the staged windows
             # drain (and the lane settles) before it runs, preserving
@@ -484,7 +495,8 @@ class AnceptionLayer:
             # read below can hit.
             self._wb_fence(task, name, args, lane=lane)
         if translated is None and not kwargs \
-                and lane.page_cache is not None:
+                and lane.page_cache is not None \
+                and name in ("read", "pread64"):
             served = self._cache_lookup(task, name, args, lane=lane)
             if served is not None:
                 return served[0]
@@ -960,18 +972,23 @@ class AnceptionLayer:
         """Proxy-side OpenFile behind a remote fd, if it is a plain file.
 
         Anything that is not a regular CVM file — sockets, pipes, device
-        nodes, host fds — is uncacheable and returns ``None``.
+        nodes, host fds — is uncacheable and returns ``None``.  The one
+        resolve of a remote fd for the cache and write-behind: the fd
+        table, the proxy fd, then the proxy's own descriptor (the shadow
+        of the file the CVM kernel serves), read in one body.
         """
         if not isinstance(host_fd, int):
             return None
-        table = self._fd_table(task)
-        if not table.is_remote(host_fd):
+        table = self.fd_tables.get(task.pid)
+        if table is None:
+            raise SimulationError(f"pid {task.pid} not enrolled")
+        proxy_fd = table._host_to_proxy.get(host_fd)
+        if proxy_fd is None:
             return None
         if lane is None:
-            lane = self._lane(task)
-        desc = lane.proxies.descriptor_for(
-            task, table.to_proxy(host_fd)
-        )
+            lane = self.pool.lane_for(task)
+        # proxy_for raises the classic "not enrolled (no proxy)" error.
+        desc = lane.proxies.proxy_for(task).guest_task.fd_table.get(proxy_fd)
         inode = getattr(desc, "inode", None)
         if inode is None or inode.kind is not InodeKind.FILE:
             return None
@@ -985,14 +1002,14 @@ class AnceptionLayer:
         redirect).  A hit skips both doorbells and the channel copy and
         pays only ``cache_hit_ns`` per page.  Crypto-FS files, non-file
         descriptors, and a crashed/compromised container all bypass.
-        The caller has checked that the lane has a cache.
+        The caller has checked that the lane has a cache and that
+        ``name`` is ``read`` or ``pread64``.
         """
         cache = lane.page_cache
-        if self.crypto_fs is not None:
+        if self.crypto_fs is not None or len(args) < 2:
             return None
-        if name not in ("read", "pread64") or len(args) < 2:
-            return None
-        if lane.cvm.crashed or lane.cvm.compromised:
+        kernel = lane.cvm.kernel
+        if kernel.crashed or kernel.compromised_by is not None:
             return None
         desc = self._remote_file(task, args[0], lane=lane)
         if desc is None or not getattr(desc, "readable", False):
@@ -1064,9 +1081,10 @@ class AnceptionLayer:
         cache = lane.page_cache
         if cache is None or self.crypto_fs is not None:
             return None
-        if lane.cvm.crashed or lane.cvm.compromised:
+        kernel = lane.cvm.kernel
+        if kernel.crashed or kernel.compromised_by is not None:
             return None
-        desc = self._remote_file(task, fd)
+        desc = self._remote_file(task, fd, lane)
         if desc is None or not getattr(desc, "readable", False):
             return None
         ino = desc.inode.ino
@@ -1170,7 +1188,7 @@ class AnceptionLayer:
             return
         if name == "open" and isinstance(result, int) and args \
                 and isinstance(args[0], str):
-            desc = self._remote_file(task, result)
+            desc = self._remote_file(task, result, lane)
             if desc is None:
                 return
             lane.cache_paths[self._abs(task, args[0])] = desc.inode.ino
@@ -1287,23 +1305,30 @@ class AnceptionLayer:
         Parcels above a page then skip the marshal-interleaved per-byte
         rate and stream through the ring's bulk-copy window at the
         ``binder_parcel_page_ns`` page rate.
+
+        Parcels cross by value both ways: the CVM gets its own copy of
+        the transaction and its payload, and the app gets its own copy
+        of the reply, so neither side can reach the other's objects.
         """
-        lane = self._lane(task)
+        lane = self.pool.lane_for(task)
         if lane.binder_ring is not None:
-            if self._binder_accepts(task, transaction):
-                return self._binder_enqueue(task, request, transaction)
-            self._binder_fence(task, transaction.target, "transact")
+            if self._binder_accepts(task, transaction, lane):
+                return self._binder_enqueue(task, request, transaction, lane)
+            self._binder_fence(task, transaction.target, "transact", lane)
         self.machine.clock.advance(self.machine.costs.binder_cvm_fixed_ns,
                                    "anception:binder-cvm")
         payload = transaction.payload_size
         proxy = lane.proxies.proxy_for(task)
         proxy_binder_fd = self._ensure_proxy_binder(lane, proxy)
         bulk = self._charge_parcel(lane.binder_ring, payload)
+        delivered = Transaction(transaction.target, transaction.method,
+                                copy_parcel(transaction.payload),
+                                transaction.flags)
         with lane.channel.bulk_copy() if bulk else nullcontext():
-            return self._redirect(
+            return copy_parcel(self._redirect(
                 task, "ioctl", (fd, request, transaction), {},
-                translated=(proxy_binder_fd, request, transaction),
-            )
+                translated=(proxy_binder_fd, request, delivered),
+            ))
 
     def _charge_parcel(self, ring, payload):
         """Charge one binder parcel's bytes; ``True`` if it rides bulk.
@@ -1691,15 +1716,16 @@ class AnceptionLayer:
     _WB_FENCE_SURFACING = ("fsync", "fdatasync", "read", "pread64", "readv",
                            "fence")
 
-    def _wb_accepts(self, task, name, args, kwargs, lane=None):
+    def _wb_accepts(self, task, name, args, kwargs, lane):
         """Whether this call may defer into a write-behind window.
 
         Only side-effect-only calls whose results are known up front
         (byte counts / zero) on pre-validated writable regular CVM
         files qualify — so in an unfaulted run a deferred call cannot
-        fail, and async results stay byte-identical to sync.
+        fail, and async results stay byte-identical to sync.  The
+        caller has checked that ``name`` is in :attr:`_WB_DEFERRABLE`.
         """
-        if kwargs or name not in self._WB_DEFERRABLE:
+        if kwargs:
             return False
         if not args or not isinstance(args[0], int):
             return False
@@ -1717,25 +1743,24 @@ class AnceptionLayer:
         return (len(args) == 2 and isinstance(args[1], int)
                 and args[1] >= 0)
 
-    def _wb_accepts_writev(self, task, fd, vec, lane=None):
+    def _wb_accepts_writev(self, task, fd, vec, lane):
         """writev defers iff a plain write to the same fd would."""
         return self._wb_target(task, fd, lane) and all(
             isinstance(entry, (bytes, bytearray, memoryview))
             for entry in vec)
 
-    def _wb_target(self, task, fd, lane=None):
+    def _wb_target(self, task, fd, lane):
         """Whether ``fd`` is a writable regular CVM file on a healthy
         lane, with no crypto FS or explicit batch window in the way."""
         if self.crypto_fs is not None or self._batch is not None:
             return False
-        if lane is None:
-            lane = self._lane(task)
-        if lane.cvm.crashed or lane.cvm.compromised:
+        kernel = lane.cvm.kernel
+        if kernel.crashed or kernel.compromised_by is not None:
             return False
-        desc = self._remote_file(task, fd, lane=lane)
+        desc = self._remote_file(task, fd, lane)
         return desc is not None and getattr(desc, "writable", False)
 
-    def _binder_accepts(self, task, transaction):
+    def _binder_accepts(self, task, transaction, lane):
         """Whether this transaction may defer into a binder window.
 
         Only oneway transactions to services that already exist in the
@@ -1748,12 +1773,12 @@ class AnceptionLayer:
             return False
         if self._batch is not None:
             return False
-        lane = self._lane(task)
-        if lane.cvm.crashed or lane.cvm.compromised:
+        kernel = lane.cvm.kernel
+        if kernel.crashed or kernel.compromised_by is not None:
             return False
         return lane.cvm.android.has_service(transaction.target)
 
-    def _wb_enqueue(self, task, name, args, lane=None):
+    def _wb_enqueue(self, task, name, args, lane):
         """Stage one deferred call; return its optimistic result.
 
         The host pays only the fixed marshal plus a page-rate staging
@@ -1761,10 +1786,10 @@ class AnceptionLayer:
         and CVM execution all land on the owning CVM's clock lane at
         drain time.
         """
-        if lane is None:
-            lane = self._lane(task)
         wb = lane.write_behind
-        window = self._window_with_room(lane, wb, task)
+        window = wb.windows.get(task.pid)
+        if window is None or len(window.entries) >= wb.depth:
+            window = self._window_with_room(lane, wb, task)
         if name == "write":
             payload = bytes(args[1])
             args = (args[0], payload)
@@ -1776,62 +1801,81 @@ class AnceptionLayer:
         else:
             args = (args[0], args[1])
             result = 0
-        table = self._fd_table(task)
-        call_args = table.translate_args(name, args)
+        call_args = self.fd_tables[task.pid].translate_args(name, args)
         wire, size = marshal_call(name, call_args, {})
-        self._stage(wb, window, task,
-                    DeferredEntry(name, args, call_args, wire, args[0],
-                                  result),
-                    size, name)
+        entry = DeferredEntry(name, args, call_args, wire, args[0], result)
+        clock = self.machine.clock
+        if clock.dormant:
+            # _stage's charge as one add (a wire carries at least the
+            # call name, so it starts at least one page).
+            costs = self.machine.costs
+            clock._now_ns += (costs.marshal_fixed_ns
+                              + costs.wb_stage_page_ns * -(-size // PAGE_SIZE))
+            wb.push(window, entry)
+        else:
+            self._stage(wb, window, task, entry, size, name)
         return result
 
-    def _binder_enqueue(self, task, request, transaction):
+    def _binder_enqueue(self, task, request, transaction, lane):
         """Stage one oneway transaction; return ``None`` optimistically.
 
-        The parcel is serialized now (snapshot semantics: a later
-        payload mutation must not reach the service), the host pays the
-        fixed marshal plus a page-rate staging copy, and keeps running —
-        the cross-VM fixed cost, channel bytes, doorbells, and CVM
-        execution all land on the ``cvm`` lane at drain time, shared
-        across the whole window.
+        The parcel is copied now (by value: a later payload mutation
+        must not reach the service), the host pays the fixed marshal
+        plus a page-rate staging copy, and keeps running — the cross-VM
+        fixed cost, channel bytes, doorbells, and CVM execution all land
+        on the ``cvm`` lane at drain time, shared across the whole
+        window.  The parcel is sized once, by the marshal.
         """
-        lane = self._lane(task)
         ring = lane.binder_ring
-        window = self._window_with_room(lane, ring, task)
-        payload = transaction.payload
-        if isinstance(payload, dict):
-            payload = dict(payload)
+        window = ring.windows.get(task.pid)
+        if window is None or len(window.entries) >= ring.depth:
+            window = self._window_with_room(lane, ring, task)
         staged = Transaction(transaction.target, transaction.method,
-                             payload, transaction.flags)
+                             copy_parcel(transaction.payload),
+                             transaction.flags)
         proxy = lane.proxies.proxy_for(task)
         proxy_binder_fd = self._ensure_proxy_binder(lane, proxy)
         call_args = (proxy_binder_fd, request, staged)
         wire, size = marshal_call("ioctl", call_args, {})
-        self._stage(ring, window, task,
-                    DeferredEntry("ioctl", call_args, call_args, wire,
-                                  staged.target,
-                                  payload_bytes=staged.payload_size),
-                    size, f"{staged.target}.{staged.method}")
+        entry = DeferredEntry("ioctl", call_args, call_args, wire,
+                              staged.target,
+                              payload_bytes=size - _BINDER_WIRE_FRAME)
+        clock = self.machine.clock
+        if clock.dormant:
+            # _stage's charge as one add, as in _wb_enqueue.
+            costs = self.machine.costs
+            clock._now_ns += (costs.marshal_fixed_ns
+                              + costs.wb_stage_page_ns * -(-size // PAGE_SIZE))
+            ring.push(window, entry)
+        else:
+            self._stage(ring, window, task, entry, size,
+                        f"{staged.target}.{staged.method}")
         return None
 
     def _window_with_room(self, lane, windows, task):
-        """The task's open window, drained first if it is full."""
+        """The task's open window, drained first if it is full.
+
+        The enqueues call this only when the window is missing or full.
+        A drain removes the task's window, so a full one is read again
+        after its drain.
+        """
         window = windows.window(task)
         if len(window.entries) >= windows.depth:
             # Bounded depth: a full window is the only point deferral
             # blocks (drain waits for the lane before re-posting).
             self._drain(lane, windows, task, "window-full")
+            window = windows.window(task)
         return window
 
     def _stage(self, windows, window, task, entry, size, name):
-        """Charge the host's marshal and staging copy, then stage."""
+        """Charge the host's marshal and staging copy, then stage.
+
+        The captured path: a dormant enqueue makes the same charge as
+        one integer add and pushes the entry itself.
+        """
         costs = self.machine.costs
         clock = self.machine.clock
         stage_ns = costs.wb_stage_page_ns * max(costs.chunks(size), 1)
-        if clock.dormant:
-            clock._now_ns += costs.marshal_fixed_ns + stage_ns
-            windows.push(window, entry)
-            return
         clock.advance(costs.marshal_fixed_ns, "anception:marshal")
         clock.advance(stage_ns, f"anception:{windows.label}-stage")
         depth = windows.push(window, entry)
@@ -1893,10 +1937,20 @@ class AnceptionLayer:
         """
         if lane is None:
             lane = self._lane(task)
-        self._settle(lane, lane.write_behind, task, name)
+        wb = lane.write_behind
+        clock = self.machine.clock
+        if not wb.windows and not wb.errors \
+                and clock._overlap_lane is None \
+                and clock._lane_busy.get(lane.cvm.lane, 0) <= clock._now_ns:
+            # Nothing staged, nothing ledgered, the lane idle and no
+            # overlap window open: the settle below would drain nothing,
+            # wait 0 ns, count no fence and emit nothing, and the ledger
+            # pop would find nothing.
+            return
+        self._settle(lane, wb, task, name)
         if name in self._WB_FENCE_SURFACING and args \
                 and isinstance(args[0], int):
-            self._surface(lane.write_behind.take_error(task.pid, args[0]),
+            self._surface(wb.take_error(task.pid, args[0]),
                           f"deferred write-behind error on fd {args[0]}",
                           name)
 
@@ -1913,7 +1967,7 @@ class AnceptionLayer:
         self._wb_fence(task, "fence", (fd,) if fd is not None else ())
         return 0
 
-    def _binder_fence(self, task, target, name):
+    def _binder_fence(self, task, target, name, lane):
         """Fence-on-reply: settle the lane, surface this target's errno.
 
         Every staged oneway (to any target, preserving submission order
@@ -1921,7 +1975,6 @@ class AnceptionLayer:
         the ledger pop makes a deferred delivery error surface *exactly
         once*, at the next reply-carrying call to that target.
         """
-        lane = self._lane(task)
         self._settle(lane, lane.binder_ring, task, name)
         self._surface(lane.binder_ring.take_error(task.pid, target),
                       f"deferred binder delivery error for {target!r}",

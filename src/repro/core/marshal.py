@@ -177,6 +177,34 @@ def result_size(result):
     return encoded_size(result)
 
 
+_PARCEL_SCALARS = frozenset({str, bytes, int, float, bool, type(None)})
+"""Immutable parcel leaves :func:`copy_parcel` passes through."""
+
+
+def copy_parcel(value):
+    """A binder parcel as the far side of the host/CVM boundary sees it.
+
+    A real parcel crosses as bytes, so neither side can reach the
+    other's objects through it.  Dicts, lists, tuples, sets and
+    bytearrays are rebuilt (set members are hashable, so immutable);
+    immutable scalars pass through inside the comprehension, so a flat
+    parcel costs one call.  Objects of any other type pass by
+    reference: the simulation has no wire format for them.
+    """
+    if isinstance(value, dict):
+        return {key: item if type(item) in _PARCEL_SCALARS
+                else copy_parcel(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        items = [item if type(item) in _PARCEL_SCALARS
+                 else copy_parcel(item) for item in value]
+        return items if isinstance(value, list) else tuple(items)
+    if isinstance(value, set):
+        return set(value)
+    if isinstance(value, bytearray):
+        return bytearray(value)
+    return value
+
+
 class FdTranslationTable:
     """Host-fd <-> proxy-fd mapping for one enrolled task."""
 

@@ -100,16 +100,6 @@ class ProxyManager:
     def has_proxy(self, host_task):
         return host_task.pid in self._by_host_pid
 
-    def descriptor_for(self, host_task, proxy_fd):
-        """The proxy-side fd-table entry behind a translated descriptor.
-
-        The delegation layer's page cache reads the backing inode (and
-        live offset) through this shadow descriptor — the host-visible
-        twin of the file the CVM kernel actually serves.  Returns
-        ``None`` when the proxy no longer holds the descriptor."""
-        proxy = self.proxy_for(host_task)
-        return proxy.guest_task.fd_table.get(proxy_fd)
-
     def remove_proxy(self, host_task):
         proxy = self._by_host_pid.pop(host_task.pid, None)
         if proxy is not None:

@@ -612,7 +612,10 @@ def apply_app_slice(layer, task, slice_, target):
     if target.write_behind is not None:
         from repro.core.windows import DeferredEntry
 
-        window = target.write_behind.window(task)
+        # A window only for staged entries: an empty one would defeat
+        # the write-behind fence's "nothing staged" fast exit.
+        window = (target.write_behind.window(task) if slice_["wb_entries"]
+                  else None)
         for entry in slice_["wb_entries"]:
             call_args = new_table.translate_args(entry["name"],
                                                  entry["args"])

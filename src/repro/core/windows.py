@@ -73,7 +73,8 @@ class DeferredWindows:
         self.label = label
         self.depth = depth
         self.windows = {}
-        """pid -> :class:`_Window` of staged entries."""
+        """pid -> :class:`_Window` of staged entries; a drain removes
+        the pid's window."""
         self.errors = {}
         """(pid, key) -> deferred :class:`SyscallError` (first wins)."""
         self.enqueued = 0
@@ -101,13 +102,17 @@ class DeferredWindows:
         return depth
 
     def take(self, pid):
-        """Detach and return ``pid``'s staged entries (a drain)."""
-        window = self.windows.get(pid)
+        """Detach and return ``pid``'s staged entries (a drain).
+
+        The window itself goes too, so ``not self.windows`` means that
+        nothing is staged on this lane: the write-behind fence's fast
+        exit tests exactly that.
+        """
+        window = self.windows.pop(pid, None)
         if window is None or not window.entries:
             return None
-        entries, window.entries = window.entries, []
         self.drains += 1
-        return entries
+        return window.entries
 
     def pending_windows(self):
         """Windows with staged entries, in deterministic pid order."""

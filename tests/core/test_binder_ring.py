@@ -375,3 +375,60 @@ class TestStats:
         assert stats["enqueued"] == 1
         assert stats["drains"] == 1
         assert stats["pending"] == 0
+
+
+_PARCEL_MODES = {
+    "sync": {},
+    "async": {"async_delegation": True, "binder_ring": True},
+}
+
+
+@pytest.fixture(params=sorted(_PARCEL_MODES))
+def parcel_ctx(request):
+    world = AnceptionWorld(**_PARCEL_MODES[request.param])
+    running = world.install_and_launch(RingApp())
+    running.run()
+    return running.ctx
+
+
+class TestParcelsCrossByValue:
+    """A CVM service never holds the app's objects, nor the app the
+    service's: both directions of a delegated binder call copy."""
+
+    def test_request_mutated_after_a_oneway_send(self, parcel_ctx):
+        text = ["before"]
+        parcel_ctx.call_service_oneway("clipboard", "set_clip",
+                                       {"text": text})
+        text[0] = "after"
+        reply = parcel_ctx.call_service("clipboard", "get_clip", {})
+        assert reply == {"text": ["before"]}
+
+    def test_nested_request_mutated_after_a_sync_send(self, parcel_ctx):
+        inner = {"items": [1, 2]}
+        parcel_ctx.call_service("clipboard", "set_clip", {"text": inner})
+        inner["items"].append(3)
+        reply = parcel_ctx.call_service("clipboard", "get_clip", {})
+        assert reply == {"text": {"items": [1, 2]}}
+
+    def test_reply_mutation_does_not_reach_the_service(self, parcel_ctx):
+        parcel_ctx.call_service("clipboard", "set_clip", {"text": ["a"]})
+        reply = parcel_ctx.call_service("clipboard", "get_clip", {})
+        reply["text"].append("x")
+        assert parcel_ctx.call_service("clipboard", "get_clip",
+                                       {}) == {"text": ["a"]}
+
+
+class TestStagedParcelSize:
+    @pytest.mark.parametrize("payload", [
+        {}, {"blob": "x" * 120}, {"nested": {"k": [1, 2.5, None, True]}},
+        {"bytes": b"\x00" * 5000}, ["list", "payload"], {"text": "é"},
+    ])
+    def test_payload_bytes_match_the_parcel(self, ring_world, ring_ctx,
+                                            payload):
+        ring_ctx.call_service_oneway("location", "get_fix", payload)
+        ring = ring_world.anception.binder_ring
+        (window,) = ring.windows.values()
+        entry = window.entries[-1]
+        staged = entry.args[2]
+        assert entry.payload_bytes == staged.payload_size
+        assert entry.payload_bytes == encoded_size(payload)

@@ -6,6 +6,7 @@ from repro.android.binder import Transaction
 from repro.core.marshal import (
     FdTranslationTable,
     RemoteFdStub,
+    copy_parcel,
     encoded_size,
     marshal_call,
     marshal_call_into,
@@ -168,3 +169,26 @@ class TestFdFirstSweep:
         for name in ("truncate", "chmod", "chown", "unlink", "rename"):
             args = ("/data/x", 7)
             assert table.translate_args(name, args) == args
+
+
+class TestCopyParcel:
+    def test_scalars_pass_through(self):
+        for value in ("text", b"raw", 7, 2.5, True, None):
+            assert copy_parcel(value) is value
+
+    def test_containers_are_rebuilt_at_every_depth(self):
+        parcel = {"list": [1, {"deep": [2]}], "tuple": ([3],),
+                  "set": {4}, "buf": bytearray(b"ab")}
+        copied = copy_parcel(parcel)
+        assert copied == parcel
+        assert copied is not parcel
+        assert copied["list"] is not parcel["list"]
+        assert copied["list"][1]["deep"] is not parcel["list"][1]["deep"]
+        assert isinstance(copied["tuple"], tuple)
+        assert copied["tuple"][0] is not parcel["tuple"][0]
+        assert copied["set"] is not parcel["set"]
+        assert copied["buf"] is not parcel["buf"]
+
+    def test_other_objects_pass_by_reference(self):
+        marker = object()
+        assert copy_parcel({"obj": marker})["obj"] is marker

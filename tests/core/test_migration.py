@@ -42,6 +42,13 @@ def _finish(world, ctx, fd):
     return data
 
 
+def _pending(lane, task):
+    """Staged write-behind entries ``task`` has on ``lane`` (a drained
+    task has no window at all)."""
+    window = lane.write_behind.windows.get(task.pid)
+    return 0 if window is None else len(window.entries)
+
+
 def _other_lane(layer, lane):
     return layer.pool.lane_by_id((lane.cvm_id + 1) % len(layer.pool.lanes))
 
@@ -56,7 +63,7 @@ class TestMovedEqualsNeverMoved:
         task = moved_ctx.libc.task
         layer = moved_world.anception
         source = layer._lane(task)
-        pending = len(source.write_behind.windows[task.pid].entries)
+        pending = _pending(source, task)
         assert pending > 0, "staging left no pending wb entry"
         target = _other_lane(layer, source)
 
@@ -115,6 +122,40 @@ class TestMovedEqualsNeverMoved:
         with pytest.raises(SyscallError) as excinfo:
             libc.close(fd)
         assert excinfo.value.errno == errno.EIO
+
+
+class TestMigratedWindowDrainsAtLaneFence:
+    """A migrated window drains at the target's next lane-scoped fence.
+
+    The twin test above drains through the cross-lane ``async_fence``;
+    here the first call after the move is a plain ``pread`` or
+    ``fsync``, whose fence is the target lane's own ``_wb_fence``.  The
+    window arrives by ``apply_app_slice``, not by an enqueue, so a
+    fence that tracked staging by counting enqueues would miss it and
+    serve the stale cached page.
+    """
+
+    @pytest.mark.parametrize("first", ["pread", "fsync"])
+    def test_first_call_after_the_move_fences(self, first):
+        world, ctx = _boot()
+        libc = ctx.libc
+        fd = libc.open(ctx.data_path("fence.bin"), 0o102, 0o600)
+        libc.pwrite(fd, b"A" * 4096, 0)
+        assert libc.pread(fd, 4096, 0) == b"A" * 4096  # cached
+        libc.pwrite(fd, b"B" * 100, 0)  # staged over the cached page
+        layer = world.anception
+        task = libc.task
+        source = layer._lane(task)
+        assert _pending(source, task) == 1
+        target = _other_lane(layer, source)
+
+        assert layer.pool.migrate(task.pid, target) is True
+        assert _pending(target, task) == 1
+        if first == "fsync":
+            assert libc.fsync(fd) == 0
+            assert _pending(target, task) == 0
+        assert libc.pread(fd, 100, 0) == b"B" * 100
+        assert target.write_behind.pending_windows() == []
 
 
 class TestCounters:
@@ -202,7 +243,7 @@ class TestRefusals:
         layer = world.anception
         task = libc.task
         source = layer._lane(task)
-        pending = len(source.write_behind.windows[task.pid].entries)
+        pending = _pending(source, task)
         engine = FaultEngine("pool.migrate-loss:nth=1", seed=0)
         engine.arm(world.clock)
         try:
@@ -215,8 +256,7 @@ class TestRefusals:
         assert layer.recovery_log[-1][0] == "migrate-abort"
         # The app is intact on its source lane: its staged write is
         # still pending there and drains at the next fence.
-        assert (len(source.write_behind.windows[task.pid].entries)
-                == pending)
+        assert _pending(source, task) == pending
         layer.async_fence(task)
         libc.lseek(fd, 4096, 0)
         assert libc.read(fd, 100) == b"B" * 100
@@ -231,10 +271,9 @@ class TestRefusals:
         layer = world.anception
         task = libc.task
         source = layer._lane(task)
-        pending = len(source.write_behind.windows[task.pid].entries)
+        pending = _pending(source, task)
         layer.pool.migrate(task.pid, _other_lane(layer, source))
-        assert (len(source.write_behind.windows[task.pid].entries)
-                == pending)
+        assert _pending(source, task) == pending
         libc.shmdt(addr)
         # The staged write still drains at home: the B-run sits at 4096
         # (the read in _stage advanced the offset before the write).

@@ -13,7 +13,16 @@ import os
 
 import pytest
 
-from benchmarks.ab import ROOT, SEED, SIM_METRIC, compare, load_contract
+from benchmarks.ab import (
+    ROOT,
+    SEED,
+    SIM_METRIC,
+    TRAJECTORY,
+    append_trajectory,
+    compare,
+    cpu_model,
+    load_contract,
+)
 
 
 CONTRACT = load_contract()
@@ -144,3 +153,25 @@ def test_wins_count_strict_improvements_per_pair():
     assert row["base_median"] == 100.0
     assert row["change_median"] == 100.0
     assert row["base_iqr"] == pytest.approx(5.0)
+
+
+def test_trajectory_appends_one_line_per_run(tmp_path):
+    path = tmp_path / "TRAJECTORY.jsonl"
+    for base in ("a" * 40, "b" * 40):
+        append_trajectory(json.dumps({"base": base, "rows": []}), path)
+    lines = path.read_text().splitlines()
+    assert [json.loads(line)["base"] for line in lines] == ["a" * 40,
+                                                            "b" * 40]
+
+
+def test_trajectory_is_committed_beside_the_runner():
+    assert TRAJECTORY == os.path.join(ROOT, "benchmarks", "TRAJECTORY.jsonl")
+    with open(TRAJECTORY) as handle:
+        for line in handle:
+            entry = json.loads(line)
+            assert {"base", "change", "cpu", "python", "seed", "pairs",
+                    "rows", "failures"} <= set(entry)
+
+
+def test_cpu_model_names_something():
+    assert isinstance(cpu_model(), str) and cpu_model()
