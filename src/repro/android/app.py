@@ -14,7 +14,6 @@ from repro.android.binder import (
     IOC_WAIT_INPUT_EVT,
     TF_ONE_WAY,
     Transaction,
-    TransactionLog,
 )
 from repro.errors import ReproError
 from repro.kernel.libc import Libc
@@ -179,12 +178,8 @@ class AppServiceEndpoint:
         self.name = f"app:{ctx.package}"
         self.ctx = ctx
         self.handler = handler
-        self.call_log = TransactionLog()
 
     def handle_transaction(self, method, payload, sender_task):
-        log = self.call_log
-        log.entries.append((method, sender_task.pid))
-        log.total += 1
         return self.handler(method, payload, sender_task)
 
     def __repr__(self):

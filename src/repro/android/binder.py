@@ -58,12 +58,6 @@ DELEGATED_BINDER_REQUESTS = frozenset({"BINDER_WRITE_READ"})
 must have marshal coverage and a differential script (or a documented
 exemption) — enforced by ``tests/core/test_syscall_conformance.py``."""
 
-TRANSACTION_LOG_LIMIT = 512
-"""Default bound on ``BinderDriver.transaction_log``.  Long soak
-workloads push millions of transactions; an unbounded list is a memory
-leak dressed up as an audit trail."""
-
-
 class Transaction:
     """One binder call: target service name, method code, payload."""
 
@@ -122,36 +116,23 @@ class ServiceManager:
 
 
 class TransactionLog:
-    """Bounded ring of log tuples, e.g. ``(pid, target, method)``.
+    """Bounded ring of log tuples, e.g. ``(action, detail)``.
 
-    ``entries`` is a ``deque(maxlen=limit)``, the same shape as the
-    layer's ``decision_log``: the oldest entries fall off past ``limit``.
-    ``total`` counts every entry ever appended, so ``dropped`` is what
-    fell off the end.  Per-call hot paths inline :meth:`append` as
-    ``log.entries.append(entry); log.total += 1``, which enters no
-    Python frame.  Keeps the list-like surface the test suite and
-    tooling use (iteration, membership, indexing, ``len``).
+    ``entries`` is a ``deque(maxlen=limit)``: the oldest entries fall
+    off past ``limit``.  ``total`` counts every entry ever appended, so
+    ``dropped`` is what fell off the end.  Keeps the list-like surface
+    the test suite and tooling use (iteration, membership, indexing).
     """
 
     __snapshot__ = "auto"
 
-    def __init__(self, limit=TRANSACTION_LOG_LIMIT):
+    def __init__(self, limit):
         self.entries = deque(maxlen=int(limit))
         self.total = 0
 
     def append(self, entry):
         self.entries.append(entry)
         self.total += 1
-
-    @property
-    def limit(self):
-        return self.entries.maxlen
-
-    @limit.setter
-    def limit(self, limit):
-        # The new ring keeps the newest ``limit`` entries; ``dropped``
-        # follows from ``total``.
-        self.entries = deque(self.entries, maxlen=int(limit))
 
     @property
     def dropped(self):
@@ -164,16 +145,8 @@ class TransactionLog:
     def __contains__(self, entry):
         return entry in self.entries
 
-    def __len__(self):
-        return len(self.entries)
-
     def __getitem__(self, index):
         return self.entries[index]
-
-    def __eq__(self, other):
-        if isinstance(other, TransactionLog):
-            return self.entries == other.entries
-        return list(self.entries) == other
 
     def __repr__(self):
         return (f"TransactionLog({list(self.entries)!r}, "
@@ -190,18 +163,11 @@ class BinderDriver:
 
     __snapshot__ = "auto"
 
-    def __init__(self, kernel, service_manager, ui_stack=None,
-                 log_limit=TRANSACTION_LOG_LIMIT):
+    def __init__(self, kernel, service_manager, ui_stack=None):
         self.kernel = kernel
         self.service_manager = service_manager
         self.ui_stack = ui_stack
-        self.transaction_log = TransactionLog(log_limit)
         self.oneway_errors = 0
-
-    @property
-    def transaction_log_dropped(self):
-        """Entries the bounded transaction log has discarded."""
-        return self.transaction_log.dropped
 
     def read(self, open_file, length):
         raise SyscallError(errno.EINVAL, "binder supports only ioctl")
@@ -265,16 +231,10 @@ class BinderDriver:
                 payload_bytes=transaction.payload_size,
             )
         # Delivery, written once for both paths; under a capture the
-        # charge runs inside the span too.  The log append enters no
-        # frame.
+        # charge runs inside the span too.
         try:
             if span is not None:
                 clock.advance(cost, f"binder:{transaction.target}")
-            log = self.transaction_log
-            log.entries.append(
-                (task.pid, transaction.target, transaction.method)
-            )
-            log.total += 1
             if oneway:
                 try:
                     service.handle_transaction(
@@ -297,16 +257,21 @@ class BinderDriver:
         return reply
 
 
-def is_ui_transaction(service_manager_names, request, arg):
+def is_ui_transaction(service_manager_names, request, arg=None,
+                      target=None):
     """The redirection logic's UI test, run at the syscall interface.
 
     UI/Input traffic is identifiable without trusting the app: either the
     wait-for-input ioctl, or a BINDER_WRITE_READ whose target is one of the
     well-known UI service names.  ``service_manager_names`` is the set of
-    UI-related service names registered on the host.
+    UI-related service names registered on the host.  A caller that holds
+    only the transaction's ``target`` (a trace span's args) passes it in
+    place of the :class:`Transaction` ``arg``.
     """
     if request == IOC_WAIT_INPUT_EVT:
         return True
-    if request == BINDER_WRITE_READ and isinstance(arg, Transaction):
-        return arg.target in service_manager_names
-    return False
+    if request != BINDER_WRITE_READ:
+        return False
+    if isinstance(arg, Transaction):
+        target = arg.target
+    return target in service_manager_names

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import errno
 
-from repro.android.binder import TransactionLog
 from repro.errors import SyscallError
 from repro.kernel.process import Credentials, ROOT_UID, SYSTEM_UID
 
@@ -55,9 +54,6 @@ class Service:
         # attacks need something to read/write).
         space = self.task.address_space
         space.set_brk(space.brk_page + self.HEAP_PAGES)
-        self.call_log = TransactionLog()
-        """Recent ``(method, sender pid)`` calls; ``dropped`` counts
-        the older ones the bounded ring let go."""
 
     def process_name(self):
         return f"service:{self.name}"
@@ -72,9 +68,6 @@ class Service:
                     errno.EINVAL, f"{self.name} has no method {method!r}"
                 ) from None
             _HANDLERS[self.__class__, method] = handler
-        log = self.call_log
-        log.entries.append((method, sender_task.pid))
-        log.total += 1
         return handler(self, payload, sender_task)
 
     def shutdown(self):

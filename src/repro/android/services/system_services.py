@@ -51,9 +51,6 @@ class PackageManagerService(Service):
             return {"found": False}
         return {"found": True, **info}
 
-    def method_list_packages(self, payload, sender):
-        return {"packages": sorted(self.packages)}
-
     def register_package(self, package, uid, code_path):
         self.packages[package] = {"uid": uid, "code_path": code_path}
 
@@ -110,9 +107,6 @@ class AudioService(Service):
         self.volume = max(0, min(15, payload.get("volume", self.volume)))
         return {"volume": self.volume}
 
-    def method_get_volume(self, payload, sender):
-        return {"volume": self.volume}
-
 
 @ServiceCatalog.register
 class TelephonyRegistryService(Service):
@@ -121,12 +115,6 @@ class TelephonyRegistryService(Service):
     lines_of_code = 9_406
     ui_related = False
     memory_kb = 1_280
-
-    def method_get_signal_strength(self, payload, sender):
-        return {"dbm": -67, "bars": 4}
-
-    def method_get_network_operator(self, payload, sender):
-        return {"operator": "SimuCell", "mcc": 310, "mnc": 410}
 
 
 @ServiceCatalog.register
@@ -178,12 +166,6 @@ class ConnectivityService(Service):
     ui_related = False
     memory_kb = 2_048
 
-    def method_get_active_network(self, payload, sender):
-        return {"type": "WIFI", "connected": True}
-
-    def method_request_route(self, payload, sender):
-        return {"status": "ok", "iface": "wlan0"}
-
 
 @ServiceCatalog.register
 class MountService(Service):
@@ -194,9 +176,3 @@ class MountService(Service):
     lines_of_code = 6_624
     ui_related = False
     memory_kb = 1_024
-
-    def method_get_volume_state(self, payload, sender):
-        return {"volume": "/mnt/sdcard", "state": "mounted"}
-
-    def method_list_volumes(self, payload, sender):
-        return {"volumes": ["/mnt/sdcard"]}

@@ -52,11 +52,6 @@ class WindowManagerService(Service):
         ui.submit_frame(sender, payload.get("pixels", b""))
         return {"status": "ok"}
 
-    def method_set_focus(self, payload, sender):
-        ui = self._require_ui(payload)
-        ui.set_focus_by_window(payload["window_id"])
-        return {"status": "ok"}
-
     def method_get_display_info(self, payload, sender):
         return {"width": 1280, "height": 800, "density": 160}
 
@@ -74,18 +69,6 @@ class InputManagerService(Service):
     def __init__(self, kernel, ui_stack=None):
         super().__init__(kernel)
         self.ui_stack = ui_stack
-
-    def method_show_keyboard(self, payload, sender):
-        if self.ui_stack is None:
-            raise SyscallError(errno.ENODEV, "headless: no input stack")
-        self.ui_stack.keyboard_visible = True
-        return {"status": "shown"}
-
-    def method_hide_keyboard(self, payload, sender):
-        if self.ui_stack is None:
-            raise SyscallError(errno.ENODEV, "headless: no input stack")
-        self.ui_stack.keyboard_visible = False
-        return {"status": "hidden"}
 
 
 @ServiceCatalog.register
@@ -110,10 +93,6 @@ class ActivityManagerService(Service):
     def method_get_running_apps(self, payload, sender):
         return {"apps": sorted(self.running.values())}
 
-    def method_remove_activity(self, payload, sender):
-        self.running.pop(sender.pid, None)
-        return {"status": "ok"}
-
 
 @ServiceCatalog.register
 class SurfaceFlingerService(Service):
@@ -128,8 +107,3 @@ class SurfaceFlingerService(Service):
     def __init__(self, kernel, ui_stack=None):
         super().__init__(kernel)
         self.ui_stack = ui_stack
-        self.composed_frames = 0
-
-    def method_compose(self, payload, sender):
-        self.composed_frames += 1
-        return {"frame": self.composed_frames}

@@ -65,7 +65,6 @@ class UIStack:
         self._first_window = {}
         """Owner task -> the first window it created (``window_of``)."""
         self.focused_window = None
-        self.keyboard_visible = False
         self.delivered_events = []
 
     # -- window management ---------------------------------------------------

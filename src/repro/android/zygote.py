@@ -54,9 +54,3 @@ class Zygote:
         running = RunningApp(app, ctx)
         self.launched.append(running)
         return running
-
-    def launch_and_run(self, app):
-        """Convenience: launch then run main to completion."""
-        running = self.launch(app)
-        running.run()
-        return running

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import errno
 import posixpath
-from collections import deque
 from contextlib import nullcontext
 
 from repro.android.binder import (
@@ -65,9 +64,8 @@ ANCEPTION_LINES_OF_CODE = 5_219
 ANCEPTION_MARSHALING_LINES = 2_438
 
 DECISION_LOG_LIMIT = 512
-"""Bound on ``decision_log``, ``blocked_calls``, ``recovery_log`` and
-``killed_apps``: the most recent entries only.  Totals live in the
-per-decision counters and the logs' running totals."""
+"""Bound on ``recovery_log`` and ``killed_apps``: the most recent
+entries only.  Totals live in the logs' running totals."""
 
 
 def _delegation_eio(failure, call):
@@ -249,9 +247,7 @@ class AnceptionLayer:
         """(action, detail) pairs for the most recent recovery steps, one
         per ``recovery`` bus event (see :meth:`_recovered`)."""
         self.fd_tables = {}
-        self.blocked_calls = deque(maxlen=DECISION_LOG_LIMIT)
         self.killed_apps = TransactionLog(DECISION_LOG_LIMIT)
-        self.decision_log = deque(maxlen=DECISION_LOG_LIMIT)
         self.decision_counts = {}
         """Decision value -> calls routed that way, in first-seen order
         (the ``decisions`` entry of :meth:`stats`)."""
@@ -424,7 +420,6 @@ class AnceptionLayer:
         value = decision._value_
         counts = self.decision_counts
         counts[value] = counts.get(value, 0) + 1
-        self.decision_log.append((task.pid, name, decision))
         if value == _SPLIT:
             handler = _SPLIT_HANDLERS.get(name)
             if handler is not None:
@@ -439,7 +434,6 @@ class AnceptionLayer:
         return self.host_kernel.execute_native(task, name, args, kwargs)
 
     def _route_block(self, task, name, args, kwargs, table):
-        self.blocked_calls.append((task.pid, name))
         maybe_event(self.machine.clock, "proxy", f"blocked:{name}",
                     task=task, kernel=self.host_kernel.label,
                     decision=Decision.BLOCK.value)

@@ -50,9 +50,6 @@ class Proxy:
         """Put the proxy into its in-kernel interruptible sleep."""
         self.guest_task.state = TaskState.SLEEPING
 
-    def wake(self):
-        self.guest_task.state = TaskState.RUNNING
-
     def __repr__(self):
         return (
             f"Proxy(host_pid={self.host_task.pid}, "
@@ -228,9 +225,6 @@ class ProxyManager:
     @property
     def count(self):
         return len(self._by_host_pid)
-
-    def all_proxies(self):
-        return list(self._by_host_pid.values())
 
     def memory_kb(self):
         return self.count * PROXY_MEMORY_KB

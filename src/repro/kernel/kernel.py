@@ -167,8 +167,6 @@ class Kernel:
         """The host :class:`~repro.android.ui.UIStack` when this kernel
         owns the display; a reaped task's windows are destroyed there."""
         self.log_device = None
-        self.syscall_log = []
-        self.syscall_log_enabled = False
         self.vulnerabilities = {}
         self.nproc_limits = {}
         """Per-UID RLIMIT_NPROC values; absent means unlimited.  The
@@ -294,6 +292,8 @@ class Kernel:
             self.clock, "syscall", name, task=task, kernel=self.label,
             sclass=classify(name).value,
         ) as span:
+            if name == "ioctl":
+                _tag_ioctl_span(span, args)
             return self._syscall_body(task, name, args, kwargs, span)
 
     def _syscall_body(self, task, name, args, kwargs, span=NULL_SPAN):
@@ -317,15 +317,9 @@ class Kernel:
                 else:
                     clock.advance(self.costs.asim_check_ns, "asim-check")
                 if task.redirection_entry:
-                    if self.syscall_log_enabled:
-                        self.syscall_log.append(
-                            (task.pid, name, "anception", args)
-                        )
                     if span is not NULL_SPAN:
                         span.set(disposition="anception")
                     return self.interposition.dispatch(task, name, args, kwargs)
-            if self.syscall_log_enabled:
-                self.syscall_log.append((task.pid, name, "native", args))
             if span is not NULL_SPAN:
                 span.set(disposition="native")
             return self.execute_native(task, name, args, kwargs)
@@ -680,10 +674,6 @@ class Kernel:
             close()
         return 0
 
-    def _resolve_readable(self, task, fd):
-        desc = task.get_fd(fd)
-        return desc
-
     def _do_read(self, task, fd, length):
         desc = task.get_fd(fd)
         self._charge(
@@ -760,6 +750,8 @@ class Kernel:
 
     def _do_pread(self, task, fd, length, offset):
         desc = task.get_fd(fd)
+        if desc.__class__ in _STREAM_FILES:
+            raise SyscallError(errno.ESPIPE, f"fd {fd}", call="pread64")
         self._charge(
             self.costs.file_read_page_ns * max(1, page_count(length)), "pread"
         )
@@ -767,6 +759,8 @@ class Kernel:
 
     def _do_pwrite(self, task, fd, data, offset):
         desc = task.get_fd(fd)
+        if desc.__class__ in _STREAM_FILES:
+            raise SyscallError(errno.ESPIPE, f"fd {fd}", call="pwrite64")
         self._charge(
             self.costs.file_write_page_ns * max(1, page_count(len(data))),
             "pwrite",
@@ -774,7 +768,10 @@ class Kernel:
         return desc.pwrite(data, offset)
 
     def _do_lseek(self, task, fd, offset, whence=vfs_mod.SEEK_SET):
-        return task.get_fd(fd).lseek(offset, whence)
+        desc = task.get_fd(fd)
+        if desc.__class__ in _STREAM_FILES:
+            raise SyscallError(errno.ESPIPE, f"fd {fd}", call="lseek")
+        return desc.lseek(offset, whence)
 
     def _do_stat(self, task, path):
         self._charge(self.costs.file_metadata_ns, "stat")
@@ -1011,6 +1008,9 @@ class Kernel:
         self._charge(self.costs.socket_op_ns, "sendfile")
         out_desc = task.get_fd(out_fd)
         in_desc = task.get_fd(in_fd)
+        if in_desc.__class__ in _STREAM_FILES:
+            # sendfile(2) reads its input like mmap: no pipe or socket.
+            raise SyscallError(errno.EINVAL, f"fd {in_fd}", call="sendfile")
         data = in_desc.pread(count, offset or 0)
         sock = getattr(out_desc, "socket", None)
         if sock is not None:
@@ -1086,13 +1086,32 @@ class Kernel:
         return self.shm.shmctl(task, shmid, cmd)
 
 
+def _tag_ioctl_span(span, args):
+    """Give a captured ``ioctl(fd, request, arg)`` span its ``request``
+    and, for a binder transaction, its ``target``: what the E10 profiler
+    needs to tell UI ioctls apart.  A target that is not a string names
+    no service and is left out, so every span stays JSON-exportable."""
+    from repro.android.binder import Transaction  # android sits above
+
+    if len(args) > 1:
+        span.set(request=args[1])
+    if len(args) > 2 and isinstance(args[2], Transaction) \
+            and isinstance(args[2].target, str):
+        span.set(target=args[2].target)
+
+
 class _SocketFile:
-    """Adapter placing a socket in the fd table."""
+    """Adapter placing a socket in the fd table.
+
+    Descriptors that ``dup`` or ``fork`` copy share one adapter; the
+    socket closes with the last of them, as a Linux ``struct file``
+    does."""
 
     __snapshot__ = "auto"
 
     def __init__(self, socket):
         self.socket = socket
+        self.refcount = 1
 
     def recv(self, length):
         return self.socket.recv(length)
@@ -1100,32 +1119,28 @@ class _SocketFile:
     def send(self, data):
         return self.socket.send(data)
 
-    def read(self, length):
-        return self.socket.recv(length)
-
-    def write(self, data):
-        return self.socket.send(data)
-
-    def pread(self, length, offset):
-        return self.socket.recv(length)
-
     def ioctl(self, task, request, arg):
         raise SyscallError(errno.ENOTTY, "socket ioctl")
 
     def dup(self):
+        self.refcount += 1
         return self
 
     def close(self):
-        self.socket.close()
+        self.refcount -= 1
+        if self.refcount == 0:
+            self.socket.close()
 
 
 class _PipeFile:
-    """Adapter placing a pipe end in the fd table."""
+    """Adapter placing a pipe end in the fd table; shared and released
+    like :class:`_SocketFile`."""
 
     __snapshot__ = "auto"
 
     def __init__(self, end):
         self.end = end
+        self.refcount = 1
 
     def read(self, length):
         return self.end.read(None, length)
@@ -1137,10 +1152,18 @@ class _PipeFile:
         raise SyscallError(errno.ENOTTY, "pipe ioctl")
 
     def dup(self):
+        self.refcount += 1
         return self
 
     def close(self):
-        self.end.release(None)
+        self.refcount -= 1
+        if self.refcount == 0:
+            self.end.release(None)
+
+
+_STREAM_FILES = (_SocketFile, _PipeFile)
+"""fd-table adapters with no file position: positional calls on them
+fail with ESPIPE."""
 
 
 class Machine:

@@ -42,9 +42,6 @@ class Libc:
     def getuid(self):
         return self.syscall("getuid")
 
-    def geteuid(self):
-        return self.syscall("geteuid")
-
     def setuid(self, uid):
         return self.syscall("setuid", uid)
 

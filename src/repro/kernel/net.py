@@ -140,9 +140,6 @@ class Connection:
         data = self._to_client.pop(0)
         return data[:length]
 
-    def server_push(self, data):
-        self._to_client.append(bytes(data))
-
     def close(self):
         self.open = False
 

@@ -164,9 +164,6 @@ class VFS:
             raise SimulationError("cannot remount /")
         self._mounts[path] = filesystem
 
-    def mounted_at(self, path):
-        return self._mounts.get(posixpath.normpath(path))
-
     # -- path resolution ---------------------------------------------------
 
     def _split_mount(self, path):

@@ -6,8 +6,8 @@ After performing an additional custom profiling of only ioctl calls, we
 found that 81.35% of such calls are UI-related and thus will run at
 native speed."
 
-The profiler enables the kernel's syscall log, runs each popular-app
-workload, and computes the fractions from the recorded call stream — the
+The profiler runs each popular-app workload inside a trace-bus capture
+and computes the fractions from the app's ``syscall`` spans — the
 profiles in :data:`repro.workloads.apps.POPULAR_APP_PROFILES` are the
 workload inputs; what is *reported* is measured.
 """
@@ -15,28 +15,26 @@ workload inputs; what is *reported* is measured.
 from __future__ import annotations
 
 from repro.android.binder import is_ui_transaction
+from repro.obs.bus import TraceBus
 from repro.workloads.apps import popular_apps
 from repro.world import NativeWorld
 
 
 def profile_app(world, app):
-    """Run one app with syscall logging; return its call-mix stats."""
-    kernel = world.kernel
+    """Run one app inside a bus capture; return its call-mix stats."""
     running = world.install_and_launch(app)
     pid = running.pid
-    kernel.syscall_log = []
-    kernel.syscall_log_enabled = True
-    try:
+    with TraceBus.install(world.kernel.clock).capture() as capture:
         running.run()
-    finally:
-        kernel.syscall_log_enabled = False
-    entries = [e for e in kernel.syscall_log if e[0] == pid]
-    total = len(entries)
+    spans = [s for s in capture.spans("syscall") if s.get("pid") == pid]
+    total = len(spans)
     ui_names = world.system.ui_service_names()
-    ioctls = [e for e in entries if e[1] == "ioctl"]
-    # ``libc.ioctl`` logs its args as ``(fd, request, arg)``.
-    ui_ioctls = [e for e in ioctls
-                 if is_ui_transaction(ui_names, e[3][1], e[3][2])]
+    ioctls = [s for s in spans if s["name"] == "ioctl"]
+    # A captured ioctl span carries its ``request`` and, for a binder
+    # transaction, its ``target``.
+    ui_ioctls = [s for s in ioctls
+                 if is_ui_transaction(ui_names, s["args"].get("request"),
+                                      target=s["args"].get("target"))]
     return {
         "app": getattr(app, "app_name", app.package),
         "total_syscalls": total,

@@ -112,10 +112,6 @@ class BankingApp(App):
         ctx.libc.write_file(ctx.data_path("statement.enc"), blob)
         return ctx.data_path("statement.enc")
 
-    def finish(self, ctx):
-        ctx.libc.close(self._sockfd)
-        ctx.call_service("activity", "remove_activity", {})
-
 
 def run_banking_session(world, username="alice", password="hunter2",
                         app=None, store_statement=True):

@@ -6,6 +6,8 @@ from repro.android.app import App, AppManifest
 from repro.errors import SyscallError
 from repro.kernel.net import AF_INET, SOCK_STREAM
 
+from tests.recorders import record_decisions
+
 
 class ProviderApp(App):
     """Exports a binder endpoint serving a tiny key-value store."""
@@ -49,16 +51,18 @@ class TestAppToAppBinder:
         result = anception_world.install_and_launch(ConsumerApp()).run()
         assert result == {"value": "hello-ipc"}
 
-    def test_proceeds_on_host_under_anception(self, anception_world):
+    def test_proceeds_on_host_under_anception(self, anception_world,
+                                              monkeypatch):
         """App-to-app IPC never crosses into the CVM (Section III-D)."""
         from repro.core.policy import Decision
 
+        decisions = record_decisions(monkeypatch)
         anception_world.install_and_launch(ProviderApp()).run()
         anception_world.install_and_launch(ConsumerApp()).run()
         ioctl_decisions = [
-            d for (_pid, name, d) in anception_world.anception.decision_log
-            if name == "ioctl"
+            d for (_pid, name, d) in decisions if name == "ioctl"
         ]
+        assert ioctl_decisions
         assert Decision.REDIRECT not in ioctl_decisions
 
     def test_endpoint_visible_in_service_manager(self, native_world):

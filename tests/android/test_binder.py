@@ -11,6 +11,8 @@ from repro.android.binder import (
 from repro.errors import SyscallError
 from repro.world import NativeWorld
 
+from tests.recorders import record_deliveries
+
 
 @pytest.fixture
 def world():
@@ -76,9 +78,11 @@ class TestTransact:
         with pytest.raises(SyscallError):
             driver.transact(task, {"not": "a transaction"})
 
-    def test_transaction_log_records(self, driver, task):
+    def test_transaction_log_records(self, driver, task, monkeypatch):
+        deliveries = record_deliveries(monkeypatch)
         driver.transact(task, Transaction("power", "acquire_wakelock"))
-        assert (task.pid, "power", "acquire_wakelock") in driver.transaction_log
+        assert deliveries.on(driver.kernel) == [
+            (task.pid, "power", "acquire_wakelock")]
 
     def test_ui_target_charged_at_ui_rate(self, world, driver, task):
         before = world.clock.now_ns
@@ -128,3 +132,12 @@ class TestUiInspection:
 
     def test_non_binder_request_is_not_ui(self):
         assert not is_ui_transaction({"window"}, 0x1234, None)
+
+    def test_target_stands_in_for_the_transaction(self):
+        """A trace span's args carry only the request and target."""
+        assert is_ui_transaction({"window"}, BINDER_WRITE_READ,
+                                 target="window")
+        assert not is_ui_transaction({"window"}, BINDER_WRITE_READ,
+                                     target="location")
+        assert not is_ui_transaction({"window"}, BINDER_WRITE_READ)
+        assert not is_ui_transaction({"window"}, 0x1234, target="window")

@@ -4,7 +4,7 @@
 ``payload_bytes``) only while a bus capture is active.  These tests run
 the same transaction on two fresh worlds, one with no capture and one
 inside a capture, and require the same simulated time, reply,
-transaction log, oneway error count and errno.  They also pin that the
+deliveries, oneway error count and errno.  They also pin that the
 dormant path never sizes the parcel.
 """
 
@@ -19,6 +19,8 @@ from repro.errors import SyscallError
 from repro.kernel.process import Credentials
 from repro.obs.bus import TraceBus
 from repro.world import NativeWorld
+
+from tests.recorders import record_deliveries
 
 
 CASES = {
@@ -64,7 +66,6 @@ def _run(case, mode):
     outcome = {
         "sim_ns": clock.now_ns - start,
         "reply": reply,
-        "log": list(driver.transaction_log),
         "oneway_errors": driver.oneway_errors,
         "errno": errno_raised,
     }
@@ -73,17 +74,23 @@ def _run(case, mode):
 
 @pytest.mark.parametrize("mode", DORMANT)
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_dormant_matches_captured(case, mode):
+def test_dormant_matches_captured(case, mode, monkeypatch):
+    deliveries = record_deliveries(monkeypatch)
     dormant, _ = _run(case, mode)
+    dormant["log"] = list(deliveries)
+    deliveries.clear()
     captured, capture = _run(case, "capture")
+    captured["log"] = list(deliveries)
     assert dormant == captured
+    target, method, payload, flags = CASES[case]
+    assert len(dormant["log"]) == (case != "missing-target")
+    assert all(entry[2:] == (target, method) for entry in dormant["log"])
     assert (dormant["errno"], dormant["oneway_errors"]) == EXPECTED.get(
         case, (None, 0))
     spans = capture.spans("binder-txn")
     if case == "missing-target":
         assert spans == []
     else:
-        target, method, payload, flags = CASES[case]
         (span,) = spans
         assert span["name"] == f"{target}.{method}"
         assert span["args"]["payload_bytes"] == Transaction(

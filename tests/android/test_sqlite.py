@@ -4,9 +4,11 @@ import pytest
 
 from repro.android.sqlite import MAX_ROW_BYTES, Database, Transactionless
 from repro.errors import SimulationError
-from repro.kernel.kernel import Machine
+from repro.kernel.kernel import Kernel, Machine
 from repro.kernel.libc import Libc
 from repro.kernel.process import Credentials
+
+from tests.recorders import record_calls
 
 
 @pytest.fixture
@@ -231,16 +233,15 @@ class TestCosts:
         db.insert("t", b"row")
         assert clock.now_ns > before
 
-    def test_in_transaction_inserts_make_no_syscalls(self, db, libc):
+    def test_in_transaction_inserts_make_no_syscalls(self, db, libc,
+                                                     monkeypatch):
         """Row inserts hit the page cache, not the kernel."""
-        kernel = libc.kernel
         db.begin()
         db.insert("t", b"warm")  # first insert may load a page
-        kernel.syscall_log = []
-        kernel.syscall_log_enabled = True
-        try:
-            for _ in range(50):
-                db.insert("t", b"row")
-        finally:
-            kernel.syscall_log_enabled = False
-        assert kernel.syscall_log == []
+        calls = record_calls(monkeypatch, Kernel, "syscall",
+                             lambda _kernel, _task, name, *_a, **_k: name)
+        for _ in range(50):
+            db.insert("t", b"row")
+        assert calls == []
+        libc.getpid()
+        assert calls == ["getpid"]  # the recorder does see a syscall

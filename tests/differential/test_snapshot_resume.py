@@ -21,7 +21,11 @@ from repro.faults.engine import FaultEngine
 from repro.faults.plan import FaultPlan
 from repro.world import AnceptionWorld, _World
 
-from tests.differential.catalogue import BINDER_SCRIPTS, SCRIPTS
+from tests.differential.catalogue import (
+    BINDER_SCRIPTS,
+    SCRIPTS,
+    binder_domain_calls,
+)
 from tests.differential.harness import (
     H,
     P,
@@ -31,6 +35,7 @@ from tests.differential.harness import (
     run_script,
     vfs_tree,
 )
+from tests.recorders import record_deliveries
 
 
 class CatApp(App):
@@ -70,17 +75,28 @@ def test_catalogue_script_survives_snapshot_boundary(quad_worlds, label):
 
 
 @pytest.mark.parametrize("label", sorted(BINDER_SCRIPTS))
-def test_binder_script_survives_snapshot_boundary(tri_worlds, label):
+def test_binder_script_survives_snapshot_boundary(tri_worlds, label,
+                                                  monkeypatch):
     entry = BINDER_SCRIPTS[label]
-    worlds = {
-        "native": tri_worlds["native"],
-        "snapshot-resume": SnapshotResume(
-            AnceptionWorld(async_delegation=True, binder_ring=True)
-        ),
-    }
-    halves = run_modes(worlds, entry["script"], CatApp)
+    native = tri_worlds["native"]
+    resumed = AnceptionWorld(async_delegation=True, binder_ring=True)
+    deliveries = record_deliveries(monkeypatch)
+    halves = {}
+    calls = {}
+    for mode, spec, world in (
+            ("native", native, native),
+            ("snapshot-resume", SnapshotResume(resumed), resumed)):
+        deliveries.clear()
+        halves[mode] = run_modes({mode: spec}, entry["script"],
+                                 CatApp)[mode]
+        # The restored world's kernels keep their labels, so one
+        # recorder sees both halves of the resumed run.
+        calls[mode] = binder_domain_calls(deliveries, world, label)
     assert halves["snapshot-resume"][0] == halves["native"][0], (
         f"{label}: outcome stream diverges across the snapshot boundary"
+    )
+    assert calls["snapshot-resume"] == calls["native"], (
+        f"{label}: deliveries diverge across the snapshot boundary"
     )
 
 

@@ -82,6 +82,22 @@ class TestProfileDroid:
     def test_six_popular_apps_profiled(self, report):
         assert len(report["apps"]) == 6
 
+    def test_exact_call_mix_is_pinned(self, report):
+        """The recorded call stream itself, not just its closeness to the
+        paper: any drift in what the trace bus records fails here."""
+        assert [(app["app"], app["total_syscalls"], app["ioctls"],
+                 app["ui_ioctls"]) for app in report["apps"]] == [
+            ("maps", 621, 364, 288),
+            ("browser", 541, 433, 359),
+            ("social", 481, 366, 300),
+            ("video", 501, 374, 299),
+            ("mail", 451, 328, 266),
+            ("music", 411, 326, 271),
+        ]
+        assert (report["ioctl_fraction_min"], report["ioctl_fraction_max"],
+                report["ioctl_fraction_avg"],
+                report["ui_share_overall"]) == (58.6, 80.0, 73.6, 81.38)
+
     def test_fractions_measured_not_asserted(self, report):
         """Every per-app stat derives from a recorded call stream."""
         for app in report["apps"]:

@@ -3,19 +3,22 @@
 Hypothesis generates binder scripts — sync and oneway transactions
 across two system services and two cooperating apps, with explicit
 fences and deliberate bad targets/methods mixed in — and every script
-must produce identical replies, errnos, and normalized transaction
-logs in all three modes: native, synchronous delegation, and batched
+must produce identical replies, errnos, and normalized service
+deliveries in all three modes: native, synchronous delegation, and batched
 binder delegation.  A second group pins determinism under the
 ``binder.*`` fault sites: the same (workload, plan, seed) chaos run
 serializes byte-identically on replay.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SyscallError
 from repro.android.app import App, AppManifest
 from repro.faults.chaos import chaos_report_json, run_chaos
 from repro.world import AnceptionWorld, NativeWorld
+
+from tests.recorders import record_deliveries
 
 
 _SERVICES = (
@@ -134,8 +137,8 @@ def _run_in(world, package, peer_package, operations):
     return result
 
 
-def _service_log(world):
-    """System-service transactions, as (target, method) pairs.
+def _service_log(deliveries, world):
+    """System-service deliveries, as (target, method) pairs.
 
     Under Anception those execute in the CVM's driver; natively they
     share the host driver with ``app:*`` traffic (which stays on the
@@ -143,10 +146,10 @@ def _service_log(world):
     system-service targets.
     """
     anception = getattr(world, "anception", None)
-    driver = (anception.cvm.android.binder_driver if anception is not None
-              else world.system.binder_driver)
+    kernel = (anception.cvm.kernel if anception is not None
+              else world.kernel)
     return [(target, method) for _pid, target, method
-            in driver.transaction_log
+            in deliveries.on(kernel)
             if not target.startswith("app:")]
 
 
@@ -162,9 +165,12 @@ class TestBatchedSyncEquivalence:
         }
         results = {}
         logs = {}
-        for mode, world in worlds.items():
-            results[mode] = _run_in(world, package, peer, operations)
-            logs[mode] = _service_log(world)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            deliveries = record_deliveries(monkeypatch)
+            for mode, world in worlds.items():
+                deliveries.clear()
+                results[mode] = _run_in(world, package, peer, operations)
+                logs[mode] = _service_log(deliveries, world)
         assert results["native"] == results["sync"]
         assert results["sync"] == results["batched"]
         # Delegated-service transaction order is also mode-invariant:

@@ -14,6 +14,8 @@ from repro.android.app import App, AppManifest
 from repro.kernel.process import Credentials
 from repro.world import AnceptionWorld, NativeWorld
 
+from tests.recorders import record_decisions
+
 
 ROOT = Credentials(0)
 
@@ -110,6 +112,9 @@ class TestTransparency:
         package = _fresh_package()
         world = AnceptionWorld()
         running = world.install_and_launch(_FileOpsApp(package, operations))
-        running.run()
-        for _pid, _name, decision in world.anception.decision_log:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            decisions = record_decisions(monkeypatch)
+            running.run()
+        assert decisions
+        for _pid, _name, decision in decisions:
             assert isinstance(decision, Decision)
