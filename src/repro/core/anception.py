@@ -54,7 +54,7 @@ from repro.errors import (
 )
 from repro.kernel.memory import MAP_ANONYMOUS, MAP_FIXED
 from repro.kernel.process import Credentials, ROOT_UID
-from repro.kernel.vfs import InodeKind
+from repro.kernel.vfs import O_APPEND, InodeKind
 from repro.obs.bus import maybe_event, maybe_span
 from repro.perf.costs import PAGE_SIZE
 from repro.perf.slab import SlabPool
@@ -1112,7 +1112,7 @@ class AnceptionLayer:
         return results
 
     _CACHE_FD_MUTATORS = ("write", "pwrite64", "ftruncate", "ftruncate64",
-                          "fallocate")
+                          "fallocate", "sendfile")
     _CACHE_PATH_MUTATORS = ("unlink", "rename", "truncate")
 
     def _cache_observe(self, task, name, args, result, lane=None):
@@ -1157,7 +1157,17 @@ class AnceptionLayer:
             desc = self._remote_file(task, args[0] if args else None,
                                      lane=lane)
             if desc is not None:
-                touched = cache.refresh_ino(desc.inode.ino, desc.inode.data)
+                if name == "pwrite64" and not desc.flags & O_APPEND \
+                        and isinstance(args[2], int) and args[2] >= 0:
+                    # A positional write's range is its own arguments,
+                    # even in a drained window.  ``write`` (and writev's
+                    # sub-writes) cannot use ``desc.offset``: after a
+                    # window it is the window's final offset.
+                    touched = cache.refresh_ino(
+                        desc.inode.ino, desc.inode.data, args[2], result)
+                else:
+                    touched = cache.refresh_ino(desc.inode.ino,
+                                                desc.inode.data)
                 if touched and not self.machine.clock.dormant:
                     maybe_event(self.machine.clock, "cache-invalidate",
                                 "write-through", task=task,

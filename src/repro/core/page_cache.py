@@ -17,9 +17,9 @@ Contract with :class:`~repro.core.anception.AnceptionLayer`:
 * a **hit** skips both doorbells and the channel copy, paying only the
   calibrated per-page ``cache_hit_ns``;
 * every redirected mutation (``write``/``pwrite64``/``writev``/
-  ``ftruncate``/``unlink``/CVM reboot) refreshes or invalidates the
-  affected pages *before* the next lookup can run — the layer owns the
-  choke points, this module owns the page arithmetic;
+  ``sendfile``/``ftruncate``/``unlink``/CVM reboot) refreshes or
+  invalidates the affected pages *before* the next lookup can run — the
+  layer owns the choke points, this module owns the page arithmetic;
 * crypto-FS files never enter the cache (ciphertext pages would leak
   plaintext offsets; the layer bypasses the cache entirely).
 
@@ -178,17 +178,43 @@ class HostPageCache:
 
     # -- coherence side ----------------------------------------------------
 
-    def refresh_ino(self, ino, data):
-        """Write-through: re-snapshot every cached page of ``ino``.
+    def refresh_ino(self, ino, data, offset=None, length=0):
+        """Write-through: re-snapshot the cached pages a mutation changed.
 
         Called after any redirected mutation of the file (write,
         pwrite64, ftruncate, O_TRUNC open ...) with the authoritative
-        post-mutation content.  Pages now past EOF are dropped; the rest
-        are updated in place.  Returns the number of pages touched.
+        post-mutation content.  With a range, only the cached pages
+        overlapping ``[offset, offset + max(length, 1))`` are re-copied,
+        plus the old tail page when the file grew (it was short, and is
+        the only page past the range a growing write changes: pages past
+        the old EOF are never cached).  With no range, or when the file
+        shrank, every cached page of ``ino`` is re-snapshotted and pages
+        now past EOF are dropped.  Returns the number of pages touched.
         """
-        if ino not in self._sizes:
+        old_size = self._sizes.get(ino)
+        if old_size is None:
             return 0
         size = len(data)
+        if offset is not None and size >= old_size:
+            self._sizes[ino] = size
+            pages = self._pages
+            first = offset // PAGE_SIZE
+            indices = range(first,
+                            (offset + max(length, 1) - 1) // PAGE_SIZE + 1)
+            tail = (old_size - 1) // PAGE_SIZE
+            if size > old_size and tail not in indices:
+                # In a drained window the growth may be a later call's,
+                # so the tail can sit outside this call's range.
+                indices = (*indices, tail)
+            touched = 0
+            for index in indices:
+                key = (ino, index)
+                if key in pages:
+                    start = index * PAGE_SIZE
+                    pages[key] = bytes(data[start:start + PAGE_SIZE])
+                    touched += 1
+            self.write_through_pages += touched
+            return touched
         self._sizes[ino] = size
         touched = 0
         for key in [k for k in self._pages if k[0] == ino]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import errno
 import posixpath
+import stat as stat_mod
 
 from repro.errors import (
     ReproError,
@@ -787,6 +788,14 @@ class Kernel:
         self._charge(self.costs.file_metadata_ns, "fstat")
         if hasattr(desc, "inode"):
             return vfs_mod.VFS.stat_inode(desc.inode)
+        if desc.__class__ in _STREAM_FILES:
+            # A pipe or socket lives in an anonymous inode: no size, one
+            # link, owned by the caller (pipefs 0600, sockfs 0777).
+            return vfs_mod.StatResult(
+                st_ino=0, st_mode=desc.stat_mode,
+                st_uid=task.credentials.euid, st_gid=task.credentials.egid,
+                st_size=0, st_nlink=1,
+            )
         raise SyscallError(errno.EBADF, "fstat on non-file", call="fstat")
 
     def _do_access(self, task, path, mode=0):
@@ -905,7 +914,8 @@ class Kernel:
         return read_fd, write_fd
 
     def _do_fsync(self, task, fd):
-        task.get_fd(fd)
+        if task.get_fd(fd).__class__ in _STREAM_FILES:
+            raise SyscallError(errno.EINVAL, f"fd {fd}", call="fsync")
         self._charge(self.costs.file_write_page_ns, "fsync")
         return 0
 
@@ -1109,6 +1119,8 @@ class _SocketFile:
 
     __snapshot__ = "auto"
 
+    stat_mode = stat_mod.S_IFSOCK | 0o777
+
     def __init__(self, socket):
         self.socket = socket
         self.refcount = 1
@@ -1137,6 +1149,8 @@ class _PipeFile:
     like :class:`_SocketFile`."""
 
     __snapshot__ = "auto"
+
+    stat_mode = stat_mod.S_IFIFO | 0o600
 
     def __init__(self, end):
         self.end = end

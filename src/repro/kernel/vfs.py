@@ -420,6 +420,9 @@ class OpenFile:
             raise SyscallError(errno.EBADF, self.path, call="write")
         if self.inode.kind is InodeKind.DEVICE:
             return self.inode.device.write(self, data)
+        if not data:
+            # Linux writes nothing: no size change, no offset move.
+            return 0
         if self.flags & O_APPEND:
             self.offset = len(self.inode.data)
         end = self.offset + len(data)

@@ -115,6 +115,34 @@ class TestUnitFillAndLookup:
         assert cache.lookup(4, PAGE, PAGE) == b"b" * 10
         assert cache.lookup(4, 2 * PAGE, PAGE) == b""  # past new EOF
 
+    def test_range_refresh_recopies_only_overlapping_cached_pages(self):
+        cache = HostPageCache()
+        data = bytearray(b"a" * (4 * PAGE))
+        cache.fill_window(4, data, 0, 4 * PAGE, 0)
+        data[PAGE + 10:PAGE + 20] = b"x" * 10
+        assert cache.refresh_ino(4, data, PAGE + 10, 10) == 1
+        assert cache.write_through_pages == 1
+        assert cache.peek(4, PAGE, PAGE) == bytes(data[PAGE:2 * PAGE])
+        # a zero-length write still names the page at its offset
+        assert cache.refresh_ino(4, data, 3 * PAGE, 0) == 1
+
+    def test_growing_range_refresh_adds_the_old_tail_page(self):
+        cache = HostPageCache()
+        data = bytearray(b"a" * (PAGE + 100))
+        cache.fill_window(4, data, 0, PAGE, WINDOW)
+        data.extend(b"\0" * (3 * PAGE - len(data)))
+        data[2 * PAGE + 5:2 * PAGE + 9] = b"grow"
+        # page 2 was never cached; page 1, the short old tail, was
+        assert cache.refresh_ino(4, data, 2 * PAGE + 5, 4) == 1
+        assert cache.peek(4, PAGE, PAGE) == bytes(data[PAGE:2 * PAGE])
+
+    def test_shrinking_range_refresh_takes_the_whole_inode_path(self):
+        cache = HostPageCache()
+        cache.fill_window(4, b"a" * (3 * PAGE), 0, 3 * PAGE, 0)
+        assert cache.refresh_ino(4, b"b" * 10, 0, 10) == 3
+        assert cache.invalidated_pages == 2
+        assert cache.lookup(4, 0, PAGE) == b"b" * 10
+
     def test_refresh_is_a_noop_for_unknown_inodes(self):
         cache = HostPageCache()
         assert cache.refresh_ino(99, b"whatever") == 0

@@ -58,6 +58,11 @@ READ_HEAVY_SCRIPT = [
     ("open", P("hot.bin"), TRUNC, 0o644),
     ("write", H(18), b"N" * 512),
     ("pread", H(18), 512, 0),        # must be the new bytes
+    ("open", P("src.bin"), TRUNC, 0o644),
+    ("write", H(21), b"S" * 600),
+    ("sendfile", H(18), H(21), 0, 600),  # grows the cached file
+    ("pread", H(18), 1200, 0),       # must see the sent bytes
+    ("close", H(21)),
     ("close", H(18)),
     ("read_file", P("seed.txt")),
 ]
@@ -82,6 +87,26 @@ class TestThreeWayIdentity:
             "outcome streams diverge"
         assert cache_on[1] == cache_off[1] == native[1], \
             "final VFS state diverges"
+
+    def test_sendfile_into_a_cached_file_identical_everywhere(self):
+        # sendfile mutates its out_fd like a write: a warm page of the
+        # output file must not outlive it.
+        script = [
+            ("open", P("out.bin"), TRUNC, 0o644),
+            ("open", P("in.bin"), TRUNC, 0o644),
+            ("pwrite", H(0), b"A" * 4096, 0),
+            ("write", H(1), b"B" * 4096),
+            ("pread", H(0), 8, 0),           # warms the output file
+            ("sendfile", H(0), H(1), 0, 4096),
+            ("pread", H(0), 8, 0),
+            ("close", H(1)),
+            ("close", H(0)),
+        ]
+        native = _run_in(NativeWorld(), script)
+        cache_off = _run_in(AnceptionWorld(), script)
+        cache_on = _run_in(AnceptionWorld(read_cache=True), script)
+        assert native[0][6] == (6, "pread", "ok", b"B" * 8)
+        assert cache_on == cache_off == native
 
     def test_tiny_cache_thrash_is_still_identical(self):
         # A 2-page cache under a 4-page working set evicts constantly;

@@ -5,6 +5,8 @@ import pytest
 from repro.errors import SyscallError
 from repro.kernel import vfs
 
+from tests.conftest import ScratchApp
+
 
 class TestVectoredIO:
     def test_writev_concatenates(self, native_ctx):
@@ -146,3 +148,39 @@ class TestAliases:
             native_ctx.data_path("d"), vfs.O_RDWR | vfs.O_CREAT
         )
         assert native_ctx.libc.syscall("fdatasync", fd) == 0
+
+
+MODES = ("native", "anception", "write-behind")
+
+
+def _hello_file(world):
+    running = world.install_and_launch(ScratchApp())
+    running.run()
+    ctx = running.ctx
+    path = ctx.data_path("zero.bin")
+    fd = ctx.libc.open(path, vfs.O_RDWR | vfs.O_CREAT | vfs.O_TRUNC)
+    ctx.libc.write(fd, b"hello")
+    return ctx.libc, fd, path
+
+
+@pytest.mark.parametrize("mode", MODES)
+class TestZeroLengthWrite:
+    """A zero-length write to a regular file changes nothing, as on
+    Linux: not the size, not the offset, not the bytes."""
+
+    def test_pwrite_past_eof_keeps_the_size(self, tri_worlds, mode):
+        libc, fd, path = _hello_file(tri_worlds[mode])
+        assert libc.pwrite(fd, b"", 10000) == 0
+        assert libc.fstat(fd).st_size == 5
+        libc.close(fd)
+        assert libc.read_file(path) == b"hello"
+
+    def test_write_after_seek_past_eof_keeps_size_and_offset(
+            self, tri_worlds, mode):
+        libc, fd, path = _hello_file(tri_worlds[mode])
+        assert libc.lseek(fd, 20000) == 20000
+        assert libc.write(fd, b"") == 0
+        assert libc.fstat(fd).st_size == 5
+        assert libc.lseek(fd, 0, vfs.SEEK_CUR) == 20000
+        libc.close(fd)
+        assert libc.read_file(path) == b"hello"

@@ -3,11 +3,13 @@
 Descriptors that ``dup`` or ``fork`` copy share one open pipe end or
 socket, which is released only when the last of them closes.  A pipe
 or socket has no file position, so ``pread64``, ``pwrite64`` and
-``lseek`` fail with ESPIPE.  Each case runs natively, under synchronous
-delegation and under async delegation.
+``lseek`` fail with ESPIPE.  ``fstat`` reports a FIFO or a socket, and
+``fsync`` fails with EINVAL, as on Linux.  Each case runs natively,
+under synchronous delegation and under async delegation.
 """
 
 import errno
+import stat
 
 import pytest
 
@@ -77,6 +79,40 @@ class TestSharedEnds:
         libc.close(libc.syscall("dup", sock))
         assert libc.send(sock, b"ping") == 4
         assert libc.recv(sock, 64) == b"echo:ping"
+
+
+def _streams(world):
+    """(libc, pipe read end, pipe write end, connected socket)."""
+    world.internet.register_server(("echo.example", 7), EchoServer())
+    libc = _launch(world)
+    rfd, wfd = libc.pipe()
+    sock = libc.socket(AF_INET, SOCK_STREAM, 0)
+    libc.connect(sock, ("echo.example", 7))
+    return libc, rfd, wfd, sock
+
+
+@pytest.mark.parametrize("mode", MODES)
+class TestStreamMetadata:
+    def test_fstat_reports_a_fifo_and_a_socket(self, tri_worlds, mode):
+        libc, rfd, wfd, sock = _streams(tri_worlds[mode])
+        uid = libc.task.credentials.euid
+        for fd, mode_bits in ((rfd, stat.S_IFIFO | 0o600),
+                              (wfd, stat.S_IFIFO | 0o600),
+                              (sock, stat.S_IFSOCK | 0o777)):
+            st = libc.fstat(fd)
+            assert (st.st_mode, st.st_uid, st.st_size, st.st_nlink) == \
+                (mode_bits, uid, 0, 1)
+        assert stat.S_ISFIFO(libc.fstat(rfd).st_mode)
+        assert stat.S_ISSOCK(libc.fstat(sock).st_mode)
+
+    def test_fsync_on_a_stream_is_einval(self, tri_worlds, mode):
+        libc, rfd, wfd, sock = _streams(tri_worlds[mode])
+        for fd in (rfd, wfd, sock):
+            assert _errno(libc.fsync, fd) == errno.EINVAL
+            assert _errno(libc.fdatasync, fd) == errno.EINVAL
+        # the streams still work afterwards
+        assert libc.write(wfd, b"hi") == 2
+        assert libc.read(rfd, 8) == b"hi"
 
 
 def test_positional_calls_on_streams_fail_espipe(tri_worlds):
