@@ -20,9 +20,11 @@ perfbench:
 		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 1 || exit 1; \
 	done
 
-# Each frame budget's headroom: name, measured frames, budget.
+# Each frame budget's headroom: name, measured frames, budget; then the
+# sqlite row budget's C calls and frames per page of rows.
 frames:
 	PYTHONPATH=src $(PYTHON) -m tests.perf.test_frame_budget
+	PYTHONPATH=src $(PYTHON) -m tests.perf.test_sqlite_row_budget
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -22,8 +22,9 @@ Inside a transaction each table that has taken a row keeps a **tail
 cursor** (:class:`_Tail`): its tail page, the page's used bytes and row
 count, the table's row count, and the clock and per-row cost resolved
 once.  A row that fits the tail page is charged and queued on the
-cursor without touching the page arithmetic; the queued rows are laid
-into the page image at the *sync points*, the only readers of the page
+cursor, already framed with its length prefix, without touching the
+page arithmetic; the queued rows are laid into the page image, one
+join per page, at the *sync points*, the only readers of the page
 images and the catalog: ``commit``, ``checkpoint``, ``select_all``,
 ``row_count`` and ``create_table`` (``rollback`` discards them).  The
 first row of a transaction, a row that needs a new page and every
@@ -58,6 +59,14 @@ _ROW_LEN = struct.Struct("<H")  # length prefix of each row
 MAX_ROW_BYTES = PAGE_SIZE - _HEADER.size - _ROW_LEN.size
 """The longest row one data page holds."""
 
+_SHORT_ROW = 256
+"""Rows shorter than this take their length prefix from :data:`_FRAMES`."""
+
+_FRAMES = tuple(_ROW_LEN.pack(n) for n in range(_SHORT_ROW))
+"""Length prefix of a short row, indexed by the row's length.  A longer
+row packs its own: a table up to :data:`MAX_ROW_BYTES` would hold 4,091
+objects (0.18 MB resident in every process that imports this)."""
+
 
 class Transactionless(SimulationError):
     """Operation requires an open transaction."""
@@ -68,7 +77,8 @@ class _Tail:
 
     ``used`` and ``count`` include the ``pending`` rows, which the page
     image receives at the next sync point; ``rows`` is the table's row
-    count including them.
+    count including them.  Each pending row is held framed, its length
+    prefix before it, so laying them down is one join.
     """
 
     __snapshot__ = "auto"
@@ -271,11 +281,18 @@ class Database:
     # -- rows -----------------------------------------------------------------------
 
     def insert(self, table, row):
-        """Append one row (bytes); returns its row id."""
-        row = bytes(row)
+        """Append one row (bytes); returns its row id.
+
+        The row is copied unless it is exactly ``bytes`` (immutable), so
+        a caller that later mutates a bytearray or the buffer behind a
+        memoryview does not change the stored row.
+        """
+        if row.__class__ is not bytes:
+            row = bytes(row)
         tail = self._tails.get(table)
         if tail is not None:
-            used = tail.used + 2 + len(row)
+            size = len(row)
+            used = tail.used + 2 + size
             if used <= PAGE_SIZE:
                 clock = tail.clock
                 if clock.dormant:
@@ -284,7 +301,10 @@ class Database:
                     clock.advance(tail.cpu_ns, "sqlite:cpu")
                 tail.used = used
                 tail.count += 1
-                tail.pending.append(row)
+                tail.pending.append(
+                    (_FRAMES[size] if size < _SHORT_ROW
+                     else _ROW_LEN.pack(size)) + row
+                )
                 tail.rows += 1
                 return tail.rows
         info = self._catalog.get(table)
@@ -340,9 +360,7 @@ class Database:
             return
         page = tail.page
         used = _HEADER.unpack_from(page, 0)[0]
-        page[used:tail.used] = b"".join(
-            [_ROW_LEN.pack(len(row)) + row for row in pending]
-        )
+        page[used:tail.used] = b"".join(pending)
         _HEADER.pack_into(page, 0, tail.used, tail.count)
         pending.clear()
         self._dirty.add(tail.page_no)
@@ -355,7 +373,15 @@ class Database:
             self._lay_rows(tail)
 
     def select_all(self, table):
-        """Return every row of ``table`` (scans pages through the cache)."""
+        """Return every row of ``table`` (scans pages through the cache).
+
+        Each page is copied once and its rows sliced out of the copy,
+        each row's u16 length read inline.  Every row costs ``scan_ns``:
+        while the clock is dormant a page's rows are charged as one add
+        after its scan (no syscall runs inside it, so every syscall sees
+        the same time); under a bus capture each row keeps its own
+        ``sqlite:cpu`` charge, so the captured charge stream is per row.
+        """
         info = self._catalog.get(table)
         if info is None:
             raise SimulationError(f"no table {table!r}")
@@ -364,18 +390,22 @@ class Database:
         clock = kernel.clock
         scan_ns = (ROW_CPU_UNITS // 4) * kernel.costs.cpu_unit_ns
         rows = []
+        append = rows.append
         for page_no in info["pages"]:
             page = self._pages.get(page_no)
             if page is None:
                 page = self._load_page(page_no)
+            data = bytes(page)
+            count = data[2] | data[3] << 8
             cursor = _HEADER.size
-            for _ in range(_HEADER.unpack_from(page, 0)[1]):
+            for _ in range(count):
                 start = cursor + 2
-                cursor = start + _ROW_LEN.unpack_from(page, cursor)[0]
-                rows.append(bytes(page[start:cursor]))
-                if clock.dormant:
-                    clock._now_ns += scan_ns
-                else:
+                cursor = start + (data[cursor] | data[cursor + 1] << 8)
+                append(data[start:cursor])
+            if clock.dormant:
+                clock._now_ns += count * scan_ns
+            else:
+                for _ in range(count):
                     clock.advance(scan_ns, "sqlite:cpu")
         return rows
 

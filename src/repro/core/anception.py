@@ -40,7 +40,11 @@ from repro.core.policy import Decision, RedirectionPolicy
 from repro.core.pool import CVMLane, CVMPool
 from repro.core.proxy import ProxyManager
 from repro.core.recovery import RecoveryPolicy
-from repro.core.ring import RING_FLAG_BINDER, RING_FLAG_WRITE_BEHIND
+from repro.core.ring import (
+    RING_FLAG_BINDER,
+    RING_FLAG_WRITE_BEHIND,
+    RING_HEADER_BYTES,
+)
 from repro.core.windows import WINDOW_DEPTH, DeferredEntry, DeferredWindows
 from repro.errors import (
     ChannelError,
@@ -188,6 +192,16 @@ class DelegationBatch:
 
 WRITE_BEHIND_DEPTH = BINDER_RING_DEPTH = WINDOW_DEPTH
 """Default bound on one task's write-behind or binder window."""
+
+_SPLIT_CALLS = frozenset({"read", "pread64", "write", "pwrite64"})
+"""Calls a redirect splits into pieces when one ring descriptor cannot
+carry them (:meth:`AnceptionLayer._redirect_split`)."""
+
+_SPLIT_SLACK = RING_HEADER_BYTES + 32
+"""A call whose byte count is within this much of the channel's
+capacity goes to the exact fit test: the descriptor header plus a bound
+on the name and int arguments of a :data:`_SPLIT_CALLS` call (at most
+31 wire bytes, ``pread64``'s)."""
 
 _BINDER_WIRE_FRAME = wire_size(
     "ioctl", (0, BINDER_WRITE_READ, Transaction("", "")), {}
@@ -494,6 +508,17 @@ class AnceptionLayer:
             served = self._cache_lookup(task, name, args, lane=lane)
             if served is not None:
                 return served[0]
+        if name in _SPLIT_CALLS and translated is None and not kwargs \
+                and len(args) > 1:
+            size = args[1]
+            kind = size.__class__
+            if kind is not int:
+                size = len(size) if kind in (bytes, bytearray,
+                                             memoryview) else 0
+            if size > lane.channel.capacity - _SPLIT_SLACK:
+                split = self._redirect_split(task, lane, name, args)
+                if split is not None:
+                    return split[0]
         # One call, one doorbell pair, synchronous result.
         return self._supervise(
             task, lane, name, self._round_trip,
@@ -546,6 +571,79 @@ class AnceptionLayer:
             (task, lane, calls, name, name, len(vec)),
         )
         return sum(results) if name == "writev" else results
+
+    def _redirect_split(self, task, lane, name, args):
+        """A read or write too large for one ring descriptor, in pieces.
+
+        Each piece fits one descriptor: ``pread64``/``pwrite64`` pieces
+        at advancing offsets, ``read``/``write`` pieces in sequence.
+        Pieces are whole pages where the window holds one, so the
+        guest's per-page charges add up to the whole call's.  Every
+        piece rides one doorbell pair, as a vectored call's entries do
+        (serialized under the crypto FS, whose transform keys off the
+        live file offset).  Write results sum; read results join, and a
+        short piece ends the read.
+
+        Returns ``(result,)``, or ``None`` when the call fits one
+        descriptor after all: a write by its exact wire size, a read of
+        a regular file by the bytes it can return (the completion
+        carries them).  A read of anything else, or on a crashed or
+        compromised container, is not split.
+        """
+        room = lane.channel.capacity - RING_HEADER_BYTES
+        fd = args[0]
+        writes = name in ("write", "pwrite64")
+        if writes:
+            data = args[1]
+            total = len(data)
+            fixed = wire_size(name, args, None) - total
+            if total + fixed <= room:
+                return None
+            room -= fixed
+        else:
+            kernel = lane.cvm.kernel
+            if kernel.crashed or kernel.compromised_by is not None:
+                return None
+            total = args[1]
+            desc = self._remote_file(task, fd, lane)
+            if desc is None:
+                return None
+            start = desc.offset if name == "read" else args[2]
+            if not isinstance(start, int) or start < 0 \
+                    or min(total, len(desc.inode.data) - start) <= room:
+                return None
+        piece = room - room % PAGE_SIZE if room >= PAGE_SIZE else room
+        calls = []
+        for at in range(0, total, piece):
+            size = min(piece, total - at)
+            if name == "write":
+                sub = (fd, data[at:at + size])
+            elif name == "pwrite64":
+                sub = (fd, data[at:at + size], args[2] + at)
+            elif name == "read":
+                sub = (fd, size)
+            else:
+                sub = (fd, size, args[2] + at)
+            calls.append((name, sub, {}, None))
+        if self.crypto_fs is not None:
+            results = [
+                self._supervise(task, lane, name, self._round_trip,
+                                (task, lane, (call,), name, name))[0]
+                for call in calls
+            ]
+        else:
+            results = self._supervise(
+                task, lane, name, self._round_trip,
+                (task, lane, tuple(calls), name, name, len(calls)),
+            )
+        if writes:
+            return (sum(results),)
+        pieces = []
+        for (_name, sub, _kwargs, _translated), got in zip(calls, results):
+            pieces.append(got)
+            if len(got) < sub[1]:
+                break
+        return (b"".join(pieces),)
 
     def _supervise(self, task, lane, site, attempt, args, exhausted=None):
         """The one retry loop around every host→CVM crossing.
@@ -1735,17 +1833,24 @@ class AnceptionLayer:
             return False
         if not self._wb_target(task, args[0], lane):
             return False
+        if name == "ftruncate":
+            # A negative length must take the sync path so the kernel's
+            # own EINVAL surfaces at the call site.
+            return (len(args) == 2 and isinstance(args[1], int)
+                    and args[1] >= 0)
         if name == "write":
-            return (len(args) == 2
-                    and isinstance(args[1], (bytes, bytearray, memoryview)))
-        if name == "pwrite64":
-            return (len(args) == 3
-                    and isinstance(args[1], (bytes, bytearray, memoryview))
-                    and isinstance(args[2], int) and args[2] >= 0)
-        # ftruncate: a negative length must take the sync path so the
-        # kernel's own EINVAL surfaces at the call site.
-        return (len(args) == 2 and isinstance(args[1], int)
-                and args[1] >= 0)
+            if len(args) != 2:
+                return False
+        elif len(args) != 3 or not isinstance(args[2], int) \
+                or args[2] < 0:
+            return False
+        data = args[1]
+        # A write one ring descriptor cannot carry (its data, its name
+        # and 8 wire bytes per int argument) takes the sync path, which
+        # splits it.
+        return (isinstance(data, (bytes, bytearray, memoryview))
+                and len(data) + len(name) + 8 * (len(args) - 1)
+                <= lane.channel.capacity - RING_HEADER_BYTES)
 
     def _wb_accepts_writev(self, task, fd, vec, lane):
         """writev defers iff a plain write to the same fd would."""

@@ -753,6 +753,8 @@ class Kernel:
         desc = task.get_fd(fd)
         if desc.__class__ in _STREAM_FILES:
             raise SyscallError(errno.ESPIPE, f"fd {fd}", call="pread64")
+        if offset < 0:
+            raise SyscallError(errno.EINVAL, "negative offset", call="pread64")
         self._charge(
             self.costs.file_read_page_ns * max(1, page_count(length)), "pread"
         )
@@ -762,6 +764,9 @@ class Kernel:
         desc = task.get_fd(fd)
         if desc.__class__ in _STREAM_FILES:
             raise SyscallError(errno.ESPIPE, f"fd {fd}", call="pwrite64")
+        if offset < 0:
+            raise SyscallError(errno.EINVAL, "negative offset",
+                               call="pwrite64")
         self._charge(
             self.costs.file_write_page_ns * max(1, page_count(len(data))),
             "pwrite",

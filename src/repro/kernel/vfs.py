@@ -433,6 +433,8 @@ class OpenFile:
         return len(data)
 
     def pread(self, length, offset):
+        if offset < 0:
+            raise SyscallError(errno.EINVAL, "negative offset", call="pread64")
         saved, self.offset = self.offset, offset
         try:
             return self.read(length)
@@ -440,6 +442,9 @@ class OpenFile:
             self.offset = saved
 
     def pwrite(self, data, offset):
+        if offset < 0:
+            raise SyscallError(errno.EINVAL, "negative offset",
+                               call="pwrite64")
         saved, self.offset = self.offset, offset
         try:
             return self.write(data)
