@@ -20,7 +20,6 @@ Two ioctls matter:
 from __future__ import annotations
 
 import errno
-from collections import deque
 
 from repro.errors import SyscallError
 
@@ -113,44 +112,6 @@ class ServiceManager:
 
     def services(self):
         return [self._services[name] for name in self.names()]
-
-
-class TransactionLog:
-    """Bounded ring of log tuples, e.g. ``(action, detail)``.
-
-    ``entries`` is a ``deque(maxlen=limit)``: the oldest entries fall
-    off past ``limit``.  ``total`` counts every entry ever appended, so
-    ``dropped`` is what fell off the end.  Keeps the list-like surface
-    the test suite and tooling use (iteration, membership, indexing).
-    """
-
-    __snapshot__ = "auto"
-
-    def __init__(self, limit):
-        self.entries = deque(maxlen=int(limit))
-        self.total = 0
-
-    def append(self, entry):
-        self.entries.append(entry)
-        self.total += 1
-
-    @property
-    def dropped(self):
-        """Entries the ring has let go."""
-        return self.total - len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __contains__(self, entry):
-        return entry in self.entries
-
-    def __getitem__(self, index):
-        return self.entries[index]
-
-    def __repr__(self):
-        return (f"TransactionLog({list(self.entries)!r}, "
-                f"dropped={self.dropped})")
 
 
 class BinderDriver:

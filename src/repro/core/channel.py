@@ -62,7 +62,6 @@ class AnceptionChannel:
         self.hypervisor = hypervisor
         self.costs = costs
         self.shared = hypervisor.kmap_guest_pages(num_pages)
-        self.capacity = self.shared.capacity
         self.num_pages = num_pages
         self.ring_depth = (
             ring_depth if ring_depth is not None

@@ -18,6 +18,12 @@ layer goes to honour that claim when a redirected call hits a
 
 from __future__ import annotations
 
+from collections import deque
+
+
+RECOVERY_LOG_LIMIT = 512
+"""Default bound on a :class:`RecoveryLog`: the layer keeps the most
+recent entries only.  Totals live in the logs' running totals."""
 
 class RecoveryPolicy:
     """How the Anception layer reacts to delegation-layer failures."""
@@ -53,3 +59,42 @@ class RecoveryPolicy:
             f"RecoveryPolicy({state}, max_retries={self.max_retries}, "
             f"reboot_on_crash={self.reboot_on_crash})"
         )
+
+
+class RecoveryLog:
+    """Bounded ring of the layer's recovery steps (``(action, detail)``
+    tuples) or of the pids of the apps it killed.
+
+    ``entries`` is a ``deque(maxlen=limit)``: the oldest entries fall
+    off past ``limit``.  ``total`` counts every entry ever appended, so
+    ``dropped`` is what fell off the end.  Keeps the list-like surface
+    the test suite and tooling use (iteration, membership, indexing).
+    """
+
+    __snapshot__ = "auto"
+
+    def __init__(self, limit=RECOVERY_LOG_LIMIT):
+        self.entries = deque(maxlen=int(limit))
+        self.total = 0
+
+    def append(self, entry):
+        self.entries.append(entry)
+        self.total += 1
+
+    @property
+    def dropped(self):
+        """Entries the ring has let go."""
+        return self.total - len(self.entries)
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __contains__(self, entry):
+        return entry in self.entries
+
+    def __getitem__(self, index):
+        return self.entries[index]
+
+    def __repr__(self):
+        return (f"RecoveryLog({list(self.entries)!r}, "
+                f"dropped={self.dropped})")

@@ -35,7 +35,6 @@ from collections import deque
 from zlib import crc32
 
 from repro.errors import (
-    ChannelCapacityError,
     ChannelError,
     ChannelIntegrityError,
     RingFull,
@@ -147,10 +146,13 @@ class DelegationRing:
     def push(self, call, payload, seq=None, flags=0):
         """Queue one descriptor; its payload crosses the shared pages.
 
-        Returns the descriptor's sequence number.  Raises
-        :class:`ChannelCapacityError` for a payload that cannot fit the
-        window even alone, and :class:`RingFull` when every slot is
-        taken (callers flush and retry — bounded backpressure).
+        Returns the descriptor's sequence number.  A payload of any
+        size is one descriptor: it crosses the window page by page, as
+        one syscall's marshaled buffer does, and pays the per-chunk
+        cost for every page.  The ring bounds how many descriptors are
+        in flight, not how large one is: it raises :class:`RingFull`
+        when every slot is taken (callers flush and retry — bounded
+        backpressure).
         ``flags`` travel in the descriptor header (e.g.
         :data:`RING_FLAG_WRITE_BEHIND` for asynchronously reaped calls).
         """
@@ -162,10 +164,6 @@ class DelegationRing:
             )
         # No defensive copy: the payload (often a slab-pool memoryview)
         # is referenced as-is; the submit window owns its lifetime.
-        if len(payload) + RING_HEADER_BYTES > self.channel.capacity:
-            raise ChannelCapacityError(
-                len(payload), self.channel.capacity, call=call
-            )
         clock = self.clock
         if len(self._queue) >= self.depth:
             # The ring.full stall models a producer spinning on a ring

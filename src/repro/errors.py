@@ -104,27 +104,6 @@ class ChannelIntegrityError(ChannelError):
         )
 
 
-class ChannelCapacityError(ChannelError):
-    """A single ring descriptor is larger than the shared-page window.
-
-    The ring transport never silently streams a descriptor past the
-    kmapped window: a payload that cannot fit (payload + descriptor
-    header > channel capacity) is rejected at submission time.  Bulk
-    raw streaming (e.g. the msync write-back) still uses the chunked
-    channel directly and stays unlimited.
-    """
-
-    def __init__(self, nbytes, capacity, call=""):
-        self.nbytes = nbytes
-        self.capacity = capacity
-        self.call = call
-        origin = f" for {call}" if call else ""
-        super().__init__(
-            f"ring descriptor{origin} of {nbytes} bytes exceeds the "
-            f"{capacity}-byte shared-page window"
-        )
-
-
 class RingFull(ChannelError):
     """A descriptor was pushed into a ring that has no free slots.
 

@@ -9,13 +9,16 @@ paper-shaped summaries the raw event soup hides:
   descriptors, proxy execution, cache hits) — the Table I attribution,
   recovered from any trace instead of re-measured;
 * **top-N spans by self time**, aggregated by (category, name);
-* **doorbell-coalescing efficiency** — ring descriptors retired per
-  world switch, plus the coalesced-doorbell counts the hypervisor
-  emitted;
-* **cache hit ratio** from ``cache-hit`` spans vs ``cache-miss`` events;
+* **doorbell counts** — world-switch spans, ring-descriptor spans and
+  the coalesced-doorbell events the hypervisor emitted;
 * **write-behind overlap ratio** — the fraction of lane (CVM) time the
   host did *not* stall on, from ``wb-drain`` spans' ``lane_ns`` against
   ``wb-fence`` events' ``waited_ns``.
+
+Numbers a run's counters already hold — the read cache's hits,
+misses and hit rate, the descriptors the channel retired — are not
+re-derived here: ``anception metrics`` prints them from ``stats()``.
+Only spans can give the breakdowns above.
 
 All timestamps in a trace are simulated microseconds, so every number
 here is deterministic; :func:`report_json` sorts keys and rounds floats,
@@ -141,7 +144,7 @@ def analyze(trace, top=10):
         },
     }
 
-    # -- doorbell-coalescing efficiency -------------------------------------
+    # -- doorbell counts ----------------------------------------------------
     world_switches = by_category.get("world-switch", {}).get("count", 0)
     descriptors = (
         by_category.get("ring-submit", {}).get("count", 0)
@@ -155,21 +158,8 @@ def analyze(trace, top=10):
     doorbells = {
         "world_switches": world_switches,
         "ring_descriptors": descriptors,
-        "descriptors_per_doorbell": _round(
-            descriptors / world_switches if world_switches else 0.0
-        ),
         "coalesced_doorbells": len(coalesce_events),
         "max_coalesced": max(coalesced_counts, default=0),
-    }
-
-    # -- cache hit ratio ----------------------------------------------------
-    hits = by_category.get("cache-hit", {}).get("count", 0)
-    misses = sum(1 for i in instants if i.get("cat") == "cache-miss")
-    lookups = hits + misses
-    cache = {
-        "hits": hits,
-        "misses": misses,
-        "hit_ratio": _round(hits / lookups if lookups else 0.0),
     }
 
     # -- write-behind overlap ratio -----------------------------------------
@@ -212,7 +202,6 @@ def analyze(trace, top=10):
         "critical_path": critical_path,
         "top_spans": top_spans,
         "doorbells": doorbells,
-        "cache": cache,
         "write_behind": write_behind,
     }
 

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 
 DEFAULT_SLAB_BYTES = 32 * 1024
-"""Default slab size: one full 8-page channel window (the largest wire
-payload the ring accepts without raising ``ChannelCapacityError``)."""
+"""Default slab size: one full 8-page channel window.  A larger wire
+payload gets a dedicated oversize slab and crosses the window page by
+page as one descriptor."""
 
 DEFAULT_MAX_FREE = 32
 """Freelist bound: slabs beyond this are dropped to the allocator

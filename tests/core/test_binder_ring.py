@@ -13,9 +13,10 @@ import errno
 import pytest
 
 from repro.android.app import App, AppManifest
-from repro.android.binder import Transaction, TransactionLog
+from repro.android.binder import Transaction
 from repro.core.anception import BINDER_RING_DEPTH
 from repro.core.marshal import encoded_size
+from repro.core.recovery import RecoveryLog
 from repro.errors import SyscallError
 from repro.faults.engine import FaultEngine
 from repro.faults.plan import FaultPlan
@@ -274,14 +275,14 @@ class TestBulkParcels:
 
 class TestTransactionLogBounds:
     def test_log_is_bounded_with_drop_count(self):
-        log = TransactionLog(limit=4)
+        log = RecoveryLog(limit=4)
         for i in range(10):
             log.append((i, "svc", "m"))
         assert log.dropped == 6
         assert list(log) == [(i, "svc", "m") for i in range(6, 10)]
 
     def test_wrap_keeps_len_total_dropped_and_order(self):
-        log = TransactionLog(limit=4)
+        log = RecoveryLog(limit=4)
         for i in range(10):
             log.append(i)
         assert (len(log.entries), log.total, log.dropped) == (4, 10, 6)

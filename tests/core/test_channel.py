@@ -24,7 +24,7 @@ def channel(machine):
 
 class TestTransfers:
     def test_capacity(self, channel):
-        assert channel.capacity == 4 * PAGE_SIZE
+        assert channel.window_bytes == 4 * PAGE_SIZE
 
     def test_send_to_guest_counts_bytes(self, channel):
         channel.send_to_guest(b"x" * 100)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.android.binder import TransactionLog
+from repro.core.recovery import RecoveryLog
 from repro.errors import SyscallError
 from repro.exploits.base import ExploitOutcome
 from repro.exploits.generic import RedirectedSyscallExploit, make_kernel_vuln
@@ -195,7 +195,7 @@ class TestRecoveryLogRing:
     def test_ring_is_bounded_and_stats_read_the_total(
             self, anception_world, enrolled_ctx):
         layer = anception_world.anception
-        layer.recovery_log = TransactionLog(2)
+        layer.recovery_log = RecoveryLog(2)
         for _ in range(3):
             layer.reboot_cvm()
         # each reboot logs one channels-rebound step
@@ -206,7 +206,7 @@ class TestRecoveryLogRing:
 
     def test_ring_survives_a_snapshot(self, anception_world, enrolled_ctx):
         layer = anception_world.anception
-        layer.recovery_log = TransactionLog(2)
+        layer.recovery_log = RecoveryLog(2)
         for _ in range(3):
             layer.reboot_cvm()
         log = layer.recovery_log

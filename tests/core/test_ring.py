@@ -1,5 +1,7 @@
 """The delegation rings: descriptors, CRC framing, depth, backpressure."""
 
+from zlib import crc32
+
 import pytest
 
 from repro.core.channel import AnceptionChannel
@@ -11,7 +13,6 @@ from repro.core.ring import (
     default_ring_depth,
 )
 from repro.errors import (
-    ChannelCapacityError,
     ChannelError,
     ChannelIntegrityError,
     RingFull,
@@ -100,16 +101,23 @@ class TestPushPop:
 
 
 class TestCapacityAndBackpressure:
-    def test_oversized_descriptor_raises_typed_error(self, channel):
-        too_big = b"x" * (channel.capacity - RING_HEADER_BYTES + 1)
-        with pytest.raises(ChannelCapacityError) as exc:
-            channel.submit_ring.push("write", too_big)
-        assert exc.value.nbytes == len(too_big)
-        assert exc.value.capacity == channel.capacity
-        assert str(channel.capacity) in str(exc.value)
+    def test_descriptor_larger_than_the_window_is_one_descriptor(
+            self, channel):
+        """The ring bounds descriptor count, not size: a payload twice
+        the window crosses page by page and pops whole."""
+        payload = bytes(range(256)) * (2 * channel.window_bytes // 256)
+        before = channel.bytes_to_guest
+        seq = channel.submit_ring.push("write", payload)
+        assert channel.bytes_to_guest - before == len(payload)
+        assert len(channel.submit_ring) == 1
+        descriptor = channel.submit_ring.pop()
+        assert descriptor.seq == seq
+        assert descriptor.crc == crc32(payload)
+        assert descriptor.payload == payload
+        assert channel.submit_ring.pop() is None
 
     def test_largest_fitting_descriptor_accepted(self, channel):
-        just_fits = b"x" * (channel.capacity - RING_HEADER_BYTES)
+        just_fits = b"x" * (channel.window_bytes - RING_HEADER_BYTES)
         assert channel.submit_ring.push("write", just_fits) > 0
 
     def test_full_ring_raises_ring_full(self, machine):

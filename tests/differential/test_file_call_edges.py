@@ -1,30 +1,38 @@
 """File-call edges native and every delegation mode must agree on.
 
-Two edges of the positional and sequential read/write calls, each run
-native, with synchronous delegation, with write-behind
-(``async_delegation=True``) and with the host read cache
-(``read_cache=True``); outcomes (results *and* errnos) and final VFS
-trees must be identical in all four:
+Edges of the read/write calls, each run native, with synchronous
+delegation, with write-behind (``async_delegation=True``) and with the
+host read cache (``read_cache=True``); outcomes (results *and* errnos)
+and final VFS trees must be identical in all four:
 
 * a negative ``pread``/``pwrite`` offset is EINVAL, as on Linux, and
   leaves the file as it was;
-* a ``read``, ``write``, ``pread`` or ``pwrite`` larger than the
-  channel's shared-page window returns what native returns: the layer
-  splits it into pieces that each fit one ring descriptor.
+* a call that moves more bytes than the channel's shared-page window
+  returns what native returns.  Whatever its size, a call is one ring
+  descriptor whose bytes cross the window page by page: a ``read``,
+  ``write``, ``pread`` or ``pwrite`` of a file, a ``writev`` segment,
+  a batch window's merged write, a pipe ``read`` and a socket ``send``.
 """
 
 import pytest
 
 from repro.android.app import App, AppManifest
 from repro.kernel import vfs
+from repro.kernel.net import AF_INET, SOCK_STREAM
 from repro.kernel.process import Credentials
 from repro.world import AnceptionWorld, NativeWorld
 
-from tests.differential.harness import H, P, run_modes
+from tests.differential.harness import (
+    H,
+    P,
+    data_kernel,
+    run_modes,
+    vfs_tree,
+)
 
 
 class EdgeApp(App):
-    manifest = AppManifest("com.diff.edges")
+    manifest = AppManifest("com.diff.edges", permissions=("INTERNET",))
 
     def main(self, ctx):
         return {"ok": True}
@@ -75,14 +83,51 @@ OVERSIZED_SCRIPT = [
 ]
 
 
+WRITEV_SCRIPT = [
+    ("open", P("vec.bin"), TRUNC, 0o644),
+    ("writev", H(0), [b"a" * BIG, b"b" * 10]),
+    ("lseek", H(0), 0, 0),
+    ("readv", H(0), [BIG, 10]),
+    ("fstat", H(0)),
+    ("fence", H(0)),
+    ("close", H(0)),
+]
+
+PIPE_SCRIPT = [
+    ("pipe",),
+    ("write", H(0, 1), _pattern(BIG, 7)),
+    ("read", H(0, 0), BIG),
+    ("close", H(0, 1)),
+    ("close", H(0, 0)),
+]
+
+ECHO = ("echo.example", 7)
+
+SEND_SCRIPT = [
+    ("socket", AF_INET, SOCK_STREAM, 0),
+    ("connect", H(0), ECHO),
+    ("send", H(0), _pattern(BIG, 8)),
+    ("recv", H(0), 2 * BIG),
+    ("close", H(0)),
+]
+
+
+class EchoServer:
+    def handle_data(self, conn, data):
+        return b"echo:" + data
+
+
 @pytest.fixture
 def four_worlds():
-    return {
+    worlds = {
         "native": NativeWorld(),
         "sync": AnceptionWorld(),
         "async": AnceptionWorld(async_delegation=True),
         "read-cache": AnceptionWorld(read_cache=True),
     }
+    for world in worlds.values():
+        world.internet.register_server(ECHO, EchoServer())
+    return worlds
 
 
 def _assert_all_agree(halves):
@@ -112,8 +157,58 @@ def test_calls_larger_than_the_window_match_native(four_worlds):
     assert len(outcomes[7][3]) == BIG - 5_000
 
 
+def test_oversized_writev_segment_matches_native(four_worlds):
+    halves = run_modes(four_worlds, WRITEV_SCRIPT, EdgeApp)
+    _assert_all_agree(halves)
+    outcomes = halves["native"][0]
+    assert outcomes[1][2:] == ("ok", BIG + 10)
+    assert outcomes[3][2:] == ("ok", (b"a" * BIG, b"b" * 10))
+
+
+def test_merged_batch_write_larger_than_the_window_matches_native(
+        four_worlds):
+    """A batch window merges ten 4 KB writes to one fd into one
+    descriptor of more than 40 KB."""
+    halves = {}
+    for mode, world in four_worlds.items():
+        running = world.install_and_launch(EdgeApp())
+        running.run()
+        ctx = running.ctx
+        libc = ctx.libc
+        fd = libc.open(ctx.data_path("batch.bin"), TRUNC, 0o644)
+        chunks = [_pattern(4096, salt) for salt in range(10)]
+        results = libc.syscall_batch([("write", fd, chunk)
+                                      for chunk in chunks])
+        libc.fence(fd)
+        read_back = libc.pread(fd, 50_000, 0)
+        libc.close(fd)
+        anception = getattr(world, "anception", None)
+        if anception is not None:
+            anception.async_fence(libc.task)
+        halves[mode] = ((results, read_back),
+                        vfs_tree(data_kernel(world), ctx.data_dir))
+    _assert_all_agree(halves)
+    assert halves["native"][0] == ([4096] * 10, b"".join(chunks))
+
+
+def test_pipe_read_larger_than_the_window_matches_native(four_worlds):
+    halves = run_modes(four_worlds, PIPE_SCRIPT, EdgeApp)
+    _assert_all_agree(halves)
+    outcomes = halves["native"][0]
+    assert outcomes[1][2:] == ("ok", BIG)
+    assert outcomes[2][2:] == ("ok", _pattern(BIG, 7))
+
+
+def test_socket_send_larger_than_the_window_matches_native(four_worlds):
+    halves = run_modes(four_worlds, SEND_SCRIPT, EdgeApp)
+    _assert_all_agree(halves)
+    outcomes = halves["native"][0]
+    assert outcomes[2][2:] == ("ok", BIG)
+    assert outcomes[3][2:] == ("ok", b"echo:" + _pattern(BIG, 8))
+
+
 def test_oversized_calls_ride_one_doorbell_pair():
-    """Every piece of a split call shares one doorbell pair."""
+    """An oversized call is one descriptor behind one doorbell pair."""
     world = AnceptionWorld()
     running = world.install_and_launch(EdgeApp())
     running.run()
@@ -129,8 +224,8 @@ def test_oversized_calls_ride_one_doorbell_pair():
 
 
 def test_oversized_calls_round_trip_through_the_crypto_fs():
-    """Under the crypto FS the pieces run one at a time, each encrypted
-    or decrypted at its own offset."""
+    """Under the crypto FS an oversized call is encrypted or decrypted
+    whole, at its own offset."""
     from repro.core.crypto_fs import TransparentCryptoFS
 
     world = AnceptionWorld()

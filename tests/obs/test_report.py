@@ -100,20 +100,8 @@ class TestAnalyze:
         doorbells = report["doorbells"]
         assert doorbells["world_switches"] == 2
         assert doorbells["ring_descriptors"] == 3
-        assert doorbells["descriptors_per_doorbell"] == 1.5
         assert doorbells["coalesced_doorbells"] == 1
         assert doorbells["max_coalesced"] == 4
-
-    def test_cache_hit_ratio(self):
-        report = analyze(_trace([
-            _span("cache-hit", "read", 0.0, 1.0),
-            _span("cache-hit", "read", 2.0, 1.0),
-            _span("cache-hit", "read", 4.0, 1.0),
-            _instant("cache-miss", "read", 6.0),
-        ]))
-        assert report["cache"] == {
-            "hits": 3, "misses": 1, "hit_ratio": 0.75,
-        }
 
     def test_write_behind_overlap_ratio(self):
         # 4000 ns of lane time, 1000 ns actually waited -> 75% overlap.
@@ -130,9 +118,7 @@ class TestAnalyze:
         report = analyze(_trace([]))
         assert report["spans"] == 0
         assert report["window_us"] == 0.0
-        assert report["cache"]["hit_ratio"] == 0.0
         assert report["write_behind"]["overlap_ratio"] == 0.0
-        assert report["doorbells"]["descriptors_per_doorbell"] == 0.0
 
     def test_top_spans_truncated_and_sorted(self):
         events = [
