@@ -56,7 +56,6 @@ from repro.kernel.process import Credentials, ROOT_UID
 from repro.kernel.vfs import O_APPEND, InodeKind
 from repro.obs.bus import maybe_event, maybe_span
 from repro.perf.costs import PAGE_SIZE
-from repro.perf.slab import SlabPool
 
 
 ANCEPTION_LINES_OF_CODE = 5_219
@@ -74,10 +73,10 @@ class PendingCall:
     __snapshot__ = "auto"
 
     __slots__ = ("seq", "task", "proxy", "name", "args", "call_args",
-                 "kwargs", "crypto_offset", "outcome", "slab")
+                 "kwargs", "crypto_offset", "outcome")
 
     def __init__(self, seq, task, proxy, name, args, call_args, kwargs,
-                 crypto_offset=None, slab=None):
+                 crypto_offset=None):
         self.seq = seq
         self.task = task
         self.proxy = proxy
@@ -91,9 +90,6 @@ class PendingCall:
         self.outcome = None
         """``("ok", result)``, ``("err", SyscallError)`` or
         ``("cancelled", SyscallError)`` once the window flushed."""
-        self.slab = slab
-        """The wire payload's pooled slab (synchronous submits only);
-        recycled by the flush that retires this call's window."""
 
     def __repr__(self):
         state = "pending" if self.outcome is None else self.outcome[0]
@@ -221,9 +217,6 @@ class AnceptionLayer:
         self._binder_ring_on = binder_ring
         self._binder_ring_depth = binder_ring_depth
         self._firewall_rule = None
-        self.slab_pool = SlabPool()
-        """Recycled wire-payload buffers for synchronous submits; their
-        views live exactly as long as one flush window."""
         self.pool = CVMPool(machine.clock, cvms=cvms, placement=placement)
         """The routed transport: one :class:`~repro.core.pool.CVMLane`
         per container VM, plus the deterministic placement map.  The
@@ -580,17 +573,12 @@ class AnceptionLayer:
         fails.  A multi-call window submits every call before its one
         flush, so a failure mid-submit leaves the earlier calls in
         ``inflight`` and on the submit ring, and a failed flush leaves
-        descriptors on both rings.  Dropping them (and their slabs) lets
-        the retry re-submit from scratch against clean rings instead of
-        shipping stale calls a second time.
+        descriptors on both rings.  Dropping them (and the wires their
+        descriptors own) lets the retry re-submit from scratch against
+        clean rings instead of shipping stale calls a second time.
         """
-        dropped, lane.inflight = lane.inflight, []
+        lane.inflight = []
         lane.channel.reset_rings()
-        recycle = self.slab_pool.recycle
-        for pending in dropped:
-            if pending.slab is not None:
-                recycle(pending.slab)
-                pending.slab = None
 
     def _round_trip(self, task, lane, calls, reason, label, batch=None):
         """Submit each call, ring one doorbell pair, complete each call.
@@ -708,7 +696,6 @@ class AnceptionLayer:
                 raise SimulationError(f"pid {task.pid} not enrolled")
             call_args = table.translate_args(name, args)
         crypto_offset = None
-        slab = None
         prestaged = wire is not None
         clock = self.machine.clock
         costs = self.machine.costs
@@ -717,9 +704,7 @@ class AnceptionLayer:
                 call_args, crypto_offset = self._crypto_outbound(
                     task, name, args, call_args
                 )
-            wire, _size, slab = marshal_call_into(
-                self.slab_pool, name, call_args, kwargs
-            )
+            wire, _size = marshal_call_into(name, call_args, kwargs)
             if clock.dormant:
                 clock._now_ns += costs.marshal_fixed_ns
             else:
@@ -728,19 +713,13 @@ class AnceptionLayer:
             clock._now_ns += costs.proxy_dispatch_ns
         else:
             clock.advance(costs.proxy_dispatch_ns, "anception:proxy-post")
-        try:
-            seq = ring.push(
-                name, wire,
-                flags=ring_flags if ring_flags
-                else (RING_FLAG_WRITE_BEHIND if prestaged else 0),
-            )
-        except BaseException:
-            # The wire never made it onto the ring; nothing else
-            # can reference the slab, so reclaim it here.
-            self.slab_pool.recycle(slab)
-            raise
+        seq = ring.push(
+            name, wire,
+            flags=ring_flags if ring_flags
+            else (RING_FLAG_WRITE_BEHIND if prestaged else 0),
+        )
         pending = PendingCall(seq, task, proxy, name, args, call_args,
-                              kwargs, crypto_offset, slab)
+                              kwargs, crypto_offset)
         lane.inflight.append(pending)
         return pending
 
@@ -771,27 +750,15 @@ class AnceptionLayer:
             work[p.seq] = (p.proxy, p.name, p.call_args, p.kwargs)
         channel = lane.channel
         hypervisor = channel.hypervisor
-        try:
-            if not hypervisor.inject_interrupt(reason, coalesced=count):
-                self._resignal_guest(lane, reason, pendings[0].task,
-                                     coalesced=count)
-            outcomes = lane.proxies.drain(channel, work)
-            completions = len(channel.complete_ring._queue)
-            self._drain_completions(lane, pendings, outcomes)
-            if completions and not hypervisor.hypercall(
-                    reason, coalesced=completions):
-                self._poll_host(reason, pendings[0].task)
-        finally:
-            # The window retired, or it failed and the retry loop drops
-            # its ring state (:meth:`_drop_queued`): either way no
-            # descriptor is read through the wire views again, so the
-            # slabs go back to the pool.  Stale references surface as
-            # released-memoryview ValueErrors rather than silent aliasing.
-            recycle = self.slab_pool.recycle
-            for p in pendings:
-                if p.slab is not None:
-                    recycle(p.slab)
-                    p.slab = None
+        if not hypervisor.inject_interrupt(reason, coalesced=count):
+            self._resignal_guest(lane, reason, pendings[0].task,
+                                 coalesced=count)
+        outcomes = lane.proxies.drain(channel, work)
+        completions = len(channel.complete_ring._queue)
+        self._drain_completions(lane, pendings, outcomes)
+        if completions and not hypervisor.hypercall(
+                reason, coalesced=completions):
+            self._poll_host(reason, pendings[0].task)
 
     def _drain_completions(self, lane, pendings, outcomes):
         """Pop the completion ring dry and bind outcomes to pendings.

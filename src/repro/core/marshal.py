@@ -96,11 +96,11 @@ def wire_size(name, args, kwargs):
 
 
 def _render_into(buf, size, name, args):
-    """Flatten the call into ``buf[:size]``; returns bytes rendered.
+    """Flatten the call into ``buf[:size]``.
 
     The rendering is truncated at ``size`` (kwargs contribute size but
-    no rendered bytes, exactly like the original encoder); the caller
-    owns zero-filling any tail beyond the returned position.
+    no rendered bytes, exactly like the original encoder); ``buf`` is
+    fresh, so any tail the rendering leaves is already zero.
     """
     piece = name.encode()
     pos = 0
@@ -122,7 +122,6 @@ def _render_into(buf, size, name, args):
         n = size - pos
         piece = memoryview(piece)[:n]
     buf[pos:pos + n] = piece
-    return pos + n
 
 
 def marshal_call(name, args, kwargs):
@@ -141,25 +140,18 @@ def marshal_call(name, args, kwargs):
     return bytes(buf), size
 
 
-def marshal_call_into(pool, name, args, kwargs):
-    """Slab-pooled encode: returns ``(wire_view, payload_size, slab)``.
+def marshal_call_into(name, args, kwargs):
+    """Encode for a synchronous submit: returns ``(wire, payload_size)``.
 
-    Same wire bytes as :func:`marshal_call`, rendered into a recycled
-    slab from ``pool`` and returned as a memoryview — the zero-copy
-    fast path for synchronous submits, where the wire's lifetime ends
-    with the flush window and the slab can be recycled immediately.
-    The caller owns ``slab`` and must hand it back via
-    ``pool.recycle(slab)`` once the window retires.
+    Same wire bytes as :func:`marshal_call`, left in the fresh
+    ``bytearray`` they were rendered into instead of flattened to
+    ``bytes``: the ring descriptor owns that buffer until the flush
+    window retires, and nothing else refers to it.
     """
     size = wire_size(name, args, kwargs)
-    slab = pool.acquire(size)
-    buf = slab.buf
-    pos = _render_into(buf, size, name, args)
-    if pos < size:
-        # Recycled slabs carry stale bytes; the zero padding the
-        # wire format promises must be written explicitly.
-        buf[pos:size] = bytes(size - pos)
-    return pool.view(slab, size), size, slab
+    wire = bytearray(size)  # fresh: the tail is already zero-filled
+    _render_into(wire, size, name, args)
+    return wire, size
 
 
 def result_size(result):
@@ -175,6 +167,23 @@ def result_size(result):
     if kind is bytes:
         return len(result)
     return encoded_size(result)
+
+
+_ZEROS = bytes(32 * 1024)
+"""Shared all-zero buffer backing :func:`zeros` views (one full 8-page
+channel window)."""
+
+
+def zeros(length):
+    """A read-only all-zero buffer of ``length`` bytes, shared when small.
+
+    Completion descriptors carry ``length`` zero bytes (the simulation
+    models result sizes, not result content); serving them as views over
+    one shared buffer removes a per-completion allocation.
+    """
+    if length <= len(_ZEROS):
+        return memoryview(_ZEROS)[:length]
+    return memoryview(bytes(length))
 
 
 _PARCEL_SCALARS = frozenset({str, bytes, int, float, bool, type(None)})

@@ -15,8 +15,7 @@ cost.  We reproduce that by charging only ``proxy_dispatch_ns`` per call.
 
 from __future__ import annotations
 
-from repro.core.marshal import result_size
-from repro.perf.slab import zeros
+from repro.core.marshal import result_size, zeros
 from repro.errors import (
     ContainerCrashed,
     ProxyDied,
@@ -78,7 +77,6 @@ class ProxyManager:
         guest_task.cwd = host_task.cwd
         guest_task.umask = host_task.umask
         guest_task.exe_path = host_task.exe_path
-        guest_task.proxied_for = host_task
         proxy = Proxy(host_task, guest_task)
         host_task.proxy = guest_task
         proxy.park()
@@ -200,7 +198,7 @@ class ProxyManager:
                 continue
             outcomes[descriptor.seq] = ("ok", result)
             # Completion payloads are all-zero padding of the result's
-            # wire size; a view over the shared zero slab avoids one
+            # wire size; a view over the shared zero buffer avoids one
             # allocation per completed call.
             channel.complete_ring.push(
                 name, zeros(result_size(result)), seq=descriptor.seq

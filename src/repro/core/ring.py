@@ -162,8 +162,9 @@ class DelegationRing:
                 f"ring payload must be bytes-like, got "
                 f"{type(payload).__name__}"
             )
-        # No defensive copy: the payload (often a slab-pool memoryview)
-        # is referenced as-is; the submit window owns its lifetime.
+        # No defensive copy: the payload (a synchronous submit's fresh
+        # wire, or a staged one) is referenced as-is; the descriptor owns
+        # it until the window retires.
         clock = self.clock
         if len(self._queue) >= self.depth:
             # The ring.full stall models a producer spinning on a ring

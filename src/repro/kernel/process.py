@@ -86,8 +86,9 @@ class Task:
       index into the Anception alternate syscall table).
     * ``launch_uid`` — UID pinned at launch; Anception kills the task if its
       UID ever differs from this (footnote 3 in the paper).
-    * ``proxy`` / ``proxied_for`` — links between a host task and its CVM
-      proxy counterpart.
+    * ``proxy`` — a host task's link to its CVM proxy counterpart.  There
+      is no link back: nothing in the CVM's object graph reaches the
+      host task.
     """
 
     __snapshot__ = "auto"
@@ -112,7 +113,6 @@ class Task:
         self.redirection_entry = 0
         self.launch_uid = None
         self.proxy = None
-        self.proxied_for = None
         self.signal_handlers = {}
         self.pending_signals = []
 

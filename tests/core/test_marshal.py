@@ -13,7 +13,6 @@ from repro.core.marshal import (
     result_size,
 )
 from repro.errors import SimulationError
-from repro.perf.slab import SlabPool
 
 
 class TestEncodedSize:
@@ -60,12 +59,9 @@ class TestMarshalCall:
         expected, size = marshal_call("write", (3, payload), {})
         assert marshal_call("write", (3, memoryview(payload)), {}) == (
             expected, size)
-        pool = SlabPool()
         for arg in (payload, memoryview(payload)):
-            wire, wire_size, slab = marshal_call_into(
-                pool, "write", (3, arg), {})
+            wire, wire_size = marshal_call_into("write", (3, arg), {})
             assert (bytes(wire), wire_size) == (expected, size)
-            pool.recycle(slab)
 
     def test_result_size(self):
         assert result_size(b"x" * 4096) == 4096

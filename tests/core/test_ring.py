@@ -21,7 +21,6 @@ from repro.faults.engine import FaultEngine
 from repro.hypervisor import LguestHypervisor
 from repro.kernel.kernel import Machine
 from repro.perf.costs import PAGE_SIZE
-from repro.perf.slab import SlabPool
 
 
 @pytest.fixture
@@ -222,14 +221,12 @@ class TestDormantCrc:
             channel.submit_ring.pop()
         assert channel.integrity_failures == 1
 
-    def test_flipped_byte_in_a_marshaled_slab_fails_pop(self, channel,
+    def test_flipped_byte_in_a_marshaled_wire_fails_pop(self, channel,
                                                         machine):
         assert machine.clock.faults is None and machine.clock.dormant
-        pool = SlabPool()
-        wire, size, slab = marshal_call_into(
-            pool, "pwrite64", (3, b"w" * 64, 0), {})
+        wire, size = marshal_call_into("pwrite64", (3, b"w" * 64, 0), {})
         channel.submit_ring.push("pwrite64", wire)
-        slab.buf[size // 2] ^= 0xFF
+        wire[size // 2] ^= 0xFF
         with pytest.raises(ChannelIntegrityError):
             channel.submit_ring.pop()
         assert channel.integrity_failures == 1

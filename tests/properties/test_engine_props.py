@@ -1,7 +1,7 @@
 """Hot-path rebuild properties: the fast engine is the same engine.
 
-The slab-pooled/slotted/fast-pathed hot path (PR 9) is a pure host-side
-speedup, so two families of properties pin it:
+The slotted/fast-pathed hot path is a pure host-side speedup, so two
+families of properties pin it:
 
 * **Seed-world equivalence** — the simulated behavior of every gated
   workload (fileops/batchio/writeburst/fleet, at 1 and 4 CVMs) is
@@ -12,10 +12,10 @@ speedup, so two families of properties pin it:
   paths must be invisible to simulated time.  ``STEADY_DIGESTS`` pins
   the bus-counted steady-state census (syscalls and simulated ns of one
   replay after a warm-up) of the three micro-burst workloads.
-* **Slab aliasing safety** — a recycled slab releases every exported
-  view, so a reference held past its window raises ``ValueError``
-  instead of silently observing recycled bytes, across arbitrary
-  acquire/view/recycle interleavings.
+* **Wire ownership** — every synchronous submit's wire is a fresh
+  buffer that only its ring descriptor refers to: no two calls share
+  one, rendering a later call never changes an earlier wire, and a
+  window of them pops off the ring with every CRC intact.
 """
 
 import hashlib
@@ -24,11 +24,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.android.sqlite import Database
+from repro.core.channel import AnceptionChannel
+from repro.core.marshal import marshal_call, marshal_call_into, zeros
+from repro.hypervisor import LguestHypervisor
+from repro.kernel.kernel import Machine
 from repro.kernel.process import Credentials
 from repro.obs.bus import TraceBus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runner import TRACE_WORKLOADS, _iterate, boot_obs_world
-from repro.perf.slab import DEFAULT_SLAB_BYTES, SlabPool, zeros
 from repro.perf.sqlite_bench import _SqliteBenchApp
 from repro.workloads.antutu import DatabaseIOWorkload
 from repro.world import AnceptionWorld
@@ -225,65 +228,72 @@ def test_antutu_db_file_digest_matches_pin():
         == DB_FILE_DIGESTS["antutu_db"]
 
 
-# -- slab-pool reuse / aliasing safety ----------------------------------------
+# -- wire ownership -----------------------------------------------------------
 
-_SLAB_OPS = st.lists(
+_ARGS = st.lists(
+    st.one_of(
+        st.integers(min_value=-2**31, max_value=2**31),
+        st.binary(max_size=256),
+        st.binary(max_size=64).map(memoryview),
+        st.text(max_size=16),
+    ),
+    max_size=4,
+).map(tuple)
+
+_CALLS = st.lists(
     st.tuples(
-        st.integers(min_value=0, max_value=DEFAULT_SLAB_BYTES + 512),
-        st.binary(min_size=0, max_size=64),
+        st.sampled_from(["write", "pwrite64", "read", "open", "fstat",
+                         "lseek"]),
+        _ARGS,
+        st.dictionaries(st.sampled_from(["flags", "mode"]),
+                        st.integers(min_value=0, max_value=0o777),
+                        max_size=2),
     ),
     min_size=1, max_size=24,
 )
 
 
 @settings(max_examples=50, deadline=None)
-@given(ops=_SLAB_OPS, pool_free=st.integers(min_value=1, max_value=4))
-def test_recycled_views_never_observe_reuse(ops, pool_free):
-    """No live memoryview ever reads a recycled slab's bytes.
+@given(calls=_CALLS)
+def test_each_wire_is_owned_and_survives_its_window(calls):
+    """Every synchronous wire is its own buffer, untouched until it pops.
 
-    Random acquire/render/view/recycle interleavings: every view taken
-    before a recycle must raise ``ValueError`` afterwards (released,
-    not aliased), and views over a reused slab must read back exactly
-    the bytes rendered for *this* window, never a predecessor's.
+    Each ``marshal_call_into`` wire is a distinct object holding exactly
+    ``marshal_call``'s bytes; rendering the later calls of the window
+    changes none of the earlier wires; and the window, pushed onto a
+    dormant ring, pops with every CRC intact and every payload the very
+    buffer that was pushed.
     """
-    pool = SlabPool(max_free=pool_free)
-    dead_views = []
-    for size, payload in ops:
-        slab = pool.acquire(size)
-        assert len(slab.buf) >= size
-        fill = (payload * (size // max(len(payload), 1) + 1))[:size] \
-            if payload else bytes(size)
-        slab.buf[:size] = fill
-        view = pool.view(slab, size)
-        assert view.obj is slab.buf  # zero-copy: a window, not a copy
-        assert bytes(view) == fill
-        pool.recycle(slab)
-        dead_views.append(view)
-        for stale in dead_views:
-            with pytest.raises(ValueError):
-                stale.tobytes()
-    assert pool.recycled == len(ops)
-    assert len(pool._free) <= pool_free
+    machine = Machine(total_mb=64)
+    hypervisor = LguestHypervisor(machine, guest_mb=32)
+    hypervisor.launch_guest()
+    channel = AnceptionChannel(hypervisor, machine.costs, num_pages=4)
+    ring = channel.submit_ring
+    assert machine.clock.faults is None and machine.clock.dormant
+    wires, rendered = [], []
+    for name, args, kwargs in calls:
+        wire, size = marshal_call_into(name, args, kwargs)
+        assert (bytes(wire), size) == marshal_call(name, args, kwargs)
+        wires.append(wire)
+        rendered.append(bytes(wire))
+    assert len({id(wire) for wire in wires}) == len(wires)
+    assert [bytes(wire) for wire in wires] == rendered
+    seqs = [ring.push(name, wire)
+            for (name, _args, _kwargs), wire in zip(calls, wires)]
+    for seq, wire, expected in zip(seqs, wires, rendered):
+        descriptor = ring.pop()
+        assert descriptor.seq == seq
+        assert descriptor.payload is wire
+        assert bytes(descriptor.payload) == expected
+    assert ring.pop() is None
+    assert channel.integrity_failures == 0
 
 
 @settings(max_examples=50, deadline=None)
-@given(lengths=st.lists(st.integers(min_value=0, max_value=DEFAULT_SLAB_BYTES),
+@given(lengths=st.lists(st.integers(min_value=0, max_value=40_000),
                         min_size=1, max_size=8))
 def test_zeros_views_are_zero_and_sized(lengths):
     for length in lengths:
         view = zeros(length)
         assert view.nbytes == length
         assert not any(bytes(view))
-
-
-@settings(max_examples=25, deadline=None)
-@given(sizes=st.lists(st.integers(min_value=1, max_value=256),
-                      min_size=2, max_size=8))
-def test_concurrent_windows_never_share_a_slab(sizes):
-    """Slabs acquired while others are live are distinct buffers."""
-    pool = SlabPool()
-    live = [pool.acquire(size) for size in sizes]
-    bufs = {id(slab.buf) for slab in live}
-    assert len(bufs) == len(live)
-    for slab in live:
-        pool.recycle(slab)
