@@ -65,14 +65,14 @@ class PowerManagerService(Service):
 
     def __init__(self, kernel):
         super().__init__(kernel)
-        self.wakelocks = set()
+        self.wakelocks = {}
 
     def method_acquire_wakelock(self, payload, sender):
-        self.wakelocks.add((sender.pid, payload.get("tag", "")))
+        self.wakelocks[(sender.pid, payload.get("tag", ""))] = True
         return {"status": "held"}
 
     def method_release_wakelock(self, payload, sender):
-        self.wakelocks.discard((sender.pid, payload.get("tag", "")))
+        self.wakelocks.pop((sender.pid, payload.get("tag", "")), None)
         return {"status": "released"}
 
 

@@ -1233,9 +1233,10 @@ class AnceptionLayer:
         # Host fd: binder traffic gets the UI inspection
         # (binder.is_ui_transaction and policy.binder_target_is_app,
         # inlined: this is the path of every UI frame and app-to-app
-        # call).  A target that is not a string names neither a UI
-        # service nor an app; it goes to the CVM's service manager,
-        # which answers ENOENT as the host's would.
+        # call; a property in tests/properties/test_policy_props.py
+        # holds both spellings equal).  A target that is not a string
+        # names neither a UI service nor an app; it goes to the CVM's
+        # service manager, which answers ENOENT as the host's would.
         if request == BINDER_WRITE_READ and isinstance(arg, Transaction):
             target = arg.target
             if not (isinstance(target, str)

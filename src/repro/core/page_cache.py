@@ -39,7 +39,7 @@ from repro.perf.costs import PAGE_SIZE
 class HostPageCache:
     """LRU page cache keyed by (CVM inode number, page index)."""
 
-    __snapshot__ = "custom"
+    __snapshot__ = "auto"
 
     def __init__(self, max_pages=1024):
         if max_pages < 1:
@@ -259,33 +259,7 @@ class HostPageCache:
         self._sizes.clear()
         return dropped
 
-    # -- snapshot / migration ----------------------------------------------
-
-    def __getstate__(self):
-        """Serialize with sorted page keys, recency carried separately.
-
-        The page table's iteration order *is* the LRU recency sequence,
-        which snapshots must preserve — but serializing in that order
-        would make the blob's bytes depend on access history in a way
-        that is hard to audit.  The snapshot form is sorted (pages by
-        key, so two equal caches serialize identically byte-for-byte)
-        plus an explicit recency list that ``__setstate__`` replays.
-        """
-        state = self.__dict__.copy()
-        pages = state.pop("_pages")
-        state["_page_table"] = sorted(pages.items())
-        state["_page_recency"] = list(pages)
-        sizes = state.pop("_sizes")
-        state["_size_table"] = sorted(sizes.items())
-        return state
-
-    def __setstate__(self, state):
-        table = dict(state.pop("_page_table"))
-        recency = state.pop("_page_recency")
-        sizes = state.pop("_size_table")
-        self.__dict__.update(state)
-        self._pages = OrderedDict((key, table[key]) for key in recency)
-        self._sizes = dict(sizes)
+    # -- migration ---------------------------------------------------------
 
     def export_inos(self, inos):
         """Serialize the given inodes' cached state for a warm migration.

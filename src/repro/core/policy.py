@@ -111,7 +111,8 @@ class RedirectionPolicy:
     __snapshot__ = "auto"
 
     def __init__(self, ui_service_names, file_io_on_host=False):
-        self.ui_service_names = frozenset(ui_service_names)
+        # A dict, not a frozenset: it pickles alike in every process.
+        self.ui_service_names = dict.fromkeys(sorted(ui_service_names))
         self.file_io_on_host = file_io_on_host
 
     # -- top-level decision ---------------------------------------------------

@@ -28,8 +28,10 @@ and after restore; serializing sections separately would fork it).
 
 Determinism contract:
 
-* two snapshots of the same world object are byte-identical (pickle
-  traversal order is a pure function of the object graph);
+* two snapshots of the same world are byte-identical, in one process
+  or two, whatever ``PYTHONHASHSEED`` is (pickle traversal order is a
+  pure function of the object graph, and the audit refuses any set
+  whose order is not);
 * two restores of the same blob produce behaviorally identical worlds,
   and re-snapshotting either produces the same bytes as the other;
 * restore of a corrupted or truncated blob raises
@@ -39,11 +41,10 @@ Conformance is enforced *at serialization time*, not only in tests:
 every repro-package component reachable from the world must either
 declare a ``__snapshot__`` audit marker (``"auto"`` — default pickling
 is complete and deterministic; ``"custom"`` — the class implements
-``__getstate__``/``__setstate__`` or ``snapshot_state``/
-``restore_state``) or carry a documented exemption in
-:data:`SNAPSHOT_EXEMPT`.  An unaudited class fails the snapshot with
-the missing names, mirroring the syscall-conformance suite's
-to-do-list-style failures.
+``__reduce__`` or ``__getstate__``/``__setstate__``) or carry a
+documented exemption in :data:`SNAPSHOT_EXEMPT`.  An unaudited class
+fails the snapshot with the missing names, mirroring the
+syscall-conformance suite's to-do-list-style failures.
 
 The same machinery serves warm migration: :func:`app_slice` serializes
 one enrolled app's lane-held delegation state (open remote fds, cached
@@ -67,7 +68,7 @@ from repro.errors import SnapshotError
 
 
 SNAPSHOT_MAGIC = b"ANCSNAP1"
-SNAPSHOT_VERSION = 16
+SNAPSHOT_VERSION = 17
 _HEADER = struct.Struct("<8sHHQ32s")
 _PICKLE_PROTOCOL = 4
 """Pinned pickle protocol: the blob format is versioned, so the
@@ -99,64 +100,80 @@ def _slot_names(cls):
     return names
 
 
-def walk_components(root):
-    """Yield every repro-package object reachable from ``root``.
+def _value_hashed(member):
+    """Whether ``member`` hashes alike in every process: numbers and
+    tuples or frozensets of them do; a str, bytes or enum hashes by the
+    string hash seed, and any other object by its address."""
+    if isinstance(member, (tuple, frozenset)):
+        return all(map(_value_hashed, member))
+    return isinstance(member, (int, float))
+
+
+def _walk(root):
+    """Yield ``(obj, owner)`` for every repro-package object and every
+    set reachable from ``root``, each once; ``owner`` is the ``(class,
+    attribute)`` that holds it, directly or through containers.
 
     The traversal follows instance attributes (``__dict__`` and
     ``__slots__``) and the standard containers; it stops at non-repro
     leaves (ints, bytes, stdlib objects) except to look inside
-    containers.  Each object is yielded exactly once.
+    containers.
     """
     seen = set()
-    stack = [root]
+    stack = [(root, None)]
     while stack:
-        obj = stack.pop()
+        obj, owner = stack.pop()
         if id(obj) in seen:
             continue
         seen.add(id(obj))
         if isinstance(obj, dict):
-            stack.extend(obj.keys())
-            stack.extend(obj.values())
+            stack.extend((item, owner) for item in (*obj, *obj.values()))
             continue
         if isinstance(obj, _CONTAINERS):
-            stack.extend(obj)
+            if isinstance(obj, (set, frozenset)):
+                yield obj, owner
+            stack.extend((item, owner) for item in obj)
             continue
         cls = type(obj)
         module = getattr(cls, "__module__", "") or ""
         if not (module == "repro" or module.startswith("repro.")):
             continue
-        yield obj
+        yield obj, owner
         state = getattr(obj, "__dict__", None)
         if state:
-            stack.extend(state.values())
+            stack.extend(((value, (cls, attr))
+                          for attr, value in state.items()))
         for name in _slot_names(cls):
             try:
-                stack.append(getattr(obj, name))
+                stack.append((getattr(obj, name), (cls, name)))
             except AttributeError:
                 continue
 
 
-def component_manifest(root):
-    """Sorted {qualified class name: instance count} for the reachable set."""
-    counts = {}
-    for obj in walk_components(root):
-        cls = type(obj)
-        name = f"{cls.__module__}.{cls.__qualname__}"
-        counts[name] = counts.get(name, 0) + 1
-    return dict(sorted(counts.items()))
+def walk_components(root):
+    """Yield every repro-package object reachable from ``root``, once."""
+    return (obj for obj, _owner in _walk(root)
+            if not isinstance(obj, (set, frozenset)))
 
 
 def audit_components(root):
     """Conformance gate: every reachable component must be audited.
 
-    Returns the component manifest on success; raises
-    :class:`SnapshotError` listing every unaudited class otherwise —
-    the same fail-with-a-to-do-list shape the syscall conformance
-    suite uses.
+    Returns the component manifest, a sorted ``{qualified class name:
+    instance count}``, on success; raises :class:`SnapshotError`
+    listing every unaudited class, or else every attribute holding a
+    set that would pickle in a per-process order — the same
+    fail-with-a-to-do-list shape the syscall conformance suite uses.
     """
     counts = {}
     missing = set()
-    for obj in walk_components(root):
+    seeded = set()
+    for obj, owner in _walk(root):
+        if isinstance(obj, (set, frozenset)):
+            if not all(map(_value_hashed, obj)):
+                seeded.add(f"{owner[0].__module__}."
+                           f"{owner[0].__qualname__}.{owner[1]}")
+            continue
         cls = type(obj)
         name = f"{cls.__module__}.{cls.__qualname__}"
         counts[name] = counts.get(name, 0) + 1
@@ -172,6 +189,12 @@ def audit_components(root):
             "components reachable from the world lack snapshot audit "
             "markers (__snapshot__ = 'auto'|'custom') and are not in "
             "SNAPSHOT_EXEMPT: " + ", ".join(sorted(missing))
+        )
+    if seeded:
+        raise SnapshotError(
+            "sets whose members hash by string seed or address pickle "
+            "in a per-process order (hold them in a dict): "
+            + ", ".join(sorted(seeded))
         )
     return dict(sorted(counts.items()))
 

@@ -14,7 +14,24 @@ import errno as _errno
 
 
 class ReproError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    A world holds errors mid-run (a write-behind ledger's deferred
+    errno, a crashed app's exception), so they ride its snapshot.
+    Default exception pickling re-calls ``cls(*args)``, which most
+    subclasses' constructors cannot take back; :meth:`__reduce__`
+    rebuilds the instance from its ``args`` and attributes instead.
+    """
+
+    __snapshot__ = "custom"
+
+    def __reduce__(self):
+        return _rebuild_error, (type(self), self.args), self.__dict__
+
+
+def _rebuild_error(cls, args):
+    """Unpickle a :class:`ReproError` without running its ``__init__``."""
+    return cls.__new__(cls, *args)
 
 
 class SyscallError(ReproError):

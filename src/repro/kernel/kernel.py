@@ -173,9 +173,9 @@ class Kernel:
         """Per-UID RLIMIT_NPROC values; absent means unlimited.  The
         RageAgainstTheCage era set a low limit for the shell UID — and
         adbd ignored setuid's EAGAIN when the limit was hit."""
-        self.quirks = set()
-        """Named kernel-version flaws (e.g. the CVE-2012-0056 broken
-        /proc/pid/mem write check) present in this kernel build."""
+        self.quirks = {}
+        """Named kernel-version flaws in this build, each mapped to True
+        (e.g. the CVE-2012-0056 broken /proc/pid/mem write check)."""
         self.hotplug_enabled = frame_window is None
         """Usermode-helper hotplug: real hardware events only reach the
         host kernel; an lguest guest with virtual devices has none."""

@@ -382,7 +382,7 @@ class LogcatSink:
 
     def __init__(self, log_device, kinds=None):
         self.log_device = log_device
-        self.kinds = set(kinds) if kinds is not None else None
+        self.kinds = dict.fromkeys(kinds) if kinds is not None else None
         self.lines = 0
 
     def __call__(self, record):

@@ -227,11 +227,11 @@ class TestOneKernelBuild:
     def test_configuration_survives_a_reboot(self, anception_world):
         world = anception_world
         world.install_kernel_vulnerability("ioctl", make_kernel_vuln())
-        world.kernel.quirks.add("mem_write_bypass")
+        world.kernel.quirks["mem_write_bypass"] = True
         world.anception.reboot_cvm()
         guest = world.cvm.kernel
         assert list(guest.vulnerabilities) == ["ioctl"]
-        assert guest.quirks == {"mem_write_bypass"}
+        assert guest.quirks == {"mem_write_bypass": True}
 
     @pytest.mark.parametrize("cvms", [1, 4])
     def test_vulnerability_installed_before_reboot_is_exploitable_after(
@@ -255,7 +255,7 @@ class TestOneKernelBuild:
 
     def test_restore_keeps_the_configuration_shared(self):
         world = AnceptionWorld(cvms=2)
-        world.kernel.quirks.add("mem_write_bypass")
+        world.kernel.quirks["mem_write_bypass"] = True
         restored = AnceptionWorld.restore(world.snapshot())
         restored.install_kernel_vulnerability("ioctl", make_kernel_vuln())
         for lane in restored.anception.pool.lanes:

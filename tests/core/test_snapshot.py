@@ -13,11 +13,17 @@ The pins here are the acceptance gates from DESIGN.md §14:
   intact (the mid-chaos resume pin).
 """
 
+import collections
+import errno
+import os
 import pickle
 import struct
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.clock import SimClock
 from repro.core.snapshot import (
     SNAPSHOT_EXEMPT,
@@ -25,7 +31,6 @@ from repro.core.snapshot import (
     SNAPSHOT_VERSION,
     app_slice,
     audit_components,
-    component_manifest,
     describe_snapshot,
     restore_world,
     snapshot_digest,
@@ -36,7 +41,8 @@ from repro.core.snapshot import (
     walk_components,
     world_digest,
 )
-from repro.errors import SnapshotError
+from repro.core.policy import Decision
+from repro.errors import SnapshotError, SyscallError
 from repro.faults.engine import FaultEngine
 from repro.faults.plan import FaultPlan
 from repro.obs.bus import TraceBus
@@ -190,6 +196,23 @@ class TestDeterminism:
         # but identity WITHIN the restored world is preserved
         assert restored.clock is restored.machine.clock
 
+    def test_blob_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # Two processes, two string hash seeds, one warmed 4-lane boot:
+        # the blobs must agree byte for byte.
+        blobs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"world-{seed}.snap"
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.path.dirname(repro.__path__[0]))
+            subprocess.run(
+                [sys.executable, "-m", "repro.cli", "snapshot", "write4k",
+                 "--cvms", "4", "--placement", "by-uid", "--warmup", "2",
+                 "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_stable_digest_survives_restore_roundtrip(self):
         world = _warm_world(read_cache=True)
         restored = _World.restore(world.snapshot())
@@ -274,8 +297,32 @@ class TestMidChaosResume:
 class TestAudit:
     def test_full_knob_world_is_fully_audited(self):
         world = _warm_world(**FULL_KNOBS)
-        manifest = audit_components(world)
-        assert manifest == component_manifest(world)
+        counts = collections.Counter(
+            f"{type(obj).__module__}.{type(obj).__qualname__}"
+            for obj in walk_components(world)
+        )
+        assert audit_components(world) == dict(sorted(counts.items()))
+
+    @pytest.mark.parametrize("members", [
+        {"alpha", "beta"},
+        frozenset({b"x"}),
+        {Decision.HOST},
+        {(1, "tag")},
+        {frozenset({"nested"})},
+        {object()},
+    ], ids=["str", "bytes", "enum", "tuple-with-str", "frozenset-of-str",
+            "object"])
+    def test_process_hashed_set_is_refused_with_its_attribute(
+            self, anception_world, members):
+        anception_world.kernel._tags = {"by-name": members}
+        with pytest.raises(SnapshotError,
+                           match=r"repro\.kernel\.kernel\.Kernel\._tags"):
+            anception_world.snapshot()
+
+    def test_value_hashed_sets_pass_the_audit(self, anception_world):
+        anception_world.kernel._tags = [{1, 2}, frozenset({(3, 4.5)}),
+                                        {frozenset({5})}, set()]
+        assert anception_world.snapshot()
 
     def test_unaudited_component_fails_with_its_name(self, anception_world):
         class Rogue:
@@ -298,6 +345,36 @@ class TestAudit:
     def test_walk_yields_each_object_once(self, anception_world):
         ids = [id(obj) for obj in walk_components(anception_world)]
         assert len(ids) == len(set(ids))
+
+
+class TestLedgeredErrorResume:
+    """A deferred errno in the write-behind ledger rides the snapshot."""
+
+    def _ledgered(self):
+        world, ctx = boot_obs_world(async_delegation=True)
+        FaultEngine("wb.error:nth=1", seed=7).arm(world.clock)
+        fd = ctx.libc.open(ctx.data_path("doomed.bin"), 0o102, 0o600)
+        ctx.libc.write(fd, b"x" * 16)
+        ctx.libc.fence()
+        assert world.anception.write_behind.errors
+        return world, fd
+
+    @staticmethod
+    def _fsync_errno(world, fd):
+        ctx = world.zygote.launched[-1].ctx
+        with pytest.raises(SyscallError) as excinfo:
+            ctx.libc.fsync(fd)
+        ctx.libc.fsync(fd)  # surfaced once; the next fence is clean
+        return excinfo.value.errno, str(excinfo.value)
+
+    def test_ledgered_errno_surfaces_at_the_same_fence(self):
+        straight, fd = self._ledgered()
+        split, _fd = self._ledgered()
+        restored = _World.restore(split.snapshot())
+        expected = self._fsync_errno(straight, fd)
+        assert expected[0] == errno.EIO
+        assert self._fsync_errno(restored, fd) == expected
+        assert world_digest(restored) == world_digest(straight)
 
 
 class TestWorldApi:

@@ -14,18 +14,91 @@ binder ring + 4-lane pool) after actually running a workload — lazily
 created state (windows, cache pages, proxies) must be in-universe too.
 """
 
+import collections
 import enum
+import errno
+import importlib
+import pickle
+import pkgutil
+import types
 
 import pytest
 
+import repro
+from repro.android.app import AppCrashed
 from repro.core.snapshot import (
     SNAPSHOT_EXEMPT,
     audit_components,
-    component_manifest,
     walk_components,
 )
+from repro.errors import (
+    ChannelIntegrityError,
+    ChannelStalled,
+    ContainerCrashed,
+    ProcessKilled,
+    ProxyDied,
+    ReproError,
+    RingFull,
+    SyscallError,
+)
+from repro.kernel.kernel import KernelCrashed
 from repro.obs.runner import boot_obs_world, run_traced
 from repro.world import AnceptionWorld, NativeWorld
+
+
+def _qualified(cls):
+    return f"{cls.__module__}.{cls.__qualname__}"
+
+
+_PICKLE_HOOKS = ("__getstate__", "__setstate__", "__reduce__",
+                 "__reduce_ex__")
+
+
+def _hollow_custom(classes):
+    """Names of classes marked 'custom' with no pickle hook of their own.
+
+    Hooks are looked up only in the class dictionaries of the class and
+    its repro-package bases: ``object`` gives every class
+    ``__reduce__``, ``__reduce_ex__`` and (3.11+) ``__getstate__``, so
+    ``getattr`` finds a hook on any class at all.
+    """
+    return sorted(
+        name for name, cls in classes.items()
+        if getattr(cls, "__snapshot__", None) == "custom"
+        and not any(
+            hook in klass.__dict__
+            for klass in cls.__mro__
+            if klass.__module__.startswith("repro.")
+            for hook in _PICKLE_HOOKS
+        )
+    )
+
+
+def _error_classes():
+    """Every :class:`ReproError` subclass the package defines."""
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(info.name)
+    found, stack = [], [ReproError]
+    while stack:
+        cls = stack.pop()
+        found.append(cls)
+        stack.extend(cls.__subclasses__())
+    return sorted(set(found), key=_qualified)
+
+
+_ERROR_ARGS = {
+    # Constructor arguments for the subclasses that take more than a
+    # message; every other subclass is built from ("message",).
+    SyscallError: (errno.ENOSPC, "disk full", "write"),
+    ChannelIntegrityError: ("to-guest", 0x1234, 0x4321, 4096),
+    RingFull: ("submit", 8),
+    ChannelStalled: ("to-host", "doorbell lost"),
+    ProxyDied: (1000, 42, "reaped"),
+    ContainerCrashed: ("guest panic",),
+    ProcessKilled: (1000, "uid changed"),
+    KernelCrashed: (types.SimpleNamespace(label="cvm0"), "oops"),
+    AppCrashed: ("com.example.app", ValueError("boom")),
+}
 
 
 def _worlds():
@@ -89,8 +162,11 @@ class TestUniverse:
 
     def test_audit_accepts_every_matrix_world(self):
         for label, world in _worlds().items():
+            counts = collections.Counter(
+                _qualified(type(obj)) for obj in walk_components(world)
+            )
             manifest = audit_components(world)
-            assert manifest == component_manifest(world), label
+            assert manifest == dict(sorted(counts.items())), label
 
 
 class TestMarkers:
@@ -105,21 +181,47 @@ class TestMarkers:
 
     def test_custom_markers_back_their_claim(self, universe):
         # 'custom' asserts the class manages its own serialization;
-        # hold it to that.
-        hollow = sorted(
-            name for name, cls in universe.items()
-            if getattr(cls, "__snapshot__", None) == "custom"
-            and not any(
-                callable(getattr(cls, hook, None))
-                for hook in ("__getstate__", "__setstate__",
-                             "__reduce__", "__reduce_ex__",
-                             "snapshot_state", "restore_state")
-            )
-        )
+        # hold it to that.  Errors are in scope whether or not a matrix
+        # world happens to hold one.
+        classes = {**universe,
+                   **{_qualified(cls): cls for cls in _error_classes()}}
+        hollow = _hollow_custom(classes)
         assert not hollow, (
             f"classes marked __snapshot__='custom' without any "
-            f"serialization hook: {hollow}"
+            f"serialization hook of their own: {hollow}"
         )
+
+    def test_a_hook_inherited_from_object_backs_no_claim(self):
+        class Hollow:
+            __snapshot__ = "custom"
+
+        class Backed(Hollow):
+            def __reduce__(self):
+                return Backed, ()
+
+        for cls in (Hollow, Backed):
+            cls.__module__ = "repro.test_hollow"
+        assert _hollow_custom({"Hollow": Hollow, "Backed": Backed}) == [
+            "Hollow"
+        ]
+
+
+class TestErrors:
+    """Errors ride snapshots: a world holds them in deferred-errno
+    ledgers and crashed apps."""
+
+    def test_every_repro_error_round_trips(self):
+        for cls in _error_classes():
+            exc = cls(*_ERROR_ARGS.get(cls, ("message",)))
+            clone = pickle.loads(pickle.dumps(exc, protocol=4))
+            assert type(clone) is cls
+            assert str(clone) == str(exc), cls
+            assert clone.args == exc.args, cls
+            assert getattr(clone, "errno", None) == getattr(exc, "errno",
+                                                           None), cls
+            assert getattr(clone, "call", None) == getattr(exc, "call",
+                                                          None), cls
+            assert clone.__dict__.keys() == exc.__dict__.keys(), cls
 
 
 class TestExemptions:

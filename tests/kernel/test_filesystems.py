@@ -137,7 +137,7 @@ class TestProcMem:
     def test_mem_write_hijack_records_compromise(self, kernel):
         from repro.events import drain_compromises
 
-        kernel.quirks.add("mem_write_bypass")
+        kernel.quirks["mem_write_bypass"] = True
         vold = kernel.spawn_task("vold", Credentials(0))
         vold.address_space.set_brk(vold.address_space.brk_page + 1)
         attacker = kernel.spawn_task("attacker", Credentials(10009))

@@ -3,10 +3,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.android.binder import (
+    BINDER_WRITE_READ,
+    IOC_WAIT_INPUT_EVT,
+    Transaction,
+    is_ui_transaction,
+)
+from repro.android.services.base import ServiceCatalog
 from repro.core.policy import Decision, RedirectionPolicy
 from repro.kernel.kernel import Machine
 from repro.kernel.process import Credentials
 from repro.kernel.syscalls import CATALOGUE, SyscallClass
+from repro.obs.runner import boot_obs_world
 
 
 UI_NAMES = frozenset({"window", "input", "activity", "surfaceflinger"})
@@ -97,3 +105,58 @@ class TestPolicyTotality:
         decision = policy.decide(make_task(), "read", (fd, 100), remote)
         expected = Decision.REDIRECT if fd in remote else Decision.HOST
         assert decision is expected
+
+
+@pytest.fixture(scope="module")
+def ioctl_world():
+    """One booted layer (binder ring on) and its app, shared across
+    examples: the split reads the policy and changes no world state on
+    the paths checked here."""
+    world, ctx = boot_obs_world(binder_ring=True)
+    return world.anception, ctx
+
+
+_SERVICE_NAMES = sorted(cls.name for cls in ServiceCatalog.all_types())
+
+_targets = st.one_of(
+    st.sampled_from(_SERVICE_NAMES),  # UI and delegated services
+    st.text(max_size=12).map(lambda s: "app:" + s),
+    st.tuples(st.sampled_from(("app", "ap:", "App:", " app:", "app;")),
+              st.text(max_size=8)).map("".join),  # near misses
+    st.text(max_size=12),
+    st.binary(max_size=12),
+    st.binary(max_size=8).map(lambda b: b"app:" + b),
+    st.integers(),
+    st.none(),
+)
+
+
+class TestIoctlSplitRule:
+    """The layer's ioctl split spells the UI and app-to-app tests inline
+    (it runs on every UI frame); it must agree with
+    ``binder.is_ui_transaction`` and ``binder_target_is_app``."""
+
+    @given(cmd=st.sampled_from((BINDER_WRITE_READ, IOC_WAIT_INPUT_EVT)),
+           target=_targets)
+    @settings(max_examples=300, deadline=None)
+    def test_host_exactly_when_ui_or_app_to_app(self, ioctl_world, cmd,
+                                                target):
+        layer, ctx = ioctl_world
+        task = ctx.task
+        table = layer._fd_table(task)
+        fd = ctx.binder_fd
+        assert fd not in table._host_to_proxy
+        arg = Transaction(target, "probe")
+        routes = []
+        layer._forward_binder = lambda *call: routes.append("cvm")
+        layer.host_kernel.execute_native = lambda *call: routes.append("host")
+        try:
+            layer._split_ioctl(task, table, fd, cmd, arg)
+        finally:
+            del layer._forward_binder
+            del layer.host_kernel.execute_native
+        policy = layer.policy
+        expected = ("host" if is_ui_transaction(policy.ui_service_names,
+                                                cmd, arg)
+                    or policy.binder_target_is_app(arg) else "cvm")
+        assert routes == [expected]
