@@ -222,7 +222,6 @@ def _knobs(args):
         "binder_ring": not getattr(args, "no_binder_ring", False),
         "binder_ring_depth": getattr(args, "binder_ring_depth", None),
         "cvms": getattr(args, "cvms", None) or 1,
-        "placement": getattr(args, "placement", None),
     }
 
 
@@ -235,7 +234,6 @@ def _pool_summary(anception):
     pool_stats = stats["pool"]
     lines = [
         f"pool: cvms={pool_stats['cvms']}"
-        f" placement={pool_stats['placement']['policy']}"
         f" assignments={pool_stats['assignments']}"
         f" flaps={pool_stats['flaps']}"
     ]
@@ -595,13 +593,6 @@ def main(argv=None):
         default=1,
         help="number of container VMs in the pool "
              "(trace/metrics/chaos/snapshot commands; default: 1)",
-    )
-    parser.add_argument(
-        "--placement",
-        choices=("by-uid", "by-trust-class", "by-load"),
-        default=None,
-        help="pool placement policy for multi-CVM worlds "
-             "(default: by-uid)",
     )
     parser.add_argument(
         "--warmup",

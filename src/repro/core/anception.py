@@ -38,7 +38,14 @@ from repro.core.page_cache import HostPageCache
 from repro.core.policy import Decision, RedirectionPolicy
 from repro.core.pool import CVMLane, CVMPool
 from repro.core.proxy import ProxyManager
-from repro.core.recovery import RecoveryLog, RecoveryPolicy
+from repro.core.recovery import (
+    BACKOFF_NS,
+    MAX_RETRIES,
+    REBOOT_COST_NS,
+    SIGNAL_RETRIES,
+    SIGNAL_TIMEOUT_NS,
+    RecoveryLog,
+)
 from repro.core.ring import RING_FLAG_BINDER, RING_FLAG_WRITE_BEHIND
 from repro.core.windows import WINDOW_DEPTH, DeferredEntry, DeferredWindows
 from repro.errors import (
@@ -200,8 +207,7 @@ class AnceptionLayer:
     def __init__(self, machine, host_system, *, file_io_on_host=False,
                  ring_depth=None, read_cache=False, cache_pages=1024,
                  async_delegation=False, write_behind_depth=None,
-                 binder_ring=False, binder_ring_depth=None, cvms=1,
-                 placement=None):
+                 binder_ring=False, binder_ring_depth=None, cvms=1):
         """The keywords are the world's knob set, spelled only here:
         worlds, runners and the CLI pass them through unchanged."""
         self.machine = machine
@@ -217,11 +223,10 @@ class AnceptionLayer:
         self._binder_ring_on = binder_ring
         self._binder_ring_depth = binder_ring_depth
         self._firewall_rule = None
-        self.pool = CVMPool(machine.clock, cvms=cvms, placement=placement)
+        self.pool = CVMPool(machine.clock, cvms=cvms)
         """The routed transport: one :class:`~repro.core.pool.CVMLane`
         per container VM, plus the deterministic placement map.  The
         single-CVM default is byte-identical to the pre-pool layer."""
-        self.pool.layer = self
         for lane in self.pool.lanes:
             self._bind_lane(lane)
         self._batch = None
@@ -230,7 +235,10 @@ class AnceptionLayer:
             host_system.ui_service_names(), file_io_on_host=file_io_on_host
         )
         self.exec_cache = ExecutionCache(self.host_kernel)
-        self.recovery = RecoveryPolicy()
+        self.recovery = False
+        """Recovery on or off (DESIGN §6): with it on, a failed crossing
+        is retried, a dead proxy respawned, and a crashed or compromised
+        container rebooted; off, the failure surfaces as EIO."""
         self.recovery_log = RecoveryLog()
         """(action, detail) pairs for the most recent recovery steps, one
         per ``recovery`` bus event (see :meth:`_recovered`)."""
@@ -363,8 +371,8 @@ class AnceptionLayer:
     def enroll_task(self, task, install_record=None):
         """Flag a task for redirection and build its CVM counterpart.
 
-        Placement happens here: the pool's scheduler picks the lane this
-        app lives on, and every later delegated call routes to it.
+        Placement happens here: the pool hashes the app's launch uid to
+        the lane it lives on, and every later delegated call routes to it.
         """
         task.redirection_entry = 1
         lane = self.pool.assign(task)
@@ -558,8 +566,7 @@ class AnceptionLayer:
             except DelegationError as failure:
                 self._drop_queued(lane)
                 tries += 1
-                if self.recovery.enabled \
-                        and tries <= self.recovery.max_retries:
+                if self.recovery and tries <= MAX_RETRIES:
                     self._recover_from(task, failure, tries, site)
                     continue
                 if exhausted is not None:
@@ -620,39 +627,34 @@ class AnceptionLayer:
         """
         kernel = lane.cvm.kernel
         if kernel.crashed:
-            if self.recovery.enabled and self.recovery.reboot_on_crash:
-                self._recover_reboot(lane, f"container down before {name}")
-            else:
+            if not self.recovery:
                 raise SyscallError(
                     errno.EIO, "container VM is down", call=name
                 )
-        if kernel.compromised_by is not None and self.recovery.enabled \
-                and self.recovery.reboot_on_compromise:
+            self._recover_reboot(lane, f"container down before {name}")
+        if kernel.compromised_by is not None and self.recovery:
             self._recover_reboot(lane, "container compromised")
 
     def _recover_from(self, task, failure, attempt, name):
         """One bounded recovery step between forwarding attempts."""
         lane = self._lane(task)
         self.machine.clock.advance(
-            self.recovery.backoff_for(attempt), "anception:retry-backoff"
+            BACKOFF_NS * attempt, "anception:retry-backoff"
         )
         self._recovered("retry", f"{name} attempt {attempt}: {failure}",
                         f"retry:{name}", task=task,
                         kernel=self.host_kernel.label, attempt=attempt,
                         cause=type(failure).__name__)
         if isinstance(failure, ContainerCrashed) or lane.cvm.crashed:
-            if self.recovery.reboot_on_crash:
-                self._recover_reboot(lane, str(failure))
-        elif isinstance(failure, ProxyDied) and self.recovery.respawn_proxies:
+            self._recover_reboot(lane, str(failure))
+        elif isinstance(failure, ProxyDied):
             lane.proxies.respawn_proxy(task)
             self._recovered("respawn-proxy", f"host pid {task.pid}",
                             task=task, kernel=lane.cvm.kernel.label)
 
     def _recover_reboot(self, lane, reason):
         """Reboot one container as a recovery action (cost + telemetry)."""
-        self.machine.clock.advance(
-            self.recovery.reboot_cost_ns, "anception:cvm-reboot"
-        )
+        self.machine.clock.advance(REBOOT_COST_NS, "anception:cvm-reboot")
         survivors = self.reboot_cvm(lane)
         self._recovered("reboot-cvm", reason, kernel=self.host_kernel.label,
                         reason=reason, survivors=survivors,
@@ -833,9 +835,9 @@ class AnceptionLayer:
         forever.
         """
         hypervisor = lane.channel.hypervisor
-        for _ in range(self.recovery.signal_retries):
+        for _ in range(SIGNAL_RETRIES):
             self.machine.clock.advance(
-                self.recovery.signal_timeout_ns, "anception:irq-timeout"
+                SIGNAL_TIMEOUT_NS, "anception:irq-timeout"
             )
             self._recovered("resignal-irq", name, task=task,
                             kernel=self.host_kernel.label, call=name)
@@ -854,7 +856,7 @@ class AnceptionLayer:
         descriptors it covered.
         """
         self.machine.clock.advance(
-            self.recovery.signal_timeout_ns, "anception:hypercall-poll"
+            SIGNAL_TIMEOUT_NS, "anception:hypercall-poll"
         )
         self._recovered("hypercall-poll", name, task=task,
                         kernel=self.host_kernel.label, call=name)
@@ -1757,7 +1759,13 @@ class AnceptionLayer:
         wb = lane.write_behind
         window = wb.windows.get(task.pid)
         if window is None or len(window.entries) >= wb.depth:
+            channel = lane.channel
             window = self._window_with_room(lane, wb, task)
+            if lane.channel is not channel:
+                # The drain rebooted the lane and dropped this fd's
+                # stub: the call is no longer deferrable, so it takes
+                # the synchronous path and fails there.
+                return self._redirect(task, name, args, {})
         if name == "write":
             payload = bytes(args[1])
             args = (args[0], payload)
@@ -2003,14 +2011,20 @@ class AnceptionLayer:
         site = "binder-ring" if windows.label == "binder" else "write-behind"
         self._supervise(
             task, lane, site, self._window_attempt,
-            (lane, windows, task, entries),
+            (lane, lane.channel, windows, task, entries),
             exhausted=lambda failure: self._fail_entries(
                 windows, task, entries,
                 _delegation_eio(failure, entries[0].name)),
         )
 
-    def _window_attempt(self, lane, windows, task, entries):
+    def _window_attempt(self, lane, channel, windows, task, entries):
         """One pass of a drained window: post, flush, reap, ledger.
+
+        ``channel`` is the lane's channel when the drain began.  A
+        reboot since then (a retry's, or one before the first pass)
+        re-binds the lane, and the window ends unrun: its entries name
+        remote descriptors and service instances of the dead container,
+        whose host stubs and ledger the reboot already dropped.
 
         The kinds differ only where ``binder`` is tested:
 
@@ -2023,6 +2037,8 @@ class AnceptionLayer:
           cancels the rest of its window;
         * the ring flag, the reap-loss site and the labels.
         """
+        if lane.channel is not channel:
+            return
         binder = windows.label == "binder"
         if binder:
             noun, flags = "binder", RING_FLAG_BINDER
@@ -2063,7 +2079,7 @@ class AnceptionLayer:
             # completions already sit in the shared pages, so it times
             # out and polls them back — it never re-submits (a replayed
             # call is not idempotent).
-            if not self.recovery.enabled:
+            if not self.recovery:
                 self._fail_entries(
                     windows, task, [entry for entry, _ in pendings],
                     SyscallError(errno.EIO, f"{noun} completions lost",
@@ -2071,8 +2087,7 @@ class AnceptionLayer:
                 )
                 return
             poll = f"{windows.label}-reap-poll"
-            clock.advance(self.recovery.signal_timeout_ns,
-                          f"anception:{poll}")
+            clock.advance(SIGNAL_TIMEOUT_NS, f"anception:{poll}")
             self._recovered(poll, f"{len(pendings)} completions", task=task,
                             kernel=self.host_kernel.label,
                             batch=len(pendings))
@@ -2248,8 +2263,8 @@ class AnceptionLayer:
         """Layer-wide summary; counters aggregate across every lane.
 
         One schema at every pool size: the top-level counters are
-        fleet-wide sums, ``pool`` holds placement and residency and
-        ``per_cvm`` the per-lane breakdown.  Disabled features report
+        fleet-wide sums, ``pool`` holds assignment and residency counts
+        and ``per_cvm`` the per-lane breakdown.  Disabled features report
         ``None``.  These component counters are the only count of each
         event; the metrics registry keeps just the span-fed ones.
         """

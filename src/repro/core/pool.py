@@ -6,8 +6,8 @@ or saturated CVM takes every enrolled app with it.  This module turns
 "the CVM" into "a routed transport": a :class:`CVMPool` owns N
 :class:`CVMLane` bundles — each a complete delegation stack (container,
 channel, ring pair, proxy manager, page cache, write-behind and binder
-windows, deferred-errno ledgers) — and a deterministic
-:class:`Placement` policy maps every enrolled task to exactly one lane.
+windows, deferred-errno ledgers) — and a hash of each enrolled task's
+launch uid maps it to exactly one lane.
 
 Design rules, all load-bearing for the ``cvms=1`` byte-identity pin:
 
@@ -16,9 +16,9 @@ Design rules, all load-bearing for the ``cvms=1`` byte-identity pin:
 * lane 0 keeps the classic ``"cvm"`` clock-lane name and guest kernel
   label, so every event, span, and error message a single-CVM world
   emits is byte-identical to the pre-pool layer;
-* placement is a pure function of ``(policy, seed, uid stream)`` —
-  crc32-based, never Python's randomized ``hash()`` — so the same apps
-  land on the same lanes on every run, including after a lane reboot;
+* placement is a pure function of the launch uid — crc32-based, never
+  Python's randomized ``hash()`` — so the same apps land on the same
+  lanes on every run, including after a lane reboot;
 * unassigned pids resolve to lane 0, preserving the legacy error paths
   (an unenrolled task still fails in ``proxy_for`` with the classic
   message, never in the pool).
@@ -80,91 +80,18 @@ class CVMLane:
         return f"CVMLane({self.name}, {state})"
 
 
-def _stable_bucket(seed, key, buckets):
-    """Deterministic, seed-stable hash bucket (never Python hash()).
+def _stable_bucket(uid, buckets):
+    """Deterministic hash bucket of a launch uid (never Python hash()).
 
-    crc32 alone is linear over GF(2): for equal-length keys, bumping
-    the seed prefix XORs every hash by the *same* delta, so adjacent
-    seeds could produce identical bucket maps.  The murmur3-style
-    finalizer below restores avalanche while staying a pure function
-    of ``(seed, key)``.
+    crc32 of the salted uid, then a murmur3-style finalizer.  The salt
+    string and the finalizer define the pinned lane map: every
+    multi-lane digest depends on which app lands where, so neither may
+    change.
     """
-    h = crc32(f"{seed}:{key}".encode())
+    h = crc32(f"0:uid:{uid}".encode())
     h = (h ^ (h >> 16)) * 0x85EBCA6B & 0xFFFFFFFF
     h = (h ^ (h >> 13)) * 0xC2B2AE35 & 0xFFFFFFFF
     return (h ^ (h >> 16)) % buckets
-
-
-class Placement:
-    """Deterministic task -> lane scheduler for the pool.
-
-    Policies (all pure functions of the enrollment stream, so a fixed
-    ``(apps, seed)`` pair reproduces the same lane map on every run):
-
-    * ``by-uid`` (default) — crc32 of the launch uid, salted with the
-      seed.  The same app always lands on the same lane; colocation is
-      uniform-random across seeds.
-    * ``by-trust-class`` — system-range uids (appId < 10000) pin to
-      lane 0 (the most-trusted domain, colocated with the legacy
-      default); app uids shard by assurance band (appId // 1000), so
-      apps in the same band share a fate domain.
-    * ``by-load`` — least-loaded lane at enrollment time (fewest
-      resident pids, lowest ``cvm_id`` tie-break).  Deterministic
-      because enrollment order is deterministic.
-    """
-
-    __snapshot__ = "auto"
-
-    POLICIES = ("by-uid", "by-trust-class", "by-load")
-
-    def __init__(self, policy="by-uid", seed=0):
-        if policy not in self.POLICIES:
-            known = ", ".join(self.POLICIES)
-            raise SimulationError(
-                f"unknown placement policy {policy!r} (known: {known})"
-            )
-        self.policy = policy
-        self.seed = seed
-
-    @classmethod
-    def parse(cls, value, seed=0):
-        """Coerce ``None`` / a policy string / a Placement instance."""
-        if value is None:
-            return cls(seed=seed)
-        if isinstance(value, cls):
-            return value
-        return cls(str(value), seed=seed)
-
-    @staticmethod
-    def _uid(task):
-        uid = getattr(task, "launch_uid", None)
-        if uid is None:
-            uid = task.credentials.uid
-        return uid
-
-    def lane_index(self, pool, task):
-        """The lane this task enrolls on (an index into pool.lanes)."""
-        buckets = len(pool.lanes)
-        if buckets == 1:
-            return 0
-        uid = self._uid(task)
-        if self.policy == "by-uid":
-            return _stable_bucket(self.seed, f"uid:{uid}", buckets)
-        if self.policy == "by-trust-class":
-            app_id = uid % 100_000
-            if app_id < 10_000:
-                return 0
-            band = app_id // 1000
-            return _stable_bucket(self.seed, f"class:{band}", buckets)
-        # by-load: fewest resident pids, lowest cvm_id wins ties
-        loads = pool.load_by_lane()
-        return min(range(buckets), key=lambda index: (loads[index], index))
-
-    def describe(self):
-        return {"policy": self.policy, "seed": self.seed}
-
-    def __repr__(self):
-        return f"Placement({self.policy!r}, seed={self.seed})"
 
 
 class CVMPool:
@@ -178,21 +105,17 @@ class CVMPool:
 
     __snapshot__ = "auto"
 
-    def __init__(self, clock, cvms=1, placement=None, seed=0):
+    def __init__(self, clock, cvms=1):
         if cvms < 1:
             raise SimulationError(f"a pool needs >= 1 CVM, got {cvms}")
         self.clock = clock
         self.lanes = [CVMLane(cvm_id) for cvm_id in range(cvms)]
-        self.placement = Placement.parse(placement, seed=seed)
         self._lane_by_pid = {}
         self.assignments = 0
         self.flaps = 0
         """Assignments diverted one lane over by ``pool.placement-flap``."""
         self.migrations = 0
         """Apps warm-moved between lanes by ``AnceptionLayer.migrate``."""
-        self.layer = None
-        """Backref to the owning :class:`AnceptionLayer`; set at boot so
-        pool-level entry points (``migrate``) can drive the protocol."""
 
     # -- lookup --------------------------------------------------------------
 
@@ -230,15 +153,20 @@ class CVMPool:
     # -- assignment ----------------------------------------------------------
 
     def assign(self, task):
-        """Place a newly enrolled task; returns its lane.
+        """Place a newly enrolled task by its launch uid; returns its lane.
 
-        The ``pool.placement-flap`` fault site diverts an assignment
-        one lane over (simulating a racing scheduler decision) — only
-        meaningful with >1 lane, so single-CVM chaos replays are
-        untouched.
+        The same uid always lands on the same lane, including after a
+        lane reboot.  The ``pool.placement-flap`` fault site diverts an
+        assignment one lane over (simulating a racing scheduler
+        decision) — only meaningful with >1 lane, so single-CVM chaos
+        replays are untouched.
         """
-        index = self.placement.lane_index(self, task)
+        index = 0
         if len(self.lanes) > 1:
+            uid = getattr(task, "launch_uid", None)
+            if uid is None:
+                uid = task.credentials.uid
+            index = _stable_bucket(uid, len(self.lanes))
             engine = maybe_engine(self.clock)
             if engine is not None and engine.pool_placement_flap(
                     call=task.name):
@@ -259,23 +187,6 @@ class CVMPool:
         self._lane_by_pid[pid] = lane
         self.migrations += 1
 
-    def migrate(self, pid, lane):
-        """Warm-move a resident pid's app to ``lane``; returns commit.
-
-        The pool-level entry to :meth:`AnceptionLayer.migrate`: the
-        app's full per-lane slice (open remote fds, private data tree,
-        still-pending write-behind windows, deferred-errno ledgers,
-        cached pages) travels with it.
-        """
-        if self.layer is None:
-            raise SimulationError("pool has no delegation layer attached")
-        task = self.layer.host_kernel.pids.get(pid)
-        if task is None:
-            raise SimulationError(f"no task with pid {pid}")
-        if not isinstance(lane, CVMLane):
-            lane = self.lane_by_id(int(lane))
-        return self.layer.migrate(task, lane)
-
     def release(self, pid):
         self._lane_by_pid.pop(pid, None)
 
@@ -284,7 +195,6 @@ class CVMPool:
     def stats(self):
         return {
             "cvms": len(self.lanes),
-            "placement": self.placement.describe(),
             "assignments": self.assignments,
             "flaps": self.flaps,
             "migrations": self.migrations,
@@ -300,5 +210,4 @@ class CVMPool:
         return iter(self.lanes)
 
     def __repr__(self):
-        return (f"CVMPool({len(self.lanes)} lanes, "
-                f"{self.placement.policy})")
+        return f"CVMPool({len(self.lanes)} lanes)"

@@ -1,19 +1,22 @@
-"""Recovery policy for the delegation path (DESIGN S-recovery).
+"""Recovery for the delegation path (DESIGN §6).
 
 The paper's resilience claim is that the CVM is *expendable*: it can
 crash, be rebooted, and have proxies re-bound without losing the app.
-:class:`RecoveryPolicy` is the knob set governing how far the Anception
-layer goes to honour that claim when a redirected call hits a
+``AnceptionLayer.recovery`` is one switch governing how far the layer
+goes to honour that claim when a redirected call hits a
 :class:`~repro.errors.DelegationError`:
 
-* **disabled** (the default) — infrastructure failures surface
-  immediately as EIO, exactly the pre-recovery behaviour the security
-  experiments depend on (a crashed CVM *stays* crashed so the exploit
-  outcome is observable);
-* **enabled** — bounded retry with linear backoff, proxy re-spawn,
-  container reboot with channel re-binding, and a paranoid optional
-  reboot-on-compromise.  Whatever happens, the app sees either a correct
-  result or a well-defined errno; never a hang, never simulator guts.
+* **off** (the default) — infrastructure failures surface immediately
+  as EIO, exactly the pre-recovery behaviour the security experiments
+  depend on (a crashed CVM *stays* crashed so the exploit outcome is
+  observable);
+* **on** — bounded retry with linear backoff, proxy re-spawn, and a
+  container reboot with channel re-binding on a crash or a compromise.
+  Whatever happens, the app sees either a correct result or a
+  well-defined errno; never a hang, never simulator guts.
+
+A lost doorbell is re-signalled (IRQ) or polled (hypercall) in both
+modes, with the same constants.
 """
 
 from __future__ import annotations
@@ -21,44 +24,24 @@ from __future__ import annotations
 from collections import deque
 
 
+MAX_RETRIES = 3
+"""Retries of one crossing before its failure becomes EIO."""
+
+BACKOFF_NS = 50_000
+"""Backoff unit: retry ``n`` waits ``n`` units first."""
+
+SIGNAL_RETRIES = 3
+"""Re-signals of a lost guest IRQ before the call stalls out."""
+
+SIGNAL_TIMEOUT_NS = 100_000
+"""The timeout before each IRQ re-signal or completion poll."""
+
+REBOOT_COST_NS = 250_000_000
+"""Simulated cost of rebooting one container."""
+
 RECOVERY_LOG_LIMIT = 512
 """Default bound on a :class:`RecoveryLog`: the layer keeps the most
 recent entries only.  Totals live in the logs' running totals."""
-
-class RecoveryPolicy:
-    """How the Anception layer reacts to delegation-layer failures."""
-
-    __snapshot__ = "auto"
-
-    def __init__(self, enabled=False, max_retries=3, backoff_ns=50_000,
-                 signal_retries=3, signal_timeout_ns=100_000,
-                 reboot_on_crash=True, respawn_proxies=True,
-                 reboot_on_compromise=False, reboot_cost_ns=250_000_000):
-        self.enabled = enabled
-        self.max_retries = max_retries
-        self.backoff_ns = backoff_ns
-        self.signal_retries = signal_retries
-        self.signal_timeout_ns = signal_timeout_ns
-        self.reboot_on_crash = reboot_on_crash
-        self.respawn_proxies = respawn_proxies
-        self.reboot_on_compromise = reboot_on_compromise
-        self.reboot_cost_ns = reboot_cost_ns
-
-    @classmethod
-    def chaos_default(cls):
-        """The policy the chaos harness runs under: everything on."""
-        return cls(enabled=True, reboot_on_compromise=True)
-
-    def backoff_for(self, attempt):
-        """Linear backoff: attempt 1 waits one unit, attempt 2 two, ..."""
-        return self.backoff_ns * max(1, attempt)
-
-    def __repr__(self):
-        state = "enabled" if self.enabled else "disabled"
-        return (
-            f"RecoveryPolicy({state}, max_retries={self.max_retries}, "
-            f"reboot_on_crash={self.reboot_on_crash})"
-        )
 
 
 class RecoveryLog:

@@ -1,12 +1,12 @@
 """The chaos harness: run a workload with faults armed, report exactly.
 
 ``run_chaos`` boots a fresh Anception world, arms a :class:`FaultEngine`
-on its clock, switches the Anception layer to the all-on recovery
-policy, and runs one of the traced workloads (or any callable) under
-trace-bus capture.  Because the whole stack is deterministic in
-simulated time, the resulting report — faults fired, recoveries taken,
-metrics, elapsed nanoseconds — serializes byte-identically for the same
-(workload, plan, seed) triple; CI diffs two runs to prove it.
+on its clock, switches the Anception layer's recovery on, and runs one
+of the traced workloads (or any callable) under trace-bus capture.
+Because the whole stack is deterministic in simulated time, the
+resulting report — faults fired, recoveries taken, metrics, elapsed
+nanoseconds — serializes byte-identically for the same (workload, plan,
+seed) triple; CI diffs two runs to prove it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 
 from repro.android.app import App, AppManifest
-from repro.core.recovery import RecoveryPolicy
 from repro.errors import SyscallError
 from repro.faults.engine import FaultEngine
 from repro.faults.plan import FaultPlan
@@ -86,7 +85,7 @@ def run_chaos(workload, seed=0, faults=None, recovery=True, observe=True,
     ``workload`` is a name from the traced-workload registry or any
     callable taking an app context.  ``faults`` is a plan string, a
     :class:`FaultPlan`, or ``None`` for :data:`DEFAULT_PLAN`.
-    ``recovery=False`` runs with the default (disabled) policy, which is
+    ``recovery=False`` runs with recovery off (the default), which is
     how the degradation guarantee — a well-defined errno, not a hang —
     is exercised.  ``knobs`` configure the fresh world (see
     :func:`~repro.obs.runner.boot_obs_world`); a fault site needs the
@@ -115,7 +114,7 @@ def run_chaos(workload, seed=0, faults=None, recovery=True, observe=True,
     world, ctx = warm_or_boot(world, ChaosApp(), **knobs)
     target = world if getattr(fn, "needs_world", False) else ctx
     if recovery:
-        world.anception.recovery = RecoveryPolicy.chaos_default()
+        world.anception.recovery = True
     engine = FaultEngine(plan, seed=seed)
     engine.arm(world.clock)
     status, error = "ok", None

@@ -46,20 +46,19 @@ DEFAULT_MIN_SPEEDUP = 1.5
 single-CVM number."""
 
 
-def _boot(cvms, placement):
+def _boot(cvms):
     # Window depths sized so the fleet's per-round bursts fill (and
     # therefore drain) mid-round: drains charged to each lane's overlap
     # cursor while the host keeps feeding the other lanes is where the
     # multi-CVM scaling comes from.  Fence-time drains would serialize.
-    return AnceptionWorld(cvms=cvms, placement=placement, read_cache=True,
+    return AnceptionWorld(cvms=cvms, read_cache=True,
                           async_delegation=True, write_behind_depth=8,
                           binder_ring=True, binder_ring_depth=4)
 
 
-def bench_pool_size(cvms, apps=DEFAULT_APPS, rounds=DEFAULT_ROUNDS,
-                    placement="by-uid"):
+def bench_pool_size(cvms, apps=DEFAULT_APPS, rounds=DEFAULT_ROUNDS):
     """One sweep point: the fleet against a ``cvms``-lane pool."""
-    world = _boot(cvms, placement)
+    world = _boot(cvms)
     sim0 = world.clock.now_ns
     summary = run_fleet(world, apps=apps, rounds=rounds)
     sim_ns = world.clock.now_ns - sim0
@@ -77,7 +76,7 @@ def bench_pool_size(cvms, apps=DEFAULT_APPS, rounds=DEFAULT_ROUNDS,
     }
 
 
-def crash_isolation_probe(apps=DEFAULT_APPS, placement="by-uid"):
+def crash_isolation_probe(apps=DEFAULT_APPS):
     """Kill 1 of 4 CVMs mid-fleet; report the blast radius.
 
     Launches the fleet on a 4-lane pool, panics the busiest lane's
@@ -85,7 +84,7 @@ def crash_isolation_probe(apps=DEFAULT_APPS, placement="by-uid"):
     victim-lane apps must fail with a well-defined errno, sibling-lane
     apps must read back exactly what they wrote.
     """
-    world = _boot(4, placement)
+    world = _boot(4)
     members = []
     for index in range(apps):
         running = world.install_and_launch(FleetApp(index))

@@ -2,7 +2,7 @@
 
 A single enrolled app exercises one lane of the delegation transport;
 the fleet exercises the *pool*: dozens of tiny apps (mixed file,
-binder, and fence traffic) enrolled through the placement policy and
+binder, and fence traffic) placed on lanes by their uid hash and
 driven round-robin.  The traffic shape is deliberately async-heavy —
 per-round write bursts stage into write-behind windows and binder
 oneways into batched binder windows, with fences only at the end — so
@@ -14,8 +14,8 @@ scaling curve.
 Everything is deterministic: app populations, per-app payloads, and the
 order of operations are pure functions of ``(apps, rounds, seed)``, and
 each app folds the bytes it reads back into a crc32 digest — the
-differential harnesses compare those digests across pool sizes and
-placements, where they must be identical (routing changes *where* work
+differential harnesses compare those digests across pool sizes, where
+they must be identical (routing changes *where* work
 runs, never *what* it computes).
 """
 

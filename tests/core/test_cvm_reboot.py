@@ -173,8 +173,8 @@ class TestCountersSurvive:
     def test_channel_counters_survive_migration(self):
         from repro.obs.runner import boot_obs_world
 
-        world, ctx = boot_obs_world(cvms=4, placement="by-uid",
-                                    read_cache=True, async_delegation=True)
+        world, ctx = boot_obs_world(cvms=4, read_cache=True,
+                                    async_delegation=True)
         ctx.libc.write_file(ctx.data_path("pre.bin"), b"x" * 5000)
         layer = world.anception
         source = layer._lane(ctx.libc.task)
@@ -236,7 +236,7 @@ class TestOneKernelBuild:
     @pytest.mark.parametrize("cvms", [1, 4])
     def test_vulnerability_installed_before_reboot_is_exploitable_after(
             self, cvms):
-        world = AnceptionWorld(cvms=cvms, placement="by-uid")
+        world = AnceptionWorld(cvms=cvms)
         exploit = RedirectedSyscallExploit("CVE-2012-2136", "sock-alloc",
                                            "sendto", 2012)
         exploit.prepare_world(world)

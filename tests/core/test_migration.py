@@ -1,4 +1,4 @@
-"""Warm migration: ``CVMPool.migrate`` moves an app between lanes.
+"""Warm migration: ``AnceptionLayer.migrate`` moves an app between lanes.
 
 The pin is differential, the same shape as restore≡boot: an app
 migrated mid-flight — with open remote fds, cached pages, and a
@@ -18,8 +18,8 @@ from repro.obs.runner import boot_obs_world
 
 
 def _boot():
-    return boot_obs_world(cvms=4, placement="by-uid", read_cache=True,
-                          async_delegation=True, binder_ring=True)
+    return boot_obs_world(cvms=4, read_cache=True, async_delegation=True,
+                          binder_ring=True)
 
 
 def _stage(ctx):
@@ -67,7 +67,7 @@ class TestMovedEqualsNeverMoved:
         assert pending > 0, "staging left no pending wb entry"
         target = _other_lane(layer, source)
 
-        assert layer.pool.migrate(task.pid, target) is True
+        assert layer.migrate(task, target) is True
         assert layer.pool.lane_for(task) is target
 
         # The pending window traveled intact, undrained.
@@ -97,7 +97,7 @@ class TestMovedEqualsNeverMoved:
 
         layer = world.anception
         source = layer._lane(libc.task)
-        layer.pool.migrate(libc.task.pid, _other_lane(layer, source))
+        layer.migrate(libc.task, _other_lane(layer, source))
 
         assert libc.read(fd, 3) == b"456"
         libc.close(fd)
@@ -118,7 +118,7 @@ class TestMovedEqualsNeverMoved:
         source.write_behind.errors[(libc.task.pid, fd)] = SyscallError(
             errno.EIO, "synthetic deferred error", call="write"
         )
-        layer.pool.migrate(libc.task.pid, _other_lane(layer, source))
+        layer.migrate(libc.task, _other_lane(layer, source))
         with pytest.raises(SyscallError) as excinfo:
             libc.close(fd)
         assert excinfo.value.errno == errno.EIO
@@ -149,7 +149,7 @@ class TestMigratedWindowDrainsAtLaneFence:
         assert _pending(source, task) == 1
         target = _other_lane(layer, source)
 
-        assert layer.pool.migrate(task.pid, target) is True
+        assert layer.migrate(task, target) is True
         assert _pending(target, task) == 1
         if first == "fsync":
             assert libc.fsync(fd) == 0
@@ -164,7 +164,7 @@ class TestCounters:
         layer = world.anception
         task = ctx.libc.task
         source = layer._lane(task)
-        layer.pool.migrate(task.pid, _other_lane(layer, source))
+        layer.migrate(task, _other_lane(layer, source))
         assert layer.pool.stats()["migrations"] == 1
 
     def test_migrate_accepts_int_target(self):
@@ -179,7 +179,7 @@ class TestCounters:
         world, ctx = _boot()
         layer = world.anception
         task = ctx.libc.task
-        assert layer.pool.migrate(task.pid, layer._lane(task)) is False
+        assert layer.migrate(task, layer._lane(task)) is False
         assert layer.pool.stats()["migrations"] == 0
 
     def test_migration_lands_in_the_recovery_log(self):
@@ -187,7 +187,7 @@ class TestCounters:
         layer = world.anception
         task = ctx.libc.task
         source = layer._lane(task)
-        layer.pool.migrate(task.pid, _other_lane(layer, source))
+        layer.migrate(task, _other_lane(layer, source))
         kinds = [entry[0] for entry in layer.recovery_log]
         assert "migrate" in kinds
 
@@ -195,8 +195,9 @@ class TestCounters:
 class TestRefusals:
     def test_unknown_pid_raises(self):
         world, _ctx = _boot()
-        with pytest.raises(SimulationError):
-            world.anception.pool.migrate(999_999, 0)
+        system_server = world.machine.kernel.pids.get(1)  # never enrolled
+        with pytest.raises(SimulationError, match="pid 1 not enrolled"):
+            world.anception.migrate(system_server, 1)
 
     def test_live_shm_attachment_skips_migration(self):
         world, ctx = _boot()
@@ -206,8 +207,7 @@ class TestRefusals:
         layer = world.anception
         task = libc.task
         source = layer._lane(task)
-        assert layer.pool.migrate(task.pid,
-                                  _other_lane(layer, source)) is False
+        assert layer.migrate(task, _other_lane(layer, source)) is False
         assert layer.pool.lane_for(task) is source
         assert layer.recovery_log[-1][0] == "migrate-skip"
         assert layer.pool.stats()["migrations"] == 0
@@ -230,8 +230,7 @@ class TestRefusals:
         layer = world.anception
         task = libc.task
         source = layer._lane(task)
-        assert layer.pool.migrate(task.pid,
-                                  _other_lane(layer, source)) is False
+        assert layer.migrate(task, _other_lane(layer, source)) is False
         assert layer.pool.lane_for(task) is source
         assert layer.recovery_log[-1][0] == "migrate-skip"
         assert "non-file" in layer.recovery_log[-1][1]
@@ -247,8 +246,7 @@ class TestRefusals:
         engine = FaultEngine("pool.migrate-loss:nth=1", seed=0)
         engine.arm(world.clock)
         try:
-            assert layer.pool.migrate(task.pid,
-                                      _other_lane(layer, source)) is False
+            assert layer.migrate(task, _other_lane(layer, source)) is False
         finally:
             engine.disarm()
         assert layer.pool.lane_for(task) is source
@@ -272,7 +270,7 @@ class TestRefusals:
         task = libc.task
         source = layer._lane(task)
         pending = _pending(source, task)
-        layer.pool.migrate(task.pid, _other_lane(layer, source))
+        layer.migrate(task, _other_lane(layer, source))
         assert _pending(source, task) == pending
         libc.shmdt(addr)
         # The staged write still drains at home: the B-run sits at 4096

@@ -3,15 +3,15 @@
 Companion to ``test_cvm_reboot.py``: that file proves a reboot *can*
 revive the container; this one proves the Anception layer reaches for it
 (and the cheaper recoveries) automatically when
-:class:`~repro.core.recovery.RecoveryPolicy` is enabled, and degrades to
-clean EIO when it is not.
+``AnceptionLayer.recovery`` is on, and degrades to clean EIO when it is
+off.
 """
 
 import errno
 
 import pytest
 
-from repro.core.recovery import RecoveryPolicy
+from repro.core.recovery import BACKOFF_NS, MAX_RETRIES, REBOOT_COST_NS
 from repro.errors import SyscallError
 from repro.faults.engine import FaultEngine
 from repro.kernel import vfs
@@ -25,7 +25,7 @@ from tests.conftest import ScratchApp
 
 @pytest.fixture
 def chaos_world(anception_world):
-    anception_world.anception.recovery = RecoveryPolicy.chaos_default()
+    anception_world.anception.recovery = True
     return anception_world
 
 
@@ -35,18 +35,27 @@ def arm(world, plan, seed=0):
 
 class TestPolicyKnobs:
     def test_default_is_disabled(self, anception_world):
-        assert not anception_world.anception.recovery.enabled
+        assert anception_world.anception.recovery is False
 
     def test_chaos_default_is_all_on(self):
-        policy = RecoveryPolicy.chaos_default()
-        assert policy.enabled
-        assert policy.reboot_on_crash
-        assert policy.respawn_proxies
-        assert policy.reboot_on_compromise
+        from repro.faults.chaos import run_chaos
 
-    def test_backoff_is_linear(self):
-        policy = RecoveryPolicy(backoff_ns=100)
-        assert [policy.backoff_for(n) for n in (1, 2, 3)] == [100, 200, 300]
+        result = run_chaos("getpid", seed=0, faults="")
+        assert result.world.anception.recovery is True
+
+    def test_backoff_is_linear(self, chaos_world, enrolled_ctx):
+        engine = arm(chaos_world, "channel.corrupt")  # every transfer
+        try:
+            with TraceBus.install(chaos_world.clock).capture() as capture:
+                with pytest.raises(SyscallError):
+                    enrolled_ctx.libc.stat(
+                        enrolled_ctx.data_path("seed.txt"))
+        finally:
+            engine.disarm()
+        backoffs = [ns for reason, ns in capture.charges()
+                    if reason == "anception:retry-backoff"]
+        assert backoffs == [BACKOFF_NS * n
+                            for n in range(1, MAX_RETRIES + 1)]
 
 
 class TestDisabledDegradation:
@@ -126,8 +135,7 @@ class TestAutomaticRecovery:
         assert "EIO" in str(exc.value)
         retries = [entry for entry in chaos_world.anception.recovery_log
                    if entry[0] == "retry"]
-        assert len(retries) == \
-            chaos_world.anception.recovery.max_retries
+        assert len(retries) == MAX_RETRIES
 
     def test_backoff_charged_between_attempts(self, chaos_world,
                                               enrolled_ctx):
@@ -180,8 +188,7 @@ class TestAutomaticRecovery:
                 enrolled_ctx.libc.close(fd)
         finally:
             engine.disarm()
-        assert window.elapsed_ns >= \
-            chaos_world.anception.recovery.reboot_cost_ns + 5_000_000
+        assert window.elapsed_ns >= REBOOT_COST_NS + 5_000_000
 
 
 class TestRebootRebinding:
@@ -320,8 +327,7 @@ CROSSINGS = [
 
 def _cross_under_irq_loss(world_kwargs, prepare, recovery):
     world = AnceptionWorld(**world_kwargs)
-    if recovery is not None:
-        world.anception.recovery = recovery
+    world.anception.recovery = recovery
     running = world.install_and_launch(ScratchApp())
     running.run()
     cross = prepare(running.ctx)
@@ -350,7 +356,7 @@ class TestOneSupervisor:
                              CROSSINGS)
     def test_recovery_off_ends_in_eio_without_retries(
             self, world_kwargs, site, prepare, deferred):
-        layer, error = _cross_under_irq_loss(world_kwargs, prepare, None)
+        layer, error = _cross_under_irq_loss(world_kwargs, prepare, False)
         _assert_supervised_eio(error, deferred)
         assert [action for action, _ in layer.recovery_log
                 if action == "retry"] == []
@@ -359,10 +365,9 @@ class TestOneSupervisor:
                              CROSSINGS)
     def test_chaos_default_retries_max_then_eio(
             self, world_kwargs, site, prepare, deferred):
-        policy = RecoveryPolicy.chaos_default()
-        layer, error = _cross_under_irq_loss(world_kwargs, prepare, policy)
+        layer, error = _cross_under_irq_loss(world_kwargs, prepare, True)
         _assert_supervised_eio(error, deferred)
         retries = [detail.split(":")[0] for action, detail
                    in layer.recovery_log if action == "retry"]
         assert retries == [f"{site} attempt {n}"
-                           for n in range(1, policy.max_retries + 1)]
+                           for n in range(1, MAX_RETRIES + 1)]

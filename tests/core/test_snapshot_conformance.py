@@ -103,8 +103,7 @@ _ERROR_ARGS = {
 
 def _worlds():
     full, _ctx = boot_obs_world(read_cache=True, async_delegation=True,
-                                binder_ring=True, cvms=4,
-                                placement="by-trust-class")
+                                binder_ring=True, cvms=4)
     run_traced("write4k", seed=0, world=full)
     return {
         "native": NativeWorld(),

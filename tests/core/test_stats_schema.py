@@ -1,12 +1,13 @@
-"""The ``stats()`` schema of the deferred windows is a fixed point.
+"""The ``stats()`` schema is a fixed point.
 
 The benchmark's component ratios, the bench JSON and the CLI summaries
-read ``stats()["write_behind"]``, ``stats()["binder_ring"]`` and the
-``per_cvm`` entries by key.  One fixed async + binder script, with a
-reorder, a drop and a write-behind error injected, must reproduce the
-dicts below exactly — values, keys and key order — at one CVM and at
-four; ``per_cvm`` is present at both.  They were captured on the two-copy window code that predates the
-shared deferred-window primitive.
+read ``stats()["write_behind"]``, ``stats()["binder_ring"]``, the
+``pool`` block and the ``per_cvm`` entries by key.  One fixed async +
+binder script, with a reorder, a drop and a write-behind error
+injected, must reproduce the dicts below exactly — values, keys and key
+order — at one CVM and at four; ``per_cvm`` is present at both.  The
+window dicts were captured on the two-copy window code that predates
+the shared deferred-window primitive.
 """
 
 import pytest
@@ -76,6 +77,30 @@ def _lane(busy):
 PER_CVM = {name: _lane(name == "cvm2")
            for name in ("cvm", "cvm1", "cvm2", "cvm3")}
 
+TOP_LEVEL = (
+    "decisions", "proxies", "blocked_calls", "killed_apps", "channel",
+    "read_cache", "write_behind", "binder_ring", "cvm_crashed",
+    "cvm_reboots", "recoveries", "pool", "per_cvm",
+)
+SCALARS = {
+    "decisions": {"redirect": 51, "host": 1, "split": 13},
+    "proxies": 1, "blocked_calls": 0, "killed_apps": 0,
+    "cvm_crashed": False, "cvm_reboots": 0, "recoveries": 0,
+}
+
+
+def _pool(residents):
+    return {
+        "cvms": len(residents), "assignments": 1, "flaps": 0,
+        "migrations": 0, "residents": residents,
+    }
+
+
+POOL = {
+    1: _pool({"cvm": 1}),
+    4: _pool({"cvm": 0, "cvm1": 0, "cvm2": 1, "cvm3": 0}),
+}
+
 
 def _ordered(value):
     """Nested dicts as (key, value) lists, so key order is compared."""
@@ -118,3 +143,12 @@ def test_window_stats_schema_is_pinned(cvms):
                 stats["per_cvm"]["cvm"][key])
     else:
         assert _ordered(stats["per_cvm"]) == _ordered(PER_CVM)
+
+
+@pytest.mark.parametrize("cvms", [1, 4])
+def test_top_level_and_pool_schema_is_pinned(cvms):
+    stats = _run_script(cvms)
+    assert tuple(stats) == TOP_LEVEL
+    assert _ordered({key: stats[key] for key in SCALARS}) == \
+        _ordered(SCALARS)
+    assert _ordered(stats["pool"]) == _ordered(POOL[cvms])

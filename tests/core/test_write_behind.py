@@ -270,7 +270,7 @@ class TestDeferredErrors:
             engine.disarm()
 
     def test_reap_loss_without_recovery_ledgers_eio(self, wb_world, wb_ctx):
-        wb_world.anception.recovery.enabled = False
+        wb_world.anception.recovery = False
         engine = _arm(wb_world, "wb.reap-loss:nth=1")
         try:
             fd = wb_ctx.libc.open(wb_ctx.data_path("lost.bin"), TRUNC)

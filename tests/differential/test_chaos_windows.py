@@ -12,7 +12,6 @@ script and compares outcomes and the final data tree with native.
 import pytest
 
 from repro.android.app import App, AppManifest
-from repro.core.recovery import RecoveryPolicy
 from repro.faults.engine import FaultEngine
 from repro.kernel import vfs
 from repro.world import AnceptionWorld, NativeWorld
@@ -58,7 +57,7 @@ def _run(world, plan=None):
     running.run()
     ctx = running.ctx
     if plan is not None:
-        world.anception.recovery = RecoveryPolicy.chaos_default()
+        world.anception.recovery = True
         FaultEngine(plan).arm(world.clock)
     outcomes = run_script(ctx, SCRIPT)
     anception = getattr(world, "anception", None)

@@ -1,5 +1,6 @@
 """The chaos harness end to end: survive the default plan, replay it."""
 
+import errno
 import json
 
 import pytest
@@ -174,29 +175,24 @@ class TestHarnessSurface:
 class TestOverlapRollbackUnderChaos:
     """A fault escaping a drain's overlap window never bills the lane.
 
-    ``cvm.crash`` striking inside a write-behind drain — with recovery
-    on but container reboots off — makes the retry loop's container
-    check raise *out of* the overlap window after the window already
-    charged backoff and partial transfers to the lane cursor.  The
-    rollback semantics (PR 9 bugfix) demand the lane watermark stay at
-    its pre-window value: no later fence may wait out phantom time, and
-    the whole faulted run must replay byte-identically.
+    With recovery off, a container that crashed after a write was
+    staged makes the drain's container check raise EIO *out of* the
+    overlap window.  The window must close on the way out (no later
+    host charge may land on the lane cursor), the lane watermark must
+    stay at its pre-window value (no later fence may wait out phantom
+    time), and the whole faulted run must replay byte-identically.
+    The clock-level rollback of charges made before such a raise is
+    pinned by the ``overlap_raise`` rule in
+    ``tests/properties/test_dormant_props.py``.
     """
 
     @staticmethod
     def _run_once():
-        from repro.core.recovery import RecoveryPolicy
         from repro.errors import SyscallError
-        from repro.faults.chaos import ChaosApp
-        from repro.faults.engine import FaultEngine
-        from repro.faults.plan import FaultPlan
         from repro.kernel import vfs
-        from repro.world import AnceptionWorld
+        from repro.kernel.kernel import KernelCrashed
 
         world = AnceptionWorld(async_delegation=True)
-        world.anception.recovery = RecoveryPolicy(
-            enabled=True, reboot_on_crash=False, respawn_proxies=False,
-        )
         running = world.install_and_launch(ChaosApp())
         running.run()
         ctx = running.ctx
@@ -208,17 +204,14 @@ class TestOverlapRollbackUnderChaos:
         clock = world.clock
         lane = world.anception.cvm.lane
         backlog_before = clock.lane_backlog_ns(lane)
-        engine = FaultEngine(
-            FaultPlan.parse("cvm.crash:nth=1:call=write"), seed=0
-        )
-        engine.arm(clock)
+        with pytest.raises(KernelCrashed):
+            world.anception.cvm.kernel.panic("crash under a staged write")
         error = None
         try:
-            ctx.libc.fsync(fd)  # fence -> drain -> crash mid-window
+            ctx.libc.fsync(fd)  # fence -> drain -> raise mid-window
         except SyscallError as exc:
             error = exc.errno
-        finally:
-            engine.disarm()
+        clock.advance(1_000, "test:host-work")
         return {
             "errno": error,
             "backlog_before": backlog_before,
@@ -229,9 +222,42 @@ class TestOverlapRollbackUnderChaos:
 
     def test_lane_rolls_back_to_pre_window_watermark(self):
         result = self._run_once()
-        assert result["errno"] is not None  # the fault surfaced as EIO
+        assert result["errno"] == errno.EIO  # the fault surfaced as EIO
         assert result["backlog_after"] == result["backlog_before"] == 0
         assert result["fence_wait_ns"] == 0  # no phantom time to wait out
 
     def test_faulted_drain_replays_byte_identical(self):
         assert self._run_once() == self._run_once()
+
+
+class TestRebootDropsTheDrainedWindow:
+    """A reboot mid-drain ends the drained window with its container.
+
+    ``cvm.crash`` striking inside a write-behind drain reboots the
+    lane, which drops every survivor's remote fd stub and clears the
+    deferred-errno ledger.  The drained entries in hand name remote
+    descriptors of the dead container, so the retry must not re-run
+    them: re-running ledgers EBADF under a host fd number that is free
+    again, and the next file opened at that number fails its first
+    ``fsync`` although every write to it succeeded.
+    """
+
+    PLAN = "channel.corrupt:nth=3;cvm.crash:nth=9"
+
+    @pytest.mark.parametrize("cvms", [1, 4])
+    def test_no_stale_errno_reaches_a_reused_fd(self, cvms):
+        from repro.kernel import vfs
+
+        result = run_chaos("writeburst", seed=7, faults=self.PLAN,
+                           async_delegation=True, cvms=cvms)
+        assert result.stats["cvm_reboots"] == 1
+        world = result.world
+        ctx = world.zygote.launched[-1].ctx
+        lane = world.anception._lane(ctx.libc.task)
+        assert ctx.libc.task.fd_table == {}
+        assert lane.write_behind.errors_for(ctx.libc.task.pid) == {}
+        fd = ctx.libc.open(ctx.data_path("fresh.bin"),
+                           vfs.O_RDWR | vfs.O_CREAT | vfs.O_TRUNC)
+        assert fd == 3  # the number the dropped descriptor held
+        assert ctx.libc.write(fd, b"x" * 10) == 10
+        assert ctx.libc.fsync(fd) == 0

@@ -84,7 +84,7 @@ class TestMechanics:
         assert set(summary) == {"native", "anception"}
 
 
-FOUR_LANES = dict(cvms=4, placement="by-uid")
+FOUR_LANES = dict(cvms=4)
 ALL_ON = dict(read_cache=True, async_delegation=True, binder_ring=True)
 
 

@@ -128,7 +128,7 @@ class TestCli:
             "ring_depth": 16, "read_cache": True, "cache_pages": 64,
             "async_delegation": False, "write_behind_depth": None,
             "binder_ring": True, "binder_ring_depth": None,
-            "cvms": 1, "placement": None,
+            "cvms": 1,
         }
         params = inspect.signature(AnceptionLayer).parameters.values()
         layer_knobs = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
