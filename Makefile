@@ -27,12 +27,12 @@ frames:
 	PYTHONPATH=src $(PYTHON) -m tests.perf.test_sqlite_row_budget
 
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/exploit_walkthrough.py
-	$(PYTHON) examples/security_study.py
-	$(PYTHON) examples/secure_storage.py
-	$(PYTHON) examples/media_pipeline.py
-	$(PYTHON) examples/reproduce_paper.py
+	PYTHONPATH=src $(PYTHON) examples/quickstart.py
+	PYTHONPATH=src $(PYTHON) examples/exploit_walkthrough.py
+	PYTHONPATH=src $(PYTHON) examples/security_study.py
+	PYTHONPATH=src $(PYTHON) examples/secure_storage.py
+	PYTHONPATH=src $(PYTHON) examples/media_pipeline.py
+	PYTHONPATH=src $(PYTHON) examples/reproduce_paper.py
 
 all-experiments:
 	$(PYTHON) -m repro.cli all

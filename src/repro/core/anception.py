@@ -36,7 +36,7 @@ from repro.core.marshal import (
 )
 from repro.core.page_cache import HostPageCache
 from repro.core.policy import Decision, RedirectionPolicy
-from repro.core.pool import CVMLane, CVMPool
+from repro.core.pool import CVMPool
 from repro.core.proxy import ProxyManager
 from repro.core.recovery import (
     BACKOFF_NS,
@@ -104,7 +104,7 @@ class PendingCall:
 
 
 class DelegationBatch:
-    """An open batch window: deferrable calls queue, exit flushes.
+    """An open batch window: deferrable calls queue, its end flushes.
 
     Only ``write``/``pwrite64`` with no keyword arguments defer (their
     results are byte counts known up front); consecutive plain writes
@@ -121,8 +121,6 @@ class DelegationBatch:
         self.layer = layer
         self.task = task
         self._entries = []
-        self.calls_enqueued = 0
-        self.calls_coalesced = 0
 
     def accepts(self, task, name, kwargs):
         return (
@@ -134,13 +132,11 @@ class DelegationBatch:
 
     def add(self, task, name, args):
         """Queue one deferrable call, returning its optimistic result."""
-        self.calls_enqueued += 1
         if name == "write":
             fd, data = args[0], bytes(args[1])
             last = self._entries[-1] if self._entries else None
             if last is not None and last[0] == "write" and last[1] == fd:
                 last[2].append(data)
-                self.calls_coalesced += 1
             else:
                 self._entries.append(["write", fd, [data]])
             return len(data)
@@ -151,8 +147,8 @@ class DelegationBatch:
     def flush(self):
         """Forward everything queued behind one doorbell pair.
 
-        A queued write that fails raises here (or at window exit) with
-        its real errno — the price of the optimistic early return.
+        A queued write that fails raises here (or at the window's end)
+        with its real errno — the price of the optimistic early return.
         """
         if not self._entries:
             return
@@ -168,20 +164,6 @@ class DelegationBatch:
             task, lane, "batch", layer._round_trip,
             (task, lane, calls, "batch", f"batch:{len(calls)}", len(calls)),
         )
-
-    def __enter__(self):
-        if self.layer._batch is not None:
-            raise SimulationError("delegation batch windows do not nest")
-        self.layer._batch = self
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.layer._batch = None
-        if exc_type is None:
-            self.flush()
-        else:
-            self._entries = []
-        return False
 
 
 WRITE_BEHIND_DEPTH = BINDER_RING_DEPTH = WINDOW_DEPTH
@@ -1230,8 +1212,10 @@ class AnceptionLayer:
     _split_fcntl64 = _split_fcntl
 
     def _split_ioctl(self, task, table, fd, request, arg=None):
-        if fd in table._host_to_proxy:
-            return self._redirect(task, "ioctl", (fd, request, arg), {})
+        proxy_fd = table._host_to_proxy.get(fd)
+        if proxy_fd is not None:
+            return self._redirect(task, "ioctl", (fd, request, arg), {},
+                                  translated=(proxy_fd, request, arg))
         # Host fd: binder traffic gets the UI inspection
         # (binder.is_ui_transaction and policy.binder_target_is_app,
         # inlined: this is the path of every UI frame and app-to-app
@@ -1557,104 +1541,8 @@ class AnceptionLayer:
         return len(survivors)
 
     # ------------------------------------------------------------------
-    # warm migration (slice-based move, pending windows intact)
-    # ------------------------------------------------------------------
-
-    def migrate(self, task, target):
-        """Move an enrolled app to ``target`` with its state intact.
-
-        The only way an app changes lanes.  ``migrate`` is the per-app
-        cut of the world serializer: :func:`~repro.core.snapshot.app_slice`
-        captures the app's whole lane-held delegation bundle — open
-        remote fds with offsets, the private data tree, *still-pending*
-        write-behind window entries, both deferred-errno ledgers, cached
-        pages in LRU recency order — and
-        :func:`~repro.core.snapshot.apply_app_slice` re-materializes it
-        on the target.  The move is invisible to the app: staged windows
-        still drain at its next fence, warm reads stay warm.
-
-        Pending binder transactions do drain first — their window
-        entries hold live Transaction objects bound to source-container
-        services and cannot be re-targeted.  Returns ``True`` on a
-        committed move; same-lane moves are a no-op ``False`` and apps
-        whose lane state cannot be sliced (non-file CVM fds, live SysV
-        shm attachments) are skipped with a ``("migrate-skip", …)``
-        recovery-log entry.  The ``pool.migrate-loss`` fault site aborts
-        the move after the slice is taken but before the source lane is
-        torn down (``("migrate-abort", …)``): the app stays intact on
-        its source lane.
-        """
-        from repro.core.snapshot import (
-            AppSliceError, app_slice, apply_app_slice,
-        )
-
-        if not isinstance(target, CVMLane):
-            target = self.pool.lane_by_id(int(target))
-        source = self._lane(task)
-        if target is source:
-            return False
-        if source.binder_ring is not None:
-            self._drain(source, source.binder_ring, task, "migrate")
-        self.machine.clock.wait_for(source.cvm.lane, "anception:migrate")
-        try:
-            slice_ = app_slice(self, task)
-        except AppSliceError as exc:
-            self._recovered("migrate-skip", str(exc), task=task,
-                            kernel=self.host_kernel.label,
-                            source=source.name, target=target.name)
-            return False
-        pid = task.pid
-        engine = self.machine.clock.faults
-        if engine is not None and engine.pool_migrate_loss(call=task.name):
-            self._recovered("migrate-abort",
-                            f"pid {pid} {source.name}->{target.name}",
-                            task=task, kernel=self.host_kernel.label,
-                            source=source.name, target=target.name)
-            return False
-        # Source teardown: the slice carries everything the app needs,
-        # so the source lane forgets the pid entirely — its windows, its
-        # ledger entries, its proxy, its cached pages.
-        for windows in (source.write_behind, source.binder_ring):
-            if windows is not None:
-                windows.forget(pid)
-        source.proxies.remove_proxy(task)
-        if source.page_cache is not None:
-            prefix = task.cwd.rstrip("/") + "/"
-            stale = sorted(
-                path for path in source.cache_paths
-                if path == task.cwd or path.startswith(prefix)
-            )
-            for path in stale:
-                source.page_cache.invalidate_ino(
-                    source.cache_paths.pop(path)
-                )
-        apply_app_slice(self, task, slice_, target)
-        self.pool.record_migration(pid, target)
-        self._recovered("migrate", f"pid {pid} {source.name}->{target.name}",
-                        task=task, kernel=self.host_kernel.label,
-                        source=source.name, target=target.name,
-                        fds=len(slice_["fds"]),
-                        wb=len(slice_["wb_entries"]),
-                        pages=sum(len(c["pages"]) for c in slice_["cache"]))
-        return True
-
-    # ------------------------------------------------------------------
     # explicit batch windows (opt-in syscall batching)
     # ------------------------------------------------------------------
-
-    def batch(self, task):
-        """Open an explicit batch window for ``task``.
-
-        Inside ``with layer.batch(task):`` deferrable calls (``write``,
-        ``pwrite64``) queue instead of forwarding; consecutive writes to
-        the same fd coalesce into one descriptor; the window's exit
-        flushes everything behind a single doorbell pair.  Deferred
-        writes complete *optimistically* (the byte count returns
-        immediately); a failure surfaces at flush as the usual typed
-        errno.  The crypto filesystem disables deferral — its transform
-        needs the live proxy-side file offset per call.
-        """
-        return DelegationBatch(self, task)
 
     def run_batch(self, task, calls):
         """Run ``calls`` — ``(name, *args)`` tuples — under one window.
@@ -1662,13 +1550,23 @@ class AnceptionLayer:
         The kernel-facing entry for the opt-in batched dispatch path
         (``libc.syscall_batch``): every call goes through the normal
         alternate-table dispatch, so host/block/split decisions apply
-        unchanged; only redirected deferrable calls actually batch.
+        unchanged; only redirected deferrable calls (``write``,
+        ``pwrite64``) queue, consecutive writes to the same fd coalesce
+        into one descriptor, and the window's end flushes everything
+        behind a single doorbell pair.  Deferred writes complete
+        *optimistically* (the byte count returns immediately); a
+        failure surfaces at the flush as the usual typed errno.  A call
+        that raises ends the window with its queue dropped.  The crypto
+        filesystem disables deferral — its transform needs the live
+        proxy-side file offset per call.
         """
-        results = []
-        with self.batch(task):
-            for call in calls:
-                name, rest = call[0], tuple(call[1:])
-                results.append(self.host_kernel.syscall(task, name, *rest))
+        batch = self._batch = DelegationBatch(self, task)
+        try:
+            results = [self.host_kernel.syscall(task, call[0], *call[1:])
+                       for call in calls]
+        finally:
+            self._batch = None
+        batch.flush()
         return results
 
     # ------------------------------------------------------------------
@@ -2200,10 +2098,9 @@ class AnceptionLayer:
             for maps in (self._file_mappings, lane.shm_attach_map):
                 for key in [key for key in maps if key[0] == pid]:
                     del maps[key]
-            for each in self.pool.lanes:
-                for windows in (each.write_behind, each.binder_ring):
-                    if windows is not None:
-                        windows.forget(pid)
+            for windows in (lane.write_behind, lane.binder_ring):
+                if windows is not None:
+                    windows.forget(pid)
             lane.proxies.forget(task)
             self.pool.release(pid)
 

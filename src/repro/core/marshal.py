@@ -14,25 +14,11 @@ serves two purposes:
 
 from __future__ import annotations
 
-from repro.errors import SimulationError
+import errno
 
+from repro.core.policy import FD_CALLS, FD_PAIR_CALLS
+from repro.errors import SimulationError, SyscallError
 
-FD_FIRST_CALLS = frozenset({
-    "read", "write", "readv", "writev", "pread64", "pwrite64",
-    "lseek", "_llseek", "fstat", "fstat64", "fsync", "fdatasync",
-    "ftruncate", "ftruncate64", "fchmod", "fchown", "fchown32",
-    "flock", "fallocate", "getdents", "getdents64", "send",
-    "sendto", "recv", "recvfrom", "ioctl", "close", "connect",
-    "bind", "listen", "accept", "shutdown", "getsockname",
-    "getpeername", "setsockopt", "getsockopt",
-})
-"""Redirected calls whose first argument is a file descriptor and must
-be rewritten into the proxy's fd space.  Module-level so the syscall
-conformance suite can assert coverage (a redirect-class fd call missing
-here would silently ship host fd numbers to the CVM)."""
-
-FD_PAIR_CALLS = frozenset({"sendfile"})
-"""Calls translating two leading descriptors."""
 
 FD_ALLOCATING_CALLS = frozenset({"open", "socket", "accept", "pipe"})
 """Redirected calls whose result names new proxy descriptors, which the
@@ -248,24 +234,32 @@ class FdTranslationTable:
         return set(self._host_to_proxy)
 
     def translate_args(self, name, args):
-        """Rewrite leading fd arguments into the proxy's fd space."""
+        """Rewrite leading fd arguments into the proxy's fd space.
+
+        The policy only redirects a call whose fds are all bound here,
+        so an fd that is not names a descriptor a lane reboot dropped
+        since: it fails with EBADF on the host, and the call does not
+        cross.
+        """
         if not args:
             return args
-        if name in FD_FIRST_CALLS:
-            fd = args[0]
-            proxy_fd = (self._host_to_proxy.get(fd)
-                        if isinstance(fd, int) else None)
+        table = self._host_to_proxy
+        if name in FD_CALLS:
+            proxy_fd = table.get(args[0])
             if proxy_fd is None:
-                return args
+                raise _dropped_fd(name, args[0])
             return (proxy_fd,) + tuple(args[1:])
         if name in FD_PAIR_CALLS:
             out_fd, in_fd, *rest = args
-            if out_fd in self:
-                out_fd = self.to_proxy(out_fd)
-            if in_fd in self:
-                in_fd = self.to_proxy(in_fd)
-            return (out_fd, in_fd, *rest)
+            for fd in (out_fd, in_fd):
+                if fd not in table:
+                    raise _dropped_fd(name, fd)
+            return (table[out_fd], table[in_fd], *rest)
         return args
+
+
+def _dropped_fd(name, fd):
+    return SyscallError(errno.EBADF, f"fd {fd}", call=name)
 
 
 class RemoteFdStub:

@@ -259,38 +259,6 @@ class HostPageCache:
         self._sizes.clear()
         return dropped
 
-    # -- migration ---------------------------------------------------------
-
-    def export_inos(self, inos):
-        """Serialize the given inodes' cached state for a warm migration.
-
-        Returns ``[(ino, [(page_index, content), ...], size), ...]`` for
-        every requested ino whose size is known, with each ino's pages
-        in their current LRU recency order (least-recent first) so the
-        importing cache can replay the same eviction priority.
-        """
-        wanted = set(inos)
-        by_ino = {}
-        for (ino, index), page in self._pages.items():
-            if ino in wanted:
-                by_ino.setdefault(ino, []).append((index, page))
-        return [(ino, by_ino.get(ino, []), self._sizes[ino])
-                for ino in inos if ino in self._sizes]
-
-    def import_ino(self, ino, size, pages):
-        """Adopt exported pages under this cache's (new) inode number.
-
-        The inverse of :meth:`export_inos`, run on the migration target:
-        pages arrive in their source recency order and are stored as the
-        most-recent entries here (the app is mid-move; its working set
-        is hot by definition).  Adoption is not a fill — the fill/
-        read-ahead counters describe ring traffic, which a host-mediated
-        migration never generates.
-        """
-        self._sizes[ino] = size
-        for index, content in pages:
-            self._store(ino, index, content)
-
     # -- stats -------------------------------------------------------------
 
     def stats(self):

@@ -3,9 +3,9 @@
 Given one system call from an RE-flagged task, decide where it runs:
 
 * **HOST** — process control, signals, memory management; plus any
-  fd-based call whose descriptor is a host resource (the binder fd, a
-  /system file); plus opens of read-only code (``/system``, ``/data/app``,
-  the task's own ``/proc/self/exe``).
+  fd-based call whose descriptor is not a CVM resource (the binder fd,
+  a /system file, a closed fd); plus opens of read-only code
+  (``/system``, ``/data/app``, the task's own ``/proc/self/exe``).
 * **REDIRECT** — file, network and IPC calls, opens of everything else
   (app data, devices, procfs), and fd-based calls on CVM resources.
 * **SPLIT** — fork/exec/mmap/close/dup and ioctl, which need work on both
@@ -20,9 +20,11 @@ inspection) that the paper implements in the host kernel module.
 from __future__ import annotations
 
 import enum
+import errno
 import posixpath
 
 from repro.android.binder import Transaction
+from repro.errors import SyscallError
 from repro.kernel.syscalls import CATALOGUE, SyscallClass
 
 
@@ -40,8 +42,19 @@ HOST_DEVICES = ("/dev/binder",)
 FD_CALLS = frozenset({
     "read", "write", "readv", "writev", "pread64", "pwrite64", "lseek",
     "_llseek", "fstat", "fstat64", "fsync", "fdatasync", "ftruncate",
-    "send", "sendto", "recv", "recvfrom",
+    "ftruncate64", "fallocate", "flock", "fchmod", "fchown", "fchown32",
+    "getdents64", "send", "sendto", "recv", "recvfrom", "connect",
+    "bind", "listen", "accept", "shutdown", "getsockname", "getpeername",
+    "setsockopt", "getsockopt",
 })
+"""Redirect-class calls whose first argument is a descriptor.  The one
+list both fd decisions read: the call runs where that descriptor lives
+(a host or closed fd stays on the host), and a redirected call has it
+rewritten into the proxy's fd space
+(:meth:`~repro.core.marshal.FdTranslationTable.translate_args`)."""
+
+FD_PAIR_CALLS = frozenset({"sendfile"})
+"""Calls taking two leading descriptors, routed by both."""
 
 PATH_CALLS = frozenset({
     "open", "openat", "creat", "stat", "stat64", "lstat", "lstat64",
@@ -66,6 +79,8 @@ BY_PATH = "by-path"
 """Route refinement: decided by the call's path argument."""
 BY_FD = "by-fd"
 """Route refinement: decided by the locality of the call's fd argument."""
+BY_FD_PAIR = "by-fd-pair"
+"""Route refinement: decided by the locality of both fd arguments."""
 
 
 def _route(name, file_io_on_host):
@@ -86,6 +101,8 @@ def _route(name, file_io_on_host):
         return BY_PATH
     if name in FD_CALLS:
         return BY_FD
+    if name in FD_PAIR_CALLS:
+        return BY_FD_PAIR
     return Decision.REDIRECT
 
 
@@ -95,14 +112,39 @@ def _build_routes(file_io_on_host):
 
 ROUTES = _build_routes(False)
 """The alternate syscall table: call name -> :class:`Decision`, or the
-refinement (:data:`BY_PATH`, :data:`BY_FD`) that still reads the call's
-arguments.  Names absent from it are redirected (the fail-safe)."""
+refinement (:data:`BY_PATH`, :data:`BY_FD`, :data:`BY_FD_PAIR`) that
+still reads the call's arguments.  Names absent from it are redirected
+(the fail-safe)."""
 ROUTES_FILE_IO_ON_HOST = _build_routes(True)
 """The same table under the ``file_io_on_host`` ablation."""
 
 _HOST, _REDIRECT = Decision.HOST, Decision.REDIRECT
 """Enum member lookups are attribute-descriptor calls; :meth:`decide`
 reads these plain globals instead."""
+
+
+def _route_fd_pair(task, name, args, remote_fds):
+    """Route a two-fd call: both on the host, or both in the CVM.
+
+    One kernel cannot serve a pair split across the two: that call
+    fails with EXDEV, naming both fds, and a closed fd in the pair
+    fails with EBADF as it would natively.  Too few arguments take the
+    fail-safe, as a bare fd call's do.
+    """
+    if len(args) < 2:
+        return _REDIRECT
+    out_fd, in_fd = args[0], args[1]
+    out_remote = out_fd in remote_fds
+    if out_remote == (in_fd in remote_fds):
+        return _REDIRECT if out_remote else _HOST
+    host_fd = in_fd if out_remote else out_fd
+    if host_fd not in task.fd_table:
+        raise SyscallError(errno.EBADF, f"fd {host_fd}", call=name)
+    raise SyscallError(
+        errno.EXDEV,
+        f"fd {out_fd} and fd {in_fd} live in different kernels",
+        call=name,
+    )
 
 
 class RedirectionPolicy:
@@ -126,6 +168,8 @@ class RedirectionPolicy:
             return self._route_open(task, args[0] if args else "")
         if route is BY_FD:
             return _HOST if args and args[0] not in remote_fds else _REDIRECT
+        if route is BY_FD_PAIR:
+            return _route_fd_pair(task, name, args, remote_fds)
         return route
 
     # -- path routing --------------------------------------------------------------

@@ -114,8 +114,6 @@ class CVMPool:
         self.assignments = 0
         self.flaps = 0
         """Assignments diverted one lane over by ``pool.placement-flap``."""
-        self.migrations = 0
-        """Apps warm-moved between lanes by ``AnceptionLayer.migrate``."""
 
     # -- lookup --------------------------------------------------------------
 
@@ -131,12 +129,6 @@ class CVMPool:
         "not enrolled (no proxy)" message, never a pool error.
         """
         return self._lane_by_pid.get(task.pid, self.lanes[0])
-
-    def lane_by_id(self, cvm_id):
-        for lane in self.lanes:
-            if lane.cvm_id == cvm_id:
-                return lane
-        raise SimulationError(f"no CVM lane with id {cvm_id}")
 
     def pids_on(self, lane):
         """Resident pids of one lane, in deterministic order."""
@@ -182,11 +174,6 @@ class CVMPool:
         self._lane_by_pid[task.pid] = lane
         return lane
 
-    def record_migration(self, pid, lane):
-        """Re-home a pid (the warm-migration commit point)."""
-        self._lane_by_pid[pid] = lane
-        self.migrations += 1
-
     def release(self, pid):
         self._lane_by_pid.pop(pid, None)
 
@@ -197,7 +184,6 @@ class CVMPool:
             "cvms": len(self.lanes),
             "assignments": self.assignments,
             "flaps": self.flaps,
-            "migrations": self.migrations,
             "residents": {
                 lane.name: len(self.pids_on(lane)) for lane in self.lanes
             },

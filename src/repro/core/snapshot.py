@@ -45,12 +45,6 @@ is complete and deterministic; ``"custom"`` — the class implements
 documented exemption in :data:`SNAPSHOT_EXEMPT`.  An unaudited class
 fails the snapshot with the missing names, mirroring the
 syscall-conformance suite's to-do-list-style failures.
-
-The same machinery serves warm migration: :func:`app_slice` serializes
-one enrolled app's lane-held delegation state (open remote fds, cached
-pages, pending write-behind windows, deferred-errno ledgers, private
-data tree) and :func:`apply_app_slice` re-materializes it on another
-lane — the pool's ``migrate`` path.
 """
 
 from __future__ import annotations
@@ -68,7 +62,7 @@ from repro.errors import SnapshotError
 
 
 SNAPSHOT_MAGIC = b"ANCSNAP1"
-SNAPSHOT_VERSION = 18
+SNAPSHOT_VERSION = 19
 _HEADER = struct.Struct("<8sHHQ32s")
 _PICKLE_PROTOCOL = 4
 """Pinned pickle protocol: the blob format is versioned, so the
@@ -462,201 +456,3 @@ def world_digest(world):
         h.update(repr(sorted(anception.fd_tables)).encode())
     return h.hexdigest()
 
-
-# ---------------------------------------------------------------------------
-# per-app slices (warm migration)
-# ---------------------------------------------------------------------------
-
-class AppSliceError(SnapshotError):
-    """The app's lane-held state cannot be sliced for migration
-    (non-file remote descriptors, live SysV shm attachments)."""
-
-
-def app_slice(layer, task):
-    """Serialize one enrolled app's lane-held delegation state.
-
-    The slice is the per-app cut of the world serializer: everything the
-    owning lane holds *for this pid* — remote fd descriptors (path,
-    flags, offset), the private ``/data/data`` tree, pending
-    write-behind window entries (staged, not drained), both
-    deferred-errno ledgers, and the app's cached pages in LRU recency
-    order.  Raises :class:`AppSliceError` for apps whose lane state
-    cannot be transparently re-materialized elsewhere (non-file remote
-    fds, live shm attachments).
-    """
-    from repro.kernel.vfs import InodeKind
-
-    lane = layer._lane(task)
-    pid = task.pid
-    table = layer._fd_table(task)
-    proxy = lane.proxies.proxy_for(task)
-
-    if any(key[0] == pid for key in lane.shm_attach_map):
-        raise AppSliceError(
-            f"pid {pid} holds live SysV shm attachments on {lane.name}"
-        )
-    fds = []
-    for host_fd in sorted(table.remote_fds()):
-        desc = proxy.guest_task.fd_table.get(table.to_proxy(host_fd))
-        inode = getattr(desc, "inode", None)
-        if inode is None or inode.kind is not InodeKind.FILE:
-            raise AppSliceError(
-                f"pid {pid} holds non-file CVM fd {host_fd} on {lane.name}"
-            )
-        fds.append({
-            "host_fd": host_fd,
-            "path": desc.path,
-            "flags": desc.flags,
-            "offset": desc.offset,
-        })
-
-    tree = _app_tree(lane, task)
-
-    wb_entries = []
-    wb_errors = {}
-    if lane.write_behind is not None:
-        window = lane.write_behind.windows.get(pid)
-        if window is not None:
-            wb_entries = [
-                {"name": entry.name, "args": entry.args,
-                 "result": entry.result}
-                for entry in window.entries
-            ]
-        wb_errors = lane.write_behind.errors_for(pid)
-    binder_errors = {}
-    if lane.binder_ring is not None:
-        binder_errors = lane.binder_ring.errors_for(pid)
-
-    cache = []
-    if lane.page_cache is not None:
-        prefix = task.cwd.rstrip("/") + "/"
-        app_paths = {
-            ino: path for path, ino in lane.cache_paths.items()
-            if path == task.cwd or path.startswith(prefix)
-        }
-        for ino, pages, size in lane.page_cache.export_inos(
-                sorted(app_paths)):
-            cache.append({
-                "path": app_paths[ino],
-                "size": size,
-                "pages": pages,
-            })
-
-    return {
-        "pid": pid,
-        "uid": task.credentials.uid,
-        "cwd": task.cwd,
-        "source_lane": lane.cvm_id,
-        "fds": fds,
-        "tree": tree,
-        "wb_entries": wb_entries,
-        "wb_errors": wb_errors,
-        "binder_errors": binder_errors,
-        "cache": cache,
-    }
-
-
-def _app_tree(lane, task):
-    """Flatten the app's private CVM tree into sorted (rel, kind, …) rows."""
-    from repro.kernel.process import Credentials
-    from repro.kernel.vfs import InodeKind
-
-    root_creds = Credentials(0)
-    kernel = lane.cvm.kernel
-    rows = []
-    root = task.cwd
-    if not kernel.vfs.exists(root, root_creds):
-        return rows
-
-    def visit(path, rel):
-        inode = kernel.vfs.resolve(path, root_creds,
-                                   follow_symlinks=False)
-        if inode.kind is InodeKind.DIRECTORY:
-            if rel:
-                rows.append((rel, "dir", inode.mode, None))
-            for name in sorted(kernel.vfs.listdir(path, root_creds)):
-                visit(f"{path}/{name}", f"{rel}/{name}" if rel else name)
-        elif inode.kind is InodeKind.FILE:
-            data = bytes(inode.data) if inode.data is not None else b""
-            rows.append((rel, "file", inode.mode, data))
-
-    visit(root, "")
-    return rows
-
-
-def apply_app_slice(layer, task, slice_, target):
-    """Re-materialize an app slice on ``target``; returns the new fd map.
-
-    The inverse of :func:`app_slice`: replays the private tree, rebuilds
-    the proxy, re-opens every remote fd with its original flags (minus
-    O_CREAT|O_TRUNC, so replayed contents survive) and offset,
-    re-stages pending write-behind entries against the new proxy fd
-    space at zero simulated cost (their staging time was already paid on
-    the source), carries both deferred-errno ledgers, and adopts the
-    app's cached pages under the target container's inode numbers in
-    their original LRU recency order.
-    """
-    from repro.core.marshal import marshal_call
-    from repro.kernel.vfs import O_CREAT, O_TRUNC
-
-    # Private tree first: re-opened fds resolve against it.
-    target.cvm.ensure_private_dir(task)
-    uid = slice_["uid"]
-    kernel = target.cvm.kernel
-    root_creds = layer._root
-    for rel, kind, mode, data in slice_["tree"]:
-        path = f"{slice_['cwd']}/{rel}"
-        if kind == "dir":
-            if not kernel.vfs.exists(path, root_creds):
-                kernel.vfs.mkdir(path, root_creds, mode=mode)
-                kernel.vfs.chown(path, uid, uid, root_creds)
-        else:
-            target.cvm.copy_in_file(path, data, uid, mode=mode)
-
-    target.proxies.create_proxy(task)
-    proxy = target.proxies.proxy_for(task)
-
-    from repro.core.anception import FdTranslationTable, RemoteFdStub
-
-    new_table = FdTranslationTable()
-    for entry in slice_["fds"]:
-        open_file = kernel.vfs.open(
-            entry["path"], entry["flags"] & ~(O_CREAT | O_TRUNC),
-            proxy.guest_task.credentials,
-        )
-        open_file.offset = entry["offset"]
-        proxy_fd = proxy.guest_task.alloc_fd(open_file)
-        stub = task.fd_table.get(entry["host_fd"])
-        if isinstance(stub, RemoteFdStub):
-            stub.proxy_fd = proxy_fd
-        new_table.bind(entry["host_fd"], proxy_fd)
-    layer.fd_tables[task.pid] = new_table
-
-    if target.write_behind is not None:
-        from repro.core.windows import DeferredEntry
-
-        # A window only for staged entries: an empty one would defeat
-        # the write-behind fence's "nothing staged" fast exit.
-        window = (target.write_behind.window(task) if slice_["wb_entries"]
-                  else None)
-        for entry in slice_["wb_entries"]:
-            call_args = new_table.translate_args(entry["name"],
-                                                 entry["args"])
-            wire, _size = marshal_call(entry["name"], call_args, {})
-            window.entries.append(DeferredEntry(
-                entry["name"], entry["args"], call_args, wire,
-                entry["args"][0], entry["result"],
-            ))
-        for key, exc in slice_["wb_errors"].items():
-            target.write_behind.errors.setdefault(key, exc)
-    if target.binder_ring is not None:
-        for key, exc in slice_["binder_errors"].items():
-            target.binder_ring.errors.setdefault(key, exc)
-
-    if target.page_cache is not None:
-        for entry in slice_["cache"]:
-            ino = kernel.vfs.resolve(entry["path"], root_creds).ino
-            target.cache_paths[entry["path"]] = ino
-            target.page_cache.import_ino(ino, entry["size"],
-                                         entry["pages"])
-    return new_table

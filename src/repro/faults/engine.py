@@ -244,10 +244,6 @@ class FaultEngine:
         """
         return self.check("pool.placement-flap", call=call) is not None
 
-    def pool_migrate_loss(self, call=None):
-        """Abort an in-progress app migration (app stays put)?"""
-        return self.check("pool.migrate-loss", call=call) is not None
-
     def drop_irq(self):
         return self.check("irq.drop") is not None
 

@@ -48,9 +48,6 @@ SITES = {
                          "outcomes are lost)",
     "pool.placement-flap": "divert a pool placement decision one lane "
                            "over at enrollment (multi-CVM worlds only)",
-    "pool.migrate-loss": "abort an app migration mid-protocol: the "
-                         "app stays on its source lane and the move "
-                         "is logged as lost",
     "proxy.kill": "kill the CVM proxy mid-call",
     "cvm.crash": "panic the container VM mid-call",
     "cvm.compromise": "give an attacker the container VM kernel",

@@ -88,7 +88,7 @@ class _World:
         record = self.installer.install(manifest)
         if self.anception is not None:
             # Every lane's container learns the package: the app may be
-            # placed on (or migrated to) any of them.
+            # placed on any of them.
             for lane in self.anception.pool.lanes:
                 cvm_android = lane.cvm.android
                 if cvm_android.has_service("package"):

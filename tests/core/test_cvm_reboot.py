@@ -170,25 +170,23 @@ class TestCountersSurvive:
             before,
             _integer_counters(anception_world.anception.stats()["channel"]))
 
-    def test_channel_counters_survive_migration(self):
+    def test_channel_counters_survive_a_non_default_lane_reboot(self):
         from repro.obs.runner import boot_obs_world
 
         world, ctx = boot_obs_world(cvms=4, read_cache=True,
                                     async_delegation=True)
         ctx.libc.write_file(ctx.data_path("pre.bin"), b"x" * 5000)
         layer = world.anception
-        source = layer._lane(ctx.libc.task)
-        target = layer.pool.lanes[(source.cvm_id + 1) % 4]
+        lane = layer._lane(ctx.libc.task)
+        assert lane is not layer.pool.default_lane
         before = _integer_counters(layer.stats()["channel"])
-        lane_before = _integer_counters(source.channel.stats())
-        assert layer.migrate(ctx.libc.task, target)
+        lane_before = _integer_counters(lane.channel.stats())
+        assert lane_before["bytes_to_guest"] >= 5000
+        layer.reboot_cvm(lane)
         _assert_no_counter_fell(
             before, _integer_counters(layer.stats()["channel"]))
         _assert_no_counter_fell(
-            lane_before, _integer_counters(source.channel.stats()))
-        layer.reboot_cvm(source)
-        _assert_no_counter_fell(
-            lane_before, _integer_counters(source.channel.stats()))
+            lane_before, _integer_counters(lane.channel.stats()))
 
 
 class TestRecoveryLogRing:

@@ -1,5 +1,7 @@
 """Marshaling sizes and fd translation."""
 
+import errno
+
 import pytest
 
 from repro.android.binder import Transaction
@@ -12,7 +14,7 @@ from repro.core.marshal import (
     marshal_call_into,
     result_size,
 )
-from repro.errors import SimulationError
+from repro.errors import SimulationError, SyscallError
 
 
 class TestEncodedSize:
@@ -98,10 +100,14 @@ class TestFdTranslation:
         table.bind(7, 3)
         assert table.translate_args("read", (7, 100)) == (3, 100)
 
-    def test_translate_args_leaves_local_fd(self):
+    def test_translate_args_refuses_an_unbound_fd(self):
+        # The policy redirects only bound fds: an unbound one is a
+        # descriptor a reboot dropped, and it must not cross.
         table = FdTranslationTable()
         table.bind(7, 3)
-        assert table.translate_args("read", (4, 100)) == (4, 100)
+        with pytest.raises(SyscallError) as info:
+            table.translate_args("read", (4, 100))
+        assert info.value.errno == errno.EBADF
 
     def test_translate_args_sendfile_both_fds(self):
         table = FdTranslationTable()
@@ -146,7 +152,6 @@ class TestFdFirstSweep:
         ("fdatasync", ()),
         ("fallocate", (0, 0, 4096)),
         ("flock", (2,)),
-        ("getdents", ()),
         ("getdents64", ()),
         ("_llseek", (0, 0, 0)),
         ("fstat64", ()),
@@ -162,7 +167,8 @@ class TestFdFirstSweep:
     def test_translate_args_still_skips_path_first_calls(self):
         table = FdTranslationTable()
         table.bind(7, 3)
-        for name in ("truncate", "chmod", "chown", "unlink", "rename"):
+        for name in ("truncate", "chmod", "chown", "unlink", "rename",
+                     "getdents"):
             args = ("/data/x", 7)
             assert table.translate_args(name, args) == args
 

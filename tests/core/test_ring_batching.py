@@ -6,9 +6,11 @@ while a lone redirected call keeps its classic two-world-switch shape
 (pinned separately in test_invariants.py).
 """
 
+import errno
+
 import pytest
 
-from repro.errors import SimulationError, SyscallError
+from repro.errors import SyscallError
 from repro.kernel import vfs
 from repro.obs.bus import TraceBus
 from repro.world import AnceptionWorld
@@ -172,44 +174,43 @@ class TestBatchWindows:
     def test_batch_window_defers_then_flushes_on_exit(self,
                                                       anception_world,
                                                       enrolled_ctx):
-        anception = anception_world.anception
         hypervisor = anception_world.cvm.hypervisor
-        fd = _open_scratch(enrolled_ctx, "w.bin")
+        channel = anception_world.anception.channel
+        first = _open_scratch(enrolled_ctx, "w.bin")
+        second = _open_scratch(enrolled_ctx, "x.bin")
         irq_before = hypervisor.interrupt_count
-        with anception.batch(enrolled_ctx.task) as window:
-            n = enrolled_ctx.libc.write(fd, b"deferred")
-            assert n == 8  # optimistic completion
-            assert hypervisor.interrupt_count == irq_before  # not yet
+        pushed_before = channel.submit_ring.stats()["pushed"]
+        # Writes to two fds cannot coalesce; deferred, they still ride
+        # the window end's one doorbell pair.
+        results = enrolled_ctx.libc.syscall_batch([
+            ("write", first, b"deferred"),
+            ("write", second, b"too"),
+        ])
+        assert results == [8, 3]  # optimistic completions
+        assert channel.submit_ring.stats()["pushed"] == pushed_before + 2
         assert hypervisor.interrupt_count == irq_before + 1
-        assert window.calls_enqueued == 1
+        assert enrolled_ctx.libc.pread(first, 8, 0) == b"deferred"
+        assert enrolled_ctx.libc.pread(second, 3, 0) == b"too"
 
     def test_non_deferrable_call_flushes_queued_writes_first(
-            self, anception_world, enrolled_ctx):
-        anception = anception_world.anception
+            self, enrolled_ctx):
         fd = _open_scratch(enrolled_ctx, "o.bin")
-        with anception.batch(enrolled_ctx.task):
-            enrolled_ctx.libc.write(fd, b"ordered")
-            # the read must observe the queued write (program order)
-            enrolled_ctx.libc.lseek(fd, 0)
-            assert enrolled_ctx.libc.read(fd, 7) == b"ordered"
+        # the read must observe the queued write (program order)
+        results = enrolled_ctx.libc.syscall_batch([
+            ("write", fd, b"ordered"),
+            ("lseek", fd, 0, vfs.SEEK_SET),
+            ("read", fd, 7),
+        ])
+        assert results == [7, 0, b"ordered"]
 
-    def test_batch_error_surfaces_at_flush(self, anception_world,
-                                           enrolled_ctx):
+    def test_batch_error_surfaces_at_flush(self, enrolled_ctx):
         read_only = enrolled_ctx.libc.open(
             enrolled_ctx.data_path("seed.txt"), vfs.O_RDONLY
         )
-        with pytest.raises(SyscallError):
-            with anception_world.anception.batch(enrolled_ctx.task):
-                # optimistic success now, real errno at window exit
-                enrolled_ctx.libc.write(read_only, b"doomed")
-
-    def test_batch_windows_do_not_nest(self, anception_world,
-                                       enrolled_ctx):
-        anception = anception_world.anception
-        with anception.batch(enrolled_ctx.task):
-            with pytest.raises(SimulationError):
-                with anception.batch(enrolled_ctx.task):
-                    pass
+        # optimistic success inside the window, the real errno at its end
+        with pytest.raises(SyscallError) as info:
+            enrolled_ctx.libc.syscall_batch([("write", read_only, b"doomed")])
+        assert info.value.errno == errno.EBADF
 
     def test_pwrite_defers_without_coalescing(self, anception_world,
                                               enrolled_ctx):

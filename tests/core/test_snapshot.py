@@ -28,7 +28,6 @@ from repro.core.snapshot import (
     SNAPSHOT_EXEMPT,
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
-    app_slice,
     audit_components,
     describe_snapshot,
     restore_world,

@@ -92,7 +92,7 @@ SCALARS = {
 def _pool(residents):
     return {
         "cvms": len(residents), "assignments": 1, "flaps": 0,
-        "migrations": 0, "residents": residents,
+        "residents": residents,
     }
 
 

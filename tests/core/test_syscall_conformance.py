@@ -3,9 +3,10 @@
 For every redirect-class syscall the simulated kernel actually
 implements, three things must exist:
 
-1. a **marshal entry** — fd-taking calls must appear in the marshal
-   layer's fd-translation sets, or host descriptor numbers would ship
-   verbatim into the CVM's fd space;
+1. a **routing entry** — fd-taking calls must appear in the policy's
+   fd lists, which both route them by the fd's locality and rewrite
+   the fd into the proxy's space, or host descriptor numbers would
+   ship verbatim into the CVM's fd space;
 2. a **libc veneer** — a method on :class:`~repro.kernel.libc.Libc`
    (possibly under an alias, e.g. ``pread64`` -> ``pread``) so scripted
    programs can reach the call;
@@ -20,7 +21,11 @@ with a to-do list.
 
 from __future__ import annotations
 
+import errno
 import inspect
+from types import SimpleNamespace
+
+import pytest
 
 from repro.android.app import AppContext
 from repro.android.binder import (
@@ -29,8 +34,16 @@ from repro.android.binder import (
     Transaction,
 )
 from repro.core.anception import _SPLIT_HANDLERS
-from repro.core.marshal import FD_FIRST_CALLS, FD_PAIR_CALLS, encoded_size
-from repro.core.policy import FD_CALLS
+from repro.core.marshal import FdTranslationTable, encoded_size
+from repro.core.policy import (
+    FD_CALLS,
+    FD_PAIR_CALLS,
+    PATH_CALLS,
+    Decision,
+    RedirectionPolicy,
+)
+from repro.errors import SyscallError
+from repro.kernel import vfs
 from repro.kernel.kernel import Machine
 from repro.kernel.libc import Libc
 from repro.kernel.syscalls import CATALOGUE, SyscallClass, classify
@@ -94,9 +107,9 @@ class TestUniverse:
 class TestMarshalEntries:
     def test_fd_taking_calls_have_translation_entries(self):
         universe = set(redirect_universe())
-        missing = sorted((FD_TAKING & universe) - FD_FIRST_CALLS)
+        missing = sorted((FD_TAKING & universe) - FD_CALLS)
         assert not missing, (
-            f"fd-taking redirect calls missing from FD_FIRST_CALLS "
+            f"fd-taking redirect calls missing from FD_CALLS "
             f"(host fds would leak into the CVM): {missing}"
         )
 
@@ -108,19 +121,81 @@ class TestMarshalEntries:
         )
 
     def test_no_path_call_masquerades_as_fd_first(self):
-        # getdents takes a path in this simulation (listdir veneer);
-        # translate_args only rewrites int first arguments, so a path
-        # name in FD_FIRST_CALLS is harmless — but a genuinely
-        # fd-taking name OUTSIDE the union above must not exist.
+        # getdents takes a path in this simulation (listdir veneer):
+        # routed by fd, a path would never reach the CVM.
+        assert not PATH_CALLS & (FD_CALLS | FD_PAIR_CALLS)
         universe = set(redirect_universe())
         unaccounted = sorted(
-            (FD_FIRST_CALLS | FD_PAIR_CALLS) & universe
-            - FD_TAKING - FD_PAIR_TAKING - {"getdents"}
+            (FD_CALLS | FD_PAIR_CALLS) & universe
+            - FD_TAKING - FD_PAIR_TAKING
         )
         assert not unaccounted, (
             f"calls translated as fd-first but not catalogued as "
             f"fd-taking here — update FD_TAKING: {unaccounted}"
         )
+
+
+def _fd_translated(name):
+    """Whether the translation table rewrites ``name``'s fd argument."""
+    table = FdTranslationTable()
+    table.bind(7, 3)
+    return table.translate_args(name, (7, 7, 0, 0)) != (7, 7, 0, 0)
+
+
+class TestFdLocality:
+    """A redirected fd call runs where its descriptor lives.
+
+    Every call whose fd the translation table rewrites must also be
+    routed by that fd: a host fd (or a closed one) left to a plain
+    redirect crosses under its host number and names whatever the
+    proxy holds there — another file of the app's.
+    """
+
+    def test_every_fd_translated_redirect_call_routes_by_locality(self):
+        policy = RedirectionPolicy(())
+        table = FdTranslationTable()
+        table.bind(7, 3)
+        # fd 8 is open on the host, fd 9 is closed, fd 7 is in the CVM.
+        task = SimpleNamespace(pid=99, cwd="/data/data/probe",
+                               fd_table={8: object()})
+        misrouted = []
+        for name in sorted(CATALOGUE):
+            if classify(name) is not SyscallClass.REDIRECT \
+                    or not _fd_translated(name):
+                continue
+            routes = tuple(
+                policy.decide(task, name, (fd, fd, 0, 0), table)
+                for fd in (8, 9, 7)
+            )
+            if routes != (Decision.HOST, Decision.HOST, Decision.REDIRECT):
+                misrouted.append(name)
+        assert not misrouted, (
+            f"fd-translated redirect calls not routed by fd locality "
+            f"(a host fd would cross under its host number): {misrouted}"
+        )
+
+    def test_a_split_fd_pair_fails_loudly(self):
+        policy = RedirectionPolicy(())
+        table = FdTranslationTable()
+        table.bind(7, 3)
+        task = SimpleNamespace(pid=99, cwd="/", fd_table={8: object()})
+        for args, code in (((7, 8, 0, 9), errno.EXDEV),
+                           ((8, 7, 0, 9), errno.EXDEV),
+                           ((7, 9, 0, 9), errno.EBADF),
+                           ((9, 7, 0, 9), errno.EBADF)):
+            with pytest.raises(SyscallError) as info:
+                policy.decide(task, "sendfile", args, table)
+            assert info.value.errno == code, args
+
+    def test_an_unbound_fd_does_not_cross(self):
+        table = FdTranslationTable()
+        table.bind(7, 3)
+        assert table.translate_args("fchmod", (7, 0o600)) == (3, 0o600)
+        for name, args in (("fchmod", (4, 0o600)),
+                           ("sendfile", (7, 4, 0, 9))):
+            with pytest.raises(SyscallError) as info:
+                table.translate_args(name, args)
+            assert info.value.errno == errno.EBADF
 
 
 class TestLibcVeneers:
@@ -238,10 +313,20 @@ class TestBinderUniverse:
 
 
 class TestBinderMarshalCoverage:
-    def test_ioctl_is_fd_translated(self):
-        # Binder transactions ride ioctl(binder_fd, ...); the fd must be
-        # rewritten into the proxy's fd space like any delegated call.
-        assert "ioctl" in FD_FIRST_CALLS
+    def test_ioctl_is_fd_translated(self, enrolled_ctx):
+        # ioctl on a CVM fd must be rewritten into the proxy's fd
+        # space like any delegated call.  Host fd 3 is a /system file,
+        # so the data file is host fd 4 but proxy fd 3: untranslated,
+        # the proxy would find no fd 4 (EBADF); translated, the file
+        # answers ENOTTY as a regular file does.
+        libc = enrolled_ctx.libc
+        assert libc.open("/system/bin/sh", vfs.O_RDONLY) == 3
+        fd = libc.open(enrolled_ctx.data_path("ioctl.bin"),
+                       vfs.O_RDWR | vfs.O_CREAT, 0o600)
+        assert fd == 4
+        with pytest.raises(SyscallError) as info:
+            libc.ioctl(fd, 0x5401)
+        assert info.value.errno == errno.ENOTTY
 
     def test_transaction_payload_size_uses_marshal_sizing(self):
         payload = {"blob": "x" * 112, "n": 7}

@@ -146,6 +146,37 @@ SCRIPTS = {
             ("read_file", P("cat-dst.bin")),
         ],
     },
+    # An fd call runs where its descriptor lives.  Host fd 3 is a
+    # /system file and the two data files are proxy fds 3 and 4, so a
+    # host or closed fd that crossed under its own number would name
+    # one of the app's files instead: the outcome stream and the final
+    # modes and contents would show it.
+    "fd-locality": {
+        "needs_server": False,
+        "script": [
+            ("open", "/system/bin/sh", vfs.O_RDONLY),
+            ("open", P("loc-a.bin"), TRUNC, 0o644),
+            ("write", H(1), b"locality-a"),
+            ("open", P("loc-b.bin"), TRUNC, 0o644),
+            ("fchmod", H(0), 0o777),
+            ("fchown", H(0), 0, 0),
+            ("ftruncate", H(0), 0),
+            ("connect", H(0), ("echo.example", 7)),
+            ("sendfile", H(0), H(0), 0, 9),
+            ("close", H(0)),
+            ("fchmod", H(0), 0o777),
+            ("fchown", H(0), 0, 0),
+            ("ftruncate", H(0), 0),
+            ("connect", H(0), ("echo.example", 7)),
+            ("sendfile", H(3), H(0), 0, 9),
+            ("sendfile", H(0), H(1), 0, 9),
+            ("fstat", H(1)),
+            ("pread", H(1), 32, 0),
+            ("pread", H(3), 32, 0),
+            ("close", H(3)),
+            ("close", H(1)),
+        ],
+    },
     "ipc": {
         "needs_server": False,
         "script": [

@@ -261,3 +261,29 @@ class TestRebootDropsTheDrainedWindow:
         assert fd == 3  # the number the dropped descriptor held
         assert ctx.libc.write(fd, b"x" * 10) == 10
         assert ctx.libc.fsync(fd) == 0
+
+    @pytest.mark.parametrize("cvms", [1, 4])
+    def test_a_dropped_fd_fails_on_the_host(self, cvms, monkeypatch):
+        # The workload's next write names host fd 3, whose stub the
+        # reboot dropped.  It fails with EBADF before it crosses: no
+        # proxy ever looks the stale number up in its own fd table.
+        from repro.kernel.process import Task
+
+        proxy_misses = []
+        get_fd = Task.get_fd
+
+        def watched(task, fd):
+            try:
+                return get_fd(task, fd)
+            except Exception:
+                if task.name.startswith("proxy:"):
+                    proxy_misses.append(fd)
+                raise
+
+        monkeypatch.setattr(Task, "get_fd", watched)
+        result = run_chaos("writeburst", seed=7, faults=self.PLAN,
+                           async_delegation=True, cvms=cvms)
+        assert result.stats["cvm_reboots"] == 1
+        assert proxy_misses == []
+        assert (result.status, result.error) == \
+            ("syscall-error", "EBADF in write (fd 3)")

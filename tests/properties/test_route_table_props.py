@@ -10,9 +10,12 @@ the same decision.
 
 from hypothesis import given, settings, strategies as st
 
+import errno
+
 from repro.core.marshal import FdTranslationTable
 from repro.core.policy import (
     FD_CALLS,
+    FD_PAIR_CALLS,
     FILE_IO_CALLS,
     PATH_CALLS,
     ROUTES,
@@ -20,6 +23,7 @@ from repro.core.policy import (
     Decision,
     RedirectionPolicy,
 )
+from repro.errors import SyscallError
 from repro.kernel.kernel import Machine
 from repro.kernel.process import Credentials
 from repro.kernel.syscalls import CATALOGUE, SyscallClass, classify
@@ -50,6 +54,16 @@ def reference_decide(policy, task, name, args, remote_fds):
             if args[0] in remote_fds
             else Decision.HOST
         )
+    if name in FD_PAIR_CALLS and len(args) >= 2:
+        remote = [fd in remote_fds for fd in args[:2]]
+        if remote == [True, True]:
+            return Decision.REDIRECT
+        if remote == [False, False]:
+            return Decision.HOST
+        host_fd = args[remote.index(False)]
+        if host_fd in task.fd_table:
+            raise SyscallError(errno.EXDEV, call=name)
+        raise SyscallError(errno.EBADF, call=name)
     return Decision.REDIRECT
 
 
@@ -96,14 +110,23 @@ _names = st.one_of(st.sampled_from(sorted(CATALOGUE)), _unknown)
 _path_names = st.one_of(
     st.sampled_from(sorted(PATH_CALLS | FILE_IO_CALLS)), _names
 )
-_fd_names = st.one_of(st.sampled_from(sorted(FD_CALLS)), _names)
+_fd_names = st.one_of(st.sampled_from(sorted(FD_CALLS | FD_PAIR_CALLS)),
+                      _names)
 _flags = st.booleans()
+
+
+def _outcome(decide, *args):
+    """A decision, or the errno the call fails with."""
+    try:
+        return decide(*args)
+    except SyscallError as exc:
+        return exc.errno
 
 
 def _agree(flag, name, args, remote):
     policy = POLICIES[flag]
-    expected = reference_decide(policy, TASK, name, args, remote)
-    assert policy.decide(TASK, name, args, remote) is expected
+    expected = _outcome(reference_decide, policy, TASK, name, args, remote)
+    assert _outcome(policy.decide, TASK, name, args, remote) == expected
 
 
 class TestRouteTable:
@@ -123,15 +146,17 @@ class TestRouteTable:
     def test_path_arguments(self, flag, name, path, rest):
         _agree(flag, name, (path, rest), frozenset())
 
-    @given(flag=_flags, name=_fd_names, fd=_fds, remote=_remote)
+    @given(flag=_flags, name=_fd_names, fd=_fds, fd_in=_fds,
+           remote=_remote)
     @settings(max_examples=400, deadline=None)
-    def test_fd_arguments(self, flag, name, fd, remote):
+    def test_fd_arguments(self, flag, name, fd, fd_in, remote):
         """Remote and local fds, as a set and as the layer's table."""
         table = FdTranslationTable()
         for host_fd in sorted(remote):
             table.bind(host_fd, host_fd + 100)
         _agree(flag, name, (fd, 100), remote)
         _agree(flag, name, (fd,), table)
+        _agree(flag, name, (fd, fd_in), table)
 
     @given(flag=_flags, name=st.sampled_from(sorted(FD_CALLS)),
            remote=_remote)
