@@ -105,9 +105,11 @@ class TestFdTranslation:
         # descriptor a reboot dropped, and it must not cross.
         table = FdTranslationTable()
         table.bind(7, 3)
-        with pytest.raises(SyscallError) as info:
-            table.translate_args("read", (4, 100))
-        assert info.value.errno == errno.EBADF
+        for name, args in (("read", (4, 100)), ("fchmod", (4, 0o600)),
+                           ("sendfile", (7, 4, 0, 9))):
+            with pytest.raises(SyscallError) as info:
+                table.translate_args(name, args)
+            assert info.value.errno == errno.EBADF
 
     def test_translate_args_sendfile_both_fds(self):
         table = FdTranslationTable()
