@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test bench perfbench frames examples all-experiments lint trace-demo chaos-demo profile-demo coverage clean
+.PHONY: test bench perfbench frames chaos-parity examples all-experiments lint trace-demo chaos-demo profile-demo coverage clean
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -25,6 +25,11 @@ perfbench:
 frames:
 	PYTHONPATH=src $(PYTHON) -m tests.perf.test_frame_budget
 	PYTHONPATH=src $(PYTHON) -m tests.perf.test_sqlite_row_budget
+
+# Chaos-report parity with a base commit: every CI chaos run, on this
+# checkout and on BASE=<ref>; exits 1 naming each run that differs.
+chaos-parity:
+	$(PYTHON) benchmarks/chaos_parity.py $(BASE)
 
 examples:
 	PYTHONPATH=src $(PYTHON) examples/quickstart.py

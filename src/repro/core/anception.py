@@ -359,7 +359,7 @@ class AnceptionLayer:
         task.redirection_entry = 1
         lane = self.pool.assign(task)
         lane.proxies.create_proxy(task)
-        self.fd_tables[task.pid] = FdTranslationTable()
+        self.fd_tables[task.pid] = FdTranslationTable(task.fd_table)
         if install_record is not None:
             self._copy_initial_data(lane, task, install_record)
 
@@ -887,22 +887,15 @@ class AnceptionLayer:
         """Map a resource-allocating result (``name`` is one of
         :data:`~repro.core.marshal.FD_ALLOCATING_CALLS`) back into the
         host fd space."""
-        table = self._fd_table(task)
         if name == "pipe":
             if not isinstance(result, tuple):
                 return result
-            host_fds = []
-            for proxy_fd in result:
-                host_fd = task.alloc_fd(RemoteFdStub(proxy_fd, "pipe"))
-                table.bind(host_fd, proxy_fd)
-                host_fds.append(host_fd)
-            return tuple(host_fds)
+            return tuple(task.alloc_fd(RemoteFdStub(proxy_fd, "pipe"))
+                         for proxy_fd in result)
         if not isinstance(result, int):
             return result
         label = args[0] if name == "open" and args else name
-        host_fd = task.alloc_fd(RemoteFdStub(result, str(label)))
-        table.bind(host_fd, result)
-        return host_fd
+        return task.alloc_fd(RemoteFdStub(result, str(label)))
 
     # ------------------------------------------------------------------
     # host-side page cache for delegated reads
@@ -919,16 +912,14 @@ class AnceptionLayer:
         """
         if not isinstance(host_fd, int):
             return None
-        table = self.fd_tables.get(task.pid)
-        if table is None:
-            raise SimulationError(f"pid {task.pid} not enrolled")
-        proxy_fd = table._host_to_proxy.get(host_fd)
-        if proxy_fd is None:
+        stub = task.fd_table.get(host_fd)
+        if stub.__class__ is not RemoteFdStub:
             return None
         if lane is None:
             lane = self.pool.lane_for(task)
         # proxy_for raises the classic "not enrolled (no proxy)" error.
-        desc = lane.proxies.proxy_for(task).guest_task.fd_table.get(proxy_fd)
+        desc = lane.proxies.proxy_for(task).guest_task.fd_table.get(
+            stub.proxy_fd)
         inode = getattr(desc, "inode", None)
         if inode is None or inode.kind is not InodeKind.FILE:
             return None
@@ -1155,7 +1146,6 @@ class AnceptionLayer:
             proxy_fd = table.to_proxy(fd)
             self._redirect(task, "close", (fd,), {},
                            translated=(proxy_fd,))
-            table.unbind(fd)
             task.remove_fd(fd)
             if self.crypto_fs is not None:
                 self.crypto_fs.on_close(task, fd)
@@ -1175,9 +1165,7 @@ class AnceptionLayer:
             new_proxy_fd = self._redirect(
                 task, "dup", (fd,), {}, translated=(proxy_fd,)
             )
-            host_fd = task.alloc_fd(RemoteFdStub(new_proxy_fd, "dup"))
-            table.bind(host_fd, new_proxy_fd)
-            return host_fd
+            return task.alloc_fd(RemoteFdStub(new_proxy_fd, "dup"))
         return self.host_kernel.execute_native(task, "dup", (fd,), {})
 
     def _split_dup2(self, task, table, fd, newfd):
@@ -1189,7 +1177,6 @@ class AnceptionLayer:
             if newfd in task.fd_table:
                 self._split_close(task, table, newfd)
             task.install_fd(newfd, RemoteFdStub(new_proxy_fd, "dup2"))
-            table.bind(newfd, new_proxy_fd)
             return newfd
         return self.host_kernel.execute_native(task, "dup2", (fd, newfd), {})
 
@@ -1201,9 +1188,7 @@ class AnceptionLayer:
                 translated=(proxy_fd, cmd, arg),
             )
             if cmd == 0 and isinstance(result, int):  # F_DUPFD
-                host_fd = task.alloc_fd(RemoteFdStub(result, "fcntl-dup"))
-                table.bind(host_fd, result)
-                return host_fd
+                return task.alloc_fd(RemoteFdStub(result, "fcntl-dup"))
             return result
         return self.host_kernel.execute_native(
             task, "fcntl", (fd, cmd, arg), {}
@@ -1212,10 +1197,10 @@ class AnceptionLayer:
     _split_fcntl64 = _split_fcntl
 
     def _split_ioctl(self, task, table, fd, request, arg=None):
-        proxy_fd = table._host_to_proxy.get(fd)
-        if proxy_fd is not None:
+        stub = task.fd_table.get(fd)
+        if stub.__class__ is RemoteFdStub:
             return self._redirect(task, "ioctl", (fd, request, arg), {},
-                                  translated=(proxy_fd, request, arg))
+                                  translated=(stub.proxy_fd, request, arg))
         # Host fd: binder traffic gets the UI inspection
         # (binder.is_ui_transaction and policy.binder_target_is_app,
         # inlined: this is the path of every UI frame and app-to-app
@@ -1526,14 +1511,9 @@ class AnceptionLayer:
             and self.pool.lane_for(task) is lane
         ]
         for task in survivors:
-            stale = self.fd_tables.pop(task.pid, None)
-            task.proxy = None
             lane.proxies.create_proxy(task)
-            self.fd_tables[task.pid] = FdTranslationTable()
-            if stale is None:
-                continue
-            for host_fd in stale.remote_fds():
-                task.fd_table.pop(host_fd, None)
+            for host_fd in self._fd_table(task).remote_fds():
+                del task.fd_table[host_fd]
         self._recovered("channels-rebound",
                         f"{lane.name}: {len(survivors)} survivors",
                         kernel=self.host_kernel.label,
@@ -2057,33 +2037,31 @@ class AnceptionLayer:
         # they inherit lives in that container.
         lane = self._lane(parent)
         self.pool.adopt(child, lane)
-        lane.proxies.create_proxy(child)
-        child_table = FdTranslationTable()
-        self.fd_tables[child.pid] = child_table
-        parent_table = self.fd_tables.get(parent.pid)
-        if parent_table is None:
-            return
-        parent_proxy = lane.proxies.proxy_for(parent)
-        child_proxy = lane.proxies.proxy_for(child)
-        for host_fd in parent_table.remote_fds():
-            proxy_fd = parent_table.to_proxy(host_fd)
-            desc = parent_proxy.guest_task.fd_table.get(proxy_fd)
-            if desc is None:
-                continue
-            dup = desc.dup() if hasattr(desc, "dup") else desc
-            child_proxy.guest_task.install_fd(proxy_fd, dup)
-            child_table.bind(host_fd, proxy_fd)
+        child_guest = lane.proxies.create_proxy(child).guest_task
+        table = self.fd_tables[child.pid] = FdTranslationTable(child.fd_table)
+        # The host fork copied the stubs; each one's proxy descriptor
+        # gets its duplicate in the child's proxy.  A descriptor the
+        # parent's proxy no longer holds (it died, or was respawned)
+        # gets none: the child's call on that fd crosses and fails with
+        # EBADF in the child's proxy.
+        parent_guest = lane.proxies.proxy_for(parent).guest_task
+        for host_fd in table.remote_fds():
+            proxy_fd = table.to_proxy(host_fd)
+            desc = parent_guest.fd_table.get(proxy_fd)
+            if desc is not None:
+                child_guest.install_fd(
+                    proxy_fd, desc.dup() if hasattr(desc, "dup") else desc)
 
-    def on_exit(self, task):
-        """Flush, then forget, an exiting app (``Kernel.reap_task``).
+    def on_exit(self, task, exit_code):
+        """Flush, then end, an exiting app (``Kernel.reap_task``).
 
         Exit drains the app's own deferred windows through the
         supervised path, as a ``close`` fence would, while the proxy
         still lives: staged writes are durable and staged oneways
         delivered, as they would be on a native kernel.  A dead app can
         surface no deferred errno, so its ledger entries go with the
-        rest of its per-pid state: fd table, mappings, windows, proxy
-        record and placement.
+        rest of its per-pid state: fd table, mappings, windows and
+        placement.  Its proxy exits with ``exit_code`` in the CVM.
         """
         pid = task.pid
         lane = self._lane(task)
@@ -2101,7 +2079,7 @@ class AnceptionLayer:
             for windows in (lane.write_behind, lane.binder_ring):
                 if windows is not None:
                     windows.forget(pid)
-            lane.proxies.forget(task)
+            lane.proxies.remove_proxy(task, exit_code)
             self.pool.release(pid)
 
     def on_credentials_changed(self, task):

@@ -8,8 +8,9 @@ serves two purposes:
   outbound result are measured so the channel can charge the calibrated
   per-byte copy costs for real traffic;
 * **fd translation** — descriptor numbers live in two spaces (the app's
-  on the host, the proxy's in the CVM); :class:`FdTranslationTable` keeps
-  them in sync, which is the moral equivalent of pointer rewriting.
+  on the host, the proxy's in the CVM); :class:`FdTranslationTable`
+  rewrites one into the other, which is the moral equivalent of pointer
+  rewriting.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from repro.errors import SimulationError, SyscallError
 
 
 FD_ALLOCATING_CALLS = frozenset({"open", "socket", "accept", "pipe"})
-"""Redirected calls whose result names new proxy descriptors, which the
-layer binds into the app's host fd space when the call completes."""
+"""Redirected calls whose result names new proxy descriptors, for which
+the layer installs stubs in the app's host fd space when the call
+completes."""
 
 
 def encoded_size(value):
@@ -201,60 +203,57 @@ def copy_parcel(value):
 
 
 class FdTranslationTable:
-    """Host-fd <-> proxy-fd mapping for one enrolled task."""
+    """Host-fd -> proxy-fd translation for one enrolled task.
+
+    Reads the task's own fd table: the :class:`RemoteFdStub` the layer
+    installs there for a CVM descriptor is the one record of its proxy
+    fd, so a stub the host fork copied or a lane reboot dropped needs
+    no second table kept in step.
+    """
 
     __snapshot__ = "auto"
 
-    def __init__(self):
-        self._host_to_proxy = {}
-
-    def bind(self, host_fd, proxy_fd):
-        if host_fd in self._host_to_proxy:
-            raise SimulationError(f"host fd {host_fd} already bound")
-        self._host_to_proxy[host_fd] = proxy_fd
-
-    def unbind(self, host_fd):
-        return self._host_to_proxy.pop(host_fd, None)
+    def __init__(self, fd_table):
+        self.fd_table = fd_table
 
     def to_proxy(self, host_fd):
-        try:
-            return self._host_to_proxy[host_fd]
-        except KeyError:
-            raise SimulationError(
-                f"host fd {host_fd} is not a CVM resource"
-            ) from None
+        stub = self.fd_table.get(host_fd)
+        if stub.__class__ is not RemoteFdStub:
+            raise SimulationError(f"host fd {host_fd} is not a CVM resource")
+        return stub.proxy_fd
 
     def is_remote(self, host_fd):
-        return host_fd in self._host_to_proxy
+        return self.fd_table.get(host_fd).__class__ is RemoteFdStub
 
-    def __contains__(self, host_fd):
-        return host_fd in self._host_to_proxy
+    __contains__ = is_remote
 
     def remote_fds(self):
-        return set(self._host_to_proxy)
+        return {fd for fd, desc in self.fd_table.items()
+                if desc.__class__ is RemoteFdStub}
 
     def translate_args(self, name, args):
         """Rewrite leading fd arguments into the proxy's fd space.
 
-        The policy only redirects a call whose fds are all bound here,
-        so an fd that is not names a descriptor a lane reboot dropped
-        since: it fails with EBADF on the host, and the call does not
-        cross.
+        The policy only redirects a call whose fds all hold stubs, so an
+        fd that does not names a descriptor a lane reboot dropped since:
+        it fails with EBADF on the host, and the call does not cross.
         """
         if not args:
             return args
-        table = self._host_to_proxy
+        table = self.fd_table
         if name in FD_CALLS:
-            proxy_fd = table.get(args[0])
-            if proxy_fd is None:
+            stub = table.get(args[0])
+            if stub.__class__ is not RemoteFdStub:
                 raise _dropped_fd(name, args[0])
-            return (proxy_fd,) + tuple(args[1:])
+            return (stub.proxy_fd,) + tuple(args[1:])
         if name in FD_PAIR_CALLS:
             out_fd, in_fd, *rest = args
-            for fd in (out_fd, in_fd):
-                if fd not in table:
-                    raise _dropped_fd(name, fd)
-            return (table[out_fd], table[in_fd], *rest)
+            out_stub, in_stub = table.get(out_fd), table.get(in_fd)
+            if out_stub.__class__ is not RemoteFdStub:
+                raise _dropped_fd(name, out_fd)
+            if in_stub.__class__ is not RemoteFdStub:
+                raise _dropped_fd(name, in_fd)
+            return (out_stub.proxy_fd, in_stub.proxy_fd, *rest)
         return args
 
 
@@ -265,8 +264,9 @@ def _dropped_fd(name, fd):
 class RemoteFdStub:
     """Placeholder installed in the host fd table for a CVM resource.
 
-    Keeps the app's descriptor numbering dense and collision-free; any
-    direct use without going through the redirection layer is a bug.
+    Keeps the app's descriptor numbering dense and collision-free, and
+    is the one record of the proxy fd the host fd names; any direct use
+    without going through the redirection layer is a bug.
     """
 
     __snapshot__ = "auto"

@@ -78,7 +78,6 @@ class ProxyManager:
         guest_task.umask = host_task.umask
         guest_task.exe_path = host_task.exe_path
         proxy = Proxy(host_task, guest_task)
-        host_task.proxy = guest_task
         proxy.park()
         self._by_host_pid[host_task.pid] = proxy
         self.cvm.ensure_private_dir(host_task)
@@ -95,24 +94,21 @@ class ProxyManager:
     def has_proxy(self, host_task):
         return host_task.pid in self._by_host_pid
 
-    def remove_proxy(self, host_task):
+    def remove_proxy(self, host_task, exit_code=0):
+        """Drop ``host_task``'s proxy record and end its guest task."""
         proxy = self._by_host_pid.pop(host_task.pid, None)
-        if proxy is not None:
-            if not self.cvm.kernel.crashed:
-                self.cvm.kernel.reap_task(proxy.guest_task)
-            host_task.proxy = None
-
-    def forget(self, host_task):
-        """Drop an exiting task's proxy record; the kernel reaping the
-        host task mirrors the death onto the guest task itself."""
-        self._by_host_pid.pop(host_task.pid, None)
+        if proxy is not None and not self.cvm.kernel.crashed:
+            self.cvm.kernel.reap_task(proxy.guest_task, exit_code)
 
     def respawn_proxy(self, host_task):
         """Replace a dead proxy with a fresh one (recovery path).
 
         The new proxy starts with an empty fd table: descriptors the old
-        proxy held are gone, and later use of their host-side stubs gets
-        EBADF — the same contract as a container reboot.
+        proxy held are gone.  Unlike a container reboot, which drops the
+        app's host-side stubs, a respawn keeps them: a later call on such
+        an fd still crosses and fails in the guest with EBADF, and the fd
+        number stays taken (``close`` crosses and fails too, so the stub
+        stays).
         """
         self.remove_proxy(host_task)
         return self.create_proxy(host_task)

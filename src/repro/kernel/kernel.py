@@ -214,8 +214,9 @@ class Kernel:
             return
         if self.interposition is not None and task.redirection_entry:
             # Before any teardown: the layer flushes the app's deferred
-            # windows through its still-live proxy, then forgets the pid.
-            self.interposition.on_exit(task)
+            # windows through its still-live proxy, then ends the proxy
+            # and forgets the pid.
+            self.interposition.on_exit(task, exit_code)
         for fd in list(task.fd_table):
             try:
                 self._do_close(task, fd)
@@ -228,10 +229,6 @@ class Kernel:
         task.exit_code = exit_code
         if self.ui_stack is not None:
             self.ui_stack.destroy_windows_of(task)
-        if task.proxy is not None and task.proxy.kernel is not self:
-            # mirror the death onto the CVM proxy
-            task.proxy.kernel.reap_task(task.proxy, exit_code)
-            task.proxy = None
 
     def panic(self, reason):
         """Kernel oops: everything on this kernel dies."""

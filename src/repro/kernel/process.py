@@ -86,9 +86,10 @@ class Task:
       index into the Anception alternate syscall table).
     * ``launch_uid`` — UID pinned at launch; Anception kills the task if its
       UID ever differs from this (footnote 3 in the paper).
-    * ``proxy`` — a host task's link to its CVM proxy counterpart.  There
-      is no link back: nothing in the CVM's object graph reaches the
-      host task.
+
+    A task holds no link to another kernel: an enrolled app's CVM proxy
+    is recorded only by the Anception layer's ``ProxyManager``, which
+    ends it when the app exits.
     """
 
     __snapshot__ = "auto"
@@ -112,7 +113,6 @@ class Task:
         # Anception bookkeeping (all zero/None on an unmodified kernel).
         self.redirection_entry = 0
         self.launch_uid = None
-        self.proxy = None
         self.signal_handlers = {}
         self.pending_signals = []
 

@@ -114,7 +114,8 @@ class TestZygote:
         world.install(DemoApp())
         running = world.launch(DemoApp())
         assert running.task.redirection_entry == 1
-        assert running.task.proxy is not None
+        proxy = world.anception.proxies.proxy_for(running.task)
+        assert proxy.guest_task.is_alive()
 
     def test_run_checked_captures_crash(self, world):
         class CrashingApp(App):

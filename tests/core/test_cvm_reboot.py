@@ -52,7 +52,8 @@ class TestReboot:
         assert survivors >= 1
         proxies = anception_world.anception.proxies
         assert proxies.has_proxy(enrolled_ctx.task)
-        assert enrolled_ctx.task.proxy.kernel is anception_world.cvm.kernel
+        guest_task = proxies.proxy_for(enrolled_ctx.task).guest_task
+        assert guest_task.kernel is anception_world.cvm.kernel
 
     def test_stale_remote_fds_invalidated(self, anception_world,
                                           enrolled_ctx):
@@ -83,7 +84,9 @@ class TestReboot:
         window = anception_world.cvm.hypervisor.guest_window
         physical = anception_world.machine.physical
         # Plant recognisable bytes in a guest frame via the proxy space.
-        proxy_space = enrolled_ctx.task.proxy.address_space
+        proxies = anception_world.anception.proxies
+        guest_task = proxies.proxy_for(enrolled_ctx.task).guest_task
+        proxy_space = guest_task.address_space
         frame = proxy_space.allocator.allocate(owner="leak-test")
         physical.write_frame(frame, b"OLD-INSTANCE-SECRET")
         assert frame in window

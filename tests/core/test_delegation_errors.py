@@ -146,7 +146,8 @@ class TestProxyTyping:
         assert new.guest_task.pid != old.guest_task.pid
         assert new.guest_task.is_alive()
         assert proxies.proxy_for(enrolled_ctx.task) is new
-        assert enrolled_ctx.task.proxy is new.guest_task
+        guest_pids = anception_world.cvm.kernel.pids
+        assert guest_pids.get(new.guest_task.pid) is new.guest_task
 
 
 class TestEngineArmError:

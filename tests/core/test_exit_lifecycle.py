@@ -137,7 +137,7 @@ class TestExitFlushesWindows:
     def test_proxy_dies_with_its_app(self):
         world = AnceptionWorld(async_delegation=True, binder_ring=True)
         app = _launch(world, 0)
-        proxy_task = app.task.proxy
+        proxy_task = world.anception.proxies.proxy_for(app.task).guest_task
         app.ctx.libc.exit(3)
         assert not proxy_task.is_alive()
         assert proxy_task.exit_code == 3

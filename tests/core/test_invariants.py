@@ -119,7 +119,8 @@ class TestFailureInjection:
 
     def test_killed_app_proxy_also_dies(self, anception_world,
                                         enrolled_ctx):
-        proxy_task = enrolled_ctx.task.proxy
+        proxies = anception_world.anception.proxies
+        proxy_task = proxies.proxy_for(enrolled_ctx.task).guest_task
         anception_world.kernel.reap_task(enrolled_ctx.task)
         assert not proxy_task.is_alive()
 

@@ -15,6 +15,7 @@ from repro.core.marshal import (
     result_size,
 )
 from repro.errors import SimulationError, SyscallError
+from repro.kernel.process import Credentials, Task
 
 
 class TestEncodedSize:
@@ -71,40 +72,65 @@ class TestMarshalCall:
         assert result_size(None) == 1
 
 
+def _task(*pairs):
+    """A host task whose fd table holds one stub per (host, proxy) fd."""
+    task = Task(None, 100, "com.app", Credentials(10001))
+    for host_fd, proxy_fd in pairs:
+        task.install_fd(host_fd, RemoteFdStub(proxy_fd))
+    return task
+
+
+def _table(*pairs):
+    """A translation table over :func:`_task`'s fd table."""
+    return FdTranslationTable(_task(*pairs).fd_table)
+
+
 class TestFdTranslation:
+    """The table reads the stubs in the host fd table: binding a host fd
+    is installing its stub, and unbinding it is removing the stub."""
+
     def test_bind_and_translate(self):
-        table = FdTranslationTable()
-        table.bind(5, 3)
+        table = _table((5, 3))
         assert table.to_proxy(5) == 3
         assert table.is_remote(5)
         assert 5 in table
 
     def test_double_bind_rejected(self):
-        table = FdTranslationTable()
-        table.bind(5, 3)
+        task = _task((5, 3))
         with pytest.raises(SimulationError):
-            table.bind(5, 4)
+            task.install_fd(5, RemoteFdStub(4))
+        assert FdTranslationTable(task.fd_table).to_proxy(5) == 3
 
     def test_unbind(self):
-        table = FdTranslationTable()
-        table.bind(5, 3)
-        assert table.unbind(5) == 3
+        task = _task((5, 3))
+        table = FdTranslationTable(task.fd_table)
+        task.remove_fd(5)
         assert not table.is_remote(5)
+        assert 5 not in table
 
     def test_translate_unknown_fd_errors(self):
         with pytest.raises(SimulationError):
-            FdTranslationTable().to_proxy(9)
+            FdTranslationTable({}).to_proxy(9)
+
+    def test_host_descriptor_is_not_remote(self):
+        task = _task((5, 3))
+        task.install_fd(4, object())
+        table = FdTranslationTable(task.fd_table)
+        assert not table.is_remote(4)
+        assert 4 not in table
+        with pytest.raises(SimulationError):
+            table.to_proxy(4)
+        with pytest.raises(SyscallError) as info:
+            table.translate_args("read", (4, 100))
+        assert info.value.errno == errno.EBADF
 
     def test_translate_args_rewrites_leading_fd(self):
-        table = FdTranslationTable()
-        table.bind(7, 3)
-        assert table.translate_args("read", (7, 100)) == (3, 100)
+        assert _table((7, 3)).translate_args("read", (7, 100)) == (3, 100)
 
     def test_translate_args_refuses_an_unbound_fd(self):
-        # The policy redirects only bound fds: an unbound one is a
-        # descriptor a reboot dropped, and it must not cross.
-        table = FdTranslationTable()
-        table.bind(7, 3)
+        # The policy redirects only fds that hold stubs: one that does
+        # not is a descriptor a reboot dropped, and it must not cross.
+        table = _table((7, 3))
         for name, args in (("read", (4, 100)), ("fchmod", (4, 0o600)),
                            ("sendfile", (7, 4, 0, 9))):
             with pytest.raises(SyscallError) as info:
@@ -112,23 +138,19 @@ class TestFdTranslation:
             assert info.value.errno == errno.EBADF
 
     def test_translate_args_sendfile_both_fds(self):
-        table = FdTranslationTable()
-        table.bind(7, 3)
-        table.bind(8, 4)
+        table = _table((7, 3), (8, 4))
         assert table.translate_args("sendfile", (7, 8, None, 100)) == (
             3, 4, None, 100,
         )
 
     def test_translate_args_non_fd_call_untouched(self):
-        table = FdTranslationTable()
-        table.bind(7, 3)
-        assert table.translate_args("mkdir", ("/x", 0o755)) == ("/x", 0o755)
+        assert _table((7, 3)).translate_args("mkdir", ("/x", 0o755)) == (
+            "/x", 0o755)
 
     def test_remote_fds_set(self):
-        table = FdTranslationTable()
-        table.bind(5, 1)
-        table.bind(6, 2)
-        assert table.remote_fds() == {5, 6}
+        task = _task((5, 1), (6, 2))
+        task.install_fd(7, object())
+        assert FdTranslationTable(task.fd_table).remote_fds() == {5, 6}
 
 
 class TestRemoteFdStub:
@@ -162,13 +184,11 @@ class TestFdFirstSweep:
     ])
     def test_translate_args_rewrites_the_new_fd_first_calls(self, name,
                                                             rest):
-        table = FdTranslationTable()
-        table.bind(7, 3)
+        table = _table((7, 3))
         assert table.translate_args(name, (7,) + rest) == (3,) + rest
 
     def test_translate_args_still_skips_path_first_calls(self):
-        table = FdTranslationTable()
-        table.bind(7, 3)
+        table = _table((7, 3))
         for name in ("truncate", "chmod", "chown", "unlink", "rename",
                      "getdents"):
             args = ("/data/x", 7)

@@ -45,10 +45,12 @@ class TestCreation:
         proxy = manager.create_proxy(make_app_task(machine))
         assert proxy.guest_task.state is TaskState.SLEEPING
 
-    def test_host_task_links_to_proxy(self, machine, manager):
+    def test_manager_holds_the_only_proxy_record(self, machine, manager):
         host_task = make_app_task(machine)
         proxy = manager.create_proxy(host_task)
-        assert host_task.proxy is proxy.guest_task
+        assert manager.proxy_for(host_task) is proxy
+        # The host task holds no link into the CVM.
+        assert not hasattr(host_task, "proxy")
 
     def test_duplicate_proxy_rejected(self, machine, manager):
         host_task = make_app_task(machine)
@@ -112,14 +114,25 @@ class TestBookkeeping:
     def test_remove_proxy_reaps_guest_task(self, machine, manager):
         host_task = make_app_task(machine)
         proxy = manager.create_proxy(host_task)
-        manager.remove_proxy(host_task)
+        manager.remove_proxy(host_task, exit_code=3)
         assert not proxy.guest_task.is_alive()
-        assert host_task.proxy is None
+        assert proxy.guest_task.exit_code == 3
+        assert not manager.has_proxy(host_task)
         assert manager.count == 0
 
-    def test_host_reap_mirrors_to_proxy(self, machine, manager):
-        """Killing the host task kills its CVM counterpart."""
+    def test_host_reap_mirrors_to_proxy(self, anception_world, enrolled_ctx):
+        """Killing the host task kills its CVM counterpart: the layer
+        ends the proxy with the app's exit code."""
+        proxy = anception_world.anception.proxies.proxy_for(enrolled_ctx.task)
+        anception_world.kernel.reap_task(enrolled_ctx.task, exit_code=-9)
+        assert not proxy.guest_task.is_alive()
+        assert proxy.guest_task.exit_code == -9
+        assert anception_world.anception.proxies.count == 0
+
+    def test_bare_host_reap_reaches_no_guest_kernel(self, machine, manager):
+        """Without a layer, the host kernel has no link to end a guest
+        task through: ending the proxy is the layer's job."""
         host_task = make_app_task(machine)
         proxy = manager.create_proxy(host_task)
         machine.kernel.reap_task(host_task)
-        assert not proxy.guest_task.is_alive()
+        assert proxy.guest_task.is_alive()

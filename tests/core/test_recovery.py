@@ -199,6 +199,8 @@ class TestRebootRebinding:
 
     def test_survivors_get_fresh_proxies_and_tables(self, anception_world,
                                                     enrolled_ctx):
+        fd = enrolled_ctx.libc.open(enrolled_ctx.data_path("pre-crash"),
+                                    vfs.O_RDWR | vfs.O_CREAT)
         survivors = self.crash_and_reboot(anception_world)
         assert survivors == 1
         proxies = anception_world.anception.proxies
@@ -208,6 +210,8 @@ class TestRebootRebinding:
         assert proxy.guest_task.is_alive()
         table = anception_world.anception.fd_tables[enrolled_ctx.task.pid]
         assert table.remote_fds() == set()
+        # The stub was the fd's only record: the host fd table lost it.
+        assert fd not in enrolled_ctx.task.fd_table
 
     def test_redirected_io_works_after_rebind(self, anception_world,
                                               enrolled_ctx):
@@ -260,6 +264,57 @@ class TestRebootRebinding:
                   and record["kind"] == "recovery"]
         assert "channels-rebound" in events
         assert "reboot-cvm" in events
+
+
+class TestLostDescriptors:
+    """A proxy respawn and a lane reboot both lose the proxy's open
+    descriptors, under two different host contracts.
+
+    A reboot drops the app's stubs: a later call on the fd fails on the
+    host and the number is free for reuse.  A respawn keeps the stubs:
+    a later call still crosses and fails in the guest, and the number
+    stays taken.
+    """
+
+    @staticmethod
+    def _lose_proxy_fds(loss):
+        world = AnceptionWorld()
+        world.anception.recovery = True
+        running = world.install_and_launch(ScratchApp())
+        running.run()
+        ctx = running.ctx
+        fd = ctx.libc.open(ctx.data_path("held"), vfs.O_RDWR | vfs.O_CREAT)
+        ctx.libc.write(fd, b"held")
+        engine = arm(world, f"{loss}:nth=1:call=mkdir")
+        try:
+            ctx.libc.mkdir(ctx.data_path("trigger"))
+        finally:
+            engine.disarm()
+        stub_kept = fd in ctx.task.fd_table
+        redirected = world.anception.decision_counts.get("redirect", 0)
+        with pytest.raises(SyscallError) as info:
+            ctx.libc.fstat(fd)
+        crossed = world.anception.decision_counts.get("redirect", 0) \
+            > redirected
+        reopened = ctx.libc.open(ctx.data_path("next"),
+                                 vfs.O_RDWR | vfs.O_CREAT)
+        return {
+            "stub kept": stub_kept,
+            "crossed": crossed,
+            "errno": info.value.errno,
+            "fd reused": reopened == fd,
+            "reboots": world.cvm.reboot_count,
+        }
+
+    def test_respawn_keeps_stubs_reboot_drops_them(self):
+        assert self._lose_proxy_fds("cvm.crash") == {
+            "stub kept": False, "crossed": False, "errno": errno.EBADF,
+            "fd reused": True, "reboots": 1,
+        }
+        assert self._lose_proxy_fds("proxy.kill") == {
+            "stub kept": True, "crossed": True, "errno": errno.EBADF,
+            "fd reused": False, "reboots": 0,
+        }
 
 
 # -- one supervisor across every crossing shape -------------------------

@@ -17,12 +17,17 @@ from repro.kernel.process import Credentials
 from repro.perf.costs import PAGE_SIZE
 
 
+def _guest_task(world, task):
+    """``task``'s proxy task in the CVM, from the layer's one record."""
+    return world.anception.proxies.proxy_for(task).guest_task
+
+
 class TestForkMirroring:
     def test_fork_child_is_enrolled(self, anception_world, enrolled_ctx):
         child_pid = enrolled_ctx.libc.fork()
         child = anception_world.kernel.pids.require(child_pid)
         assert child.redirection_entry == 1
-        assert child.proxy is not None
+        assert _guest_task(anception_world, child).is_alive()
         assert child.launch_uid == enrolled_ctx.task.launch_uid
 
     def test_fork_child_proxy_inherits_remote_fds(self, anception_world,
@@ -37,11 +42,46 @@ class TestForkMirroring:
         child_libc.lseek(fd, 0, vfs.SEEK_SET)
         assert child_libc.read(fd, 12) == b"parent-wrote"
 
+    @pytest.mark.parametrize("recovery", [False, True])
+    def test_fork_after_proxy_death_keeps_a_defined_errno(
+            self, anception_world, enrolled_ctx, recovery):
+        """A fork after the app's proxy died (recovery off) or was
+        respawned (recovery on) leaves the child's inherited CVM fd
+        failing as the parent's does, with a typed errno: the call
+        still crosses, and never reaches the host's stub."""
+        layer = anception_world.anception
+        layer.recovery = recovery
+        libc = enrolled_ctx.libc
+        fd = libc.open(enrolled_ctx.data_path("pre-fork"),
+                       vfs.O_RDWR | vfs.O_CREAT)
+        libc.write(fd, b"parent-wrote")
+        proxy = layer.proxies.proxy_for(enrolled_ctx.task)
+        anception_world.cvm.kernel.reap_task(proxy.guest_task, exit_code=-9)
+        if recovery:
+            # The next crossing respawns the proxy, with an empty fd table.
+            with pytest.raises(SyscallError):
+                libc.fstat(fd)
+            assert layer.proxies.proxy_for(enrolled_ctx.task) is not proxy
+        child_pid = libc.fork()
+        child = anception_world.kernel.pids.require(child_pid)
+        child_libc = anception_world.libc_for(child)
+        for call, args in (("read", (fd, 4)), ("fstat", (fd,))):
+            with pytest.raises(SyscallError) as parent:
+                getattr(libc, call)(*args)
+            with pytest.raises(SyscallError) as child_error:
+                getattr(child_libc, call)(*args)
+            assert parent.value.errno in (errno.EIO, errno.EBADF)
+            assert child_error.value.errno in (errno.EIO, errno.EBADF)
+            if recovery:
+                assert (child_error.value.errno, child_error.value.call) \
+                    == (parent.value.errno, parent.value.call)
+
     def test_native_fork_not_mirrored(self, native_world, native_ctx):
         child_pid = native_ctx.libc.fork()
         child = native_world.kernel.pids.require(child_pid)
         assert child.redirection_entry == 0
-        assert child.proxy is None
+        assert not [task for task in native_world.kernel.pids.all_tasks()
+                    if task.name.startswith("proxy:")]
 
 
 class TestExecSemantics:
@@ -111,7 +151,7 @@ class TestExecSemantics:
         child = anception_world.kernel.pids.require(child_pid)
         anception_world.kernel.syscall(child, "execve", "/system/bin/sh", ())
         assert child.redirection_entry == 1
-        assert child.proxy is not None
+        assert _guest_task(anception_world, child).is_alive()
 
 
 class TestMmapSplit:
@@ -121,7 +161,8 @@ class TestMmapSplit:
             PAGE_SIZE, PROT_READ | PROT_WRITE, MAP_ANONYMOUS
         )
         enrolled_ctx.task.address_space.write(base, b"host-only-bytes")
-        proxy_space = enrolled_ctx.task.proxy.address_space
+        proxy_space = _guest_task(anception_world,
+                                  enrolled_ctx.task).address_space
         vpn = base // PAGE_SIZE
         assert proxy_space.is_mapped(base)
         guest_view = proxy_space.read(
@@ -141,7 +182,8 @@ class TestMmapSplit:
         enrolled_ctx.task.address_space.write(
             0, SHELLCODE_MAGIC + b"payload", need_prot=0
         )
-        proxy_space = enrolled_ctx.task.proxy.address_space
+        proxy_space = _guest_task(anception_world,
+                                  enrolled_ctx.task).address_space
         assert proxy_space.is_mapped(0)
         guest_zero = proxy_space.read(
             0, 16, window=anception_world.cvm.kernel.frame_window,

@@ -34,7 +34,11 @@ from repro.android.binder import (
     Transaction,
 )
 from repro.core.anception import _SPLIT_HANDLERS
-from repro.core.marshal import FdTranslationTable, encoded_size
+from repro.core.marshal import (
+    FdTranslationTable,
+    RemoteFdStub,
+    encoded_size,
+)
 from repro.core.policy import (
     FD_CALLS,
     FD_PAIR_CALLS,
@@ -137,8 +141,7 @@ class TestMarshalEntries:
 
 def _fd_translated(name):
     """Whether the translation table rewrites ``name``'s fd argument."""
-    table = FdTranslationTable()
-    table.bind(7, 3)
+    table = FdTranslationTable({7: RemoteFdStub(3)})
     return table.translate_args(name, (7, 7, 0, 0)) != (7, 7, 0, 0)
 
 
@@ -153,11 +156,10 @@ class TestFdLocality:
 
     def test_every_fd_translated_redirect_call_routes_by_locality(self):
         policy = RedirectionPolicy(())
-        table = FdTranslationTable()
-        table.bind(7, 3)
         # fd 8 is open on the host, fd 9 is closed, fd 7 is in the CVM.
         task = SimpleNamespace(pid=99, cwd="/data/data/probe",
-                               fd_table={8: object()})
+                               fd_table={8: object(), 7: RemoteFdStub(3)})
+        table = FdTranslationTable(task.fd_table)
         misrouted = []
         for name in sorted(CATALOGUE):
             if classify(name) is not SyscallClass.REDIRECT \

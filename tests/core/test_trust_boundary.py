@@ -41,7 +41,8 @@ def test_cvm_graph_reaches_neither_host_kernel_nor_app_task(launched, root):
     (lane,) = world.anception.pool.lanes
     reached = {id(obj) for obj in walk_components(getattr(lane.cvm, root))}
     # The walk is not vacuous: it finds the app's proxy in the CVM.
-    assert id(host_task.proxy) in reached
+    proxy = world.anception.proxies.proxy_for(host_task)
+    assert id(proxy.guest_task) in reached
     leaks = sorted(name for key, name in host_private.items()
                    if key in reached)
     assert leaks == []

@@ -256,6 +256,21 @@ SCRIPTS = {
             ("read", 9, 4),
         ],
     },
+    # dup2 of a host fd over a CVM fd: the slot then names the host
+    # file, so reads reach it and no longer the CVM file it held.
+    "dup2-over-remote": {
+        "needs_server": False,
+        "script": [
+            ("open", P("cat-over.bin"), TRUNC, 0o644),
+            ("write", H(0), b"cvm-bytes"),
+            ("open", "/system/bin/sh", vfs.O_RDONLY),
+            ("syscall", "dup2", H(2), H(0)),
+            ("pread", H(0), 4, 0),
+            ("close", H(0)),
+            ("close", H(2)),
+            ("read_file", P("cat-over.bin")),
+        ],
+    },
     "split-fcntl": {
         "needs_server": False,
         "script": [

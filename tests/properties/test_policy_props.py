@@ -145,7 +145,7 @@ class TestIoctlSplitRule:
         task = ctx.task
         table = layer._fd_table(task)
         fd = ctx.binder_fd
-        assert fd not in table._host_to_proxy
+        assert not table.is_remote(fd)
         arg = Transaction(target, "probe")
         routes = []
         layer._forward_binder = lambda *call: routes.append("cvm")

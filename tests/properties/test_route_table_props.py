@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import errno
 
-from repro.core.marshal import FdTranslationTable
+from repro.core.marshal import FdTranslationTable, RemoteFdStub
 from repro.core.policy import (
     FD_CALLS,
     FD_PAIR_CALLS,
@@ -151,9 +151,9 @@ class TestRouteTable:
     @settings(max_examples=400, deadline=None)
     def test_fd_arguments(self, flag, name, fd, fd_in, remote):
         """Remote and local fds, as a set and as the layer's table."""
-        table = FdTranslationTable()
-        for host_fd in sorted(remote):
-            table.bind(host_fd, host_fd + 100)
+        table = FdTranslationTable({
+            host_fd: RemoteFdStub(host_fd + 100) for host_fd in remote
+        })
         _agree(flag, name, (fd, 100), remote)
         _agree(flag, name, (fd,), table)
         _agree(flag, name, (fd, fd_in), table)
