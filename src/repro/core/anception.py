@@ -358,10 +358,35 @@ class AnceptionLayer:
         """
         task.redirection_entry = 1
         lane = self.pool.assign(task)
-        lane.proxies.create_proxy(task)
+        self._new_proxy(lane, task)
         self.fd_tables[task.pid] = FdTranslationTable(task.fd_table)
         if install_record is not None:
             self._copy_initial_data(lane, task, install_record)
+
+    def _new_proxy(self, lane, task, parent=None):
+        """Make ``task``'s proxy on ``lane``; nothing else makes one.
+
+        The task keeps a stub only for a descriptor the new proxy holds:
+        a forked child (``parent`` given) gets a duplicate of each one its
+        parent's proxy still holds.  Every other stub goes, and with them
+        the pid's staged windows and ledger, as at exit.
+        """
+        guest = lane.proxies.create_proxy(task).guest_task
+        held = {} if parent is None \
+            else lane.proxies.proxy_for(parent).guest_task.fd_table
+        fd_table = task.fd_table
+        for host_fd, stub in list(fd_table.items()):
+            if stub.__class__ is not RemoteFdStub:
+                continue
+            desc = held.get(stub.proxy_fd)
+            if desc is None:
+                del fd_table[host_fd]
+            else:
+                guest.install_fd(stub.proxy_fd, desc.dup()
+                                 if hasattr(desc, "dup") else desc)
+        for windows in (lane.write_behind, lane.binder_ring):
+            if windows is not None:
+                windows.forget(task.pid)
 
     def _copy_initial_data(self, lane, task, record):
         """Copy packaged app data from the host image into the CVM."""
@@ -377,12 +402,6 @@ class AnceptionLayer:
             lane.cvm.copy_in_file(
                 f"{data_dir}/{name}", bytes(inode.data), record.uid
             )
-
-    def _fd_table(self, task):
-        table = self.fd_tables.get(task.pid)
-        if table is None:
-            raise SimulationError(f"pid {task.pid} not enrolled")
-        return table
 
     # ------------------------------------------------------------------
     # the alternate syscall table
@@ -630,7 +649,8 @@ class AnceptionLayer:
         if isinstance(failure, ContainerCrashed) or lane.cvm.crashed:
             self._recover_reboot(lane, str(failure))
         elif isinstance(failure, ProxyDied):
-            lane.proxies.respawn_proxy(task)
+            lane.proxies.remove_proxy(task)
+            self._new_proxy(lane, task)
             self._recovered("respawn-proxy", f"host pid {task.pid}",
                             task=task, kernel=lane.cvm.kernel.label)
 
@@ -876,12 +896,12 @@ class AnceptionLayer:
 
     def _proxy_offset(self, task, host_fd):
         """Current file offset of the proxy-side open file, if any."""
-        table = self._fd_table(task)
-        if not table.is_remote(host_fd):
+        stub = task.fd_table.get(host_fd)
+        if stub.__class__ is not RemoteFdStub:
             return 0
         proxy = self._lane(task).proxies.proxy_for(task)
-        desc = proxy.guest_task.fd_table.get(table.to_proxy(host_fd))
-        return getattr(desc, "offset", 0)
+        return getattr(proxy.guest_task.fd_table.get(stub.proxy_fd),
+                       "offset", 0)
 
     def _adopt_result(self, task, name, args, result):
         """Map a resource-allocating result (``name`` is one of
@@ -1143,9 +1163,8 @@ class AnceptionLayer:
 
     def _split_close(self, task, table, fd):
         if table.is_remote(fd):
-            proxy_fd = table.to_proxy(fd)
             self._redirect(task, "close", (fd,), {},
-                           translated=(proxy_fd,))
+                           translated=(table.to_proxy(fd),))
             task.remove_fd(fd)
             if self.crypto_fs is not None:
                 self.crypto_fs.on_close(task, fd)
@@ -1161,24 +1180,29 @@ class AnceptionLayer:
 
     def _split_dup(self, task, table, fd):
         if table.is_remote(fd):
-            proxy_fd = table.to_proxy(fd)
             new_proxy_fd = self._redirect(
-                task, "dup", (fd,), {}, translated=(proxy_fd,)
-            )
+                task, "dup", (fd,), {}, translated=(table.to_proxy(fd),))
             return task.alloc_fd(RemoteFdStub(new_proxy_fd, "dup"))
         return self.host_kernel.execute_native(task, "dup", (fd,), {})
 
     def _split_dup2(self, task, table, fd, newfd):
-        if table.is_remote(fd):
-            proxy_fd = table.to_proxy(fd)
-            new_proxy_fd = self._redirect(
-                task, "dup", (fd,), {}, translated=(proxy_fd,)
-            )
-            if newfd in task.fd_table:
+        """dup2 across kernels: as natively, ``newfd`` closes exactly when
+        ``fd`` is valid and differs from it, ignoring the close's errors,
+        and a remote ``newfd`` closes in its proxy too."""
+        remote = table.is_remote(fd)
+        if fd != newfd and fd in task.fd_table and newfd in task.fd_table \
+                and (remote or table.is_remote(newfd)):
+            try:
                 self._split_close(task, table, newfd)
-            task.install_fd(newfd, RemoteFdStub(new_proxy_fd, "dup2"))
-            return newfd
-        return self.host_kernel.execute_native(task, "dup2", (fd, newfd), {})
+            except SyscallError:
+                task.fd_table.pop(newfd, None)
+        if not remote or fd == newfd:
+            return self.host_kernel.execute_native(
+                task, "dup2", (fd, newfd), {})
+        new_proxy_fd = self._redirect(
+            task, "dup", (fd,), {}, translated=(table.to_proxy(fd),))
+        task.install_fd(newfd, RemoteFdStub(new_proxy_fd, "dup2"))
+        return newfd
 
     def _split_fcntl(self, task, table, fd, cmd, arg=0):
         if table.is_remote(fd):
@@ -1494,10 +1518,10 @@ class AnceptionLayer:
         Reboots are lane-scoped: only the apps resident on ``lane``
         (default: lane 0) lose their container; siblings keep running
         untouched.  App data survives on the virtual disk; open CVM
-        descriptors do not — their host-side stubs are dropped
-        (subsequent use gets EBADF, like any fd whose backing object
-        died) and every surviving app on the lane gets a fresh proxy in
-        the new container.  All lane-held transport state re-arms
+        descriptors do not: every surviving app on the lane gets a fresh
+        proxy in the new container through :meth:`_new_proxy`, which
+        drops the app's stubs (subsequent use gets EBADF, like any fd
+        whose backing object died).  All lane-held transport state re-arms
         through :meth:`_bind_lane` — the same choke point boot uses —
         so nothing stale can survive the swap.
         """
@@ -1511,9 +1535,7 @@ class AnceptionLayer:
             and self.pool.lane_for(task) is lane
         ]
         for task in survivors:
-            lane.proxies.create_proxy(task)
-            for host_fd in self._fd_table(task).remote_fds():
-                del task.fd_table[host_fd]
+            self._new_proxy(lane, task)
         self._recovered("channels-rebound",
                         f"{lane.name}: {len(survivors)} survivors",
                         kernel=self.host_kernel.label,
@@ -1637,12 +1659,12 @@ class AnceptionLayer:
         wb = lane.write_behind
         window = wb.windows.get(task.pid)
         if window is None or len(window.entries) >= wb.depth:
-            channel = lane.channel
+            proxy = lane.proxies._by_host_pid.get(task.pid)
             window = self._window_with_room(lane, wb, task)
-            if lane.channel is not channel:
-                # The drain rebooted the lane and dropped this fd's
-                # stub: the call is no longer deferrable, so it takes
-                # the synchronous path and fails there.
+            if lane.proxies._by_host_pid.get(task.pid) is not proxy:
+                # The drain renewed the task's proxy and dropped this
+                # fd's stub: the call is no longer deferrable, so it
+                # takes the synchronous path and fails there.
                 return self._redirect(task, name, args, {})
         if name == "write":
             payload = bytes(args[1])
@@ -1889,20 +1911,20 @@ class AnceptionLayer:
         site = "binder-ring" if windows.label == "binder" else "write-behind"
         self._supervise(
             task, lane, site, self._window_attempt,
-            (lane, lane.channel, windows, task, entries),
+            (lane, lane.proxies._by_host_pid.get(task.pid), windows, task,
+             entries),
             exhausted=lambda failure: self._fail_entries(
                 windows, task, entries,
                 _delegation_eio(failure, entries[0].name)),
         )
 
-    def _window_attempt(self, lane, channel, windows, task, entries):
+    def _window_attempt(self, lane, proxy, windows, task, entries):
         """One pass of a drained window: post, flush, reap, ledger.
 
-        ``channel`` is the lane's channel when the drain began.  A
-        reboot since then (a retry's, or one before the first pass)
-        re-binds the lane, and the window ends unrun: its entries name
-        remote descriptors and service instances of the dead container,
-        whose host stubs and ledger the reboot already dropped.
+        ``proxy`` is the task's proxy when the drain began.  If a
+        respawn or reboot renewed it since (a retry's, or one before the
+        first pass), the window ends unrun: its entries name what the
+        lost proxy held, whose host stubs and ledger are already gone.
 
         The kinds differ only where ``binder`` is tested:
 
@@ -1915,7 +1937,7 @@ class AnceptionLayer:
           cancels the rest of its window;
         * the ring flag, the reap-loss site and the labels.
         """
-        if lane.channel is not channel:
+        if lane.proxies._by_host_pid.get(task.pid) is not proxy:
             return
         binder = windows.label == "binder"
         if binder:
@@ -2028,7 +2050,9 @@ class AnceptionLayer:
 
     def on_fork(self, parent, child):
         """Extend the sandbox to forked children (GingerBreak step: the
-        restarted logcat stays bound to the app's container)."""
+        restarted logcat stays bound to the app's container).  Of the
+        stubs the host fork copied, the child keeps those whose descriptor
+        its parent's proxy still holds (:meth:`_new_proxy`)."""
         if not parent.redirection_entry:
             return
         child.redirection_entry = parent.redirection_entry
@@ -2037,20 +2061,8 @@ class AnceptionLayer:
         # they inherit lives in that container.
         lane = self._lane(parent)
         self.pool.adopt(child, lane)
-        child_guest = lane.proxies.create_proxy(child).guest_task
-        table = self.fd_tables[child.pid] = FdTranslationTable(child.fd_table)
-        # The host fork copied the stubs; each one's proxy descriptor
-        # gets its duplicate in the child's proxy.  A descriptor the
-        # parent's proxy no longer holds (it died, or was respawned)
-        # gets none: the child's call on that fd crosses and fails with
-        # EBADF in the child's proxy.
-        parent_guest = lane.proxies.proxy_for(parent).guest_task
-        for host_fd in table.remote_fds():
-            proxy_fd = table.to_proxy(host_fd)
-            desc = parent_guest.fd_table.get(proxy_fd)
-            if desc is not None:
-                child_guest.install_fd(
-                    proxy_fd, desc.dup() if hasattr(desc, "dup") else desc)
+        self._new_proxy(lane, child, parent)
+        self.fd_tables[child.pid] = FdTranslationTable(child.fd_table)
 
     def on_exit(self, task, exit_code):
         """Flush, then end, an exiting app (``Kernel.reap_task``).

@@ -100,19 +100,6 @@ class ProxyManager:
         if proxy is not None and not self.cvm.kernel.crashed:
             self.cvm.kernel.reap_task(proxy.guest_task, exit_code)
 
-    def respawn_proxy(self, host_task):
-        """Replace a dead proxy with a fresh one (recovery path).
-
-        The new proxy starts with an empty fd table: descriptors the old
-        proxy held are gone.  Unlike a container reboot, which drops the
-        app's host-side stubs, a respawn keeps them: a later call on such
-        an fd still crosses and fails in the guest with EBADF, and the fd
-        number stays taken (``close`` crosses and fails too, so the stub
-        stays).
-        """
-        self.remove_proxy(host_task)
-        return self.create_proxy(host_task)
-
     def execute(self, proxy, name, args, kwargs):
         """Run one forwarded call from the parked proxy's context."""
         clock = self.cvm.machine.clock

@@ -149,7 +149,7 @@ class DeferredWindows:
         return None
 
     def forget(self, pid):
-        """Drop ``pid``'s window and ledger entries (it left this lane)."""
+        """Drop ``pid``'s window and ledger (it exited or lost its proxy)."""
         self.windows.pop(pid, None)
         for slot in self.errors_for(pid):
             del self.errors[slot]

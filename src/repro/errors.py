@@ -87,9 +87,9 @@ class DelegationError(ReproError):
     container died mid-call — as opposed to the call legitimately failing
     with an errno.  They are recoverable: the Anception layer's retry /
     recovery supervisor may respawn the proxy, reboot the container and
-    re-issue the call.  If recovery is disabled or exhausted the layer
-    converts them to a well-defined ``SyscallError`` (EIO) so apps never
-    see simulator internals.
+    re-issue the call; a lost proxy loses its descriptors.  If recovery
+    is disabled or exhausted the layer converts them to a well-defined
+    ``SyscallError`` (EIO) so apps never see simulator internals.
     """
 
     site = "delegation"

@@ -139,13 +139,18 @@ class TestProxyTyping:
         assert "EIO" in str(exc.value)
 
     def test_respawn_replaces_proxy(self, anception_world, enrolled_ctx):
+        """With recovery on, the next crossing after the proxy died
+        respawns it through the layer and completes."""
+        anception_world.anception.recovery = True
         proxies = anception_world.anception.proxies
         old = proxies.proxy_for(enrolled_ctx.task)
         anception_world.cvm.kernel.reap_task(old.guest_task, exit_code=-9)
-        new = proxies.respawn_proxy(enrolled_ctx.task)
+        enrolled_ctx.libc.stat(enrolled_ctx.data_path("seed.txt"))
+        new = proxies.proxy_for(enrolled_ctx.task)
         assert new.guest_task.pid != old.guest_task.pid
         assert new.guest_task.is_alive()
-        assert proxies.proxy_for(enrolled_ctx.task) is new
+        assert ("respawn-proxy", f"host pid {enrolled_ctx.task.pid}") \
+            in anception_world.anception.recovery_log
         guest_pids = anception_world.cvm.kernel.pids
         assert guest_pids.get(new.guest_task.pid) is new.guest_task
 

@@ -266,55 +266,119 @@ class TestRebootRebinding:
         assert "reboot-cvm" in events
 
 
-class TestLostDescriptors:
-    """A proxy respawn and a lane reboot both lose the proxy's open
-    descriptors, under two different host contracts.
+LOSS_WORLDS = [
+    pytest.param(cvms, write_behind,
+                 id=f"{cvms}-lane-{'write-behind' if write_behind else 'sync'}")
+    for cvms in (1, 4) for write_behind in (False, True)
+]
+"""(cvms, async_delegation) pairs every lost-descriptor case runs in."""
 
-    A reboot drops the app's stubs: a later call on the fd fails on the
-    host and the number is free for reuse.  A respawn keeps the stubs:
-    a later call still crosses and fails in the guest, and the number
-    stays taken.
+
+def launch_scratch(cvms, async_delegation, recovery=False):
+    """``(world, ctx)`` of a launched :class:`ScratchApp` in a new world."""
+    world = AnceptionWorld(cvms=cvms, async_delegation=async_delegation)
+    world.anception.recovery = recovery
+    running = world.install_and_launch(ScratchApp())
+    running.run()
+    return world, running.ctx
+
+
+def _pread_or_errno(libc, fd):
+    try:
+        return libc.pread(fd, 32, 0)
+    except SyscallError as exc:
+        return exc.errno
+
+
+def lost_fds_outcome(layer, task, libc, fds, reopen_path):
+    """What an app sees of ``fds`` once the proxy that held them is gone.
+
+    Each stale fd is read before and after the app opens ``reopen_path``
+    (whose file holds ``b"NEW-FILE"``): a stale fd that still named a
+    proxy slot would read that file once the open reused the slot.
     """
+    stubs = [fd for fd in fds if fd in task.fd_table]
+    redirected = layer.decision_counts.get("redirect", 0)
+    before = [_pread_or_errno(libc, fd) for fd in fds]
+    crossed = layer.decision_counts.get("redirect", 0) > redirected
+    reopened = libc.open(reopen_path, vfs.O_RDONLY)
+    return {
+        "stubs kept": stubs,
+        "crossed": crossed,
+        "before reopen": before,
+        "reopened": reopened,
+        "after reopen": [_pread_or_errno(libc, fd) for fd in fds
+                         if fd != reopened],
+    }
+
+
+LOST_FDS = {
+    "stubs kept": [], "crossed": False,
+    "before reopen": [errno.EBADF, errno.EBADF], "reopened": 3,
+    "after reopen": [errno.EBADF],
+}
+"""The one contract: both fds gone from the host table, EBADF on the
+host without crossing, and the lowest number reused."""
+
+
+class TestLostDescriptors:
+    """A lost proxy loses its descriptors, whether a respawn or a lane
+    reboot replaced it: the app's later call on one fails with EBADF on
+    the host, and the number is free for the next open."""
 
     @staticmethod
-    def _lose_proxy_fds(loss):
-        world = AnceptionWorld()
-        world.anception.recovery = True
-        running = world.install_and_launch(ScratchApp())
-        running.run()
-        ctx = running.ctx
-        fd = ctx.libc.open(ctx.data_path("held"), vfs.O_RDWR | vfs.O_CREAT)
-        ctx.libc.write(fd, b"held")
+    def _lose_proxy_fds(loss, cvms, async_delegation):
+        world, ctx = launch_scratch(cvms, async_delegation, recovery=True)
+        layer = world.anception
+        ctx.libc.write_file(ctx.data_path("new"), b"NEW-FILE")
+        fds = [ctx.libc.open(ctx.data_path(name), vfs.O_RDWR | vfs.O_CREAT)
+               for name in ("held-a", "held-b")]
+        for fd in fds:
+            ctx.libc.write(fd, b"held")
         engine = arm(world, f"{loss}:nth=1:call=mkdir")
         try:
             ctx.libc.mkdir(ctx.data_path("trigger"))
         finally:
             engine.disarm()
-        stub_kept = fd in ctx.task.fd_table
-        redirected = world.anception.decision_counts.get("redirect", 0)
-        with pytest.raises(SyscallError) as info:
-            ctx.libc.fstat(fd)
-        crossed = world.anception.decision_counts.get("redirect", 0) \
-            > redirected
-        reopened = ctx.libc.open(ctx.data_path("next"),
-                                 vfs.O_RDWR | vfs.O_CREAT)
-        return {
-            "stub kept": stub_kept,
-            "crossed": crossed,
-            "errno": info.value.errno,
-            "fd reused": reopened == fd,
-            "reboots": world.cvm.reboot_count,
-        }
+        action = "respawn-proxy" if loss == "proxy.kill" else "reboot-cvm"
+        assert action in [action for action, _ in layer.recovery_log]
+        return lost_fds_outcome(layer, ctx.task, ctx.libc, fds,
+                                ctx.data_path("new"))
 
-    def test_respawn_keeps_stubs_reboot_drops_them(self):
-        assert self._lose_proxy_fds("cvm.crash") == {
-            "stub kept": False, "crossed": False, "errno": errno.EBADF,
-            "fd reused": True, "reboots": 1,
-        }
-        assert self._lose_proxy_fds("proxy.kill") == {
-            "stub kept": True, "crossed": True, "errno": errno.EBADF,
-            "fd reused": False, "reboots": 0,
-        }
+    @pytest.mark.parametrize("cvms,async_delegation", LOSS_WORLDS)
+    def test_respawn_loses_descriptors_as_a_reboot_does(
+            self, cvms, async_delegation):
+        respawned = self._lose_proxy_fds("proxy.kill", cvms,
+                                         async_delegation)
+        assert respawned == LOST_FDS
+        assert self._lose_proxy_fds("cvm.crash", cvms,
+                                    async_delegation) == respawned
+
+    @pytest.mark.parametrize("cvms,async_delegation", LOSS_WORLDS)
+    def test_fsync_on_a_lost_fd_fails_on_the_host(self, cvms,
+                                                  async_delegation):
+        """The fsync that meets a dead proxy respawns it, and its retry
+        fails with EBADF on the host.  With write-behind on, the window
+        the fsync drained was in hand when the proxy was respawned, so
+        it ends unrun, as after a reboot, and its staged write is lost
+        without a ledgered errno."""
+        world, ctx = launch_scratch(cvms, async_delegation, recovery=True)
+        layer = world.anception
+        fd = ctx.libc.open(ctx.data_path("staged"),
+                           vfs.O_RDWR | vfs.O_CREAT)
+        assert ctx.libc.write(fd, b"staged") == 6
+        lane = layer.pool.lane_for(ctx.task)
+        proxy = lane.proxies.proxy_for(ctx.task)
+        lane.cvm.kernel.reap_task(proxy.guest_task, exit_code=-9)
+        with pytest.raises(SyscallError) as info:
+            ctx.libc.fsync(fd)
+        assert info.value.errno == errno.EBADF
+        assert fd not in ctx.task.fd_table
+        assert lane.proxies.proxy_for(ctx.task) is not proxy
+        if async_delegation:
+            assert lane.write_behind.errors_for(ctx.task.pid) == {}
+        assert ctx.libc.read_file(ctx.data_path("staged")) == (
+            b"" if async_delegation else b"staged")
 
 
 # -- one supervisor across every crossing shape -------------------------

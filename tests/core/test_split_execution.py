@@ -15,11 +15,18 @@ from repro.kernel.memory import (
 )
 from repro.kernel.process import Credentials
 from repro.perf.costs import PAGE_SIZE
+from tests.core.test_recovery import (
+    LOSS_WORLDS,
+    LOST_FDS,
+    launch_scratch,
+    lost_fds_outcome,
+)
 
 
 def _guest_task(world, task):
     """``task``'s proxy task in the CVM, from the layer's one record."""
-    return world.anception.proxies.proxy_for(task).guest_task
+    lane = world.anception.pool.lane_for(task)
+    return lane.proxies.proxy_for(task).guest_task
 
 
 class TestForkMirroring:
@@ -46,9 +53,10 @@ class TestForkMirroring:
     def test_fork_after_proxy_death_keeps_a_defined_errno(
             self, anception_world, enrolled_ctx, recovery):
         """A fork after the app's proxy died (recovery off) or was
-        respawned (recovery on) leaves the child's inherited CVM fd
-        failing as the parent's does, with a typed errno: the call
-        still crosses, and never reaches the host's stub."""
+        respawned (recovery on) gives the child no stub for the lost
+        CVM fd: the child's call fails with EBADF on the host.  The
+        parent's fails with a typed errno too: EIO from its dead proxy,
+        or EBADF on the host once the respawn dropped its stub."""
         layer = anception_world.anception
         layer.recovery = recovery
         libc = enrolled_ctx.libc
@@ -65,16 +73,38 @@ class TestForkMirroring:
         child_pid = libc.fork()
         child = anception_world.kernel.pids.require(child_pid)
         child_libc = anception_world.libc_for(child)
+        assert fd not in child.fd_table
         for call, args in (("read", (fd, 4)), ("fstat", (fd,))):
             with pytest.raises(SyscallError) as parent:
                 getattr(libc, call)(*args)
             with pytest.raises(SyscallError) as child_error:
                 getattr(child_libc, call)(*args)
             assert parent.value.errno in (errno.EIO, errno.EBADF)
-            assert child_error.value.errno in (errno.EIO, errno.EBADF)
+            assert child_error.value.errno == errno.EBADF
             if recovery:
                 assert (child_error.value.errno, child_error.value.call) \
                     == (parent.value.errno, parent.value.call)
+
+    @pytest.mark.parametrize("cvms,async_delegation", LOSS_WORLDS)
+    def test_child_forked_after_proxy_death_has_no_stale_fds(
+            self, cvms, async_delegation):
+        """Recovery off: the proxy is killed, then the app forks.  The
+        child keeps no stub for a descriptor the dead proxy held, so its
+        own open reuses the number instead of aliasing the slot."""
+        world, ctx = launch_scratch(cvms, async_delegation)
+        libc = ctx.libc
+        libc.write_file(ctx.data_path("new"), b"NEW-FILE")
+        fds = [libc.open(ctx.data_path(name), vfs.O_RDWR | vfs.O_CREAT)
+               for name in ("held-a", "held-b")]
+        for fd in fds:
+            libc.write(fd, b"held")
+        lane = world.anception.pool.lane_for(ctx.task)
+        lane.cvm.kernel.reap_task(
+            lane.proxies.proxy_for(ctx.task).guest_task, exit_code=-9)
+        child = world.kernel.pids.require(libc.fork())
+        assert lost_fds_outcome(world.anception, child,
+                                world.libc_for(child), fds,
+                                ctx.data_path("new")) == LOST_FDS
 
     def test_native_fork_not_mirrored(self, native_world, native_ctx):
         child_pid = native_ctx.libc.fork()
@@ -82,6 +112,52 @@ class TestForkMirroring:
         assert child.redirection_entry == 0
         assert not [task for task in native_world.kernel.pids.all_tasks()
                     if task.name.startswith("proxy:")]
+
+
+class TestDup2OverRemote:
+    """dup2 closes a remote ``newfd`` in its proxy too, whichever
+    kernel the source descriptor lives in."""
+
+    @pytest.mark.parametrize("cvms,async_delegation", LOSS_WORLDS)
+    def test_host_source_closes_the_proxy_fd(self, cvms, async_delegation):
+        world, ctx = launch_scratch(cvms, async_delegation)
+        libc = ctx.libc
+        fd = libc.open(ctx.data_path("f"), vfs.O_RDWR | vfs.O_CREAT)
+        libc.write(fd, b"cvm-bytes")
+        host_fd = libc.open("/system/bin/sh", vfs.O_RDONLY)
+        assert (fd, host_fd) == (3, 4)
+        guest = _guest_task(world, ctx.task)
+        assert libc.syscall("dup2", host_fd, fd) == fd
+        assert guest.fd_table == {}
+        assert libc.pread(fd, 4, 0) == libc.pread(host_fd, 4, 0)
+        assert libc.read_file(ctx.data_path("f")) == b"cvm-bytes"
+
+    @pytest.mark.parametrize("cvms,async_delegation", LOSS_WORLDS)
+    def test_remote_source_closes_the_proxy_fd(self, cvms,
+                                               async_delegation):
+        world, ctx = launch_scratch(cvms, async_delegation)
+        libc = ctx.libc
+        fds = [libc.open(ctx.data_path(name), vfs.O_RDWR | vfs.O_CREAT)
+               for name in ("a", "b")]
+        libc.write(fds[0], b"file-a")
+        guest = _guest_task(world, ctx.task)
+        assert libc.syscall("dup2", fds[0], fds[1]) == fds[1]
+        held = {fd: desc.path for fd, desc in guest.fd_table.items()}
+        assert sorted(held.values()) == [ctx.data_path("a")] * 2
+        assert libc.pread(fds[1], 32, 0) == b"file-a"
+
+    def test_bad_or_same_source_closes_nothing(self, anception_world,
+                                               enrolled_ctx):
+        libc = enrolled_ctx.libc
+        fd = libc.open(enrolled_ctx.data_path("f"), vfs.O_RDWR | vfs.O_CREAT)
+        guest = _guest_task(anception_world, enrolled_ctx.task)
+        held = dict(guest.fd_table)
+        assert libc.syscall("dup2", fd, fd) == fd
+        with pytest.raises(SyscallError) as info:
+            libc.syscall("dup2", 77, fd)
+        assert info.value.errno == errno.EBADF
+        assert guest.fd_table == held
+        assert fd in enrolled_ctx.task.fd_table
 
 
 class TestExecSemantics:

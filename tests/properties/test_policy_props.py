@@ -143,7 +143,7 @@ class TestIoctlSplitRule:
                                                 target):
         layer, ctx = ioctl_world
         task = ctx.task
-        table = layer._fd_table(task)
+        table = layer.fd_tables[task.pid]
         fd = ctx.binder_fd
         assert not table.is_remote(fd)
         arg = Transaction(target, "probe")
