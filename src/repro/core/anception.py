@@ -1909,6 +1909,7 @@ class AnceptionLayer:
         EIO once recovery gives up, charged to every entry.
         """
         site = "binder-ring" if windows.label == "binder" else "write-behind"
+        # The manager's dict, not proxy_for: no added frame per drain.
         self._supervise(
             task, lane, site, self._window_attempt,
             (lane, lane.proxies._by_host_pid.get(task.pid), windows, task,
