@@ -16,8 +16,9 @@ After every step it checks the one rule for a proxy's descriptors:
 A lost proxy loses its descriptors, so after a kill or a reboot the
 model drops every CVM fd: a later call on one must fail with EBADF and
 the next open must reuse the lowest number.  Both loss rules fence
-first.  What a loss does to an acknowledged staged write, and whether
-the app hears of it, is ROADMAP item 5, not this machine's.
+first: a loss drops an acknowledged staged write without an errno
+(DESIGN §6), and whether the app should hear of it is not this
+machine's question.
 """
 
 import errno
