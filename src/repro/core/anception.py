@@ -1212,7 +1212,10 @@ class AnceptionLayer:
                 translated=(proxy_fd, cmd, arg),
             )
             if cmd == 0 and isinstance(result, int):  # F_DUPFD
-                return task.alloc_fd(RemoteFdStub(result, "fcntl-dup"))
+                # The proxy's kernel already refused a negative minfd;
+                # the app's number honours minfd in the host table.
+                return task.alloc_fd(RemoteFdStub(result, "fcntl-dup"),
+                                     arg)
             return result
         return self.host_kernel.execute_native(
             task, "fcntl", (fd, cmd, arg), {}

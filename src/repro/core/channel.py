@@ -15,13 +15,14 @@ Each chunk crosses the shared pages through one checked primitive,
 side's window, the receiving side's window and the frame range are
 checked and the bytes copied in one step.
 
-Wherever something could rewrite a transfer in transit (an armed fault
-engine) or an observer watches it, the transfer carries a CRC32 over the
-payload, so corruption or truncation is *detected* and surfaces as a
-typed :class:`~repro.errors.ChannelIntegrityError` rather than silently
-handing mangled bytes to the other kernel.  The dormant path has nothing
-to compare against and computes no CRC; the ring's per-descriptor CRC
-framing (:mod:`repro.core.ring`) runs on every path.  The hypervisor's
+While a fault engine is armed, something can rewrite a transfer in
+transit, so the transfer carries a CRC32 over the payload: corruption or
+truncation is *detected* and surfaces as a typed
+:class:`~repro.errors.ChannelIntegrityError` rather than silently
+handing mangled bytes to the other kernel.  A ring descriptor's crossing
+hands in the CRC its push already took (:mod:`repro.core.ring`), so each
+crossing computes one.  With no engine armed, captured or not, there is
+nothing to compare against and no CRC is computed.  The hypervisor's
 doorbells report delivery, so a dropped interrupt is visible to the
 sender as ``False`` instead of an indefinite hang.
 """
@@ -106,7 +107,13 @@ class AnceptionChannel:
         """Guest -> host: same path, opposite direction and rate."""
         return self._transfer(data, "to-host")
 
-    def _transfer(self, data, direction):
+    def _transfer(self, data, direction, crc=None):
+        """Move ``data`` across the shared pages in ``direction``.
+
+        ``crc`` is the payload's CRC32 when the caller (a ring push with
+        a fault engine armed) already took it; the armed path then uses
+        it as its send CRC instead of computing its own.
+        """
         if not isinstance(data, (bytes, bytearray, memoryview)):
             raise ChannelError(
                 f"channel payload must be bytes-like, got "
@@ -142,8 +149,6 @@ class AnceptionChannel:
             # per-chunk charge of costs_charge_chunk is chosen once and
             # folded into one integer add, so simulated time and every
             # counter are bit-identical to the instrumented path.
-            # Nothing can rewrite the payload here, so there is no CRC
-            # to compare and none is computed.
             costs = self.costs
             chunk_ns = costs.chunk_fixed_ns
             bulk = inbound and self._bulk_depth
@@ -178,9 +183,11 @@ class AnceptionChannel:
                 self.bulk_chunks += chunks
             clock._now_ns += total_ns
             return size
-        expected_crc = crc32(view)
         delivered = view
         if engine is not None:
+            # The send CRC, over the bytes as they leave: a ring push
+            # hands in the one it already took.
+            expected_crc = crc32(view) if crc is None else crc
             stall_ns = engine.channel_stall_ns(direction)
             if stall_ns:
                 clock.advance(stall_ns, f"fault:channel-stall:{direction}")
@@ -196,13 +203,12 @@ class AnceptionChannel:
                 if nbytes:
                     cross(frame, chunk, writer, reader)
         if delivered is view:
-            # Unmodified buffer: the integrity CRC *is* the send CRC —
-            # computing it twice over identical bytes was pure overhead.
-            actual_crc = expected_crc
-        else:
-            # The fault engine rewrote the payload in transit; only a
-            # fresh CRC over the delivered bytes can detect that.
-            actual_crc = crc32(delivered)
+            # Unmodified in transit (with no engine armed nothing could
+            # modify it): the bytes that arrived are the ones sent.
+            return size
+        # The fault engine rewrote the payload in transit; only a fresh
+        # CRC over the delivered bytes can detect that.
+        actual_crc = crc32(delivered)
         if delivered.nbytes != size or actual_crc != expected_crc:
             self.integrity_failures += 1
             raise ChannelIntegrityError(

@@ -14,11 +14,20 @@ Design points:
   (derived from the channel's page count by :func:`default_ring_depth`); a
   full ring raises :class:`~repro.errors.RingFull` and the layer
   flushes before retrying (backpressure, never silent loss).
-* **Per-descriptor CRC framing** — each descriptor records the CRC32
-  of its payload at push time and verifies it at pop time, so a byte
-  flipped *in the ring* (the ``ring.corrupt`` fault site) surfaces as
-  a typed :class:`~repro.errors.ChannelIntegrityError`, exactly like
-  channel-level corruption.
+* **Per-descriptor CRC framing, while a fault engine is armed** — the
+  CRC32 exists to detect injected transport faults, so a descriptor
+  takes one only while an engine is armed: once at push, handed to the
+  channel as its send CRC (one CRC per crossing).  ``pop`` checks it
+  again only where the bytes can differ from what crossed: a payload
+  the ``ring.corrupt`` fault site rewrote, or a writable buffer (a
+  ``bytearray``, or a view over one) that its owner could have written
+  while it sat in the ring.  Either mismatch surfaces as a typed
+  :class:`~repro.errors.ChannelIntegrityError`, exactly like
+  channel-level corruption.  With no engine armed nothing can rewrite
+  a payload: each synchronous wire is a fresh buffer its descriptor
+  owns, staged wires are ``bytes`` and completions are read-only views
+  over ``bytes``, so the descriptor carries ``crc=None`` and ``pop``
+  checks nothing.
 * **Sequence numbers** — completions are matched to submissions by
   sequence, so out-of-order delivery (the ``ring.reorder`` fault site)
   is tolerated by construction.
@@ -46,6 +55,15 @@ from repro.perf.costs import PAGE_SIZE
 _WIRE_TYPES = frozenset({bytes, bytearray, memoryview})
 """Exact payload classes :meth:`DelegationRing.push` accepts on sight;
 subclasses take the ``isinstance`` check."""
+
+
+def _read_only(payload):
+    """Whether no reference can write ``payload``'s bytes: ``bytes``, or
+    a view whose exporter is ``bytes``."""
+    if type(payload) is memoryview:
+        payload = payload.obj
+    return type(payload) is bytes
+
 
 RING_HEADER_BYTES = 32
 """Wire footprint of one descriptor header: seq (8) + call id (8) +
@@ -84,11 +102,13 @@ class RingDescriptor:
 
     __slots__ = ("seq", "call", "payload", "crc", "flags")
 
-    def __init__(self, seq, call, payload, flags=0):
+    def __init__(self, seq, call, payload, flags=0, crc=None):
         self.seq = seq
         self.call = call
         self.payload = payload
-        self.crc = crc32(payload)
+        self.crc = crc
+        """CRC32 of the payload taken at push while a fault engine was
+        armed; ``None`` when none was."""
         self.flags = flags
 
     def __repr__(self):
@@ -166,11 +186,11 @@ class DelegationRing:
         # wire, or a staged one) is referenced as-is; the descriptor owns
         # it until the window retires.
         clock = self.clock
+        engine = clock.faults
         if len(self._queue) >= self.depth:
             # The ring.full stall models a producer spinning on a ring
             # with no free slot; it is only ever billed when the ring is
             # actually full.
-            engine = clock.faults
             if engine is not None:
                 stall_ns = engine.ring_full_stall_ns(call=call)
                 if stall_ns:
@@ -180,7 +200,10 @@ class DelegationRing:
         if seq is None:
             seq = self._next_seq
             self._next_seq += 1
-        descriptor = RingDescriptor(seq, call, payload, flags)
+        # The one CRC of this crossing: taken only while a fault can
+        # reach the payload, and reused by the channel as its send CRC.
+        crc = None if engine is None else crc32(payload)
+        descriptor = RingDescriptor(seq, call, payload, flags, crc)
         # Counted as the descriptor crosses: one whose payload then
         # fails the channel's integrity check was still pushed.
         self.pushed += 1
@@ -192,13 +215,13 @@ class DelegationRing:
         if clock.dormant:
             # Dormant observation: skip the span label/attr construction
             # entirely — the transfer itself carries the costs.
-            self.channel._transfer(payload, self.direction)
+            self.channel._transfer(payload, self.direction, crc)
         else:
             with maybe_span(clock, self.span_kind, f"{call}#{seq}",
                             kernel="channel", ring=self.name, seq=seq,
                             bytes=len(payload),
                             depth=len(self._queue) + 1):
-                self.channel._transfer(payload, self.direction)
+                self.channel._transfer(payload, self.direction, crc)
         self._queue.append(descriptor)
         depth_now = len(self._queue)
         if depth_now > self.max_depth_seen:
@@ -210,27 +233,20 @@ class DelegationRing:
     def pop(self):
         """Dequeue the next descriptor, verifying its CRC framing.
 
-        Returns ``None`` on an empty ring.  The ``ring.reorder`` fault
-        site may deliver the *second* queued descriptor first (sequence
-        matching on the consumer side absorbs this); ``ring.corrupt``
-        flips a payload byte, which the CRC check converts into a typed
+        Returns ``None`` on an empty ring.  With no fault engine armed
+        nothing can have rewritten the payload and nothing is checked.
+        With one armed, the ``ring.reorder`` fault site may deliver the
+        *second* queued descriptor first (sequence matching on the
+        consumer side absorbs this), and ``ring.corrupt`` flips a
+        payload byte, which the CRC check converts into a typed
         :class:`ChannelIntegrityError`.
         """
         if not self._queue:
             return None
         engine = self.clock.faults
         if engine is None:
-            descriptor = self._queue.popleft()
             self.popped += 1
-            payload = descriptor.payload
-            actual_crc = crc32(payload)
-            if actual_crc != descriptor.crc:
-                self.channel.integrity_failures += 1
-                raise ChannelIntegrityError(
-                    self.direction, descriptor.crc, actual_crc,
-                    len(payload),
-                )
-            return descriptor
+            return self._queue.popleft()
         if len(self._queue) > 1 \
                 and engine.ring_reorder(call=self._queue[0].call):
             self.out_of_order += 1
@@ -240,15 +256,24 @@ class DelegationRing:
         else:
             descriptor = self._queue.popleft()
         self.popped += 1
-        payload = engine.ring_descriptor_payload(
-            descriptor.call, descriptor.payload
-        )
+        pushed = descriptor.payload
+        payload = engine.ring_descriptor_payload(descriptor.call, pushed)
+        expected_crc = descriptor.crc
+        if payload is pushed:
+            # Unrewritten: its bytes are the ones that crossed unless
+            # its owner could write them (and a push with no engine
+            # armed has no CRC to compare).
+            if expected_crc is None or _read_only(payload):
+                return descriptor
+        elif expected_crc is None:
+            # Armed after the push: the fault site still holds the
+            # pre-fault bytes, so the CRC is taken from them.
+            expected_crc = crc32(pushed)
         actual_crc = crc32(payload)
-        if actual_crc != descriptor.crc:
+        if actual_crc != expected_crc:
             self.channel.integrity_failures += 1
             raise ChannelIntegrityError(
-                self.direction, descriptor.crc, actual_crc,
-                len(descriptor.payload),
+                self.direction, expected_crc, actual_crc, len(pushed),
             )
         descriptor.payload = payload
         return descriptor

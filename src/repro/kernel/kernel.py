@@ -741,7 +741,12 @@ class Kernel:
     def _do_fcntl(self, task, fd, cmd, arg=0):
         desc = task.get_fd(fd)
         if cmd == self.F_DUPFD:
-            return task.alloc_fd(desc.dup() if hasattr(desc, "dup") else desc)
+            # arg is the lowest number the duplicate may take (minfd).
+            if arg < 0:
+                raise SyscallError(errno.EINVAL, f"F_DUPFD minfd {arg}",
+                                   call="fcntl")
+            return task.alloc_fd(
+                desc.dup() if hasattr(desc, "dup") else desc, arg)
         if cmd == self.F_GETFL:
             return getattr(desc, "flags", 0)
         raise SyscallError(errno.EINVAL, f"fcntl cmd {cmd}", call="fcntl")

@@ -118,9 +118,10 @@ class Task:
 
     # -- file descriptors -------------------------------------------------
 
-    def alloc_fd(self, description):
-        """Install ``description`` at the lowest free descriptor >= 3."""
-        fd = 3
+    def alloc_fd(self, description, lowest=3):
+        """Install ``description`` at the lowest free descriptor
+        >= ``max(3, lowest)``."""
+        fd = lowest if lowest > 3 else 3
         while fd in self.fd_table:
             fd += 1
         self.fd_table[fd] = description

@@ -84,15 +84,15 @@ class TestSignalling:
 
 
 class TestZeroCopySingleCrc:
-    """One buffer wrap, and a CRC only where one is compared.
+    """One buffer wrap, and a CRC only where a fault can reach the bytes.
 
     ``_transfer`` used to materialise ``bytes(data)`` twice (once up
     front, once per chunk inside ``_chunked``) and CRC the same
     unmodified buffer twice.  Now every stage operates on memoryview
-    windows over the caller's buffer.  The dormant path, where nothing
-    can rewrite the payload, computes no CRC at all; the instrumented
-    path computes the send CRC once and reuses it as the integrity CRC
-    whenever the fault engine did not rewrite the payload.
+    windows over the caller's buffer.  With no fault engine armed,
+    captured or not, nothing can rewrite the payload and no CRC is
+    computed; with one armed the send CRC is computed once, and a
+    second only over a payload the engine rewrote.
     """
 
     def _count_crcs(self, monkeypatch):
@@ -118,11 +118,22 @@ class TestZeroCopySingleCrc:
     def test_traced_transfer_still_computes_crc_once(
             self, channel, machine, monkeypatch):
         # The instrumented (non-dormant) walk takes the chunked span
-        # path; the single-CRC discipline must hold there too.
+        # path.  A capture alone cannot rewrite the payload, so it takes
+        # no CRC; an armed engine that does not rewrite costs one.
+        from repro.faults.engine import FaultEngine
+
         calls = self._count_crcs(monkeypatch)
         with TraceBus.install(machine.clock).capture():
             channel.send_to_guest(b"t" * (PAGE_SIZE + 3))
+            assert calls == []
+            engine = FaultEngine("channel.corrupt:nth=10000").arm(
+                machine.clock)
+            try:
+                channel.send_to_guest(b"t" * (PAGE_SIZE + 3))
+            finally:
+                engine.disarm()
         assert len(calls) == 1
+        assert channel.integrity_failures == 0
 
     def test_fault_rewritten_payload_gets_a_fresh_crc(
             self, channel, machine, monkeypatch):

@@ -19,8 +19,12 @@ from repro.errors import (
 )
 from repro.faults.engine import FaultEngine
 from repro.hypervisor import LguestHypervisor
+from repro.kernel import vfs
 from repro.kernel.kernel import Machine
 from repro.perf.costs import PAGE_SIZE
+from repro.world import AnceptionWorld
+
+from tests.conftest import ScratchApp
 
 
 @pytest.fixture
@@ -111,7 +115,6 @@ class TestCapacityAndBackpressure:
         assert len(channel.submit_ring) == 1
         descriptor = channel.submit_ring.pop()
         assert descriptor.seq == seq
-        assert descriptor.crc == crc32(payload)
         assert descriptor.payload == payload
         assert channel.submit_ring.pop() is None
 
@@ -203,18 +206,54 @@ class TestFaultSites:
         assert channel.submit_ring.stalls == 0
 
 
-class TestDormantCrc:
-    """The per-descriptor CRC runs with no fault engine and no capture.
+def _count_crcs(monkeypatch):
+    """Every ``crc32`` the ring and the channel take, in call order."""
+    import repro.core.channel as channel_mod
+    import repro.core.ring as ring_mod
+    calls = []
 
-    The dormant path is the one every unobserved redirected call takes,
-    so a payload rewritten while its descriptor sits on the ring must
-    still be caught at ``pop``.
+    def counting(data, *args):
+        calls.append(bytes(data))
+        return crc32(data, *args)
+
+    monkeypatch.setattr(ring_mod, "crc32", counting)
+    monkeypatch.setattr(channel_mod, "crc32", counting)
+    return calls
+
+
+class TestDormantRing:
+    """With no fault engine armed nothing can rewrite a payload between
+    push and pop, so the ring takes no CRC and ``pop`` checks none."""
+
+    def test_push_and_pop_take_no_crc(self, channel, machine,
+                                      monkeypatch):
+        assert machine.clock.faults is None and machine.clock.dormant
+        calls = _count_crcs(monkeypatch)
+        wire, _size = marshal_call_into("pwrite64", (3, b"w" * 64, 0), {})
+        channel.submit_ring.push("pwrite64", wire)
+        channel.complete_ring.push("pwrite64", b"\x00" * 8, seq=1)
+        assert channel.submit_ring.pop().crc is None
+        assert channel.complete_ring.pop().payload == b"\x00" * 8
+        assert calls == []
+
+
+class TestArmedCrc:
+    """While a fault engine is armed the per-descriptor CRC is taken once
+    at push, and ``pop`` checks it wherever the bytes can differ from
+    what crossed.  The engine's rule never fires here: a byte flipped by
+    the buffer's owner while its descriptor sits on the ring must still
+    be caught at ``pop``.
     """
 
+    @pytest.fixture
+    def armed(self, machine):
+        engine = FaultEngine("ring.corrupt:nth=10000").arm(machine.clock)
+        yield engine
+        engine.disarm()
+
     def test_flipped_byte_in_a_queued_buffer_fails_pop(self, channel,
-                                                       machine):
-        assert machine.clock.faults is None and machine.clock.dormant
-        buffer = bytearray(b"dormant-payload")
+                                                       armed):
+        buffer = bytearray(b"armed-payload")
         channel.submit_ring.push("write", memoryview(buffer))
         buffer[3] ^= 0xFF
         with pytest.raises(ChannelIntegrityError):
@@ -222,14 +261,110 @@ class TestDormantCrc:
         assert channel.integrity_failures == 1
 
     def test_flipped_byte_in_a_marshaled_wire_fails_pop(self, channel,
-                                                        machine):
-        assert machine.clock.faults is None and machine.clock.dormant
+                                                        armed):
         wire, size = marshal_call_into("pwrite64", (3, b"w" * 64, 0), {})
         channel.submit_ring.push("pwrite64", wire)
         wire[size // 2] ^= 0xFF
         with pytest.raises(ChannelIntegrityError):
             channel.submit_ring.pop()
         assert channel.integrity_failures == 1
+
+    def test_push_takes_one_crc_the_channel_reuses(self, channel, armed,
+                                                   monkeypatch):
+        calls = _count_crcs(monkeypatch)
+        payload = b"p" * (PAGE_SIZE + 104)
+        channel.submit_ring.push("write", payload)
+        assert calls == [payload]
+        descriptor = channel.submit_ring.pop()
+        # bytes cannot change while queued: pop has nothing to re-read.
+        assert calls == [payload]
+        assert descriptor.crc == crc32(payload)
+
+    def test_a_writable_payload_is_read_again_at_pop(self, channel, armed,
+                                                     monkeypatch):
+        calls = _count_crcs(monkeypatch)
+        wire, _size = marshal_call_into("pwrite64", (3, b"w" * 64, 0), {})
+        channel.submit_ring.push("pwrite64", wire)
+        channel.submit_ring.pop()
+        assert calls == [bytes(wire), bytes(wire)]
+        assert channel.integrity_failures == 0
+
+    def test_ring_corrupt_armed_between_push_and_pop_is_detected(
+            self, channel, machine):
+        payload = b"pushed-while-dormant"
+        channel.submit_ring.push("write", payload)
+        engine = FaultEngine("ring.corrupt:nth=1").arm(machine.clock)
+        try:
+            with pytest.raises(ChannelIntegrityError) as exc:
+                channel.submit_ring.pop()
+        finally:
+            engine.disarm()
+        # The expected CRC comes from the pre-fault bytes at the site.
+        assert exc.value.expected_crc == crc32(payload)
+        assert exc.value.actual_crc != crc32(payload)
+        assert channel.integrity_failures == 1
+
+    def test_engine_armed_after_the_push_lets_an_unfaulted_pop_by(
+            self, channel, machine):
+        # Pushed before any engine: no CRC exists, and an unrewritten
+        # payload has nothing to be checked against.
+        buffer = bytearray(b"queued")
+        channel.submit_ring.push("write", buffer)
+        engine = FaultEngine("ring.corrupt:nth=10000").arm(machine.clock)
+        try:
+            assert channel.submit_ring.pop().payload is buffer
+        finally:
+            engine.disarm()
+        assert channel.integrity_failures == 0
+
+
+class TestArmedRedirectedPwrite:
+    """A redirected 4 KB ``pwrite`` under an armed engine that rewrites
+    nothing: each descriptor's crossing takes one CRC."""
+
+    def _crcs_per_pwrite(self, monkeypatch, **knobs):
+        world = AnceptionWorld(**knobs)
+        running = world.install_and_launch(ScratchApp())
+        running.run()
+        libc = running.ctx.libc
+        fd = libc.open(running.ctx.data_path("armed.bin"),
+                       vfs.O_RDWR | vfs.O_CREAT, 0o600)
+        page = b"a" * PAGE_SIZE
+        libc.pwrite(fd, page, 0)
+        libc.fence(fd)
+        channel = world.anception.channel
+        engine = FaultEngine("ring.corrupt:nth=100000").arm(
+            world.machine.clock)
+        try:
+            calls = _count_crcs(monkeypatch)
+            before = (channel.submit_ring.pushed
+                      + channel.complete_ring.pushed)
+            assert libc.pwrite(fd, page, 0) == PAGE_SIZE
+            libc.fence(fd)
+        finally:
+            engine.disarm()
+        descriptors = (channel.submit_ring.pushed
+                       + channel.complete_ring.pushed - before)
+        assert channel.integrity_failures == 0
+        return calls, descriptors
+
+    def test_a_staged_pwrite_takes_one_crc_per_descriptor(
+            self, monkeypatch):
+        calls, descriptors = self._crcs_per_pwrite(
+            monkeypatch, async_delegation=True)
+        assert descriptors == 2  # the staged wire and its completion
+        assert len(calls) == descriptors
+
+    def test_a_sync_pwrite_rereads_only_its_writable_wire(
+            self, monkeypatch):
+        calls, descriptors = self._crcs_per_pwrite(monkeypatch)
+        assert descriptors == 2  # the sync wire and its completion
+        # One CRC per crossing, plus the pop's re-read of the sync wire:
+        # a bytearray, so only reading it again can show a write made
+        # while it sat on the ring.  The completion is a view over bytes.
+        wire_size = len(calls[0])
+        assert wire_size > PAGE_SIZE
+        assert [len(data) for data in calls] == [wire_size, wire_size, 8]
 
 
 class TestResetAndStats:

@@ -290,6 +290,32 @@ SCRIPTS = {
             ("close", H(0)),
         ],
     },
+    # F_DUPFD's third argument is the lowest number the duplicate may
+    # take; a negative one is EINVAL, after the EBADF of a bad fd.
+    "fcntl-dupfd": {
+        "needs_server": False,
+        "script": [
+            ("open", P("cat-dupfd.bin"), TRUNC, 0o644),
+            ("open", "/system/bin/sh", vfs.O_RDONLY),
+            ("syscall", "fcntl", H(0), F_DUPFD, 10),
+            ("write", H(2), b"via-minfd"),
+            ("syscall", "fcntl", H(0), F_DUPFD, 10),
+            ("syscall", "fcntl64", H(1), F_DUPFD, 10),
+            ("syscall", "fcntl", H(1), F_DUPFD, 2),
+            ("syscall", "fcntl", H(0), F_DUPFD, -1),
+            ("syscall", "fcntl64", H(1), F_DUPFD, -1),
+            ("syscall", "fcntl", 77, F_DUPFD, -1),
+            ("pread", H(4), 32, 0),
+            ("pread", H(6), 4, 0),
+            ("close", H(2)),
+            ("close", H(4)),
+            ("close", H(5)),
+            ("close", H(6)),
+            ("close", H(1)),
+            ("pread", H(0), 32, 0),
+            ("close", H(0)),
+        ],
+    },
     "split-mmap": {
         "needs_server": False,
         "script": [

@@ -1,5 +1,7 @@
 """Vectored I/O, truncate, fcntl, and the syscall aliases."""
 
+import errno
+
 import pytest
 
 from repro.errors import SyscallError
@@ -117,6 +119,22 @@ class TestFcntl:
         assert table.is_remote(fd2)
         enrolled_ctx.libc.lseek(fd2, 0, vfs.SEEK_SET)
         assert enrolled_ctx.libc.read(fd2, 6) == b"remote"
+
+    @pytest.mark.parametrize("world", ["native", "anception"])
+    @pytest.mark.parametrize("path", ["data", "/system/bin/sh"])
+    def test_dupfd_takes_the_lowest_free_fd_at_or_above_minfd(
+            self, native_ctx, enrolled_ctx, world, path):
+        ctx = native_ctx if world == "native" else enrolled_ctx
+        fd = ctx.libc.open(
+            ctx.data_path("f") if path == "data" else path,
+            vfs.O_RDWR | vfs.O_CREAT if path == "data" else vfs.O_RDONLY,
+        )
+        assert ctx.libc.syscall("fcntl", fd, 0, 10) == 10
+        assert ctx.libc.syscall("fcntl", fd, 0, 10) == 11
+        assert ctx.libc.syscall("fcntl", fd, 0, 1) == fd + 1
+        with pytest.raises(SyscallError) as info:
+            ctx.libc.syscall("fcntl", fd, 0, -1)
+        assert info.value.errno == errno.EINVAL
 
 
 class TestAliases:

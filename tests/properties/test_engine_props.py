@@ -15,7 +15,7 @@ families of properties pin it:
 * **Wire ownership** — every synchronous submit's wire is a fresh
   buffer that only its ring descriptor refers to: no two calls share
   one, rendering a later call never changes an earlier wire, and a
-  window of them pops off the ring with every CRC intact.
+  window of them pops off the ring as the very buffers pushed.
 """
 
 import hashlib
@@ -261,8 +261,8 @@ def test_each_wire_is_owned_and_survives_its_window(calls):
     Each ``marshal_call_into`` wire is a distinct object holding exactly
     ``marshal_call``'s bytes; rendering the later calls of the window
     changes none of the earlier wires; and the window, pushed onto a
-    dormant ring, pops with every CRC intact and every payload the very
-    buffer that was pushed.
+    dormant ring, pops with every payload the very buffer that was
+    pushed, its bytes unchanged.
     """
     machine = Machine(total_mb=64)
     hypervisor = LguestHypervisor(machine, guest_mb=32)

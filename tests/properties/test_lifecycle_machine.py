@@ -86,8 +86,8 @@ class LifecycleMachine(RuleBasedStateMachine):
         return name if name == HOST_PATH else self.ctx.data_path(name)
 
     @staticmethod
-    def _lowest_free(fds):
-        fd = 3
+    def _lowest_free(fds, lowest=3):
+        fd = max(3, lowest)
         while fd in fds:
             fd += 1
         return fd
@@ -170,13 +170,15 @@ class LifecycleMachine(RuleBasedStateMachine):
     def close(self, fd):
         self._close(self.ctx.libc, self.fds, fd)
 
-    @rule(target=fd_numbers, fd=fd_numbers, fcntl=st.booleans())
-    def dup(self, fd, fcntl):
-        call = ("fcntl", fd, F_DUPFD, 0) if fcntl else ("dup", fd)
+    @rule(target=fd_numbers, fd=fd_numbers,
+          minfd=st.none() | st.integers(0, 12))
+    def dup(self, fd, minfd):
+        """``dup``, or ``fcntl(F_DUPFD, minfd)`` when ``minfd`` is drawn."""
+        call = ("dup", fd) if minfd is None else ("fcntl", fd, F_DUPFD, minfd)
         if fd not in self.fds:
             self._ebadf(self.ctx.libc.syscall, *call)
             return multiple()
-        expected = self._lowest_free(self.fds)
+        expected = self._lowest_free(self.fds, minfd or 3)
         assert self.ctx.libc.syscall(*call) == expected
         self.fds[expected] = self.fds[fd]
         return expected

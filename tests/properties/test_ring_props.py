@@ -7,17 +7,27 @@ doorbell count for an N-entry vector never exceeds the backpressure
 bound (one pair per ring-depth window), and is always at least 4x
 better than one-pair-per-call for vectors of 8+; (3) ring faults
 (corrupt/reorder/full) terminate with success or a typed errno and
-replay byte-identically across runs.
+replay byte-identically across runs; (4) with no fault engine armed
+every catalogue script's descriptors pop with the bytes they were
+pushed with, and neither the ring nor the channel takes a CRC.
 """
 
 import json
+from zlib import crc32
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.channel as channel_mod
+import repro.core.ring as ring_mod
+from repro.core.ring import DelegationRing
 from repro.faults.chaos import chaos_report_json, run_chaos
 from repro.kernel import vfs
 from repro.world import AnceptionWorld
 from tests.conftest import ScratchApp
+from tests.differential.catalogue import SCRIPTS
+from tests.differential.harness import run_script
+from tests.differential.test_catalogue import CatApp, EchoServer
 
 
 _SLOW = dict(max_examples=20, deadline=None)
@@ -136,3 +146,59 @@ class TestRingChaos:
         assert len(channel.complete_ring) == 0
         report = json.loads(chaos_report_json(result))
         assert report["stats"]["channel"]["submit_ring"]["queued"] == 0
+
+
+class TestDormantFraming:
+    @given(label=st.sampled_from(sorted(SCRIPTS)),
+           knobs=st.sampled_from([
+               {},
+               {"async_delegation": True, "binder_ring": True},
+               {"async_delegation": True, "read_cache": True},
+           ]))
+    @settings(max_examples=75, deadline=None)
+    def test_unarmed_descriptors_pop_as_pushed_with_no_crc(self, label,
+                                                           knobs):
+        """Every descriptor a catalogue script puts on a ring, completion
+        views included, pops with its pushed bytes (by this test's own
+        ``crc32``), and the ring and channel take no CRC of their own."""
+        pushed = {}
+        popped = []
+        taken = []
+        real_push, real_pop = DelegationRing.push, DelegationRing.pop
+
+        def recording_push(ring, call, payload, seq=None, flags=0):
+            seq = real_push(ring, call, payload, seq=seq, flags=flags)
+            pushed[(id(ring), seq)] = crc32(payload)
+            return seq
+
+        def checking_pop(ring):
+            descriptor = real_pop(ring)
+            if descriptor is not None:
+                popped.append(((id(ring), descriptor.seq),
+                               crc32(descriptor.payload)))
+            return descriptor
+
+        def counting_crc32(data, *args):
+            taken.append(len(data))
+            return crc32(data, *args)
+
+        world = AnceptionWorld(**knobs)
+        entry = SCRIPTS[label]
+        if entry["needs_server"]:
+            world.internet.register_server(("echo.example", 7),
+                                           EchoServer())
+        running = world.install_and_launch(CatApp())
+        running.run()
+        assert world.machine.clock.faults is None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(DelegationRing, "push", recording_push)
+            patch.setattr(DelegationRing, "pop", checking_pop)
+            patch.setattr(ring_mod, "crc32", counting_crc32)
+            patch.setattr(channel_mod, "crc32", counting_crc32)
+            run_script(running.ctx, entry["script"])
+            world.anception.async_fence(running.ctx.libc.task)
+        assert popped, f"{label} put nothing on a ring"
+        for key, popped_crc in popped:
+            assert pushed.pop(key) == popped_crc
+        assert not pushed, "a pushed descriptor never popped"
+        assert taken == []
