@@ -21,11 +21,12 @@ perfbench:
 	done
 
 # Each frame budget's headroom: name, measured frames, budget; then the
-# crc32 calls each dormant shape takes, and the sqlite row budget's C
-# calls and frames per page of rows.
+# crc32 calls and the stdlib frames each dormant shape takes, and the
+# sqlite row budget's C calls and frames per page of rows.
 frames:
 	PYTHONPATH=src $(PYTHON) -m tests.perf.test_frame_budget
 	PYTHONPATH=src $(PYTHON) -m tests.perf.test_crc_budget
+	PYTHONPATH=src $(PYTHON) -m tests.perf.test_stdlib_frame_budget
 	PYTHONPATH=src $(PYTHON) -m tests.perf.test_sqlite_row_budget
 
 # Chaos-report parity with a base commit: every CI chaos run, on this

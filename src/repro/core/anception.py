@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import errno
 import posixpath
-from contextlib import nullcontext
 
 from repro.android.binder import (
     BINDER_WRITE_READ,
     IOC_WAIT_INPUT_EVT,
+    BinderDriver,
     Transaction,
 )
 from repro.core.channel import AnceptionChannel
@@ -59,8 +59,8 @@ from repro.errors import (
     SyscallError,
 )
 from repro.kernel.memory import MAP_ANONYMOUS, MAP_FIXED
-from repro.kernel.process import Credentials, ROOT_UID
-from repro.kernel.vfs import O_APPEND, InodeKind
+from repro.kernel.process import RLIMIT_NOFILE, ROOT_UID, Credentials
+from repro.kernel.vfs import O_APPEND, InodeKind, OpenFile
 from repro.obs.bus import maybe_event, maybe_span
 from repro.perf.costs import PAGE_SIZE
 
@@ -1178,17 +1178,34 @@ class AnceptionLayer:
             return 0
         return self.host_kernel.execute_native(task, "close", (fd,), {})
 
+    def _adopt_proxy_fd(self, task, proxy_fd, label, lowest=3):
+        """Give the proxy's new descriptor ``proxy_fd`` its host stub.
+
+        When the host table has no number free below ``RLIMIT_NOFILE``
+        (EMFILE) the proxy closes the descriptor again, so a refused
+        install leaves nothing open in the CVM.
+        """
+        try:
+            return task.alloc_fd(RemoteFdStub(proxy_fd, label), lowest)
+        except SyscallError:
+            self._redirect(task, "close", (), {}, translated=(proxy_fd,))
+            raise
+
     def _split_dup(self, task, table, fd):
         if table.is_remote(fd):
             new_proxy_fd = self._redirect(
                 task, "dup", (fd,), {}, translated=(table.to_proxy(fd),))
-            return task.alloc_fd(RemoteFdStub(new_proxy_fd, "dup"))
+            return self._adopt_proxy_fd(task, new_proxy_fd, "dup")
         return self.host_kernel.execute_native(task, "dup", (fd,), {})
 
     def _split_dup2(self, task, table, fd, newfd):
         """dup2 across kernels: as natively, ``newfd`` closes exactly when
         ``fd`` is valid and differs from it, ignoring the close's errors,
-        and a remote ``newfd`` closes in its proxy too."""
+        and a remote ``newfd`` closes in its proxy too.  A ``newfd`` out
+        of the descriptor range is EBADF before anything closes or
+        crosses."""
+        if not 0 <= newfd < RLIMIT_NOFILE:
+            raise SyscallError(errno.EBADF, f"newfd {newfd}", call="dup2")
         remote = table.is_remote(fd)
         if fd != newfd and fd in task.fd_table and newfd in task.fd_table \
                 and (remote or table.is_remote(newfd)):
@@ -1212,10 +1229,10 @@ class AnceptionLayer:
                 translated=(proxy_fd, cmd, arg),
             )
             if cmd == 0 and isinstance(result, int):  # F_DUPFD
-                # The proxy's kernel already refused a negative minfd;
-                # the app's number honours minfd in the host table.
-                return task.alloc_fd(RemoteFdStub(result, "fcntl-dup"),
-                                     arg)
+                # The proxy's kernel already refused a minfd outside the
+                # descriptor range; the app's number honours minfd in
+                # the host table.
+                return self._adopt_proxy_fd(task, result, "fcntl-dup", arg)
             return result
         return self.host_kernel.execute_native(
             task, "fcntl", (fd, cmd, arg), {}
@@ -1241,6 +1258,19 @@ class AnceptionLayer:
                     and (target in self.policy.ui_service_names
                          or target.startswith("app:"))):
                 return self._forward_binder(task, fd, request, arg)
+            # Host-bound (a UI frame, a window call, an app-to-app or a
+            # oneway UI call) on the host binder node: one hop to the
+            # driver's ``transact``, where the generic route
+            # (execute_native, _do_ioctl, BinderDriver.ioctl) ends, none
+            # of which charges anything.  An injected ``ioctl`` trigger
+            # must see every call, so with one registered the generic
+            # route runs, as it does for a closed or non-device fd.
+            if stub.__class__ is OpenFile \
+                    and "ioctl" not in self.host_kernel.vulnerabilities:
+                inode = stub.inode
+                if inode.kind is _DEVICE \
+                        and inode.device.__class__ is BinderDriver:
+                    return inode.device.transact(task, arg)
         elif request == IOC_WAIT_INPUT_EVT:
             # Waiting for input is an observation point — anything the
             # app fired at the services must land before the world
@@ -1289,11 +1319,14 @@ class AnceptionLayer:
         delivered = Transaction(transaction.target, transaction.method,
                                 copy_parcel(transaction.payload),
                                 transaction.flags)
-        with lane.channel.bulk_copy() if bulk else nullcontext():
-            return copy_parcel(self._redirect(
-                task, "ioctl", (fd, request, transaction), {},
-                translated=(proxy_binder_fd, request, delivered),
-            ))
+        args = (fd, request, transaction)
+        translated = (proxy_binder_fd, request, delivered)
+        if not bulk:
+            return copy_parcel(self._redirect(task, "ioctl", args, {},
+                                              translated=translated))
+        with lane.channel.bulk_copy():
+            return copy_parcel(self._redirect(task, "ioctl", args, {},
+                                              translated=translated))
 
     def _charge_parcel(self, ring, payload):
         """Charge one binder parcel's bytes; ``True`` if it rides bulk.
@@ -2200,6 +2233,7 @@ class AnceptionLayer:
 
 
 _HOST, _SPLIT = Decision.HOST.value, Decision.SPLIT.value
+_DEVICE = InodeKind.DEVICE
 
 _ROUTE_HANDLERS = {
     _HOST: AnceptionLayer._route_host,

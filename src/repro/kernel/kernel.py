@@ -50,6 +50,7 @@ from repro.kernel.memory import (
 from repro.kernel.net import Internet, NetworkStack
 from repro.kernel.process import (
     LIVE_STATES,
+    RLIMIT_NOFILE,
     Credentials,
     PidTable,
     Task,
@@ -742,7 +743,7 @@ class Kernel:
         desc = task.get_fd(fd)
         if cmd == self.F_DUPFD:
             # arg is the lowest number the duplicate may take (minfd).
-            if arg < 0:
+            if not 0 <= arg < RLIMIT_NOFILE:
                 raise SyscallError(errno.EINVAL, f"F_DUPFD minfd {arg}",
                                    call="fcntl")
             return task.alloc_fd(
@@ -908,6 +909,8 @@ class Kernel:
         return task.alloc_fd(desc.dup() if hasattr(desc, "dup") else desc)
 
     def _do_dup2(self, task, fd, newfd):
+        if not 0 <= newfd < RLIMIT_NOFILE:
+            raise SyscallError(errno.EBADF, f"newfd {newfd}", call="dup2")
         desc = task.get_fd(fd)
         if newfd in task.fd_table:
             self._do_close(task, newfd)
@@ -917,7 +920,12 @@ class Kernel:
     def _do_pipe(self, task):
         pipe = ipc_mod.Pipe()
         read_fd = task.alloc_fd(_PipeFile(ipc_mod.PipeEnd(pipe, writable=False)))
-        write_fd = task.alloc_fd(_PipeFile(ipc_mod.PipeEnd(pipe, writable=True)))
+        try:
+            write_fd = task.alloc_fd(
+                _PipeFile(ipc_mod.PipeEnd(pipe, writable=True)))
+        except SyscallError:
+            del task.fd_table[read_fd]  # EMFILE: neither end stays
+            raise
         return read_fd, write_fd
 
     def _do_fsync(self, task, fd):

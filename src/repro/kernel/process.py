@@ -19,6 +19,10 @@ SYSTEM_UID = 1000
 FIRST_APP_UID = 10000
 """Android assigns each installed app a distinct Linux UID >= 10000."""
 
+RLIMIT_NOFILE = 1024
+"""Descriptor numbers a task may hold: every fd is below this (the
+Linux and Android default soft limit)."""
+
 
 class Credentials:
     """Unix credentials of a task (uid/gid/supplementary groups).
@@ -120,10 +124,14 @@ class Task:
 
     def alloc_fd(self, description, lowest=3):
         """Install ``description`` at the lowest free descriptor
-        >= ``max(3, lowest)``."""
+        >= ``max(3, lowest)``; EMFILE when none is below
+        :data:`RLIMIT_NOFILE`."""
         fd = lowest if lowest > 3 else 3
         while fd in self.fd_table:
             fd += 1
+        if fd >= RLIMIT_NOFILE:
+            raise SyscallError(errno.EMFILE, f"no fd free from {lowest}",
+                               call="alloc-fd")
         self.fd_table[fd] = description
         return fd
 

@@ -337,15 +337,9 @@ class VFS:
 
     @staticmethod
     def stat_inode(inode):
-        kind_bits = {
-            InodeKind.FILE: stat_mod.S_IFREG,
-            InodeKind.DIRECTORY: stat_mod.S_IFDIR,
-            InodeKind.SYMLINK: stat_mod.S_IFLNK,
-            InodeKind.DEVICE: stat_mod.S_IFCHR,
-        }[inode.kind]
         return StatResult(
             st_ino=inode.ino,
-            st_mode=kind_bits | inode.mode,
+            st_mode=_KIND_BITS[inode.kind._value_] | inode.mode,
             st_uid=inode.uid,
             st_gid=inode.gid,
             st_size=inode.size,
@@ -360,6 +354,17 @@ class VFS:
         inode.check_permission(creds, want_read=True)
         fs, _ = self._split_mount(path)
         return fs.list_children(inode)
+
+
+_KIND_BITS = {
+    InodeKind.FILE.value: stat_mod.S_IFREG,
+    InodeKind.DIRECTORY.value: stat_mod.S_IFDIR,
+    InodeKind.SYMLINK.value: stat_mod.S_IFLNK,
+    InodeKind.DEVICE.value: stat_mod.S_IFCHR,
+}
+"""``st_mode`` file-type bits by inode kind, keyed by the member's
+value: hashing an enum member runs Python-level enum code, a string's
+hash does not."""
 
 
 class StatResult:

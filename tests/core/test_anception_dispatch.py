@@ -1,7 +1,15 @@
 """The interposition layer end-to-end: routing, fd spaces, blocking."""
 
+import errno
+
 import pytest
 
+from repro.android.binder import (
+    BINDER_WRITE_READ,
+    IOC_WAIT_INPUT_EVT,
+    Transaction,
+)
+from repro.android.ui import Window
 from repro.core.policy import Decision
 from repro.errors import SyscallError
 from repro.kernel import vfs
@@ -185,6 +193,104 @@ class TestBinderRouting:
         assert ctx.call_app(ctx.package, "ping") == "ok"
         assert seen == [(True, "window", "submit_frame"),
                         (True, f"app:{ctx.package}", "ping")]
+
+
+def _pass_through(kernel, task, args, kwargs):
+    """An ``ioctl`` trigger that never fires: it only forces the
+    generic host route."""
+    return None
+
+
+def _host_binder_ctx(trigger):
+    world = AnceptionWorld()
+    running = world.install_and_launch(ScratchApp())
+    running.run()
+    ctx = running.ctx
+    ctx.create_window("w")
+    ctx.export_service(lambda method, payload, sender: {"echo": method})
+    if trigger:
+        world.install_kernel_vulnerability("ioctl", _pass_through)
+    return world, ctx
+
+
+def _record_native_ioctls(world, monkeypatch):
+    """Host ``execute_native`` entries for ``ioctl``: one per call that
+    takes the generic route."""
+    seen = []
+    native = world.kernel.execute_native
+
+    def recording(task, name, args, kwargs):
+        if name == "ioctl":
+            seen.append(args[1])
+        return native(task, name, args, kwargs)
+
+    monkeypatch.setattr(world.kernel, "execute_native", recording)
+    return seen
+
+
+HOST_BINDER_CALLS = {
+    "submit_frame": lambda ctx: ctx.submit_frame(b"frame"),
+    "create_window": lambda ctx: ctx.create_window("second"),
+    "call_app": lambda ctx: ctx.call_app(ctx.package, "ping", {"k": 1}),
+    "oneway_ui": lambda ctx: ctx.call_service_oneway(
+        "window", "submit_frame", {"pixels": b"f"}),
+}
+"""Host-bound binder calls: a UI frame, a window call, an app-to-app
+call and a oneway UI call."""
+
+
+class TestHostBinderHop:
+    """A host-bound binder call on the host binder node goes straight to
+    the host driver's ``transact``; it must answer, and charge, exactly
+    as the generic route that a registered ``ioctl`` trigger forces."""
+
+    @pytest.mark.parametrize("call", sorted(HOST_BINDER_CALLS))
+    def test_direct_hop_matches_the_generic_route(self, call, monkeypatch):
+        run = HOST_BINDER_CALLS[call]
+        outcomes = []
+        for trigger in (False, True):
+            # Window ids come from one process-wide counter; restart it
+            # so both worlds number their windows alike.
+            monkeypatch.setattr(Window, "_next_id", [1])
+            world, ctx = _host_binder_ctx(trigger)
+            run(ctx)  # warm: the lazy binder fd is already open
+            generic = _record_native_ioctls(world, monkeypatch)
+            before = world.clock.now_ns
+            result = run(ctx)
+            outcomes.append((result, world.clock.now_ns - before))
+            assert generic == ([BINDER_WRITE_READ] if trigger else [])
+        assert outcomes[0] == outcomes[1]
+
+    def test_input_wait_keeps_the_generic_route(self, monkeypatch):
+        world, ctx = _host_binder_ctx(trigger=False)
+        generic = _record_native_ioctls(world, monkeypatch)
+        assert ctx.wait_input() is None
+        assert generic == [IOC_WAIT_INPUT_EVT]
+
+    def test_closed_binder_fd_is_ebadf_on_the_generic_route(
+            self, monkeypatch):
+        world, ctx = _host_binder_ctx(trigger=False)
+        fd = ctx.binder_fd
+        ctx.libc.close(fd)
+        generic = _record_native_ioctls(world, monkeypatch)
+        with pytest.raises(SyscallError) as info:
+            ctx.libc.ioctl(fd, BINDER_WRITE_READ,
+                           Transaction("window", "submit_frame"))
+        assert (info.value.errno, info.value.call) == (errno.EBADF,
+                                                       "fd-lookup")
+        assert generic == [BINDER_WRITE_READ]
+
+    def test_regular_host_file_is_enotty_on_the_generic_route(
+            self, monkeypatch):
+        world, ctx = _host_binder_ctx(trigger=False)
+        fd = ctx.libc.open("/system/bin/sh", vfs.O_RDONLY)
+        assert not world.anception.fd_tables[ctx.task.pid].is_remote(fd)
+        generic = _record_native_ioctls(world, monkeypatch)
+        with pytest.raises(SyscallError) as info:
+            ctx.libc.ioctl(fd, BINDER_WRITE_READ,
+                           Transaction("window", "submit_frame"))
+        assert info.value.errno == errno.ENOTTY
+        assert generic == [BINDER_WRITE_READ]
 
 
 class TestBlockedCalls:

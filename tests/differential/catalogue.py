@@ -25,6 +25,7 @@ from repro.kernel.libc import Libc
 from repro.kernel.loader import build_pseudo_elf
 from repro.kernel.memory import MAP_ANONYMOUS, PROT_READ, PROT_WRITE
 from repro.kernel.net import AF_INET, SOCK_STREAM
+from repro.kernel.process import RLIMIT_NOFILE
 
 from tests.differential.harness import HARNESS_OPS, SELF, H, P
 
@@ -32,6 +33,7 @@ from tests.differential.harness import HARNESS_OPS, SELF, H, P
 TRUNC = vfs.O_RDWR | vfs.O_CREAT | vfs.O_TRUNC
 RW = PROT_READ | PROT_WRITE
 F_DUPFD, F_GETFL = Kernel.F_DUPFD, Kernel.F_GETFL
+LAST_FD = RLIMIT_NOFILE - 1
 
 
 SYSCALL_ALIASES = {
@@ -313,6 +315,40 @@ SCRIPTS = {
             ("close", H(6)),
             ("close", H(1)),
             ("pread", H(0), 32, 0),
+            ("close", H(0)),
+        ],
+    },
+    # Descriptor numbers stay below RLIMIT_NOFILE: a dup2 target out of
+    # range is EBADF, an F_DUPFD minfd at the limit EINVAL, and no free
+    # number at or above minfd EMFILE, on a CVM and on a host fd.
+    "fd-limits": {
+        "needs_server": False,
+        "script": [
+            ("open", P("cat-limits.bin"), TRUNC, 0o644),
+            ("open", "/system/bin/sh", vfs.O_RDONLY),
+            ("write", H(0), b"limits"),
+            ("syscall", "dup2", H(0), -1),
+            ("syscall", "dup2", H(1), -1),
+            ("syscall", "dup2", H(0), RLIMIT_NOFILE),
+            ("syscall", "dup2", H(1), 10**9),
+            ("syscall", "dup2", 77, RLIMIT_NOFILE),
+            ("syscall", "fcntl", H(0), F_DUPFD, RLIMIT_NOFILE),
+            ("syscall", "fcntl64", H(1), F_DUPFD, 10**9),
+            ("syscall", "fcntl", 77, F_DUPFD, RLIMIT_NOFILE),
+            ("syscall", "dup2", H(0), LAST_FD),
+            ("syscall", "fcntl", H(0), F_DUPFD, LAST_FD),
+            ("syscall", "fcntl64", H(1), F_DUPFD, LAST_FD),
+            ("fence", H(0)),
+            ("pread", LAST_FD, 16, 0),
+            ("close", LAST_FD),
+            ("syscall", "fcntl", H(1), F_DUPFD, LAST_FD),
+            ("pread", LAST_FD, 4, 0),
+            ("close", LAST_FD),
+            ("close", H(1)),
+            ("syscall", "fcntl", H(0), F_DUPFD, LAST_FD),
+            ("write", LAST_FD, b"+last"),
+            ("close", LAST_FD),
+            ("pread", H(0), 16, 0),
             ("close", H(0)),
         ],
     },

@@ -1,11 +1,14 @@
-"""Vectored I/O, truncate, fcntl, and the syscall aliases."""
+"""Vectored I/O, truncate, fcntl, descriptor limits, and the syscall
+aliases."""
 
 import errno
 
 import pytest
 
 from repro.errors import SyscallError
+from repro.core.marshal import RemoteFdStub
 from repro.kernel import vfs
+from repro.kernel.process import RLIMIT_NOFILE
 
 from tests.conftest import ScratchApp
 
@@ -135,6 +138,88 @@ class TestFcntl:
         with pytest.raises(SyscallError) as info:
             ctx.libc.syscall("fcntl", fd, 0, -1)
         assert info.value.errno == errno.EINVAL
+
+
+def _errno(call, *args):
+    with pytest.raises(SyscallError) as info:
+        call(*args)
+    return info.value.errno
+
+
+class TestDescriptorLimits:
+    """Descriptor numbers stay in ``[0, RLIMIT_NOFILE)``, natively and
+    across kernels, on a CVM file and on a host file."""
+
+    @staticmethod
+    def _open(ctx, path):
+        return ctx.libc.open(
+            ctx.data_path("f") if path == "data" else path,
+            vfs.O_RDWR | vfs.O_CREAT if path == "data" else vfs.O_RDONLY,
+        )
+
+    @pytest.mark.parametrize("world", ["native", "anception"])
+    @pytest.mark.parametrize("path", ["data", "/system/bin/sh"])
+    def test_dup2_out_of_range_is_ebadf_and_installs_nothing(
+            self, native_ctx, enrolled_ctx, world, path):
+        ctx = native_ctx if world == "native" else enrolled_ctx
+        fd = self._open(ctx, path)
+        table = dict(ctx.task.fd_table)
+        for newfd in (-1, RLIMIT_NOFILE, 10**9):
+            assert _errno(ctx.libc.syscall, "dup2", fd, newfd) == errno.EBADF
+        assert ctx.task.fd_table == table
+        last = RLIMIT_NOFILE - 1
+        assert ctx.libc.syscall("dup2", fd, last) == last
+
+    @pytest.mark.parametrize("world", ["native", "anception"])
+    @pytest.mark.parametrize("path", ["data", "/system/bin/sh"])
+    def test_dupfd_minfd_at_the_limit_is_einval(
+            self, native_ctx, enrolled_ctx, world, path):
+        ctx = native_ctx if world == "native" else enrolled_ctx
+        fd = self._open(ctx, path)
+        for minfd in (RLIMIT_NOFILE, 10**9):
+            assert _errno(ctx.libc.syscall, "fcntl", fd, 0, minfd) \
+                == errno.EINVAL
+        last = RLIMIT_NOFILE - 1
+        assert ctx.libc.syscall("fcntl", fd, 0, last) == last
+        assert _errno(ctx.libc.syscall, "fcntl", fd, 0, last) == errno.EMFILE
+
+    @pytest.mark.parametrize("world", ["native", "anception"])
+    @pytest.mark.parametrize("path", ["data", "/system/bin/sh"])
+    def test_full_table_is_emfile(self, native_ctx, enrolled_ctx, world,
+                                  path):
+        ctx = native_ctx if world == "native" else enrolled_ctx
+        fd = self._open(ctx, path)
+        while len(ctx.task.fd_table) < RLIMIT_NOFILE - 3:
+            ctx.libc.syscall("dup", fd)
+        assert max(ctx.task.fd_table) == RLIMIT_NOFILE - 1
+        assert _errno(ctx.libc.syscall, "dup", fd) == errno.EMFILE
+        assert _errno(ctx.libc.syscall, "fcntl", fd, 0, 5) == errno.EMFILE
+        assert _errno(self._open, ctx, "/system/bin/sh") == errno.EMFILE
+        assert len(ctx.task.fd_table) == RLIMIT_NOFILE - 3
+        ctx.libc.close(fd)
+        assert ctx.libc.syscall("dup", fd + 1) == fd
+
+    def test_refused_remote_duplicates_close_in_the_proxy(
+            self, anception_world, enrolled_ctx):
+        """A host table that refuses the stub (EMFILE) leaves the proxy
+        holding no duplicate it made for it."""
+        ctx = enrolled_ctx
+        fd = self._open(ctx, "data")
+        last = RLIMIT_NOFILE - 1
+        assert ctx.libc.syscall("fcntl", fd, 0, last) == last
+        lane = anception_world.anception.pool.lane_for(ctx.task)
+        guest = lane.proxies.proxy_for(ctx.task).guest_task
+        held = set(guest.fd_table)
+        assert _errno(ctx.libc.syscall, "fcntl", fd, 0, last) == errno.EMFILE
+        assert set(guest.fd_table) == held
+        while len(ctx.task.fd_table) < RLIMIT_NOFILE - 3:
+            ctx.libc.syscall("dup", fd)
+        held = set(guest.fd_table)
+        assert _errno(ctx.libc.syscall, "dup", fd) == errno.EMFILE
+        assert set(guest.fd_table) == held
+        stubs = {desc.proxy_fd for desc in ctx.task.fd_table.values()
+                 if desc.__class__ is RemoteFdStub}
+        assert stubs == held
 
 
 class TestAliases:

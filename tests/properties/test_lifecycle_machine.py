@@ -1,9 +1,11 @@
 """The app lifecycle as a state machine: stubs and proxies never disagree.
 
 Hypothesis drives one enrolled app through opens, closes, ``dup``,
-``dup2`` and ``fcntl(F_DUPFD)`` on CVM and host descriptors, reads and
-writes, forks whose child runs a few calls and exits, proxy kills (the
-next crossing respawns the proxy), lane reboots and snapshot-restore.
+``dup2`` and ``fcntl(F_DUPFD)`` on CVM and host descriptors (also at and
+past ``RLIMIT_NOFILE``, where a refused call leaves both tables as they
+were), reads and writes, forks whose child runs a few calls and exits,
+proxy kills (the next crossing respawns the proxy), lane reboots and
+snapshot-restore.
 It runs in four worlds: one lane and four, write-behind off and on.
 After every step it checks the one rule for a proxy's descriptors:
 
@@ -37,7 +39,7 @@ from hypothesis.stateful import (
 from repro.core.marshal import RemoteFdStub
 from repro.errors import SyscallError
 from repro.kernel import vfs
-from repro.kernel.process import Credentials
+from repro.kernel.process import RLIMIT_NOFILE, Credentials
 from repro.world import _World
 from tests.core.test_recovery import launch_scratch
 
@@ -48,6 +50,8 @@ F_DUPFD = 0
 ROOT = Credentials(0)
 
 FDS = st.integers(3, 6)
+EDGE_FDS = st.sampled_from((-1, RLIMIT_NOFILE - 1, RLIMIT_NOFILE, 10**9))
+"""Numbers at the ends of the descriptor range and past them."""
 DATA = st.binary(min_size=1, max_size=8)
 OFFSET = st.none() | st.integers(0, 12)
 
@@ -93,10 +97,10 @@ class LifecycleMachine(RuleBasedStateMachine):
         return fd
 
     @staticmethod
-    def _ebadf(call, *args):
+    def _refused(call, *args, code=errno.EBADF):
         with pytest.raises(SyscallError) as info:
             call(*args)
-        assert info.value.errno == errno.EBADF
+        assert info.value.errno == code
 
     def _open(self, libc, fds, name):
         path = self._path(name)
@@ -111,7 +115,7 @@ class LifecycleMachine(RuleBasedStateMachine):
 
     def _close(self, libc, fds, fd):
         if fd not in fds:
-            self._ebadf(libc.close, fd)
+            self._refused(libc.close, fd)
             return
         assert libc.close(fd) == 0
         del fds[fd]
@@ -119,7 +123,7 @@ class LifecycleMachine(RuleBasedStateMachine):
     def _write(self, libc, fds, fd, data, offset):
         desc = fds.get(fd)
         if desc is None:
-            self._ebadf(libc.write, fd, data)
+            self._refused(libc.write, fd, data)
             return
         if not desc.remote:
             return  # the host file is open read-only
@@ -136,7 +140,7 @@ class LifecycleMachine(RuleBasedStateMachine):
     def _read(self, libc, fds, fd, length, offset):
         desc = fds.get(fd)
         if desc is None:
-            self._ebadf(libc.pread, fd, length, 0)
+            self._refused(libc.pread, fd, length, 0)
             return
         content = self.files[desc.path] if desc.remote else self.host_bytes
         at = desc.pos if offset is None else offset
@@ -171,22 +175,40 @@ class LifecycleMachine(RuleBasedStateMachine):
         self._close(self.ctx.libc, self.fds, fd)
 
     @rule(target=fd_numbers, fd=fd_numbers,
-          minfd=st.none() | st.integers(0, 12))
+          minfd=st.none() | st.integers(0, 12) | EDGE_FDS)
     def dup(self, fd, minfd):
-        """``dup``, or ``fcntl(F_DUPFD, minfd)`` when ``minfd`` is drawn."""
+        """``dup``, or ``fcntl(F_DUPFD, minfd)`` when ``minfd`` is drawn.
+
+        A ``minfd`` outside the range is EINVAL, and a duplicate with
+        no number free below ``RLIMIT_NOFILE`` is EMFILE."""
         call = ("dup", fd) if minfd is None else ("fcntl", fd, F_DUPFD, minfd)
         if fd not in self.fds:
-            self._ebadf(self.ctx.libc.syscall, *call)
+            self._refused(self.ctx.libc.syscall, *call)
+            return multiple()
+        if minfd is not None and not 0 <= minfd < RLIMIT_NOFILE:
+            self._refused(self.ctx.libc.syscall, *call, code=errno.EINVAL)
             return multiple()
         expected = self._lowest_free(self.fds, minfd or 3)
+        if expected >= RLIMIT_NOFILE:
+            self._refused(self.ctx.libc.syscall, *call, code=errno.EMFILE)
+            return multiple()
         assert self.ctx.libc.syscall(*call) == expected
         self.fds[expected] = self.fds[fd]
         return expected
 
+    @rule(fd=fd_numbers, newfd=EDGE_FDS)
+    def dup2_to_the_range_ends(self, fd, newfd):
+        """``dup2`` to a number out of range is EBADF; to the last
+        number in range it succeeds."""
+        if newfd == RLIMIT_NOFILE - 1:
+            self.dup2(fd, newfd)
+        else:
+            self._refused(self.ctx.libc.syscall, "dup2", fd, newfd)
+
     @rule(fd=fd_numbers, newfd=fd_numbers)
     def dup2(self, fd, newfd):
         if fd not in self.fds:
-            self._ebadf(self.ctx.libc.syscall, "dup2", fd, newfd)
+            self._refused(self.ctx.libc.syscall, "dup2", fd, newfd)
             return
         assert self.ctx.libc.syscall("dup2", fd, newfd) == newfd
         self.fds[newfd] = self.fds[fd]

@@ -148,13 +148,18 @@ class TestIoctlSplitRule:
         assert not table.is_remote(fd)
         arg = Transaction(target, "probe")
         routes = []
+        # A host-bound binder call goes straight to the host driver's
+        # transact; anything else host-side takes execute_native.
+        driver = task.fd_table[fd].inode.device
         layer._forward_binder = lambda *call: routes.append("cvm")
         layer.host_kernel.execute_native = lambda *call: routes.append("host")
+        driver.transact = lambda *call: routes.append("host")
         try:
             layer._split_ioctl(task, table, fd, cmd, arg)
         finally:
             del layer._forward_binder
             del layer.host_kernel.execute_native
+            del driver.transact
         policy = layer.policy
         expected = ("host" if is_ui_transaction(policy.ui_service_names,
                                                 cmd, arg)
