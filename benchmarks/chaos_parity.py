@@ -5,21 +5,33 @@
 (``make chaos-parity BASE=<ref>`` runs the same.)  The base ref is
 checked out into a temporary ``git worktree`` (no network needed) and
 removed afterwards, as ``benchmarks/ab.py`` does.  Both checkouts then
-run ``anception chaos <workload> --seed 7`` for every
-``TRACE_WORKLOADS`` entry of this checkout, and again at ``--cvms 4``
-for the workloads CI's four-lane chaos loop covers, each with its own
-``src`` on ``PYTHONPATH``.  The JSON report and standard error of each
-run are compared byte for byte.
+run ``anception chaos <workload> --seed 7``, each with its own ``src``
+on ``PYTHONPATH``:
+
+* CI's runs: every ``TRACE_WORKLOADS`` entry of this checkout under the
+  default plan, and again at ``--cvms 4`` for the workloads CI's
+  four-lane chaos loop covers;
+* the per-site sweep: every ``SITES`` entry of this checkout, alone in
+  the plan under each trigger of :data:`TRIGGERS`, on every workload
+  (``fleet`` at ``--cvms 4``, so a pool site has lanes to flap between)
+  and on ``batchio --ring-depth 2``;
+* one plan that reboots the CVM, so ``cvm.slow-boot`` has a boot to
+  stretch.
+
+The JSON report and standard error of each run are compared byte for
+byte.  About 600 runs take about two minutes per checkout.
 
 The command prints one line per run and exits 1 naming every run whose
 report or standard error differs, or that exits non-zero on either
-side.  It is a refactor check, not a CI gate: a bug fix may rightly
-change a report.
+side, and every site of this checkout that fired in none of its runs (a
+site no world reaches tests nothing).  It is a refactor check, not a CI
+gate: a bug fix may rightly change a report.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -32,16 +44,45 @@ SEED = 7
 FOUR_LANE = ("fileops", "writeburst", "batchio", "fleet")
 """Workloads CI's chaos step also replays on four lanes."""
 
+TRIGGERS = ("every=3", "p=0.3:times=6")
+"""The per-site sweep's triggers: a steady cadence, and a capped
+seeded draw."""
 
-def chaos_runs():
-    """``(label, cli arguments)`` for every run, in CI's order."""
+REBOOT_PLAN = "cvm.crash:nth=2;cvm.slow-boot"
+"""Crashes the CVM once, so the reboot gives ``cvm.slow-boot`` a boot."""
+
+
+def _this_checkout():
+    """This checkout's ``(SITES, TRACE_WORKLOADS)``."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
+    from repro.faults.plan import SITES
     from repro.obs.runner import TRACE_WORKLOADS
 
-    runs = [(name, [name]) for name in TRACE_WORKLOADS]
+    return SITES, TRACE_WORKLOADS
+
+
+def chaos_runs():
+    """``(label, cli arguments)`` for every run: CI's, then the sweep."""
+    sites, workloads = _this_checkout()
+    shapes = [[name, "--cvms", "4"] if name == "fleet" else [name]
+              for name in workloads]
+    shapes.append(["batchio", "--ring-depth", "2"])
+    runs = [(name, [name]) for name in workloads]
     runs += [(f"{name} --cvms 4", [name, "--cvms", "4"])
              for name in FOUR_LANE]
+    for site in sites:
+        for trigger in TRIGGERS:
+            runs += [(" ".join(shape + [site, trigger]),
+                      shape + ["--faults", f"{site}:{trigger}"])
+                     for shape in shapes]
+    runs.append((f"fileops {REBOOT_PLAN}",
+                 ["fileops", "--faults", REBOOT_PLAN]))
     return runs
+
+
+def silent_sites(fired):
+    """This checkout's sites missing from ``fired``, in ``SITES`` order."""
+    return [site for site in _this_checkout()[0] if site not in fired]
 
 
 def _chaos(checkout, args, out_path):
@@ -63,8 +104,12 @@ def _chaos(checkout, args, out_path):
 
 
 def compare(base_checkout, out_dir):
-    """Run every chaos run on both sides; returns the differing labels."""
-    differing = []
+    """Run every chaos run on both sides.
+
+    Returns the differing labels and the set of sites that fired in
+    some run of this checkout.
+    """
+    differing, fired = [], set()
     for index, (label, args) in enumerate(chaos_runs()):
         sides = [
             _chaos(checkout, args,
@@ -72,6 +117,8 @@ def compare(base_checkout, out_dir):
             for side, checkout in (("base", base_checkout), ("change", ROOT))
         ]
         (base_code, base_json, base_err), (code, report, err) = sides
+        if report:
+            fired.update(json.loads(report)["faults"]["fired_by_site"])
         problems = []
         if base_code or code:
             problems.append(f"exit {base_code} vs {code}")
@@ -83,7 +130,7 @@ def compare(base_checkout, out_dir):
         print(f"{label:<22} {verdict}")
         if problems:
             differing.append(label)
-    return differing
+    return differing, fired
 
 
 def _git(*args):
@@ -104,15 +151,18 @@ def main(argv=None):
         base_checkout = os.path.join(tmp, "base")
         _git("worktree", "add", "--detach", base_checkout, base_sha)
         try:
-            differing = compare(base_checkout, tmp)
+            differing, fired = compare(base_checkout, tmp)
         finally:
             _git("worktree", "remove", "--force", base_checkout)
+    silent = silent_sites(fired)
     if differing:
         print(f"chaos-parity: differs from {args.base}: "
               f"{'; '.join(differing)}")
-        return 1
-    print(f"chaos-parity: every chaos run matches {args.base}")
-    return 0
+    else:
+        print(f"chaos-parity: every chaos run matches {args.base}")
+    if silent:
+        print(f"chaos-parity: fired in no run: {', '.join(silent)}")
+    return 1 if differing or silent else 0
 
 
 if __name__ == "__main__":
