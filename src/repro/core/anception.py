@@ -975,14 +975,14 @@ class AnceptionLayer:
         ino = desc.inode.ino
         engine = self.machine.clock.faults
         if engine is not None:
-            if engine.cache_evict(call=name):
+            if engine.fires("cache.evict", name):
                 dropped = cache.drop_range(ino, offset, max(length, 1))
                 if dropped:
                     maybe_event(self.machine.clock, "cache-invalidate",
                                 "evict", task=task,
                                 kernel=self.host_kernel.label, ino=ino,
                                 pages=dropped)
-            if engine.cache_stale(call=name):
+            if engine.fires("cache.stale", name):
                 dropped = cache.invalidate_ino(ino)
                 maybe_event(self.machine.clock, "cache-invalidate",
                             "stale", task=task,
@@ -1985,7 +1985,7 @@ class AnceptionLayer:
         engine = clock.faults
         live = entries
         if binder and engine is not None and len(live) > 1 \
-                and engine.binder_reorder(call="ioctl"):
+                and engine.fires("binder.reorder", "ioctl"):
             live = [live[1], live[0], *live[2:]]
             windows.reordered += 1
         pendings = []
@@ -2010,8 +2010,8 @@ class AnceptionLayer:
                 return
             self.flush(task, reason=f"{noun}:{len(pendings)}", lane=lane)
         if engine is not None and (
-                engine.binder_reply_loss(call="ioctl") if binder
-                else engine.wb_reap_loss()):
+                engine.fires("binder.reply-loss", "ioctl") if binder
+                else engine.fires("wb.reap-loss")):
             # The reaper missed the batch.  With recovery on, the
             # completions already sit in the shared pages, so it times
             # out and polls them back — it never re-submits (a replayed
@@ -2042,14 +2042,14 @@ class AnceptionLayer:
         out pays its parcel bytes here.
         """
         if windows.label != "binder":
-            injected = engine is not None and engine.wb_defer_errno(
-                call=entry.name)
+            injected = engine is not None and engine.errno_at(
+                "wb.error", entry.name)
             if injected:
                 return SyscallError(injected, "injected fault: wb.error",
                                     call=entry.name)
             return None
         if engine is not None:
-            injected = engine.binder_drop(call="ioctl")
+            injected = engine.errno_at("binder.drop", "ioctl")
             if injected:
                 windows.dropped += 1
                 return SyscallError(injected, "injected fault: binder.drop",

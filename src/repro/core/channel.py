@@ -188,12 +188,17 @@ class AnceptionChannel:
             # The send CRC, over the bytes as they leave: a ring push
             # hands in the one it already took.
             expected_crc = crc32(view) if crc is None else crc
-            stall_ns = engine.channel_stall_ns(direction)
+            stall_ns = engine.delay_at("channel.stall", direction,
+                                       default_ns=100_000)
             if stall_ns:
                 clock.advance(stall_ns, f"fault:channel-stall:{direction}")
-            delivered = engine.channel_payload(direction, view)
-            if delivered is not view and type(delivered) is not memoryview:
-                delivered = memoryview(delivered)
+            # An empty payload has nothing to mangle: it crosses without
+            # advancing the corrupt/truncate occurrence counters.
+            if view:
+                if engine.fires("channel.corrupt", direction):
+                    delivered = memoryview(engine.flip_byte(view))
+                elif engine.fires("channel.truncate", direction):
+                    delivered = view[: len(view) // 2]
         with maybe_span(clock, "channel-copy", direction, kernel="channel",
                         direction=direction, bytes=size,
                         chunks=max(1, self.costs.chunks(size))):

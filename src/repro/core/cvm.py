@@ -54,11 +54,10 @@ class ContainerVM:
         state died with the old kernel — the Anception layer rebuilds
         them (see :meth:`AnceptionLayer.reboot_cvm`).
         """
-        from repro.faults.engine import maybe_engine
-
-        engine = maybe_engine(self.machine.clock)
+        engine = self.machine.clock.faults
         if engine is not None:
-            slow_ns = engine.slow_boot_ns()
+            slow_ns = engine.delay_at("cvm.slow-boot",
+                                      default_ns=250_000_000)
             if slow_ns:
                 self.machine.clock.advance(slow_ns, "fault:cvm-slow-boot")
         self.kernel = self.hypervisor.relaunch_guest(

@@ -29,7 +29,6 @@ from __future__ import annotations
 from zlib import crc32
 
 from repro.errors import SimulationError
-from repro.faults.engine import maybe_engine
 
 
 class CVMLane:
@@ -159,9 +158,9 @@ class CVMPool:
             if uid is None:
                 uid = task.credentials.uid
             index = _stable_bucket(uid, len(self.lanes))
-            engine = maybe_engine(self.clock)
-            if engine is not None and engine.pool_placement_flap(
-                    call=task.name):
+            engine = self.clock.faults
+            if engine is not None and engine.fires("pool.placement-flap",
+                                                   task.name):
                 index = (index + 1) % len(self.lanes)
                 self.flaps += 1
         lane = self.lanes[index]

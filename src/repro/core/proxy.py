@@ -190,15 +190,15 @@ class ProxyManager:
 
     def _inject_faults(self, engine, proxy, name):
         """Fault sites that strike while a call is being serviced."""
-        if engine.kill_proxy(call=name):
+        if engine.fires("proxy.kill", name):
             self.cvm.kernel.reap_task(proxy.guest_task, exit_code=-9)
             raise ProxyDied(
                 proxy.host_task.pid, proxy.guest_task.pid,
                 "killed by fault injection mid-call",
             )
-        if engine.compromise_cvm(call=name):
+        if engine.fires("cvm.compromise", name):
             self.cvm.kernel.compromise(proxy.guest_task, "fault-injection")
-        if engine.crash_cvm(call=name):
+        if engine.fires("cvm.crash", name):
             # panic raises KernelCrashed; the redirect path turns it into
             # a recoverable ContainerCrashed
             self.cvm.kernel.panic("injected fault: cvm.crash")

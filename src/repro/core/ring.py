@@ -192,7 +192,8 @@ class DelegationRing:
             # with no free slot; it is only ever billed when the ring is
             # actually full.
             if engine is not None:
-                stall_ns = engine.ring_full_stall_ns(call=call)
+                stall_ns = engine.delay_at("ring.full", call,
+                                          default_ns=100_000)
                 if stall_ns:
                     self.stalls += 1
                     clock.advance(stall_ns, f"fault:ring-full:{self.name}")
@@ -248,7 +249,7 @@ class DelegationRing:
             self.popped += 1
             return self._queue.popleft()
         if len(self._queue) > 1 \
-                and engine.ring_reorder(call=self._queue[0].call):
+                and engine.fires("ring.reorder", self._queue[0].call):
             self.out_of_order += 1
             first = self._queue.popleft()
             descriptor = self._queue.popleft()
@@ -256,8 +257,12 @@ class DelegationRing:
         else:
             descriptor = self._queue.popleft()
         self.popped += 1
-        pushed = descriptor.payload
-        payload = engine.ring_descriptor_payload(descriptor.call, pushed)
+        payload = pushed = descriptor.payload
+        # Fires after the payload crossed the channel: corruption of the
+        # descriptor slot itself, which the CRC framing is there to catch
+        # (an empty payload has nothing to mangle and is not counted).
+        if pushed and engine.fires("ring.corrupt", descriptor.call):
+            payload = engine.flip_byte(pushed)
         expected_crc = descriptor.crc
         if payload is pushed:
             # Unrewritten: its bytes are the ones that crossed unless

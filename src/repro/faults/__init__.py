@@ -3,11 +3,11 @@
 A :class:`FaultPlan` (parsed from a compact ``site:key=value`` grammar)
 plus a seed make a :class:`FaultEngine`, which arms onto the shared
 ``SimClock`` exactly like the trace bus does: every delegation layer
-reaches it through :func:`maybe_engine` with no extra plumbing, and a
-clock with no engine attached costs one attribute lookup per site.
+reads it as ``clock.faults`` with no extra plumbing, and a clock with no
+engine attached costs one attribute read per site.
 """
 
-from repro.faults.engine import FaultEngine, maybe_engine
+from repro.faults.engine import FaultEngine
 from repro.faults.plan import SITES, FaultPlan, FaultRule
 
 _CHAOS_EXPORTS = (
@@ -32,6 +32,5 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "chaos_report_json",
-    "maybe_engine",
     "run_chaos",
 ]

@@ -2,11 +2,15 @@
 
 The engine attaches to the simulation's shared :class:`~repro.clock.SimClock`
 (the same pattern the trace bus uses), so every delegation layer can reach
-it without new plumbing: instrumented sites call :func:`maybe_engine` and
-ask whether a fault fires *here, now*.  All randomness comes from one
-``random.Random(seed)``, and trigger counters advance only on eligible
-occurrences — so a (plan, seed, call-stream) triple resolves identically
-on every run, which is what makes chaos failures replayable.
+it without new plumbing: an instrumented site reads ``clock.faults`` and,
+when an engine is armed, asks whether the fault named by its ``SITES``
+key fires *here, now*.  The site applies the effect itself; the engine
+only resolves (:meth:`FaultEngine.fires`, :meth:`~FaultEngine.errno_at`,
+:meth:`~FaultEngine.delay_at`) and draws (:meth:`~FaultEngine.flip_byte`).
+All randomness comes from one ``random.Random(seed)``, and trigger
+counters advance only on eligible occurrences — so a (plan, seed,
+call-stream) triple resolves identically on every run, which is what
+makes chaos failures replayable.
 
 Every fired fault is recorded on the engine (for the deterministic chaos
 report) and emitted as a ``fault`` event on the trace bus (for the Chrome
@@ -17,14 +21,9 @@ from __future__ import annotations
 
 import random
 
-from repro.errors import SyscallError
-from repro.faults.plan import FaultPlan
+from repro.errors import SimulationError
+from repro.faults.plan import SITES, FaultPlan
 from repro.obs.bus import maybe_event
-
-
-def maybe_engine(clock):
-    """The engine armed on ``clock``, or ``None`` (the common case)."""
-    return getattr(clock, "faults", None)
 
 
 class FaultEngine:
@@ -64,8 +63,11 @@ class FaultEngine:
         Each matching rule's occurrence counter advances exactly once per
         call, whether or not it fires — the trigger arithmetic (and any
         PRNG draw for probability rules) is therefore a pure function of
-        the eligible call stream.
+        the eligible call stream.  A ``site`` missing from ``SITES`` is
+        a misspelt call site, so it raises :class:`SimulationError`.
         """
+        if site not in SITES:
+            raise SimulationError(f"unknown fault site {site!r}")
         hit = None
         for index, rule in self.plan.rules_for(site):
             if not rule.matches(call=call, kernel=kernel):
@@ -79,6 +81,31 @@ class FaultEngine:
         index, rule = hit
         self._record_fire(index, rule, call=call, kernel=kernel)
         return rule
+
+    def fires(self, site, call=None, kernel=None):
+        """Does a fault fire at ``site`` for this occurrence?"""
+        return self.check(site, call, kernel) is not None
+
+    def errno_at(self, site, call=None, kernel=None):
+        """The injected errno at ``site`` (EIO unless the rule names
+        one), or ``None`` when nothing fires."""
+        rule = self.check(site, call, kernel)
+        return None if rule is None else rule.errno_value
+
+    def delay_at(self, site, call=None, kernel=None, *, default_ns):
+        """The stall at ``site`` in ns (the rule's ``delay_us``, else
+        ``default_ns``), or 0 when nothing fires."""
+        rule = self.check(site, call, kernel)
+        if rule is None:
+            return 0
+        return rule.delay_ns or default_ns
+
+    def flip_byte(self, data):
+        """``data`` as ``bytes`` with one seeded byte inverted; ``data``
+        must not be empty."""
+        mangled = bytearray(data)
+        mangled[self.rng.randrange(len(data))] ^= 0xFF
+        return bytes(mangled)
 
     def _triggers(self, index, rule):
         n = self._occurrences[index]
@@ -112,161 +139,6 @@ class FaultEngine:
                 site=rule.site, rule=rule.spec(),
                 occurrence=record["occurrence"], call=call or "",
             )
-
-    # -- per-layer entry points ---------------------------------------------
-    #
-    # Each wraps ``check`` with the site's effect semantics; the *caller*
-    # stays in charge of state it owns (the proxy manager reaps its own
-    # task, the channel mangles its own payload).
-
-    def perturb_syscall(self, kernel, task, name):
-        """Syscall-dispatch sites: injected errno failures and delays."""
-        delay = self.check("syscall.delay", call=name, kernel=kernel.label)
-        if delay is not None:
-            kernel.clock.advance(
-                delay.delay_ns or kernel.costs.syscall_base_ns,
-                f"fault:syscall-delay:{name}",
-            )
-        failure = self.check("syscall.error", call=name, kernel=kernel.label)
-        if failure is not None:
-            raise SyscallError(
-                failure.errno_value, "injected fault", call=name
-            )
-
-    def channel_stall_ns(self, direction):
-        """Stall duration for one transfer (0 when no stall fires)."""
-        rule = self.check("channel.stall", call=direction)
-        if rule is None:
-            return 0
-        return rule.delay_ns or 100_000
-
-    def channel_payload(self, direction, data):
-        """Possibly corrupt or truncate ``data`` in transit.
-
-        Empty payloads cross untouched (there is nothing to mangle), so
-        the occurrence counters only advance for real transfers.
-        """
-        if not data:
-            return data
-        if self.check("channel.corrupt", call=direction) is not None:
-            index = self.rng.randrange(len(data))
-            mangled = bytearray(data)
-            mangled[index] ^= 0xFF
-            return bytes(mangled)
-        if self.check("channel.truncate", call=direction) is not None:
-            return data[: len(data) // 2]
-        return data
-
-    def ring_descriptor_payload(self, call, data):
-        """Possibly flip one byte of a ring descriptor payload in place.
-
-        Fires at pop time, *after* the payload crossed the channel —
-        modelling corruption of the descriptor slot itself, which the
-        per-descriptor CRC framing is there to catch.  Empty payloads
-        cross untouched (nothing to mangle).
-        """
-        if not data:
-            return data
-        if self.check("ring.corrupt", call=call) is not None:
-            index = self.rng.randrange(len(data))
-            mangled = bytearray(data)
-            mangled[index] ^= 0xFF
-            return bytes(mangled)
-        return data
-
-    def ring_reorder(self, call=None):
-        """Should the next ring pop deliver descriptors out of order?"""
-        return self.check("ring.reorder", call=call) is not None
-
-    def ring_full_stall_ns(self, call=None):
-        """Backpressure stall charged to a ring push (0 = no stall)."""
-        rule = self.check("ring.full", call=call)
-        if rule is None:
-            return 0
-        return rule.delay_ns or 100_000
-
-    def cache_stale(self, call=None):
-        """Should this page-cache lookup be treated as stale?
-
-        The layer recovers by invalidating the file's cached pages and
-        refetching through the ring — the demand-miss path — so a stale
-        hit can never serve wrong bytes, only cost the cold latency.
-        """
-        return self.check("cache.stale", call=call) is not None
-
-    def cache_evict(self, call=None):
-        """Evict the demanded pages just before a cache lookup?"""
-        return self.check("cache.evict", call=call) is not None
-
-    def wb_defer_errno(self, call=None):
-        """Errno to ledger for a window entry at drain (None = healthy).
-
-        Write-behind drains run long after the call site returned its
-        optimistic result, so the effect is never a raise here: the
-        layer records the errno against the entry's fd and cancels the
-        rest of the window, and the next fence surfaces it.
-        """
-        rule = self.check("wb.error", call=call)
-        if rule is None:
-            return None
-        return rule.errno_value
-
-    def wb_reap_loss(self, call=None):
-        """Should the completion reaper miss this drained batch?"""
-        return self.check("wb.reap-loss", call=call) is not None
-
-    def binder_drop(self, call=None):
-        """Errno to ledger for a dropped batched oneway transaction.
-
-        Returns ``None`` when the transaction delivers.  Like
-        ``wb.error``, the sender is long gone when a drain runs, so the
-        effect is a per-``(pid, target)`` ledger entry surfaced at the
-        next fence, never a raise here.
-        """
-        rule = self.check("binder.drop", call=call)
-        if rule is None:
-            return None
-        return rule.errno_value
-
-    def binder_reorder(self, call=None):
-        """Swap the first two transactions of this drained window?"""
-        return self.check("binder.reorder", call=call) is not None
-
-    def binder_reply_loss(self, call=None):
-        """Should the reaper miss this binder window's completions?"""
-        return self.check("binder.reply-loss", call=call) is not None
-
-    def pool_placement_flap(self, call=None):
-        """Divert this enrollment's placement one lane over?
-
-        Only consulted by multi-lane pools, so single-CVM chaos replays
-        never advance its counters.
-        """
-        return self.check("pool.placement-flap", call=call) is not None
-
-    def drop_irq(self):
-        return self.check("irq.drop") is not None
-
-    def duplicate_irq(self):
-        return self.check("irq.dup") is not None
-
-    def drop_hypercall(self):
-        return self.check("hypercall.drop") is not None
-
-    def kill_proxy(self, call=None):
-        return self.check("proxy.kill", call=call) is not None
-
-    def crash_cvm(self, call=None):
-        return self.check("cvm.crash", call=call) is not None
-
-    def compromise_cvm(self, call=None):
-        return self.check("cvm.compromise", call=call) is not None
-
-    def slow_boot_ns(self):
-        rule = self.check("cvm.slow-boot")
-        if rule is None:
-            return 0
-        return rule.delay_ns or 250_000_000
 
     # -- reporting -----------------------------------------------------------
 

@@ -195,7 +195,7 @@ class LguestHypervisor:
         """
         clock = self.machine.clock
         engine = clock.faults
-        if engine is not None and engine.drop_hypercall():
+        if engine is not None and engine.fires("hypercall.drop"):
             return False
         self.hypercall_count += 1
         if clock.dormant:
@@ -234,9 +234,9 @@ class LguestHypervisor:
             self.interrupt_count += 1
             clock._now_ns += self.machine.costs.world_switch_ns
             return True
-        if engine is not None and engine.drop_irq():
+        if engine is not None and engine.fires("irq.drop"):
             return False
-        rounds = 2 if engine is not None and engine.duplicate_irq() else 1
+        rounds = 2 if engine is not None and engine.fires("irq.dup") else 1
         self._account_doorbell(reason, coalesced, "host->guest")
         for _ in range(rounds):
             self.interrupt_count += 1

@@ -307,7 +307,14 @@ class Kernel:
                               f"syscall:{name}")
             faults = clock.faults
             if faults is not None:
-                faults.perturb_syscall(self, task, name)
+                delay_ns = faults.delay_at(
+                    "syscall.delay", name, self.label,
+                    default_ns=self.costs.syscall_base_ns)
+                if delay_ns:
+                    clock.advance(delay_ns, f"fault:syscall-delay:{name}")
+                injected = faults.errno_at("syscall.error", name, self.label)
+                if injected is not None:
+                    raise SyscallError(injected, "injected fault", call=name)
             if self.policy_monitor is not None:
                 self.policy_monitor.inspect(self, task, name, args)
             if self.interposition is not None:
