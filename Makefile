@@ -29,8 +29,9 @@ frames:
 	PYTHONPATH=src $(PYTHON) -m tests.perf.test_stdlib_frame_budget
 	PYTHONPATH=src $(PYTHON) -m tests.perf.test_sqlite_row_budget
 
-# Chaos-report parity with a base commit: every CI chaos run, on this
-# checkout and on BASE=<ref>; exits 1 naming each run that differs.
+# Chaos-report parity with a base commit: every CI chaos run and a
+# per-site sweep, on this checkout and on BASE=<ref>; exits 1 naming
+# each run that differs and each site that fired in no run.
 chaos-parity:
 	$(PYTHON) benchmarks/chaos_parity.py $(BASE)
 

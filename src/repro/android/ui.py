@@ -42,11 +42,8 @@ class Window:
 
     __snapshot__ = "auto"
 
-    _next_id = [1]
-
-    def __init__(self, owner_task, title):
-        self.window_id = Window._next_id[0]
-        Window._next_id[0] += 1
+    def __init__(self, window_id, owner_task, title):
+        self.window_id = window_id
         self.owner_task = owner_task
         self.title = title
         self.frames_submitted = 0
@@ -62,6 +59,9 @@ class UIStack:
         self.input_device = input_device
         self.framebuffer = framebuffer
         self.windows = {}
+        self._next_window_id = 1
+        """Ids are per stack, so every world numbers its windows from 1
+        and a restored world continues its own numbering."""
         self._first_window = {}
         """Owner task -> the first window it created (``window_of``)."""
         self.focused_window = None
@@ -70,7 +70,8 @@ class UIStack:
     # -- window management ---------------------------------------------------
 
     def create_window(self, owner_task, title=""):
-        window = Window(owner_task, title)
+        window = Window(self._next_window_id, owner_task, title)
+        self._next_window_id += 1
         self.windows[window.window_id] = window
         self._first_window.setdefault(owner_task, window)
         if self.focused_window is None:

@@ -123,8 +123,8 @@ class DelegationRing:
 
     __snapshot__ = "auto"
 
-    COUNTERS = ("pushed", "popped", "max_depth_seen", "stalls",
-                "out_of_order", "deferred_pushed", "binder_pushed")
+    COUNTERS = ("pushed", "popped", "max_depth_seen", "out_of_order",
+                "deferred_pushed", "binder_pushed")
     """Run-level telemetry that outlives a lane reboot."""
 
     def __init__(self, name, channel, depth):
@@ -144,7 +144,6 @@ class DelegationRing:
         self.pushed = 0
         self.popped = 0
         self.max_depth_seen = 0
-        self.stalls = 0
         self.out_of_order = 0
         self.deferred_pushed = 0
         self.binder_pushed = 0
@@ -185,19 +184,10 @@ class DelegationRing:
         # No defensive copy: the payload (a synchronous submit's fresh
         # wire, or a staged one) is referenced as-is; the descriptor owns
         # it until the window retires.
+        if len(self._queue) >= self.depth:
+            raise RingFull(self.name, self.depth)
         clock = self.clock
         engine = clock.faults
-        if len(self._queue) >= self.depth:
-            # The ring.full stall models a producer spinning on a ring
-            # with no free slot; it is only ever billed when the ring is
-            # actually full.
-            if engine is not None:
-                stall_ns = engine.delay_at("ring.full", call,
-                                          default_ns=100_000)
-                if stall_ns:
-                    self.stalls += 1
-                    clock.advance(stall_ns, f"fault:ring-full:{self.name}")
-            raise RingFull(self.name, self.depth)
         if seq is None:
             seq = self._next_seq
             self._next_seq += 1
@@ -301,7 +291,6 @@ class DelegationRing:
             "pushed": self.pushed,
             "popped": self.popped,
             "max_depth_seen": self.max_depth_seen,
-            "stalls": self.stalls,
             "out_of_order": self.out_of_order,
             "deferred_pushed": self.deferred_pushed,
             "binder_pushed": self.binder_pushed,

@@ -30,7 +30,6 @@ SITES = {
     "hypercall.drop": "lose a guest->host completion hypercall",
     "ring.corrupt": "flip one byte of a ring descriptor payload in place",
     "ring.reorder": "deliver ring descriptors out of submission order",
-    "ring.full": "stall a ring push as if the ring had no free slots",
     "cache.stale": "treat a delegated-read cache lookup as stale "
                    "(invalidate the file's pages and refetch)",
     "cache.evict": "evict the demanded pages just before a cache lookup",

@@ -28,24 +28,6 @@ the only charge recorder; the clock keeps no trace of its own.
 from __future__ import annotations
 
 
-SPAN_KINDS = (
-    "syscall",
-    "world-switch",
-    "channel-copy",
-    "binder-txn",
-    "proxy",
-    "ring-submit",
-    "ring-complete",
-    "cache-hit",
-    "cache-fill",
-    "wb-drain",
-)
-EVENT_KINDS = ("irq", "page-fault", "fault", "recovery",
-               "doorbell-coalesced", "cache-miss", "cache-invalidate",
-               "wb-submit", "wb-fence", "wb-error")
-RECORD_KINDS = SPAN_KINDS + EVENT_KINDS
-
-
 class _NullSpan:
     """Shared no-op span handed out when capturing is off."""
 

@@ -9,7 +9,6 @@ from repro.android.binder import (
     IOC_WAIT_INPUT_EVT,
     Transaction,
 )
-from repro.android.ui import Window
 from repro.core.policy import Decision
 from repro.errors import SyscallError
 from repro.kernel import vfs
@@ -249,9 +248,6 @@ class TestHostBinderHop:
         run = HOST_BINDER_CALLS[call]
         outcomes = []
         for trigger in (False, True):
-            # Window ids come from one process-wide counter; restart it
-            # so both worlds number their windows alike.
-            monkeypatch.setattr(Window, "_next_id", [1])
             world, ctx = _host_binder_ctx(trigger)
             run(ctx)  # warm: the lazy binder fd is already open
             generic = _record_native_ioctls(world, monkeypatch)

@@ -169,42 +169,6 @@ class TestFaultSites:
             engine.disarm()
         assert channel.submit_ring.out_of_order == 1
 
-    def test_ring_full_fault_stalls_a_genuinely_full_push(self, machine):
-        hypervisor = LguestHypervisor(machine, guest_mb=32)
-        hypervisor.launch_guest()
-        tight = AnceptionChannel(hypervisor, machine.costs, num_pages=4,
-                                 ring_depth=2)
-        tight.submit_ring.push("write", b"a")
-        tight.submit_ring.push("write", b"b")
-        engine = FaultEngine("ring.full:nth=1:delay_us=500").arm(
-            machine.clock
-        )
-        try:
-            before = machine.clock.now_ns
-            with pytest.raises(RingFull):
-                tight.submit_ring.push("write", b"c")
-            stalled = machine.clock.now_ns - before
-        finally:
-            engine.disarm()
-        assert stalled >= 500_000
-        assert tight.submit_ring.stalls == 1
-
-    def test_ring_full_fault_never_bills_a_non_full_ring(self, channel,
-                                                         machine):
-        # Regression: the stall used to be charged before the fullness
-        # check, so a push onto a ring with free slots paid the delay.
-        engine = FaultEngine("ring.full:nth=1:delay_us=500").arm(
-            machine.clock
-        )
-        try:
-            before = machine.clock.now_ns
-            channel.submit_ring.push("write", b"w")
-            stalled = machine.clock.now_ns - before
-        finally:
-            engine.disarm()
-        assert stalled < 500_000
-        assert channel.submit_ring.stalls == 0
-
 
 def _count_crcs(monkeypatch):
     """Every ``crc32`` the ring and the channel take, in call order."""

@@ -244,6 +244,21 @@ class TestRestoreEqualsBoot:
         assert world_digest(first) == world_digest(second)
 
 
+    def test_window_ids_are_per_world_and_continue_after_restore(self):
+        def window_ids(ctx, count):
+            return [ctx.create_window(f"w{n}")["window_id"]
+                    for n in range(count)]
+
+        straight, straight_ctx = boot_obs_world()
+        split, split_ctx = boot_obs_world()
+        # Two fresh worlds in one process number their windows alike.
+        assert window_ids(straight_ctx, 2) == window_ids(split_ctx, 2)
+        restored = _World.restore(split.snapshot())
+        resumed = window_ids(restored.zygote.launched[-1].ctx, 2)
+        assert resumed == window_ids(straight_ctx, 2)
+        assert resumed[0] > 2
+
+
 class TestMidChaosResume:
     """An armed fault engine travels with its cursor and PRNG intact."""
 

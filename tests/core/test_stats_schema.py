@@ -31,7 +31,7 @@ BINDER_RING = {
 def _ring(pushed=0, max_depth=0, deferred=0, binder=0):
     return {
         "depth": 64, "queued": 0, "pushed": pushed, "popped": pushed,
-        "max_depth_seen": max_depth, "stalls": 0, "out_of_order": 0,
+        "max_depth_seen": max_depth, "out_of_order": 0,
         "deferred_pushed": deferred, "binder_pushed": binder,
     }
 

@@ -1,10 +1,19 @@
-"""The fault-plan grammar: parsing, validation, normalization."""
+"""The fault-plan grammar: parsing, validation, normalization, and the
+site table's agreement with the code and the design doc."""
 
+import ast
 import errno
+import pathlib
 
 import pytest
 
 from repro.faults.plan import SITES, FaultPlan, FaultRule
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+RESOLVERS = ("check", "fires", "errno_at", "delay_at")
+"""The engine calls whose first argument names a fault site."""
 
 
 class TestRuleParsing:
@@ -121,3 +130,44 @@ class TestPlan:
         for site, description in SITES.items():
             assert description
             assert FaultRule.parse(site).site == site
+
+
+def _named_sites():
+    """``{site literal: [file:line, ...]}`` over every resolver call in
+    ``src/`` whose first argument is a string literal."""
+    named = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in RESOLVERS and node.args \
+                    and isinstance(node.args[0], ast.Constant) \
+                    and isinstance(node.args[0].value, str):
+                where = f"{path.relative_to(ROOT)}:{node.lineno}"
+                named.setdefault(node.args[0].value, []).append(where)
+    return named
+
+
+class TestSiteNames:
+    def test_every_named_site_is_in_sites(self):
+        unknown = {site: where for site, where in _named_sites().items()
+                   if site not in SITES}
+        assert unknown == {}
+
+    def test_every_site_is_named_at_a_call_site(self):
+        named = _named_sites()
+        assert [site for site in SITES if site not in named] == []
+
+    def test_design_fault_table_lists_every_site(self):
+        text = (ROOT / "DESIGN.md").read_text()
+        section = text[text.index("## 6. "):text.index("## 7. ")]
+        lines = section.splitlines()
+        start = next(index for index, line in enumerate(lines)
+                     if line.startswith("| Site | Layer |"))
+        rows = []
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            rows.append(line.split("|")[1].strip().strip("`"))
+        assert rows == list(SITES)

@@ -13,7 +13,7 @@ import json
 from hypothesis import given, settings, strategies as st
 
 from repro.faults.chaos import chaos_report_json, run_chaos
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import SITES, FaultPlan
 
 
 _TRIGGERS = st.one_of(
@@ -23,12 +23,7 @@ _TRIGGERS = st.one_of(
     st.sampled_from([0.1, 0.3, 0.7]).map(lambda p: f":p={p}"),
 )
 
-_SITES = st.sampled_from([
-    "syscall.error", "syscall.delay", "channel.corrupt",
-    "channel.truncate", "channel.stall", "irq.drop", "irq.dup",
-    "hypercall.drop", "proxy.kill", "cvm.crash", "cvm.compromise",
-    "cvm.slow-boot", "ring.corrupt", "ring.reorder", "ring.full",
-])
+_SITES = st.sampled_from(sorted(SITES))
 
 _rules = st.tuples(_SITES, _TRIGGERS).map(lambda st_: st_[0] + st_[1])
 _plans = st.lists(_rules, min_size=1, max_size=3).map(";".join)

@@ -35,7 +35,6 @@ _SLOW = dict(max_examples=20, deadline=None)
 _ring_rules = st.sampled_from([
     "ring.corrupt:nth=1", "ring.corrupt:nth=3", "ring.corrupt:p=0.2",
     "ring.reorder:nth=1", "ring.reorder:every=2", "ring.reorder:p=0.5",
-    "ring.full:nth=2", "ring.full:every=3:delay_us=200",
 ])
 _ring_plans = st.lists(_ring_rules, min_size=1, max_size=3).map(";".join)
 
