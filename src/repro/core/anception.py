@@ -1489,6 +1489,11 @@ class AnceptionLayer:
 
     def _split_fork(self, task, table, flags=0):
         # Host fork; the on_fork hook mirrors the child into the CVM.
+        # The child shares the parent's files, and its own staged writes
+        # drain at its exit, so the parent's must land first.
+        lane = self._lane(task)
+        if lane.write_behind is not None:
+            self._wb_fence(task, "fork", lane=lane)
         return self.host_kernel.execute_native(task, "fork", (flags,), {})
 
     _split_clone = _split_fork

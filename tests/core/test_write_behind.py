@@ -205,6 +205,22 @@ class TestFences:
         ctx_a.libc.close(fd)
 
 
+    def test_fork_lands_the_parents_staged_writes_first(self, wb_world,
+                                                         wb_ctx):
+        # The child's staged write drains at its exit; the parent's,
+        # staged before the fork, must not land over it afterwards.
+        libc = wb_ctx.libc
+        fd = libc.open(wb_ctx.data_path("forked.bin"), TRUNC)
+        libc.write(fd, b"parent")
+        child = wb_world.kernel.pids.require(libc.fork())
+        assert wb_world.anception.write_behind.stats()["pending"] == 0
+        child_libc = wb_world.libc_for(child)
+        assert child_libc.pwrite(fd, b"CHILD", 0) == 5
+        child_libc.syscall("exit", 0)
+        assert libc.pread(fd, 16, 0) == b"CHILDt"
+        libc.close(fd)
+
+
 class TestDeferredErrors:
     def test_injected_error_surfaces_once_at_first_fence(
         self, wb_world, wb_ctx
