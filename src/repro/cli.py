@@ -211,16 +211,17 @@ def _knobs(args):
     Keys are :class:`~repro.core.anception.AnceptionLayer`'s keyword
     arguments, passed through unchanged.  The read cache, write-behind
     and the binder ring are on by default here (each has a ``--no-…``
-    flag) and off in the library default.
+    flag) and off in the library default.  The window depths keep the
+    layer's default (``None``): only library callers size them.
     """
     return {
         "ring_depth": getattr(args, "ring_depth", None),
         "read_cache": not getattr(args, "no_read_cache", False),
         "cache_pages": getattr(args, "cache_pages", None) or 1024,
         "async_delegation": not getattr(args, "no_write_behind", False),
-        "write_behind_depth": getattr(args, "write_behind_depth", None),
+        "write_behind_depth": None,
         "binder_ring": not getattr(args, "no_binder_ring", False),
-        "binder_ring_depth": getattr(args, "binder_ring_depth", None),
+        "binder_ring_depth": None,
         "cvms": getattr(args, "cvms", None) or 1,
     }
 
@@ -553,25 +554,11 @@ def main(argv=None):
              "default there, off in the library default)",
     )
     parser.add_argument(
-        "--write-behind-depth",
-        type=int,
-        default=None,
-        help="in-flight window depth for write-behind delegation "
-             "(default: min(32, ring depth))",
-    )
-    parser.add_argument(
         "--no-binder-ring",
         action="store_true",
         help="disable batched binder delegation windows "
              "(trace/metrics/chaos commands; the binder ring is on by "
              "default there, off in the library default)",
-    )
-    parser.add_argument(
-        "--binder-ring-depth",
-        type=int,
-        default=None,
-        help="in-flight window depth for batched binder delegation "
-             "(default: min(32, ring depth))",
     )
     parser.add_argument(
         "--top",

@@ -58,7 +58,7 @@ from repro.errors import (
     SimulationError,
     SyscallError,
 )
-from repro.kernel.memory import MAP_ANONYMOUS, MAP_FIXED
+from repro.kernel.memory import MAP_ANONYMOUS, MAP_FIXED, page_of
 from repro.kernel.process import RLIMIT_NOFILE, ROOT_UID, Credentials
 from repro.kernel.vfs import O_APPEND, InodeKind, OpenFile
 from repro.obs.bus import maybe_event, maybe_span
@@ -75,7 +75,12 @@ def _delegation_eio(failure, call):
 
 
 class PendingCall:
-    """One submitted-but-not-completed call on the delegation ring."""
+    """One submitted-but-not-completed call on the delegation ring.
+
+    The submit descriptor carries it across (:attr:`~repro.core.ring
+    .RingDescriptor.pending`), and the guest's drain sets its
+    :attr:`outcome`; ``seq`` is the descriptor's wire identity.
+    """
 
     __snapshot__ = "auto"
 
@@ -232,9 +237,11 @@ class AnceptionLayer:
         self.crypto_fs = None
         self.iago_verify = False
         self._file_mappings = {}
-        """(host_pid, base) -> (host_fd, file_offset, length, extent)
-        for file-backed split mmaps, ``extent`` being the bytes the file
-        backed at map time; consulted by the msync write-back."""
+        """(host_pid, base) -> (host_fd, file_offset, length, extent,
+        page) for file-backed split mmaps, ``extent`` being the bytes
+        the file backed at map time and ``page`` the base page's
+        :class:`~repro.kernel.memory.PageMapping`; consulted by the
+        msync write-back while that same page is still mapped."""
         self._root = Credentials(ROOT_UID)
         self.host_kernel.interposition = self
         self.host_kernel.anception_build = True
@@ -260,8 +267,8 @@ class AnceptionLayer:
 
         The single choke point for boot *and* reboot: a fresh lane gets
         its container built here; a rebooted lane gets a new channel
-        and proxy manager, cleared caches/windows/ledgers, reset
-        in-flight and path maps, and the firewall re-applied — nothing
+        and proxy manager (empty rings), cleared caches/windows/ledgers,
+        a reset path map, and the firewall re-applied — nothing
         re-binds anywhere else, so no stale reference can survive.
         A reboot resets queues and state only: every component's
         counters survive (they are run-level telemetry).
@@ -283,7 +290,6 @@ class AnceptionLayer:
         if old_channel is not None:
             lane.channel.inherit_counters(old_channel)
         lane.proxies = ProxyManager(lane.cvm)
-        lane.inflight = []
         lane.cache_paths = {}
         if self._read_cache:
             if lane.page_cache is None:
@@ -437,6 +443,14 @@ class AnceptionLayer:
         raise SyscallError(errno.EPERM, "blocked by Anception", call=name)
 
     def _route_redirect(self, task, name, args, kwargs, table):
+        if name in FD_ALLOCATING_CALLS:
+            # The host numbers are taken before the call crosses, as the
+            # native kernel takes them before it runs: a full table
+            # refuses the call with nothing made in the CVM, and the
+            # adoption at completion cannot fail.
+            fd = task.free_fd()
+            if name == "pipe":
+                task.free_fd(fd + 1)
         if name == "shmdt":
             # statically redirect-class, but the live attachment spans
             # both kernels and must be torn down on both
@@ -579,13 +593,12 @@ class AnceptionLayer:
 
         Whatever was mid-flight is unrecoverable state once an attempt
         fails.  A multi-call window submits every call before its one
-        flush, so a failure mid-submit leaves the earlier calls in
-        ``inflight`` and on the submit ring, and a failed flush leaves
-        descriptors on both rings.  Dropping them (and the wires their
-        descriptors own) lets the retry re-submit from scratch against
-        clean rings instead of shipping stale calls a second time.
+        flush, so a failure mid-submit leaves the earlier calls on the
+        submit ring, and a failed flush leaves descriptors on both
+        rings.  Dropping them (and the calls and wires their descriptors
+        own) lets the retry re-submit from scratch against clean rings
+        instead of shipping stale calls a second time.
         """
-        lane.inflight = []
         lane.channel.reset_rings()
 
     def _round_trip(self, task, lane, calls, reason, label, batch=None):
@@ -717,14 +730,14 @@ class AnceptionLayer:
             clock._now_ns += costs.proxy_dispatch_ns
         else:
             clock.advance(costs.proxy_dispatch_ns, "anception:proxy-post")
-        seq = ring.push(
+        pending = PendingCall(None, task, proxy, name, args, call_args,
+                              kwargs, crypto_offset)
+        pending.seq = ring.push(
             name, wire,
             flags=ring_flags if ring_flags
             else (RING_FLAG_WRITE_BEHIND if prestaged else 0),
+            pending=pending,
         )
-        pending = PendingCall(seq, task, proxy, name, args, call_args,
-                              kwargs, crypto_offset)
-        lane.inflight.append(pending)
         return pending
 
     def flush(self, task=None, reason=None, lane=None):
@@ -741,53 +754,38 @@ class AnceptionLayer:
         if lane is None:
             lane = (self._lane(task) if task is not None
                     else self.pool.default_lane)
-        if not lane.inflight:
+        channel = lane.channel
+        queue = channel.submit_ring._queue
+        if not queue:
             return
-        pendings, lane.inflight = lane.inflight, []
+        # The submit ring's queue is the in-flight window: each
+        # descriptor carries its call.
+        pendings = [descriptor.pending for descriptor in queue]
         count = len(pendings)
         if reason is None:
             reason = pendings[0].name if count == 1 else f"batch:{count}"
         elif count > 1:
             reason = f"{reason}:{count}"
-        work = {}
-        for p in pendings:
-            work[p.seq] = (p.proxy, p.name, p.call_args, p.kwargs)
-        channel = lane.channel
         hypervisor = channel.hypervisor
         if not hypervisor.inject_interrupt(reason, coalesced=count):
             self._resignal_guest(lane, reason, pendings[0].task,
                                  coalesced=count)
-        outcomes = lane.proxies.drain(channel, work)
-        completions = len(channel.complete_ring._queue)
-        self._drain_completions(lane, pendings, outcomes)
-        if completions and not hypervisor.hypercall(
-                reason, coalesced=completions):
-            self._poll_host(reason, pendings[0].task)
-
-    def _drain_completions(self, lane, pendings, outcomes):
-        """Pop the completion ring dry and bind outcomes to pendings.
-
-        Completions may arrive out of submission order (the
-        ``ring.reorder`` site); sequence matching absorbs that.  CRC
-        failures and missing outcomes surface as delegation errors for
-        the recovery supervisor.
-        """
-        while True:
-            descriptor = lane.channel.complete_ring.pop()
-            if descriptor is None:
-                break
-            if descriptor.seq not in outcomes:
-                raise SimulationError(
-                    f"completion seq {descriptor.seq} matches no "
-                    f"submitted call"
-                )
+        lane.proxies.drain(channel)
+        # The host pops the completion ring dry: its descriptors carry
+        # only padding (the drain set each outcome), but popping is
+        # where their CRC framing and the ring fault sites are checked.
+        complete_ring = channel.complete_ring
+        completions = len(complete_ring._queue)
+        while complete_ring.pop() is not None:
+            pass
         for pending in pendings:
-            outcome = outcomes.get(pending.seq)
-            if outcome is None:
+            if pending.outcome is None:
                 raise ChannelError(
                     f"no outcome for {pending.name}#{pending.seq}"
                 )
-            pending.outcome = outcome
+        if completions and not hypervisor.hypercall(
+                reason, coalesced=completions):
+            self._poll_host(reason, pendings[0].task)
 
     def complete(self, pending, lane=None):
         """Resolve one pending call to its result (or typed errno).
@@ -906,7 +904,8 @@ class AnceptionLayer:
     def _adopt_result(self, task, name, args, result):
         """Map a resource-allocating result (``name`` is one of
         :data:`~repro.core.marshal.FD_ALLOCATING_CALLS`) back into the
-        host fd space."""
+        host fd space, whose numbers :meth:`_route_redirect` checked
+        free before the call crossed."""
         if name == "pipe":
             if not isinstance(result, tuple):
                 return result
@@ -915,7 +914,10 @@ class AnceptionLayer:
         if not isinstance(result, int):
             return result
         label = args[0] if name == "open" and args else name
-        return task.alloc_fd(RemoteFdStub(result, str(label)))
+        # alloc_fd's body inline: one frame fewer per redirected open.
+        fd = task.free_fd()
+        task.fd_table[fd] = RemoteFdStub(result, str(label))
+        return fd
 
     # ------------------------------------------------------------------
     # host-side page cache for delegated reads
@@ -1178,24 +1180,13 @@ class AnceptionLayer:
             return 0
         return self.host_kernel.execute_native(task, "close", (fd,), {})
 
-    def _adopt_proxy_fd(self, task, proxy_fd, label, lowest=3):
-        """Give the proxy's new descriptor ``proxy_fd`` its host stub.
-
-        When the host table has no number free below ``RLIMIT_NOFILE``
-        (EMFILE) the proxy closes the descriptor again, so a refused
-        install leaves nothing open in the CVM.
-        """
-        try:
-            return task.alloc_fd(RemoteFdStub(proxy_fd, label), lowest)
-        except SyscallError:
-            self._redirect(task, "close", (), {}, translated=(proxy_fd,))
-            raise
-
     def _split_dup(self, task, table, fd):
         if table.is_remote(fd):
+            # The host number is checked free before the proxy dups.
+            task.free_fd()
             new_proxy_fd = self._redirect(
                 task, "dup", (fd,), {}, translated=(table.to_proxy(fd),))
-            return self._adopt_proxy_fd(task, new_proxy_fd, "dup")
+            return task.alloc_fd(RemoteFdStub(new_proxy_fd, "dup"))
         return self.host_kernel.execute_native(task, "dup", (fd,), {})
 
     def _split_dup2(self, task, table, fd, newfd):
@@ -1223,16 +1214,19 @@ class AnceptionLayer:
 
     def _split_fcntl(self, task, table, fd, cmd, arg=0):
         if table.is_remote(fd):
+            dupfd = cmd == 0  # F_DUPFD
+            if dupfd and 0 <= arg < RLIMIT_NOFILE:
+                # The host number is checked free before the proxy dups;
+                # the proxy's kernel refuses a minfd outside the range.
+                task.free_fd(arg)
             proxy_fd = table.to_proxy(fd)
             result = self._redirect(
                 task, "fcntl", (fd, cmd, arg), {},
                 translated=(proxy_fd, cmd, arg),
             )
-            if cmd == 0 and isinstance(result, int):  # F_DUPFD
-                # The proxy's kernel already refused a minfd outside the
-                # descriptor range; the app's number honours minfd in
-                # the host table.
-                return self._adopt_proxy_fd(task, result, "fcntl-dup", arg)
+            if dupfd and isinstance(result, int):
+                # The app's number honours minfd in the host table.
+                return task.alloc_fd(RemoteFdStub(result, "fcntl-dup"), arg)
             return result
         return self.host_kernel.execute_native(
             task, "fcntl", (fd, cmd, arg), {}
@@ -1383,8 +1377,10 @@ class AnceptionLayer:
                 task.address_space.write(base, data, need_prot=0)
             self._mirror_reservation(task, length, prot, flags,
                                      addr if flags & 0x10 else base)
-            self._file_mappings[(task.pid, base)] = (fd, offset, length,
-                                                     len(data))
+            self._prune_file_mappings(task)
+            self._file_mappings[(task.pid, base)] = (
+                fd, offset, length, len(data),
+                task.address_space.pages[page_of(base)])
             return base
         # Anonymous (or host-file) mapping: host executes; mirror shape.
         result = self.host_kernel.execute_native(
@@ -1416,7 +1412,7 @@ class AnceptionLayer:
         """
         mapping = self._find_file_mapping(task, addr)
         if mapping is not None:
-            base, (host_fd, file_offset, _length, extent) = mapping
+            base, (host_fd, file_offset, _length, extent, _page) = mapping
             sync_offset = addr - base
             sync_length = min(length, extent - sync_offset)
             if sync_length > 0:
@@ -1443,10 +1439,29 @@ class AnceptionLayer:
             self._poll_host("msync-ack", task)
 
     def _find_file_mapping(self, task, addr):
+        """The live file-backed split mapping of ``task`` holding
+        ``addr``, as ``(base, info)``, or ``None``."""
+        self._prune_file_mappings(task)
         for (pid, base), info in self._file_mappings.items():
             if pid == task.pid and base <= addr < base + info[2]:
                 return base, info
         return None
+
+    def _prune_file_mappings(self, task):
+        """Forget ``task``'s file-backed split mappings that are gone.
+
+        munmap and execve run on the host and never tell the layer, so
+        an entry is live only while its base page is still the
+        :class:`~repro.kernel.memory.PageMapping` the split mmap made —
+        compared by identity, since a later mapping at the same address
+        may even reuse the frame.
+        """
+        pages = task.address_space.pages
+        maps = self._file_mappings
+        for key in [key for key, info in maps.items()
+                    if key[0] == task.pid
+                    and pages.get(page_of(key[1])) is not info[4]]:
+            del maps[key]
 
     def _split_shmat(self, task, table, shmid):
         """Split shmat: content frames on the host, id from the CVM.
@@ -1774,8 +1789,15 @@ class AnceptionLayer:
 
         The enqueues call this only when the window is missing or full.
         A drain removes the task's window, so a full one is read again
-        after its drain.
+        after its drain.  A task opening a window first drains one that
+        another task of its app (a forked parent or child, sharing its
+        files) still holds, so their staged calls land in the order
+        they were made, not in pid order.
         """
+        if windows.windows and task.pid not in windows.windows:
+            for window in windows.pending_windows():
+                if window.task.launch_uid == task.launch_uid:
+                    self._drain(lane, windows, window.task, "handoff")
         window = windows.window(task)
         if len(window.entries) >= windows.depth:
             # Bounded depth: a full window is the only point deferral

@@ -37,16 +37,15 @@ class CVMLane:
     The bundle the tentpole refactor routes through: everything that
     used to be a singleton attribute of ``AnceptionLayer`` (``cvm``,
     ``channel``, ``proxies``, ``page_cache``, write-behind / binder
-    windows, in-flight descriptors, learned path->ino bindings, shm
-    shadows) lives here, one instance per CVM.  The layer's
-    ``_bind_lane`` helper is the single choke point that (re)arms the
-    mutable half — at boot and after a lane-scoped reboot alike.
+    windows, learned path->ino bindings, shm shadows) lives here, one
+    instance per CVM.  The layer's ``_bind_lane`` helper is the single
+    choke point that (re)arms the mutable half — at boot and after a lane-scoped reboot alike.
     """
 
     __snapshot__ = "auto"
 
     __slots__ = ("cvm_id", "cvm", "channel", "proxies", "page_cache",
-                 "cache_paths", "inflight", "write_behind", "binder_ring",
+                 "cache_paths", "write_behind", "binder_ring",
                  "shm_shadows", "shm_attach_map")
 
     def __init__(self, cvm_id):
@@ -57,9 +56,6 @@ class CVMLane:
         self.page_cache = None
         self.cache_paths = {}
         """abs path -> CVM ino learned through this lane's opens."""
-        self.inflight = []
-        """Submitted-but-unflushed PendingCall descriptors on this
-        lane's submit ring."""
         self.write_behind = None
         self.binder_ring = None
         self.shm_shadows = {}

@@ -131,62 +131,57 @@ class ProxyManager:
             if guest_task.state in LIVE_STATES:
                 guest_task.state = TaskState.SLEEPING
 
-    def drain(self, channel, work):
+    def drain(self, channel):
         """Service every submitted ring descriptor behind one doorbell.
 
         The guest-side half of doorbell coalescing: one injected IRQ
         wakes the CVM, which pops the submit ring dry, executes each
-        descriptor from its owning proxy's parked context, and pushes
-        one completion descriptor per successful result — all before
-        the single completion hypercall.
+        descriptor's call from its owning proxy's parked context, and
+        pushes one completion descriptor per successful result — all
+        before the single completion hypercall.
 
-        ``work`` maps submit sequence numbers to
-        ``(proxy, name, args, kwargs)`` (arguments travel by reference
-        on the Python side; the descriptor's wire bytes carried the
-        honest byte accounting).  Returns ``{seq: (kind, value)}`` with
-        kind ``"ok"`` (result), ``"err"`` (a ``SyscallError`` — no
-        completion descriptor is pushed, mirroring the classic errno
-        path that skips the completion copy), or ``"cancelled"`` (a
-        later descriptor skipped because an earlier one failed —
-        vectored I/O stops at the first error, like the native kernel).
+        Each descriptor carries its :class:`~repro.core.anception
+        .PendingCall` (arguments travel by reference on the Python side;
+        the descriptor's wire bytes carried the honest byte accounting),
+        and the drain sets its ``outcome``: ``("ok", result)``,
+        ``("err", SyscallError)`` — no completion descriptor is pushed,
+        mirroring the classic errno path that skips the completion copy
+        — or ``("cancelled", SyscallError)`` for a later descriptor
+        skipped because an earlier one failed (vectored I/O stops at the
+        first error, like the native kernel).
 
         Delegation-layer failures (a dead proxy, a crashed container,
         descriptor corruption) propagate as
         :class:`~repro.errors.DelegationError` for the recovery
         supervisor; the caller resets the rings before retrying.
         """
-        outcomes = {}
+        submit_ring = channel.submit_ring
         failed = None
         while True:
-            descriptor = channel.submit_ring.pop()
+            descriptor = submit_ring.pop()
             if descriptor is None:
-                break
-            item = work.get(descriptor.seq)
-            if item is None:
-                raise SimulationError(
-                    f"ring descriptor seq {descriptor.seq} has no "
-                    f"submitted call"
-                )
-            proxy, name, args, kwargs = item
+                return
+            pending = descriptor.pending
             if failed is not None:
-                outcomes[descriptor.seq] = ("cancelled", failed)
+                pending.outcome = ("cancelled", failed)
                 continue
             try:
-                result = self.execute(proxy, name, args, kwargs)
+                result = self.execute(pending.proxy, pending.name,
+                                      pending.call_args, pending.kwargs)
             except KernelCrashed as crash:
                 raise ContainerCrashed(crash.reason) from crash
             except SyscallError as exc:
-                outcomes[descriptor.seq] = ("err", exc)
+                pending.outcome = ("err", exc)
                 failed = exc
                 continue
-            outcomes[descriptor.seq] = ("ok", result)
+            pending.outcome = ("ok", result)
             # Completion payloads are all-zero padding of the result's
             # wire size; a view over the shared zero buffer avoids one
             # allocation per completed call.
             channel.complete_ring.push(
-                name, zeros(result_size(result)), seq=descriptor.seq
+                pending.name, zeros(result_size(result)),
+                seq=descriptor.seq,
             )
-        return outcomes
 
     def _inject_faults(self, engine, proxy, name):
         """Fault sites that strike while a call is being serviced."""

@@ -28,9 +28,11 @@ Design points:
   owns, staged wires are ``bytes`` and completions are read-only views
   over ``bytes``, so the descriptor carries ``crc=None`` and ``pop``
   checks nothing.
-* **Sequence numbers** — completions are matched to submissions by
-  sequence, so out-of-order delivery (the ``ring.reorder`` fault site)
-  is tolerated by construction.
+* **Descriptors carry their call** — a submit descriptor holds the
+  call it delivers and the guest sets that call's outcome as it pops
+  it, so out-of-order delivery (the ``ring.reorder`` fault site) is
+  tolerated by construction: nothing is matched back by sequence.
+  The sequence number stays in the header as the wire identity.
 * **Honest byte accounting** — descriptor payloads cross the channel
   through the same chunked ``_transfer`` path as before, paying the
   same calibrated per-chunk/per-byte costs; the 32-byte descriptor
@@ -100,9 +102,9 @@ class RingDescriptor:
 
     __snapshot__ = "auto"
 
-    __slots__ = ("seq", "call", "payload", "crc", "flags")
+    __slots__ = ("seq", "call", "payload", "crc", "flags", "pending")
 
-    def __init__(self, seq, call, payload, flags=0, crc=None):
+    def __init__(self, seq, call, payload, flags=0, crc=None, pending=None):
         self.seq = seq
         self.call = call
         self.payload = payload
@@ -110,6 +112,10 @@ class RingDescriptor:
         """CRC32 of the payload taken at push while a fault engine was
         armed; ``None`` when none was."""
         self.flags = flags
+        self.pending = pending
+        """The submitted call a submit descriptor carries (a
+        :class:`~repro.core.anception.PendingCall`): the guest executes
+        it and sets its outcome.  ``None`` on a completion."""
 
     def __repr__(self):
         return (
@@ -162,13 +168,14 @@ class DelegationRing:
 
     # -- producer side -------------------------------------------------------
 
-    def push(self, call, payload, seq=None, flags=0):
+    def push(self, call, payload, seq=None, flags=0, pending=None):
         """Queue one descriptor; its payload crosses the shared pages.
 
-        Returns the descriptor's sequence number.  A payload of any
-        size is one descriptor: it crosses the window page by page, as
-        one syscall's marshaled buffer does, and pays the per-chunk
-        cost for every page.  The ring bounds how many descriptors are
+        Returns the descriptor's sequence number.  ``pending`` is the
+        call a submit descriptor carries (see :class:`RingDescriptor`).
+        A payload of any size is one descriptor: it crosses the window
+        page by page, as one syscall's marshaled buffer does, and pays
+        the per-chunk cost for every page.  The ring bounds how many descriptors are
         in flight, not how large one is: it raises :class:`RingFull`
         when every slot is taken (callers flush and retry — bounded
         backpressure).
@@ -194,7 +201,7 @@ class DelegationRing:
         # The one CRC of this crossing: taken only while a fault can
         # reach the payload, and reused by the channel as its send CRC.
         crc = None if engine is None else crc32(payload)
-        descriptor = RingDescriptor(seq, call, payload, flags, crc)
+        descriptor = RingDescriptor(seq, call, payload, flags, crc, pending)
         # Counted as the descriptor crosses: one whose payload then
         # fails the channel's integrity check was still pushed.
         self.pushed += 1
@@ -227,9 +234,9 @@ class DelegationRing:
         Returns ``None`` on an empty ring.  With no fault engine armed
         nothing can have rewritten the payload and nothing is checked.
         With one armed, the ``ring.reorder`` fault site may deliver the
-        *second* queued descriptor first (sequence matching on the
-        consumer side absorbs this), and ``ring.corrupt`` flips a
-        payload byte, which the CRC check converts into a typed
+        *second* queued descriptor first (each descriptor carries its
+        own call, so the consumer needs no order), and ``ring.corrupt``
+        flips a payload byte, which the CRC check converts into a typed
         :class:`ChannelIntegrityError`.
         """
         if not self._queue:

@@ -667,11 +667,12 @@ class Kernel:
     # ------------------------------------------------------------------
 
     def _do_open(self, task, path, flags=0, mode=0o644):
+        fd = task.free_fd()
         path = self._abspath(task, path)
         self._charge(self.costs.file_open_ns, "open")
-        open_file = self.vfs.open(path, flags, task.credentials,
-                                  mode & ~task.umask)
-        return task.alloc_fd(open_file)
+        task.fd_table[fd] = self.vfs.open(path, flags, task.credentials,
+                                          mode & ~task.umask)
+        return fd
 
     def _do_close(self, task, fd):
         desc = task.remove_fd(fd)
@@ -753,8 +754,10 @@ class Kernel:
             if not 0 <= arg < RLIMIT_NOFILE:
                 raise SyscallError(errno.EINVAL, f"F_DUPFD minfd {arg}",
                                    call="fcntl")
-            return task.alloc_fd(
-                desc.dup() if hasattr(desc, "dup") else desc, arg)
+            newfd = task.free_fd(arg)
+            task.fd_table[newfd] = desc.dup() if hasattr(desc, "dup") \
+                else desc
+            return newfd
         if cmd == self.F_GETFL:
             return getattr(desc, "flags", 0)
         raise SyscallError(errno.EINVAL, f"fcntl cmd {cmd}", call="fcntl")
@@ -913,7 +916,9 @@ class Kernel:
 
     def _do_dup(self, task, fd):
         desc = task.get_fd(fd)
-        return task.alloc_fd(desc.dup() if hasattr(desc, "dup") else desc)
+        newfd = task.free_fd()
+        task.fd_table[newfd] = desc.dup() if hasattr(desc, "dup") else desc
+        return newfd
 
     def _do_dup2(self, task, fd, newfd):
         if not 0 <= newfd < RLIMIT_NOFILE:
@@ -925,14 +930,13 @@ class Kernel:
         return newfd
 
     def _do_pipe(self, task):
+        read_fd = task.free_fd()
+        write_fd = task.free_fd(read_fd + 1)
         pipe = ipc_mod.Pipe()
-        read_fd = task.alloc_fd(_PipeFile(ipc_mod.PipeEnd(pipe, writable=False)))
-        try:
-            write_fd = task.alloc_fd(
-                _PipeFile(ipc_mod.PipeEnd(pipe, writable=True)))
-        except SyscallError:
-            del task.fd_table[read_fd]  # EMFILE: neither end stays
-            raise
+        task.fd_table[read_fd] = _PipeFile(
+            ipc_mod.PipeEnd(pipe, writable=False))
+        task.fd_table[write_fd] = _PipeFile(
+            ipc_mod.PipeEnd(pipe, writable=True))
         return read_fd, write_fd
 
     def _do_fsync(self, task, fd):
@@ -970,6 +974,7 @@ class Kernel:
         """
         from repro.kernel.net import AF_INET, PF_BLUETOOTH
 
+        fd = task.free_fd()
         creds = task.credentials
         if not creds.is_root():
             if family == AF_INET and not creds.in_group(self.AID_INET):
@@ -985,7 +990,8 @@ class Kernel:
                 )
         self._charge(self.costs.socket_op_ns, "socket")
         sock = self.network.create_socket(family, type_, protocol, task.pid)
-        return task.alloc_fd(_SocketFile(sock))
+        task.fd_table[fd] = _SocketFile(sock)
+        return fd
 
     def _socket_of(self, task, fd):
         desc = task.get_fd(fd)
@@ -1022,10 +1028,12 @@ class Kernel:
         return 0
 
     def _do_accept(self, task, fd):
+        newfd = task.free_fd()
         self._charge(self.costs.socket_op_ns, "accept")
         listener = self._socket_of(task, fd)
-        connected = self.network.unix_accept(listener)
-        return task.alloc_fd(_SocketFile(connected))
+        task.fd_table[newfd] = _SocketFile(
+            self.network.unix_accept(listener))
+        return newfd
 
     def _do_send(self, task, fd, data, address=None):
         self._charge(self.costs.socket_op_ns, "send")

@@ -122,16 +122,25 @@ class Task:
 
     # -- file descriptors -------------------------------------------------
 
-    def alloc_fd(self, description, lowest=3):
-        """Install ``description`` at the lowest free descriptor
-        >= ``max(3, lowest)``; EMFILE when none is below
-        :data:`RLIMIT_NOFILE`."""
+    def free_fd(self, lowest=3):
+        """The lowest free descriptor >= ``max(3, lowest)``; EMFILE when
+        none is below :data:`RLIMIT_NOFILE`.
+
+        Calls that make a descriptor take their number first, as Linux
+        reserves it before the path lookup: a full table refuses the
+        call before it has any effect.
+        """
         fd = lowest if lowest > 3 else 3
         while fd in self.fd_table:
             fd += 1
         if fd >= RLIMIT_NOFILE:
             raise SyscallError(errno.EMFILE, f"no fd free from {lowest}",
                                call="alloc-fd")
+        return fd
+
+    def alloc_fd(self, description, lowest=3):
+        """Install ``description`` at :meth:`free_fd`'s number."""
+        fd = self.free_fd(lowest)
         self.fd_table[fd] = description
         return fd
 

@@ -52,7 +52,8 @@ def assert_no_per_pid_state(layer, pids):
         assert not pids & set(layer.pool.pids_on(lane))
         assert not pids & set(lane.proxies._by_host_pid)
         assert not pids & {pid for pid, _addr in lane.shm_attach_map}
-        assert not any(p.task.pid in pids for p in lane.inflight)
+        assert not any(descriptor.pending.task.pid in pids
+                       for descriptor in lane.channel.submit_ring._queue)
         for windows in (lane.write_behind, lane.binder_ring):
             if windows is None:
                 continue

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.kernel import vfs
-from repro.kernel.memory import MAP_ANONYMOUS, PROT_READ, PROT_WRITE
+from repro.kernel.memory import (
+    MAP_ANONYMOUS,
+    MAP_FIXED,
+    PROT_READ,
+    PROT_WRITE,
+)
 from repro.kernel.process import Credentials
 from repro.perf.costs import PAGE_SIZE
 
@@ -75,3 +80,40 @@ class TestWriteBack:
         enrolled_ctx.task.address_space.write(base, b"MODIFIED")
         enrolled_ctx.libc.syscall("msync", base, 8)
         assert enrolled_ctx.libc.pread(fd, 8, 0) == b"MODIFIED"
+
+
+def _remap_anonymous(ctx):
+    """Map a CVM file, unmap it, map anonymous memory at the same
+    address, write and msync it; return the file's first 16 bytes."""
+    path = ctx.data_path("remapped.db")
+    ctx.libc.write_file(path, b"A" * PAGE_SIZE)
+    fd = ctx.libc.open(path, vfs.O_RDWR)
+    base = ctx.libc.mmap(PAGE_SIZE, PROT_READ | PROT_WRITE, 0, fd=fd)
+    ctx.libc.munmap(base, PAGE_SIZE)
+    ctx.libc.mmap(PAGE_SIZE, PROT_READ | PROT_WRITE,
+                  MAP_ANONYMOUS | MAP_FIXED, addr=base)
+    ctx.task.address_space.write(base, b"Z" * 16)
+    assert ctx.libc.syscall("msync", base, 16) == 0
+    return ctx.libc.pread(fd, 16, 0)
+
+
+class TestUnmappedFileMapping:
+    def test_msync_after_munmap_leaves_the_file_alone(self, native_ctx,
+                                                      enrolled_ctx):
+        assert _remap_anonymous(native_ctx) == b"A" * 16
+        assert _remap_anonymous(enrolled_ctx) == b"A" * 16
+
+    def test_table_holds_only_live_mappings(self, anception_world,
+                                            enrolled_ctx):
+        path = enrolled_ctx.data_path("cycled.db")
+        enrolled_ctx.libc.write_file(path, b"C" * PAGE_SIZE)
+        fd = enrolled_ctx.libc.open(path, vfs.O_RDWR)
+        for _ in range(20):
+            base = enrolled_ctx.libc.mmap(PAGE_SIZE, PROT_READ | PROT_WRITE,
+                                          0, fd=fd)
+            enrolled_ctx.libc.munmap(base, PAGE_SIZE)
+        kept = enrolled_ctx.libc.mmap(PAGE_SIZE, PROT_READ | PROT_WRITE, 0,
+                                      fd=fd)
+        pid = enrolled_ctx.task.pid
+        assert [key for key in anception_world.anception._file_mappings
+                if key[0] == pid] == [(pid, kept)]

@@ -170,7 +170,7 @@ class TestLaneReboot:
         assert lane.write_behind is old_wb
         assert lane.binder_ring is old_binder
         assert lane.cache_paths == {}
-        assert lane.inflight == []
+        assert len(lane.channel.submit_ring) == 0
         assert lane.write_behind.errors == {}
         assert lane.binder_ring.errors == {}
         assert old_cache.stats()["pages"] == 0

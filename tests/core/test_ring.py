@@ -331,6 +331,41 @@ class TestArmedRedirectedPwrite:
         assert [len(data) for data in calls] == [wire_size, wire_size, 8]
 
 
+class TestReorderedWindow:
+    """``ring.reorder`` on the submit ring changes the order in which the
+    guest runs a window's calls; each call still gets its own result,
+    returned in submission order."""
+
+    def _vectored(self, name, *args):
+        world = AnceptionWorld()
+        running = world.install_and_launch(ScratchApp())
+        running.run()
+        libc = running.ctx.libc
+        fd = libc.open(running.ctx.data_path("reordered.bin"),
+                       vfs.O_RDWR | vfs.O_CREAT, 0o600)
+        if name == "readv":
+            libc.write(fd, b"aabbbcccc")
+            libc.lseek(fd, 0, 0)
+        engine = FaultEngine("ring.reorder:nth=1").arm(world.machine.clock)
+        try:
+            result = getattr(libc, name)(fd, *args)
+        finally:
+            engine.disarm()
+        assert world.anception.channel.submit_ring.out_of_order == 1
+        return result, libc.pread(fd, 16, 0)
+
+    def test_each_read_returns_its_own_bytes(self):
+        chunks, _data = self._vectored("readv", (2, 3, 4))
+        # The guest ran the 3-byte read first, so it took the first
+        # three bytes; the 2-byte read still returns its own 2.
+        assert list(chunks) == [b"bb", b"aab", b"cccc"]
+
+    def test_each_write_counts_its_own_bytes(self):
+        written, data = self._vectored("writev", (b"aa", b"bbb", b"cccc"))
+        assert written == 9
+        assert data == b"bbbaacccc"
+
+
 class TestResetAndStats:
     def test_reset_drops_queued_descriptors(self, channel):
         channel.submit_ring.push("write", b"a")

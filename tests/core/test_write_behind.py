@@ -220,6 +220,20 @@ class TestFences:
         assert libc.pread(fd, 16, 0) == b"CHILDt"
         libc.close(fd)
 
+    def test_parent_and_child_writes_land_in_program_order(self, wb_world,
+                                                          wb_ctx):
+        # Staged calls of two tasks sharing a file land in the order the
+        # tasks made them, not in pid order.
+        libc = wb_ctx.libc
+        fd = libc.open(wb_ctx.data_path("interleaved.bin"), TRUNC)
+        child = wb_world.kernel.pids.require(libc.fork())
+        child_libc = wb_world.libc_for(child)
+        assert child_libc.pwrite(fd, b"C", 0) == 1
+        assert libc.pwrite(fd, b"P", 0) == 1
+        wb_world.anception.async_fence(wb_ctx.task)
+        assert libc.pread(fd, 1, 0) == b"P"
+        libc.close(fd)
+
 
 class TestDeferredErrors:
     def test_injected_error_surfaces_once_at_first_fence(

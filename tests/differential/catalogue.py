@@ -350,6 +350,26 @@ SCRIPTS = {
             ("close", LAST_FD),
             ("pread", H(0), 16, 0),
             ("close", H(0)),
+            # A full table: every call that makes a descriptor is EMFILE
+            # before it runs, so open(O_CREAT) makes no file, and a pipe
+            # needs both its numbers free.
+            ("open", P("cat-limits.bin"), vfs.O_RDWR),
+            ("open", "/system/bin/sh", vfs.O_RDONLY),
+            *[("syscall", "dup2", H(27), fd)
+              for fd in range(5, RLIMIT_NOFILE)],
+            ("open", P("cat-emfile.bin"), TRUNC, 0o644),
+            ("pipe",),
+            ("socket", AF_INET, SOCK_STREAM, 0),
+            ("syscall", "dup", H(26)),
+            ("syscall", "fcntl", H(26), F_DUPFD, 0),
+            ("syscall", "fcntl", H(26), F_DUPFD, -1),
+            ("syscall", "dup", H(27)),
+            ("close", LAST_FD),
+            ("pipe",),
+            ("access", P("cat-emfile.bin"), 0),
+            ("syscall", "dup", H(26)),
+            ("close", LAST_FD),
+            ("close", H(26)),
         ],
     },
     "split-mmap": {

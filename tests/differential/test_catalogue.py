@@ -48,3 +48,27 @@ def test_catalogue_script_equivalent_in_all_modes(tri_worlds, label):
             f"{label}: final VFS state diverges "
             f"({mode} vs {reference_label})"
         )
+
+
+def test_full_fd_table_refuses_before_anything_runs(tri_worlds):
+    """In the fd-limits script's full table, open(O_CREAT), pipe and
+    socket are EMFILE with no file made, and no proxy keeps a
+    descriptor the host refused."""
+    script = SCRIPTS["fd-limits"]["script"]
+    halves = run_modes(tri_worlds, script, CatApp)
+    full = next(step for step, op in enumerate(script)
+                if op[0] == "open" and getattr(op[1], "rel", "")
+                == "cat-emfile.bin")
+    for label, (outcomes, _tree) in halves.items():
+        refused = [outcome[2:] for outcome in outcomes[full:]
+                   if outcome[1] in ("open", "pipe", "socket", "access")]
+        assert refused == [
+            ("errno", "EMFILE"), ("errno", "EMFILE"), ("errno", "EMFILE"),
+            ("errno", "EMFILE"), ("errno", "ENOENT"),
+        ], label
+    for label, world in tri_worlds.items():
+        if label == "native":
+            continue
+        task = world.zygote.launched[-1].ctx.libc.task
+        proxy = world.anception.proxies.proxy_for(task)
+        assert proxy.guest_task.fd_table == {}, label

@@ -37,19 +37,19 @@ _SRC = os.path.dirname(repro.__file__) + os.sep
 
 BUDGET = {
     "getpid": 9,
-    "pwrite": 51,
-    "pread": 50,
-    "writev": 111,
-    "readv": 114,
-    "fstat": 50,
-    "fsync": 46,
-    "stat": 67,
-    "open_close": 120,
-    "call_service": 74,
+    "pwrite": 50,
+    "pread": 49,
+    "writev": 110,
+    "readv": 113,
+    "fstat": 49,
+    "fsync": 45,
+    "stat": 66,
+    "open_close": 119,
+    "call_service": 73,
     "wb_enqueue": 22,
-    "wb_drain": 449,
+    "wb_drain": 448,
     "oneway_enqueue": 29,
-    "binder_drain": 580,
+    "binder_drain": 578,
     "cache_hit_pread": 15,
     "cache_hit_pread_async": 16,
     "submit_frame": 12,
@@ -85,7 +85,12 @@ open_close was 123 (an fd-table lookup, a bind and an unbind).  Before
 a host-bound binder call went straight to the host driver's
 ``transact`` (skipping execute_native, _do_ioctl and
 BinderDriver.ioctl) submit_frame, call_app and create_window were 15,
-13 and 17."""
+13 and 17.  Before a submit descriptor carried its call (no in-flight
+list, work map or outcome map) pwrite, pread, writev, readv, fstat,
+fsync, stat, open_close, call_service, wb_drain and binder_drain were
+51, 50, 111, 114, 50, 46, 67, 120, 74, 449 and 580; open_close would
+be one lower but for the free-number check an fd-making call takes
+before it crosses."""
 
 TOP_FUNCTIONS = 10
 """Functions an over-budget failure lists, most-entered first."""

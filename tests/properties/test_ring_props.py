@@ -165,8 +165,10 @@ class TestDormantFraming:
         taken = []
         real_push, real_pop = DelegationRing.push, DelegationRing.pop
 
-        def recording_push(ring, call, payload, seq=None, flags=0):
-            seq = real_push(ring, call, payload, seq=seq, flags=flags)
+        def recording_push(ring, call, payload, seq=None, flags=0,
+                           pending=None):
+            seq = real_push(ring, call, payload, seq=seq, flags=flags,
+                            pending=pending)
             pushed[(id(ring), seq)] = crc32(payload)
             return seq
 
