@@ -46,7 +46,11 @@ from repro.core.recovery import (
     SIGNAL_TIMEOUT_NS,
     RecoveryLog,
 )
-from repro.core.ring import RING_FLAG_BINDER, RING_FLAG_WRITE_BEHIND
+from repro.core.ring import (
+    RING_FLAG_BINDER,
+    RING_FLAG_WRITE_BEHIND,
+    RingDescriptor,
+)
 from repro.core.windows import WINDOW_DEPTH, DeferredEntry, DeferredWindows
 from repro.errors import (
     ChannelError,
@@ -60,7 +64,14 @@ from repro.errors import (
 )
 from repro.kernel.memory import MAP_ANONYMOUS, MAP_FIXED, page_of
 from repro.kernel.process import RLIMIT_NOFILE, ROOT_UID, Credentials
-from repro.kernel.vfs import O_APPEND, InodeKind, OpenFile
+from repro.kernel.vfs import (
+    O_APPEND,
+    O_CREAT,
+    O_TRUNC,
+    O_WRONLY,
+    InodeKind,
+    OpenFile,
+)
 from repro.obs.bus import maybe_event, maybe_span
 from repro.perf.costs import PAGE_SIZE
 
@@ -72,40 +83,6 @@ ANCEPTION_MARSHALING_LINES = 2_438
 def _delegation_eio(failure, call):
     """The EIO a delegation failure becomes once recovery gives up."""
     return SyscallError(errno.EIO, f"delegation failed: {failure}", call=call)
-
-
-class PendingCall:
-    """One submitted-but-not-completed call on the delegation ring.
-
-    The submit descriptor carries it across (:attr:`~repro.core.ring
-    .RingDescriptor.pending`), and the guest's drain sets its
-    :attr:`outcome`; ``seq`` is the descriptor's wire identity.
-    """
-
-    __snapshot__ = "auto"
-
-    __slots__ = ("seq", "task", "proxy", "name", "args", "call_args",
-                 "kwargs", "crypto_offset", "outcome")
-
-    def __init__(self, seq, task, proxy, name, args, call_args, kwargs,
-                 crypto_offset=None):
-        self.seq = seq
-        self.task = task
-        self.proxy = proxy
-        """The CVM proxy :meth:`AnceptionLayer.submit` resolved for
-        ``task``; the flush hands the call to it."""
-        self.name = name
-        self.args = args
-        self.call_args = call_args
-        self.kwargs = kwargs
-        self.crypto_offset = crypto_offset
-        self.outcome = None
-        """``("ok", result)``, ``("err", SyscallError)`` or
-        ``("cancelled", SyscallError)`` once the window flushed."""
-
-    def __repr__(self):
-        state = "pending" if self.outcome is None else self.outcome[0]
-        return f"PendingCall({self.name}#{self.seq}, {state})"
 
 
 class DelegationBatch:
@@ -169,6 +146,14 @@ class DelegationBatch:
             task, lane, "batch", layer._round_trip,
             (task, lane, calls, "batch", f"batch:{len(calls)}", len(calls)),
         )
+
+
+_OPEN_ALIASES = frozenset({"openat", "creat"})
+"""Redirected calls the native kernel serves with its open, rewritten
+to ``open`` before they cross."""
+
+_CREAT_FLAGS = O_WRONLY | O_CREAT | O_TRUNC
+"""The open flags ``creat(path, mode)`` stands for."""
 
 
 WRITE_BEHIND_DEPTH = BINDER_RING_DEPTH = WINDOW_DEPTH
@@ -443,6 +428,13 @@ class AnceptionLayer:
         raise SyscallError(errno.EPERM, "blocked by Anception", call=name)
 
     def _route_redirect(self, task, name, args, kwargs, table):
+        if name in _OPEN_ALIASES:
+            # ``openat`` and ``creat`` are opens below dispatch, as the
+            # native kernel serves both with its open: adoption, the
+            # read cache and the crypto FS then see the open they are.
+            if name == "creat":
+                args = (args[0], _CREAT_FLAGS, *args[1:])
+            name = "open"
         if name in FD_ALLOCATING_CALLS:
             # The host numbers are taken before the call crosses, as the
             # native kernel takes them before it runs: a full table
@@ -507,9 +499,9 @@ class AnceptionLayer:
                 return served[0]
         # One call, one doorbell pair, synchronous result.
         return self._supervise(
-            task, lane, name, self._round_trip,
-            (task, lane, ((name, args, kwargs, translated),), name, name),
-        )[0]
+            task, lane, name, self._forward,
+            (task, lane, name, args, kwargs, translated),
+        )
 
     def _redirect_vectored(self, task, name, fd, vec):
         """writev/readv: every iovec entry rides one doorbell pair.
@@ -544,10 +536,9 @@ class AnceptionLayer:
             # which only advances as each entry executes — serialize.
             results = [
                 self._supervise(
-                    task, lane, sub_call, self._round_trip,
-                    (task, lane, ((sub_call, (fd, entry), {}, None),),
-                     sub_call, sub_call),
-                )[0]
+                    task, lane, sub_call, self._forward,
+                    (task, lane, sub_call, (fd, entry), {}, None),
+                )
                 for entry in vec
             ]
             return sum(results) if name == "writev" else results
@@ -601,17 +592,51 @@ class AnceptionLayer:
         """
         lane.channel.reset_rings()
 
+    def _forward(self, task, lane, name, args, kwargs, translated):
+        """One lone call's crossing: submit it, ring one doorbell pair,
+        complete it.
+
+        :meth:`_round_trip`'s shape for a single call, with no calls
+        tuple and no pending or result list.  Under a capture it runs
+        inside the ``proxy`` span ``forward:{name}``, opened and closed
+        by hand, so the dormant path builds no span and no label.
+        """
+        clock = self.machine.clock
+        span = None
+        if not clock.dormant:
+            span = clock._bus.span("proxy", f"forward:{name}", task=task,
+                                   kernel=self.host_kernel.label,
+                                   decision="redirect")
+        try:
+            pending = self.submit(task, name, args, kwargs, translated,
+                                  lane=lane)
+            self.flush(task, reason=name, lane=lane)
+            result = self.complete(pending, lane=lane)
+        except BaseException as exc:
+            if span is not None:
+                span.__exit__(exc.__class__, exc, exc.__traceback__)
+            raise
+        if span is not None:
+            span.__exit__(None, None, None)
+        return result
+
     def _round_trip(self, task, lane, calls, reason, label, batch=None):
         """Submit each call, ring one doorbell pair, complete each call.
 
         ``calls`` holds ``(name, args, kwargs, translated)`` tuples; the
-        results come back in the same order.  The ``proxy`` span
-        ``forward:{label}`` (tagged ``batch`` for multi-call windows) is
-        built only while a bus capture is active — the dormant path
-        never formats its label.
+        results come back in the same order.  Under a capture it runs
+        inside the ``proxy`` span ``forward:{label}`` (tagged ``batch``
+        for multi-call windows), opened and closed by hand, so the
+        dormant path never formats its label.
         """
         clock = self.machine.clock
-        if clock.dormant:
+        span = None
+        if not clock.dormant:
+            tags = {} if batch is None else {"batch": batch}
+            span = clock._bus.span("proxy", f"forward:{label}", task=task,
+                                   kernel=self.host_kernel.label,
+                                   decision="redirect", **tags)
+        try:
             pendings = []
             for name, args, kwargs, translated in calls:
                 pendings.append(self.submit(task, name, args, kwargs,
@@ -620,17 +645,13 @@ class AnceptionLayer:
             results = []
             for pending in pendings:
                 results.append(self.complete(pending, lane=lane))
-            return results
-        tags = {} if batch is None else {"batch": batch}
-        with maybe_span(clock, "proxy", f"forward:{label}", task=task,
-                        kernel=self.host_kernel.label,
-                        decision="redirect", **tags):
-            pendings = [
-                self.submit(task, name, args, kwargs, translated, lane=lane)
-                for name, args, kwargs, translated in calls
-            ]
-            self.flush(task, reason=reason, lane=lane)
-            return [self.complete(pending, lane=lane) for pending in pendings]
+        except BaseException as exc:
+            if span is not None:
+                span.__exit__(exc.__class__, exc, exc.__traceback__)
+            raise
+        if span is not None:
+            span.__exit__(None, None, None)
+        return results
 
     def _ensure_container(self, lane, name):
         """Refuse (or repair) forwarding into a crashed or compromised CVM.
@@ -689,7 +710,9 @@ class AnceptionLayer:
                ring_flags=0, lane=None):
         """Marshal one call onto the submit ring; no doorbell yet.
 
-        Returns the :class:`PendingCall` tracking it.  A full ring
+        Returns the submit :class:`~repro.core.ring.RingDescriptor`,
+        which is the pending call: the guest's drain sets its
+        ``outcome`` and :meth:`complete` resolves it.  A full ring
         flushes first (bounded backpressure): the in-flight window is
         retired behind one doorbell pair before new work queues.  A
         pre-staged ``wire`` (write-behind or binder-window drain) skips
@@ -713,7 +736,6 @@ class AnceptionLayer:
                 raise SimulationError(f"pid {task.pid} not enrolled")
             call_args = table.translate_args(name, args)
         crypto_offset = None
-        prestaged = wire is not None
         clock = self.machine.clock
         costs = self.machine.costs
         if wire is None:
@@ -726,19 +748,23 @@ class AnceptionLayer:
                 clock._now_ns += costs.marshal_fixed_ns
             else:
                 clock.advance(costs.marshal_fixed_ns, "anception:marshal")
+            flags = ring_flags
+        else:
+            flags = ring_flags or RING_FLAG_WRITE_BEHIND
         if clock.dormant:
             clock._now_ns += costs.proxy_dispatch_ns
         else:
             clock.advance(costs.proxy_dispatch_ns, "anception:proxy-post")
-        pending = PendingCall(None, task, proxy, name, args, call_args,
-                              kwargs, crypto_offset)
-        pending.seq = ring.push(
-            name, wire,
-            flags=ring_flags if ring_flags
-            else (RING_FLAG_WRITE_BEHIND if prestaged else 0),
-            pending=pending,
-        )
-        return pending
+        descriptor = RingDescriptor(None, name, wire, flags)
+        descriptor.task = task
+        descriptor.proxy = proxy
+        descriptor.args = args
+        descriptor.call_args = call_args
+        descriptor.kwargs = kwargs
+        descriptor.crypto_offset = crypto_offset
+        descriptor.outcome = None
+        ring.push(name, wire, flags=flags, pending=descriptor)
+        return descriptor
 
     def flush(self, task=None, reason=None, lane=None):
         """Ring the doorbells: one IRQ submits every in-flight call,
@@ -758,18 +784,18 @@ class AnceptionLayer:
         queue = channel.submit_ring._queue
         if not queue:
             return
-        # The submit ring's queue is the in-flight window: each
-        # descriptor carries its call.
-        pendings = [descriptor.pending for descriptor in queue]
-        count = len(pendings)
+        # The submit ring's queue is the in-flight window, and each of
+        # its descriptors is the call it delivers.
+        window = tuple(queue)
+        count = len(window)
+        first = window[0]
         if reason is None:
-            reason = pendings[0].name if count == 1 else f"batch:{count}"
+            reason = first.call if count == 1 else f"batch:{count}"
         elif count > 1:
             reason = f"{reason}:{count}"
         hypervisor = channel.hypervisor
         if not hypervisor.inject_interrupt(reason, coalesced=count):
-            self._resignal_guest(lane, reason, pendings[0].task,
-                                 coalesced=count)
+            self._resignal_guest(lane, reason, first.task, coalesced=count)
         lane.proxies.drain(channel)
         # The host pops the completion ring dry: its descriptors carry
         # only padding (the drain set each outcome), but popping is
@@ -778,48 +804,48 @@ class AnceptionLayer:
         completions = len(complete_ring._queue)
         while complete_ring.pop() is not None:
             pass
-        for pending in pendings:
+        for pending in window:
             if pending.outcome is None:
                 raise ChannelError(
-                    f"no outcome for {pending.name}#{pending.seq}"
+                    f"no outcome for {pending.call}#{pending.seq}"
                 )
         if completions and not hypervisor.hypercall(
                 reason, coalesced=completions):
-            self._poll_host(reason, pendings[0].task)
+            self._poll_host(reason, first.task)
 
     def complete(self, pending, lane=None):
-        """Resolve one pending call to its result (or typed errno).
+        """Resolve one submitted call to its result (or typed errno).
 
-        An unflushed pending flushes its window first, so callers can
+        ``pending`` is the submit descriptor :meth:`submit` returned.
+        An unflushed one flushes its window first, so callers can
         always ``complete()`` in any order after batched submission.
         Window-shaped callers pass the already-resolved ``lane``.
         """
+        task = pending.task
         if lane is None:
-            lane = self._lane(pending.task)
+            lane = self._lane(task)
         if pending.outcome is None:
-            self.flush(pending.task, lane=lane)
+            self.flush(task, lane=lane)
         kind, value = pending.outcome
         if kind == "err":
             raise value
+        name = pending.call
         if kind == "cancelled":
             raise SyscallError(
                 errno.ECANCELED,
                 "aborted by earlier failure in batch",
-                call=pending.name,
+                call=name,
             )
-        if pending.name in FD_ALLOCATING_CALLS:
-            adopted = self._adopt_result(pending.task, pending.name,
-                                         pending.args, value)
+        if name in FD_ALLOCATING_CALLS:
+            adopted = self._adopt_result(task, name, pending.args, value)
         else:
             adopted = value
-        if lane.page_cache is not None and self.crypto_fs is None:
-            self._cache_observe(pending.task, pending.name, pending.args,
-                                adopted, lane=lane)
         if self.crypto_fs is not None:
-            adopted = self._crypto_inbound(
-                pending.task, pending.name, pending.args, adopted,
-                pending.crypto_offset,
-            )
+            return self._crypto_inbound(task, name, pending.args, adopted,
+                                        pending.crypto_offset)
+        if lane.page_cache is not None:
+            self._cache_observe(task, name, pending.args, adopted,
+                                lane=lane)
         return adopted
 
     def _resignal_guest(self, lane, name, task=None, coalesced=1):
@@ -1304,8 +1330,12 @@ class AnceptionLayer:
             if self._binder_accepts(task, transaction, lane):
                 return self._binder_enqueue(task, request, transaction, lane)
             self._binder_fence(task, transaction.target, "transact", lane)
-        self.machine.clock.advance(self.machine.costs.binder_cvm_fixed_ns,
-                                   "anception:binder-cvm")
+        clock = self.machine.clock
+        if clock.dormant:
+            clock._now_ns += self.machine.costs.binder_cvm_fixed_ns
+        else:
+            clock.advance(self.machine.costs.binder_cvm_fixed_ns,
+                          "anception:binder-cvm")
         payload = transaction.payload_size
         proxy = lane.proxies.proxy_for(task)
         proxy_binder_fd = self._ensure_proxy_binder(lane, proxy)
@@ -1330,28 +1360,42 @@ class AnceptionLayer:
         shared-memory path at the ``binder_parcel_page_ns`` page rate.
         """
         costs = self.machine.costs
+        clock = self.machine.clock
         if ring is not None and payload > PAGE_SIZE:
             ring.bulk_parcels += 1
-            self.machine.clock.advance(
-                costs.binder_parcel_page_ns * costs.chunks(payload),
-                "anception:binder-parcel",
-            )
-            return True
-        self.machine.clock.advance(
-            int(costs.binder_cvm_per_byte_ns * payload),
-            "anception:binder-bytes",
-        )
-        return False
+            ns, bulk = costs.binder_parcel_page_ns * costs.chunks(payload), True
+            label = "anception:binder-parcel"
+        else:
+            ns, bulk = int(costs.binder_cvm_per_byte_ns * payload), False
+            label = "anception:binder-bytes"
+        if clock.dormant:
+            clock._now_ns += ns
+        else:
+            clock.advance(ns, label)
+        return bulk
 
     def _ensure_proxy_binder(self, lane, proxy):
+        """The proxy's CVM ``/dev/binder`` fd, opened on its first use.
+
+        Resolved once per proxy and then checked by one fd-table lookup;
+        only when that descriptor has left the proxy's table is the
+        table scanned (or the device opened) again.
+        """
         guest_task = proxy.guest_task
-        for fd, desc in guest_task.fd_table.items():
+        fd_table = guest_task.fd_table
+        fd = proxy.binder_fd
+        if fd is not None and fd_table.get(fd) is proxy.binder_file:
+            return fd
+        for fd, desc in fd_table.items():
             if getattr(desc, "path", "") == "/dev/binder":
-                return fd
-        open_file = lane.cvm.kernel.vfs.open(
-            "/dev/binder", 0x2, guest_task.credentials
-        )
-        return guest_task.alloc_fd(open_file)
+                break
+        else:
+            desc = lane.cvm.kernel.vfs.open(
+                "/dev/binder", 0x2, guest_task.credentials
+            )
+            fd = guest_task.alloc_fd(desc)
+        proxy.binder_fd, proxy.binder_file = fd, desc
+        return fd
 
     def _split_mmap2(self, task, table, length, prot, flags, addr=None,
                      fd=None, offset=0):
@@ -1614,14 +1658,21 @@ class AnceptionLayer:
         behind a single doorbell pair.  Deferred writes complete
         *optimistically* (the byte count returns immediately); a
         failure surfaces at the flush as the usual typed errno.  A call
-        that raises ends the window with its queue dropped.  The crypto
-        filesystem disables deferral — its transform needs the live
-        proxy-side file offset per call.
+        that raises ends the window: the writes queued before it flush
+        first, as native has already run them, and then its errno
+        surfaces, unless the flush itself fails, whose errno then wins
+        as it would have at that earlier call.  The crypto filesystem
+        disables deferral — its transform needs the live proxy-side
+        file offset per call.
         """
         batch = self._batch = DelegationBatch(self, task)
         try:
             results = [self.host_kernel.syscall(task, call[0], *call[1:])
                        for call in calls]
+        except SyscallError:
+            self._batch = None
+            batch.flush()
+            raise
         finally:
             self._batch = None
         batch.flush()

@@ -118,27 +118,52 @@ def marshal_call(name, args, kwargs):
     The wire bytes are a flattened rendering of the call — real data that
     will transit the shared pages; objects are passed by reference on the
     Python side (a documented simulation shortcut), but their *sizes* are
-    faithful.  Rendered in exactly one pass into a right-sized buffer
-    (the old encoder materialised the payload three times: append, slice,
-    pad).
+    faithful.  The :func:`marshal_call_into` wire, flattened to ``bytes``.
     """
-    size = wire_size(name, args, kwargs)
-    buf = bytearray(size)  # fresh: the tail is already zero-filled
-    _render_into(buf, size, name, args)
-    return bytes(buf), size
+    wire, size = marshal_call_into(name, args, kwargs)
+    return bytes(wire), size
 
 
 def marshal_call_into(name, args, kwargs):
     """Encode for a synchronous submit: returns ``(wire, payload_size)``.
 
-    Same wire bytes as :func:`marshal_call`, left in the fresh
-    ``bytearray`` they were rendered into instead of flattened to
-    ``bytes``: the ring descriptor owns that buffer until the flush
-    window retires, and nothing else refers to it.
+    Sizes and renders the call in one walk over its arguments, byte for
+    byte what :func:`wire_size` + :func:`_render_into` produce.  The
+    argument types a redirected call carries -- ``int``, bytes-likes
+    and ASCII ``str`` -- are handled inline; a call holding any other
+    type takes those two walks instead.  The wire is left in the fresh
+    ``bytearray`` it was rendered into: the ring descriptor owns that
+    buffer until the flush window retires, and nothing else refers to
+    it.
     """
-    size = wire_size(name, args, kwargs)
-    wire = bytearray(size)  # fresh: the tail is already zero-filled
-    _render_into(wire, size, name, args)
+    wire = bytearray(name.encode())
+    size = len(wire)
+    for arg in args:
+        kind = type(arg)
+        if kind is int:
+            size += 8
+            wire += repr(arg).encode()
+        elif kind is bytes or kind is bytearray or kind is memoryview:
+            size += len(arg)
+            wire += arg
+        elif kind is str and arg.isascii():
+            size += len(arg)
+            wire += repr(arg).encode()
+        else:
+            size = wire_size(name, args, kwargs)
+            wire = bytearray(size)  # fresh: the tail is already zero
+            _render_into(wire, size, name, args)
+            return wire, size
+    if kwargs:
+        size += sum(
+            encoded_size(k) + encoded_size(v) for k, v in kwargs.items()
+        )
+    # The rendering is truncated at the wire size, or zero-padded to it.
+    pad = size - len(wire)
+    if pad < 0:
+        del wire[size:]
+    elif pad:
+        wire += bytes(pad)
     return wire, size
 
 
@@ -157,9 +182,14 @@ def result_size(result):
     return encoded_size(result)
 
 
-_ZEROS = bytes(32 * 1024)
-"""Shared all-zero buffer backing :func:`zeros` views (one full 8-page
-channel window)."""
+ZERO_BYTES = 32 * 1024
+"""Length of the shared all-zero buffer (one full 8-page channel
+window)."""
+
+ZERO_VIEW = memoryview(bytes(ZERO_BYTES))
+"""Read-only view over the shared all-zero buffer; a slice of it is a
+zero-filled payload of up to :data:`ZERO_BYTES` with no allocation
+beyond the view."""
 
 
 def zeros(length):
@@ -169,8 +199,8 @@ def zeros(length):
     models result sizes, not result content); serving them as views over
     one shared buffer removes a per-completion allocation.
     """
-    if length <= len(_ZEROS):
-        return memoryview(_ZEROS)[:length]
+    if length <= ZERO_BYTES:
+        return ZERO_VIEW[:length]
     return memoryview(bytes(length))
 
 

@@ -15,7 +15,7 @@ cost.  We reproduce that by charging only ``proxy_dispatch_ns`` per call.
 
 from __future__ import annotations
 
-from repro.core.marshal import result_size, zeros
+from repro.core.marshal import ZERO_BYTES, ZERO_VIEW, result_size, zeros
 from repro.errors import (
     ContainerCrashed,
     ProxyDied,
@@ -40,6 +40,11 @@ class Proxy:
         self.host_task = host_task
         self.guest_task = guest_task
         self.calls_executed = 0
+        self.binder_fd = None
+        """The proxy's CVM ``/dev/binder`` fd once a delegated binder
+        call opened (or found) it, with :attr:`binder_file` the
+        descriptor it named then."""
+        self.binder_file = None
 
     @property
     def pid(self):
@@ -140,15 +145,15 @@ class ProxyManager:
         pushes one completion descriptor per successful result — all
         before the single completion hypercall.
 
-        Each descriptor carries its :class:`~repro.core.anception
-        .PendingCall` (arguments travel by reference on the Python side;
-        the descriptor's wire bytes carried the honest byte accounting),
-        and the drain sets its ``outcome``: ``("ok", result)``,
-        ``("err", SyscallError)`` — no completion descriptor is pushed,
-        mirroring the classic errno path that skips the completion copy
-        — or ``("cancelled", SyscallError)`` for a later descriptor
-        skipped because an earlier one failed (vectored I/O stops at the
-        first error, like the native kernel).
+        Each submit descriptor is its call (arguments travel by
+        reference on the Python side; the descriptor's wire bytes
+        carried the honest byte accounting), and the drain sets its
+        ``outcome``: ``("ok", result)``, ``("err", SyscallError)`` — no
+        completion descriptor is pushed, mirroring the classic errno
+        path that skips the completion copy — or ``("cancelled",
+        SyscallError)`` for a later descriptor skipped because an
+        earlier one failed (vectored I/O stops at the first error, like
+        the native kernel).
 
         Delegation-layer failures (a dead proxy, a crashed container,
         descriptor corruption) propagate as
@@ -156,30 +161,33 @@ class ProxyManager:
         supervisor; the caller resets the rings before retrying.
         """
         submit_ring = channel.submit_ring
+        complete_ring = channel.complete_ring
         failed = None
         while True:
             descriptor = submit_ring.pop()
             if descriptor is None:
                 return
-            pending = descriptor.pending
             if failed is not None:
-                pending.outcome = ("cancelled", failed)
+                descriptor.outcome = ("cancelled", failed)
                 continue
             try:
-                result = self.execute(pending.proxy, pending.name,
-                                      pending.call_args, pending.kwargs)
+                result = self.execute(descriptor.proxy, descriptor.call,
+                                      descriptor.call_args,
+                                      descriptor.kwargs)
             except KernelCrashed as crash:
                 raise ContainerCrashed(crash.reason) from crash
             except SyscallError as exc:
-                pending.outcome = ("err", exc)
+                descriptor.outcome = ("err", exc)
                 failed = exc
                 continue
-            pending.outcome = ("ok", result)
+            descriptor.outcome = ("ok", result)
             # Completion payloads are all-zero padding of the result's
-            # wire size; a view over the shared zero buffer avoids one
+            # wire size: a slice of the shared zero buffer, so no
             # allocation per completed call.
-            channel.complete_ring.push(
-                pending.name, zeros(result_size(result)),
+            size = result_size(result)
+            complete_ring.push(
+                descriptor.call,
+                ZERO_VIEW[:size] if size <= ZERO_BYTES else zeros(size),
                 seq=descriptor.seq,
             )
 

@@ -28,9 +28,9 @@ Design points:
   owns, staged wires are ``bytes`` and completions are read-only views
   over ``bytes``, so the descriptor carries ``crc=None`` and ``pop``
   checks nothing.
-* **Descriptors carry their call** — a submit descriptor holds the
-  call it delivers and the guest sets that call's outcome as it pops
-  it, so out-of-order delivery (the ``ring.reorder`` fault site) is
+* **A submit descriptor is its call** — it holds the call it
+  delivers and the guest sets that call's outcome as it pops it, so
+  out-of-order delivery (the ``ring.reorder`` fault site) is
   tolerated by construction: nothing is matched back by sequence.
   The sequence number stays in the header as the wire identity.
 * **Honest byte accounting** — descriptor payloads cross the channel
@@ -98,13 +98,23 @@ def default_ring_depth(num_pages):
 
 
 class RingDescriptor:
-    """One queued call (or completion) in a delegation ring."""
+    """One queued entry in a delegation ring.
+
+    A submit descriptor *is* the call it delivers: its submitter sets
+    the call fields (``task``, ``proxy``, ``args``, ``call_args``,
+    ``kwargs``, ``crypto_offset``) beside the wire fields, and the
+    guest's drain sets its ``outcome`` -- ``("ok", result)``, ``("err",
+    SyscallError)`` or ``("cancelled", SyscallError)``.  A completion
+    descriptor keeps only its wire fields.
+    """
 
     __snapshot__ = "auto"
 
-    __slots__ = ("seq", "call", "payload", "crc", "flags", "pending")
+    __slots__ = ("seq", "call", "payload", "crc", "flags",
+                 "task", "proxy", "args", "call_args", "kwargs",
+                 "crypto_offset", "outcome")
 
-    def __init__(self, seq, call, payload, flags=0, crc=None, pending=None):
+    def __init__(self, seq, call, payload, flags=0, crc=None):
         self.seq = seq
         self.call = call
         self.payload = payload
@@ -112,10 +122,6 @@ class RingDescriptor:
         """CRC32 of the payload taken at push while a fault engine was
         armed; ``None`` when none was."""
         self.flags = flags
-        self.pending = pending
-        """The submitted call a submit descriptor carries (a
-        :class:`~repro.core.anception.PendingCall`): the guest executes
-        it and sets its outcome.  ``None`` on a completion."""
 
     def __repr__(self):
         return (
@@ -171,8 +177,12 @@ class DelegationRing:
     def push(self, call, payload, seq=None, flags=0, pending=None):
         """Queue one descriptor; its payload crosses the shared pages.
 
-        Returns the descriptor's sequence number.  ``pending`` is the
-        call a submit descriptor carries (see :class:`RingDescriptor`).
+        Returns the descriptor's sequence number.  ``pending`` is a
+        submit descriptor -- the pending call -- that its submitter
+        built with ``call``, ``payload`` and ``flags`` and whose call
+        fields it set (see :class:`RingDescriptor`); push stamps its
+        sequence number and CRC and queues it.  Without one, push builds
+        a wire-only descriptor.
         A payload of any size is one descriptor: it crosses the window
         page by page, as one syscall's marshaled buffer does, and pays
         the per-chunk cost for every page.  The ring bounds how many descriptors are
@@ -201,7 +211,12 @@ class DelegationRing:
         # The one CRC of this crossing: taken only while a fault can
         # reach the payload, and reused by the channel as its send CRC.
         crc = None if engine is None else crc32(payload)
-        descriptor = RingDescriptor(seq, call, payload, flags, crc, pending)
+        if pending is None:
+            descriptor = RingDescriptor(seq, call, payload, flags, crc)
+        else:
+            descriptor = pending
+            descriptor.seq = seq
+            descriptor.crc = crc
         # Counted as the descriptor crosses: one whose payload then
         # fails the channel's integrity check was still pushed.
         self.pushed += 1

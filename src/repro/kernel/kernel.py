@@ -57,7 +57,7 @@ from repro.kernel.process import (
     TaskState,
 )
 from repro.kernel.syscalls import CATALOGUE, classify
-from repro.obs.bus import NULL_SPAN, maybe_event, maybe_span
+from repro.obs.bus import maybe_event
 from repro.perf.costs import DEFAULT_COSTS, PAGE_SIZE
 
 
@@ -276,40 +276,36 @@ class Kernel:
 
         One byte of ``task_struct`` (the redirection entry) decides whether
         the native handler table or the Anception alternate table services
-        the call.
+        the call.  The trap is one frame: under a capture its ``syscall``
+        span is opened and closed by hand, so the dormant path builds no
+        span (nor the syscall-class lookup that tags it).
         """
         if self.crashed:
             raise KernelCrashed(self, self.panic_log[-1] if self.panic_log else "")
         if task.state not in LIVE_STATES:
             raise SyscallError(errno.ESRCH, f"pid {task.pid} dead", call=name)
         clock = self.clock
-        if clock.dormant:
-            # No capture: the span (and the syscall-class lookup feeding
-            # it) would record nothing.
-            return self._syscall_body(task, name, args, kwargs)
-        with maybe_span(
-            self.clock, "syscall", name, task=task, kernel=self.label,
-            sclass=classify(name).value,
-        ) as span:
+        costs = self.costs
+        span = None
+        if not clock.dormant:
+            span = clock._bus.span(
+                "syscall", name, task=task, kernel=self.label,
+                sclass=classify(name).value,
+            )
             if name == "ioctl":
                 _tag_ioctl_span(span, args)
-            return self._syscall_body(task, name, args, kwargs, span)
-
-    def _syscall_body(self, task, name, args, kwargs, span=NULL_SPAN):
         previous = self.current
         self.current = task
         try:
-            clock = self.clock
             if clock.dormant:
-                clock._now_ns += self.costs.syscall_base_ns
+                clock._now_ns += costs.syscall_base_ns
             else:
-                clock.advance(self.costs.syscall_base_ns,
-                              f"syscall:{name}")
+                clock.advance(costs.syscall_base_ns, f"syscall:{name}")
             faults = clock.faults
             if faults is not None:
                 delay_ns = faults.delay_at(
                     "syscall.delay", name, self.label,
-                    default_ns=self.costs.syscall_base_ns)
+                    default_ns=costs.syscall_base_ns)
                 if delay_ns:
                     clock.advance(delay_ns, f"fault:syscall-delay:{name}")
                 injected = faults.errno_at("syscall.error", name, self.label)
@@ -317,20 +313,29 @@ class Kernel:
                     raise SyscallError(injected, "injected fault", call=name)
             if self.policy_monitor is not None:
                 self.policy_monitor.inspect(self, task, name, args)
-            if self.interposition is not None:
+            interposition = self.interposition
+            if interposition is not None:
                 if clock.dormant:
-                    clock._now_ns += self.costs.asim_check_ns
+                    clock._now_ns += costs.asim_check_ns
                 else:
-                    clock.advance(self.costs.asim_check_ns, "asim-check")
-                if task.redirection_entry:
-                    if span is not NULL_SPAN:
-                        span.set(disposition="anception")
-                    return self.interposition.dispatch(task, name, args, kwargs)
-            if span is not NULL_SPAN:
-                span.set(disposition="native")
-            return self.execute_native(task, name, args, kwargs)
-        finally:
+                    clock.advance(costs.asim_check_ns, "asim-check")
+            if interposition is not None and task.redirection_entry:
+                if span is not None:
+                    span.set(disposition="anception")
+                result = interposition.dispatch(task, name, args, kwargs)
+            else:
+                if span is not None:
+                    span.set(disposition="native")
+                result = self.execute_native(task, name, args, kwargs)
+        except BaseException as exc:
             self.current = previous
+            if span is not None:
+                span.__exit__(exc.__class__, exc, exc.__traceback__)
+            raise
+        self.current = previous
+        if span is not None:
+            span.__exit__(None, None, None)
+        return result
 
     def syscall_batch(self, task, calls):
         """Opt-in batched dispatch: ``(name, *args)`` tuples in order.

@@ -11,6 +11,7 @@ import errno
 import pytest
 
 from repro.errors import SyscallError
+from repro.faults.engine import FaultEngine
 from repro.kernel import vfs
 from repro.obs.bus import TraceBus
 from repro.world import AnceptionWorld
@@ -211,6 +212,25 @@ class TestBatchWindows:
         with pytest.raises(SyscallError) as info:
             enrolled_ctx.libc.syscall_batch([("write", read_only, b"doomed")])
         assert info.value.errno == errno.EBADF
+
+    def test_failing_prefix_flush_wins_over_the_raising_call(
+            self, anception_world, enrolled_ctx):
+        fd = _open_scratch(enrolled_ctx, "prefix.bin")
+        # The queued write flushes when the next call raises; its own
+        # failure is the earlier one in program order, so its errno wins.
+        engine = FaultEngine("syscall.error:kernel=cvm:call=write:"
+                             "errno=ENOSPC")
+        engine.arm(anception_world.clock)
+        try:
+            with pytest.raises(SyscallError) as info:
+                enrolled_ctx.libc.syscall_batch([
+                    ("write", fd, b"queued"),
+                    ("write", 99, b"x"),
+                ])
+        finally:
+            engine.disarm()
+        assert info.value.errno == errno.ENOSPC
+        assert [rule["call"] for rule in engine.fired] == ["write"]
 
     def test_pwrite_defers_without_coalescing(self, anception_world,
                                               enrolled_ctx):

@@ -11,12 +11,17 @@ and final VFS trees must be identical in all four:
   returns what native returns.  Whatever its size, a call is one ring
   descriptor whose bytes cross the window page by page: a ``read``,
   ``write``, ``pread`` or ``pwrite`` of a file, a ``writev`` segment,
-  a batch window's merged write, a pipe ``read`` and a socket ``send``.
+  a batch window's merged write, a pipe ``read`` and a socket ``send``;
+* a batch whose call raises keeps the writes queued before that call,
+  as native ran them first.
 """
+
+import errno
 
 import pytest
 
 from repro.android.app import App, AppManifest
+from repro.errors import SyscallError
 from repro.kernel import vfs
 from repro.kernel.net import AF_INET, SOCK_STREAM
 from repro.kernel.process import Credentials
@@ -189,6 +194,31 @@ def test_merged_batch_write_larger_than_the_window_matches_native(
                         vfs_tree(data_kernel(world), ctx.data_dir))
     _assert_all_agree(halves)
     assert halves["native"][0] == ([4096] * 10, b"".join(chunks))
+
+
+def test_batch_keeps_the_writes_before_a_raising_call(four_worlds):
+    """A batch whose second call fails with EBADF raises it, and the
+    write queued before that call lands, as native ran it first."""
+    halves = {}
+    for mode, world in four_worlds.items():
+        running = world.install_and_launch(EdgeApp())
+        running.run()
+        ctx = running.ctx
+        libc = ctx.libc
+        fd = libc.open(ctx.data_path("batch-raise.bin"), TRUNC, 0o644)
+        with pytest.raises(SyscallError) as info:
+            libc.syscall_batch([("write", fd, b"aa"), ("write", 99, b"x"),
+                                ("write", fd, b"bb")])
+        libc.fence(fd)
+        read_back = libc.pread(fd, 16, 0)
+        libc.close(fd)
+        anception = getattr(world, "anception", None)
+        if anception is not None:
+            anception.async_fence(libc.task)
+        halves[mode] = ((info.value.errno, read_back),
+                        vfs_tree(data_kernel(world), ctx.data_dir))
+    _assert_all_agree(halves)
+    assert halves["native"][0] == (errno.EBADF, b"aa")
 
 
 def test_pipe_read_larger_than_the_window_matches_native(four_worlds):
